@@ -15,9 +15,8 @@ import time
 import click
 
 from . import baselines, optimizer
-from .forces import conflicting_feature_pairs, conflicting_label_pairs
+from .forces import LabelLargerThanScreenError, conflicting_feature_pairs, conflicting_label_pairs
 from .metrics import build_report
-from .proximity import delaunay_graph, mean_nn_distance, prune_graph
 from .scene import GraphKind, LayoutConfig, LeaderSpec, LeaderType, initial_layout
 from .scenefile import (
     SceneValidationError,
@@ -58,9 +57,14 @@ def _apply_overrides(
     return dataclasses.replace(cfg, **changes) if changes else cfg
 
 
-def _reference_graph(labels, features, cfg):
-    t_d = cfg.t_d_factor * mean_nn_distance([f.anchor for f in features])
-    return prune_graph(delaunay_graph(labels), labels, t_d)
+# The report fields that `place` prints by default, and its `metrics` block.
+_METRIC_KEYS = (
+    "label_conflicts",
+    "feature_conflicts",
+    "total_displacement_cm",
+    "mean_direction_deviation_deg",
+    "elapsed_s",
+)
 
 
 @cli.command()
@@ -97,19 +101,22 @@ def place(
 
     t0 = time.perf_counter()
     if method == "beams":
+        # run() has measured the final layout against its own reference
+        # layout and graph; its report is the metrics block.
         labels, run_report = optimizer.run(features, cfg)
         report = run_report.as_dict()
+        metrics = {key: report[key] for key in _METRIC_KEYS}
     else:
         place_fn = baselines.localp if method == "localp" else baselines.nop
         labels = place_fn(features, cfg)
         report = {"method": method, "elapsed_s": time.perf_counter() - t0}
-    initial = initial_layout(features, cfg)
-    ref_graph = _reference_graph(initial, features, cfg)
-    metrics = build_report(
-        initial, labels, features, cfg.d_min, ref_graph, elapsed_s=report["elapsed_s"]
-    )
-    report["metrics"] = metrics.as_dict()
-    report["infeasible"] = (metrics.label_conflicts + metrics.feature_conflicts) > 0
+        initial = initial_layout(features, cfg)
+        metrics = build_report(
+            initial, labels, features, cfg.d_min, optimizer.reference_graph(initial, features, cfg),
+            elapsed_s=report["elapsed_s"],
+        ).as_dict()
+        report["infeasible"] = (metrics["label_conflicts"] + metrics["feature_conflicts"]) > 0
+    report["metrics"] = metrics
 
     if out_json:
         with open(out_json, "w", encoding="utf-8") as fh:
@@ -121,18 +128,14 @@ def place(
             labels,
             features,
             cfg.screen,
-            graph=_reference_graph(labels, features, cfg) if svg_graph else None,
+            graph=optimizer.reference_graph(labels, features, cfg) if svg_graph else None,
             label_conflicts=conflicting_label_pairs(labels, cfg.d_min),
             feature_conflicts=conflicting_feature_pairs(labels, features, cfg.d_min),
         )
     payload = report if show_metrics else {
         "method": method,
         "infeasible": report["infeasible"],
-        "label_conflicts": metrics.label_conflicts,
-        "feature_conflicts": metrics.feature_conflicts,
-        "total_displacement_cm": metrics.total_displacement_cm,
-        "mean_direction_deviation_deg": metrics.mean_direction_deviation_deg,
-        "elapsed_s": report["elapsed_s"],
+        **{key: metrics[key] for key in _METRIC_KEYS},
     }
     click.echo(json.dumps(payload, indent=2, sort_keys=True))
 
@@ -168,8 +171,9 @@ def eval_cmd(scene: str, placement: str) -> None:
             f"{placement}: {len(labels)} labels for {len(features)} features"
         )
     initial = initial_layout(features, cfg)
-    ref_graph = _reference_graph(initial, features, cfg)
-    metrics = build_report(initial, labels, features, cfg.d_min, ref_graph)
+    metrics = build_report(
+        initial, labels, features, cfg.d_min, optimizer.reference_graph(initial, features, cfg)
+    )
     payload = metrics.as_dict()
     payload["infeasible"] = (metrics.label_conflicts + metrics.feature_conflicts) > 0
     click.echo(json.dumps(payload, indent=2, sort_keys=True))
@@ -215,7 +219,7 @@ def main(argv: list[str] | None = None) -> int:
     except click.ClickException as exc:
         exc.show(file=sys.stderr)
         return 1
-    except SceneValidationError as exc:
+    except (SceneValidationError, LabelLargerThanScreenError) as exc:
         click.echo(f"validation error: {exc}", err=True)
         return 2
     except OSError as exc:

@@ -11,7 +11,9 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Sequence
+from typing import NamedTuple, Sequence
+
+import numpy as np
 
 from .geometry import (
     OverlapError,
@@ -36,6 +38,11 @@ MAX_COMPOSED_FEATURES = 8
 # the gap a hair under d_min; with it they land strictly clear and the
 # force vanishes, giving the iteration a stable fixed point.
 RESOLVE_TARGET_FACTOR = 1.25
+
+# The symbol scan's box test widens each label by radius + d_min plus this
+# margin (mm), far above float rounding at screen coordinates, so the box
+# never drops a pair the exact clearance test would keep.
+_BROAD_PHASE_SLACK = 1e-6
 
 
 class NotInConflictError(ValueError):
@@ -301,24 +308,61 @@ def conflicting_feature_pairs(
     """(label index, feature index) conflicts against foreign feature symbols.
 
     A label never conflicts with its own feature, and symbols whose label was
-    deleted are treated as removed from the map.
+    deleted are treated as removed from the map. A numpy box test picks the
+    symbols whose anchor lies within radius + d_min of each live label's
+    rect; each candidate is then confirmed exactly. Pairs come out sorted.
     """
+    live = [i for i, l in enumerate(labels) if not l.deleted]
+    if not live:
+        return []
     deleted_ids = {l.feature_id for l in labels if l.deleted}
+    ax = np.array([f.anchor.x for f in features])
+    ay = np.array([f.anchor.y for f in features])
+    reach = np.array([f.symbol_radius for f in features]) + (d_min + _BROAD_PHASE_SLACK)
+    boxes = np.array([
+        (r.x_min, r.y_min, r.x_max, r.y_max) for r in (labels[i].rect for i in live)
+    ])
+    near = (
+        (ax >= boxes[:, 0:1] - reach)
+        & (ax <= boxes[:, 2:3] + reach)
+        & (ay >= boxes[:, 1:2] - reach)
+        & (ay <= boxes[:, 3:4] + reach)
+    )
+    rows, cols = np.nonzero(near)
     pairs: list[tuple[int, int]] = []
-    for i, lbl in enumerate(labels):
-        if lbl.deleted:
+    for row, k in zip(rows.tolist(), cols.tolist()):
+        i = live[row]
+        lbl = labels[i]
+        feat = features[k]
+        if feat.id == lbl.feature_id or feat.id in deleted_ids:
             continue
-        rect = lbl.rect
-        for k, feat in enumerate(features):
-            if feat.id == lbl.feature_id or feat.id in deleted_ids:
-                continue
-            if point_rect_signed_clearance(feat.anchor, rect) - feat.symbol_radius < d_min:
-                pairs.append((i, k))
+        if point_rect_signed_clearance(feat.anchor, lbl.rect) - feat.symbol_radius < d_min:
+            pairs.append((i, k))
     return pairs
 
 
+class ConflictPairs(NamedTuple):
+    """The conflicting pairs of one layout, as the two scans return them."""
+
+    labels: list[tuple[int, int]]
+    features: list[tuple[int, int]]
+
+
+def conflict_pairs(
+    labels: Sequence[Label], features: Sequence[PointFeature], d_min: float
+) -> ConflictPairs:
+    """Both conflict scans of one layout."""
+    return ConflictPairs(
+        conflicting_label_pairs(labels, d_min),
+        conflicting_feature_pairs(labels, features, d_min),
+    )
+
+
 def assemble_forces(
-    labels: Sequence[Label], features: Sequence[PointFeature], cfg: LayoutConfig
+    labels: Sequence[Label],
+    features: Sequence[PointFeature],
+    cfg: LayoutConfig,
+    pairs: ConflictPairs | None = None,
 ) -> ForceAssignment:
     """Sum every constraint source into one force per label.
 
@@ -328,13 +372,17 @@ def assemble_forces(
     fixed-direction type only (the fixed-connection variant can never
     detach). Deleted labels receive no force. Contributions are recorded
     sorted by tag so accumulation order, and therefore the total, is stable.
+    `pairs`, when given, must be `conflict_pairs` of this very layout; the
+    optimizer passes the ones it counted when it made the layout.
     """
     n = len(labels)
     contribs: list[list[tuple[str, Vec2]]] = [[] for _ in range(n)]
     d_min = cfg.d_min
     target = RESOLVE_TARGET_FACTOR * d_min
+    if pairs is None:
+        pairs = conflict_pairs(labels, features, d_min)
 
-    for i, j in conflicting_label_pairs(labels, d_min):
+    for i, j in pairs.labels:
         ri, rj = labels[i].rect, labels[j].rect
         if interiors_overlap(ri, rj):
             fi, fj = overlap_force(ri, rj, target)
@@ -344,7 +392,7 @@ def assemble_forces(
         contribs[j].append((f"pair:{i:04d}", fj))
 
     feature_conflicts: dict[int, list[tuple[float, int]]] = {}
-    for i, k in conflicting_feature_pairs(labels, features, d_min):
+    for i, k in pairs.features:
         gap = point_rect_signed_clearance(features[k].anchor, labels[i].rect) - features[k].symbol_radius
         feature_conflicts.setdefault(i, []).append((gap, k))
     for i, hits in feature_conflicts.items():

@@ -5,6 +5,15 @@ constraint forces, solves the beam network for displacements, and moves the
 labels. The loop stops once the iteration cap is reached or the largest
 nodal force falls below the force threshold. Large scenes can be partitioned
 into spatial subgroups that iterate independently.
+
+Work is done once at the level where its inputs change. The Delaunay pruning
+distance t_d depends only on the anchors, which never move, so it is computed
+once per loop (and for a loop over the whole scene, taken from the reference
+graph's). Graph, forces, solve and move are per step. Each step scans the
+layout it produced once for conflicting label-label and label-symbol pairs;
+those pairs give the step's conflict counts and are carried in the state to
+the next step's force assembly, which would otherwise scan the same layout
+again.
 """
 
 from __future__ import annotations
@@ -14,7 +23,7 @@ from dataclasses import dataclass, field, replace
 from typing import Sequence
 
 from .beams import solve_displacements
-from .forces import assemble_forces
+from .forces import ConflictPairs, assemble_forces, conflict_pairs
 from .geometry import Rect, Vec2
 from .metrics import count_conflicts, mean_direction_deviation, total_displacement_cm
 from .proximity import (
@@ -106,25 +115,50 @@ class StepStats:
 
 @dataclass(slots=True)
 class OptimizerState:
+    """Labels after `step_count` steps. `t_d` and `pairs` are filled in by
+    `step` when left unset: the loop's pruning distance and the conflict
+    pairs of `labels`."""
+
     labels: list[Label]
     step_count: int = 0
     last_max_force: float = float("inf")
     history: list[StepStats] = field(default_factory=list)
+    t_d: float | None = None
+    pairs: ConflictPairs | None = None
 
 
-def build_graph(labels: Sequence[Label], features: Sequence[PointFeature], cfg: LayoutConfig) -> ProximityGraph:
+def pruning_distance(features: Sequence[PointFeature], cfg: LayoutConfig) -> float:
+    """t_d: Delaunay edges longer than this are pruned."""
+    return cfg.t_d_factor * mean_nn_distance([f.anchor for f in features])
+
+
+def reference_graph(
+    labels: Sequence[Label],
+    features: Sequence[PointFeature],
+    cfg: LayoutConfig,
+    t_d: float | None = None,
+) -> ProximityGraph:
+    """The pruned Delaunay graph that direction deviation is measured over."""
+    if t_d is None:
+        t_d = pruning_distance(features, cfg)
+    return prune_graph(delaunay_graph(labels), labels, t_d)
+
+
+def build_graph(labels: Sequence[Label], cfg: LayoutConfig, t_d: float | None) -> ProximityGraph:
     """The per-iteration proximity graph: pruned Delaunay or MST."""
     if cfg.graph_kind is GraphKind.MST:
         return mst_graph(labels, weight="center")
-    t_d = cfg.t_d_factor * mean_nn_distance([f.anchor for f in features])
     return prune_graph(delaunay_graph(labels), labels, t_d)
 
 
 def step(state: OptimizerState, features: Sequence[PointFeature], cfg: LayoutConfig) -> OptimizerState:
     """One pass: rebuild graph, assemble forces, solve, move labels."""
     labels = state.labels
-    graph = build_graph(labels, features, cfg)
-    assignment = assemble_forces(labels, features, cfg)
+    t_d = state.t_d
+    if t_d is None and cfg.graph_kind is GraphKind.DT:
+        t_d = pruning_distance(features, cfg)
+    graph = build_graph(labels, cfg, t_d)
+    assignment = assemble_forces(labels, features, cfg, state.pairs)
     totals = assignment.totals
     if cfg.leader.kind is LeaderType.FIXED_DIR_FIXED_CONN:
         # Only the along-leader force component can produce motion, so the
@@ -146,12 +180,12 @@ def step(state: OptimizerState, features: Sequence[PointFeature], cfg: LayoutCon
         conn = connection_point(rect, anchors[lbl.feature_id], cfg.leader, lbl.conn + d)
         moved.append(replace(lbl, rect=rect, conn=conn))
 
-    n_rr, n_rp = count_conflicts(moved, features, cfg.d_min)
+    pairs = conflict_pairs(moved, features, cfg.d_min)
     stats = StepStats(
         step=state.step_count + 1,
         max_force=max_force,
-        label_conflicts=n_rr,
-        feature_conflicts=n_rp,
+        label_conflicts=len(pairs.labels),
+        feature_conflicts=len(pairs.features),
         graph_edges=len(graph.edges),
         force_tags=assignment.tags_seen(),
     )
@@ -160,6 +194,8 @@ def step(state: OptimizerState, features: Sequence[PointFeature], cfg: LayoutCon
         step_count=state.step_count + 1,
         last_max_force=max_force,
         history=state.history + [stats],
+        t_d=t_d,
+        pairs=pairs,
     )
 
 
@@ -222,14 +258,17 @@ class RunReport:
 
 
 def _run_loop(
-    labels: list[Label], features: Sequence[PointFeature], cfg: LayoutConfig
+    labels: list[Label],
+    features: Sequence[PointFeature],
+    cfg: LayoutConfig,
+    t_d: float | None = None,
 ) -> tuple[list[Label], LoopStats]:
     n_live = sum(1 for l in labels if not l.deleted)
     if n_live == 0:
         return labels, LoopStats(0, 0, 0, 0.0, "force", ())
     t_s = effective_max_iterations(n_live, cfg.t_s_override)
     t_f = cfg.force_threshold
-    state = OptimizerState(labels=labels)
+    state = OptimizerState(labels=labels, t_d=t_d)
     while True:
         state = step(state, features, cfg)
         if state.step_count >= t_s or state.last_max_force <= t_f:
@@ -266,13 +305,13 @@ def run(
         labels = handle_offscreen_fixed(labels, cfg.screen, cfg.leader)
     reference = list(labels)
 
-    t_d = cfg.t_d_factor * mean_nn_distance([f.anchor for f in features])
-    ref_graph = prune_graph(delaunay_graph(reference), reference, t_d)
+    t_d = pruning_distance(features, cfg)
+    ref_graph = reference_graph(reference, features, cfg, t_d)
 
     feature_by_id = {f.id: f for f in features}
     loops: list[LoopStats] = []
     if cfg.t_num is None:
-        labels, stats = _run_loop(labels, features, cfg)
+        labels, stats = _run_loop(labels, features, cfg, t_d)
         loops.append(stats)
         subgroup_sizes: tuple[int, ...] = ()
     else:

@@ -3,7 +3,10 @@ import json
 import pytest
 
 from leaderlabels.cli import main
-from leaderlabels.scenefile import generate_synthetic
+from leaderlabels.metrics import build_report
+from leaderlabels.optimizer import reference_graph
+from leaderlabels.scene import initial_layout
+from leaderlabels.scenefile import generate_synthetic, load_placement, load_scene
 
 
 @pytest.fixture
@@ -35,6 +38,18 @@ class TestExitCodes:
         code, _, err = run_cli(capsys, "place", str(bad))
         assert code == 2
         assert "validation" in err
+
+    def test_label_wider_than_screen_is_validation_error(self, capsys, tmp_path):
+        scene = tmp_path / "wide.json"
+        scene.write_text(json.dumps({
+            "screen": {"width_mm": 30, "height_mm": 30},
+            "features": [{"id": "a", "x_mm": 15, "y_mm": 10, "depth": 100, "text": "W" * 36}],
+        }))
+        code, out, err = run_cli(capsys, "place", str(scene))
+        assert code == 2
+        assert err.startswith("validation error:")
+        assert "Traceback" not in err
+        assert out == ""
 
     def test_io_error_is_3(self, capsys, scene_path, tmp_path):
         code, _, err = run_cli(
@@ -79,6 +94,33 @@ class TestPlace:
         data = json.loads(out_json.read_text())
         assert len(data["labels"]) == 12
         assert out_svg.read_text().startswith("<?xml")
+
+    @pytest.mark.parametrize("leader_type", [2, 4])
+    def test_beams_metrics_match_recomputation(self, capsys, scene_path, tmp_path, leader_type):
+        # The metrics block comes from the run's own report; it must equal
+        # what measuring the written placement against the scene gives.
+        out_json = tmp_path / "placement.json"
+        code, out, _ = run_cli(
+            capsys, "place", scene_path, "--leader-type", str(leader_type),
+            "--out-json", str(out_json), "--metrics",
+        )
+        assert code == 0
+        payload = json.loads(out)
+        features, cfg = load_scene(scene_path)
+        initial = initial_layout(features, cfg)
+        expected = build_report(
+            initial, load_placement(str(out_json)), features, cfg.d_min,
+            reference_graph(initial, features, cfg), elapsed_s=payload["elapsed_s"],
+        )
+        assert payload["metrics"] == expected.as_dict()
+        assert payload["infeasible"] == (expected.label_conflicts + expected.feature_conflicts > 0)
+
+    def test_beams_metrics_block_matches_report(self, capsys, scene_path):
+        code, out, _ = run_cli(capsys, "place", scene_path, "--leader-type", "1", "--metrics")
+        assert code == 0
+        payload = json.loads(out)
+        for key, value in payload["metrics"].items():
+            assert payload[key] == value
 
     def test_localp_runs(self, capsys, scene_path):
         code, out, _ = run_cli(capsys, "place", scene_path, "--method", "localp")

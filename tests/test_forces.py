@@ -1,9 +1,12 @@
+import dataclasses
 import itertools
 import math
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from leaderlabels.forces import (
+    ConflictPairs,
     LabelLargerThanScreenError,
     NotInConflictError,
     NotOverlappingError,
@@ -11,6 +14,7 @@ from leaderlabels.forces import (
     assemble_forces,
     attachment_force,
     compose_point_forces,
+    conflict_pairs,
     conflicting_feature_pairs,
     conflicting_label_pairs,
     overlap_force,
@@ -282,6 +286,85 @@ class TestConflictScan:
             assert sorted(got) == sorted(brute_force_feature_conflicts(labels, features, 0.5))
 
 
+_unit = st.floats(0.0, 1.0)
+
+
+@st.composite
+def symbol_scenes(draw):
+    """Labels and symbols with anchors on the scan's boundary cases.
+
+    Each symbol sits near one label's rect: anywhere, inside it, exactly
+    radius + d_min out from an edge, or that far out from a corner. Its id
+    is a label's (so some symbols are a label's own) or one no label has.
+    Some labels are deleted, which removes their symbols.
+    """
+    n = draw(st.integers(1, 6))
+    labels = labels_from_rects([
+        Rect(x, y, x + w, y + h)
+        for x, y, w, h in draw(st.lists(
+            st.tuples(st.floats(-50.0, 150.0), st.floats(-50.0, 150.0),
+                      st.floats(0.0, 40.0), st.floats(0.0, 20.0)),
+            min_size=n, max_size=n,
+        ))
+    ])
+    labels = [dataclasses.replace(l, deleted=draw(st.booleans())) for l in labels]
+    d_min = draw(st.sampled_from([0.0, 0.2, 0.5]) | st.floats(0.0, 5.0))
+    features = []
+    for k in range(draw(st.integers(0, 12))):
+        r = labels[draw(st.integers(0, n - 1))].rect
+        radius = draw(st.sampled_from([0.0, 0.5]) | st.floats(0.0, 3.0))
+        reach = radius + d_min
+        where = draw(st.sampled_from(["free", "inside", "edge", "corner"]))
+        if where == "free":
+            x, y = draw(st.floats(-80.0, 200.0)), draw(st.floats(-80.0, 200.0))
+        elif where == "inside":
+            x, y = r.x_min + draw(_unit) * r.width, r.y_min + draw(_unit) * r.height
+        elif where == "edge":
+            t = draw(_unit)
+            x, y = draw(st.sampled_from([
+                (r.x_max + reach, r.y_min + t * r.height),
+                (r.x_min - reach, r.y_min + t * r.height),
+                (r.x_min + t * r.width, r.y_max + reach),
+                (r.x_min + t * r.width, r.y_min - reach),
+            ]))
+        else:
+            a = draw(st.sampled_from([0.0, math.pi / 4, math.pi / 2]) | st.floats(0.0, math.pi / 2))
+            sx, sy = draw(st.sampled_from([(1, 1), (1, -1), (-1, 1), (-1, -1)]))
+            cx = r.x_max if sx > 0 else r.x_min
+            cy = r.y_max if sy > 0 else r.y_min
+            x, y = cx + sx * reach * math.cos(a), cy + sy * reach * math.sin(a)
+        fid = draw(st.sampled_from([f"f{i}" for i in range(n)] + [f"s{k}"]))
+        features.append(
+            PointFeature(id=fid, anchor=Vec2(x, y), depth=100.0, text="T", symbol_radius=radius)
+        )
+    return labels, features, d_min
+
+
+class TestFeatureScanProperty:
+    @settings(max_examples=300, deadline=None)
+    @given(symbol_scenes())
+    def test_equals_all_pairs_definition(self, scene):
+        labels, features, d_min = scene
+        assert conflicting_feature_pairs(labels, features, d_min) == (
+            brute_force_feature_conflicts(labels, features, d_min)
+        )
+
+    def test_boundary_cases_by_hand(self):
+        # s0's clearance is exactly radius + d_min, so no conflict; s1's is
+        # 0.1 mm less. s2 lies inside label 0, f1 is label 1's symbol.
+        labels = labels_from_rects([Rect(0, 0, 10, 4), Rect(40, 0, 50, 4)])
+        features = [
+            PointFeature(id="s0", anchor=Vec2(11.0, 2.0), depth=100, text="T", symbol_radius=0.5),
+            PointFeature(id="s1", anchor=Vec2(2.0, 4.9), depth=100, text="T", symbol_radius=0.5),
+            PointFeature(id="s2", anchor=Vec2(5.0, 2.0), depth=100, text="T", symbol_radius=0.5),
+            PointFeature(id="f0", anchor=Vec2(5.0, 2.0), depth=100, text="T"),
+            PointFeature(id="f1", anchor=Vec2(5.0, 3.0), depth=100, text="T"),
+        ]
+        assert conflicting_feature_pairs(labels, features, 0.5) == [(0, 1), (0, 2), (0, 4)]
+        deleted = [labels[0], dataclasses.replace(labels[1], deleted=True)]
+        assert conflicting_feature_pairs(deleted, features, 0.5) == [(0, 1), (0, 2)]
+
+
 def scene_config(**kw) -> LayoutConfig:
     kw.setdefault("screen", Rect(0, 0, 200, 150))
     return LayoutConfig(**kw)
@@ -297,6 +380,21 @@ class TestAssembleForces:
         fa = assemble_forces(labels, features, scene_config())
         assert all(f == Vec2(0.0, 0.0) for f in fa.totals)
         assert fa.max_magnitude() == 0.0
+
+    def test_given_pairs_replace_the_scans(self, rng):
+        labels = random_labels(rng, 20, span=60.0)
+        features = [
+            PointFeature(id=f"f{i}", anchor=lbl.rect.center(), depth=100.0, text="T")
+            for i, lbl in enumerate(labels)
+        ]
+        cfg = scene_config()
+        pairs = conflict_pairs(labels, features, cfg.d_min)
+        assert pairs.labels and pairs.features
+        assert assemble_forces(labels, features, cfg, pairs) == assemble_forces(labels, features, cfg)
+        # The forces follow the pairs handed in, not a fresh scan.
+        assert assemble_forces(labels, features, cfg, ConflictPairs([], [])) != assemble_forces(
+            labels, features, cfg
+        )
 
     def test_single_overlap_equals_overlap_force(self):
         r1, r2 = Rect(50, 50, 60, 54), Rect(58, 51, 70, 55)

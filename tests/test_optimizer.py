@@ -2,6 +2,8 @@ import dataclasses
 
 import pytest
 
+from leaderlabels import optimizer
+from leaderlabels.forces import conflict_pairs
 from leaderlabels.geometry import Rect, Vec2
 from leaderlabels.metrics import count_conflicts
 from leaderlabels.optimizer import (
@@ -134,6 +136,16 @@ class TestStep:
                 improved += 1
         assert improved >= 90
 
+    def test_state_carries_the_new_layouts_pairs(self):
+        features, cfg = synthetic_scene(20, 1, screen=(160.0, 110.0))
+        state = OptimizerState(labels=initial_layout(features, cfg))
+        for _ in range(3):
+            state = step(state, features, cfg)
+            assert state.pairs == conflict_pairs(state.labels, features, cfg.d_min)
+            assert state.history[-1].label_conflicts == len(state.pairs.labels)
+            assert state.history[-1].feature_conflicts == len(state.pairs.features)
+        assert state.t_d == optimizer.pruning_distance(features, cfg)
+
     def test_deleted_labels_do_not_move(self):
         features = [
             PointFeature(id="a", anchor=Vec2(95, 40), depth=100, text="AAAA"),
@@ -258,3 +270,32 @@ class TestRun:
             a = anchors[lbl.feature_id]
             assert lbl.conn.x == pytest.approx(min(max(a.x, lbl.rect.x_min), lbl.rect.x_max))
             assert lbl.conn.y == pytest.approx(min(max(a.y, lbl.rect.y_min), lbl.rect.y_max))
+
+
+class TestPruningDistanceOncePerLoop:
+    """t_d depends on the anchors alone, so each loop computes it once."""
+
+    @pytest.fixture
+    def nn_calls(self, monkeypatch):
+        calls = []
+        real = optimizer.mean_nn_distance
+
+        def counted(points):
+            calls.append(len(points))
+            return real(points)
+
+        monkeypatch.setattr(optimizer, "mean_nn_distance", counted)
+        return calls
+
+    def test_full_run_computes_it_once(self, nn_calls):
+        features, cfg = synthetic_scene(30, 2)
+        _, report = run(features, cfg)
+        assert report.total_steps > 1
+        assert nn_calls == [30]
+
+    def test_subgroup_run_computes_it_once_per_group(self, nn_calls):
+        features, cfg = synthetic_scene(40, 3)
+        _, report = run(features, dataclasses.replace(cfg, t_num=10))
+        assert len(report.subgroup_sizes) > 1
+        assert report.total_steps > len(report.loops)
+        assert nn_calls == [40] + list(report.subgroup_sizes)
