@@ -22,6 +22,14 @@ from .scene import Label
 _DUPLICATE_JITTER = 1e-9
 
 
+def _find(parent: list[int] | dict[int, int], a: int) -> int:
+    """Root of a in the union-find forest parent, halving the path walked."""
+    while parent[a] != a:
+        parent[a] = parent[parent[a]]
+        a = parent[a]
+    return a
+
+
 @dataclass(frozen=True, slots=True)
 class GraphEdge:
     """Undirected edge between label slots i < j."""
@@ -49,20 +57,13 @@ class ProximityGraph:
     def components(self) -> list[list[int]]:
         """Connected components over all slots; isolated slots are singletons."""
         parent = list(range(len(self.positions)))
-
-        def find(a: int) -> int:
-            while parent[a] != a:
-                parent[a] = parent[parent[a]]
-                a = parent[a]
-            return a
-
         for e in self.edges:
-            ra, rb = find(e.i), find(e.j)
+            ra, rb = _find(parent, e.i), _find(parent, e.j)
             if ra != rb:
                 parent[rb] = ra
         groups: dict[int, list[int]] = {}
         for idx in range(len(self.positions)):
-            groups.setdefault(find(idx), []).append(idx)
+            groups.setdefault(_find(parent, idx), []).append(idx)
         return [sorted(g) for g in sorted(groups.values(), key=lambda g: g[0])]
 
 
@@ -190,16 +191,9 @@ def _mst_edge_list(
             cand.append((w, i, j))
     cand.sort()
     parent = {i: i for i in live}
-
-    def find(a: int) -> int:
-        while parent[a] != a:
-            parent[a] = parent[parent[a]]
-            a = parent[a]
-        return a
-
     chosen: list[tuple[float, int, int]] = []
     for w, i, j in cand:
-        ri, rj = find(i), find(j)
+        ri, rj = _find(parent, i), _find(parent, j)
         if ri != rj:
             parent[rj] = ri
             chosen.append((w, i, j))
@@ -231,28 +225,21 @@ def partition_labels(labels: Sequence[Label], t_num: int) -> list[list[int]]:
 
     while True:
         parent = {i: i for i in live}
-
-        def find(a: int) -> int:
-            while parent[a] != a:
-                parent[a] = parent[parent[a]]
-                a = parent[a]
-            return a
-
         for _, i, j in active:
-            ri, rj = find(i), find(j)
+            ri, rj = _find(parent, i), _find(parent, j)
             if ri != rj:
                 parent[rj] = ri
         sizes: dict[int, int] = {}
         for i in live:
-            r = find(i)
+            r = _find(parent, i)
             sizes[r] = sizes.get(r, 0) + 1
         oversized = {r for r, s in sizes.items() if s > t_num}
         if not oversized:
             groups: dict[int, list[int]] = {}
             for i in live:
-                groups.setdefault(find(i), []).append(i)
+                groups.setdefault(_find(parent, i), []).append(i)
             return [sorted(g) for g in sorted(groups.values(), key=lambda g: g[0])]
-        removable = [e for e in active if find(e[1]) in oversized]
+        removable = [e for e in active if _find(parent, e[1]) in oversized]
         active.remove(max(removable))
 
 

@@ -7,22 +7,25 @@ opposing constraints whose net force cancels).
 
 The procedure ranks labels by conflict degree and grid-searches the worst
 one for the nearest displacement that clears every one of its conflicts
-while keeping it on screen and attached to its leader. A move is accepted
+while keeping it on screen and attached to its leader. One search does
+this: it steps outward along the leader type's admissible axes first and,
+for a label whose every axis step is blocked, then walks the off-axis
+borders of square grid rings, each border nearest first. A move is accepted
 only when the new spot is conflict-free against the whole scene, so every
 accepted move strictly reduces the number of conflicting pairs and the loop
-terminates. Labels never in conflict are never touched. Total work is
-additionally capped by a deterministic candidate-evaluation budget so that
-hopelessly overfull scenes fail fast instead of grinding.
+terminates. Labels never in conflict are never touched. Both kinds of step
+draw on one deterministic candidate-evaluation budget per invocation, so
+that hopelessly overfull scenes fail fast instead of grinding.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import replace
-from typing import Sequence
+from typing import Callable, Iterable, Sequence
 
 from .forces import conflicting_feature_pairs, conflicting_label_pairs
-from .geometry import Rect, Vec2, interiors_overlap, point_rect_signed_clearance, rect_distance
+from .geometry import Rect, Vec2, point_rect_signed_clearance, rect_distance
 from .scene import Label, LayoutConfig, LeaderType, PointFeature, connection_point
 
 # Search retries double the radius each time: 10 * d_min * 2^retry. Eight
@@ -92,10 +95,21 @@ def greedy_repair(
     """
     labels = list(labels)
     anchors = {f.id: f.anchor for f in features}
+    deleted_ids = {l.feature_id for l in labels if l.deleted}
     directions = admissible_directions(cfg)
     grid = cfg.d_min / 2.0
+
+    def axis_steps(k: int) -> Iterable[Vec2]:
+        return (direction * (k * grid) for direction in directions)
+
+    def ring_steps(k: int) -> Iterable[Vec2]:
+        return (Vec2(ix * grid, iy * grid) for ix, iy in _ring_border(k))
+
+    # Axis steps first; rings only for a label whose every axis step is blocked.
+    searches = [(max_axis_retries, 1.0, axis_steps)]
+    if diagonal and cfg.leader.kind is not LeaderType.FIXED_DIR_FIXED_CONN:
+        searches.append((MAX_RETRIES_DIAGONAL, math.sqrt(2.0), ring_steps))
     moves = 0
-    allow_ring = diagonal and cfg.leader.kind is not LeaderType.FIXED_DIR_FIXED_CONN
     budget = _Budget(CANDIDATE_BUDGET)
     # A label whose search exhausted stays parked until some move lands near
     # enough to change its surroundings.
@@ -110,11 +124,13 @@ def greedy_repair(
         for idx in sorted(candidates, key=lambda i: (-degree[i], i)):
             lbl = labels[idx]
             anchor = anchors[lbl.feature_id]
-            d = _search_displacement(
-                idx, labels, features, cfg, anchor, directions, grid, budget, max_axis_retries
-            )
-            if d is None and allow_ring:
-                d = _search_displacement_ring(idx, labels, features, cfg, anchor, grid, budget)
+            for retries, reach_scale, steps in searches:
+                d = _search(
+                    idx, labels, features, cfg, anchor, deleted_ids, budget,
+                    retries, reach_scale, steps,
+                )
+                if d is not None:
+                    break
             if d is not None:
                 old_center = lbl.rect.center()
                 rect = lbl.rect.translated(d)
@@ -142,27 +158,35 @@ def greedy_repair(
     return labels, moves
 
 
-def _search_displacement(
+def _search(
     idx: int,
     labels: Sequence[Label],
     features: Sequence[PointFeature],
     cfg: LayoutConfig,
     anchor: Vec2,
-    directions: tuple[Vec2, ...],
-    grid: float,
+    deleted_ids: set[str],
     budget: _Budget,
-    max_retries: int = MAX_RETRIES,
+    retries: int,
+    reach_scale: float,
+    step_offsets: Callable[[int], Iterable[Vec2]],
 ) -> Vec2 | None:
+    """Nearest clearing displacement for label idx, or None.
+
+    step_offsets(k) yields the candidate offsets of step k, nearest first.
+    Steps run outward in retries whose radius doubles each time; an offset
+    of step k lies at most k * grid * reach_scale from the label's center.
+    """
     rect = labels[idx].rect
     center = rect.center()
     own_half_diag = 0.5 * math.hypot(rect.width, rect.height)
-    deleted_ids = {l.feature_id for l in labels if l.deleted}
-    k_start = 1
-    for retry in range(max_retries + 1):
+    own_feature = labels[idx].feature_id
+    grid = cfg.d_min / 2.0
+    start = 1
+    for retry in range(retries + 1):
         radius = BASE_RADIUS_FACTOR * cfg.d_min * (2.0**retry)
-        # Anything beyond the candidate sweep's reach is irrelevant;
-        # prefilter once per retry ring.
-        reach = radius + own_half_diag + cfg.d_min
+        # Anything beyond this retry's reach cannot touch a candidate;
+        # prefilter once per retry.
+        reach = radius * reach_scale + own_half_diag + cfg.d_min
         near_labels = [
             other.rect
             for j, other in enumerate(labels)
@@ -174,70 +198,31 @@ def _search_displacement(
         near_features = [
             f
             for f in features
-            if f.id != labels[idx].feature_id
+            if f.id != own_feature
             and f.id not in deleted_ids
             and (f.anchor - center).norm() <= reach + f.symbol_radius
         ]
-        k_end = int(radius / grid)
-        for k in range(k_start, k_end + 1):
-            for direction in directions:
+        end = int(radius / grid)
+        for k in range(start, end + 1):
+            for d in step_offsets(k):
                 if not budget.spend():
                     return None
-                d = direction * (k * grid)
                 if _candidate_ok(rect.translated(d), near_labels, near_features, cfg, anchor):
                     return d
-        k_start = k_end + 1
+        start = end + 1
     return None
 
 
-def _search_displacement_ring(
-    idx: int,
-    labels: Sequence[Label],
-    features: Sequence[PointFeature],
-    cfg: LayoutConfig,
-    anchor: Vec2,
-    grid: float,
-    budget: _Budget,
-) -> Vec2 | None:
-    rect = labels[idx].rect
-    center = rect.center()
-    own_half_diag = 0.5 * math.hypot(rect.width, rect.height)
-    deleted_ids = {l.feature_id for l in labels if l.deleted}
-    ring_start = 1
-    for retry in range(MAX_RETRIES_DIAGONAL + 1):
-        radius = BASE_RADIUS_FACTOR * cfg.d_min * (2.0**retry)
-        reach = radius * math.sqrt(2.0) + own_half_diag + cfg.d_min
-        near_labels = [
-            other.rect
-            for j, other in enumerate(labels)
-            if j != idx
-            and not other.deleted
-            and (other.rect.center() - center).norm()
-            <= reach + 0.5 * math.hypot(other.rect.width, other.rect.height)
-        ]
-        near_features = [
-            f
-            for f in features
-            if f.id != labels[idx].feature_id
-            and f.id not in deleted_ids
-            and (f.anchor - center).norm() <= reach + f.symbol_radius
-        ]
-        ring_end = int(radius / grid)
-        for ring in range(ring_start, ring_end + 1):
-            offsets = sorted(
-                (ix * ix + iy * iy, ix, iy)
-                for ix in range(-ring, ring + 1)
-                for iy in range(-ring, ring + 1)
-                if max(abs(ix), abs(iy)) == ring and ix != 0 and iy != 0
-            )
-            for _, ix, iy in offsets:
-                if not budget.spend():
-                    return None
-                d = Vec2(ix * grid, iy * grid)
-                if _candidate_ok(rect.translated(d), near_labels, near_features, cfg, anchor):
-                    return d
-        ring_start = ring_end + 1
-    return None
+def _ring_border(r: int) -> list[tuple[int, int]]:
+    """Grid offsets (ix, iy) on the border of the square ring r, both non-zero.
+
+    Ordered by (ix^2 + iy^2, ix, iy): for each m = 1..r the cells at squared
+    distance r^2 + m^2, eight of them below the corners and four at m = r.
+    """
+    cells = []
+    for m in range(1, r):
+        cells += [(-r, -m), (-r, m), (-m, -r), (-m, r), (m, -r), (m, r), (r, -m), (r, m)]
+    return cells + [(-r, -r), (-r, r), (r, -r), (r, r)]
 
 
 def _candidate_ok(
@@ -249,7 +234,7 @@ def _candidate_ok(
 ) -> bool:
     d_min = cfg.d_min
     for other in near_labels:
-        if rect_distance(candidate, other) < d_min or interiors_overlap(candidate, other):
+        if rect_distance(candidate, other) < d_min:
             return False
     for feat in near_features:
         if point_rect_signed_clearance(feat.anchor, candidate) - feat.symbol_radius < d_min:

@@ -1,21 +1,27 @@
-"""Golden digest of `optimizer.run` placements on a small fixed corpus.
+"""Golden digests of placements on small fixed corpora.
 
-A refactor or speed-up of the placement loop must reproduce these layouts
-and reports bit for bit. Every float is hashed through `float.hex`, so a
-change in the last bit of any coordinate changes the digest. Only
-`elapsed_s` is left out of the report.
+GOLDEN_DIGEST covers `optimizer.run` on the paper's scene sizes.
+REPAIR_DIGEST covers the greedy repair search: two `optimizer.run` scenes
+whose finishing pass reaches the diagonal ring search and makes a ring
+move, and two `baselines.localp` scenes driven by the axis search alone.
+
+A refactor or speed-up of the placement loop or of repair must reproduce
+these layouts and reports bit for bit. Every float is hashed through
+`float.hex`, so a change in the last bit of any coordinate changes the
+digest. Only `elapsed_s` is left out of the report.
 
 The dense Cholesky factor of the beam solve changes in its last bits with
 the number of BLAS threads, so the digest is taken in a child process with
 BLAS and OpenMP pinned to one thread, as the benchmark runs them.
 
 If a change is meant to alter placements, say so in CHANGES.md and
-replace GOLDEN_DIGEST with the value this test prints. `python
-tests/test_golden.py` prints it too, when run with the thread variables
-below set to 1.
+replace the digest with the value this test prints. `python
+tests/test_golden.py` prints GOLDEN_DIGEST's then REPAIR_DIGEST's value,
+one a line, when run with the thread variables below set to 1.
 """
 
 import dataclasses
+import functools
 import hashlib
 import json
 import os
@@ -24,10 +30,12 @@ import sys
 from pathlib import Path
 
 import leaderlabels
+from leaderlabels.baselines import localp
 from leaderlabels.optimizer import run
 from leaderlabels.scenefile import synthetic_scene
 
 GOLDEN_DIGEST = "24aec505fbb21a8ae66105da8d79f412137d70f92b544272820283e694bacd92"
+REPAIR_DIGEST = "503b48a527886347de032ac5fd1f9f6c3276afd37198993dd9bea7b290245c28"
 
 THREAD_VARIABLES = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")
 
@@ -49,25 +57,45 @@ def _hexed(value):
     return value
 
 
+def _hash_labels(h, labels) -> None:
+    for lbl in labels:
+        r = lbl.rect
+        h.update(
+            json.dumps(
+                _hexed([lbl.feature_id, r.x_min, r.y_min, r.x_max, r.y_max,
+                        lbl.conn.x, lbl.conn.y, lbl.deleted])
+            ).encode()
+        )
+
+
+def _hash_report(h, report) -> None:
+    summary = report.as_dict()
+    del summary["elapsed_s"]
+    h.update(json.dumps(_hexed(summary), sort_keys=True).encode())
+
+
 def placement_digest() -> str:
     h = hashlib.sha256()
     for features, cfg in _corpus():
         labels, report = run(features, cfg)
-        for lbl in labels:
-            r = lbl.rect
-            h.update(
-                json.dumps(
-                    _hexed([lbl.feature_id, r.x_min, r.y_min, r.x_max, r.y_max,
-                            lbl.conn.x, lbl.conn.y, lbl.deleted])
-                ).encode()
-            )
-        summary = report.as_dict()
-        del summary["elapsed_s"]
-        h.update(json.dumps(_hexed(summary), sort_keys=True).encode())
+        _hash_labels(h, labels)
+        _hash_report(h, report)
     return h.hexdigest()
 
 
-def test_placements_match_golden_digest():
+def repair_digest() -> str:
+    h = hashlib.sha256()
+    for n, seed, screen in ((40, 3, (120.0, 75.0)), (30, 7, (100.0, 60.0))):
+        labels, report = run(*synthetic_scene(n, seed, screen=screen))
+        _hash_labels(h, labels)
+        _hash_report(h, report)
+    for n, seed, screen in ((25, 4, (150.0, 100.0)), (30, 7, (100.0, 60.0))):
+        _hash_labels(h, localp(*synthetic_scene(n, seed, screen=screen)))
+    return h.hexdigest()
+
+
+@functools.lru_cache(maxsize=1)
+def _child_digests() -> tuple[str, ...]:
     env = dict(os.environ, **{name: "1" for name in THREAD_VARIABLES})
     package_root = str(Path(leaderlabels.__file__).resolve().parents[1])
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [package_root, env.get("PYTHONPATH")]))
@@ -75,9 +103,19 @@ def test_placements_match_golden_digest():
         [sys.executable, __file__], env=env, capture_output=True, text=True, timeout=120
     )
     assert child.returncode == 0, child.stderr
-    digest = child.stdout.strip()
+    return tuple(child.stdout.split())
+
+
+def test_placements_match_golden_digest():
+    digest = _child_digests()[0]
     assert digest == GOLDEN_DIGEST, f"placement digest changed: {digest}"
+
+
+def test_repair_matches_golden_digest():
+    digest = _child_digests()[1]
+    assert digest == REPAIR_DIGEST, f"repair digest changed: {digest}"
 
 
 if __name__ == "__main__":
     print(placement_digest())
+    print(repair_digest())
