@@ -137,8 +137,7 @@ def solve_displacements(
     k[3 * idx + 2, 3 * idx + 2] = k_g * 1.0
 
     if graph.edges:
-        i_arr = np.array([e.i for e in graph.edges])
-        j_arr = np.array([e.j for e in graph.edges])
+        i_arr, j_arr = np.array(graph.edges).T
         x = np.array([p.x for p in graph.positions])
         y = np.array([p.y for p in graph.positions])
         blocks = _global_stiffness_batch(x[i_arr], y[i_arr], x[j_arr], y[j_arr], params)

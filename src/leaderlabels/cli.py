@@ -75,7 +75,7 @@ _METRIC_KEYS = (
 @click.option("--tnum", type=int, default=None, help="Max subgroup size; 0 disables clustering.")
 @click.option(
     "--seed-iterations",
-    type=int,
+    type=click.IntRange(min=1),
     default=None,
     help="Override the iteration cap (default: label count clamped to [20, 100]).",
 )

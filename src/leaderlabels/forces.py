@@ -59,21 +59,14 @@ class LabelLargerThanScreenError(ValueError):
 
 @dataclass(frozen=True, slots=True)
 class ForceAssignment:
-    """Total force per label slot plus tagged per-source contributions."""
+    """Total force per label slot, and the sources that contributed to any
+    label: "attachment", "pair", "point", "screen"."""
 
     totals: tuple[Vec2, ...]
-    contributions: tuple[tuple[tuple[str, Vec2], ...], ...]
+    sources: frozenset[str]
 
     def max_magnitude(self) -> float:
         return max((f.norm() for f in self.totals), default=0.0)
-
-    def tags_seen(self) -> frozenset[str]:
-        """Distinct base tags (pair indices stripped) present anywhere."""
-        out = set()
-        for entry in self.contributions:
-            for tag, _ in entry:
-                out.add(tag.split(":")[0])
-        return frozenset(out)
 
 
 def separation_force(a: Rect, b: Rect, d_min: float) -> tuple[Vec2, Vec2]:
@@ -268,9 +261,12 @@ def screen_force(rect: Rect, screen: Rect, d_min: float) -> Vec2:
 def conflicting_label_pairs(labels: Sequence[Label], d_min: float) -> list[tuple[int, int]]:
     """All live label pairs overlapping or closer than d_min, sorted.
 
+    d_min must be positive, as `LayoutConfig.d_min` is: overlapping rects
+    are at distance 0, so the one distance test also catches overlaps.
     Uses a uniform-grid broad phase (cell edge = largest label diagonal plus
     d_min) so two conflicting rects always land in the same or adjacent
-    cells, then confirms exactly.
+    cells, then confirms exactly. Each pair is met once, from the cell of
+    its lower index.
     """
     live = [i for i, l in enumerate(labels) if not l.deleted]
     if len(live) < 2:
@@ -297,9 +293,9 @@ def conflicting_label_pairs(labels: Sequence[Label], d_min: float) -> list[tuple
                         if j <= i:
                             continue
                         rj = labels[j].rect
-                        if rect_distance(ri, rj) < d_min or interiors_overlap(ri, rj):
+                        if rect_distance(ri, rj) < d_min:
                             pairs.append((i, j))
-    return sorted(set(pairs))
+    return sorted(pairs)
 
 
 def conflicting_feature_pairs(
@@ -370,26 +366,44 @@ def assemble_forces(
     neighbors. Feature repulsions are composed per label across conflicting
     symbols. The leader attachment pull applies to the sliding-connection
     fixed-direction type only (the fixed-connection variant can never
-    detach). Deleted labels receive no force. Contributions are recorded
-    sorted by tag so accumulation order, and therefore the total, is stable.
-    `pairs`, when given, must be `conflict_pairs` of this very layout; the
-    optimizer passes the ones it counted when it made the layout.
+    detach). Deleted labels receive no force. Each label's total is summed
+    from 0.0 in one fixed order, so it is reproducible to the bit:
+    attachment, then label pairs by rising partner index, then point, then
+    screen. `pairs`, when given, must be `conflict_pairs` of this very
+    layout; the optimizer passes the ones it counted when it made the layout.
     """
     n = len(labels)
-    contribs: list[list[tuple[str, Vec2]]] = [[] for _ in range(n)]
+    tx = [0.0] * n
+    ty = [0.0] * n
+    sources: set[str] = set()
     d_min = cfg.d_min
     target = RESOLVE_TARGET_FACTOR * d_min
     if pairs is None:
         pairs = conflict_pairs(labels, features, d_min)
 
+    def add(i: int, f: Vec2, source: str) -> None:
+        tx[i] += f.x
+        ty[i] += f.y
+        sources.add(source)
+
+    if cfg.leader.kind is LeaderType.FIXED_DIR_FREE_CONN:
+        feature_by_id = {f.id: f for f in features}
+        for i, lbl in enumerate(labels):
+            if not lbl.deleted:
+                fa = attachment_force(lbl, feature_by_id[lbl.feature_id], cfg.leader)
+                if fa.norm() > 0.0:
+                    add(i, fa, "attachment")
+
+    # The scan sorts the pairs, so each label meets its partners by rising
+    # index: first as the second slot of (j, i), then as the first of (i, j).
     for i, j in pairs.labels:
         ri, rj = labels[i].rect, labels[j].rect
         if interiors_overlap(ri, rj):
             fi, fj = overlap_force(ri, rj, target)
         else:
             fi, fj = separation_force(ri, rj, target)
-        contribs[i].append((f"pair:{j:04d}", fi))
-        contribs[j].append((f"pair:{i:04d}", fj))
+        add(i, fi, "pair")
+        add(j, fj, "pair")
 
     feature_conflicts: dict[int, list[tuple[float, int]]] = {}
     for i, k in pairs.features:
@@ -404,29 +418,14 @@ def assemble_forces(
         ]
         composed = compose_point_forces(cand_sets)
         if composed.norm() > 0.0:
-            contribs[i].append(("point", composed))
+            add(i, composed, "point")
 
-    feature_by_id = {f.id: f for f in features}
     for i, lbl in enumerate(labels):
-        if lbl.deleted:
-            continue
-        if cfg.leader.kind is LeaderType.FIXED_DIR_FREE_CONN:
-            fa = attachment_force(lbl, feature_by_id[lbl.feature_id], cfg.leader)
-            if fa.norm() > 0.0:
-                contribs[i].append(("attachment", fa))
-        fs = screen_force(lbl.rect, cfg.screen, d_min)
-        if fs.norm() > 0.0:
-            contribs[i].append(("screen", fs))
+        if not lbl.deleted:
+            fs = screen_force(lbl.rect, cfg.screen, d_min)
+            if fs.norm() > 0.0:
+                add(i, fs, "screen")
 
-    totals = []
-    frozen = []
-    for i in range(n):
-        entry = tuple(sorted(contribs[i], key=lambda item: item[0]))
-        frozen.append(entry)
-        tx = 0.0
-        ty = 0.0
-        for _, f in entry:
-            tx += f.x
-            ty += f.y
-        totals.append(Vec2(tx, ty))
-    return ForceAssignment(totals=tuple(totals), contributions=tuple(frozen))
+    return ForceAssignment(
+        totals=tuple(Vec2(x, y) for x, y in zip(tx, ty)), sources=frozenset(sources)
+    )

@@ -187,7 +187,7 @@ def step(state: OptimizerState, features: Sequence[PointFeature], cfg: LayoutCon
         label_conflicts=len(pairs.labels),
         feature_conflicts=len(pairs.features),
         graph_edges=len(graph.edges),
-        force_tags=assignment.tags_seen(),
+        force_tags=assignment.sources,
     )
     return OptimizerState(
         labels=moved,

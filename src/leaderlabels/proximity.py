@@ -1,20 +1,21 @@
 """Proximity graphs over label centers: Delaunay, pruned Delaunay, and MST.
 
 The graph encodes which labels should be treated as structural neighbors by
-the beam solver. Edges carry a rest length and an undirected orientation so
-the evaluation module can measure how much relative directions drift.
+the beam solver. An edge is a sorted slot pair (i, j) with i < j, and every
+builder returns its edges sorted; lengths and orientations are taken from
+`positions` (or from label centers) by whoever needs them.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Literal, Sequence
+from typing import Literal, NamedTuple, Sequence
 
 import numpy as np
 from scipy.spatial import Delaunay, QhullError
 
-from .geometry import Vec2, normalize_orientation_deg, rect_distance, segment_crosses_interior
+from .geometry import Vec2, rect_distance, segment_crosses_interior
 from .scene import Label
 
 # Deterministic nudge applied to duplicate centers so triangulation stays
@@ -30,14 +31,11 @@ def _find(parent: list[int] | dict[int, int], a: int) -> int:
     return a
 
 
-@dataclass(frozen=True, slots=True)
-class GraphEdge:
+class GraphEdge(NamedTuple):
     """Undirected edge between label slots i < j."""
 
     i: int
     j: int
-    rest_length: float
-    rest_direction: float  # degrees in [0, 180)
 
 
 @dataclass(frozen=True, slots=True)
@@ -52,19 +50,7 @@ class ProximityGraph:
     edges: tuple[GraphEdge, ...]
 
     def edge_pairs(self) -> set[tuple[int, int]]:
-        return {(e.i, e.j) for e in self.edges}
-
-    def components(self) -> list[list[int]]:
-        """Connected components over all slots; isolated slots are singletons."""
-        parent = list(range(len(self.positions)))
-        for e in self.edges:
-            ra, rb = _find(parent, e.i), _find(parent, e.j)
-            if ra != rb:
-                parent[rb] = ra
-        groups: dict[int, list[int]] = {}
-        for idx in range(len(self.positions)):
-            groups.setdefault(_find(parent, idx), []).append(idx)
-        return [sorted(g) for g in sorted(groups.values(), key=lambda g: g[0])]
+        return set(self.edges)
 
 
 def effective_centers(labels: Sequence[Label]) -> list[Vec2]:
@@ -84,15 +70,6 @@ def effective_centers(labels: Sequence[Label]) -> list[Vec2]:
             seen.add((c.x, c.y))
         out.append(c)
     return out
-
-
-def _make_edge(i: int, j: int, positions: Sequence[Vec2]) -> GraphEdge:
-    a, b = positions[i], positions[j]
-    if i > j:
-        i, j = j, i
-    length = (positions[j] - positions[i]).norm()
-    angle = normalize_orientation_deg(math.degrees(math.atan2(b.y - a.y, b.x - a.x)))
-    return GraphEdge(i=i, j=j, rest_length=length, rest_direction=angle)
 
 
 def _collinear_chain(live: list[int], positions: Sequence[Vec2]) -> set[tuple[int, int]]:
@@ -125,7 +102,7 @@ def delaunay_graph(labels: Sequence[Label]) -> ProximityGraph:
                     for b in range(a + 1, 3):
                         gi, gj = live[simplex[a]], live[simplex[b]]
                         pairs.add((min(gi, gj), max(gi, gj)))
-    edges = tuple(_make_edge(i, j, positions) for i, j in sorted(pairs))
+    edges = tuple(GraphEdge(i, j) for i, j in sorted(pairs))
     return ProximityGraph(positions=tuple(positions), edges=edges)
 
 
@@ -147,9 +124,9 @@ def prune_graph(graph: ProximityGraph, labels: Sequence[Label], t_d: float) -> P
 
     kept = []
     for e in graph.edges:
-        if e.rest_length > t_d:
-            continue
         p, q = graph.positions[e.i], graph.positions[e.j]
+        if (q - p).norm() > t_d:
+            continue
         bx0, bx1 = min(p.x, q.x), max(p.x, q.x)
         by0, by1 = min(p.y, q.y), max(p.y, q.y)
         mask = (xs_min <= bx1) & (xs_max >= bx0) & (ys_min <= by1) & (ys_max >= by0)
@@ -206,7 +183,7 @@ def mst_graph(labels: Sequence[Label], weight: WeightKind = "rect") -> Proximity
     """Minimum spanning tree over live labels as a proximity graph."""
     positions = effective_centers(labels)
     chosen = _mst_edge_list(labels, positions, weight)
-    edges = tuple(_make_edge(i, j, positions) for i, j in sorted((i, j) for _, i, j in chosen))
+    edges = tuple(GraphEdge(i, j) for i, j in sorted((i, j) for _, i, j in chosen))
     return ProximityGraph(positions=tuple(positions), edges=edges)
 
 

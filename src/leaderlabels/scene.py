@@ -7,6 +7,7 @@ feature's distance from the viewpoint, the usual perspective cue.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field, replace
 from enum import Enum, IntEnum
 
@@ -84,8 +85,10 @@ class LeaderSpec:
     kind: LeaderType = LeaderType.FIXED_DIR_FREE_CONN
 
     def __post_init__(self) -> None:
-        if not self.length > 0:
-            raise ValueError("leader length must be positive")
+        if not 0 < self.length < math.inf:
+            raise ValueError("leader length must be positive and finite")
+        if not math.isfinite(self.direction):
+            raise ValueError("leader direction must be finite")
         object.__setattr__(self, "direction", float(self.direction) % 360.0)
 
     def unit(self) -> Vec2:
@@ -157,6 +160,8 @@ class LayoutConfig:
             raise ValueError("t_d_factor must be positive")
         if not self.t_f_factor > 0:
             raise ValueError("t_f_factor must be positive")
+        if self.t_s_override is not None and self.t_s_override < 1:
+            raise ValueError("t_s_override must be at least 1")
         if self.t_num is not None and self.t_num < 1:
             raise ValueError("t_num must be at least 1")
         if self.padding < 0:

@@ -65,8 +65,8 @@ def parse_scene(data: Any, source: str = "<scene>") -> tuple[list[PointFeature],
     screen_raw = _require(data, "screen", dict, source)
     width = _require(screen_raw, "width_mm", float, f"{source}.screen")
     height = _require(screen_raw, "height_mm", float, f"{source}.screen")
-    if width <= 0 or height <= 0:
-        raise SceneValidationError(f"{source}.screen: dimensions must be positive")
+    if not (0 < width < math.inf and 0 < height < math.inf):
+        raise SceneValidationError(f"{source}.screen: dimensions must be positive and finite")
     screen = Rect(0.0, 0.0, width, height)
 
     raw_features = _require(data, "features", list, source)
@@ -116,11 +116,8 @@ def _parse_config(raw: dict, screen: Rect, where: str) -> LayoutConfig:
         kind = LeaderType(int(kind_code))
     except (ValueError, TypeError) as exc:
         raise SceneValidationError(f"{where}.leader.type: must be 1, 2, 3, or 4") from exc
-    leader = LeaderSpec(
-        length=_optional_number(leader_raw, "length_mm", 10.0, f"{where}.leader"),
-        direction=_optional_number(leader_raw, "direction_deg", 90.0, f"{where}.leader"),
-        kind=kind,
-    )
+    leader_length = _optional_number(leader_raw, "length_mm", 10.0, f"{where}.leader")
+    leader_direction = _optional_number(leader_raw, "direction_deg", 90.0, f"{where}.leader")
 
     beam_raw = raw.get("beam", {}) or {}
     if not isinstance(beam_raw, dict):
@@ -129,21 +126,10 @@ def _parse_config(raw: dict, screen: Rect, where: str) -> LayoutConfig:
     if max_step is not None and (not isinstance(max_step, (int, float)) or isinstance(max_step, bool)):
         raise SceneValidationError(f"{where}.beam.max_step_mm: expected a number")
     beam_defaults = BeamParams()
-    beam = BeamParams(
-        elastic_modulus=_optional_number(
-            beam_raw, "elastic_modulus", beam_defaults.elastic_modulus, f"{where}.beam"
-        ),
-        cross_section=_optional_number(
-            beam_raw, "cross_section", beam_defaults.cross_section, f"{where}.beam"
-        ),
-        moment_of_inertia=_optional_number(
-            beam_raw, "moment_of_inertia", beam_defaults.moment_of_inertia, f"{where}.beam"
-        ),
-        ground_stiffness=_optional_number(
-            beam_raw, "ground_stiffness", beam_defaults.ground_stiffness, f"{where}.beam"
-        ),
-        max_step=float(max_step) if max_step is not None else None,
-    )
+    beam_args = {
+        name: _optional_number(beam_raw, name, getattr(beam_defaults, name), f"{where}.beam")
+        for name in ("elastic_modulus", "cross_section", "moment_of_inertia", "ground_stiffness")
+    }
 
     graph_code = raw.get("graph", GraphKind.DT.value)
     try:
@@ -159,6 +145,8 @@ def _parse_config(raw: dict, screen: Rect, where: str) -> LayoutConfig:
         raise SceneValidationError(f"{where}.t_num: expected an integer")
 
     try:
+        leader = LeaderSpec(length=leader_length, direction=leader_direction, kind=kind)
+        beam = BeamParams(**beam_args, max_step=float(max_step) if max_step is not None else None)
         return LayoutConfig(
             screen=screen,
             d_min=_optional_number(raw, "d_min_mm", 0.2, where),

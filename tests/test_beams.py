@@ -25,18 +25,7 @@ def params(**kw) -> BeamParams:
 
 
 def graph_of(positions: list[Vec2], pairs: list[tuple[int, int]]) -> ProximityGraph:
-    edges = []
-    for i, j in pairs:
-        d = positions[j] - positions[i]
-        edges.append(
-            GraphEdge(
-                i=i,
-                j=j,
-                rest_length=d.norm(),
-                rest_direction=math.degrees(math.atan2(d.y, d.x)) % 180.0,
-            )
-        )
-    return ProximityGraph(positions=tuple(positions), edges=tuple(edges))
+    return ProximityGraph(positions=tuple(positions), edges=tuple(GraphEdge(i, j) for i, j in pairs))
 
 
 def assemble_global(graph: ProximityGraph, p: BeamParams) -> np.ndarray:

@@ -51,6 +51,39 @@ class TestExitCodes:
         assert "Traceback" not in err
         assert out == ""
 
+    @pytest.mark.parametrize(
+        "section, key, value",
+        [
+            ("leader", "length_mm", -1),
+            ("beam", "elastic_modulus", 0),
+            ("beam", "max_step_mm", -1),
+            (None, "t_s_override", 0),
+            ("leader", "direction_deg", float("inf")),
+            ("screen", "width_mm", float("inf")),
+        ],
+    )
+    def test_invalid_config_is_validation_error(self, capsys, tmp_path, section, key, value):
+        data = generate_synthetic(5, 0, (150.0, 100.0))
+        if section == "screen":
+            data["screen"][key] = value
+        elif section is None:
+            data["config"][key] = value
+        else:
+            data["config"][section] = {key: value}
+        scene = tmp_path / "bad.json"
+        scene.write_text(json.dumps(data))
+        code, out, err = run_cli(capsys, "place", str(scene))
+        assert code == 2
+        assert err.startswith("validation error:")
+        assert out == ""
+
+    def test_zero_seed_iterations_is_usage_error(self, capsys, scene_path):
+        code, out, err = run_cli(capsys, "place", scene_path, "--seed-iterations", "0")
+        assert code == 1
+        assert "--seed-iterations" in err
+        assert "Traceback" not in err
+        assert out == ""
+
     def test_io_error_is_3(self, capsys, scene_path, tmp_path):
         code, _, err = run_cli(
             capsys, "place", scene_path, "--out-json", str(tmp_path / "nodir" / "x.json")

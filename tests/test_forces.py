@@ -500,17 +500,41 @@ class TestAssembleForces:
             expected_nonzero = has_conflict or has_screen_violation or has_attachment_miss
             assert (fa.max_magnitude() > 0) == expected_nonzero
 
-    def test_contribution_tags_sorted_and_summed(self):
-        labels = labels_from_rects([Rect(50, 50, 60, 54), Rect(58, 51, 70, 55)])
-        features = [
-            PointFeature(id="f0", anchor=Vec2(55, 30), depth=100, text="A"),
-            PointFeature(id="f1", anchor=Vec2(64, 30), depth=100, text="B"),
+    def test_totals_sum_sources_in_fixed_order(self):
+        # Label 1, in the screen's top-right corner, meets label 0 across a
+        # corner gap and overlaps label 2, covers a foreign symbol, and has
+        # drifted off its leader. Its total is summed from 0.0 in the
+        # documented order; these coordinates give a different last bit
+        # if attachment comes last, the pairs swap, or screen precedes point.
+        rects = [
+            Rect(150, 130, 160.02, 140.86),
+            Rect(160.1, 140.88, 199.86, 149.91),
+            Rect(154.31, 141.5, 160.68, 149.26),
         ]
-        fa = assemble_forces(labels, features, scene_config())
-        for entry, total in zip(fa.contributions, fa.totals):
-            tags = [t for t, _ in entry]
-            assert tags == sorted(tags)
-            s = Vec2(0.0, 0.0)
-            for _, v in entry:
-                s = s + v
-            assert s == total
+        labels = labels_from_rects(rects)
+        features = [
+            PointFeature(id="f0", anchor=Vec2(155, 100), depth=100, text="A"),
+            PointFeature(id="f1", anchor=Vec2(127.67, 100), depth=100, text="B"),
+            PointFeature(id="f2", anchor=Vec2(198.63, 146.8), depth=100, text="C", symbol_radius=0.45),
+        ]
+        cfg = scene_config()
+        target = RESOLVE_TARGET_FACTOR * cfg.d_min
+        fa = assemble_forces(labels, features, cfg)
+        assert fa.sources == {"attachment", "pair", "point", "screen"}
+
+        r0, r1, r2 = rects
+        parts = [
+            attachment_force(labels[1], features[1], cfg.leader),
+            separation_force(r0, r1, target)[1],
+            overlap_force(r1, r2, target)[0],
+            compose_point_forces(
+                [point_repulsion_candidates(r1, features[2].anchor, features[2].symbol_radius, target)]
+            ),
+            screen_force(r1, cfg.screen, cfg.d_min),
+        ]
+        assert all(p.norm() > 0 for p in parts)
+        tx = ty = 0.0
+        for p in parts:
+            tx += p.x
+            ty += p.y
+        assert fa.totals[1] == Vec2(tx, ty)

@@ -1,6 +1,9 @@
 import dataclasses
 
+import math
+
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from leaderlabels import optimizer
 from leaderlabels.forces import conflict_pairs
@@ -24,7 +27,7 @@ from leaderlabels.scene import (
 )
 from leaderlabels.scenefile import synthetic_scene
 
-from conftest import labels_from_rects
+from conftest import brute_force_feature_conflicts, brute_force_label_conflicts, labels_from_rects
 
 
 class TestEffectiveMaxIterations:
@@ -299,3 +302,51 @@ class TestPruningDistanceOncePerLoop:
         assert len(report.subgroup_sizes) > 1
         assert report.total_steps > len(report.loops)
         assert nn_calls == [40] + list(report.subgroup_sizes)
+
+
+@st.composite
+def small_runs(draw):
+    n = draw(st.integers(1, 10))
+    seed = draw(st.integers(0, 10_000))
+    width = draw(st.floats(150.0, 300.0))
+    height = draw(st.floats(100.0, 200.0))
+    features, cfg = synthetic_scene(n, seed, screen=(width, height))
+    kind = LeaderType(draw(st.integers(1, 4)))
+    cfg = dataclasses.replace(
+        cfg,
+        leader=dataclasses.replace(cfg.leader, kind=kind),
+        graph_kind=draw(st.sampled_from(list(GraphKind))),
+        t_num=draw(st.one_of(st.none(), st.integers(2, 5))),
+    )
+    return features, cfg
+
+
+class TestRunProperties:
+    """The contract of `run` on random small scenes, every leader type and
+    graph kind, with and without subgroups."""
+
+    @settings(max_examples=30, deadline=None)
+    @given(small_runs())
+    def test_run_contract(self, scene):
+        features, cfg = scene
+        labels, report = run(features, cfg)
+
+        for lbl in labels:
+            r = lbl.rect
+            assert all(math.isfinite(v) for v in (r.x_min, r.y_min, r.x_max, r.y_max))
+            assert math.isfinite(lbl.conn.x) and math.isfinite(lbl.conn.y)
+
+        n_rr = len(brute_force_label_conflicts(labels, cfg.d_min))
+        n_rp = len(brute_force_feature_conflicts(labels, features, cfg.d_min))
+        assert (report.label_conflicts, report.feature_conflicts) == (n_rr, n_rp)
+        assert report.infeasible == (n_rr + n_rp > 0)
+
+        initial = initial_layout(features, cfg)
+        for before, after in zip(initial, labels):
+            if after.deleted:
+                assert after.rect == before.rect
+
+        if cfg.leader.kind is LeaderType.FIXED_DIR_FREE_CONN:
+            anchors = {f.id: f.anchor for f in features}
+            for lbl in labels:
+                assert lbl.conn == Vec2(anchors[lbl.feature_id].x, lbl.rect.y_min)

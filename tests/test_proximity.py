@@ -17,6 +17,10 @@ from leaderlabels.scene import Label
 from conftest import labels_from_rects, random_labels
 
 
+def edge_length(g, e) -> float:
+    return (g.positions[e.j] - g.positions[e.i]).norm()
+
+
 def point_labels(points: list[tuple[float, float]]) -> list[Label]:
     """Tiny square labels centered on the given points."""
     rects = [Rect(x - 0.05, y - 0.05, x + 0.05, y + 0.05) for x, y in points]
@@ -125,7 +129,7 @@ class TestDelaunay:
     def test_two_nodes(self):
         g = delaunay_graph(point_labels([(0, 0), (3, 4)]))
         assert g.edge_pairs() == {(0, 1)}
-        assert g.edges[0].rest_length == pytest.approx(5.0)
+        assert edge_length(g, g.edges[0]) == pytest.approx(5.0)
 
     def test_one_node(self):
         g = delaunay_graph(point_labels([(1, 1)]))
@@ -138,7 +142,7 @@ class TestDelaunay:
 
     def test_duplicate_centers_do_not_crash(self):
         g = delaunay_graph(point_labels([(1, 1), (1, 1), (4, 5), (7, 2)]))
-        assert all(e.rest_length > 0 for e in g.edges)
+        assert all(edge_length(g, e) > 0 for e in g.edges)
 
     def test_random_against_oracle(self, rng):
         for _ in range(8):
@@ -157,6 +161,49 @@ class TestDelaunay:
         )
         g = delaunay_graph(labels)
         assert g.edge_pairs() == {(0, 2)}
+
+
+class TestEdgeOrder:
+    """Every builder returns its edges sorted, with i < j and no duplicates.
+
+    The beam assembly sums element blocks in edge order, so placements
+    depend on this order, not only on the edge set.
+    """
+
+    @staticmethod
+    def assert_sorted_unique(g):
+        pairs = [(e.i, e.j) for e in g.edges]
+        assert all(i < j for i, j in pairs)
+        assert pairs == sorted(set(pairs))
+
+    def test_general_delaunay(self, rng):
+        for _ in range(5):
+            self.assert_sorted_unique(delaunay_graph(random_labels(rng, 25)))
+
+    def test_two_labels(self):
+        self.assert_sorted_unique(delaunay_graph(point_labels([(9, 9), (0, 0)])))
+
+    def test_collinear_fallback(self):
+        g = delaunay_graph(point_labels([(9, 0), (4, 0), (0, 0), (2, 0), (7, 0)]))
+        assert len(g.edges) == 4
+        self.assert_sorted_unique(g)
+
+    def test_duplicate_centers(self):
+        g = delaunay_graph(point_labels([(4, 5), (1, 1), (1, 1), (7, 2), (1, 1)]))
+        assert g.edges
+        self.assert_sorted_unique(g)
+
+    def test_prune(self, rng):
+        for _ in range(5):
+            labels = random_labels(rng, 25)
+            self.assert_sorted_unique(prune_graph(delaunay_graph(labels), labels, t_d=35.0))
+
+    @pytest.mark.parametrize("weight", ["rect", "center"])
+    def test_mst(self, rng, weight):
+        for _ in range(5):
+            g = mst_graph(random_labels(rng, 15), weight=weight)
+            assert len(g.edges) == 14
+            self.assert_sorted_unique(g)
 
 
 class TestPrune:
@@ -193,7 +240,7 @@ class TestPrune:
             pruned = prune_graph(g, labels, t_d)
             expected = set()
             for e in g.edges:
-                if e.rest_length > t_d:
+                if edge_length(g, e) > t_d:
                     continue
                 p, q = g.positions[e.i], g.positions[e.j]
                 if any(
@@ -241,7 +288,16 @@ class TestMst:
         labels = random_labels(rng, 12)
         g = mst_graph(labels)
         assert len(g.edges) == 11
-        assert len(g.components()) == 1
+        root = list(range(12))
+
+        def find(a: int) -> int:
+            while root[a] != a:
+                a = root[a]
+            return a
+
+        for i, j in g.edges:
+            root[find(j)] = find(i)
+        assert len({find(k) for k in range(12)}) == 1
 
 
 class TestPartition:
@@ -290,9 +346,3 @@ class TestHelpers:
         centers = effective_centers(labels)
         assert len({(c.x, c.y) for c in centers}) == 3
 
-    def test_edge_direction_range(self, rng):
-        labels = random_labels(rng, 15)
-        g = delaunay_graph(labels)
-        for e in g.edges:
-            assert 0.0 <= e.rest_direction < 180.0
-            assert e.rest_length > 0.0
