@@ -9,24 +9,34 @@ label toward resolving the constraint that produced it.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import NamedTuple, Sequence
 
 import numpy as np
 
 from .geometry import (
+    HYPOT_RTOL,
     OverlapError,
     Rect,
     Vec2,
     ZERO,
     interiors_overlap,
     point_axis_gaps,
+    points_array,
     point_rect_signed_clearance,
     rect_distance,
     rect_nearest_points,
+    row_blocks,
 )
-from .scene import Label, LayoutConfig, LeaderSpec, LeaderType, PointFeature
+from .scene import (
+    Label,
+    LayoutConfig,
+    LeaderSpec,
+    LeaderType,
+    PointFeature,
+    label_rects,
+    live_slots,
+)
 
 # A label in conflict with more than this many feature symbols composes over
 # the nearest ones only, bounding the 4^k selection search.
@@ -229,6 +239,35 @@ def attachment_force(label: Label, feature: PointFeature, leader: LeaderSpec) ->
     return n * (-hi)
 
 
+def attachment_forces(rects: np.ndarray, anchors: np.ndarray, leader: LeaderSpec) -> np.ndarray:
+    """`attachment_force` for many labels at once, as the same floats.
+
+    rects is (n, 4) as `label_rects` gives it and anchors (n, 2), one row
+    per label. Returns the (n, 2) forces, zero rows where the scalar
+    function gives ZERO.
+    """
+    if not leader.kind.fixed_direction:
+        return np.zeros((len(rects), 2))
+    u = leader.unit()
+    n = u.perp()
+    if abs(u.y) >= abs(u.x):
+        y = rects[:, 1] if u.y > 0 else rects[:, 3]
+        e1x, e1y, e2x, e2y = rects[:, 0], y, rects[:, 2], y
+    else:
+        x = rects[:, 0] if u.x > 0 else rects[:, 2]
+        e1x, e1y, e2x, e2y = x, rects[:, 1], x, rects[:, 3]
+    ax, ay = anchors[:, 0], anchors[:, 1]
+    a_off = n.x * (e1x - ax) + n.y * (e1y - ay)
+    b_off = n.x * (e2x - ax) + n.y * (e2y - ay)
+    ordered = a_off <= b_off
+    lo = np.where(ordered, a_off, b_off)
+    hi = np.where(ordered, b_off, a_off)
+    off = -np.where(lo > 0.0, lo, hi)
+    force = np.column_stack((n.x * off, n.y * off))
+    force[(lo <= 0.0) & (hi >= 0.0)] = 0.0
+    return force
+
+
 def screen_force(rect: Rect, screen: Rect, d_min: float) -> Vec2:
     """Inward pressure when a label sits within d_min of any screen edge.
 
@@ -258,82 +297,107 @@ def screen_force(rect: Rect, screen: Rect, d_min: float) -> Vec2:
     return Vec2(fx, fy)
 
 
-def conflicting_label_pairs(labels: Sequence[Label], d_min: float) -> list[tuple[int, int]]:
+def screen_forces(rects: np.ndarray, screen: Rect, d_min: float) -> np.ndarray:
+    """`screen_force` for many labels at once, as the same floats.
+
+    rects is (n, 4) as `label_rects` gives it; returns the (n, 2) forces.
+    Raises LabelLargerThanScreenError for the first rect that cannot fit.
+    """
+    width = rects[:, 2] - rects[:, 0]
+    height = rects[:, 3] - rects[:, 1]
+    too_large = np.flatnonzero(
+        (width > screen.width - 2.0 * d_min) | (height > screen.height - 2.0 * d_min)
+    )
+    if len(too_large):
+        screen_force(Rect(*rects[too_large[0]].tolist()), screen, d_min)
+    left = rects[:, 0] - screen.x_min
+    right = screen.x_max - rects[:, 2]
+    bottom = rects[:, 1] - screen.y_min
+    top = screen.y_max - rects[:, 3]
+    fx = np.where(left < d_min, d_min - left, 0.0) - np.where(right < d_min, d_min - right, 0.0)
+    fy = np.where(bottom < d_min, d_min - bottom, 0.0) - np.where(top < d_min, d_min - top, 0.0)
+    return np.column_stack((fx, fy))
+
+
+def conflicting_label_pairs(
+    labels: Sequence[Label], d_min: float, rects: np.ndarray | None = None
+) -> list[tuple[int, int]]:
     """All live label pairs overlapping or closer than d_min, sorted.
 
     d_min must be positive, as `LayoutConfig.d_min` is: overlapping rects
     are at distance 0, so the one distance test also catches overlaps.
-    Uses a uniform-grid broad phase (cell edge = largest label diagonal plus
-    d_min) so two conflicting rects always land in the same or adjacent
-    cells, then confirms exactly. Each pair is met once, from the cell of
-    its lower index.
+    rects, when given, must be `label_rects(labels)`.
+
+    The axis gaps of every live pair i < j are taken as arrays, in blocks
+    of rows so that memory stays linear in n. Their np.hypot decides each
+    pair, and `rect_distance` each one within HYPOT_RTOL of d_min.
     """
-    live = [i for i, l in enumerate(labels) if not l.deleted]
+    live = live_slots(labels)
     if len(live) < 2:
         return []
-    diag = max(math.hypot(labels[i].rect.width, labels[i].rect.height) for i in live)
-    cell = diag + d_min
-    if cell <= 0.0:
-        cell = 1.0
-    grid: dict[tuple[int, int], list[int]] = {}
-    for i in live:
-        c = labels[i].rect.center()
-        key = (int(c.x // cell), int(c.y // cell))
-        grid.setdefault(key, []).append(i)
+    if rects is None:
+        rects = label_rects(labels)
+    boxes = rects[live]
+    m = len(live)
     pairs: list[tuple[int, int]] = []
-    for (cx, cy), members in grid.items():
-        for dx in (-1, 0, 1):
-            for dy in (-1, 0, 1):
-                other = grid.get((cx + dx, cy + dy))
-                if other is None:
-                    continue
-                for i in members:
-                    ri = labels[i].rect
-                    for j in other:
-                        if j <= i:
-                            continue
-                        rj = labels[j].rect
-                        if rect_distance(ri, rj) < d_min:
-                            pairs.append((i, j))
-    return sorted(pairs)
+    for rows in row_blocks(m, m):
+        # Columns from the block's first row on; j > i is masked below.
+        a, b = boxes[rows], boxes[rows.start:]
+        gx = np.maximum(np.maximum(a[:, 0:1] - b[:, 2], b[:, 0] - a[:, 2:3]), 0.0)
+        gy = np.maximum(np.maximum(a[:, 1:2] - b[:, 3], b[:, 1] - a[:, 3:4]), 0.0)
+        upper = np.arange(rows.start, m) > np.arange(rows.start, rows.stop)[:, None]
+        r, c = np.nonzero(upper & (gx < d_min) & (gy < d_min))
+        gap = np.hypot(gx[r, c], gy[r, c])
+        close = gap < d_min
+        i_slots = live[r + rows.start]
+        j_slots = live[c + rows.start]
+        for k in np.flatnonzero(np.abs(gap - d_min) <= HYPOT_RTOL * d_min).tolist():
+            close[k] = rect_distance(labels[i_slots[k]].rect, labels[j_slots[k]].rect) < d_min
+        pairs.extend(zip(i_slots[close].tolist(), j_slots[close].tolist()))
+    return pairs
 
 
 def conflicting_feature_pairs(
-    labels: Sequence[Label], features: Sequence[PointFeature], d_min: float
+    labels: Sequence[Label],
+    features: Sequence[PointFeature],
+    d_min: float,
+    rects: np.ndarray | None = None,
 ) -> list[tuple[int, int]]:
     """(label index, feature index) conflicts against foreign feature symbols.
 
     A label never conflicts with its own feature, and symbols whose label was
-    deleted are treated as removed from the map. A numpy box test picks the
-    symbols whose anchor lies within radius + d_min of each live label's
-    rect; each candidate is then confirmed exactly. Pairs come out sorted.
+    deleted are treated as removed from the map. A numpy box test, in blocks
+    of labels, picks the symbols whose anchor lies within radius + d_min of
+    each live label's rect; each candidate is then confirmed exactly. Pairs
+    come out sorted. rects, when given, must be `label_rects(labels)`.
     """
-    live = [i for i, l in enumerate(labels) if not l.deleted]
-    if not live:
+    live = live_slots(labels)
+    if not len(live):
         return []
+    if rects is None:
+        rects = label_rects(labels)
     deleted_ids = {l.feature_id for l in labels if l.deleted}
     ax = np.array([f.anchor.x for f in features])
     ay = np.array([f.anchor.y for f in features])
     reach = np.array([f.symbol_radius for f in features]) + (d_min + _BROAD_PHASE_SLACK)
-    boxes = np.array([
-        (r.x_min, r.y_min, r.x_max, r.y_max) for r in (labels[i].rect for i in live)
-    ])
-    near = (
-        (ax >= boxes[:, 0:1] - reach)
-        & (ax <= boxes[:, 2:3] + reach)
-        & (ay >= boxes[:, 1:2] - reach)
-        & (ay <= boxes[:, 3:4] + reach)
-    )
-    rows, cols = np.nonzero(near)
+    boxes = rects[live]
     pairs: list[tuple[int, int]] = []
-    for row, k in zip(rows.tolist(), cols.tolist()):
-        i = live[row]
-        lbl = labels[i]
-        feat = features[k]
-        if feat.id == lbl.feature_id or feat.id in deleted_ids:
-            continue
-        if point_rect_signed_clearance(feat.anchor, lbl.rect) - feat.symbol_radius < d_min:
-            pairs.append((i, k))
+    for block in row_blocks(len(live), len(features)):
+        b = boxes[block]
+        near = (
+            (ax >= b[:, 0:1] - reach)
+            & (ax <= b[:, 2:3] + reach)
+            & (ay >= b[:, 1:2] - reach)
+            & (ay <= b[:, 3:4] + reach)
+        )
+        rows, cols = np.nonzero(near)
+        for i, k in zip(live[rows + block.start].tolist(), cols.tolist()):
+            lbl = labels[i]
+            feat = features[k]
+            if feat.id == lbl.feature_id or feat.id in deleted_ids:
+                continue
+            if point_rect_signed_clearance(feat.anchor, lbl.rect) - feat.symbol_radius < d_min:
+                pairs.append((i, k))
     return pairs
 
 
@@ -345,12 +409,18 @@ class ConflictPairs(NamedTuple):
 
 
 def conflict_pairs(
-    labels: Sequence[Label], features: Sequence[PointFeature], d_min: float
+    labels: Sequence[Label],
+    features: Sequence[PointFeature],
+    d_min: float,
+    rects: np.ndarray | None = None,
 ) -> ConflictPairs:
-    """Both conflict scans of one layout."""
+    """Both conflict scans of one layout. rects, when given, must be
+    `label_rects(labels)`."""
+    if rects is None:
+        rects = label_rects(labels)
     return ConflictPairs(
-        conflicting_label_pairs(labels, d_min),
-        conflicting_feature_pairs(labels, features, d_min),
+        conflicting_label_pairs(labels, d_min, rects),
+        conflicting_feature_pairs(labels, features, d_min, rects),
     )
 
 
@@ -359,6 +429,7 @@ def assemble_forces(
     features: Sequence[PointFeature],
     cfg: LayoutConfig,
     pairs: ConflictPairs | None = None,
+    rects: np.ndarray | None = None,
 ) -> ForceAssignment:
     """Sum every constraint source into one force per label.
 
@@ -371,28 +442,38 @@ def assemble_forces(
     attachment, then label pairs by rising partner index, then point, then
     screen. `pairs`, when given, must be `conflict_pairs` of this very
     layout; the optimizer passes the ones it counted when it made the layout.
+    rects, when given, must be `label_rects(labels)`.
+
+    The attachment and screen forces of all live labels are array
+    operations. A label whose force is zero gets a zero row, and adding it
+    changes no total: a total never becomes -0.0, and x + 0.0 == x for any
+    other x. A vector is zero exactly when its norm is, so a source is
+    listed exactly when some label's force from it has `norm() > 0`.
     """
     n = len(labels)
-    tx = [0.0] * n
-    ty = [0.0] * n
+    if rects is None:
+        rects = label_rects(labels)
+    live = live_slots(labels)
+    total = np.zeros((n, 2))
     sources: set[str] = set()
     d_min = cfg.d_min
     target = RESOLVE_TARGET_FACTOR * d_min
     if pairs is None:
-        pairs = conflict_pairs(labels, features, d_min)
+        pairs = conflict_pairs(labels, features, d_min, rects)
+
+    if cfg.leader.kind is LeaderType.FIXED_DIR_FREE_CONN:
+        anchor_by_id = {f.id: f.anchor for f in features}
+        anchors = points_array(anchor_by_id[labels[i].feature_id] for i in live.tolist())
+        fa = attachment_forces(rects[live], anchors, cfg.leader)
+        total[live] += fa
+        if fa.any():
+            sources.add("attachment")
+    tx, ty = total.T.tolist()
 
     def add(i: int, f: Vec2, source: str) -> None:
         tx[i] += f.x
         ty[i] += f.y
         sources.add(source)
-
-    if cfg.leader.kind is LeaderType.FIXED_DIR_FREE_CONN:
-        feature_by_id = {f.id: f for f in features}
-        for i, lbl in enumerate(labels):
-            if not lbl.deleted:
-                fa = attachment_force(lbl, feature_by_id[lbl.feature_id], cfg.leader)
-                if fa.norm() > 0.0:
-                    add(i, fa, "attachment")
 
     # The scan sorts the pairs, so each label meets its partners by rising
     # index: first as the second slot of (j, i), then as the first of (i, j).
@@ -420,12 +501,11 @@ def assemble_forces(
         if composed.norm() > 0.0:
             add(i, composed, "point")
 
-    for i, lbl in enumerate(labels):
-        if not lbl.deleted:
-            fs = screen_force(lbl.rect, cfg.screen, d_min)
-            if fs.norm() > 0.0:
-                add(i, fs, "screen")
-
+    total = np.column_stack((tx, ty))
+    fs = screen_forces(rects[live], cfg.screen, d_min)
+    total[live] += fs
+    if fs.any():
+        sources.add("screen")
     return ForceAssignment(
-        totals=tuple(Vec2(x, y) for x, y in zip(tx, ty)), sources=frozenset(sources)
+        totals=tuple(Vec2(x, y) for x, y in total.tolist()), sources=frozenset(sources)
     )

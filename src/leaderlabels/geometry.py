@@ -3,12 +3,37 @@
 All coordinates are screen millimeters with y growing upward. Everything
 here is a pure function on immutable values, so unrestricted concurrent
 use is safe.
+
+The per-step scans elsewhere run these tests over numpy arrays of rects.
+Differences, maxima and comparisons come out the same in numpy as here,
+but `np.hypot` can differ from `math.hypot` in the last bit. So an array
+distance within a relative HYPOT_RTOL of a threshold is decided again by
+the scalar function here, and every decision matches it exactly.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Iterable, Iterator
+
+import numpy as np
+
+# Far above the last-bit disagreement of np.hypot and math.hypot (a few
+# 1e-16), far below any geometric tolerance.
+HYPOT_RTOL = 1e-12
+
+# Elements per temporary of a blockwise (rows x columns) array scan, so
+# memory stays linear in the column count however many rows there are.
+BLOCK_ELEMENTS = 1 << 18
+
+
+def row_blocks(n_rows: int, n_cols: int) -> Iterator[slice]:
+    """Consecutive row slices covering range(n_rows), each of at most
+    BLOCK_ELEMENTS elements at n_cols columns (at least one row)."""
+    step = max(1, BLOCK_ELEMENTS // max(1, n_cols))
+    for start in range(0, n_rows, step):
+        yield slice(start, min(start + step, n_rows))
 
 
 class OverlapError(ValueError):
@@ -97,15 +122,16 @@ class Rect:
     y_max: float
 
     def __post_init__(self) -> None:
-        vals = (float(self.x_min), float(self.y_min), float(self.x_max), float(self.y_max))
-        if not all(math.isfinite(v) for v in vals):
-            raise ValueError(f"non-finite rect bounds {vals!r}")
-        if vals[0] > vals[2] or vals[1] > vals[3]:
-            raise ValueError(f"inverted rect bounds {vals!r}")
-        object.__setattr__(self, "x_min", vals[0])
-        object.__setattr__(self, "y_min", vals[1])
-        object.__setattr__(self, "x_max", vals[2])
-        object.__setattr__(self, "y_max", vals[3])
+        x0, y0 = float(self.x_min), float(self.y_min)
+        x1, y1 = float(self.x_max), float(self.y_max)
+        if not (math.isfinite(x0) and math.isfinite(y0) and math.isfinite(x1) and math.isfinite(y1)):
+            raise ValueError(f"non-finite rect bounds {(x0, y0, x1, y1)!r}")
+        if x0 > x1 or y0 > y1:
+            raise ValueError(f"inverted rect bounds {(x0, y0, x1, y1)!r}")
+        object.__setattr__(self, "x_min", x0)
+        object.__setattr__(self, "y_min", y0)
+        object.__setattr__(self, "x_max", x1)
+        object.__setattr__(self, "y_max", y1)
 
     @property
     def width(self) -> float:
@@ -124,6 +150,11 @@ class Rect:
     def contains(self, p: Vec2) -> bool:
         """Closed containment test."""
         return self.x_min <= p.x <= self.x_max and self.y_min <= p.y <= self.y_max
+
+
+def points_array(points: Iterable[Vec2]) -> np.ndarray:
+    """(n, 2) array of the points' x, y."""
+    return np.array([(p.x, p.y) for p in points], dtype=float).reshape(-1, 2)
 
 
 def interiors_overlap(a: Rect, b: Rect) -> bool:

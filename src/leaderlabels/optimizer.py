@@ -22,9 +22,11 @@ import time
 from dataclasses import dataclass, field, replace
 from typing import Sequence
 
+import numpy as np
+
 from .beams import solve_displacements
 from .forces import ConflictPairs, assemble_forces, conflict_pairs
-from .geometry import Rect, Vec2
+from .geometry import Rect, Vec2, points_array
 from .metrics import count_conflicts, mean_direction_deviation, total_displacement_cm
 from .proximity import (
     ProximityGraph,
@@ -42,8 +44,10 @@ from .scene import (
     LeaderSpec,
     LeaderType,
     PointFeature,
-    connection_point,
+    connection_points,
     initial_layout,
+    label_rects,
+    live_slots,
 )
 
 MIN_ITERATION_CAP = 20
@@ -144,43 +148,65 @@ def reference_graph(
     return prune_graph(delaunay_graph(labels), labels, t_d)
 
 
-def build_graph(labels: Sequence[Label], cfg: LayoutConfig, t_d: float | None) -> ProximityGraph:
-    """The per-iteration proximity graph: pruned Delaunay or MST."""
+def build_graph(
+    labels: Sequence[Label],
+    cfg: LayoutConfig,
+    t_d: float | None,
+    rects: np.ndarray | None = None,
+) -> ProximityGraph:
+    """The per-iteration proximity graph: pruned Delaunay or MST. rects,
+    when given, must be `label_rects(labels)`."""
     if cfg.graph_kind is GraphKind.MST:
         return mst_graph(labels, weight="center")
-    return prune_graph(delaunay_graph(labels), labels, t_d)
+    if rects is None:
+        rects = label_rects(labels)
+    return prune_graph(delaunay_graph(labels, rects), labels, t_d, rects)
 
 
 def step(state: OptimizerState, features: Sequence[PointFeature], cfg: LayoutConfig) -> OptimizerState:
-    """One pass: rebuild graph, assemble forces, solve, move labels."""
+    """One pass: rebuild graph, assemble forces, solve, move labels.
+
+    The live rects are read once into one array, which the graph, the
+    forces, the move and the conflict scan of the moved layout all use.
+    """
     labels = state.labels
     t_d = state.t_d
     if t_d is None and cfg.graph_kind is GraphKind.DT:
         t_d = pruning_distance(features, cfg)
-    graph = build_graph(labels, cfg, t_d)
-    assignment = assemble_forces(labels, features, cfg, state.pairs)
+    rects = label_rects(labels)
+    live = live_slots(labels)
+    graph = build_graph(labels, cfg, t_d, rects)
+    assignment = assemble_forces(labels, features, cfg, state.pairs, rects)
     totals = assignment.totals
-    if cfg.leader.kind is LeaderType.FIXED_DIR_FIXED_CONN:
+    leader = cfg.leader
+    if leader.kind is LeaderType.FIXED_DIR_FIXED_CONN:
         # Only the along-leader force component can produce motion, so the
         # perpendicular remainder is dropped before the solve as well.
-        totals = tuple(project_for_leader_type(f, cfg.leader) for f in totals)
-    max_force = max(
-        (totals[i].norm() for i, l in enumerate(labels) if not l.deleted), default=0.0
-    )
+        totals = tuple(project_for_leader_type(f, leader) for f in totals)
+    max_force = max((totals[i].norm() for i in live.tolist()), default=0.0)
     disp = solve_displacements(graph, totals, cfg.resolved_beam())
 
-    anchors = {f.id: f.anchor for f in features}
-    moved: list[Label] = []
-    for i, lbl in enumerate(labels):
-        if lbl.deleted:
-            moved.append(lbl)
-            continue
-        d = project_for_leader_type(disp.translations[i], cfg.leader)
-        rect = lbl.rect.translated(d)
-        conn = connection_point(rect, anchors[lbl.feature_id], cfg.leader, lbl.conn + d)
-        moved.append(replace(lbl, rect=rect, conn=conn))
+    d = points_array(disp.translations)[live]
+    if leader.kind is LeaderType.FIXED_DIR_FIXED_CONN:
+        # project_for_leader_type on every row: u * d.dot(u).
+        u = leader.unit()
+        along = d[:, 0] * u.x + d[:, 1] * u.y
+        d = np.column_stack((u.x * along, u.y * along))
+    moved_rects = rects.copy()
+    moved_rects[live] += d[:, [0, 1, 0, 1]]
+    anchor_by_id = {f.id: f.anchor for f in features}
+    live_labels = [labels[i] for i in live.tolist()]
+    anchors = points_array(anchor_by_id[l.feature_id] for l in live_labels)
+    conns = points_array(l.conn for l in live_labels) + d
+    conns = connection_points(moved_rects[live], anchors, leader, conns)
 
-    pairs = conflict_pairs(moved, features, cfg.d_min)
+    moved = list(labels)
+    for i, lbl, (x0, y0, x1, y1), (cx, cy) in zip(
+        live.tolist(), live_labels, moved_rects[live].tolist(), conns.tolist()
+    ):
+        moved[i] = Label(lbl.feature_id, Rect(x0, y0, x1, y1), Vec2(cx, cy), lbl.font_size)
+
+    pairs = conflict_pairs(moved, features, cfg.d_min, moved_rects)
     stats = StepStats(
         step=state.step_count + 1,
         max_force=max_force,

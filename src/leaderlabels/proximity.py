@@ -8,15 +8,21 @@ builder returns its edges sorted; lengths and orientations are taken from
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Literal, NamedTuple, Sequence
 
 import numpy as np
-from scipy.spatial import Delaunay, QhullError
+from scipy.spatial import Delaunay, QhullError, cKDTree
 
-from .geometry import Vec2, rect_distance, segment_crosses_interior
-from .scene import Label
+from .geometry import (
+    HYPOT_RTOL,
+    Vec2,
+    points_array,
+    rect_distance,
+    row_blocks,
+    segment_crosses_interior,
+)
+from .scene import Label, label_rects, live_slots
 
 # Deterministic nudge applied to duplicate centers so triangulation stays
 # well defined; far below any geometric tolerance used elsewhere.
@@ -53,93 +59,122 @@ class ProximityGraph:
         return set(self.edges)
 
 
+def _effective_xy(labels: Sequence[Label], rects: np.ndarray) -> np.ndarray:
+    # Rect centers, (n, 2), with exact duplicates among live labels nudged
+    # apart by an offset keyed to the slot index.
+    xy = 0.5 * (rects[:, 0:2] + rects[:, 2:4])
+    seen: set[tuple[float, float]] = set()
+    for idx, (x, y) in enumerate(xy.tolist()):
+        if labels[idx].deleted:
+            continue
+        if (x, y) in seen:
+            x += _DUPLICATE_JITTER * (idx + 1)
+            y += _DUPLICATE_JITTER * (idx + 1)
+            xy[idx] = (x, y)
+        seen.add((x, y))
+    return xy
+
+
 def effective_centers(labels: Sequence[Label]) -> list[Vec2]:
     """Rect centers with exact duplicates among live labels nudged apart.
 
     The nudge is keyed by slot index, so rebuilding the same scene yields the
     same coordinates.
     """
-    seen: set[tuple[float, float]] = set()
-    out: list[Vec2] = []
-    for idx, lbl in enumerate(labels):
-        c = lbl.rect.center()
-        if not lbl.deleted:
-            key = (c.x, c.y)
-            if key in seen:
-                c = Vec2(c.x + _DUPLICATE_JITTER * (idx + 1), c.y + _DUPLICATE_JITTER * (idx + 1))
-            seen.add((c.x, c.y))
-        out.append(c)
-    return out
+    return [Vec2(x, y) for x, y in _effective_xy(labels, label_rects(labels)).tolist()]
 
 
-def _collinear_chain(live: list[int], positions: Sequence[Vec2]) -> set[tuple[int, int]]:
+def _collinear_chain(live: list[int], xy: np.ndarray) -> list[tuple[int, int]]:
     # Degenerate input for the triangulator: connect consecutive points along
     # the line. Lexicographic (x, y) order follows any straight line.
-    order = sorted(live, key=lambda k: (positions[k].x, positions[k].y, k))
-    return {(min(a, b), max(a, b)) for a, b in zip(order, order[1:])}
+    order = sorted(live, key=lambda k: (xy[k, 0], xy[k, 1], k))
+    return sorted((min(a, b), max(a, b)) for a, b in zip(order, order[1:]))
 
 
-def delaunay_graph(labels: Sequence[Label]) -> ProximityGraph:
+def delaunay_graph(labels: Sequence[Label], rects: np.ndarray | None = None) -> ProximityGraph:
     """Delaunay triangulation of the live label centers.
 
     One live label yields no edges, two yield a single edge, and collinear
-    sets degrade to a path graph instead of crashing.
+    sets degrade to a path graph instead of crashing. rects, when given,
+    must be `label_rects(labels)`.
     """
-    positions = effective_centers(labels)
-    live = [i for i, l in enumerate(labels) if not l.deleted]
-    pairs: set[tuple[int, int]] = set()
+    if rects is None:
+        rects = label_rects(labels)
+    xy = _effective_xy(labels, rects)
+    live = live_slots(labels)
+    pairs: list[tuple[int, int]] = []
     if len(live) == 2:
-        pairs.add((min(live), max(live)))
+        pairs = [(int(live[0]), int(live[1]))]
     elif len(live) >= 3:
-        pts = np.array([[positions[i].x, positions[i].y] for i in live])
         try:
-            tri = Delaunay(pts)
+            tri = Delaunay(xy[live])
         except QhullError:
-            pairs = _collinear_chain(live, positions)
+            pairs = _collinear_chain(live.tolist(), xy)
         else:
-            for simplex in tri.simplices:
-                for a in range(3):
-                    for b in range(a + 1, 3):
-                        gi, gj = live[simplex[a]], live[simplex[b]]
-                        pairs.add((min(gi, gj), max(gi, gj)))
-    edges = tuple(GraphEdge(i, j) for i, j in sorted(pairs))
-    return ProximityGraph(positions=tuple(positions), edges=edges)
+            # Each triangle's three sides as slot pairs; a side shared by two
+            # triangles is one edge. i * n + j orders them as sorted pairs.
+            s = live[tri.simplices]
+            a = np.concatenate((s[:, 0], s[:, 0], s[:, 1]))
+            b = np.concatenate((s[:, 1], s[:, 2], s[:, 2]))
+            n = len(labels)
+            keys = np.unique(np.minimum(a, b) * n + np.maximum(a, b))
+            pairs = list(zip((keys // n).tolist(), (keys % n).tolist()))
+    positions = tuple(Vec2(x, y) for x, y in xy.tolist())
+    return ProximityGraph(positions=positions, edges=tuple(GraphEdge(i, j) for i, j in pairs))
 
 
-def prune_graph(graph: ProximityGraph, labels: Sequence[Label], t_d: float) -> ProximityGraph:
+def prune_graph(
+    graph: ProximityGraph, labels: Sequence[Label], t_d: float, rects: np.ndarray | None = None
+) -> ProximityGraph:
     """Drop edges longer than t_d and edges blocked by a third label.
 
     An edge is blocked when its center-to-center segment passes through the
     open interior of any label rect other than its two endpoints'. Output
-    edges are always a subset of the input edges.
-    """
-    live = [i for i, l in enumerate(labels) if not l.deleted]
-    if not live:
-        return ProximityGraph(positions=graph.positions, edges=())
-    xs_min = np.array([labels[i].rect.x_min for i in live])
-    ys_min = np.array([labels[i].rect.y_min for i in live])
-    xs_max = np.array([labels[i].rect.x_max for i in live])
-    ys_max = np.array([labels[i].rect.y_max for i in live])
-    live_arr = np.array(live)
+    edges are always a subset of the input edges. rects, when given, must
+    be `label_rects(labels)`.
 
-    kept = []
-    for e in graph.edges:
-        p, q = graph.positions[e.i], graph.positions[e.j]
-        if (q - p).norm() > t_d:
-            continue
-        bx0, bx1 = min(p.x, q.x), max(p.x, q.x)
-        by0, by1 = min(p.y, q.y), max(p.y, q.y)
-        mask = (xs_min <= bx1) & (xs_max >= bx0) & (ys_min <= by1) & (ys_max >= by0)
-        blocked = False
-        for k in live_arr[mask]:
-            if k == e.i or k == e.j:
+    The lengths and a closed bounding-box test of every edge against every
+    live rect run as array operations; `segment_crosses_interior` decides
+    each box hit, and `Vec2.norm` each length within HYPOT_RTOL of t_d.
+    """
+    live = live_slots(labels)
+    if not len(live) or not graph.edges:
+        return ProximityGraph(positions=graph.positions, edges=())
+    if rects is None:
+        rects = label_rects(labels)
+    boxes = rects[live]
+    edges = np.array(graph.edges)
+    xy = points_array(graph.positions)
+    p, q = xy[edges[:, 0]], xy[edges[:, 1]]
+    length = np.hypot(q[:, 0] - p[:, 0], q[:, 1] - p[:, 1])
+    short = length <= t_d
+    for k in np.flatnonzero(np.abs(length - t_d) <= HYPOT_RTOL * t_d).tolist():
+        i, j = graph.edges[k]
+        short[k] = not (graph.positions[j] - graph.positions[i]).norm() > t_d
+    cand = np.flatnonzero(short)
+    lo, hi = np.minimum(p, q), np.maximum(p, q)
+    blocked: set[int] = set()
+    for rows in row_blocks(len(cand), len(live)):
+        ks = cand[rows]
+        hit = (
+            (boxes[:, 0] <= hi[ks, 0:1])
+            & (boxes[:, 2] >= lo[ks, 0:1])
+            & (boxes[:, 1] <= hi[ks, 1:2])
+            & (boxes[:, 3] >= lo[ks, 1:2])
+            & (live != edges[ks, 0:1])
+            & (live != edges[ks, 1:2])
+        )
+        for r, c in zip(*(idx.tolist() for idx in np.nonzero(hit))):
+            k = int(ks[r])
+            if k in blocked:
                 continue
-            if segment_crosses_interior(p, q, labels[k].rect):
-                blocked = True
-                break
-        if not blocked:
-            kept.append(e)
-    return ProximityGraph(positions=graph.positions, edges=tuple(kept))
+            e = graph.edges[k]
+            if segment_crosses_interior(
+                graph.positions[e.i], graph.positions[e.j], labels[live[c]].rect
+            ):
+                blocked.add(k)
+    kept = tuple(graph.edges[k] for k in cand.tolist() if k not in blocked)
+    return ProximityGraph(positions=graph.positions, edges=kept)
 
 
 WeightKind = Literal["rect", "center"]
@@ -221,17 +256,26 @@ def partition_labels(labels: Sequence[Label], t_num: int) -> list[list[int]]:
 
 
 def mean_nn_distance(points: Sequence[Vec2]) -> float:
-    """Mean nearest-neighbor distance; 0 for fewer than two points."""
+    """Mean nearest-neighbor distance; 0 for fewer than two points.
+
+    A k-d tree proposes each point's three nearest points (itself among
+    them, unless duplicates crowd it out); `Vec2.norm` measures the others
+    and the smallest is summed in point order, so the mean is the same float
+    as the all-pairs definition. When the third tree distance comes within
+    HYPOT_RTOL of that smallest one, a nearer point may have been cut off by
+    rounding, and the point is measured against all others instead.
+    """
     n = len(points)
     if n < 2:
         return 0.0
+    k = min(3, n)
+    xy = points_array(points)
+    dist, near = cKDTree(xy).query(xy, k=k)
     total = 0.0
-    for i in range(n):
-        best = math.inf
-        for j in range(n):
-            if i != j:
-                d = (points[i] - points[j]).norm()
-                if d < best:
-                    best = d
+    for i, (cands, last) in enumerate(zip(near.tolist(), dist[:, -1].tolist())):
+        p = points[i]
+        best = min((p - points[j]).norm() for j in cands if j != i)
+        if k < n and 0.0 < best and last <= best * (1.0 + HYPOT_RTOL):
+            best = min((p - points[j]).norm() for j in range(n) if j != i)
         total += best
     return total / n

@@ -10,6 +10,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field, replace
 from enum import Enum, IntEnum
+from typing import Sequence
+
+import numpy as np
 
 from .geometry import Rect, Vec2, unit_from_degrees
 
@@ -231,6 +234,47 @@ def connection_point(rect: Rect, anchor: Vec2, leader: LeaderSpec, translated_co
     level = rect.x_min if u.x > 0 else rect.x_max
     t = (level - anchor.x) / u.x
     return Vec2(level, anchor.y + t * u.y)
+
+
+def connection_points(
+    rects: np.ndarray, anchors: np.ndarray, leader: LeaderSpec, translated_conns: np.ndarray
+) -> np.ndarray:
+    """`connection_point` for many labels at once, as the same floats.
+
+    rects is (n, 4) as `label_rects` gives it; anchors and translated_conns
+    are (n, 2). Returns the (n, 2) connection points.
+    """
+    kind = leader.kind
+    if kind.fixed_connection:
+        return translated_conns
+    ax, ay = anchors[:, 0], anchors[:, 1]
+    if kind is LeaderType.FREE_DIR_FREE_CONN:
+        # min(max(a, lo), hi) as Python evaluates it: ties keep the anchor.
+        x = np.where(rects[:, 0] > ax, rects[:, 0], ax)
+        x = np.where(rects[:, 2] < x, rects[:, 2], x)
+        y = np.where(rects[:, 1] > ay, rects[:, 1], ay)
+        y = np.where(rects[:, 3] < y, rects[:, 3], y)
+        return np.column_stack((x, y))
+    u = leader.unit()
+    if abs(u.y) >= abs(u.x):
+        level = rects[:, 1] if u.y > 0 else rects[:, 3]
+        t = (level - ay) / u.y
+        return np.column_stack((ax + t * u.x, level))
+    level = rects[:, 0] if u.x > 0 else rects[:, 2]
+    t = (level - ax) / u.x
+    return np.column_stack((level, ay + t * u.y))
+
+
+def live_slots(labels: Sequence[Label]) -> np.ndarray:
+    """Slot indices of the labels not deleted, rising."""
+    return np.flatnonzero([not l.deleted for l in labels])
+
+
+def label_rects(labels: Sequence[Label]) -> np.ndarray:
+    """(n, 4) array of x_min, y_min, x_max, y_max, one row per label slot."""
+    return np.array(
+        [(l.rect.x_min, l.rect.y_min, l.rect.x_max, l.rect.y_max) for l in labels], dtype=float
+    ).reshape(-1, 4)
 
 
 def initial_layout(features: list[PointFeature], cfg: LayoutConfig) -> list[Label]:

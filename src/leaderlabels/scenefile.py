@@ -39,20 +39,29 @@ def _require(data: dict, key: str, kind, where: str):
         raise SceneValidationError(f"{where}: missing required field {key!r}")
     value = data[key]
     if kind is float:
-        if not isinstance(value, (int, float)) or isinstance(value, bool):
-            raise SceneValidationError(f"{where}.{key}: expected a number, got {value!r}")
-        return float(value)
+        return _number(value, f"{where}.{key}")
     if not isinstance(value, kind):
         raise SceneValidationError(f"{where}.{key}: expected {kind.__name__}, got {value!r}")
     return value
 
 
-def _optional_number(data: dict, key: str, default: float, where: str) -> float:
+def _optional_number(data: dict, key: str, default: float | None, where: str) -> float | None:
     if key not in data or data[key] is None:
         return default
-    if not isinstance(data[key], (int, float)) or isinstance(data[key], bool):
-        raise SceneValidationError(f"{where}.{key}: expected a number, got {data[key]!r}")
-    return float(data[key])
+    return _number(data[key], f"{where}.{key}")
+
+
+def _number(value: Any, where: str) -> float:
+    # JSON admits Infinity and NaN; no scene field may hold either.
+    if not isinstance(value, (int, float)) or isinstance(value, bool):
+        raise SceneValidationError(f"{where}: expected a number, got {value!r}")
+    try:
+        number = float(value)
+    except OverflowError:  # an integer beyond the float range
+        number = math.inf
+    if not math.isfinite(number):
+        raise SceneValidationError(f"{where}: expected a finite number, got {value!r}")
+    return number
 
 
 def parse_scene(data: Any, source: str = "<scene>") -> tuple[list[PointFeature], LayoutConfig]:
@@ -65,8 +74,8 @@ def parse_scene(data: Any, source: str = "<scene>") -> tuple[list[PointFeature],
     screen_raw = _require(data, "screen", dict, source)
     width = _require(screen_raw, "width_mm", float, f"{source}.screen")
     height = _require(screen_raw, "height_mm", float, f"{source}.screen")
-    if not (0 < width < math.inf and 0 < height < math.inf):
-        raise SceneValidationError(f"{source}.screen: dimensions must be positive and finite")
+    if not (width > 0 and height > 0):
+        raise SceneValidationError(f"{source}.screen: dimensions must be positive")
     screen = Rect(0.0, 0.0, width, height)
 
     raw_features = _require(data, "features", list, source)
@@ -122,9 +131,7 @@ def _parse_config(raw: dict, screen: Rect, where: str) -> LayoutConfig:
     beam_raw = raw.get("beam", {}) or {}
     if not isinstance(beam_raw, dict):
         raise SceneValidationError(f"{where}.beam: expected an object")
-    max_step = beam_raw.get("max_step_mm")
-    if max_step is not None and (not isinstance(max_step, (int, float)) or isinstance(max_step, bool)):
-        raise SceneValidationError(f"{where}.beam.max_step_mm: expected a number")
+    max_step = _optional_number(beam_raw, "max_step_mm", None, f"{where}.beam")
     beam_defaults = BeamParams()
     beam_args = {
         name: _optional_number(beam_raw, name, getattr(beam_defaults, name), f"{where}.beam")
@@ -146,7 +153,7 @@ def _parse_config(raw: dict, screen: Rect, where: str) -> LayoutConfig:
 
     try:
         leader = LeaderSpec(length=leader_length, direction=leader_direction, kind=kind)
-        beam = BeamParams(**beam_args, max_step=float(max_step) if max_step is not None else None)
+        beam = BeamParams(**beam_args, max_step=max_step)
         return LayoutConfig(
             screen=screen,
             d_min=_optional_number(raw, "d_min_mm", 0.2, where),
@@ -210,7 +217,7 @@ def load_scene(path: str) -> tuple[list[PointFeature], LayoutConfig]:
     with open(path, "r", encoding="utf-8") as fh:
         try:
             data = json.load(fh)
-        except json.JSONDecodeError as exc:
+        except ValueError as exc:  # bad JSON, bad UTF-8, or an over-long integer
             raise SceneValidationError(f"{path}: not valid JSON ({exc})") from exc
     return parse_scene(data, source=path)
 
@@ -359,7 +366,7 @@ def load_placement(path: str) -> list[Label]:
     with open(path, "r", encoding="utf-8") as fh:
         try:
             data = json.load(fh)
-        except json.JSONDecodeError as exc:
+        except ValueError as exc:  # bad JSON, bad UTF-8, or an over-long integer
             raise SceneValidationError(f"{path}: not valid JSON ({exc})") from exc
     return parse_placement(data, source=path)
 

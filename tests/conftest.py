@@ -59,7 +59,7 @@ def random_labels(rng: random.Random, n: int, span: float = 100.0, max_side: flo
 
 
 def brute_force_label_conflicts(labels, d_min: float) -> list[tuple[int, int]]:
-    """O(n^2) reference for the gridded conflict scan."""
+    """O(n^2) reference for the label conflict scan."""
     from leaderlabels.geometry import interiors_overlap, rect_distance
 
     out = []

@@ -77,6 +77,50 @@ class TestExitCodes:
         assert err.startswith("validation error:")
         assert out == ""
 
+    @pytest.mark.parametrize(
+        "section, key",
+        [
+            (None, "d_min_mm"),
+            (None, "padding_mm"),
+            (None, "w_max_pt"),
+            (None, "t_d_factor"),
+            (None, "t_f_factor"),
+            ("beam", "elastic_modulus"),
+            ("feature", "symbol_radius_mm"),
+            ("feature", "depth"),
+        ],
+    )
+    @pytest.mark.parametrize("value", [float("inf"), float("nan")])
+    def test_non_finite_number_is_validation_error(self, capsys, tmp_path, section, key, value):
+        data = generate_synthetic(5, 0, (150.0, 100.0))
+        if section == "feature":
+            data["features"][0][key] = value
+        elif section is None:
+            data["config"][key] = value
+        else:
+            data["config"][section] = {key: value}
+        scene = tmp_path / "bad.json"
+        scene.write_text(json.dumps(data))
+        code, out, err = run_cli(capsys, "place", str(scene))
+        assert code == 2
+        assert err.startswith("validation error:")
+        assert key in err and "finite" in err
+        assert out == ""
+
+    @pytest.mark.parametrize(
+        "raw",
+        [b'{"config": {"d_min_mm": ' + b"9" * 5000 + b"}}", b'{"screen": "\xff"}'],
+        ids=["integer_too_long", "not_utf8"],
+    )
+    def test_undecodable_file_is_validation_error(self, capsys, tmp_path, raw):
+        scene = tmp_path / "bad.json"
+        scene.write_bytes(raw)
+        code, out, err = run_cli(capsys, "place", str(scene))
+        assert code == 2
+        assert err.startswith("validation error:")
+        assert "not valid JSON" in err
+        assert out == ""
+
     def test_zero_seed_iterations_is_usage_error(self, capsys, scene_path):
         code, out, err = run_cli(capsys, "place", scene_path, "--seed-iterations", "0")
         assert code == 1

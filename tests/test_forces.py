@@ -1,10 +1,14 @@
 import dataclasses
 import itertools
 import math
+import re
+from unittest import mock
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from leaderlabels import geometry
 from leaderlabels.forces import (
     ConflictPairs,
     LabelLargerThanScreenError,
@@ -13,6 +17,7 @@ from leaderlabels.forces import (
     RESOLVE_TARGET_FACTOR,
     assemble_forces,
     attachment_force,
+    attachment_forces,
     compose_point_forces,
     conflict_pairs,
     conflicting_feature_pairs,
@@ -20,6 +25,7 @@ from leaderlabels.forces import (
     overlap_force,
     point_repulsion_candidates,
     screen_force,
+    screen_forces,
     separation_force,
 )
 from leaderlabels.geometry import (
@@ -363,6 +369,145 @@ class TestFeatureScanProperty:
         assert conflicting_feature_pairs(labels, features, 0.5) == [(0, 1), (0, 2), (0, 4)]
         deleted = [labels[0], dataclasses.replace(labels[1], deleted=True)]
         assert conflicting_feature_pairs(deleted, features, 0.5) == [(0, 1), (0, 2)]
+
+
+@st.composite
+def gap_layouts(draw):
+    """Labels placed against earlier ones at the label scan's boundaries.
+
+    Each label after the first is free, or put next to an earlier one with
+    an axis gap of d_min (or a hair either side), a diagonal gap of d_min
+    along some angle, so that the hypot of its two axis gaps decides, or
+    overlapping it. Some labels are deleted.
+    """
+    d_min = draw(st.sampled_from([0.2, 0.5, 1.0]) | st.floats(0.01, 5.0))
+    size = st.floats(0.0, 15.0)
+    rects = [Rect(0.0, 0.0, draw(size), draw(size))]
+    for _ in range(draw(st.integers(1, 9))):
+        a = rects[draw(st.integers(0, len(rects) - 1))]
+        w, h = draw(size), draw(size)
+        where = draw(st.sampled_from(["free", "axis", "diagonal", "overlap"]))
+        if where == "free":
+            x, y = draw(st.floats(-30.0, 60.0)), draw(st.floats(-30.0, 60.0))
+        elif where == "axis":
+            gap = d_min * draw(st.sampled_from([1.0, 1.0 - 1e-15, 1.0 + 1e-15]))
+            x, y = a.x_max + gap, a.y_min + draw(st.floats(-h, a.height))
+        elif where == "diagonal":
+            t = draw(st.sampled_from([math.pi / 4, math.pi / 6]) | st.floats(0.0, math.pi / 2))
+            x, y = a.x_max + d_min * math.cos(t), a.y_max + d_min * math.sin(t)
+        else:
+            x, y = a.x_min + draw(_unit) * a.width, a.y_min + draw(_unit) * a.height
+        rects.append(Rect(x, y, x + w, y + h))
+    labels = [
+        dataclasses.replace(l, deleted=draw(st.booleans()) and draw(st.booleans()))
+        for l in labels_from_rects(rects)
+    ]
+    return labels, d_min
+
+
+def _all_label_pairs(labels, d_min):
+    live = [i for i, l in enumerate(labels) if not l.deleted]
+    return [
+        (i, j) for i, j in itertools.combinations(live, 2)
+        if rect_distance(labels[i].rect, labels[j].rect) < d_min
+    ]
+
+
+class TestLabelScanArray:
+    """The array label scan against all-pairs `rect_distance < d_min`."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(gap_layouts())
+    def test_equals_all_pairs_definition(self, layout):
+        labels, d_min = layout
+        assert conflicting_label_pairs(labels, d_min) == _all_label_pairs(labels, d_min)
+
+    def test_hypot_last_bit_decides(self):
+        # np.hypot and math.hypot differ in the last bit on these gaps: on
+        # the first np.hypot is one ulp low, on the second one ulp high.
+        # d_min is the exact distance, so the first pair is not in conflict,
+        # and d_min is np.hypot's value, so the second pair is.
+        for gx, gy, d_min, want in (
+            (0.03546964032188504, 0.060851756668864554, 0.07043459146080565, []),
+            (0.1151024984279273, 0.8850600703796611, 0.8925132566661415, [(0, 1)]),
+        ):
+            labels = labels_from_rects([Rect(-1.0, -1.0, 0.0, 0.0), Rect(gx, gy, gx + 1, gy + 1)])
+            assert math.hypot(gx, gy) != float(np.hypot(gx, gy))
+            assert rect_distance(labels[0].rect, labels[1].rect) == math.hypot(gx, gy)
+            assert conflicting_label_pairs(labels, d_min) == want
+
+    @pytest.mark.parametrize("block", [1, 7, 64])
+    def test_row_blocks_change_nothing(self, rng, block):
+        labels = random_labels(rng, 40, span=90.0)
+        features = [
+            PointFeature(id=f"s{k}", anchor=Vec2(rng.uniform(0, 100), rng.uniform(0, 100)),
+                         depth=100.0, text="T")
+            for k in range(30)
+        ]
+        want = conflict_pairs(labels, features, 0.8)
+        with mock.patch.object(geometry, "BLOCK_ELEMENTS", block):
+            assert conflict_pairs(labels, features, 0.8) == want
+        assert want.labels == _all_label_pairs(labels, 0.8)
+
+
+_grid = st.integers(-2, 12).map(float) | st.floats(-20.0, 30.0)
+
+
+@st.composite
+def leader_rows(draw):
+    """Rects and anchors on a small integer grid, so that a leader ray
+    often meets an attachment-edge endpoint exactly, plus free floats."""
+    rows = draw(st.lists(
+        st.tuples(_grid, _grid, st.integers(0, 6).map(float), st.integers(0, 3).map(float),
+                  _grid, _grid),
+        min_size=1, max_size=10,
+    ))
+    rects = [Rect(x, y, x + w, y + h) for x, y, w, h, _, _ in rows]
+    anchors = [Vec2(ax, ay) for *_, ax, ay in rows]
+    return rects, anchors
+
+
+def _rect_rows(rects) -> np.ndarray:
+    return np.array([(r.x_min, r.y_min, r.x_max, r.y_max) for r in rects])
+
+
+class TestForceArrays:
+    """`attachment_forces` and `screen_forces` against the scalar forces,
+    label by label."""
+
+    @pytest.mark.parametrize("kind", list(LeaderType))
+    @pytest.mark.parametrize("direction", [0.0, 30.0, 90.0, 135.0, 270.0])
+    @settings(max_examples=40, deadline=None)
+    @given(rows=leader_rows())
+    def test_attachment_matches_scalar(self, kind, direction, rows):
+        rects, anchors = rows
+        leader = LeaderSpec(direction=direction, kind=kind)
+        got = attachment_forces(_rect_rows(rects), np.array([(a.x, a.y) for a in anchors]), leader)
+        for (fx, fy), r, a in zip(got.tolist(), rects, anchors):
+            feature = PointFeature(id="f0", anchor=a, depth=100.0, text="T")
+            assert Vec2(fx, fy) == attachment_force(_label(r), feature, leader)
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        rows=st.lists(
+            st.tuples(st.integers(-3, 103).map(float) | st.floats(-10.0, 110.0),
+                      st.integers(-3, 63).map(float) | st.floats(-10.0, 70.0),
+                      st.floats(0.0, 30.0), st.floats(0.0, 10.0)),
+            min_size=1, max_size=10,
+        ),
+        d_min=st.sampled_from([0.2, 1.0, 2.0]) | st.floats(0.01, 5.0),
+    )
+    def test_screen_matches_scalar(self, rows, d_min):
+        screen = Rect(0.0, 0.0, 100.0, 60.0)
+        rects = [Rect(x, y, x + w, y + h) for x, y, w, h in rows]
+        try:
+            want = [screen_force(r, screen, d_min) for r in rects]
+        except LabelLargerThanScreenError as exc:
+            with pytest.raises(LabelLargerThanScreenError, match=re.escape(str(exc))):
+                screen_forces(_rect_rows(rects), screen, d_min)
+            return
+        got = screen_forces(_rect_rows(rects), screen, d_min)
+        assert [Vec2(fx, fy) for fx, fy in got.tolist()] == want
 
 
 def scene_config(**kw) -> LayoutConfig:

@@ -4,6 +4,9 @@ GOLDEN_DIGEST covers `optimizer.run` on the paper's scene sizes.
 REPAIR_DIGEST covers the greedy repair search: two `optimizer.run` scenes
 whose finishing pass reaches the diagonal ring search and makes a ring
 move, and two `baselines.localp` scenes driven by the axis search alone.
+LEADER_DIGEST covers the leader types and directions the other two leave
+out (both use type 4 at 90 degrees): types 1 at 90 and 135 degrees, 2 and 3
+at 90 degrees, and 4 at 60 degrees, on `synthetic_scene(40, seed)`.
 
 A refactor or speed-up of the placement loop or of repair must reproduce
 these layouts and reports bit for bit. Every float is hashed through
@@ -16,8 +19,9 @@ BLAS and OpenMP pinned to one thread, as the benchmark runs them.
 
 If a change is meant to alter placements, say so in CHANGES.md and
 replace the digest with the value this test prints. `python
-tests/test_golden.py` prints GOLDEN_DIGEST's then REPAIR_DIGEST's value,
-one a line, when run with the thread variables below set to 1.
+tests/test_golden.py` prints GOLDEN_DIGEST's, REPAIR_DIGEST's and
+LEADER_DIGEST's values, one a line, when run with the thread variables
+below set to 1.
 """
 
 import dataclasses
@@ -32,10 +36,12 @@ from pathlib import Path
 import leaderlabels
 from leaderlabels.baselines import localp
 from leaderlabels.optimizer import run
+from leaderlabels.scene import LeaderSpec, LeaderType
 from leaderlabels.scenefile import synthetic_scene
 
 GOLDEN_DIGEST = "24aec505fbb21a8ae66105da8d79f412137d70f92b544272820283e694bacd92"
 REPAIR_DIGEST = "503b48a527886347de032ac5fd1f9f6c3276afd37198993dd9bea7b290245c28"
+LEADER_DIGEST = "d0200d0829cbe2395b6bcb7153f18f685b5ffff0e187ef4b12d0edbcf5611e2c"
 
 THREAD_VARIABLES = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")
 
@@ -94,6 +100,18 @@ def repair_digest() -> str:
     return h.hexdigest()
 
 
+def leader_digest() -> str:
+    h = hashlib.sha256()
+    for kind, direction in ((1, 90.0), (1, 135.0), (2, 90.0), (3, 90.0), (4, 60.0)):
+        for seed in (0, 1, 2):
+            features, cfg = synthetic_scene(40, seed)
+            leader = LeaderSpec(cfg.leader.length, direction, LeaderType(kind))
+            labels, report = run(features, dataclasses.replace(cfg, leader=leader))
+            _hash_labels(h, labels)
+            _hash_report(h, report)
+    return h.hexdigest()
+
+
 @functools.lru_cache(maxsize=1)
 def _child_digests() -> tuple[str, ...]:
     env = dict(os.environ, **{name: "1" for name in THREAD_VARIABLES})
@@ -116,6 +134,12 @@ def test_repair_matches_golden_digest():
     assert digest == REPAIR_DIGEST, f"repair digest changed: {digest}"
 
 
+def test_leader_types_match_golden_digest():
+    digest = _child_digests()[2]
+    assert digest == LEADER_DIGEST, f"leader digest changed: {digest}"
+
+
 if __name__ == "__main__":
     print(placement_digest())
     print(repair_digest())
+    print(leader_digest())

@@ -1,10 +1,17 @@
+import dataclasses
 import itertools
 import math
+from unittest import mock
 
+import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from leaderlabels import geometry
 from leaderlabels.geometry import Rect, Vec2, rect_distance, segment_crosses_interior
 from leaderlabels.proximity import (
+    GraphEdge,
+    ProximityGraph,
     delaunay_graph,
     effective_centers,
     mean_nn_distance,
@@ -346,3 +353,121 @@ class TestHelpers:
         centers = effective_centers(labels)
         assert len({(c.x, c.y) for c in centers}) == 3
 
+
+# --- array paths against their scalar definitions ----------------------------
+
+def scalar_prune(graph, labels, t_d):
+    """Per-edge definition: length by `Vec2.norm`, then every third live
+    label tested with `segment_crosses_interior`."""
+    kept = []
+    for e in graph.edges:
+        p, q = graph.positions[e.i], graph.positions[e.j]
+        if (q - p).norm() > t_d:
+            continue
+        if any(
+            segment_crosses_interior(p, q, l.rect)
+            for k, l in enumerate(labels)
+            if k not in (e.i, e.j) and not l.deleted
+        ):
+            continue
+        kept.append(e)
+    return tuple(kept)
+
+
+@st.composite
+def grid_labels(draw):
+    """Rects on a small integer grid, so that center-to-center segments
+    often graze a third rect's corner or run along its edge; some zero-size
+    and some deleted."""
+    n = draw(st.integers(2, 10))
+    rects = []
+    for _ in range(n):
+        x, y = draw(st.integers(0, 8)), draw(st.integers(0, 8))
+        rects.append(Rect(x, y, x + draw(st.integers(0, 3)), y + draw(st.integers(0, 3))))
+    return [
+        dataclasses.replace(l, deleted=draw(st.booleans()) and draw(st.booleans()))
+        for l in labels_from_rects(rects)
+    ]
+
+
+class TestPruneArray:
+    @settings(max_examples=300, deadline=None)
+    @given(labels=grid_labels(), data=st.data())
+    def test_equals_per_edge_definition(self, labels, data):
+        graph = delaunay_graph(labels)
+        lengths = [edge_length(graph, e) for e in graph.edges]
+        # Often exactly one of the edge lengths, so that some edge is at t_d.
+        t_d = data.draw(st.sampled_from(lengths) | st.floats(0.0, 15.0) if lengths
+                        else st.floats(0.0, 15.0))
+        assert prune_graph(graph, labels, t_d).edges == scalar_prune(graph, labels, t_d)
+
+    def test_length_at_t_d_decided_by_norm(self):
+        # np.hypot of this edge is one ulp below its `Vec2.norm`. At t_d
+        # equal to the np.hypot value the edge is longer than t_d.
+        x, y = 0.03546964032188504, 0.060851756668864554
+        labels = labels_from_rects([Rect(0.0, 0.0, 0.0, 0.0), Rect(x, y, x, y)])
+        graph = delaunay_graph(labels)
+        short = float(np.hypot(x, y))
+        assert short < edge_length(graph, graph.edges[0])
+        assert prune_graph(graph, labels, short).edges == ()
+        assert prune_graph(graph, labels, edge_length(graph, graph.edges[0])).edges == graph.edges
+
+    def test_grazing_and_along_edges_keep_the_edge(self):
+        # (0,0)-(4,4) grazes the corner (2,2) of label 2 and (10,0)-(16,0)
+        # runs along the bottom edge of label 4: neither crosses an
+        # interior. (20,0)-(26,0) runs through label 7.
+        labels = labels_from_rects([
+            Rect(0, 0, 0, 0), Rect(4, 4, 4, 4), Rect(0, 2, 2, 6),
+            Rect(10, 0, 10, 0), Rect(12, 0, 14, 1), Rect(16, 0, 16, 0),
+            Rect(20, 0, 20, 0), Rect(22, -1, 24, 1), Rect(26, 0, 26, 0),
+        ])
+        graph = ProximityGraph(
+            positions=tuple(effective_centers(labels)),
+            edges=(GraphEdge(0, 1), GraphEdge(3, 5), GraphEdge(6, 8)),
+        )
+        pruned = prune_graph(graph, labels, 100.0)
+        assert pruned.edges == (GraphEdge(0, 1), GraphEdge(3, 5))
+        assert pruned.edges == scalar_prune(graph, labels, 100.0)
+
+    @pytest.mark.parametrize("block", [1, 5, 64])
+    def test_row_blocks_change_nothing(self, rng, block):
+        labels = random_labels(rng, 40, span=90.0)
+        graph = delaunay_graph(labels)
+        want = prune_graph(graph, labels, 30.0)
+        with mock.patch.object(geometry, "BLOCK_ELEMENTS", block):
+            assert prune_graph(graph, labels, 30.0) == want
+        assert want.edges == scalar_prune(graph, labels, 30.0)
+
+
+def brute_force_mean_nn(points):
+    n = len(points)
+    if n < 2:
+        return 0.0
+    total = 0.0
+    for i in range(n):
+        total += min((points[i] - points[j]).norm() for j in range(n) if j != i)
+    return total / n
+
+
+_lattice = st.integers(-3, 3).map(float)
+_free = st.floats(-100.0, 100.0)
+
+
+class TestMeanNnDistance:
+    @settings(max_examples=300, deadline=None)
+    @given(st.one_of(
+        # Free points, with some repeated exactly.
+        st.lists(st.tuples(_free, _free), max_size=30).flatmap(
+            lambda pts: st.lists(st.sampled_from(pts), max_size=10).map(lambda d: pts + d)
+            if pts else st.just(pts)
+        ),
+        # Lattice points: many exact ties and duplicates.
+        st.lists(st.tuples(_lattice, _lattice), max_size=30),
+        # Collinear points on a line through the origin.
+        st.tuples(_free, _free, st.lists(st.floats(-5.0, 5.0), max_size=30)).map(
+            lambda t: [(t[0] * s, t[1] * s) for s in t[2]]
+        ),
+    ))
+    def test_equals_all_pairs_definition(self, coords):
+        points = [Vec2(x, y) for x, y in coords]
+        assert mean_nn_distance(points) == brute_force_mean_nn(points)

@@ -1,6 +1,8 @@
 import random
 
+import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from leaderlabels.geometry import Rect, Vec2
 from leaderlabels.scene import (
@@ -10,6 +12,7 @@ from leaderlabels.scene import (
     LeaderType,
     PointFeature,
     connection_point,
+    connection_points,
     font_size_for,
     initial_layout,
     measure_text,
@@ -172,3 +175,36 @@ class TestValidation:
     def test_beam_resolution_uses_d_min(self):
         cfg = make_cfg(d_min=0.5)
         assert cfg.resolved_beam().max_step == pytest.approx(1.0)
+
+
+_coord = st.integers(-4, 12).map(float) | st.floats(-20.0, 30.0)
+
+
+class TestConnectionPointsArray:
+    """`connection_points` gives, bit for bit, what `connection_point`
+    gives one label at a time."""
+
+    @pytest.mark.parametrize("kind", list(LeaderType))
+    @pytest.mark.parametrize("direction", [0.0, 30.0, 90.0, 135.0, 270.0])
+    @settings(max_examples=40, deadline=None)
+    @given(
+        rows=st.lists(
+            st.tuples(_coord, _coord, st.integers(0, 6).map(float), st.integers(0, 3).map(float),
+                      _coord, _coord, _coord, _coord),
+            min_size=1, max_size=8,
+        ),
+    )
+    def test_matches_scalar(self, kind, direction, rows):
+        leader = LeaderSpec(direction=direction, kind=kind)
+        rects = [Rect(x, y, x + w, y + h) for x, y, w, h, *_ in rows]
+        anchors = [Vec2(ax, ay) for *_, ax, ay, _, _ in rows]
+        conns = [Vec2(cx, cy) for *_, cx, cy in rows]
+        got = connection_points(
+            np.array([(r.x_min, r.y_min, r.x_max, r.y_max) for r in rects]),
+            np.array([(a.x, a.y) for a in anchors]),
+            leader,
+            np.array([(c.x, c.y) for c in conns]),
+        )
+        for row, r, a, c in zip(got.tolist(), rects, anchors, conns):
+            want = connection_point(r, a, leader, c)
+            assert [v.hex() for v in row] == [want.x.hex(), want.y.hex()]

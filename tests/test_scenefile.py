@@ -69,6 +69,13 @@ class TestParseScene:
         with pytest.raises(SceneValidationError, match="leader.type"):
             parse_scene(data)
 
+    @pytest.mark.parametrize("value", [10**400, -(10**400)])
+    def test_integer_beyond_float_range_rejected(self, value):
+        data = minimal_scene()
+        data["config"] = {"d_min_mm": value}
+        with pytest.raises(SceneValidationError, match=r"config\.d_min_mm: expected a finite number"):
+            parse_scene(json.loads(json.dumps(data)))
+
     def test_empty_features_rejected(self):
         data = minimal_scene()
         data["features"] = []
