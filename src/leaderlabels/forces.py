@@ -9,6 +9,7 @@ label toward resolving the constraint that produced it.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from typing import NamedTuple, Sequence
 
@@ -75,8 +76,17 @@ class ForceAssignment:
     totals: tuple[Vec2, ...]
     sources: frozenset[str]
 
-    def max_magnitude(self) -> float:
-        return max((f.norm() for f in self.totals), default=0.0)
+
+# One shared set for each of the 16 combinations of the four sources:
+# every step's stats keep their set for the rest of the run.
+_SOURCE_SETS = {
+    s: s
+    for s in (
+        frozenset(c)
+        for r in range(5)
+        for c in itertools.combinations(("attachment", "pair", "point", "screen"), r)
+    )
+}
 
 
 def separation_force(a: Rect, b: Rect, d_min: float) -> tuple[Vec2, Vec2]:
@@ -507,5 +517,6 @@ def assemble_forces(
     if fs.any():
         sources.add("screen")
     return ForceAssignment(
-        totals=tuple(Vec2(x, y) for x, y in total.tolist()), sources=frozenset(sources)
+        totals=tuple(Vec2(x, y) for x, y in total.tolist()),
+        sources=_SOURCE_SETS[frozenset(sources)],
     )

@@ -55,9 +55,6 @@ class ProximityGraph:
     positions: tuple[Vec2, ...]
     edges: tuple[GraphEdge, ...]
 
-    def edge_pairs(self) -> set[tuple[int, int]]:
-        return set(self.edges)
-
 
 def _effective_xy(labels: Sequence[Label], rects: np.ndarray) -> np.ndarray:
     # Rect centers, (n, 2), with exact duplicates among live labels nudged

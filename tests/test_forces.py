@@ -524,7 +524,7 @@ class TestAssembleForces:
         ]
         fa = assemble_forces(labels, features, scene_config())
         assert all(f == Vec2(0.0, 0.0) for f in fa.totals)
-        assert fa.max_magnitude() == 0.0
+        assert max(f.norm() for f in fa.totals) == 0.0
 
     def test_given_pairs_replace_the_scans(self, rng):
         labels = random_labels(rng, 20, span=60.0)
@@ -643,7 +643,7 @@ class TestAssembleForces:
                 for l in labels
             )
             expected_nonzero = has_conflict or has_screen_violation or has_attachment_miss
-            assert (fa.max_magnitude() > 0) == expected_nonzero
+            assert (max(f.norm() for f in fa.totals) > 0) == expected_nonzero
 
     def test_totals_sum_sources_in_fixed_order(self):
         # Label 1, in the screen's top-right corner, meets label 0 across a

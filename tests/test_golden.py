@@ -7,6 +7,12 @@ move, and two `baselines.localp` scenes driven by the axis search alone.
 LEADER_DIGEST covers the leader types and directions the other two leave
 out (both use type 4 at 90 degrees): types 1 at 90 and 135 degrees, 2 and 3
 at 90 degrees, and 4 at 60 degrees, on `synthetic_scene(40, seed)`.
+REPAIR_LEADER_DIGEST covers the repair search under every leader type:
+`localp` and the finishing pass's `greedy_repair(..., diagonal=True,
+max_axis_retries=5)` on small overfull scenes under type 1 (axis steps
+along +-u only, no rings), types 2 and 3, and type 4 at 30 and 270 degrees
+(both branches of the attachment test), plus one scene that uses up a small
+candidate budget. It hashes the moves and every budget's `left` too.
 
 A refactor or speed-up of the placement loop or of repair must reproduce
 these layouts and reports bit for bit. Every float is hashed through
@@ -19,8 +25,8 @@ BLAS and OpenMP pinned to one thread, as the benchmark runs them.
 
 If a change is meant to alter placements, say so in CHANGES.md and
 replace the digest with the value this test prints. `python
-tests/test_golden.py` prints GOLDEN_DIGEST's, REPAIR_DIGEST's and
-LEADER_DIGEST's values, one a line, when run with the thread variables
+tests/test_golden.py` prints GOLDEN_DIGEST's, REPAIR_DIGEST's,
+LEADER_DIGEST's and REPAIR_LEADER_DIGEST's values, one a line, when run with the thread variables
 below set to 1.
 """
 
@@ -34,14 +40,17 @@ import sys
 from pathlib import Path
 
 import leaderlabels
+from leaderlabels import repair
 from leaderlabels.baselines import localp
 from leaderlabels.optimizer import run
-from leaderlabels.scene import LeaderSpec, LeaderType
+from leaderlabels.repair import greedy_repair
+from leaderlabels.scene import LeaderSpec, LeaderType, initial_layout
 from leaderlabels.scenefile import synthetic_scene
 
 GOLDEN_DIGEST = "24aec505fbb21a8ae66105da8d79f412137d70f92b544272820283e694bacd92"
 REPAIR_DIGEST = "503b48a527886347de032ac5fd1f9f6c3276afd37198993dd9bea7b290245c28"
 LEADER_DIGEST = "d0200d0829cbe2395b6bcb7153f18f685b5ffff0e187ef4b12d0edbcf5611e2c"
+REPAIR_LEADER_DIGEST = "43835bc19c01bc80414955ecc8acda6d4696e6f1173399cdcfe7add02f525d85"
 
 THREAD_VARIABLES = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")
 
@@ -112,6 +121,41 @@ def leader_digest() -> str:
     return h.hexdigest()
 
 
+def repair_leader_digest() -> str:
+    h = hashlib.sha256()
+    budgets = []
+
+    class RecordedBudget(repair._Budget):
+        def __init__(self, amount: int) -> None:
+            super().__init__(amount)
+            budgets.append(self)
+
+    def hash_repair(features, cfg) -> None:
+        _hash_labels(h, localp(features, cfg))
+        labels, moves = greedy_repair(
+            initial_layout(features, cfg), features, cfg, diagonal=True, max_axis_retries=5
+        )
+        _hash_labels(h, labels)
+        h.update(json.dumps([moves] + [b.left for b in budgets]).encode())
+        budgets.clear()
+
+    saved = repair._Budget, repair.CANDIDATE_BUDGET
+    repair._Budget = RecordedBudget
+    try:
+        for kind, direction in ((1, 90.0), (1, 135.0), (2, 90.0), (3, 90.0), (4, 30.0), (4, 270.0)):
+            for n, seed, screen in (
+                (12, 0, (60.0, 40.0)), (15, 2, (80.0, 50.0)), (10, 5, (50.0, 35.0))
+            ):
+                features, cfg = synthetic_scene(n, seed, screen=screen)
+                leader = LeaderSpec(cfg.leader.length, direction, LeaderType(kind))
+                hash_repair(features, dataclasses.replace(cfg, leader=leader))
+        repair.CANDIDATE_BUDGET = 2_501
+        hash_repair(*synthetic_scene(60, 0, screen=(60.0, 40.0)))
+    finally:
+        repair._Budget, repair.CANDIDATE_BUDGET = saved
+    return h.hexdigest()
+
+
 @functools.lru_cache(maxsize=1)
 def _child_digests() -> tuple[str, ...]:
     env = dict(os.environ, **{name: "1" for name in THREAD_VARIABLES})
@@ -139,7 +183,13 @@ def test_leader_types_match_golden_digest():
     assert digest == LEADER_DIGEST, f"leader digest changed: {digest}"
 
 
+def test_repair_under_leader_types_matches_golden_digest():
+    digest = _child_digests()[3]
+    assert digest == REPAIR_LEADER_DIGEST, f"repair leader digest changed: {digest}"
+
+
 if __name__ == "__main__":
     print(placement_digest())
     print(repair_digest())
     print(leader_digest())
+    print(repair_leader_digest())

@@ -247,6 +247,15 @@ class TestRun:
         assert all(s <= 10 for s in report.subgroup_sizes)
         assert sum(report.subgroup_sizes) == 60
 
+    def test_steps_with_equal_force_tags_share_one_set(self):
+        features, cfg = synthetic_scene(47, 0)
+        _, report = run(features, cfg)
+        tags = [s.force_tags for loop in report.loops for s in loop.history]
+        shared = {}
+        for t in tags:
+            assert shared.setdefault(t, t) is t
+        assert len(shared) < len(tags)
+
     def test_mst_graph_kind_runs(self):
         features, cfg = synthetic_scene(30, 6)
         cfg = dataclasses.replace(cfg, graph_kind=GraphKind.MST)

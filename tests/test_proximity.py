@@ -126,16 +126,16 @@ def brute_force_mst_weight(n: int, weight) -> float:
 class TestDelaunay:
     def test_triangle(self):
         g = delaunay_graph(point_labels([(0, 0), (10, 0), (5, 8)]))
-        assert g.edge_pairs() == {(0, 1), (0, 2), (1, 2)}
+        assert set(g.edges) == {(0, 1), (0, 2), (1, 2)}
 
     def test_interior_point_against_oracle(self):
         pts = [(0.0, 0.0), (10.0, 0.0), (5.0, 8.0), (5.0, 3.0)]
         g = delaunay_graph(point_labels(pts))
-        assert g.edge_pairs() == brute_force_delaunay_edges(pts)
+        assert set(g.edges) == brute_force_delaunay_edges(pts)
 
     def test_two_nodes(self):
         g = delaunay_graph(point_labels([(0, 0), (3, 4)]))
-        assert g.edge_pairs() == {(0, 1)}
+        assert set(g.edges) == {(0, 1)}
         assert edge_length(g, g.edges[0]) == pytest.approx(5.0)
 
     def test_one_node(self):
@@ -145,7 +145,7 @@ class TestDelaunay:
     def test_collinear_becomes_path(self):
         # Along-the-line order is 0, 2, 1, 3.
         g = delaunay_graph(point_labels([(0, 0), (4, 0), (2, 0), (9, 0)]))
-        assert g.edge_pairs() == {(0, 2), (1, 2), (1, 3)}
+        assert set(g.edges) == {(0, 2), (1, 2), (1, 3)}
 
     def test_duplicate_centers_do_not_crash(self):
         g = delaunay_graph(point_labels([(1, 1), (1, 1), (4, 5), (7, 2)]))
@@ -155,7 +155,7 @@ class TestDelaunay:
         for _ in range(8):
             pts = [(rng.uniform(0, 50), rng.uniform(0, 50)) for _ in range(12)]
             g = delaunay_graph(point_labels(pts))
-            assert g.edge_pairs() == brute_force_delaunay_edges(pts)
+            assert set(g.edges) == brute_force_delaunay_edges(pts)
 
     def test_deleted_labels_are_isolated(self):
         labels = point_labels([(0, 0), (10, 0), (5, 8)])
@@ -167,7 +167,7 @@ class TestDelaunay:
             deleted=True,
         )
         g = delaunay_graph(labels)
-        assert g.edge_pairs() == {(0, 2)}
+        assert set(g.edges) == {(0, 2)}
 
 
 class TestEdgeOrder:
@@ -217,7 +217,7 @@ class TestPrune:
     def test_long_edge_removed(self):
         g = delaunay_graph(point_labels([(0, 0), (30, 0), (15, 1)]))
         pruned = prune_graph(g, point_labels([(0, 0), (30, 0), (15, 1)]), t_d=25.0)
-        assert (0, 1) not in pruned.edge_pairs()
+        assert (0, 1) not in set(pruned.edges)
 
     def test_blocking_label_removes_edge(self):
         # A, B, C in a row; B's rect blocks the A-C segment.
@@ -229,15 +229,15 @@ class TestPrune:
         labels = labels_from_rects(rects)
         g = delaunay_graph(labels)
         pruned = prune_graph(g, labels, t_d=100.0)
-        assert (0, 2) not in pruned.edge_pairs()
-        assert (0, 1) in pruned.edge_pairs()
-        assert (1, 2) in pruned.edge_pairs()
+        assert (0, 2) not in set(pruned.edges)
+        assert (0, 1) in set(pruned.edges)
+        assert (1, 2) in set(pruned.edges)
 
     def test_prune_is_subset(self, rng):
         labels = random_labels(rng, 20)
         g = delaunay_graph(labels)
         pruned = prune_graph(g, labels, t_d=40.0)
-        assert pruned.edge_pairs() <= g.edge_pairs()
+        assert set(pruned.edges) <= set(g.edges)
 
     def test_matches_direct_refilter(self, rng):
         for _ in range(5):
@@ -256,7 +256,7 @@ class TestPrune:
                 ):
                     continue
                 expected.add((e.i, e.j))
-            assert pruned.edge_pairs() == expected
+            assert set(pruned.edges) == expected
 
 
 class TestMst:
@@ -264,7 +264,7 @@ class TestMst:
         # Pairwise rect gaps: (0,1)=1, (1,2)=2, (0,2)=7.
         rects = [Rect(0, 0, 2, 2), Rect(3, 0, 5, 2), Rect(7, 0, 9, 2)]
         g = mst_graph(labels_from_rects(rects), weight="rect")
-        assert g.edge_pairs() == {(0, 1), (1, 2)}
+        assert set(g.edges) == {(0, 1), (1, 2)}
 
     def test_single_label(self):
         g = mst_graph(labels_from_rects([Rect(0, 0, 1, 1)]))
@@ -287,8 +287,8 @@ class TestMst:
         # Delaunay triangulation over the same centers.
         for _ in range(10):
             labels = random_labels(rng, 15)
-            dt_edges = delaunay_graph(labels).edge_pairs()
-            mst_edges = mst_graph(labels, weight="center").edge_pairs()
+            dt_edges = set(delaunay_graph(labels).edges)
+            mst_edges = set(mst_graph(labels, weight="center").edges)
             assert mst_edges <= dt_edges
 
     def test_spanning(self, rng):
