@@ -8,7 +8,7 @@ that separates them while preserving their relative arrangement.
 """
 
 from .baselines import localp, nop
-from .beams import BeamParams, DisplacementField, element_stiffness, solve_displacements
+from .beams import BeamParams, DisplacementField, solve_displacements
 from .forces import ForceAssignment, assemble_forces
 from .geometry import Rect, Vec2
 from .metrics import MetricsReport, build_report, count_conflicts
@@ -50,7 +50,6 @@ __all__ = [
     "count_conflicts",
     "delaunay_graph",
     "effective_max_iterations",
-    "element_stiffness",
     "font_size_for",
     "generate_synthetic",
     "initial_layout",

@@ -10,13 +10,13 @@ keeps K positive definite and penalizes total movement.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 import scipy.linalg
 
-from .geometry import Vec2
+from .geometry import HYPOT_RTOL
 from .proximity import ProximityGraph
 from .scene import BeamParams
 
@@ -32,14 +32,15 @@ class SingularSystemError(RuntimeError):
     """
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True, slots=True, eq=False)
 class DisplacementField:
-    """Per-node displacement: capped translations, rotations, and the raw
-    uncapped translations for diagnostics."""
+    """The solve's result: the capped (n, 2) translations, the raw 3n
+    solution vector (u, v, theta per node, uncapped) and how many nodes the
+    cap shortened."""
 
-    translations: tuple[Vec2, ...]
-    rotations: tuple[float, ...]
-    raw_translations: tuple[Vec2, ...]
+    translations: np.ndarray
+    solution: np.ndarray
+    capped: int
 
 
 def _local_stiffness_batch(length: np.ndarray, params: BeamParams) -> np.ndarray:
@@ -99,71 +100,68 @@ def _global_stiffness_batch(
     return np.transpose(t, (0, 2, 1)) @ k_local @ t
 
 
-def element_stiffness(p1: Vec2, p2: Vec2, params: BeamParams) -> np.ndarray:
-    """Global-frame 6x6 stiffness of one beam element between two nodes.
+def _stiffness_matrix(graph: ProximityGraph, params: BeamParams) -> np.ndarray:
+    """The 3n x 3n stiffness matrix: ground springs k_g on every DOF plus
+    every edge's element block.
 
-    DOF order is (u1, v1, theta1, u2, v2, theta2). The block is symmetric and
-    positive semidefinite; rigid-body modes are its null space.
+    One bincount sums all entries, the ground-spring diagonal listed first
+    and then the element blocks edge by edge in row-major order, so each
+    entry is summed in the same order as adding the blocks one by one onto
+    the ground springs.
     """
-    return _global_stiffness_batch(
-        np.array([p1.x]), np.array([p1.y]), np.array([p2.x]), np.array([p2.y]), params
-    )[0]
+    n = len(graph.positions)
+    ndof = 3 * n
+    diag = np.arange(ndof) * (ndof + 1)
+    weights = np.full(ndof, params.ground_stiffness)
+    if len(graph.edges):
+        i_arr, j_arr = graph.edges.T
+        x, y = graph.positions.T
+        blocks = _global_stiffness_batch(x[i_arr], y[i_arr], x[j_arr], y[j_arr], params)
+        dofs = np.column_stack(
+            (3 * i_arr, 3 * i_arr + 1, 3 * i_arr + 2, 3 * j_arr, 3 * j_arr + 1, 3 * j_arr + 2)
+        )
+        flat = dofs[:, :, None] * ndof + dofs[:, None, :]
+        diag = np.concatenate((diag, flat.ravel()))
+        weights = np.concatenate((weights, blocks.ravel()))
+    return np.bincount(diag, weights, minlength=ndof * ndof).reshape(ndof, ndof)
 
 
 def solve_displacements(
-    graph: ProximityGraph, forces: Sequence[Vec2], params: BeamParams
+    graph: ProximityGraph, forces: np.ndarray, params: BeamParams
 ) -> DisplacementField:
     """Solve the loaded beam network for nodal displacements.
 
-    Ground springs of stiffness k_g act on both translational DOFs and (with
-    a 1 mm^2 lever factor) on rotations, so K is block diagonal across graph
-    components and strictly positive definite; a single dense Cholesky
-    factorization therefore solves every component independently. Isolated
-    nodes reduce to d = f / k_g. Translations longer than max_step are scaled
-    back onto the cap, preserving direction; rotations are reported but not
-    capped since label rects stay axis aligned.
+    forces is (n, 2), one row per graph node. Ground springs of stiffness
+    k_g act on both translational DOFs and (with a 1 mm^2 lever factor) on
+    rotations, so K is block diagonal across graph components and strictly
+    positive definite; a single dense Cholesky factorization therefore
+    solves every component independently. Isolated nodes reduce to
+    d = f / k_g. Translations longer than max_step are scaled back onto the
+    cap, preserving direction; rotations are in the solution but not capped
+    since label rects stay axis aligned. A translation is measured by
+    `math.hypot` wherever np.hypot puts it within HYPOT_RTOL of the cap or
+    above it, so the capped floats are those of the scalar rule.
     """
     n = len(graph.positions)
     if len(forces) != n:
         raise ValueError(f"{len(forces)} forces for {n} graph nodes")
     if params.max_step is None:
         raise ValueError("BeamParams.max_step must be resolved before solving")
-    k_g = params.ground_stiffness
-    ndof = 3 * n
-    k = np.zeros((ndof, ndof))
-    idx = np.arange(n)
-    k[3 * idx, 3 * idx] = k_g
-    k[3 * idx + 1, 3 * idx + 1] = k_g
-    k[3 * idx + 2, 3 * idx + 2] = k_g * 1.0
-
-    if graph.edges:
-        i_arr, j_arr = np.array(graph.edges).T
-        x = np.array([p.x for p in graph.positions])
-        y = np.array([p.y for p in graph.positions])
-        blocks = _global_stiffness_batch(x[i_arr], y[i_arr], x[j_arr], y[j_arr], params)
-        dofs = np.stack(
-            [3 * i_arr, 3 * i_arr + 1, 3 * i_arr + 2, 3 * j_arr, 3 * j_arr + 1, 3 * j_arr + 2],
-            axis=1,
-        )
-        np.add.at(k, (dofs[:, :, None], dofs[:, None, :]), blocks)
-
-    f = np.zeros(ndof)
-    f[3 * idx] = [v.x for v in forces]
-    f[3 * idx + 1] = [v.y for v in forces]
-
+    k = _stiffness_matrix(graph, params)
+    f = np.zeros((n, 3))
+    f[:, 0:2] = forces
     try:
         factor = scipy.linalg.cho_factor(k, lower=True, check_finite=False)
     except np.linalg.LinAlgError as exc:
         raise SingularSystemError(str(exc)) from exc
-    d = scipy.linalg.cho_solve(factor, f, check_finite=False)
+    d = scipy.linalg.cho_solve(factor, f.ravel(), check_finite=False)
 
-    raw = tuple(Vec2(float(d[3 * i]), float(d[3 * i + 1])) for i in range(n))
-    rotations = tuple(float(d[3 * i + 2]) for i in range(n))
-    capped = []
+    translations = d.reshape(n, 3)[:, 0:2].copy()
     cap = params.max_step
-    for v in raw:
-        norm = v.norm()
-        capped.append(v if norm <= cap else v * (cap / norm))
-    return DisplacementField(
-        translations=tuple(capped), rotations=rotations, raw_translations=raw
+    near = np.flatnonzero(
+        np.hypot(translations[:, 0], translations[:, 1]) >= cap * (1.0 - HYPOT_RTOL)
     )
+    norms = np.array([math.hypot(x, y) for x, y in translations[near].tolist()])
+    over = norms > cap
+    translations[near[over]] *= (cap / norms[over])[:, None]
+    return DisplacementField(translations, d, int(np.count_nonzero(over)))

@@ -10,20 +10,21 @@ label toward resolving the constraint that produced it.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from typing import NamedTuple, Sequence
 
 import numpy as np
 
 from .geometry import (
-    HYPOT_RTOL,
     OverlapError,
     Rect,
     Vec2,
     ZERO,
+    clearances_below,
+    hypot_below,
     interiors_overlap,
     point_axis_gaps,
-    points_array,
     point_rect_signed_clearance,
     rect_distance,
     rect_nearest_points,
@@ -68,12 +69,12 @@ class LabelLargerThanScreenError(ValueError):
     """No placement of this label can satisfy screen containment."""
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True, slots=True, eq=False)
 class ForceAssignment:
-    """Total force per label slot, and the sources that contributed to any
-    label: "attachment", "pair", "point", "screen"."""
+    """Total force per label slot, an (n, 2) array, and the sources that
+    contributed to any label: "attachment", "pair", "point", "screen"."""
 
-    totals: tuple[Vec2, ...]
+    totals: np.ndarray
     sources: frozenset[str]
 
 
@@ -329,6 +330,43 @@ def screen_forces(rects: np.ndarray, screen: Rect, d_min: float) -> np.ndarray:
     return np.column_stack((fx, fy))
 
 
+class SceneArrays(NamedTuple):
+    """What the scans and the assembly read of a scene that stays put while
+    its labels move. Built by `scene_arrays`.
+
+    Features are numbered by the last index that carries their id. `own`
+    gives each label slot its feature's number (-1 for none) and `anchors`
+    each live label's anchor (NaN for none). The symbols that count are
+    the features `index` whose label is not deleted, with numbers `ids`,
+    an (m, 3) array of anchor x, y and radius, and `reach`, radius + d_min
+    + the broad phase's slack.
+    """
+
+    live: np.ndarray
+    anchors: np.ndarray
+    own: np.ndarray
+    index: np.ndarray
+    ids: np.ndarray
+    symbols: np.ndarray
+    reach: np.ndarray
+
+
+def scene_arrays(
+    labels: Sequence[Label], features: Sequence[PointFeature], d_min: float
+) -> SceneArrays:
+    number = {f.id: k for k, f in enumerate(features)}
+    ids = np.array([number[f.id] for f in features], dtype=np.int64)
+    own = np.array([number.get(l.feature_id, -1) for l in labels], dtype=np.int64)
+    live = live_slots(labels)
+    index = np.flatnonzero(~np.isin(ids, np.delete(own, live)))
+    # One NaN row last, where own == -1 points.
+    xyr = [v for f in features for v in (f.anchor.x, f.anchor.y, f.symbol_radius)]
+    xyr = np.array(xyr + [math.nan] * 3).reshape(-1, 3)
+    symbols = xyr[index]
+    reach = symbols[:, 2] + (d_min + _BROAD_PHASE_SLACK)
+    return SceneArrays(live, xyr[own[live], 0:2], own, index, ids[index], symbols, reach)
+
+
 def conflicting_label_pairs(
     labels: Sequence[Label], d_min: float, rects: np.ndarray | None = None
 ) -> list[tuple[int, int]]:
@@ -336,11 +374,11 @@ def conflicting_label_pairs(
 
     d_min must be positive, as `LayoutConfig.d_min` is: overlapping rects
     are at distance 0, so the one distance test also catches overlaps.
-    rects, when given, must be `label_rects(labels)`.
+    rects, when given, stands for the labels' rects.
 
     The axis gaps of every live pair i < j are taken as arrays, in blocks
-    of rows so that memory stays linear in n. Their np.hypot decides each
-    pair, and `rect_distance` each one within HYPOT_RTOL of d_min.
+    of rows so that memory stays linear in n, and `hypot_below` decides
+    each pair as `rect_distance` would.
     """
     live = live_slots(labels)
     if len(live) < 2:
@@ -357,12 +395,9 @@ def conflicting_label_pairs(
         gy = np.maximum(np.maximum(a[:, 1:2] - b[:, 3], b[:, 1] - a[:, 3:4]), 0.0)
         upper = np.arange(rows.start, m) > np.arange(rows.start, rows.stop)[:, None]
         r, c = np.nonzero(upper & (gx < d_min) & (gy < d_min))
-        gap = np.hypot(gx[r, c], gy[r, c])
-        close = gap < d_min
+        close = hypot_below(gx[r, c], gy[r, c], d_min)
         i_slots = live[r + rows.start]
         j_slots = live[c + rows.start]
-        for k in np.flatnonzero(np.abs(gap - d_min) <= HYPOT_RTOL * d_min).tolist():
-            close[k] = rect_distance(labels[i_slots[k]].rect, labels[j_slots[k]].rect) < d_min
         pairs.extend(zip(i_slots[close].tolist(), j_slots[close].tolist()))
     return pairs
 
@@ -372,27 +407,30 @@ def conflicting_feature_pairs(
     features: Sequence[PointFeature],
     d_min: float,
     rects: np.ndarray | None = None,
+    arrays: SceneArrays | None = None,
 ) -> list[tuple[int, int]]:
     """(label index, feature index) conflicts against foreign feature symbols.
 
     A label never conflicts with its own feature, and symbols whose label was
     deleted are treated as removed from the map. A numpy box test, in blocks
     of labels, picks the symbols whose anchor lies within radius + d_min of
-    each live label's rect; each candidate is then confirmed exactly. Pairs
-    come out sorted. rects, when given, must be `label_rects(labels)`.
+    each live label's rect, and `clearances_below` decides each such pair
+    as `point_rect_signed_clearance` would. Pairs come out sorted. rects,
+    when given, stands for the labels' rects, and arrays, when given, must
+    be `scene_arrays(labels, features, d_min)`.
     """
-    live = live_slots(labels)
+    if arrays is None:
+        arrays = scene_arrays(labels, features, d_min)
+    live = arrays.live
     if not len(live):
         return []
     if rects is None:
         rects = label_rects(labels)
-    deleted_ids = {l.feature_id for l in labels if l.deleted}
-    ax = np.array([f.anchor.x for f in features])
-    ay = np.array([f.anchor.y for f in features])
-    reach = np.array([f.symbol_radius for f in features]) + (d_min + _BROAD_PHASE_SLACK)
+    ax, ay, radii = arrays.symbols.T
+    reach = arrays.reach
     boxes = rects[live]
     pairs: list[tuple[int, int]] = []
-    for block in row_blocks(len(live), len(features)):
+    for block in row_blocks(len(live), len(ax)):
         b = boxes[block]
         near = (
             (ax >= b[:, 0:1] - reach)
@@ -401,13 +439,16 @@ def conflicting_feature_pairs(
             & (ay <= b[:, 3:4] + reach)
         )
         rows, cols = np.nonzero(near)
-        for i, k in zip(live[rows + block.start].tolist(), cols.tolist()):
-            lbl = labels[i]
-            feat = features[k]
-            if feat.id == lbl.feature_id or feat.id in deleted_ids:
-                continue
-            if point_rect_signed_clearance(feat.anchor, lbl.rect) - feat.symbol_radius < d_min:
-                pairs.append((i, k))
+        if not len(rows):
+            continue
+        slots = live[rows + block.start]
+        foreign = arrays.ids[cols] != arrays.own[slots]
+        slots, cols, r = slots[foreign], cols[foreign], b[rows[foreign]]
+        px, py = ax[cols], ay[cols]
+        dx = np.maximum(r[:, 0] - px, px - r[:, 2])
+        dy = np.maximum(r[:, 1] - py, py - r[:, 3])
+        close = clearances_below(dx, dy, radii[cols], d_min)
+        pairs.extend(zip(slots[close].tolist(), arrays.index[cols[close]].tolist()))
     return pairs
 
 
@@ -423,14 +464,16 @@ def conflict_pairs(
     features: Sequence[PointFeature],
     d_min: float,
     rects: np.ndarray | None = None,
+    arrays: SceneArrays | None = None,
 ) -> ConflictPairs:
-    """Both conflict scans of one layout. rects, when given, must be
-    `label_rects(labels)`."""
+    """Both conflict scans of one layout. rects, when given, stands for the
+    labels' rects, and arrays, when given, must be
+    `scene_arrays(labels, features, d_min)`."""
     if rects is None:
         rects = label_rects(labels)
     return ConflictPairs(
         conflicting_label_pairs(labels, d_min, rects),
-        conflicting_feature_pairs(labels, features, d_min, rects),
+        conflicting_feature_pairs(labels, features, d_min, rects, arrays),
     )
 
 
@@ -440,6 +483,7 @@ def assemble_forces(
     cfg: LayoutConfig,
     pairs: ConflictPairs | None = None,
     rects: np.ndarray | None = None,
+    arrays: SceneArrays | None = None,
 ) -> ForceAssignment:
     """Sum every constraint source into one force per label.
 
@@ -452,29 +496,31 @@ def assemble_forces(
     attachment, then label pairs by rising partner index, then point, then
     screen. `pairs`, when given, must be `conflict_pairs` of this very
     layout; the optimizer passes the ones it counted when it made the layout.
-    rects, when given, must be `label_rects(labels)`.
+    rects, when given, stands for the labels' rects, and arrays, when
+    given, must be `scene_arrays(labels, features, cfg.d_min)`.
 
     The attachment and screen forces of all live labels are array
     operations. A label whose force is zero gets a zero row, and adding it
     changes no total: a total never becomes -0.0, and x + 0.0 == x for any
     other x. A vector is zero exactly when its norm is, so a source is
-    listed exactly when some label's force from it has `norm() > 0`.
+    listed exactly when some label's force from it has `norm() > 0`. Only
+    the labels in a conflicting pair get a scalar `Rect`.
     """
     n = len(labels)
     if rects is None:
         rects = label_rects(labels)
-    live = live_slots(labels)
+    d_min = cfg.d_min
+    if arrays is None:
+        arrays = scene_arrays(labels, features, d_min)
+    live = arrays.live
     total = np.zeros((n, 2))
     sources: set[str] = set()
-    d_min = cfg.d_min
     target = RESOLVE_TARGET_FACTOR * d_min
     if pairs is None:
-        pairs = conflict_pairs(labels, features, d_min, rects)
+        pairs = conflict_pairs(labels, features, d_min, rects, arrays)
 
     if cfg.leader.kind is LeaderType.FIXED_DIR_FREE_CONN:
-        anchor_by_id = {f.id: f.anchor for f in features}
-        anchors = points_array(anchor_by_id[labels[i].feature_id] for i in live.tolist())
-        fa = attachment_forces(rects[live], anchors, cfg.leader)
+        fa = attachment_forces(rects[live], arrays.anchors, cfg.leader)
         total[live] += fa
         if fa.any():
             sources.add("attachment")
@@ -485,10 +531,13 @@ def assemble_forces(
         ty[i] += f.y
         sources.add(source)
 
+    in_conflict = {i for pair in pairs.labels for i in pair} | {i for i, _ in pairs.features}
+    boxes = {i: Rect(*rects[i].tolist()) for i in in_conflict}
+
     # The scan sorts the pairs, so each label meets its partners by rising
     # index: first as the second slot of (j, i), then as the first of (i, j).
     for i, j in pairs.labels:
-        ri, rj = labels[i].rect, labels[j].rect
+        ri, rj = boxes[i], boxes[j]
         if interiors_overlap(ri, rj):
             fi, fj = overlap_force(ri, rj, target)
         else:
@@ -498,11 +547,11 @@ def assemble_forces(
 
     feature_conflicts: dict[int, list[tuple[float, int]]] = {}
     for i, k in pairs.features:
-        gap = point_rect_signed_clearance(features[k].anchor, labels[i].rect) - features[k].symbol_radius
+        gap = point_rect_signed_clearance(features[k].anchor, boxes[i]) - features[k].symbol_radius
         feature_conflicts.setdefault(i, []).append((gap, k))
     for i, hits in feature_conflicts.items():
         hits.sort()
-        rect = labels[i].rect
+        rect = boxes[i]
         cand_sets = [
             point_repulsion_candidates(rect, features[k].anchor, features[k].symbol_radius, target)
             for _, k in hits[:MAX_COMPOSED_FEATURES]
@@ -516,7 +565,4 @@ def assemble_forces(
     total[live] += fs
     if fs.any():
         sources.add("screen")
-    return ForceAssignment(
-        totals=tuple(Vec2(x, y) for x, y in total.tolist()),
-        sources=_SOURCE_SETS[frozenset(sources)],
-    )
+    return ForceAssignment(totals=total, sources=_SOURCE_SETS[frozenset(sources)])

@@ -243,31 +243,55 @@ def point_rect_signed_clearance(p: Vec2, r: Rect) -> float:
     return math.hypot(max(dx, 0.0), max(dy, 0.0))
 
 
-def segment_crosses_interior(p: Vec2, q: Vec2, r: Rect) -> bool:
-    """True when the open segment pq passes through the open interior of r.
+def hypot_below(
+    x: np.ndarray, y: np.ndarray, limit: float, minus: np.ndarray | float = 0.0
+) -> np.ndarray:
+    """Whether math.hypot(x, y) - minus < limit, element by element.
 
-    Grazing a corner, running along an edge, or merely touching the boundary
-    does not count as crossing.
+    np.hypot decides each element, and math.hypot each one whose np.hypot
+    lands within HYPOT_RTOL of the threshold, so every decision is the
+    scalar one. `rect_distance` and `point_rect_signed_clearance` end in
+    this math.hypot of the same axis gaps.
     """
-    t0, t1 = 0.0, 1.0
-    dx = q.x - p.x
-    dy = q.y - p.y
-    for delta, lo, hi, start in ((dx, r.x_min, r.x_max, p.x), (dy, r.y_min, r.y_max, p.y)):
-        if delta == 0.0:
-            if start < lo or start > hi:
-                return False
-        else:
-            ta = (lo - start) / delta
-            tb = (hi - start) / delta
-            if ta > tb:
-                ta, tb = tb, ta
-            t0 = max(t0, ta)
-            t1 = min(t1, tb)
-            if t0 > t1:
-                return False
-    if t0 >= t1:
-        return False
-    tm = 0.5 * (t0 + t1)
-    mx = p.x + tm * dx
-    my = p.y + tm * dy
-    return r.x_min < mx < r.x_max and r.y_min < my < r.y_max
+    gap = np.hypot(x, y) - minus
+    below = gap < limit
+    near = np.flatnonzero(np.abs(gap - limit) <= HYPOT_RTOL * (limit + minus))
+    if len(near):
+        minus = np.broadcast_to(minus, gap.shape)
+        for e in near.tolist():
+            below[e] = math.hypot(x[e], y[e]) - minus[e] < limit
+    return below
+
+
+def clearances_below(
+    dx: np.ndarray, dy: np.ndarray, radius: np.ndarray, limit: float
+) -> np.ndarray:
+    """Whether `point_rect_signed_clearance` - radius < limit, element by
+    element, from the signed axis gaps dx = max(x_min - px, px - x_max)
+    and dy likewise."""
+    inside = (dx <= 0.0) & (dy <= 0.0)
+    outside = hypot_below(np.maximum(dx, 0.0), np.maximum(dy, 0.0), limit, radius)
+    return np.where(inside, np.maximum(dx, dy) - radius < limit, outside)
+
+
+def segments_cross_interiors(p: np.ndarray, q: np.ndarray, boxes: np.ndarray) -> np.ndarray:
+    """Whether each open segment p q passes through the open interior of
+    its rect. Grazing a corner, running along an edge, or merely touching
+    the boundary does not count as crossing.
+
+    p and q are (k, 2) segment ends and boxes (k, 4) rects as x_min, y_min,
+    x_max, y_max. The segment is clipped to the closed rect on both axes at
+    once and crosses when the clipped part is longer than a point and its
+    midpoint lies inside. An axis the segment does not move along leaves
+    the clip [0, 1]; if the segment lies outside the rect on that axis, so
+    does the midpoint.
+    """
+    lo, hi = boxes[:, 0:2], boxes[:, 2:4]
+    d = q - p
+    flat = d == 0.0
+    with np.errstate(all="ignore"):
+        ta, tb = (lo - p) / d, (hi - p) / d
+        t0 = np.where(flat, 0.0, np.minimum(ta, tb)).max(axis=1, initial=0.0)
+        t1 = np.where(flat, 1.0, np.maximum(ta, tb)).min(axis=1, initial=1.0)
+        m = p + (0.5 * (t0 + t1))[:, None] * d
+    return (t0 < t1) & ((lo < m) & (m < hi)).all(axis=1)

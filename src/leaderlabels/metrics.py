@@ -74,11 +74,11 @@ def edge_direction_deviations(
     contribute zero drift.
     """
     out = []
-    for e in graph.edges:
-        o1 = _edge_orientation(initial[e.i].rect.center(), initial[e.j].rect.center())
-        o2 = _edge_orientation(final[e.i].rect.center(), final[e.j].rect.center())
+    for i, j in graph.edges.tolist():
+        o1 = _edge_orientation(initial[i].rect.center(), initial[j].rect.center())
+        o2 = _edge_orientation(final[i].rect.center(), final[j].rect.center())
         dev = 0.0 if o1 is None or o2 is None else direction_deviation(o1, o2)
-        out.append((e.i, e.j, dev))
+        out.append((i, j, dev))
     return out
 
 

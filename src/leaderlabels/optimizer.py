@@ -14,10 +14,17 @@ layout it produced once for conflicting label-label and label-symbol pairs;
 those pairs give the step's conflict counts and are carried in the state to
 the next step's force assembly, which would otherwise scan the same layout
 again.
+
+The steps of a loop hand each other arrays: the (n, 4) rects, the (n, 2)
+connection points, the (n, 2) forces and translations. The anchors, the
+live slots and the symbol arrays are built once per loop, and the labels
+once, when the loop ends. Scalar `Rect`s appear only for the labels in a
+conflicting pair.
 """
 
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import dataclass, field, replace
 from typing import Sequence
@@ -25,8 +32,8 @@ from typing import Sequence
 import numpy as np
 
 from .beams import solve_displacements
-from .forces import ConflictPairs, assemble_forces, conflict_pairs
-from .geometry import Rect, Vec2, points_array
+from .forces import ConflictPairs, SceneArrays, assemble_forces, conflict_pairs, scene_arrays
+from .geometry import HYPOT_RTOL, Rect, Vec2, points_array
 from .metrics import count_conflicts, mean_direction_deviation, total_displacement_cm
 from .proximity import (
     ProximityGraph,
@@ -38,6 +45,7 @@ from .proximity import (
 )
 from .repair import greedy_repair
 from .scene import (
+    BeamParams,
     GraphKind,
     Label,
     LayoutConfig,
@@ -47,7 +55,6 @@ from .scene import (
     connection_points,
     initial_layout,
     label_rects,
-    live_slots,
 )
 
 MIN_ITERATION_CAP = 20
@@ -65,16 +72,18 @@ def effective_max_iterations(n_labels: int, override: int | None = None) -> int:
     return min(MAX_ITERATION_CAP, max(MIN_ITERATION_CAP, n_labels))
 
 
-def project_for_leader_type(displacement: Vec2, leader: LeaderSpec) -> Vec2:
-    """Restrict motion for the fully fixed leader type.
+def project_for_leader_type(v: np.ndarray, leader: LeaderSpec) -> np.ndarray:
+    """Restrict motion for the fully fixed leader type: each row of the
+    (n, 2) array v becomes u * (v . u).
 
     Fixed direction plus fixed connection means the label may only slide
     along the leader axis; every other type moves freely.
     """
     if leader.kind is not LeaderType.FIXED_DIR_FIXED_CONN:
-        return displacement
+        return v
     u = leader.unit()
-    return u * displacement.dot(u)
+    along = v[:, 0] * u.x + v[:, 1] * u.y
+    return np.column_stack((u.x * along, u.y * along))
 
 
 def handle_offscreen_fixed(
@@ -87,34 +96,31 @@ def handle_offscreen_fixed(
     The deleted labels' features drop out of all conflict checks.
     """
     n = leader.unit().perp()
+
+    def supports(r: Rect) -> list[float]:
+        return [n.dot(Vec2(x, y)) for x in (r.x_min, r.x_max) for y in (r.y_min, r.y_max)]
+
+    lo, hi = min(supports(screen)), max(supports(screen))
     out = []
-    lo_screen = min(n.dot(Vec2(screen.x_min, screen.y_min)), n.dot(Vec2(screen.x_max, screen.y_max)),
-                    n.dot(Vec2(screen.x_min, screen.y_max)), n.dot(Vec2(screen.x_max, screen.y_min)))
-    hi_screen = max(n.dot(Vec2(screen.x_min, screen.y_min)), n.dot(Vec2(screen.x_max, screen.y_max)),
-                    n.dot(Vec2(screen.x_min, screen.y_max)), n.dot(Vec2(screen.x_max, screen.y_min)))
     for lbl in labels:
-        if lbl.deleted:
-            out.append(lbl)
-            continue
-        r = lbl.rect
-        corners = (Vec2(r.x_min, r.y_min), Vec2(r.x_max, r.y_min),
-                   Vec2(r.x_min, r.y_max), Vec2(r.x_max, r.y_max))
-        supports = [n.dot(c) for c in corners]
-        if min(supports) < lo_screen or max(supports) > hi_screen:
-            out.append(replace(lbl, deleted=True))
-        else:
-            out.append(lbl)
+        s = supports(lbl.rect)
+        overhang = not lbl.deleted and (min(s) < lo or max(s) > hi)
+        out.append(replace(lbl, deleted=True) if overhang else lbl)
     return out
 
 
 @dataclass(frozen=True, slots=True)
 class StepStats:
+    """One step's record. capped counts the live labels whose translation
+    the step cap (`BeamParams.max_step`) shortened."""
+
     step: int
     max_force: float
     label_conflicts: int
     feature_conflicts: int
     graph_edges: int
     force_tags: frozenset[str]
+    capped: int
 
 
 @dataclass(slots=True)
@@ -149,78 +155,115 @@ def reference_graph(
 
 
 def build_graph(
-    labels: Sequence[Label],
-    cfg: LayoutConfig,
-    t_d: float | None,
-    rects: np.ndarray | None = None,
+    labels: Sequence[Label], cfg: LayoutConfig, t_d: float | None, rects: np.ndarray
 ) -> ProximityGraph:
-    """The per-iteration proximity graph: pruned Delaunay or MST. rects,
-    when given, must be `label_rects(labels)`."""
+    """The per-iteration proximity graph, pruned Delaunay or MST, of the
+    labels at rects."""
     if cfg.graph_kind is GraphKind.MST:
-        return mst_graph(labels, weight="center")
-    if rects is None:
-        rects = label_rects(labels)
+        return mst_graph(labels, "center", rects)
     return prune_graph(delaunay_graph(labels, rects), labels, t_d, rects)
 
 
-def step(state: OptimizerState, features: Sequence[PointFeature], cfg: LayoutConfig) -> OptimizerState:
-    """One pass: rebuild graph, assemble forces, solve, move labels.
+def _max_norm(v: np.ndarray) -> float:
+    """The largest `math.hypot` of the rows of v, 0.0 for none. np.hypot
+    picks the rows within HYPOT_RTOL of its largest; math.hypot measures
+    only those."""
+    if not len(v):
+        return 0.0
+    norms = np.hypot(v[:, 0], v[:, 1])
+    top = v[norms >= norms.max() * (1.0 - HYPOT_RTOL)]
+    return max(math.hypot(x, y) for x, y in top.tolist())
 
-    The live rects are read once into one array, which the graph, the
-    forces, the move and the conflict scan of the moved layout all use.
-    """
-    labels = state.labels
-    t_d = state.t_d
+
+@dataclass(frozen=True, slots=True)
+class _Loop:
+    """What every step of one loop reads and none changes. The labels give
+    the slots, ids, font sizes and deleted flags; their rects and conns are
+    those the loop started from, so steps read geometry from arrays."""
+
+    labels: Sequence[Label]
+    features: Sequence[PointFeature]
+    cfg: LayoutConfig
+    t_d: float | None
+    arrays: SceneArrays
+    beam: BeamParams
+
+
+def _loop_of(
+    labels: Sequence[Label], features: Sequence[PointFeature], cfg: LayoutConfig, t_d: float | None
+) -> _Loop:
     if t_d is None and cfg.graph_kind is GraphKind.DT:
         t_d = pruning_distance(features, cfg)
-    rects = label_rects(labels)
-    live = live_slots(labels)
-    graph = build_graph(labels, cfg, t_d, rects)
-    assignment = assemble_forces(labels, features, cfg, state.pairs, rects)
-    totals = assignment.totals
-    leader = cfg.leader
-    if leader.kind is LeaderType.FIXED_DIR_FIXED_CONN:
-        # Only the along-leader force component can produce motion, so the
-        # perpendicular remainder is dropped before the solve as well.
-        totals = tuple(project_for_leader_type(f, leader) for f in totals)
-    max_force = max((totals[i].norm() for i in live.tolist()), default=0.0)
-    disp = solve_displacements(graph, totals, cfg.resolved_beam())
+    arrays = scene_arrays(labels, features, cfg.d_min)
+    return _Loop(labels, features, cfg, t_d, arrays, cfg.resolved_beam())
 
-    d = points_array(disp.translations)[live]
-    if leader.kind is LeaderType.FIXED_DIR_FIXED_CONN:
-        # project_for_leader_type on every row: u * d.dot(u).
-        u = leader.unit()
-        along = d[:, 0] * u.x + d[:, 1] * u.y
-        d = np.column_stack((u.x * along, u.y * along))
+
+def _advance(
+    loop: _Loop, rects: np.ndarray, conns: np.ndarray, pairs: ConflictPairs | None, step_no: int
+) -> tuple[np.ndarray, np.ndarray, ConflictPairs, StepStats]:
+    """One pass on the (n, 4) rects and (n, 2) conns: rebuild the graph,
+    assemble forces, solve, move. Returns the moved rects and conns, their
+    conflict pairs, and the step's stats. pairs, when given, must be those
+    of rects."""
+    labels, features, cfg = loop.labels, loop.features, loop.cfg
+    live = loop.arrays.live
+    graph = build_graph(labels, cfg, loop.t_d, rects)
+    assignment = assemble_forces(labels, features, cfg, pairs, rects, loop.arrays)
+    # Only the along-leader force component can produce motion under the
+    # fully fixed leader, so the perpendicular remainder is dropped before
+    # the solve as well as after it.
+    totals = project_for_leader_type(assignment.totals, cfg.leader)
+    max_force = _max_norm(totals[live])
+    disp = solve_displacements(graph, totals, loop.beam)
+
+    d = project_for_leader_type(disp.translations[live], cfg.leader)
     moved_rects = rects.copy()
     moved_rects[live] += d[:, [0, 1, 0, 1]]
-    anchor_by_id = {f.id: f.anchor for f in features}
-    live_labels = [labels[i] for i in live.tolist()]
-    anchors = points_array(anchor_by_id[l.feature_id] for l in live_labels)
-    conns = points_array(l.conn for l in live_labels) + d
-    conns = connection_points(moved_rects[live], anchors, leader, conns)
-
-    moved = list(labels)
-    for i, lbl, (x0, y0, x1, y1), (cx, cy) in zip(
-        live.tolist(), live_labels, moved_rects[live].tolist(), conns.tolist()
-    ):
-        moved[i] = Label(lbl.feature_id, Rect(x0, y0, x1, y1), Vec2(cx, cy), lbl.font_size)
-
-    pairs = conflict_pairs(moved, features, cfg.d_min, moved_rects)
+    moved_conns = conns.copy()
+    moved_conns[live] = connection_points(
+        moved_rects[live], loop.arrays.anchors, cfg.leader, conns[live] + d
+    )
+    pairs = conflict_pairs(labels, features, cfg.d_min, moved_rects, loop.arrays)
     stats = StepStats(
-        step=state.step_count + 1,
+        step=step_no,
         max_force=max_force,
         label_conflicts=len(pairs.labels),
         feature_conflicts=len(pairs.features),
         graph_edges=len(graph.edges),
         force_tags=assignment.sources,
+        capped=disp.capped,
+    )
+    return moved_rects, moved_conns, pairs, stats
+
+
+def _placed(loop: _Loop, rects: np.ndarray, conns: np.ndarray) -> list[Label]:
+    """The loop's labels at rects and conns; deleted labels as they were."""
+    placed = list(loop.labels)
+    live = loop.arrays.live.tolist()
+    for i, (x0, y0, x1, y1), (cx, cy) in zip(live, rects[live].tolist(), conns[live].tolist()):
+        lbl = placed[i]
+        placed[i] = Label(lbl.feature_id, Rect(x0, y0, x1, y1), Vec2(cx, cy), lbl.font_size)
+    return placed
+
+
+def step(state: OptimizerState, features: Sequence[PointFeature], cfg: LayoutConfig) -> OptimizerState:
+    """One pass: rebuild graph, assemble forces, solve, move labels.
+
+    The rects and conns are read once into arrays, which the graph, the
+    forces, the move and the conflict scan of the moved layout all use.
+    """
+    labels = state.labels
+    loop = _loop_of(labels, features, cfg, state.t_d)
+    conns = points_array(l.conn for l in labels)
+    rects, conns, pairs, stats = _advance(
+        loop, label_rects(labels), conns, state.pairs, state.step_count + 1
     )
     return OptimizerState(
-        labels=moved,
-        step_count=state.step_count + 1,
-        last_max_force=max_force,
+        labels=_placed(loop, rects, conns),
+        step_count=stats.step,
+        last_max_force=stats.max_force,
         history=state.history + [stats],
-        t_d=t_d,
+        t_d=loop.t_d,
         pairs=pairs,
     )
 
@@ -294,19 +337,24 @@ def _run_loop(
         return labels, LoopStats(0, 0, 0, 0.0, "force", ())
     t_s = effective_max_iterations(n_live, cfg.t_s_override)
     t_f = cfg.force_threshold
-    state = OptimizerState(labels=labels, t_d=t_d)
+    loop = _loop_of(labels, features, cfg, t_d)
+    rects = label_rects(labels)
+    conns = points_array(l.conn for l in labels)
+    pairs = None
+    history: list[StepStats] = []
     while True:
-        state = step(state, features, cfg)
-        if state.step_count >= t_s or state.last_max_force <= t_f:
+        rects, conns, pairs, stats = _advance(loop, rects, conns, pairs, len(history) + 1)
+        history.append(stats)
+        if stats.step >= t_s or stats.max_force <= t_f:
             break
-    reason = "force" if state.last_max_force <= t_f else "max_iterations"
-    return state.labels, LoopStats(
+    reason = "force" if stats.max_force <= t_f else "max_iterations"
+    return _placed(loop, rects, conns), LoopStats(
         size=n_live,
-        steps=state.step_count,
+        steps=stats.step,
         max_iterations=t_s,
-        final_max_force=state.last_max_force,
+        final_max_force=stats.max_force,
         exit_reason=reason,
-        history=tuple(state.history),
+        history=tuple(history),
     )
 
 

@@ -1,32 +1,41 @@
 """Proximity graphs over label centers: Delaunay, pruned Delaunay, and MST.
 
 The graph encodes which labels should be treated as structural neighbors by
-the beam solver. An edge is a sorted slot pair (i, j) with i < j, and every
-builder returns its edges sorted; lengths and orientations are taken from
-`positions` (or from label centers) by whoever needs them.
+the beam solver. Its edges are an (m, 2) int array of slot pairs (i, j)
+with i < j, and every builder returns its rows sorted; lengths and
+orientations are taken from `positions` (or from label centers) by
+whoever needs them.
+
+Every builder reads the label geometry from `rects` when it is given, and
+from the labels only their slots and deleted flags: the placement loop
+moves the rects and builds labels once, when it ends.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
-from typing import Literal, NamedTuple, Sequence
+from typing import Literal, Sequence
 
 import numpy as np
 from scipy.spatial import Delaunay, QhullError, cKDTree
 
 from .geometry import (
     HYPOT_RTOL,
+    Rect,
     Vec2,
     points_array,
     rect_distance,
     row_blocks,
-    segment_crosses_interior,
+    segments_cross_interiors,
 )
 from .scene import Label, label_rects, live_slots
 
 # Deterministic nudge applied to duplicate centers so triangulation stays
 # well defined; far below any geometric tolerance used elsewhere.
 _DUPLICATE_JITTER = 1e-9
+
+_NO_EDGES = np.empty((0, 2), dtype=np.int64)
 
 
 def _find(parent: list[int] | dict[int, int], a: int) -> int:
@@ -37,29 +46,28 @@ def _find(parent: list[int] | dict[int, int], a: int) -> int:
     return a
 
 
-class GraphEdge(NamedTuple):
-    """Undirected edge between label slots i < j."""
-
-    i: int
-    j: int
-
-
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True, slots=True, eq=False)
 class ProximityGraph:
-    """Node positions (one per label slot, rect centers) plus an edge set.
+    """Node positions, an (n, 2) array of rect centers with one row per
+    label slot, and the edges, an (m, 2) int array of slot pairs i < j.
 
     Deleted labels keep their slot so indices line up with force and
     displacement arrays, but never carry edges.
     """
 
-    positions: tuple[Vec2, ...]
-    edges: tuple[GraphEdge, ...]
+    positions: np.ndarray
+    edges: np.ndarray
 
 
 def _effective_xy(labels: Sequence[Label], rects: np.ndarray) -> np.ndarray:
     # Rect centers, (n, 2), with exact duplicates among live labels nudged
-    # apart by an offset keyed to the slot index.
+    # apart by an offset keyed to the slot index. When no two live centers
+    # are equal (as complex numbers, so that -0.0 equals 0.0 as in the set)
+    # nothing moves.
     xy = 0.5 * (rects[:, 0:2] + rects[:, 2:4])
+    live = live_slots(labels)
+    if len(np.unique(xy[live].view(np.complex128))) == len(live):
+        return xy
     seen: set[tuple[float, float]] = set()
     for idx, (x, y) in enumerate(xy.tolist()):
         if labels[idx].deleted:
@@ -70,15 +78,6 @@ def _effective_xy(labels: Sequence[Label], rects: np.ndarray) -> np.ndarray:
             xy[idx] = (x, y)
         seen.add((x, y))
     return xy
-
-
-def effective_centers(labels: Sequence[Label]) -> list[Vec2]:
-    """Rect centers with exact duplicates among live labels nudged apart.
-
-    The nudge is keyed by slot index, so rebuilding the same scene yields the
-    same coordinates.
-    """
-    return [Vec2(x, y) for x, y in _effective_xy(labels, label_rects(labels)).tolist()]
 
 
 def _collinear_chain(live: list[int], xy: np.ndarray) -> list[tuple[int, int]]:
@@ -93,20 +92,20 @@ def delaunay_graph(labels: Sequence[Label], rects: np.ndarray | None = None) -> 
 
     One live label yields no edges, two yield a single edge, and collinear
     sets degrade to a path graph instead of crashing. rects, when given,
-    must be `label_rects(labels)`.
+    stands for the labels' rects.
     """
     if rects is None:
         rects = label_rects(labels)
     xy = _effective_xy(labels, rects)
     live = live_slots(labels)
-    pairs: list[tuple[int, int]] = []
+    edges = _NO_EDGES
     if len(live) == 2:
-        pairs = [(int(live[0]), int(live[1]))]
+        edges = live.reshape(1, 2)
     elif len(live) >= 3:
         try:
             tri = Delaunay(xy[live])
         except QhullError:
-            pairs = _collinear_chain(live.tolist(), xy)
+            edges = np.array(_collinear_chain(live.tolist(), xy), dtype=np.int64)
         else:
             # Each triangle's three sides as slot pairs; a side shared by two
             # triangles is one edge. i * n + j orders them as sorted pairs.
@@ -115,9 +114,8 @@ def delaunay_graph(labels: Sequence[Label], rects: np.ndarray | None = None) -> 
             b = np.concatenate((s[:, 1], s[:, 2], s[:, 2]))
             n = len(labels)
             keys = np.unique(np.minimum(a, b) * n + np.maximum(a, b))
-            pairs = list(zip((keys // n).tolist(), (keys % n).tolist()))
-    positions = tuple(Vec2(x, y) for x, y in xy.tolist())
-    return ProximityGraph(positions=positions, edges=tuple(GraphEdge(i, j) for i, j in pairs))
+            edges = np.column_stack((keys // n, keys % n))
+    return ProximityGraph(positions=xy, edges=edges)
 
 
 def prune_graph(
@@ -127,30 +125,31 @@ def prune_graph(
 
     An edge is blocked when its center-to-center segment passes through the
     open interior of any label rect other than its two endpoints'. Output
-    edges are always a subset of the input edges. rects, when given, must
-    be `label_rects(labels)`.
+    edges are always a subset of the input edges. rects, when given, stands
+    for the labels' rects.
 
-    The lengths and a closed bounding-box test of every edge against every
-    live rect run as array operations; `segment_crosses_interior` decides
-    each box hit, and `Vec2.norm` each length within HYPOT_RTOL of t_d.
+    The lengths, a closed bounding-box test of every edge against every
+    live rect and the segment test of each box hit
+    (`segments_cross_interiors`) run as array operations; `math.hypot`
+    decides each length within HYPOT_RTOL of t_d.
     """
     live = live_slots(labels)
-    if not len(live) or not graph.edges:
-        return ProximityGraph(positions=graph.positions, edges=())
+    edges = graph.edges
+    if not len(live) or not len(edges):
+        return ProximityGraph(positions=graph.positions, edges=_NO_EDGES)
     if rects is None:
         rects = label_rects(labels)
     boxes = rects[live]
-    edges = np.array(graph.edges)
-    xy = points_array(graph.positions)
+    xy = graph.positions
     p, q = xy[edges[:, 0]], xy[edges[:, 1]]
-    length = np.hypot(q[:, 0] - p[:, 0], q[:, 1] - p[:, 1])
+    dx, dy = q[:, 0] - p[:, 0], q[:, 1] - p[:, 1]
+    length = np.hypot(dx, dy)
     short = length <= t_d
     for k in np.flatnonzero(np.abs(length - t_d) <= HYPOT_RTOL * t_d).tolist():
-        i, j = graph.edges[k]
-        short[k] = not (graph.positions[j] - graph.positions[i]).norm() > t_d
+        short[k] = not math.hypot(dx[k], dy[k]) > t_d
     cand = np.flatnonzero(short)
     lo, hi = np.minimum(p, q), np.maximum(p, q)
-    blocked: set[int] = set()
+    blocked = np.zeros(len(edges), dtype=bool)
     for rows in row_blocks(len(cand), len(live)):
         ks = cand[rows]
         hit = (
@@ -161,44 +160,41 @@ def prune_graph(
             & (live != edges[ks, 0:1])
             & (live != edges[ks, 1:2])
         )
-        for r, c in zip(*(idx.tolist() for idx in np.nonzero(hit))):
-            k = int(ks[r])
-            if k in blocked:
-                continue
-            e = graph.edges[k]
-            if segment_crosses_interior(
-                graph.positions[e.i], graph.positions[e.j], labels[live[c]].rect
-            ):
-                blocked.add(k)
-    kept = tuple(graph.edges[k] for k in cand.tolist() if k not in blocked)
-    return ProximityGraph(positions=graph.positions, edges=kept)
+        r, c = np.nonzero(hit)
+        if len(r):
+            k = ks[r]
+            blocked[k[segments_cross_interiors(p[k], q[k], boxes[c])]] = True
+    return ProximityGraph(positions=xy, edges=edges[cand[~blocked[cand]]])
 
 
 WeightKind = Literal["rect", "center"]
 
 
 def _mst_edge_list(
-    labels: Sequence[Label], positions: Sequence[Vec2], weight: WeightKind
+    labels: Sequence[Label], xy: np.ndarray, rects: np.ndarray, weight: WeightKind
 ) -> list[tuple[float, int, int]]:
     """Kruskal MST over the complete graph of live labels.
 
     weight "rect" uses minimum rectangle distance (the clustering semantics),
-    "center" uses center-to-center distance (the graph-kind switch). Ties
-    break on the (min index, max index) pair, so results are deterministic.
+    "center" uses center-to-center distance between the rows of xy (the
+    graph-kind switch). Ties break on the (min index, max index) pair, so
+    results are deterministic.
     """
-    live = [i for i, l in enumerate(labels) if not l.deleted]
+    live = live_slots(labels).tolist()
     if len(live) < 2:
         return []
-    cand: list[tuple[float, int, int]] = []
-    for a_pos in range(len(live)):
-        for b_pos in range(a_pos + 1, len(live)):
-            i, j = live[a_pos], live[b_pos]
-            if weight == "rect":
-                w = rect_distance(labels[i].rect, labels[j].rect)
-            else:
-                w = (positions[i] - positions[j]).norm()
-            cand.append((w, i, j))
-    cand.sort()
+    if weight == "rect":
+        boxes = [Rect(*r) for r in rects.tolist()]
+
+        def dist(i: int, j: int) -> float:
+            return rect_distance(boxes[i], boxes[j])
+    else:
+        points = xy.tolist()
+
+        def dist(i: int, j: int) -> float:
+            return math.hypot(points[i][0] - points[j][0], points[i][1] - points[j][1])
+
+    cand = sorted((dist(i, j), i, j) for a, i in enumerate(live) for j in live[a + 1:])
     parent = {i: i for i in live}
     chosen: list[tuple[float, int, int]] = []
     for w, i, j in cand:
@@ -211,12 +207,17 @@ def _mst_edge_list(
     return chosen
 
 
-def mst_graph(labels: Sequence[Label], weight: WeightKind = "rect") -> ProximityGraph:
-    """Minimum spanning tree over live labels as a proximity graph."""
-    positions = effective_centers(labels)
-    chosen = _mst_edge_list(labels, positions, weight)
-    edges = tuple(GraphEdge(i, j) for i, j in sorted((i, j) for _, i, j in chosen))
-    return ProximityGraph(positions=tuple(positions), edges=edges)
+def mst_graph(
+    labels: Sequence[Label], weight: WeightKind = "rect", rects: np.ndarray | None = None
+) -> ProximityGraph:
+    """Minimum spanning tree over live labels as a proximity graph. rects,
+    when given, stands for the labels' rects."""
+    if rects is None:
+        rects = label_rects(labels)
+    xy = _effective_xy(labels, rects)
+    chosen = _mst_edge_list(labels, xy, rects, weight)
+    edges = np.array(sorted((i, j) for _, i, j in chosen), dtype=np.int64).reshape(-1, 2)
+    return ProximityGraph(positions=xy, edges=edges)
 
 
 def partition_labels(labels: Sequence[Label], t_num: int) -> list[list[int]]:
@@ -228,9 +229,8 @@ def partition_labels(labels: Sequence[Label], t_num: int) -> list[list[int]]:
     """
     if t_num < 1:
         raise ValueError("t_num must be at least 1")
-    positions = effective_centers(labels)
-    live = [i for i, l in enumerate(labels) if not l.deleted]
-    active = _mst_edge_list(labels, positions, "rect")
+    live = live_slots(labels).tolist()
+    active = _mst_edge_list(labels, np.empty((0, 2)), label_rects(labels), "rect")
 
     while True:
         parent = {i: i for i in live}

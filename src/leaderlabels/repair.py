@@ -32,15 +32,8 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .forces import conflicting_feature_pairs, conflicting_label_pairs
-from .geometry import (
-    HYPOT_RTOL,
-    Rect,
-    Vec2,
-    point_rect_signed_clearance,
-    points_array,
-    rect_distance,
-)
+from .forces import SceneArrays, conflicting_feature_pairs, conflicting_label_pairs, scene_arrays
+from .geometry import HYPOT_RTOL, Vec2, clearances_below, hypot_below, points_array
 from .scene import (
     Label,
     LayoutConfig,
@@ -80,13 +73,18 @@ def admissible_directions(cfg: LayoutConfig) -> tuple[Vec2, ...]:
 
 
 def conflict_degrees(
-    labels: Sequence[Label], features: Sequence[PointFeature], d_min: float
+    labels: Sequence[Label],
+    features: Sequence[PointFeature],
+    d_min: float,
+    arrays: SceneArrays | None = None,
 ) -> dict[int, int]:
+    """Conflicts per label slot. arrays, when given, must be
+    `scene_arrays(labels, features, d_min)`."""
     degree: dict[int, int] = {}
     for i, j in conflicting_label_pairs(labels, d_min):
         degree[i] = degree.get(i, 0) + 1
         degree[j] = degree.get(j, 0) + 1
-    for i, _ in conflicting_feature_pairs(labels, features, d_min):
+    for i, _ in conflicting_feature_pairs(labels, features, d_min, None, arrays):
         degree[i] = degree.get(i, 0) + 1
     return degree
 
@@ -121,7 +119,8 @@ def greedy_repair(
     """
     labels = list(labels)
     anchors = {f.id: f.anchor for f in features}
-    deleted_ids = {l.feature_id for l in labels if l.deleted}
+    # Moves change rects only, never ids or deleted flags.
+    arrays = scene_arrays(labels, features, cfg.d_min)
     searches = _searches(cfg, diagonal, max_axis_retries)
     moves = 0
     budget = _Budget(CANDIDATE_BUDGET)
@@ -130,7 +129,7 @@ def greedy_repair(
     stuck: dict[int, float] = {}
 
     while budget.left > 0:
-        degree = conflict_degrees(labels, features, cfg.d_min)
+        degree = conflict_degrees(labels, features, cfg.d_min, arrays)
         if not degree:
             break
         candidates = [i for i in degree if i not in stuck]
@@ -140,7 +139,7 @@ def greedy_repair(
             anchor = anchors[lbl.feature_id]
             for retries, reach_scale, step_count, step_offsets in searches:
                 d = _search(
-                    idx, labels, features, cfg, anchor, deleted_ids, budget,
+                    idx, labels, cfg, anchor, arrays, budget,
                     retries, reach_scale, step_count, step_offsets,
                 )
                 if d is not None:
@@ -208,10 +207,9 @@ def _searches(
 def _search(
     idx: int,
     labels: Sequence[Label],
-    features: Sequence[PointFeature],
     cfg: LayoutConfig,
     anchor: Vec2,
-    deleted_ids: set[str],
+    arrays: SceneArrays,
     budget: _Budget,
     retries: int,
     reach_scale: float,
@@ -232,7 +230,6 @@ def _search(
     rect = labels[idx].rect
     center = rect.center()
     own_half_diag = 0.5 * math.hypot(rect.width, rect.height)
-    own_feature = labels[idx].feature_id
     grid = cfg.d_min / 2.0
     box = np.array([rect.x_min, rect.y_min, rect.x_max, rect.y_max])
     others = live_slots(labels)
@@ -240,14 +237,7 @@ def _search(
     centers = 0.5 * (rects[:, 0:2] + rects[:, 2:4])
     label_dist = np.hypot(centers[:, 0] - center.x, centers[:, 1] - center.y)
     half_diag = 0.5 * np.hypot(rects[:, 2] - rects[:, 0], rects[:, 3] - rects[:, 1])
-    symbols = np.array(
-        [
-            (f.anchor.x, f.anchor.y, f.symbol_radius)
-            for f in features
-            if f.id != own_feature and f.id not in deleted_ids
-        ],
-        dtype=float,
-    ).reshape(-1, 3)
+    symbols = arrays.symbols[arrays.ids != arrays.own[idx]]
     symbol_dist = np.hypot(symbols[:, 0] - center.x, symbols[:, 1] - center.y)
     start = 1
     for retry in range(retries + 1):
@@ -338,10 +328,9 @@ def _candidates_ok(
 
     The screen and attachment tests are column operations. The pair tests
     run on the candidates that pass them, against the rects and symbols
-    near the candidates' bounding box. A distance through np.hypot within
-    a relative HYPOT_RTOL of its threshold is decided again by
-    `rect_distance` or `point_rect_signed_clearance`, so every decision is
-    the scalar one.
+    near the candidates' bounding box; `hypot_below` and
+    `clearances_below` decide them as `rect_distance` and
+    `point_rect_signed_clearance` would.
     """
     d_min = cfg.d_min
     screen = cfg.screen
@@ -373,11 +362,7 @@ def _candidates_ok(
         gx = np.maximum(np.maximum(c[:, 0:1] - b[:, 2], b[:, 0] - c[:, 2:3]), 0.0)
         gy = np.maximum(np.maximum(c[:, 1:2] - b[:, 3], b[:, 1] - c[:, 3:4]), 0.0)
         r, k = np.nonzero((gx < d_min) & (gy < d_min))
-        gap = np.hypot(gx[r, k], gy[r, k])
-        close = gap < d_min
-        for e in np.flatnonzero(np.abs(gap - d_min) <= HYPOT_RTOL * d_min).tolist():
-            close[e] = rect_distance(Rect(*c[r[e]].tolist()), Rect(*b[k[e]].tolist())) < d_min
-        ok[rows[r[close]]] = False
+        ok[rows[r[hypot_below(gx[r, k], gy[r, k], d_min)]]] = False
         rows = np.flatnonzero(ok)
     if len(rows) and len(near_symbols):
         c = cands[rows]
@@ -396,18 +381,5 @@ def _candidates_ok(
         # The clearance is at least max(dx, dy), so a pair with dx or dy of
         # radius + d_min or more is clear.
         r, k = np.nonzero((dx < radius + pad) & (dy < radius + pad))
-        dx, dy = dx[r, k], dy[r, k]
-        inside = (dx <= 0.0) & (dy <= 0.0)
-        clearance = np.where(
-            inside, np.maximum(dx, dy), np.hypot(np.maximum(dx, 0.0), np.maximum(dy, 0.0))
-        )
-        gap = clearance - radius[k]
-        close = gap < d_min
-        confirm = ~inside & (np.abs(gap - d_min) <= HYPOT_RTOL * (d_min + radius[k]))
-        for e in np.flatnonzero(confirm).tolist():
-            p = Vec2(px[k[e]], py[k[e]])
-            close[e] = (
-                point_rect_signed_clearance(p, Rect(*c[r[e]].tolist())) - radius[k[e]] < d_min
-            )
-        ok[rows[r[close]]] = False
+        ok[rows[r[clearances_below(dx[r, k], dy[r, k], radius[k], d_min)]]] = False
     return ok

@@ -60,12 +60,13 @@ def render_svg(
 
     if graph is not None:
         g_graph = ET.SubElement(root, "g", {"class": "graph", "stroke": "#9ecae1", "stroke-width": "0.15"})
-        for e in graph.edges:
-            p, q = graph.positions[e.i], graph.positions[e.j]
+        xy = graph.positions.tolist()
+        for i, j in graph.edges.tolist():
+            (px, py), (qx, qy) = xy[i], xy[j]
             ET.SubElement(
                 g_graph,
                 "line",
-                {"x1": str(p.x), "y1": str(fy(p.y)), "x2": str(q.x), "y2": str(fy(q.y))},
+                {"x1": str(px), "y1": str(fy(py)), "x2": str(qx), "y2": str(fy(qy))},
             )
 
     feature_by_id = {f.id: f for f in features}

@@ -6,10 +6,12 @@ import math
 import random
 from typing import Callable, Iterable, Sequence
 
+import numpy as np
 import pytest
+import scipy.linalg
 
 from leaderlabels.geometry import Rect, Vec2
-from leaderlabels.scene import Label, LayoutConfig, LeaderType, PointFeature
+from leaderlabels.scene import BeamParams, Label, LayoutConfig, LeaderType, PointFeature
 
 
 def random_rect(rng: random.Random, span: float = 100.0, max_side: float = 20.0) -> Rect:
@@ -91,6 +93,33 @@ def brute_force_feature_conflicts(labels, features, d_min: float) -> list[tuple[
             if point_rect_signed_clearance(f.anchor, lbl.rect) - f.symbol_radius < d_min:
                 out.append((i, k))
     return out
+
+
+def segment_crosses_interior(p: Vec2, q: Vec2, r: Rect) -> bool:
+    """Scalar reference for `geometry.segments_cross_interiors`: clip the
+    segment to the rect axis by axis, stopping once the clip is empty."""
+    t0, t1 = 0.0, 1.0
+    dx = q.x - p.x
+    dy = q.y - p.y
+    for delta, lo, hi, start in ((dx, r.x_min, r.x_max, p.x), (dy, r.y_min, r.y_max, p.y)):
+        if delta == 0.0:
+            if start < lo or start > hi:
+                return False
+        else:
+            ta = (lo - start) / delta
+            tb = (hi - start) / delta
+            if ta > tb:
+                ta, tb = tb, ta
+            t0 = max(t0, ta)
+            t1 = min(t1, tb)
+            if t0 > t1:
+                return False
+    if t0 >= t1:
+        return False
+    tm = 0.5 * (t0 + t1)
+    mx = p.x + tm * dx
+    my = p.y + tm * dy
+    return r.x_min < mx < r.x_max and r.y_min < my < r.y_max
 
 
 def candidate_ok(
@@ -200,6 +229,62 @@ def reference_search(
                     return d, budget
         start = end + 1
     return None, budget
+
+
+def element_stiffness(p1: Vec2, p2: Vec2, params: BeamParams) -> np.ndarray:
+    """Global-frame 6x6 stiffness of one beam element between two nodes.
+
+    DOF order is (u1, v1, theta1, u2, v2, theta2). The block is symmetric and
+    positive semidefinite; rigid-body modes are its null space.
+    """
+    from leaderlabels.beams import _global_stiffness_batch
+
+    return _global_stiffness_batch(
+        np.array([p1.x]), np.array([p1.y]), np.array([p2.x]), np.array([p2.y]), params
+    )[0]
+
+
+def reference_solve(
+    positions: Sequence[Vec2],
+    edges: Sequence[tuple[int, int]],
+    forces: Sequence[Vec2],
+    params: BeamParams,
+) -> tuple[Vec2, ...]:
+    """The beam solve one Vec2 per node: K assembled with np.add.at onto
+    the ground springs, each translation capped by `Vec2.norm`. Returns
+    the capped translations."""
+    from leaderlabels.beams import _global_stiffness_batch
+
+    n = len(positions)
+    k_g = params.ground_stiffness
+    ndof = 3 * n
+    k = np.zeros((ndof, ndof))
+    idx = np.arange(n)
+    k[3 * idx, 3 * idx] = k_g
+    k[3 * idx + 1, 3 * idx + 1] = k_g
+    k[3 * idx + 2, 3 * idx + 2] = k_g * 1.0
+    if edges:
+        i_arr, j_arr = np.array(edges).T
+        x = np.array([p.x for p in positions])
+        y = np.array([p.y for p in positions])
+        blocks = _global_stiffness_batch(x[i_arr], y[i_arr], x[j_arr], y[j_arr], params)
+        dofs = np.stack(
+            [3 * i_arr, 3 * i_arr + 1, 3 * i_arr + 2, 3 * j_arr, 3 * j_arr + 1, 3 * j_arr + 2],
+            axis=1,
+        )
+        np.add.at(k, (dofs[:, :, None], dofs[:, None, :]), blocks)
+    f = np.zeros(ndof)
+    f[3 * idx] = [v.x for v in forces]
+    f[3 * idx + 1] = [v.y for v in forces]
+    factor = scipy.linalg.cho_factor(k, lower=True, check_finite=False)
+    d = scipy.linalg.cho_solve(factor, f, check_finite=False)
+    raw = tuple(Vec2(float(d[3 * i]), float(d[3 * i + 1])) for i in range(n))
+    capped = []
+    cap = params.max_step
+    for v in raw:
+        norm = v.norm()
+        capped.append(v if norm <= cap else v * (cap / norm))
+    return tuple(capped)
 
 
 @pytest.fixture

@@ -1,18 +1,17 @@
+import dataclasses
 import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
-from leaderlabels.beams import (
-    ZeroLengthEdgeError,
-    element_stiffness,
-    solve_displacements,
-)
-from leaderlabels.geometry import Vec2
-from leaderlabels.proximity import GraphEdge, ProximityGraph, delaunay_graph, prune_graph
+from leaderlabels import beams
+from leaderlabels.beams import ZeroLengthEdgeError, solve_displacements
+from leaderlabels.geometry import Vec2, points_array
+from leaderlabels.proximity import ProximityGraph, delaunay_graph, prune_graph
 from leaderlabels.scene import BeamParams
 
-from conftest import random_labels
+from conftest import element_stiffness, random_labels, reference_solve
 
 
 def params(**kw) -> BeamParams:
@@ -25,7 +24,9 @@ def params(**kw) -> BeamParams:
 
 
 def graph_of(positions: list[Vec2], pairs: list[tuple[int, int]]) -> ProximityGraph:
-    return ProximityGraph(positions=tuple(positions), edges=tuple(GraphEdge(i, j) for i, j in pairs))
+    return ProximityGraph(
+        positions=points_array(positions), edges=np.array(pairs, dtype=np.int64).reshape(-1, 2)
+    )
 
 
 def assemble_global(graph: ProximityGraph, p: BeamParams) -> np.ndarray:
@@ -35,13 +36,31 @@ def assemble_global(graph: ProximityGraph, p: BeamParams) -> np.ndarray:
         k[3 * i, 3 * i] += p.ground_stiffness
         k[3 * i + 1, 3 * i + 1] += p.ground_stiffness
         k[3 * i + 2, 3 * i + 2] += p.ground_stiffness
-    for e in graph.edges:
-        block = element_stiffness(graph.positions[e.i], graph.positions[e.j], p)
-        dofs = [3 * e.i, 3 * e.i + 1, 3 * e.i + 2, 3 * e.j, 3 * e.j + 1, 3 * e.j + 2]
+    positions = [Vec2(x, y) for x, y in graph.positions.tolist()]
+    for i, j in graph.edges.tolist():
+        block = element_stiffness(positions[i], positions[j], p)
+        dofs = [3 * i, 3 * i + 1, 3 * i + 2, 3 * j, 3 * j + 1, 3 * j + 2]
         for a in range(6):
             for b in range(6):
                 k[dofs[a], dofs[b]] += block[a, b]
     return k
+
+
+def solve(graph: ProximityGraph, forces: list[Vec2], p: BeamParams) -> beams.DisplacementField:
+    return solve_displacements(graph, points_array(forces), p)
+
+
+def raw_translations(field: beams.DisplacementField) -> list[Vec2]:
+    """The uncapped translations, one Vec2 per node, from the solution."""
+    return [Vec2(u, v) for u, v, _ in field.solution.reshape(-1, 3).tolist()]
+
+
+def load_vector(forces: list[Vec2]) -> np.ndarray:
+    f = np.zeros(3 * len(forces))
+    for i, v in enumerate(forces):
+        f[3 * i] = v.x
+        f[3 * i + 1] = v.y
+    return f
 
 
 class TestElementStiffness:
@@ -88,25 +107,25 @@ class TestElementStiffness:
 class TestSolve:
     def test_isolated_node_spring_equation(self):
         g = graph_of([Vec2(0, 0)], [])
-        field = solve_displacements(g, [Vec2(3.0, 0.0)], params(ground_stiffness=1.0))
-        assert field.raw_translations[0].x == pytest.approx(3.0, abs=1e-12)
-        assert field.raw_translations[0].y == pytest.approx(0.0, abs=1e-12)
+        field = solve(g, [Vec2(3.0, 0.0)], params(ground_stiffness=1.0))
+        assert raw_translations(field)[0].x == pytest.approx(3.0, abs=1e-12)
+        assert raw_translations(field)[0].y == pytest.approx(0.0, abs=1e-12)
 
     def test_two_node_axial_equilibrium(self):
         # Symmetric pull-apart: u = F / (k_g + 2 EA / L), exact.
         g = graph_of([Vec2(0, 0), Vec2(1, 0)], [(0, 1)])
         p = params(ground_stiffness=1.0)
-        field = solve_displacements(g, [Vec2(-1.0, 0.0), Vec2(1.0, 0.0)], p)
+        field = solve(g, [Vec2(-1.0, 0.0), Vec2(1.0, 0.0)], p)
         u = 1.0 / (1.0 + 2.0 * 1.0 / 1.0)
-        assert field.raw_translations[0].x == pytest.approx(-u, abs=1e-12)
-        assert field.raw_translations[1].x == pytest.approx(u, abs=1e-12)
+        assert raw_translations(field)[0].x == pytest.approx(-u, abs=1e-12)
+        assert raw_translations(field)[1].x == pytest.approx(u, abs=1e-12)
 
     def test_zero_forces_zero_displacements(self, rng):
         labels = random_labels(rng, 10)
         g = delaunay_graph(labels)
-        field = solve_displacements(g, [Vec2(0.0, 0.0)] * 10, params())
-        assert all(v == Vec2(0.0, 0.0) for v in field.raw_translations)
-        assert all(r == 0.0 for r in field.rotations)
+        field = solve(g, [Vec2(0.0, 0.0)] * 10, params())
+        assert all(v == Vec2(0.0, 0.0) for v in raw_translations(field))
+        assert all(r == 0.0 for r in field.solution[2::3])
 
     def _random_system(self, rng, n):
         labels = random_labels(rng, n, span=150.0)
@@ -119,17 +138,10 @@ class TestSolve:
             n = rng.randint(5, 40)
             g, forces = self._random_system(rng, n)
             p = params(ground_stiffness=0.5)
-            field = solve_displacements(g, forces, p)
+            field = solve(g, forces, p)
             k = assemble_global(g, p)
-            d = np.zeros(3 * n)
-            for i in range(n):
-                d[3 * i] = field.raw_translations[i].x
-                d[3 * i + 1] = field.raw_translations[i].y
-                d[3 * i + 2] = field.rotations[i]
-            f = np.zeros(3 * n)
-            for i in range(n):
-                f[3 * i] = forces[i].x
-                f[3 * i + 1] = forces[i].y
+            d = field.solution
+            f = load_vector(forces)
             residual = np.linalg.norm(k @ d - f)
             assert residual <= 1e-9 * max(np.linalg.norm(f), 1e-30)
 
@@ -137,17 +149,10 @@ class TestSolve:
         n = 15
         g, forces = self._random_system(rng, n)
         p = params()
-        field = solve_displacements(g, forces, p)
+        field = solve(g, forces, p)
         k = assemble_global(g, p)
-        d = np.zeros(3 * n)
-        for i in range(n):
-            d[3 * i] = field.raw_translations[i].x
-            d[3 * i + 1] = field.raw_translations[i].y
-            d[3 * i + 2] = field.rotations[i]
-        f = np.zeros(3 * n)
-        for i in range(n):
-            f[3 * i] = forces[i].x
-            f[3 * i + 1] = forces[i].y
+        d = field.solution
+        f = load_vector(forces)
 
         def energy(vec):
             return 0.5 * vec @ k @ vec - f @ vec
@@ -162,11 +167,11 @@ class TestSolve:
         g, f1 = self._random_system(rng, n)
         f2 = [Vec2(rng.uniform(-2, 2), rng.uniform(-2, 2)) for _ in range(n)]
         p = params()
-        d1 = solve_displacements(g, f1, p).raw_translations
-        d2 = solve_displacements(g, f2, p).raw_translations
+        d1 = raw_translations(solve(g, f1, p))
+        d2 = raw_translations(solve(g, f2, p))
         lam = 3.7
-        d1s = solve_displacements(g, [v * lam for v in f1], p).raw_translations
-        dsum = solve_displacements(g, [a + b for a, b in zip(f1, f2)], p).raw_translations
+        d1s = raw_translations(solve(g, [v * lam for v in f1], p))
+        dsum = raw_translations(solve(g, [a + b for a, b in zip(f1, f2)], p))
         for i in range(n):
             assert d1s[i].x == pytest.approx(lam * d1[i].x, rel=1e-9, abs=1e-12)
             assert d1s[i].y == pytest.approx(lam * d1[i].y, rel=1e-9, abs=1e-12)
@@ -179,8 +184,8 @@ class TestSolve:
         g = graph_of(positions, [])
         forces = [Vec2(rng.uniform(-3, 3), rng.uniform(-3, 3)) for _ in range(n)]
         k_g = 0.8
-        field = solve_displacements(g, forces, params(ground_stiffness=k_g))
-        for f, d in zip(forces, field.raw_translations):
+        field = solve(g, forces, params(ground_stiffness=k_g))
+        for f, d in zip(forces, raw_translations(field)):
             assert abs(d.x) <= abs(f.x) / k_g + 1e-12
             assert abs(d.y) <= abs(f.y) / k_g + 1e-12
 
@@ -190,33 +195,102 @@ class TestSolve:
         energies = []
         for k_g in (0.3, 1.5):
             p = params(ground_stiffness=k_g)
-            field = solve_displacements(g, forces, p)
+            field = solve(g, forces, p)
             k = assemble_global(g, p)
-            d = np.zeros(3 * n)
-            for i in range(n):
-                d[3 * i] = field.raw_translations[i].x
-                d[3 * i + 1] = field.raw_translations[i].y
-                d[3 * i + 2] = field.rotations[i]
+            d = field.solution
             energies.append(0.5 * d @ k @ d)
         assert energies[1] < energies[0]
 
     def test_translation_cap(self):
         g = graph_of([Vec2(0, 0)], [])
-        field = solve_displacements(
-            g, [Vec2(30.0, 40.0)], params(ground_stiffness=1.0, max_step=5.0)
-        )
-        assert field.raw_translations[0].norm() == pytest.approx(50.0)
-        assert field.translations[0].norm() == pytest.approx(5.0)
+        field = solve(g, [Vec2(30.0, 40.0)], params(ground_stiffness=1.0, max_step=5.0))
+        assert raw_translations(field)[0].norm() == pytest.approx(50.0)
+        assert math.hypot(*field.translations[0]) == pytest.approx(5.0)
         # Direction preserved.
-        assert field.translations[0].x == pytest.approx(3.0)
-        assert field.translations[0].y == pytest.approx(4.0)
+        assert field.translations[0, 0] == pytest.approx(3.0)
+        assert field.translations[0, 1] == pytest.approx(4.0)
+        assert field.capped == 1
 
     def test_max_step_required(self):
         g = graph_of([Vec2(0, 0)], [])
         with pytest.raises(ValueError):
-            solve_displacements(g, [Vec2(1, 0)], BeamParams(max_step=None))
+            solve(g, [Vec2(1, 0)], BeamParams(max_step=None))
 
     def test_force_count_mismatch(self):
         g = graph_of([Vec2(0, 0)], [])
         with pytest.raises(ValueError):
-            solve_displacements(g, [Vec2(1, 0), Vec2(0, 0)], params())
+            solve(g, [Vec2(1, 0), Vec2(0, 0)], params())
+
+
+# --- the array solve against the one-Vec2-per-node reference ------------------
+
+_half_grid = st.integers(-80, 80).map(lambda k: k / 2.0)
+_stiffness = st.floats(0.1, 10.0)
+
+
+@st.composite
+def beam_systems(draw):
+    """A graph on distinct half-unit grid points, some nodes isolated, with
+    drawn forces and beam parameters (max_step unset)."""
+    n = draw(st.integers(1, 10))
+    positions = draw(
+        st.lists(st.tuples(_half_grid, _half_grid), min_size=n, max_size=n, unique=True)
+    )
+    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+    edges = sorted(draw(st.sets(st.sampled_from(pairs), max_size=2 * n))) if pairs else []
+    force = st.floats(-5.0, 5.0)
+    forces = draw(st.lists(st.tuples(force, force), min_size=n, max_size=n))
+    p = BeamParams(
+        elastic_modulus=draw(_stiffness),
+        cross_section=draw(_stiffness),
+        moment_of_inertia=draw(_stiffness),
+        ground_stiffness=draw(st.sampled_from([1.0, 0.5]) | _stiffness),
+    )
+    return [Vec2(*q) for q in positions], edges, [Vec2(*f) for f in forces], p
+
+
+class TestArraySolve:
+    @settings(max_examples=300, deadline=None)
+    @given(system=beam_systems(), data=st.data())
+    # np.hypot of (x, y) is one ulp below math.hypot: at a cap equal to the
+    # np.hypot value the scalar rule caps the row.
+    @example(
+        system=(
+            [Vec2(0.0, 0.0)], [], [Vec2(0.03546964032188504, 0.060851756668864554)],
+            BeamParams(ground_stiffness=1.0),
+        ),
+        data=None,
+    )
+    def test_equals_reference_bit_for_bit(self, system, data):
+        positions, edges, forces, p = system
+        graph = graph_of(positions, edges)
+        if data is None:
+            (x, y), = [(f.x, f.y) for f in forces]
+            caps = [float(np.hypot(x, y))]
+            assert caps[0] < math.hypot(x, y)
+        else:
+            uncapped = reference_solve(
+                positions, edges, forces, dataclasses.replace(p, max_step=math.inf)
+            )
+            norms = [v.norm() for v in uncapped if v.norm() > 0.0]
+            # Exactly a translation's norm, or a hair either side of it.
+            caps = [data.draw(st.floats(1e-3, 10.0))]
+            if norms:
+                norm = data.draw(st.sampled_from(norms))
+                caps += [norm, np.nextafter(norm, 0.0), np.nextafter(norm, math.inf)]
+        for cap in caps:
+            q = dataclasses.replace(p, max_step=float(cap))
+            want = reference_solve(positions, edges, forces, q)
+            field = solve(graph, forces, q)
+            assert field.translations.tobytes() == points_array(want).tobytes()
+            assert field.capped == sum(v.norm() > cap for v in raw_translations(field))
+
+
+class TestStiffnessAssembly:
+    @settings(max_examples=200, deadline=None)
+    @given(system=beam_systems())
+    def test_bincount_equals_oracle_assembly(self, system):
+        positions, edges, _, p = system
+        graph = graph_of(positions, edges)
+        k = beams._stiffness_matrix(graph, p)
+        assert k.tobytes() == assemble_global(graph, p).tobytes()

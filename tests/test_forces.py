@@ -355,6 +355,23 @@ class TestFeatureScanProperty:
             brute_force_feature_conflicts(labels, features, d_min)
         )
 
+    def test_hypot_last_bit_decides(self):
+        # A radius-0 symbol off the label's top-right corner by (gx, gy):
+        # the same gaps as the label scan's last-bit test, so np.hypot is
+        # one ulp low on the first and one ulp high on the second.
+        for gx, gy, d_min, want in (
+            (0.03546964032188504, 0.060851756668864554, 0.07043459146080565, []),
+            (0.1151024984279273, 0.8850600703796611, 0.8925132566661415, [(0, 1)]),
+        ):
+            labels = labels_from_rects([Rect(-1.0, -1.0, 0.0, 0.0)])
+            features = [
+                PointFeature(id="f0", anchor=Vec2(-0.5, -2.0), depth=100, text="T"),
+                PointFeature(id="s", anchor=Vec2(gx, gy), depth=100, text="T", symbol_radius=0.0),
+            ]
+            clearance = point_rect_signed_clearance(features[1].anchor, labels[0].rect)
+            assert clearance == math.hypot(gx, gy)
+            assert conflicting_feature_pairs(labels, features, d_min) == want
+
     def test_boundary_cases_by_hand(self):
         # s0's clearance is exactly radius + d_min, so no conflict; s1's is
         # 0.1 mm less. s2 lies inside label 0, f1 is label 1's symbol.
@@ -515,6 +532,15 @@ def scene_config(**kw) -> LayoutConfig:
     return LayoutConfig(**kw)
 
 
+def totals(fa) -> list[Vec2]:
+    """The assignment's (n, 2) totals as one Vec2 per label."""
+    return [Vec2(x, y) for x, y in fa.totals.tolist()]
+
+
+def same_assignment(a, b) -> bool:
+    return np.array_equal(a.totals, b.totals) and a.sources == b.sources
+
+
 class TestAssembleForces:
     def test_conflict_free_scene_all_zero(self):
         labels = labels_from_rects([Rect(10, 10, 20, 14), Rect(50, 50, 62, 54)])
@@ -523,8 +549,8 @@ class TestAssembleForces:
             PointFeature(id="f1", anchor=Vec2(55, 40), depth=100, text="B"),
         ]
         fa = assemble_forces(labels, features, scene_config())
-        assert all(f == Vec2(0.0, 0.0) for f in fa.totals)
-        assert max(f.norm() for f in fa.totals) == 0.0
+        assert all(f == Vec2(0.0, 0.0) for f in totals(fa))
+        assert max(f.norm() for f in totals(fa)) == 0.0
 
     def test_given_pairs_replace_the_scans(self, rng):
         labels = random_labels(rng, 20, span=60.0)
@@ -535,10 +561,13 @@ class TestAssembleForces:
         cfg = scene_config()
         pairs = conflict_pairs(labels, features, cfg.d_min)
         assert pairs.labels and pairs.features
-        assert assemble_forces(labels, features, cfg, pairs) == assemble_forces(labels, features, cfg)
+        assert same_assignment(
+            assemble_forces(labels, features, cfg, pairs), assemble_forces(labels, features, cfg)
+        )
         # The forces follow the pairs handed in, not a fresh scan.
-        assert assemble_forces(labels, features, cfg, ConflictPairs([], [])) != assemble_forces(
-            labels, features, cfg
+        assert not same_assignment(
+            assemble_forces(labels, features, cfg, ConflictPairs([], [])),
+            assemble_forces(labels, features, cfg),
         )
 
     def test_single_overlap_equals_overlap_force(self):
@@ -551,8 +580,8 @@ class TestAssembleForces:
         cfg = scene_config()
         fa = assemble_forces(labels, features, cfg)
         expected = overlap_force(r1, r2, RESOLVE_TARGET_FACTOR * cfg.d_min)
-        assert fa.totals[0] == expected[0]
-        assert fa.totals[1] == expected[1]
+        assert totals(fa)[0] == expected[0]
+        assert totals(fa)[1] == expected[1]
 
     def test_deleted_labels_get_zero(self):
         labels = labels_from_rects([Rect(50, 50, 60, 54), Rect(58, 51, 70, 55)])
@@ -564,8 +593,8 @@ class TestAssembleForces:
             PointFeature(id="f1", anchor=Vec2(64, 30), depth=100, text="B"),
         ]
         fa = assemble_forces(labels, features, scene_config())
-        assert fa.totals[1] == Vec2(0.0, 0.0)
-        assert fa.totals[0] == Vec2(0.0, 0.0)  # partner deleted, no pair conflict
+        assert totals(fa)[1] == Vec2(0.0, 0.0)
+        assert totals(fa)[0] == Vec2(0.0, 0.0)  # partner deleted, no pair conflict
 
     def test_total_equals_per_source_recomputation(self, rng):
         # Independent recomputation of every source for every label.
@@ -611,8 +640,8 @@ class TestAssembleForces:
                 feature = next(f for f in features if f.id == lbl.feature_id)
                 expected = expected + attachment_force(lbl, feature, cfg.leader)
                 expected = expected + screen_force(lbl.rect, cfg.screen, cfg.d_min)
-                assert fa.totals[i].x == pytest.approx(expected.x, abs=1e-9)
-                assert fa.totals[i].y == pytest.approx(expected.y, abs=1e-9)
+                assert totals(fa)[i].x == pytest.approx(expected.x, abs=1e-9)
+                assert totals(fa)[i].y == pytest.approx(expected.y, abs=1e-9)
 
     def test_forces_zero_iff_no_conflicts(self, rng):
         # Gate semantics: forces appear exactly when the scene has a
@@ -643,7 +672,7 @@ class TestAssembleForces:
                 for l in labels
             )
             expected_nonzero = has_conflict or has_screen_violation or has_attachment_miss
-            assert (max(f.norm() for f in fa.totals) > 0) == expected_nonzero
+            assert (max(f.norm() for f in totals(fa)) > 0) == expected_nonzero
 
     def test_totals_sum_sources_in_fixed_order(self):
         # Label 1, in the screen's top-right corner, meets label 0 across a
@@ -682,4 +711,4 @@ class TestAssembleForces:
         for p in parts:
             tx += p.x
             ty += p.y
-        assert fa.totals[1] == Vec2(tx, ty)
+        assert totals(fa)[1] == Vec2(tx, ty)

@@ -1,7 +1,8 @@
 import math
 
+import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from leaderlabels.geometry import (
     AxisGaps,
@@ -14,11 +15,11 @@ from leaderlabels.geometry import (
     point_rect_signed_clearance,
     rect_distance,
     rect_nearest_points,
-    segment_crosses_interior,
+    segments_cross_interiors,
     unit_from_degrees,
 )
 
-from conftest import disjoint_rect_pair, random_rect
+from conftest import disjoint_rect_pair, random_rect, segment_crosses_interior
 
 
 coords = st.floats(min_value=-100.0, max_value=100.0, allow_nan=False, allow_infinity=False)
@@ -145,25 +146,55 @@ class TestSignedClearance:
         assert point_rect_signed_clearance(Vec2(0, 2), r) == 0.0
 
 
+def crosses(p: Vec2, q: Vec2, r: Rect) -> bool:
+    """`segments_cross_interiors` on one segment."""
+    box = np.array([(r.x_min, r.y_min, r.x_max, r.y_max)])
+    return bool(segments_cross_interiors(np.array([(p.x, p.y)]), np.array([(q.x, q.y)]), box)[0])
+
+
 class TestSegmentCrossesInterior:
     def test_through_middle(self):
-        assert segment_crosses_interior(Vec2(-1, 1), Vec2(3, 1), Rect(0, 0, 2, 2))
+        assert crosses(Vec2(-1, 1), Vec2(3, 1), Rect(0, 0, 2, 2))
 
     def test_touching_edge_does_not_count(self):
         # Runs exactly along the boundary.
-        assert not segment_crosses_interior(Vec2(-1, 0), Vec2(3, 0), Rect(0, 0, 2, 2))
+        assert not crosses(Vec2(-1, 0), Vec2(3, 0), Rect(0, 0, 2, 2))
 
     def test_corner_graze_does_not_count(self):
-        assert not segment_crosses_interior(Vec2(-1, 1), Vec2(1, -1), Rect(0, 0, 2, 2))
+        assert not crosses(Vec2(-1, 1), Vec2(1, -1), Rect(0, 0, 2, 2))
 
     def test_miss(self):
-        assert not segment_crosses_interior(Vec2(-1, 5), Vec2(3, 5), Rect(0, 0, 2, 2))
+        assert not crosses(Vec2(-1, 5), Vec2(3, 5), Rect(0, 0, 2, 2))
 
     def test_fully_inside(self):
-        assert segment_crosses_interior(Vec2(0.5, 0.5), Vec2(1.5, 1.5), Rect(0, 0, 2, 2))
+        assert crosses(Vec2(0.5, 0.5), Vec2(1.5, 1.5), Rect(0, 0, 2, 2))
 
     def test_endpoint_inside(self):
-        assert segment_crosses_interior(Vec2(1, 1), Vec2(5, 5), Rect(0, 0, 2, 2))
+        assert crosses(Vec2(1, 1), Vec2(5, 5), Rect(0, 0, 2, 2))
+
+
+_grid = st.integers(-4, 4).map(float)
+_coord = st.one_of(_grid, st.floats(-4.0, 4.0))
+_side = st.integers(0, 3)
+
+
+class TestSegmentsCrossInteriors:
+    @settings(max_examples=500, deadline=None)
+    @given(st.lists(
+        st.tuples(_coord, _coord, _coord, _coord, _grid, _grid, _side, _side),
+        min_size=1, max_size=20,
+    ))
+    def test_rows_equal_scalar_test(self, rows):
+        # Small grids make grazed corners, segments along edges, points,
+        # axis-parallel segments and zero-size rects common.
+        p = np.array([(r[0], r[1]) for r in rows])
+        q = np.array([(r[2], r[3]) for r in rows])
+        boxes = np.array([(r[4], r[5], r[4] + r[6], r[5] + r[7]) for r in rows])
+        want = [
+            segment_crosses_interior(Vec2(*a), Vec2(*b), Rect(*c))
+            for a, b, c in zip(p.tolist(), q.tolist(), boxes.tolist())
+        ]
+        assert segments_cross_interiors(p, q, boxes).tolist() == want
 
 
 class TestInteriorsOverlap:

@@ -13,6 +13,13 @@ max_axis_retries=5)` on small overfull scenes under type 1 (axis steps
 along +-u only, no rings), types 2 and 3, and type 4 at 30 and 270 degrees
 (both branches of the attachment test), plus one scene that uses up a small
 candidate budget. It hashes the moves and every budget's `left` too.
+GRAPH_DIGEST covers the graph paths the others skip: `GraphKind.MST` runs,
+a scene with label padding, and the graph builders (Delaunay, pruned
+Delaunay, both MST weights and the nudged centres) on two initial layouts:
+one whose duplicated anchors give pairs of labels with exactly the same
+centre, which the builders nudge apart, and one collinear row of labels,
+which Qhull rejects. The duplicated scene is run under the Delaunay graph
+only: under the MST its first solve fails (see CHANGES.md).
 
 A refactor or speed-up of the placement loop or of repair must reproduce
 these layouts and reports bit for bit. Every float is hashed through
@@ -26,8 +33,8 @@ BLAS and OpenMP pinned to one thread, as the benchmark runs them.
 If a change is meant to alter placements, say so in CHANGES.md and
 replace the digest with the value this test prints. `python
 tests/test_golden.py` prints GOLDEN_DIGEST's, REPAIR_DIGEST's,
-LEADER_DIGEST's and REPAIR_LEADER_DIGEST's values, one a line, when run with the thread variables
-below set to 1.
+LEADER_DIGEST's, REPAIR_LEADER_DIGEST's and GRAPH_DIGEST's values, one a
+line, when run with the thread variables below set to 1.
 """
 
 import dataclasses
@@ -42,15 +49,18 @@ from pathlib import Path
 import leaderlabels
 from leaderlabels import repair
 from leaderlabels.baselines import localp
-from leaderlabels.optimizer import run
+from leaderlabels.geometry import Vec2
+from leaderlabels.optimizer import reference_graph, run
+from leaderlabels.proximity import delaunay_graph, mst_graph
 from leaderlabels.repair import greedy_repair
-from leaderlabels.scene import LeaderSpec, LeaderType, initial_layout
+from leaderlabels.scene import GraphKind, LeaderSpec, LeaderType, initial_layout
 from leaderlabels.scenefile import synthetic_scene
 
 GOLDEN_DIGEST = "24aec505fbb21a8ae66105da8d79f412137d70f92b544272820283e694bacd92"
 REPAIR_DIGEST = "503b48a527886347de032ac5fd1f9f6c3276afd37198993dd9bea7b290245c28"
 LEADER_DIGEST = "d0200d0829cbe2395b6bcb7153f18f685b5ffff0e187ef4b12d0edbcf5611e2c"
 REPAIR_LEADER_DIGEST = "43835bc19c01bc80414955ecc8acda6d4696e6f1173399cdcfe7add02f525d85"
+GRAPH_DIGEST = "db88cb12ce0e009c1589208a2fea7d4b4d30b93272a563bebbe0beec86256e83"
 
 THREAD_VARIABLES = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")
 
@@ -156,6 +166,52 @@ def repair_leader_digest() -> str:
     return h.hexdigest()
 
 
+def _duplicated_scene():
+    # Every odd feature takes its predecessor's anchor, depth and text, so
+    # the two initial labels are the same rect.
+    features, cfg = synthetic_scene(40, 4)
+    for k in range(1, len(features), 2):
+        twin = features[k - 1]
+        features[k] = dataclasses.replace(
+            features[k], anchor=twin.anchor, depth=twin.depth, text=twin.text
+        )
+    return features, cfg
+
+
+def graph_digest() -> str:
+    h = hashlib.sha256()
+    mst = GraphKind.MST
+    features, cfg = _duplicated_scene()
+    # A line of equal labels: Qhull rejects it and the builder chains it.
+    line = [
+        dataclasses.replace(f, anchor=Vec2(10.0 + 7.0 * k, 50.0), depth=100.0, text="ABCD")
+        for k, f in enumerate(features[:8])
+    ]
+    for f in (features, line):
+        labels = initial_layout(f, cfg)
+        h.update(json.dumps(_hexed(delaunay_graph(labels).positions.tolist())).encode())
+        for g in (
+            delaunay_graph(labels),
+            reference_graph(labels, f, cfg),
+            mst_graph(labels, weight="center"),
+            mst_graph(labels, weight="rect"),
+        ):
+            h.update(json.dumps([[int(i), int(j)] for i, j in g.edges]).encode())
+    scenes = [(features, cfg)]
+    for seed in (0, 1):
+        f, c = synthetic_scene(47, seed)
+        scenes.append((f, dataclasses.replace(c, graph_kind=mst)))
+    f, c = synthetic_scene(40, 5)
+    scenes.append((f, dataclasses.replace(c, graph_kind=mst, t_num=10)))
+    f, c = synthetic_scene(47, 2)
+    scenes.append((f, dataclasses.replace(c, padding=0.5)))
+    for f, c in scenes:
+        labels, report = run(f, c)
+        _hash_labels(h, labels)
+        _hash_report(h, report)
+    return h.hexdigest()
+
+
 @functools.lru_cache(maxsize=1)
 def _child_digests() -> tuple[str, ...]:
     env = dict(os.environ, **{name: "1" for name in THREAD_VARIABLES})
@@ -188,8 +244,14 @@ def test_repair_under_leader_types_matches_golden_digest():
     assert digest == REPAIR_LEADER_DIGEST, f"repair leader digest changed: {digest}"
 
 
+def test_graph_paths_match_golden_digest():
+    digest = _child_digests()[4]
+    assert digest == GRAPH_DIGEST, f"graph digest changed: {digest}"
+
+
 if __name__ == "__main__":
     print(placement_digest())
     print(repair_digest())
     print(leader_digest())
     print(repair_leader_digest())
+    print(graph_digest())

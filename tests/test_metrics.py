@@ -133,11 +133,11 @@ class TestMeanDirectionDeviation:
         for i in range(len(final)):
             final = _move(final, i, Vec2(rng.uniform(-4, 4), rng.uniform(-4, 4)))
         expected = []
-        for e in g.edges:
-            p0 = labels[e.i].rect.center()
-            q0 = labels[e.j].rect.center()
-            p1 = final[e.i].rect.center()
-            q1 = final[e.j].rect.center()
+        for i, j in g.edges.tolist():
+            p0 = labels[i].rect.center()
+            q0 = labels[j].rect.center()
+            p1 = final[i].rect.center()
+            q1 = final[j].rect.center()
             o0 = math.degrees(math.atan2(q0.y - p0.y, q0.x - p0.x)) % 180.0
             o1 = math.degrees(math.atan2(q1.y - p1.y, q1.x - p1.x)) % 180.0
             expected.append(direction_deviation(o0, o1))

@@ -2,6 +2,7 @@ import dataclasses
 
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -51,17 +52,29 @@ class TestEffectiveMaxIterations:
 
 
 class TestProjection:
+    @staticmethod
+    def project(v: Vec2, leader: LeaderSpec) -> Vec2:
+        return Vec2(*project_for_leader_type(np.array([(v.x, v.y)]), leader)[0].tolist())
+
     def test_projects_onto_vertical_leader(self):
         leader = LeaderSpec(direction=90.0, kind=LeaderType.FIXED_DIR_FIXED_CONN)
-        assert project_for_leader_type(Vec2(3, 4), leader) == Vec2(0.0, 4.0)
+        assert self.project(Vec2(3, 4), leader) == Vec2(0.0, 4.0)
 
     def test_orthogonal_becomes_zero(self):
         leader = LeaderSpec(direction=90.0, kind=LeaderType.FIXED_DIR_FIXED_CONN)
-        assert project_for_leader_type(Vec2(3, 0), leader) == Vec2(0.0, 0.0)
+        assert self.project(Vec2(3, 0), leader) == Vec2(0.0, 0.0)
 
     def test_other_types_identity(self):
         leader = LeaderSpec(direction=90.0, kind=LeaderType.FREE_DIR_FIXED_CONN)
-        assert project_for_leader_type(Vec2(3, 4), leader) == Vec2(3.0, 4.0)
+        assert self.project(Vec2(3, 4), leader) == Vec2(3.0, 4.0)
+
+    def test_rows_equal_the_vector_formula(self, rng):
+        for direction in (90.0, 135.0, 30.0, 271.5):
+            leader = LeaderSpec(direction=direction, kind=LeaderType.FIXED_DIR_FIXED_CONN)
+            u = leader.unit()
+            rows = [Vec2(rng.uniform(-5, 5), rng.uniform(-5, 5)) for _ in range(20)]
+            got = project_for_leader_type(np.array([(v.x, v.y) for v in rows]), leader)
+            assert got.tolist() == [[w.x, w.y] for w in (u * v.dot(u) for v in rows)]
 
 
 class TestOffscreenRule:
@@ -148,6 +161,38 @@ class TestStep:
             assert state.history[-1].label_conflicts == len(state.pairs.labels)
             assert state.history[-1].feature_conflicts == len(state.pairs.features)
         assert state.t_d == optimizer.pruning_distance(features, cfg)
+
+    def test_capped_counts_labels_the_step_cap_shortened(self):
+        # 4 mm apart, the two 10 mm labels overlap by about 6 mm: each gets
+        # a push far above the 0.4 mm cap. A third label far away is clear.
+        features = [
+            PointFeature(id="a", anchor=Vec2(98, 40), depth=100, text="AAAA"),
+            PointFeature(id="b", anchor=Vec2(102, 40), depth=100, text="AAAA"),
+            PointFeature(id="c", anchor=Vec2(20, 100), depth=100, text="CC"),
+        ]
+        cfg = tiny_cfg()
+        labels = initial_layout(features, cfg)
+        new = step(OptimizerState(labels=list(labels)), features, cfg)
+        cap = cfg.resolved_beam().max_step
+        assert new.history[-1].capped == 2
+        for before, after in zip(labels[:2], new.labels[:2]):
+            moved = after.rect.center() - before.rect.center()
+            assert moved.norm() == pytest.approx(cap, rel=1e-12)
+        labels[1] = dataclasses.replace(labels[1], deleted=True)
+        new = step(OptimizerState(labels=labels), features, cfg)
+        assert new.history[-1].capped == 0
+        _, report = run(features, cfg)
+        assert report.loops[0].history[0].capped == 2
+        assert "capped" not in report.as_dict()
+
+    def test_max_force_is_the_largest_scalar_norm(self):
+        # np.hypot is one ulp below math.hypot on the first row, one ulp
+        # above on the second.
+        rows = np.array([[0.03546964032188504, 0.060851756668864554],
+                         [0.1151024984279273, 0.8850600703796611]])
+        for v in (rows[:1], rows[1:], rows, rows * 1e-3):
+            assert optimizer._max_norm(v) == max(math.hypot(x, y) for x, y in v.tolist())
+        assert optimizer._max_norm(np.zeros((0, 2))) == 0.0
 
     def test_deleted_labels_do_not_move(self):
         features = [

@@ -1,6 +1,7 @@
 import dataclasses
 import itertools
 import math
+from typing import NamedTuple
 from unittest import mock
 
 import numpy as np
@@ -8,12 +9,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from leaderlabels import geometry
-from leaderlabels.geometry import Rect, Vec2, rect_distance, segment_crosses_interior
+from leaderlabels.geometry import Rect, Vec2, rect_distance
 from leaderlabels.proximity import (
-    GraphEdge,
     ProximityGraph,
     delaunay_graph,
-    effective_centers,
     mean_nn_distance,
     mst_graph,
     partition_labels,
@@ -21,11 +20,25 @@ from leaderlabels.proximity import (
 )
 from leaderlabels.scene import Label
 
-from conftest import labels_from_rects, random_labels
+from conftest import labels_from_rects, random_labels, segment_crosses_interior
+
+
+class Edge(NamedTuple):
+    i: int
+    j: int
+
+
+def edge_pairs(g) -> list[Edge]:
+    """The graph's edge rows as (i, j) tuples, in order."""
+    return [Edge(i, j) for i, j in g.edges.tolist()]
+
+
+def position(g, i: int) -> Vec2:
+    return Vec2(*g.positions[i].tolist())
 
 
 def edge_length(g, e) -> float:
-    return (g.positions[e.j] - g.positions[e.i]).norm()
+    return (position(g, e.j) - position(g, e.i)).norm()
 
 
 def point_labels(points: list[tuple[float, float]]) -> list[Label]:
@@ -126,36 +139,36 @@ def brute_force_mst_weight(n: int, weight) -> float:
 class TestDelaunay:
     def test_triangle(self):
         g = delaunay_graph(point_labels([(0, 0), (10, 0), (5, 8)]))
-        assert set(g.edges) == {(0, 1), (0, 2), (1, 2)}
+        assert set(edge_pairs(g)) == {(0, 1), (0, 2), (1, 2)}
 
     def test_interior_point_against_oracle(self):
         pts = [(0.0, 0.0), (10.0, 0.0), (5.0, 8.0), (5.0, 3.0)]
         g = delaunay_graph(point_labels(pts))
-        assert set(g.edges) == brute_force_delaunay_edges(pts)
+        assert set(edge_pairs(g)) == brute_force_delaunay_edges(pts)
 
     def test_two_nodes(self):
         g = delaunay_graph(point_labels([(0, 0), (3, 4)]))
-        assert set(g.edges) == {(0, 1)}
-        assert edge_length(g, g.edges[0]) == pytest.approx(5.0)
+        assert set(edge_pairs(g)) == {(0, 1)}
+        assert edge_length(g, edge_pairs(g)[0]) == pytest.approx(5.0)
 
     def test_one_node(self):
         g = delaunay_graph(point_labels([(1, 1)]))
-        assert g.edges == ()
+        assert edge_pairs(g) == []
 
     def test_collinear_becomes_path(self):
         # Along-the-line order is 0, 2, 1, 3.
         g = delaunay_graph(point_labels([(0, 0), (4, 0), (2, 0), (9, 0)]))
-        assert set(g.edges) == {(0, 2), (1, 2), (1, 3)}
+        assert set(edge_pairs(g)) == {(0, 2), (1, 2), (1, 3)}
 
     def test_duplicate_centers_do_not_crash(self):
         g = delaunay_graph(point_labels([(1, 1), (1, 1), (4, 5), (7, 2)]))
-        assert all(edge_length(g, e) > 0 for e in g.edges)
+        assert all(edge_length(g, e) > 0 for e in edge_pairs(g))
 
     def test_random_against_oracle(self, rng):
         for _ in range(8):
             pts = [(rng.uniform(0, 50), rng.uniform(0, 50)) for _ in range(12)]
             g = delaunay_graph(point_labels(pts))
-            assert set(g.edges) == brute_force_delaunay_edges(pts)
+            assert set(edge_pairs(g)) == brute_force_delaunay_edges(pts)
 
     def test_deleted_labels_are_isolated(self):
         labels = point_labels([(0, 0), (10, 0), (5, 8)])
@@ -167,7 +180,7 @@ class TestDelaunay:
             deleted=True,
         )
         g = delaunay_graph(labels)
-        assert set(g.edges) == {(0, 2)}
+        assert set(edge_pairs(g)) == {(0, 2)}
 
 
 class TestEdgeOrder:
@@ -179,7 +192,7 @@ class TestEdgeOrder:
 
     @staticmethod
     def assert_sorted_unique(g):
-        pairs = [(e.i, e.j) for e in g.edges]
+        pairs = edge_pairs(g)
         assert all(i < j for i, j in pairs)
         assert pairs == sorted(set(pairs))
 
@@ -197,7 +210,7 @@ class TestEdgeOrder:
 
     def test_duplicate_centers(self):
         g = delaunay_graph(point_labels([(4, 5), (1, 1), (1, 1), (7, 2), (1, 1)]))
-        assert g.edges
+        assert len(g.edges)
         self.assert_sorted_unique(g)
 
     def test_prune(self, rng):
@@ -217,7 +230,7 @@ class TestPrune:
     def test_long_edge_removed(self):
         g = delaunay_graph(point_labels([(0, 0), (30, 0), (15, 1)]))
         pruned = prune_graph(g, point_labels([(0, 0), (30, 0), (15, 1)]), t_d=25.0)
-        assert (0, 1) not in set(pruned.edges)
+        assert (0, 1) not in set(edge_pairs(pruned))
 
     def test_blocking_label_removes_edge(self):
         # A, B, C in a row; B's rect blocks the A-C segment.
@@ -229,15 +242,15 @@ class TestPrune:
         labels = labels_from_rects(rects)
         g = delaunay_graph(labels)
         pruned = prune_graph(g, labels, t_d=100.0)
-        assert (0, 2) not in set(pruned.edges)
-        assert (0, 1) in set(pruned.edges)
-        assert (1, 2) in set(pruned.edges)
+        assert (0, 2) not in set(edge_pairs(pruned))
+        assert (0, 1) in set(edge_pairs(pruned))
+        assert (1, 2) in set(edge_pairs(pruned))
 
     def test_prune_is_subset(self, rng):
         labels = random_labels(rng, 20)
         g = delaunay_graph(labels)
         pruned = prune_graph(g, labels, t_d=40.0)
-        assert set(pruned.edges) <= set(g.edges)
+        assert set(edge_pairs(pruned)) <= set(edge_pairs(g))
 
     def test_matches_direct_refilter(self, rng):
         for _ in range(5):
@@ -246,17 +259,17 @@ class TestPrune:
             t_d = 35.0
             pruned = prune_graph(g, labels, t_d)
             expected = set()
-            for e in g.edges:
+            for e in edge_pairs(g):
                 if edge_length(g, e) > t_d:
                     continue
-                p, q = g.positions[e.i], g.positions[e.j]
+                p, q = position(g, e.i), position(g, e.j)
                 if any(
                     k not in (e.i, e.j) and segment_crosses_interior(p, q, labels[k].rect)
                     for k in range(len(labels))
                 ):
                     continue
                 expected.add((e.i, e.j))
-            assert set(pruned.edges) == expected
+            assert set(edge_pairs(pruned)) == expected
 
 
 class TestMst:
@@ -264,18 +277,18 @@ class TestMst:
         # Pairwise rect gaps: (0,1)=1, (1,2)=2, (0,2)=7.
         rects = [Rect(0, 0, 2, 2), Rect(3, 0, 5, 2), Rect(7, 0, 9, 2)]
         g = mst_graph(labels_from_rects(rects), weight="rect")
-        assert set(g.edges) == {(0, 1), (1, 2)}
+        assert set(edge_pairs(g)) == {(0, 1), (1, 2)}
 
     def test_single_label(self):
         g = mst_graph(labels_from_rects([Rect(0, 0, 1, 1)]))
-        assert g.edges == ()
+        assert edge_pairs(g) == []
 
     def test_weight_minimal_against_enumeration(self, rng):
         for _ in range(4):
             labels = random_labels(rng, 6)
             total = sum(
                 rect_distance(labels[e.i].rect, labels[e.j].rect)
-                for e in mst_graph(labels, weight="rect").edges
+                for e in edge_pairs(mst_graph(labels, weight="rect"))
             )
             oracle = brute_force_mst_weight(
                 6, lambda i, j: rect_distance(labels[i].rect, labels[j].rect)
@@ -287,8 +300,8 @@ class TestMst:
         # Delaunay triangulation over the same centers.
         for _ in range(10):
             labels = random_labels(rng, 15)
-            dt_edges = set(delaunay_graph(labels).edges)
-            mst_edges = set(mst_graph(labels, weight="center").edges)
+            dt_edges = set(edge_pairs(delaunay_graph(labels)))
+            mst_edges = set(edge_pairs(mst_graph(labels, weight="center")))
             assert mst_edges <= dt_edges
 
     def test_spanning(self, rng):
@@ -350,7 +363,7 @@ class TestHelpers:
 
     def test_effective_centers_jitter_duplicates(self):
         labels = point_labels([(5, 5), (5, 5), (5, 5)])
-        centers = effective_centers(labels)
+        centers = [Vec2(x, y) for x, y in delaunay_graph(labels).positions.tolist()]
         assert len({(c.x, c.y) for c in centers}) == 3
 
 
@@ -360,8 +373,8 @@ def scalar_prune(graph, labels, t_d):
     """Per-edge definition: length by `Vec2.norm`, then every third live
     label tested with `segment_crosses_interior`."""
     kept = []
-    for e in graph.edges:
-        p, q = graph.positions[e.i], graph.positions[e.j]
+    for e in edge_pairs(graph):
+        p, q = position(graph, e.i), position(graph, e.j)
         if (q - p).norm() > t_d:
             continue
         if any(
@@ -371,7 +384,7 @@ def scalar_prune(graph, labels, t_d):
         ):
             continue
         kept.append(e)
-    return tuple(kept)
+    return kept
 
 
 @st.composite
@@ -395,11 +408,11 @@ class TestPruneArray:
     @given(labels=grid_labels(), data=st.data())
     def test_equals_per_edge_definition(self, labels, data):
         graph = delaunay_graph(labels)
-        lengths = [edge_length(graph, e) for e in graph.edges]
+        lengths = [edge_length(graph, e) for e in edge_pairs(graph)]
         # Often exactly one of the edge lengths, so that some edge is at t_d.
         t_d = data.draw(st.sampled_from(lengths) | st.floats(0.0, 15.0) if lengths
                         else st.floats(0.0, 15.0))
-        assert prune_graph(graph, labels, t_d).edges == scalar_prune(graph, labels, t_d)
+        assert edge_pairs(prune_graph(graph, labels, t_d)) == scalar_prune(graph, labels, t_d)
 
     def test_length_at_t_d_decided_by_norm(self):
         # np.hypot of this edge is one ulp below its `Vec2.norm`. At t_d
@@ -408,9 +421,10 @@ class TestPruneArray:
         labels = labels_from_rects([Rect(0.0, 0.0, 0.0, 0.0), Rect(x, y, x, y)])
         graph = delaunay_graph(labels)
         short = float(np.hypot(x, y))
-        assert short < edge_length(graph, graph.edges[0])
-        assert prune_graph(graph, labels, short).edges == ()
-        assert prune_graph(graph, labels, edge_length(graph, graph.edges[0])).edges == graph.edges
+        (edge,) = edge_pairs(graph)
+        assert short < edge_length(graph, edge)
+        assert edge_pairs(prune_graph(graph, labels, short)) == []
+        assert edge_pairs(prune_graph(graph, labels, edge_length(graph, edge))) == [edge]
 
     def test_grazing_and_along_edges_keep_the_edge(self):
         # (0,0)-(4,4) grazes the corner (2,2) of label 2 and (10,0)-(16,0)
@@ -422,21 +436,21 @@ class TestPruneArray:
             Rect(20, 0, 20, 0), Rect(22, -1, 24, 1), Rect(26, 0, 26, 0),
         ])
         graph = ProximityGraph(
-            positions=tuple(effective_centers(labels)),
-            edges=(GraphEdge(0, 1), GraphEdge(3, 5), GraphEdge(6, 8)),
+            positions=delaunay_graph(labels).positions,
+            edges=np.array([(0, 1), (3, 5), (6, 8)]),
         )
         pruned = prune_graph(graph, labels, 100.0)
-        assert pruned.edges == (GraphEdge(0, 1), GraphEdge(3, 5))
-        assert pruned.edges == scalar_prune(graph, labels, 100.0)
+        assert edge_pairs(pruned) == [(0, 1), (3, 5)]
+        assert edge_pairs(pruned) == scalar_prune(graph, labels, 100.0)
 
     @pytest.mark.parametrize("block", [1, 5, 64])
     def test_row_blocks_change_nothing(self, rng, block):
         labels = random_labels(rng, 40, span=90.0)
         graph = delaunay_graph(labels)
-        want = prune_graph(graph, labels, 30.0)
+        want = edge_pairs(prune_graph(graph, labels, 30.0))
         with mock.patch.object(geometry, "BLOCK_ELEMENTS", block):
-            assert prune_graph(graph, labels, 30.0) == want
-        assert want.edges == scalar_prune(graph, labels, 30.0)
+            assert edge_pairs(prune_graph(graph, labels, 30.0)) == want
+        assert want == scalar_prune(graph, labels, 30.0)
 
 
 def brute_force_mean_nn(points):

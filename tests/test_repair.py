@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from leaderlabels import repair
+from leaderlabels.forces import scene_arrays
 from leaderlabels.geometry import Rect, Vec2
 from leaderlabels.metrics import count_conflicts
 from leaderlabels.repair import _candidates_ok, _ring_border, admissible_directions, greedy_repair
@@ -229,6 +230,7 @@ class TestSearch:
         labels, features, cfg, idx = scene
         anchor = features[idx].anchor
         deleted_ids = {l.feature_id for l in labels if l.deleted}
+        arrays = scene_arrays(labels, features, cfg.d_min)
         grid = cfg.d_min / 2.0
         scalar_steps = (
             lambda k: [d * (k * grid) for d in admissible_directions(cfg)],
@@ -253,14 +255,14 @@ class TestSearch:
                 b = repair._Budget(amount)
                 with mock.patch.object(repair, "BLOCK_ELEMENTS", block):
                     got = repair._search(
-                        idx, labels, features, cfg, anchor, deleted_ids, b, retries,
+                        idx, labels, cfg, anchor, arrays, b, retries,
                         reach_scale, step_count, step_offsets,
                     )
                 assert (got, b.left) == reference(amount)
 
     def test_budget_ends_on_the_passing_candidate(self):
         labels, features, cfg = wedged_scene()
-        deleted_ids: set[str] = set()
+        arrays = scene_arrays(labels, features, cfg.d_min)
         _, (_, reach_scale, step_count, step_offsets) = repair._searches(cfg, True, 0)
         # Ring cells are numbered from ring 1; (-27, -1) is the first cell
         # of ring 27, 4 * 26^2 + 1 candidates in, in the second retry.
@@ -270,7 +272,7 @@ class TestSearch:
                 b = repair._Budget(amount)
                 with mock.patch.object(repair, "BLOCK_ELEMENTS", block):
                     got = repair._search(
-                        0, labels, features, cfg, features[0].anchor, deleted_ids, b,
+                        0, labels, cfg, features[0].anchor, arrays, b,
                         1, reach_scale, step_count, step_offsets,
                     )
                 assert (got, b.left) == (want, 0)
