@@ -26,10 +26,19 @@ class ZeroLengthEdgeError(ValueError):
 
 
 class SingularSystemError(RuntimeError):
-    """The assembled stiffness matrix was not positive definite.
+    """The Cholesky factorization of the stiffness matrix failed.
 
-    Cannot happen with a positive ground stiffness; raised defensively.
+    K is positive definite whenever the ground stiffness is, but in floating
+    point a beam far stiffer than the ground springs can swamp them. The
+    solve leaves out beams shorter than MIN_BEAM_LENGTH, which would.
     """
+
+
+# Beams shorter than this (mm) join labels whose centers coincide, which
+# the graph builders nudge nanometres apart: such a beam has no direction
+# to hold, and a 12EI/L^3 near 1e27. Left out, the labels keep their other
+# beams and ground springs, and their pair forces part them.
+MIN_BEAM_LENGTH = 1e-3
 
 
 @dataclass(frozen=True, slots=True, eq=False)
@@ -102,7 +111,7 @@ def _global_stiffness_batch(
 
 def _stiffness_matrix(graph: ProximityGraph, params: BeamParams) -> np.ndarray:
     """The 3n x 3n stiffness matrix: ground springs k_g on every DOF plus
-    every edge's element block.
+    the element block of every edge of at least MIN_BEAM_LENGTH.
 
     One bincount sums all entries, the ground-spring diagonal listed first
     and then the element blocks edge by edge in row-major order, so each
@@ -113,9 +122,11 @@ def _stiffness_matrix(graph: ProximityGraph, params: BeamParams) -> np.ndarray:
     ndof = 3 * n
     diag = np.arange(ndof) * (ndof + 1)
     weights = np.full(ndof, params.ground_stiffness)
-    if len(graph.edges):
-        i_arr, j_arr = graph.edges.T
-        x, y = graph.positions.T
+    x, y = graph.positions.T
+    i_arr, j_arr = graph.edges.T
+    kept = np.hypot(x[j_arr] - x[i_arr], y[j_arr] - y[i_arr]) >= MIN_BEAM_LENGTH
+    i_arr, j_arr = i_arr[kept], j_arr[kept]
+    if len(i_arr):
         blocks = _global_stiffness_batch(x[i_arr], y[i_arr], x[j_arr], y[j_arr], params)
         dofs = np.column_stack(
             (3 * i_arr, 3 * i_arr + 1, 3 * i_arr + 2, 3 * j_arr, 3 * j_arr + 1, 3 * j_arr + 2)

@@ -5,6 +5,11 @@ and overlapping cases), repulsion from fixed feature symbols, attraction back
 to its leader line, and containment pressure from the screen edges. Forces
 are displacement-valued (mm): applying a force as a translation moves the
 label toward resolving the constraint that produced it.
+
+Each rule is written once, over (n, 4) rect arrays, and shared by the
+forces, the conflict scans and the repair search: `geometry.rects_closer`
+(label gap), `geometry.symbols_closer` (symbol clearance),
+`geometry.screen_margins` (screen fit) and `scene.attachment_edge`.
 """
 
 from __future__ import annotations
@@ -20,15 +25,16 @@ from .geometry import (
     OverlapError,
     Rect,
     Vec2,
-    ZERO,
-    clearances_below,
-    hypot_below,
     interiors_overlap,
     point_axis_gaps,
     point_rect_signed_clearance,
+    points_array,
     rect_distance,
     rect_nearest_points,
+    rects_closer,
     row_blocks,
+    screen_margins,
+    symbols_closer,
 )
 from .scene import (
     Label,
@@ -36,6 +42,7 @@ from .scene import (
     LeaderSpec,
     LeaderType,
     PointFeature,
+    attachment_edge,
     label_rects,
     live_slots,
 )
@@ -50,11 +57,6 @@ MAX_COMPOSED_FEATURES = 8
 # the gap a hair under d_min; with it they land strictly clear and the
 # force vanishes, giving the iteration a stable fixed point.
 RESOLVE_TARGET_FACTOR = 1.25
-
-# The symbol scan's box test widens each label by radius + d_min plus this
-# margin (mm), far above float rounding at screen coordinates, so the box
-# never drops a pair the exact clearance test would keep.
-_BROAD_PHASE_SLACK = 1e-6
 
 
 class NotInConflictError(ValueError):
@@ -214,120 +216,62 @@ def compose_point_forces(candidates_per_feature: Sequence[Sequence[Vec2]]) -> Ve
     return best_any[1]
 
 
-def _attachment_edge(rect: Rect, u: Vec2) -> tuple[Vec2, Vec2]:
-    # The rect edge facing against the leader direction (dominant axis).
-    if abs(u.y) >= abs(u.x):
-        y = rect.y_min if u.y > 0 else rect.y_max
-        return Vec2(rect.x_min, y), Vec2(rect.x_max, y)
-    x = rect.x_min if u.x > 0 else rect.x_max
-    return Vec2(x, rect.y_min), Vec2(x, rect.y_max)
-
-
-def attachment_force(label: Label, feature: PointFeature, leader: LeaderSpec) -> Vec2:
-    """Pull a drifted label back over its fixed-direction leader ray.
-
-    Zero while the ray from the anchor still meets the attachment edge.
-    Otherwise the force is perpendicular to the leader, with magnitude equal
-    to the exact offset that brings the nearest edge endpoint back onto the
-    ray's line, so one clean step restores attachment.
-    """
-    if not leader.kind.fixed_direction:
-        return ZERO
-    u = leader.unit()
-    n = u.perp()
-    e1, e2 = _attachment_edge(label.rect, u)
-    a_off = n.dot(e1 - feature.anchor)
-    b_off = n.dot(e2 - feature.anchor)
-    lo, hi = (a_off, b_off) if a_off <= b_off else (b_off, a_off)
-    if lo <= 0.0 <= hi:
-        # The supporting line crosses the edge. A label fully behind its
-        # anchor cannot be recovered by a perpendicular pull either, so no
-        # force is emitted in that case and the screen and pair forces are
-        # left to move it.
-        return ZERO
-    if lo > 0.0:
-        return n * (-lo)
-    return n * (-hi)
-
-
 def attachment_forces(rects: np.ndarray, anchors: np.ndarray, leader: LeaderSpec) -> np.ndarray:
-    """`attachment_force` for many labels at once, as the same floats.
+    """Pull drifted labels back over their fixed-direction leader rays.
 
     rects is (n, 4) as `label_rects` gives it and anchors (n, 2), one row
-    per label. Returns the (n, 2) forces, zero rows where the scalar
-    function gives ZERO.
+    per label; returns the (n, 2) forces. A force is zero while the ray
+    from the anchor still meets the attachment edge. Otherwise it is
+    perpendicular to the leader, with magnitude equal to the exact offset
+    that brings the nearest edge end back onto the ray's line, so one clean
+    step restores attachment.
     """
     if not leader.kind.fixed_direction:
         return np.zeros((len(rects), 2))
     u = leader.unit()
     n = u.perp()
-    if abs(u.y) >= abs(u.x):
-        y = rects[:, 1] if u.y > 0 else rects[:, 3]
-        e1x, e1y, e2x, e2y = rects[:, 0], y, rects[:, 2], y
-    else:
-        x = rects[:, 0] if u.x > 0 else rects[:, 2]
-        e1x, e1y, e2x, e2y = x, rects[:, 1], x, rects[:, 3]
-    ax, ay = anchors[:, 0], anchors[:, 1]
-    a_off = n.x * (e1x - ax) + n.y * (e1y - ay)
-    b_off = n.x * (e2x - ax) + n.y * (e2y - ay)
-    ordered = a_off <= b_off
-    lo = np.where(ordered, a_off, b_off)
-    hi = np.where(ordered, b_off, a_off)
-    off = -np.where(lo > 0.0, lo, hi)
-    force = np.column_stack((n.x * off, n.y * off))
+    along, level = attachment_edge(rects, u)
+    across, nv = 1 - along, (n.x, n.y)
+    # n . (end - anchor) for the edge's two ends, (n, 2).
+    ends = rects[:, across::2] - anchors[:, across, None]
+    off = nv[along] * (level - anchors[:, along])[:, None] + nv[across] * ends
+    lo, hi = off.min(axis=1), off.max(axis=1)
+    pull = -np.where(lo > 0.0, lo, hi)
+    force = np.column_stack((n.x * pull, n.y * pull))
+    # The line crosses the edge. A label fully behind its anchor cannot be
+    # pulled back either; the screen and pair forces are left to move it.
     force[(lo <= 0.0) & (hi >= 0.0)] = 0.0
     return force
 
 
-def screen_force(rect: Rect, screen: Rect, d_min: float) -> Vec2:
-    """Inward pressure when a label sits within d_min of any screen edge.
-
-    Violated edges contribute (d_min - clearance) each, pointing inward;
-    clearance goes negative once the label crosses the edge. Raises
-    LabelLargerThanScreenError when no position could satisfy containment.
-    """
-    if rect.width > screen.width - 2.0 * d_min or rect.height > screen.height - 2.0 * d_min:
-        raise LabelLargerThanScreenError(
-            f"label {rect.width:.3f}x{rect.height:.3f} mm cannot keep {d_min} mm "
-            f"clearance inside a {screen.width:.3f}x{screen.height:.3f} mm screen"
-        )
-    fx = 0.0
-    fy = 0.0
-    left = rect.x_min - screen.x_min
-    if left < d_min:
-        fx += d_min - left
-    right = screen.x_max - rect.x_max
-    if right < d_min:
-        fx -= d_min - right
-    bottom = rect.y_min - screen.y_min
-    if bottom < d_min:
-        fy += d_min - bottom
-    top = screen.y_max - rect.y_max
-    if top < d_min:
-        fy -= d_min - top
-    return Vec2(fx, fy)
+def attachment_force(label: Label, feature: PointFeature, leader: LeaderSpec) -> Vec2:
+    """`attachment_forces` of one label."""
+    return Vec2(*attachment_forces(label_rects([label]), points_array([feature.anchor]), leader)[0])
 
 
 def screen_forces(rects: np.ndarray, screen: Rect, d_min: float) -> np.ndarray:
-    """`screen_force` for many labels at once, as the same floats.
+    """Inward pressure on the labels within d_min of any screen edge.
 
     rects is (n, 4) as `label_rects` gives it; returns the (n, 2) forces.
-    Raises LabelLargerThanScreenError for the first rect that cannot fit.
+    Violated edges contribute (d_min - clearance) each, pointing inward.
+    Raises LabelLargerThanScreenError for the first rect that no position
+    could keep inside.
     """
-    width = rects[:, 2] - rects[:, 0]
-    height = rects[:, 3] - rects[:, 1]
-    too_large = np.flatnonzero(
-        (width > screen.width - 2.0 * d_min) | (height > screen.height - 2.0 * d_min)
-    )
-    if len(too_large):
-        screen_force(Rect(*rects[too_large[0]].tolist()), screen, d_min)
-    left = rects[:, 0] - screen.x_min
-    right = screen.x_max - rects[:, 2]
-    bottom = rects[:, 1] - screen.y_min
-    top = screen.y_max - rects[:, 3]
-    fx = np.where(left < d_min, d_min - left, 0.0) - np.where(right < d_min, d_min - right, 0.0)
-    fy = np.where(bottom < d_min, d_min - bottom, 0.0) - np.where(top < d_min, d_min - top, 0.0)
-    return np.column_stack((fx, fy))
+    fits, margins = screen_margins(rects, screen, d_min)
+    if not fits.all():
+        x0, y0, x1, y1 = rects[np.argmin(fits)].tolist()
+        raise LabelLargerThanScreenError(
+            f"label {x1 - x0:.3f}x{y1 - y0:.3f} mm cannot keep {d_min} mm "
+            f"clearance inside a {screen.width:.3f}x{screen.height:.3f} mm screen"
+        )
+    push = np.where(margins < d_min, d_min - margins, 0.0)
+    return np.column_stack((push[:, 0] - push[:, 2], push[:, 1] - push[:, 3]))
+
+
+def screen_force(rect: Rect, screen: Rect, d_min: float) -> Vec2:
+    """`screen_forces` of one rect."""
+    row = np.array([[rect.x_min, rect.y_min, rect.x_max, rect.y_max]])
+    return Vec2(*screen_forces(row, screen, d_min)[0])
 
 
 class SceneArrays(NamedTuple):
@@ -336,10 +280,9 @@ class SceneArrays(NamedTuple):
 
     Features are numbered by the last index that carries their id. `own`
     gives each label slot its feature's number (-1 for none) and `anchors`
-    each live label's anchor (NaN for none). The symbols that count are
-    the features `index` whose label is not deleted, with numbers `ids`,
-    an (m, 3) array of anchor x, y and radius, and `reach`, radius + d_min
-    + the broad phase's slack.
+    its feature's anchor (NaN for none). The symbols that count are the
+    features `index` whose label is not deleted, with numbers `ids`, and
+    `symbols`, an (m, 3) array of anchor x, y and radius.
     """
 
     live: np.ndarray
@@ -348,12 +291,9 @@ class SceneArrays(NamedTuple):
     index: np.ndarray
     ids: np.ndarray
     symbols: np.ndarray
-    reach: np.ndarray
 
 
-def scene_arrays(
-    labels: Sequence[Label], features: Sequence[PointFeature], d_min: float
-) -> SceneArrays:
+def scene_arrays(labels: Sequence[Label], features: Sequence[PointFeature]) -> SceneArrays:
     number = {f.id: k for k, f in enumerate(features)}
     ids = np.array([number[f.id] for f in features], dtype=np.int64)
     own = np.array([number.get(l.feature_id, -1) for l in labels], dtype=np.int64)
@@ -362,9 +302,7 @@ def scene_arrays(
     # One NaN row last, where own == -1 points.
     xyr = [v for f in features for v in (f.anchor.x, f.anchor.y, f.symbol_radius)]
     xyr = np.array(xyr + [math.nan] * 3).reshape(-1, 3)
-    symbols = xyr[index]
-    reach = symbols[:, 2] + (d_min + _BROAD_PHASE_SLACK)
-    return SceneArrays(live, xyr[own[live], 0:2], own, index, ids[index], symbols, reach)
+    return SceneArrays(live, xyr[own, 0:2], own, index, ids[index], xyr[index])
 
 
 def conflicting_label_pairs(
@@ -374,31 +312,19 @@ def conflicting_label_pairs(
 
     d_min must be positive, as `LayoutConfig.d_min` is: overlapping rects
     are at distance 0, so the one distance test also catches overlaps.
-    rects, when given, stands for the labels' rects.
-
-    The axis gaps of every live pair i < j are taken as arrays, in blocks
-    of rows so that memory stays linear in n, and `hypot_below` decides
-    each pair as `rect_distance` would.
+    rects, when given, stands for the labels' rects. `rects_closer` tests
+    the live pairs in blocks of rows, so memory stays linear in n.
     """
     live = live_slots(labels)
-    if len(live) < 2:
-        return []
     if rects is None:
         rects = label_rects(labels)
     boxes = rects[live]
-    m = len(live)
     pairs: list[tuple[int, int]] = []
-    for rows in row_blocks(m, m):
-        # Columns from the block's first row on; j > i is masked below.
-        a, b = boxes[rows], boxes[rows.start:]
-        gx = np.maximum(np.maximum(a[:, 0:1] - b[:, 2], b[:, 0] - a[:, 2:3]), 0.0)
-        gy = np.maximum(np.maximum(a[:, 1:2] - b[:, 3], b[:, 1] - a[:, 3:4]), 0.0)
-        upper = np.arange(rows.start, m) > np.arange(rows.start, rows.stop)[:, None]
-        r, c = np.nonzero(upper & (gx < d_min) & (gy < d_min))
-        close = hypot_below(gx[r, c], gy[r, c], d_min)
-        i_slots = live[r + rows.start]
-        j_slots = live[c + rows.start]
-        pairs.extend(zip(i_slots[close].tolist(), j_slots[close].tolist()))
+    for rows in row_blocks(len(live), len(live)):
+        # Columns from the block's first row on; only j > i is kept.
+        i, j = rects_closer(boxes[rows], boxes[rows.start:], d_min)
+        upper = j > i
+        pairs.extend(zip(live[i[upper] + rows.start].tolist(), live[j[upper] + rows.start].tolist()))
     return pairs
 
 
@@ -412,43 +338,23 @@ def conflicting_feature_pairs(
     """(label index, feature index) conflicts against foreign feature symbols.
 
     A label never conflicts with its own feature, and symbols whose label was
-    deleted are treated as removed from the map. A numpy box test, in blocks
-    of labels, picks the symbols whose anchor lies within radius + d_min of
-    each live label's rect, and `clearances_below` decides each such pair
-    as `point_rect_signed_clearance` would. Pairs come out sorted. rects,
-    when given, stands for the labels' rects, and arrays, when given, must
-    be `scene_arrays(labels, features, d_min)`.
+    deleted are treated as removed from the map. `symbols_closer` tests the
+    live labels against the symbols in blocks of labels. Pairs come out
+    sorted. rects, when given, stands for the labels' rects, and arrays,
+    when given, must be `scene_arrays(labels, features)`.
     """
     if arrays is None:
-        arrays = scene_arrays(labels, features, d_min)
-    live = arrays.live
-    if not len(live):
-        return []
+        arrays = scene_arrays(labels, features)
     if rects is None:
         rects = label_rects(labels)
-    ax, ay, radii = arrays.symbols.T
-    reach = arrays.reach
+    live = arrays.live
     boxes = rects[live]
     pairs: list[tuple[int, int]] = []
-    for block in row_blocks(len(live), len(ax)):
-        b = boxes[block]
-        near = (
-            (ax >= b[:, 0:1] - reach)
-            & (ax <= b[:, 2:3] + reach)
-            & (ay >= b[:, 1:2] - reach)
-            & (ay <= b[:, 3:4] + reach)
-        )
-        rows, cols = np.nonzero(near)
-        if not len(rows):
-            continue
-        slots = live[rows + block.start]
-        foreign = arrays.ids[cols] != arrays.own[slots]
-        slots, cols, r = slots[foreign], cols[foreign], b[rows[foreign]]
-        px, py = ax[cols], ay[cols]
-        dx = np.maximum(r[:, 0] - px, px - r[:, 2])
-        dy = np.maximum(r[:, 1] - py, py - r[:, 3])
-        close = clearances_below(dx, dy, radii[cols], d_min)
-        pairs.extend(zip(slots[close].tolist(), arrays.index[cols[close]].tolist()))
+    for block in row_blocks(len(live), len(arrays.symbols)):
+        i, k = symbols_closer(boxes[block], arrays.symbols, d_min)
+        slots = live[i + block.start]
+        foreign = arrays.ids[k] != arrays.own[slots]
+        pairs.extend(zip(slots[foreign].tolist(), arrays.index[k[foreign]].tolist()))
     return pairs
 
 
@@ -467,8 +373,7 @@ def conflict_pairs(
     arrays: SceneArrays | None = None,
 ) -> ConflictPairs:
     """Both conflict scans of one layout. rects, when given, stands for the
-    labels' rects, and arrays, when given, must be
-    `scene_arrays(labels, features, d_min)`."""
+    labels' rects, and arrays, when given, must be `scene_arrays(labels, features)`."""
     if rects is None:
         rects = label_rects(labels)
     return ConflictPairs(
@@ -497,7 +402,7 @@ def assemble_forces(
     screen. `pairs`, when given, must be `conflict_pairs` of this very
     layout; the optimizer passes the ones it counted when it made the layout.
     rects, when given, stands for the labels' rects, and arrays, when
-    given, must be `scene_arrays(labels, features, cfg.d_min)`.
+    given, must be `scene_arrays(labels, features)`.
 
     The attachment and screen forces of all live labels are array
     operations. A label whose force is zero gets a zero row, and adding it
@@ -511,7 +416,7 @@ def assemble_forces(
         rects = label_rects(labels)
     d_min = cfg.d_min
     if arrays is None:
-        arrays = scene_arrays(labels, features, d_min)
+        arrays = scene_arrays(labels, features)
     live = arrays.live
     total = np.zeros((n, 2))
     sources: set[str] = set()
@@ -520,7 +425,7 @@ def assemble_forces(
         pairs = conflict_pairs(labels, features, d_min, rects, arrays)
 
     if cfg.leader.kind is LeaderType.FIXED_DIR_FREE_CONN:
-        fa = attachment_forces(rects[live], arrays.anchors, cfg.leader)
+        fa = attachment_forces(rects[live], arrays.anchors[live], cfg.leader)
         total[live] += fa
         if fa.any():
             sources.add("attachment")

@@ -4,7 +4,8 @@ All coordinates are screen millimeters with y growing upward. Everything
 here is a pure function on immutable values, so unrestricted concurrent
 use is safe.
 
-The per-step scans elsewhere run these tests over numpy arrays of rects.
+The array rules at the end of this module run these tests over numpy
+arrays of rects for the placement loop's scans and forces and for repair.
 Differences, maxima and comparisons come out the same in numpy as here,
 but `np.hypot` can differ from `math.hypot` in the last bit. So an array
 distance within a relative HYPOT_RTOL of a threshold is decided again by
@@ -22,6 +23,11 @@ import numpy as np
 # Far above the last-bit disagreement of np.hypot and math.hypot (a few
 # 1e-16), far below any geometric tolerance.
 HYPOT_RTOL = 1e-12
+
+# The symbol box test widens its threshold by this margin (mm), far above
+# float rounding at screen coordinates, so it never drops a pair the exact
+# clearance test would keep.
+_BROAD_PHASE_SLACK = 1e-6
 
 # Elements per temporary of a blockwise (rows x columns) array scan, so
 # memory stays linear in the column count however many rows there are.
@@ -244,7 +250,7 @@ def point_rect_signed_clearance(p: Vec2, r: Rect) -> float:
 
 
 def hypot_below(
-    x: np.ndarray, y: np.ndarray, limit: float, minus: np.ndarray | float = 0.0
+    x: np.ndarray, y: np.ndarray, limit: np.ndarray | float, minus: np.ndarray | float = 0.0
 ) -> np.ndarray:
     """Whether math.hypot(x, y) - minus < limit, element by element.
 
@@ -258,20 +264,72 @@ def hypot_below(
     near = np.flatnonzero(np.abs(gap - limit) <= HYPOT_RTOL * (limit + minus))
     if len(near):
         minus = np.broadcast_to(minus, gap.shape)
+        limit = np.broadcast_to(limit, gap.shape)
         for e in near.tolist():
-            below[e] = math.hypot(x[e], y[e]) - minus[e] < limit
+            below[e] = math.hypot(x[e], y[e]) - minus[e] < limit[e]
     return below
 
 
-def clearances_below(
-    dx: np.ndarray, dy: np.ndarray, radius: np.ndarray, limit: float
-) -> np.ndarray:
-    """Whether `point_rect_signed_clearance` - radius < limit, element by
-    element, from the signed axis gaps dx = max(x_min - px, px - x_max)
-    and dy likewise."""
+def rects_near(a: np.ndarray, b: np.ndarray, limit: float) -> np.ndarray:
+    """The box test, (len(a), len(b)), that every pair of a rect of a and a
+    rect of b closer than limit > 0 passes: both axis gaps below limit.
+    a and b are (k, 4) arrays of x_min, y_min, x_max, y_max."""
+    return (
+        (a[:, 0:1] - b[:, 2] < limit) & (b[:, 0] - a[:, 2:3] < limit)
+        & (a[:, 1:2] - b[:, 3] < limit) & (b[:, 1] - a[:, 3:4] < limit)
+    )
+
+
+def symbols_near(rects: np.ndarray, symbols: np.ndarray, limit: float) -> np.ndarray:
+    """The box test, (len(rects), len(symbols)), that every rect and symbol
+    whose `point_rect_signed_clearance` minus the radius is below limit
+    pass: the clearance is at least the larger signed axis gap, so both
+    gaps lie below radius + limit. symbols is (m, 3): x, y, radius."""
+    px, py, radius = symbols.T
+    reach = radius + (limit + _BROAD_PHASE_SLACK)
+    return (
+        (rects[:, 0:1] - px < reach) & (px - rects[:, 2:3] < reach)
+        & (rects[:, 1:2] - py < reach) & (py - rects[:, 3:4] < reach)
+    )
+
+
+def rects_closer(a: np.ndarray, b: np.ndarray, limit: float) -> tuple[np.ndarray, np.ndarray]:
+    """Index arrays (i, j), row-major, of the pairs with
+    `rect_distance`(a[i], b[j]) < limit > 0."""
+    i, j = np.nonzero(rects_near(a, b, limit))
+    p, q = a[i], b[j]
+    gx = np.maximum(np.maximum(p[:, 0] - q[:, 2], q[:, 0] - p[:, 2]), 0.0)
+    gy = np.maximum(np.maximum(p[:, 1] - q[:, 3], q[:, 1] - p[:, 3]), 0.0)
+    close = hypot_below(gx, gy, limit)
+    return i[close], j[close]
+
+
+def symbols_closer(rects: np.ndarray, symbols: np.ndarray, limit: float) -> tuple[np.ndarray, ...]:
+    """Index arrays (i, k), row-major, of the pairs with
+    `point_rect_signed_clearance`(symbol k, rects[i]) - its radius < limit:
+    from the signed axis gaps dx and dy, max(dx, dy) for a center inside
+    the rect, else `hypot_below` of the gaps clipped at 0."""
+    i, k = np.nonzero(symbols_near(rects, symbols, limit))
+    if not len(i):
+        return i, k
+    r, (px, py, radius) = rects[i], symbols[k].T
+    dx = np.maximum(r[:, 0] - px, px - r[:, 2])
+    dy = np.maximum(r[:, 1] - py, py - r[:, 3])
     inside = (dx <= 0.0) & (dy <= 0.0)
     outside = hypot_below(np.maximum(dx, 0.0), np.maximum(dy, 0.0), limit, radius)
-    return np.where(inside, np.maximum(dx, dy) - radius < limit, outside)
+    close = np.where(inside, np.maximum(dx, dy) - radius < limit, outside)
+    return i[close], k[close]
+
+
+def screen_margins(rects: np.ndarray, screen: Rect, d_min: float) -> tuple[np.ndarray, np.ndarray]:
+    """Whether each of the (n, 4) rects is small enough to keep d_min from
+    every screen edge, and its (n, 4) clearances to the left, bottom, right
+    and top edges, negative once it crosses the edge."""
+    fits = (rects[:, 2] - rects[:, 0] <= screen.width - 2.0 * d_min) & (
+        rects[:, 3] - rects[:, 1] <= screen.height - 2.0 * d_min
+    )
+    lo, hi = (screen.x_min, screen.y_min), (screen.x_max, screen.y_max)
+    return fits, np.column_stack((rects[:, 0:2] - lo, hi - rects[:, 2:4]))
 
 
 def segments_cross_interiors(p: np.ndarray, q: np.ndarray, boxes: np.ndarray) -> np.ndarray:

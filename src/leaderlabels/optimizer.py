@@ -55,6 +55,7 @@ from .scene import (
     connection_points,
     initial_layout,
     label_rects,
+    placed_labels,
 )
 
 MIN_ITERATION_CAP = 20
@@ -194,7 +195,7 @@ def _loop_of(
 ) -> _Loop:
     if t_d is None and cfg.graph_kind is GraphKind.DT:
         t_d = pruning_distance(features, cfg)
-    arrays = scene_arrays(labels, features, cfg.d_min)
+    arrays = scene_arrays(labels, features)
     return _Loop(labels, features, cfg, t_d, arrays, cfg.resolved_beam())
 
 
@@ -221,7 +222,7 @@ def _advance(
     moved_rects[live] += d[:, [0, 1, 0, 1]]
     moved_conns = conns.copy()
     moved_conns[live] = connection_points(
-        moved_rects[live], loop.arrays.anchors, cfg.leader, conns[live] + d
+        moved_rects[live], loop.arrays.anchors[live], cfg.leader, conns[live] + d
     )
     pairs = conflict_pairs(labels, features, cfg.d_min, moved_rects, loop.arrays)
     stats = StepStats(
@@ -234,16 +235,6 @@ def _advance(
         capped=disp.capped,
     )
     return moved_rects, moved_conns, pairs, stats
-
-
-def _placed(loop: _Loop, rects: np.ndarray, conns: np.ndarray) -> list[Label]:
-    """The loop's labels at rects and conns; deleted labels as they were."""
-    placed = list(loop.labels)
-    live = loop.arrays.live.tolist()
-    for i, (x0, y0, x1, y1), (cx, cy) in zip(live, rects[live].tolist(), conns[live].tolist()):
-        lbl = placed[i]
-        placed[i] = Label(lbl.feature_id, Rect(x0, y0, x1, y1), Vec2(cx, cy), lbl.font_size)
-    return placed
 
 
 def step(state: OptimizerState, features: Sequence[PointFeature], cfg: LayoutConfig) -> OptimizerState:
@@ -259,7 +250,7 @@ def step(state: OptimizerState, features: Sequence[PointFeature], cfg: LayoutCon
         loop, label_rects(labels), conns, state.pairs, state.step_count + 1
     )
     return OptimizerState(
-        labels=_placed(loop, rects, conns),
+        labels=placed_labels(labels, loop.arrays.live, rects, conns),
         step_count=stats.step,
         last_max_force=stats.max_force,
         history=state.history + [stats],
@@ -348,7 +339,7 @@ def _run_loop(
         if stats.step >= t_s or stats.max_force <= t_f:
             break
     reason = "force" if stats.max_force <= t_f else "max_iterations"
-    return _placed(loop, rects, conns), LoopStats(
+    return placed_labels(labels, loop.arrays.live, rects, conns), LoopStats(
         size=n_live,
         steps=stats.step,
         max_iterations=t_s,

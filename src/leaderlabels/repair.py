@@ -21,27 +21,42 @@ Candidates are tested as arrays, in nearest-first order, in blocks of at
 most BLOCK_ELEMENTS candidate x neighbour elements and never more than the
 budget has left. The first candidate of a block that passes is taken, and
 the budget is charged up to and including it, so the choice and the
-budget left are those of testing the candidates one at a time.
+budget left are those of testing the candidates one at a time. The tests
+are the loop's own rules: `screen_margins`, `attachment_edge`,
+`rects_closer` and `symbols_closer`. Like the loop, a pass carries (n, 4)
+rects, (n, 2) connection points and one `SceneArrays`, moves one row at a
+time, and builds the labels once, at its end.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import replace
+from collections import Counter
 from typing import Callable, Sequence
 
 import numpy as np
 
 from .forces import SceneArrays, conflicting_feature_pairs, conflicting_label_pairs, scene_arrays
-from .geometry import HYPOT_RTOL, Vec2, clearances_below, hypot_below, points_array
+from .geometry import (
+    HYPOT_RTOL,
+    Vec2,
+    hypot_below,
+    points_array,
+    rects_closer,
+    rects_near,
+    screen_margins,
+    symbols_closer,
+    symbols_near,
+)
 from .scene import (
     Label,
     LayoutConfig,
     LeaderType,
     PointFeature,
-    connection_point,
+    attachment_edge,
+    connection_points,
     label_rects,
-    live_slots,
+    placed_labels,
 )
 
 # Search retries double the radius each time: 10 * d_min * 2^retry. Eight
@@ -58,11 +73,6 @@ CANDIDATE_BUDGET = 500_000
 # Candidates x (near rects + near symbols) per block of one search, so the
 # temporaries of a block stay a few hundred KiB however far a search reaches.
 BLOCK_ELEMENTS = 1 << 15
-# The block test's box broad phase grows the candidates' bounding box by
-# d_min plus this margin (mm), far above float rounding at screen
-# coordinates, so it never drops a rect or symbol the exact test would keep.
-_BROAD_PHASE_SLACK = 1e-6
-
 
 def admissible_directions(cfg: LayoutConfig) -> tuple[Vec2, ...]:
     """Unit directions a label may move in, by leader type."""
@@ -76,17 +86,14 @@ def conflict_degrees(
     labels: Sequence[Label],
     features: Sequence[PointFeature],
     d_min: float,
+    rects: np.ndarray | None = None,
     arrays: SceneArrays | None = None,
 ) -> dict[int, int]:
-    """Conflicts per label slot. arrays, when given, must be
-    `scene_arrays(labels, features, d_min)`."""
-    degree: dict[int, int] = {}
-    for i, j in conflicting_label_pairs(labels, d_min):
-        degree[i] = degree.get(i, 0) + 1
-        degree[j] = degree.get(j, 0) + 1
-    for i, _ in conflicting_feature_pairs(labels, features, d_min, None, arrays):
-        degree[i] = degree.get(i, 0) + 1
-    return degree
+    """Conflicts per label slot. rects, when given, stands for the labels'
+    rects, and arrays, when given, must be `scene_arrays(labels, features)`."""
+    ends = [i for pair in conflicting_label_pairs(labels, d_min, rects) for i in pair]
+    ends += [i for i, _ in conflicting_feature_pairs(labels, features, d_min, rects, arrays)]
+    return Counter(ends)
 
 
 class _Budget:
@@ -117,10 +124,11 @@ def greedy_repair(
     conflict-free, when no conflicted label has a clearing position within
     the bounded search radius, or when the evaluation budget runs out.
     """
-    labels = list(labels)
-    anchors = {f.id: f.anchor for f in features}
-    # Moves change rects only, never ids or deleted flags.
-    arrays = scene_arrays(labels, features, cfg.d_min)
+    d_min = cfg.d_min
+    # Moves change rects and conns only, never ids or deleted flags.
+    arrays = scene_arrays(labels, features)
+    rects = label_rects(labels)
+    conns = points_array(l.conn for l in labels)
     searches = _searches(cfg, diagonal, max_axis_retries)
     moves = 0
     budget = _Budget(CANDIDATE_BUDGET)
@@ -129,46 +137,40 @@ def greedy_repair(
     stuck: dict[int, float] = {}
 
     while budget.left > 0:
-        degree = conflict_degrees(labels, features, cfg.d_min, arrays)
+        degree = conflict_degrees(labels, features, d_min, rects, arrays)
         if not degree:
             break
         candidates = [i for i in degree if i not in stuck]
-        moved = False
         for idx in sorted(candidates, key=lambda i: (-degree[i], i)):
-            lbl = labels[idx]
-            anchor = anchors[lbl.feature_id]
-            for retries, reach_scale, step_count, step_offsets in searches:
-                d = _search(
-                    idx, labels, cfg, anchor, arrays, budget,
-                    retries, reach_scale, step_count, step_offsets,
-                )
+            anchor = Vec2(*arrays.anchors[idx])
+            for search in searches:
+                d = _search(idx, rects, cfg, anchor, arrays, budget, *search)
                 if d is not None:
                     break
             if d is not None:
-                old_center = lbl.rect.center()
-                rect = lbl.rect.translated(d)
-                conn = connection_point(rect, anchor, cfg.leader, lbl.conn + d)
-                labels[idx] = replace(lbl, rect=rect, conn=conn)
+                vacated = 0.5 * (rects[idx, 0:2] + rects[idx, 2:4])
+                rects[idx] += (d.x, d.y, d.x, d.y)
+                row = slice(idx, idx + 1)
+                conns[row] = connection_points(
+                    rects[row], arrays.anchors[row], cfg.leader, conns[row] + (d.x, d.y)
+                )
                 moves += 1
-                moved = True
-                # Unpark stuck labels whose surroundings this move changed,
-                # at either the vacated or the newly occupied spot.
-                new_center = rect.center()
-                for s_idx in [
-                    s
-                    for s, reach in stuck.items()
-                    if (labels[s].rect.center() - old_center).norm() <= reach
-                    or (labels[s].rect.center() - new_center).norm() <= reach
-                ]:
-                    del stuck[s_idx]
+                # Unpark the stuck labels whose surroundings this move
+                # changed: those centered at most their reach (below the
+                # next float up) from the vacated or the occupied spot.
+                slots = np.array(list(stuck), dtype=np.int64)
+                reach = np.nextafter(np.array(list(stuck.values())), math.inf)
+                centers = 0.5 * (rects[slots, 0:2] + rects[slots, 2:4])
+                near = hypot_below(*(centers - vacated).T, reach)
+                near |= hypot_below(*(centers - 0.5 * (rects[idx, 0:2] + rects[idx, 2:4])).T, reach)
+                for s in slots[near].tolist():
+                    del stuck[s]
                 break
-            reach = BASE_RADIUS_FACTOR * cfg.d_min * (2.0**max_axis_retries) + 4.0 * math.hypot(
-                lbl.rect.width, lbl.rect.height
-            )
-            stuck[idx] = reach
-        if not moved:
+            size = (rects[idx, 2:4] - rects[idx, 0:2]).tolist()
+            stuck[idx] = BASE_RADIUS_FACTOR * d_min * 2.0**max_axis_retries + 4.0 * math.hypot(*size)
+        else:
             break
-    return labels, moves
+    return placed_labels(labels, arrays.live, rects, conns), moves
 
 
 StepCount = Callable[[int], int]
@@ -206,7 +208,7 @@ def _searches(
 
 def _search(
     idx: int,
-    labels: Sequence[Label],
+    rects: np.ndarray,
     cfg: LayoutConfig,
     anchor: Vec2,
     arrays: SceneArrays,
@@ -216,7 +218,8 @@ def _search(
     step_count: StepCount,
     step_offsets: StepOffsets,
 ) -> Vec2 | None:
-    """Nearest clearing displacement for label idx, or None.
+    """Nearest clearing displacement for the label in slot idx of the
+    (n, 4) rects, or None.
 
     The candidate offsets are numbered nearest first: step_count(k) is the
     number in steps 1..k, and step_offsets(t) gives the (len(t), 2) offsets
@@ -227,18 +230,17 @@ def _search(
     is charged up to and including it, as if candidates were tested one by
     one.
     """
-    rect = labels[idx].rect
-    center = rect.center()
-    own_half_diag = 0.5 * math.hypot(rect.width, rect.height)
+    box = rects[idx]
+    x0, y0, x1, y1 = box.tolist()
+    cx, cy = 0.5 * (x0 + x1), 0.5 * (y0 + y1)
+    own_half_diag = 0.5 * math.hypot(x1 - x0, y1 - y0)
     grid = cfg.d_min / 2.0
-    box = np.array([rect.x_min, rect.y_min, rect.x_max, rect.y_max])
-    others = live_slots(labels)
-    rects = label_rects(labels)[others[others != idx]]
-    centers = 0.5 * (rects[:, 0:2] + rects[:, 2:4])
-    label_dist = np.hypot(centers[:, 0] - center.x, centers[:, 1] - center.y)
-    half_diag = 0.5 * np.hypot(rects[:, 2] - rects[:, 0], rects[:, 3] - rects[:, 1])
+    others = rects[arrays.live[arrays.live != idx]]
+    centers = 0.5 * (others[:, 0:2] + others[:, 2:4])
+    label_dist = np.hypot(centers[:, 0] - cx, centers[:, 1] - cy)
+    half_diag = 0.5 * np.hypot(others[:, 2] - others[:, 0], others[:, 3] - others[:, 1])
     symbols = arrays.symbols[arrays.ids != arrays.own[idx]]
-    symbol_dist = np.hypot(symbols[:, 0] - center.x, symbols[:, 1] - center.y)
+    symbol_dist = np.hypot(symbols[:, 0] - cx, symbols[:, 1] - cy)
     start = 1
     for retry in range(retries + 1):
         radius = BASE_RADIUS_FACTOR * cfg.d_min * (2.0**retry)
@@ -247,7 +249,7 @@ def _search(
         # last bit never drops what the scalar norm would keep; an extra
         # rect or symbol never changes a decision.
         reach = radius * reach_scale + own_half_diag + cfg.d_min
-        near_rects = rects[label_dist <= (reach + half_diag) * (1.0 + HYPOT_RTOL)]
+        near_rects = others[label_dist <= (reach + half_diag) * (1.0 + HYPOT_RTOL)]
         near_symbols = symbols[symbol_dist <= (reach + symbols[:, 2]) * (1.0 + HYPOT_RTOL)]
         block = max(1, BLOCK_ELEMENTS // max(1, len(near_rects) + len(near_symbols)))
         end = int(radius / grid)
@@ -326,60 +328,29 @@ def _candidates_ok(
     d_min from the screen edges unless it cannot fit, and, for the sliding
     fixed-direction leader, the leader ray still meets its attachment edge.
 
-    The screen and attachment tests are column operations. The pair tests
-    run on the candidates that pass them, against the rects and symbols
-    near the candidates' bounding box; `hypot_below` and
-    `clearances_below` decide them as `rect_distance` and
-    `point_rect_signed_clearance` would.
+    The screen and attachment tests are column operations. The rects, then
+    the symbols, are tested against the candidates still in, leaving out
+    those whose box test fails against the candidates' bounding box.
     """
     d_min = cfg.d_min
-    screen = cfg.screen
-    x0, y0, x1, y1 = cands.T
-    fits = (x1 - x0 <= screen.width - 2 * d_min) & (y1 - y0 <= screen.height - 2 * d_min)
-    ok = ~fits | (
-        (x0 - screen.x_min >= d_min)
-        & (screen.x_max - x1 >= d_min)
-        & (y0 - screen.y_min >= d_min)
-        & (screen.y_max - y1 >= d_min)
-    )
+    fits, margins = screen_margins(cands, cfg.screen, d_min)
+    ok = ~fits | (margins >= d_min).all(axis=1)
     if cfg.leader.kind is LeaderType.FIXED_DIR_FREE_CONN:
         # Keep the label attached: the leader ray must still meet the
         # attachment edge after the move.
         u = cfg.leader.unit()
-        if abs(u.y) >= abs(u.x):
-            level = y0 if u.y > 0 else y1
-            ok &= (x0 <= anchor.x) & (anchor.x <= x1) & ((level - anchor.y) * u.y >= 0)
-        else:
-            level = x0 if u.x > 0 else x1
-            ok &= (y0 <= anchor.y) & (anchor.y <= y1) & ((level - anchor.x) * u.x >= 0)
+        along, level = attachment_edge(cands, u)
+        a, across = (anchor.x, anchor.y), 1 - along
+        ok &= (cands[:, across] <= a[across]) & (a[across] <= cands[:, across + 2])
+        ok &= (level - a[along]) * (u.x, u.y)[along] >= 0
 
-    pad = d_min + _BROAD_PHASE_SLACK
-    rows = np.flatnonzero(ok)
-    if len(rows) and len(near_rects):
-        c = cands[rows]
-        lo, hi = c[:, 0:2].min(axis=0) - pad, c[:, 2:4].max(axis=0) + pad
-        b = near_rects[np.all((near_rects[:, 2:4] >= lo) & (near_rects[:, 0:2] <= hi), axis=1)]
-        gx = np.maximum(np.maximum(c[:, 0:1] - b[:, 2], b[:, 0] - c[:, 2:3]), 0.0)
-        gy = np.maximum(np.maximum(c[:, 1:2] - b[:, 3], b[:, 1] - c[:, 3:4]), 0.0)
-        r, k = np.nonzero((gx < d_min) & (gy < d_min))
-        ok[rows[r[hypot_below(gx[r, k], gy[r, k], d_min)]]] = False
+    for near, box_test, closer in (
+        (near_rects, rects_near, rects_closer), (near_symbols, symbols_near, symbols_closer)
+    ):
         rows = np.flatnonzero(ok)
-    if len(rows) and len(near_symbols):
+        if not len(rows):
+            break
         c = cands[rows]
-        reach = near_symbols[:, 2] + pad
-        lo, hi = c[:, 0:2].min(axis=0), c[:, 2:4].max(axis=0)
-        s = near_symbols[
-            np.all(
-                (near_symbols[:, 0:2] >= lo - reach[:, None])
-                & (near_symbols[:, 0:2] <= hi + reach[:, None]),
-                axis=1,
-            )
-        ]
-        px, py, radius = s[:, 0], s[:, 1], s[:, 2]
-        dx = np.maximum(c[:, 0:1] - px, px - c[:, 2:3])
-        dy = np.maximum(c[:, 1:2] - py, py - c[:, 3:4])
-        # The clearance is at least max(dx, dy), so a pair with dx or dy of
-        # radius + d_min or more is clear.
-        r, k = np.nonzero((dx < radius + pad) & (dy < radius + pad))
-        ok[rows[r[clearances_below(dx[r, k], dy[r, k], radius[k], d_min)]]] = False
+        bbox = np.concatenate((c[:, 0:2].min(axis=0), c[:, 2:4].max(axis=0)))[None]
+        ok[rows[closer(c, near[box_test(bbox, near, d_min)[0]], d_min)[0]]] = False
     return ok

@@ -210,59 +210,40 @@ def font_size_for(feature: PointFeature, d_nearest: float, cfg: LayoutConfig) ->
     return min(cfg.w_max_pt, max(cfg.w_min_pt, size))
 
 
-def connection_point(rect: Rect, anchor: Vec2, leader: LeaderSpec, translated_conn: Vec2) -> Vec2:
-    """Where the leader attaches after a label has moved.
-
-    Fixed-connection types carry the point rigidly with the rect. The free
-    free-direction type snaps to the rect point nearest the anchor. The
-    sliding fixed-direction type intersects the leader's supporting line
-    with the attachment edge's supporting line; the ray may miss the edge
-    span itself, which the attachment force corrects on later passes.
-    """
-    kind = leader.kind
-    if kind.fixed_connection:
-        return translated_conn
-    if kind is LeaderType.FREE_DIR_FREE_CONN:
-        x = min(max(anchor.x, rect.x_min), rect.x_max)
-        y = min(max(anchor.y, rect.y_min), rect.y_max)
-        return Vec2(x, y)
-    u = leader.unit()
-    if abs(u.y) >= abs(u.x):
-        level = rect.y_min if u.y > 0 else rect.y_max
-        t = (level - anchor.y) / u.y
-        return Vec2(anchor.x + t * u.x, level)
-    level = rect.x_min if u.x > 0 else rect.x_max
-    t = (level - anchor.x) / u.x
-    return Vec2(level, anchor.y + t * u.y)
+def attachment_edge(rects: np.ndarray, u: Vec2) -> tuple[int, np.ndarray]:
+    """Where a leader running along u meets each of the (n, 4) rects: the
+    axis it mostly runs along, 0 for x and 1 for y, and the level on that
+    axis of the rect edge that faces back toward the anchor."""
+    along = 1 if abs(u.y) >= abs(u.x) else 0
+    return along, rects[:, along] if (u.x, u.y)[along] > 0 else rects[:, along + 2]
 
 
 def connection_points(
     rects: np.ndarray, anchors: np.ndarray, leader: LeaderSpec, translated_conns: np.ndarray
 ) -> np.ndarray:
-    """`connection_point` for many labels at once, as the same floats.
+    """Where the leaders attach after the labels moved to the (n, 4) rects,
+    with (n, 2) anchors and translated_conns, as an (n, 2) array.
 
-    rects is (n, 4) as `label_rects` gives it; anchors and translated_conns
-    are (n, 2). Returns the (n, 2) connection points.
+    Fixed-connection types carry the point rigidly with the rect. The free
+    free-direction type snaps to the rect point nearest the anchor. The
+    sliding fixed-direction type meets the attachment edge's line; the ray
+    may miss the edge itself, which the attachment force corrects later.
     """
     kind = leader.kind
     if kind.fixed_connection:
         return translated_conns
-    ax, ay = anchors[:, 0], anchors[:, 1]
     if kind is LeaderType.FREE_DIR_FREE_CONN:
         # min(max(a, lo), hi) as Python evaluates it: ties keep the anchor.
-        x = np.where(rects[:, 0] > ax, rects[:, 0], ax)
-        x = np.where(rects[:, 2] < x, rects[:, 2], x)
-        y = np.where(rects[:, 1] > ay, rects[:, 1], ay)
-        y = np.where(rects[:, 3] < y, rects[:, 3], y)
-        return np.column_stack((x, y))
+        p = np.where(rects[:, 0:2] > anchors, rects[:, 0:2], anchors)
+        return np.where(rects[:, 2:4] < p, rects[:, 2:4], p)
     u = leader.unit()
-    if abs(u.y) >= abs(u.x):
-        level = rects[:, 1] if u.y > 0 else rects[:, 3]
-        t = (level - ay) / u.y
-        return np.column_stack((ax + t * u.x, level))
-    level = rects[:, 0] if u.x > 0 else rects[:, 2]
-    t = (level - ax) / u.x
-    return np.column_stack((level, ay + t * u.y))
+    along, level = attachment_edge(rects, u)
+    across = 1 - along
+    uv = (u.x, u.y)
+    conns = np.empty_like(anchors)
+    conns[:, along] = level
+    conns[:, across] = anchors[:, across] + (level - anchors[:, along]) / uv[along] * uv[across]
+    return conns
 
 
 def live_slots(labels: Sequence[Label]) -> np.ndarray:
@@ -275,6 +256,18 @@ def label_rects(labels: Sequence[Label]) -> np.ndarray:
     return np.array(
         [(l.rect.x_min, l.rect.y_min, l.rect.x_max, l.rect.y_max) for l in labels], dtype=float
     ).reshape(-1, 4)
+
+
+def placed_labels(
+    labels: Sequence[Label], live: np.ndarray, rects: np.ndarray, conns: np.ndarray
+) -> list[Label]:
+    """The labels at the (n, 4) rects and (n, 2) conns, one row per slot;
+    the slots not in live as they were."""
+    placed = list(labels)
+    for i, (x0, y0, x1, y1), (cx, cy) in zip(live.tolist(), rects[live].tolist(), conns[live].tolist()):
+        lbl = placed[i]
+        placed[i] = Label(lbl.feature_id, Rect(x0, y0, x1, y1), Vec2(cx, cy), lbl.font_size)
+    return placed
 
 
 def initial_layout(features: list[PointFeature], cfg: LayoutConfig) -> list[Label]:

@@ -122,6 +122,75 @@ def segment_crosses_interior(p: Vec2, q: Vec2, r: Rect) -> bool:
     return r.x_min < mx < r.x_max and r.y_min < my < r.y_max
 
 
+def reference_attachment_force(label: Label, feature: PointFeature, leader) -> Vec2:
+    """Scalar reference for `forces.attachment_forces`: the pull back over
+    the leader ray, from the attachment edge's two ends."""
+    if not leader.kind.fixed_direction:
+        return Vec2(0.0, 0.0)
+    u = leader.unit()
+    n = u.perp()
+    rect = label.rect
+    if abs(u.y) >= abs(u.x):
+        y = rect.y_min if u.y > 0 else rect.y_max
+        e1, e2 = Vec2(rect.x_min, y), Vec2(rect.x_max, y)
+    else:
+        x = rect.x_min if u.x > 0 else rect.x_max
+        e1, e2 = Vec2(x, rect.y_min), Vec2(x, rect.y_max)
+    a_off = n.dot(e1 - feature.anchor)
+    b_off = n.dot(e2 - feature.anchor)
+    lo, hi = (a_off, b_off) if a_off <= b_off else (b_off, a_off)
+    if lo <= 0.0 <= hi:
+        return Vec2(0.0, 0.0)
+    if lo > 0.0:
+        return n * (-lo)
+    return n * (-hi)
+
+
+def reference_screen_force(rect: Rect, screen: Rect, d_min: float) -> Vec2:
+    """Scalar reference for `forces.screen_forces`."""
+    from leaderlabels.forces import LabelLargerThanScreenError
+
+    if rect.width > screen.width - 2.0 * d_min or rect.height > screen.height - 2.0 * d_min:
+        raise LabelLargerThanScreenError(
+            f"label {rect.width:.3f}x{rect.height:.3f} mm cannot keep {d_min} mm "
+            f"clearance inside a {screen.width:.3f}x{screen.height:.3f} mm screen"
+        )
+    fx = 0.0
+    fy = 0.0
+    left = rect.x_min - screen.x_min
+    if left < d_min:
+        fx += d_min - left
+    right = screen.x_max - rect.x_max
+    if right < d_min:
+        fx -= d_min - right
+    bottom = rect.y_min - screen.y_min
+    if bottom < d_min:
+        fy += d_min - bottom
+    top = screen.y_max - rect.y_max
+    if top < d_min:
+        fy -= d_min - top
+    return Vec2(fx, fy)
+
+
+def reference_connection_point(rect: Rect, anchor: Vec2, leader, translated_conn: Vec2) -> Vec2:
+    """Scalar reference for `scene.connection_points`."""
+    kind = leader.kind
+    if kind.fixed_connection:
+        return translated_conn
+    if kind is LeaderType.FREE_DIR_FREE_CONN:
+        x = min(max(anchor.x, rect.x_min), rect.x_max)
+        y = min(max(anchor.y, rect.y_min), rect.y_max)
+        return Vec2(x, y)
+    u = leader.unit()
+    if abs(u.y) >= abs(u.x):
+        level = rect.y_min if u.y > 0 else rect.y_max
+        t = (level - anchor.y) / u.y
+        return Vec2(anchor.x + t * u.x, level)
+    level = rect.x_min if u.x > 0 else rect.x_max
+    t = (level - anchor.x) / u.x
+    return Vec2(level, anchor.y + t * u.y)
+
+
 def candidate_ok(
     candidate: Rect,
     near_labels: Sequence[Rect],
@@ -229,6 +298,77 @@ def reference_search(
                     return d, budget
         start = end + 1
     return None, budget
+
+
+def reference_repair(
+    labels: Sequence[Label],
+    features: Sequence[PointFeature],
+    cfg: LayoutConfig,
+    budget: int,
+    diagonal: bool = False,
+    max_axis_retries: int = 8,
+) -> tuple[list[Label], int, int]:
+    """The greedy repair pass on `Label`s: degrees from the brute-force
+    scans, one `reference_search` per search, and each move a new `Label`
+    with the translated rect and `reference_connection_point`. Returns the
+    labels, the moves and the budget left."""
+    import dataclasses
+
+    from leaderlabels.repair import BASE_RADIUS_FACTOR, MAX_RETRIES_DIAGONAL, admissible_directions
+
+    labels = list(labels)
+    anchors = {f.id: f.anchor for f in features}
+    deleted_ids = {l.feature_id for l in labels if l.deleted}
+    grid = cfg.d_min / 2.0
+    searches = [
+        (max_axis_retries, 1.0, lambda k: [d * (k * grid) for d in admissible_directions(cfg)])
+    ]
+    if diagonal and cfg.leader.kind is not LeaderType.FIXED_DIR_FIXED_CONN:
+        searches.append((
+            MAX_RETRIES_DIAGONAL, math.sqrt(2.0),
+            lambda k: [Vec2(ix * grid, iy * grid) for ix, iy in ring_border_cells(k)],
+        ))
+    moves = 0
+    stuck: dict[int, float] = {}
+    while budget > 0:
+        degree: dict[int, int] = {}
+        for pair in brute_force_label_conflicts(labels, cfg.d_min):
+            for i in pair:
+                degree[i] = degree.get(i, 0) + 1
+        for i, _ in brute_force_feature_conflicts(labels, features, cfg.d_min):
+            degree[i] = degree.get(i, 0) + 1
+        if not degree:
+            break
+        moved = False
+        for idx in sorted((i for i in degree if i not in stuck), key=lambda i: (-degree[i], i)):
+            lbl = labels[idx]
+            anchor = anchors[lbl.feature_id]
+            for retries, reach_scale, steps in searches:
+                d, budget = reference_search(
+                    idx, labels, features, cfg, anchor, deleted_ids, budget,
+                    retries, reach_scale, steps,
+                )
+                if d is not None:
+                    break
+            if d is not None:
+                rect = lbl.rect.translated(d)
+                conn = reference_connection_point(rect, anchor, cfg.leader, lbl.conn + d)
+                labels[idx] = dataclasses.replace(lbl, rect=rect, conn=conn)
+                moves += 1
+                moved = True
+                spots = (lbl.rect.center(), rect.center())
+                for s in [
+                    s for s, reach in stuck.items()
+                    if any((labels[s].rect.center() - c).norm() <= reach for c in spots)
+                ]:
+                    del stuck[s]
+                break
+            stuck[idx] = BASE_RADIUS_FACTOR * cfg.d_min * (2.0**max_axis_retries) + 4.0 * math.hypot(
+                lbl.rect.width, lbl.rect.height
+            )
+        if not moved:
+            break
+    return labels, moves, budget
 
 
 def element_stiffness(p1: Vec2, p2: Vec2, params: BeamParams) -> np.ndarray:

@@ -6,7 +6,9 @@ from leaderlabels.cli import main
 from leaderlabels.metrics import build_report
 from leaderlabels.optimizer import reference_graph
 from leaderlabels.scene import initial_layout
-from leaderlabels.scenefile import generate_synthetic, load_placement, load_scene
+from leaderlabels.scenefile import generate_synthetic, load_placement, load_scene, save_scene
+
+from test_golden import _duplicated_scene
 
 
 @pytest.fixture
@@ -218,6 +220,15 @@ class TestPlace:
         dt = json.loads(out_dt)
         assert mst["graph_kind"] == "mst"
         assert mst["solver_graph_edges"] <= dt["solver_graph_edges"]
+
+    def test_graph_mst_places_labels_with_equal_centers(self, capsys, tmp_path):
+        # Pairs of features share anchor, depth and text, so each pair's
+        # labels start as one rect and the MST joins them by a nanometre beam.
+        path = tmp_path / "twins.json"
+        save_scene(*_duplicated_scene(), str(path))
+        code, out, err = run_cli(capsys, "place", str(path), "--graph", "mst", "--metrics")
+        assert code == 0, err
+        assert json.loads(out)["graph_kind"] == "mst"
 
     def test_leader_type_override(self, capsys, scene_path):
         code, out, _ = run_cli(

@@ -45,6 +45,8 @@ from conftest import (
     labels_from_rects,
     overlapping_rect_pair,
     random_labels,
+    reference_attachment_force,
+    reference_screen_force,
 )
 
 
@@ -489,8 +491,8 @@ def _rect_rows(rects) -> np.ndarray:
 
 
 class TestForceArrays:
-    """`attachment_forces` and `screen_forces` against the scalar forces,
-    label by label."""
+    """`attachment_forces` and `screen_forces` against the scalar reference
+    forces, label by label."""
 
     @pytest.mark.parametrize("kind", list(LeaderType))
     @pytest.mark.parametrize("direction", [0.0, 30.0, 90.0, 135.0, 270.0])
@@ -502,7 +504,7 @@ class TestForceArrays:
         got = attachment_forces(_rect_rows(rects), np.array([(a.x, a.y) for a in anchors]), leader)
         for (fx, fy), r, a in zip(got.tolist(), rects, anchors):
             feature = PointFeature(id="f0", anchor=a, depth=100.0, text="T")
-            assert Vec2(fx, fy) == attachment_force(_label(r), feature, leader)
+            assert Vec2(fx, fy) == reference_attachment_force(_label(r), feature, leader)
 
     @settings(max_examples=300, deadline=None)
     @given(
@@ -518,7 +520,7 @@ class TestForceArrays:
         screen = Rect(0.0, 0.0, 100.0, 60.0)
         rects = [Rect(x, y, x + w, y + h) for x, y, w, h in rows]
         try:
-            want = [screen_force(r, screen, d_min) for r in rects]
+            want = [reference_screen_force(r, screen, d_min) for r in rects]
         except LabelLargerThanScreenError as exc:
             with pytest.raises(LabelLargerThanScreenError, match=re.escape(str(exc))):
                 screen_forces(_rect_rows(rects), screen, d_min)
@@ -638,8 +640,8 @@ class TestAssembleForces:
                 if cand_sets:
                     expected = expected + compose_point_forces(cand_sets)
                 feature = next(f for f in features if f.id == lbl.feature_id)
-                expected = expected + attachment_force(lbl, feature, cfg.leader)
-                expected = expected + screen_force(lbl.rect, cfg.screen, cfg.d_min)
+                expected = expected + reference_attachment_force(lbl, feature, cfg.leader)
+                expected = expected + reference_screen_force(lbl.rect, cfg.screen, cfg.d_min)
                 assert totals(fa)[i].x == pytest.approx(expected.x, abs=1e-9)
                 assert totals(fa)[i].y == pytest.approx(expected.y, abs=1e-9)
 

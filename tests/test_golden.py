@@ -19,7 +19,7 @@ Delaunay, both MST weights and the nudged centres) on two initial layouts:
 one whose duplicated anchors give pairs of labels with exactly the same
 centre, which the builders nudge apart, and one collinear row of labels,
 which Qhull rejects. The duplicated scene is run under the Delaunay graph
-only: under the MST its first solve fails (see CHANGES.md).
+only; `tests/test_cli.py` places it under the MST.
 
 A refactor or speed-up of the placement loop or of repair must reproduce
 these layouts and reports bit for bit. Every float is hashed through

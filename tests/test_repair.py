@@ -3,7 +3,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from leaderlabels import repair
 from leaderlabels.forces import scene_arrays
@@ -17,10 +17,11 @@ from leaderlabels.scene import (
     LeaderType,
     PointFeature,
     initial_layout,
+    label_rects,
 )
 from leaderlabels.scenefile import synthetic_scene
 
-from conftest import candidate_ok, reference_search, ring_border_cells
+from conftest import candidate_ok, reference_repair, reference_search, ring_border_cells
 
 
 def ring_border_reference(r: int) -> list[tuple[int, int]]:
@@ -230,7 +231,7 @@ class TestSearch:
         labels, features, cfg, idx = scene
         anchor = features[idx].anchor
         deleted_ids = {l.feature_id for l in labels if l.deleted}
-        arrays = scene_arrays(labels, features, cfg.d_min)
+        arrays = scene_arrays(labels, features)
         grid = cfg.d_min / 2.0
         scalar_steps = (
             lambda k: [d * (k * grid) for d in admissible_directions(cfg)],
@@ -255,14 +256,14 @@ class TestSearch:
                 b = repair._Budget(amount)
                 with mock.patch.object(repair, "BLOCK_ELEMENTS", block):
                     got = repair._search(
-                        idx, labels, cfg, anchor, arrays, b, retries,
+                        idx, label_rects(labels), cfg, anchor, arrays, b, retries,
                         reach_scale, step_count, step_offsets,
                     )
                 assert (got, b.left) == reference(amount)
 
     def test_budget_ends_on_the_passing_candidate(self):
         labels, features, cfg = wedged_scene()
-        arrays = scene_arrays(labels, features, cfg.d_min)
+        arrays = scene_arrays(labels, features)
         _, (_, reach_scale, step_count, step_offsets) = repair._searches(cfg, True, 0)
         # Ring cells are numbered from ring 1; (-27, -1) is the first cell
         # of ring 27, 4 * 26^2 + 1 candidates in, in the second retry.
@@ -272,7 +273,7 @@ class TestSearch:
                 b = repair._Budget(amount)
                 with mock.patch.object(repair, "BLOCK_ELEMENTS", block):
                     got = repair._search(
-                        0, labels, cfg, features[0].anchor, arrays, b,
+                        0, label_rects(labels), cfg, features[0].anchor, arrays, b,
                         1, reach_scale, step_count, step_offsets,
                     )
                 assert (got, b.left) == (want, 0)
@@ -282,3 +283,109 @@ def test_ring_cells_number_every_border_in_order():
     cells = repair._ring_cells(np.arange(4 * 60 * 60))
     want = [c for r in range(1, 61) for c in ring_border_cells(r)]
     assert [tuple(c) for c in cells.tolist()] == want
+
+
+@st.composite
+def crowded_scenes(draw):
+    """3 to 10 labels crowded on a small screen, some deleted, with their
+    symbols and a fixed-direction leader pointing at most of them."""
+    d_min = draw(st.sampled_from([0.5, 1.0, 0.2]))
+    screen = Rect(0.0, 0.0, draw(st.sampled_from([20.0, 30.0])), draw(st.sampled_from([12.0, 20.0])))
+    leader = LeaderSpec(
+        direction=draw(st.sampled_from(_DIRECTIONS)), kind=draw(st.sampled_from(list(LeaderType)))
+    )
+    u = leader.unit()
+    rows = draw(st.lists(
+        st.tuples(st.integers(0, 50).map(lambda v: v * 0.5), st.integers(0, 34).map(lambda v: v * 0.5),
+                  st.integers(2, 12).map(lambda v: v * 0.5), st.integers(1, 5).map(lambda v: v * 0.5),
+                  st.sampled_from([1.0, 2.0, 3.5]), st.sampled_from([0.0, 0.5, 1.0]),
+                  st.sampled_from([False, False, False, False, True]), st.booleans()),
+        min_size=3, max_size=10,
+    ))
+    labels, features = [], []
+    for i, (x, y, w, h, length, radius, deleted, attached) in enumerate(rows):
+        rect = Rect(x, y, x + w, y + h)
+        # Where the leader meets the rect, so the attachment test can pass.
+        if abs(u.y) >= abs(u.x):
+            tip = Vec2(rect.center().x, rect.y_min if u.y > 0 else rect.y_max)
+        else:
+            tip = Vec2(rect.x_min if u.x > 0 else rect.x_max, rect.center().y)
+        anchor = tip - u * length if attached else Vec2(x + 1.0, y - 1.5)
+        labels.append(Label(feature_id=f"f{i}", rect=rect, conn=tip, font_size=10.0,
+                            deleted=deleted and i > 0))
+        features.append(PointFeature(id=f"f{i}", anchor=anchor, depth=100.0, text="T",
+                                     symbol_radius=radius))
+    return labels, features, LayoutConfig(screen=screen, d_min=d_min, leader=leader), 0
+
+
+def unpark_scene(x0: float, y0: float):
+    """A label stuck inside a 1279 mm symbol, and a 2 x 1 mm label at
+    (x0, y0) that clears a symbol on its left edge by stepping 0.75 mm
+    right. Under the axis search to 8 retries at d_min 0.5 the stuck
+    label's reach is 1280 + 4 * math.hypot(40, 2) mm; the coordinates
+    below put the moving label's old center where math.hypot and np.hypot
+    of the distance fall on either side of that reach."""
+    cfg = LayoutConfig(
+        screen=Rect(0.0, 0.0, 3000.0, 3000.0), d_min=0.5,
+        leader=LeaderSpec(kind=LeaderType.FREE_DIR_FIXED_CONN),
+    )
+    stuck, mover = Rect(100.5, 100.0, 140.5, 102.0), Rect(x0, y0, x0 + 2.0, y0 + 1.0)
+    features = [
+        PointFeature(id="s", anchor=stuck.center(), depth=100.0, text="S"),
+        PointFeature(id="m", anchor=mover.center(), depth=100.0, text="M"),
+        PointFeature(id="big", anchor=stuck.center(), depth=100.0, text="B", symbol_radius=1279.0),
+        PointFeature(id="dot", anchor=Vec2(x0 + 0.1, mover.center().y), depth=100.0, text="D",
+                     symbol_radius=0.0),
+    ]
+    labels = [
+        Label(feature_id=f.id, rect=r, conn=Vec2(r.center().x, r.y_min), font_size=10.0)
+        for f, r in zip(features, (stuck, mover))
+    ]
+    return labels, features, cfg, 0
+
+
+# math.hypot of the distance is the reach and np.hypot one ulp above it,
+# then the other way round.
+_UNPARK_EXAMPLES = ((1100.44807, 1154.9745441985083), (1100.25258, 1155.1563692609645))
+
+
+def _bits(labels) -> list:
+    return [
+        (l.feature_id, l.deleted,
+         [v.hex() for v in (l.rect.x_min, l.rect.y_min, l.rect.x_max, l.rect.y_max, l.conn.x, l.conn.y)])
+        for l in labels
+    ]
+
+
+def test_unpark_examples_sit_on_the_last_bit():
+    reach = repair.BASE_RADIUS_FACTOR * 0.5 * 2.0**repair.MAX_RETRIES + 4.0 * math.hypot(40.0, 2.0)
+    for x0, y0 in _UNPARK_EXAMPLES:
+        labels = unpark_scene(x0, y0)[0]
+        d = labels[0].rect.center() - labels[1].rect.center()
+        assert (math.hypot(d.x, d.y) <= reach) != (float(np.hypot(d.x, d.y)) <= reach)
+
+
+class TestGreedyRepair:
+    """`greedy_repair` against `reference_repair`, a pass on `Label`s that
+    tests one candidate at a time: the same labels to the bit, the same
+    moves and the same budget left."""
+
+    @pytest.mark.parametrize("diagonal, retries", [(False, repair.MAX_RETRIES), (True, 5)])
+    @settings(max_examples=60, deadline=None)
+    @given(scene=crowded_scenes(), amount=st.integers(1, 5000))
+    @example(scene=unpark_scene(*_UNPARK_EXAMPLES[0]), amount=30_000)
+    @example(scene=unpark_scene(*_UNPARK_EXAMPLES[1]), amount=30_000)
+    def test_matches_reference_pass(self, diagonal, retries, scene, amount):
+        labels, features, cfg, _ = scene
+        budgets = []
+
+        class RecordedBudget(repair._Budget):
+            def __init__(self, amount: int) -> None:
+                super().__init__(amount)
+                budgets.append(self)
+
+        with mock.patch.object(repair, "_Budget", RecordedBudget), \
+                mock.patch.object(repair, "CANDIDATE_BUDGET", amount):
+            got, moves = greedy_repair(labels, features, cfg, diagonal, retries)
+        want, want_moves, want_left = reference_repair(labels, features, cfg, amount, diagonal, retries)
+        assert (_bits(got), moves, budgets[0].left) == (_bits(want), want_moves, want_left)

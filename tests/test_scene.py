@@ -11,12 +11,25 @@ from leaderlabels.scene import (
     LeaderSpec,
     LeaderType,
     PointFeature,
-    connection_point,
     connection_points,
     font_size_for,
     initial_layout,
     measure_text,
 )
+
+
+from conftest import reference_connection_point
+
+
+def connection_point(rect: Rect, anchor: Vec2, leader: LeaderSpec, conn: Vec2) -> Vec2:
+    """`connection_points` of one label."""
+    row = connection_points(
+        np.array([[rect.x_min, rect.y_min, rect.x_max, rect.y_max]]),
+        np.array([[anchor.x, anchor.y]]),
+        leader,
+        np.array([[conn.x, conn.y]]),
+    )
+    return Vec2(*row[0])
 
 
 def make_cfg(**kw) -> LayoutConfig:
@@ -181,7 +194,7 @@ _coord = st.integers(-4, 12).map(float) | st.floats(-20.0, 30.0)
 
 
 class TestConnectionPointsArray:
-    """`connection_points` gives, bit for bit, what `connection_point`
+    """`connection_points` gives, bit for bit, what the scalar reference
     gives one label at a time."""
 
     @pytest.mark.parametrize("kind", list(LeaderType))
@@ -206,5 +219,5 @@ class TestConnectionPointsArray:
             np.array([(c.x, c.y) for c in conns]),
         )
         for row, r, a, c in zip(got.tolist(), rects, anchors, conns):
-            want = connection_point(r, a, leader, c)
+            want = reference_connection_point(r, a, leader, c)
             assert [v.hex() for v in row] == [want.x.hex(), want.y.hex()]
