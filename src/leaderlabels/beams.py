@@ -14,7 +14,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
+from scipy.linalg import lapack
 
 from .geometry import HYPOT_RTOL
 from .proximity import ProximityGraph
@@ -26,7 +26,7 @@ class ZeroLengthEdgeError(ValueError):
 
 
 class SingularSystemError(RuntimeError):
-    """The Cholesky factorization of the stiffness matrix failed.
+    """The in-place LAPACK factor of the column-major stiffness matrix failed.
 
     K is positive definite whenever the ground stiffness is, but in floating
     point a beam far stiffer than the ground springs can swamp them. The
@@ -52,6 +52,20 @@ class DisplacementField:
     capped: int
 
 
+# Each 6x6 element block gathered through a constant pattern from a per-
+# element coefficient table: the local block's table is (0, ax, b12, b6, b4,
+# b2, -ax, -b12, -b6) and the rotation's (0, 1, c, s, -s).
+_LOCAL_PATTERN = np.array([
+    1, 0, 0, 6, 0, 0,
+    0, 2, 3, 0, 7, 3,
+    0, 3, 4, 0, 8, 5,
+    6, 0, 0, 1, 0, 0,
+    0, 7, 8, 0, 2, 8,
+    0, 3, 5, 0, 8, 4,
+])
+_ROTATION_PATTERN = np.kron(np.eye(2, dtype=int), [[2, 3, 0], [4, 2, 0], [0, 0, 1]]).ravel()
+
+
 def _local_stiffness_batch(length: np.ndarray, params: BeamParams) -> np.ndarray:
     """Local-frame 6x6 stiffness blocks for a batch of elements."""
     e = params.elastic_modulus
@@ -62,29 +76,8 @@ def _local_stiffness_batch(length: np.ndarray, params: BeamParams) -> np.ndarray
     b6 = 6.0 * e * i_m / length**2
     b4 = 4.0 * e * i_m / length
     b2 = 2.0 * e * i_m / length
-    m = length.shape[0]
-    k = np.zeros((m, 6, 6))
-    k[:, 0, 0] = ax
-    k[:, 0, 3] = -ax
-    k[:, 3, 0] = -ax
-    k[:, 3, 3] = ax
-    k[:, 1, 1] = b12
-    k[:, 1, 4] = -b12
-    k[:, 4, 1] = -b12
-    k[:, 4, 4] = b12
-    k[:, 1, 2] = b6
-    k[:, 2, 1] = b6
-    k[:, 1, 5] = b6
-    k[:, 5, 1] = b6
-    k[:, 2, 4] = -b6
-    k[:, 4, 2] = -b6
-    k[:, 4, 5] = -b6
-    k[:, 5, 4] = -b6
-    k[:, 2, 2] = b4
-    k[:, 5, 5] = b4
-    k[:, 2, 5] = b2
-    k[:, 5, 2] = b2
-    return k
+    table = np.column_stack((np.zeros_like(ax), ax, b12, b6, b4, b2, -ax, -b12, -b6))
+    return table[:, _LOCAL_PATTERN].reshape(-1, 6, 6)
 
 
 def _global_stiffness_batch(
@@ -98,14 +91,8 @@ def _global_stiffness_batch(
     c = dx / length
     s = dy / length
     k_local = _local_stiffness_batch(length, params)
-    m = length.shape[0]
-    t = np.zeros((m, 6, 6))
-    for base in (0, 3):
-        t[:, base + 0, base + 0] = c
-        t[:, base + 0, base + 1] = s
-        t[:, base + 1, base + 0] = -s
-        t[:, base + 1, base + 1] = c
-        t[:, base + 2, base + 2] = 1.0
+    table = np.column_stack((np.zeros_like(c), np.ones_like(c), c, s, -s))
+    t = table[:, _ROTATION_PATTERN].reshape(-1, 6, 6)
     return np.transpose(t, (0, 2, 1)) @ k_local @ t
 
 
@@ -114,9 +101,10 @@ def _stiffness_matrix(graph: ProximityGraph, params: BeamParams) -> np.ndarray:
     the element block of every edge of at least MIN_BEAM_LENGTH.
 
     One bincount sums all entries, the ground-spring diagonal listed first
-    and then the element blocks edge by edge in row-major order, so each
-    entry is summed in the same order as adding the blocks one by one onto
-    the ground springs.
+    and then the element blocks edge by edge, so each entry is summed in the
+    same order as adding the blocks one by one onto the ground springs.
+    Entries are placed at their column-major index, and the result is the
+    F-contiguous array that LAPACK factors without a copy.
     """
     n = len(graph.positions)
     ndof = 3 * n
@@ -124,17 +112,16 @@ def _stiffness_matrix(graph: ProximityGraph, params: BeamParams) -> np.ndarray:
     weights = np.full(ndof, params.ground_stiffness)
     x, y = graph.positions.T
     i_arr, j_arr = graph.edges.T
-    kept = np.hypot(x[j_arr] - x[i_arr], y[j_arr] - y[i_arr]) >= MIN_BEAM_LENGTH
-    i_arr, j_arr = i_arr[kept], j_arr[kept]
-    if len(i_arr):
+    edges = graph.edges[np.hypot(x[j_arr] - x[i_arr], y[j_arr] - y[i_arr]) >= MIN_BEAM_LENGTH]
+    if len(edges):
+        i_arr, j_arr = edges.T
         blocks = _global_stiffness_batch(x[i_arr], y[i_arr], x[j_arr], y[j_arr], params)
-        dofs = np.column_stack(
-            (3 * i_arr, 3 * i_arr + 1, 3 * i_arr + 2, 3 * j_arr, 3 * j_arr + 1, 3 * j_arr + 2)
-        )
-        flat = dofs[:, :, None] * ndof + dofs[:, None, :]
+        # (u_i, v_i, theta_i, u_j, v_j, theta_j) of each edge.
+        dofs = 3 * np.repeat(edges, 3, axis=1) + [0, 1, 2, 0, 1, 2]
+        flat = dofs[:, None, :] * ndof + dofs[:, :, None]
         diag = np.concatenate((diag, flat.ravel()))
         weights = np.concatenate((weights, blocks.ravel()))
-    return np.bincount(diag, weights, minlength=ndof * ndof).reshape(ndof, ndof)
+    return np.bincount(diag, weights, minlength=ndof * ndof).reshape(ndof, ndof).T
 
 
 def solve_displacements(
@@ -145,8 +132,8 @@ def solve_displacements(
     forces is (n, 2), one row per graph node. Ground springs of stiffness
     k_g act on both translational DOFs and (with a 1 mm^2 lever factor) on
     rotations, so K is block diagonal across graph components and strictly
-    positive definite; a single dense Cholesky factorization therefore
-    solves every component independently. Isolated nodes reduce to
+    positive definite; one in-place LAPACK factor of a column-major K
+    therefore solves every component independently. Isolated nodes reduce to
     d = f / k_g. Translations longer than max_step are scaled back onto the
     cap, preserving direction; rotations are in the solution but not capped
     since label rects stay axis aligned. A translation is measured by
@@ -158,14 +145,16 @@ def solve_displacements(
         raise ValueError(f"{len(forces)} forces for {n} graph nodes")
     if params.max_step is None:
         raise ValueError("BeamParams.max_step must be resolved before solving")
-    k = _stiffness_matrix(graph, params)
     f = np.zeros((n, 3))
     f[:, 0:2] = forces
-    try:
-        factor = scipy.linalg.cho_factor(k, lower=True, check_finite=False)
-    except np.linalg.LinAlgError as exc:
-        raise SingularSystemError(str(exc)) from exc
-    d = scipy.linalg.cho_solve(factor, f.ravel(), check_finite=False)
+    d = f.ravel()
+    if n:
+        c, info = lapack.dpotrf(_stiffness_matrix(graph, params), lower=1, clean=0, overwrite_a=1)
+        if info > 0:
+            raise SingularSystemError(f"{info}-th leading minor of K is not positive definite")
+        if info < 0:
+            raise ValueError(f"illegal value in argument {-info} of dpotrf")
+        d, _ = lapack.dpotrs(c, d, lower=1)
 
     translations = d.reshape(n, 3)[:, 0:2].copy()
     cap = params.max_step

@@ -205,26 +205,35 @@ def _advance(
     """One pass on the (n, 4) rects and (n, 2) conns: rebuild the graph,
     assemble forces, solve, move. Returns the moved rects and conns, their
     conflict pairs, and the step's stats. pairs, when given, must be those
-    of rects."""
+    of rects. A step whose forces are all exactly zero, whose solve gives
+    +0.0 translations, moves nothing: it skips the solve and the rescan."""
     labels, features, cfg = loop.labels, loop.features, loop.cfg
     live = loop.arrays.live
     graph = build_graph(labels, cfg, loop.t_d, rects)
+    if pairs is None:
+        pairs = conflict_pairs(labels, features, cfg.d_min, rects, loop.arrays)
     assignment = assemble_forces(labels, features, cfg, pairs, rects, loop.arrays)
     # Only the along-leader force component can produce motion under the
     # fully fixed leader, so the perpendicular remainder is dropped before
     # the solve as well as after it.
     totals = project_for_leader_type(assignment.totals, cfg.leader)
     max_force = _max_norm(totals[live])
-    disp = solve_displacements(graph, totals, loop.beam)
+    moves = totals.any()
+    if moves:
+        disp = solve_displacements(graph, totals, loop.beam)
+        translations, capped = disp.translations, disp.capped
+    else:
+        translations, capped = np.zeros_like(totals), 0
 
-    d = project_for_leader_type(disp.translations[live], cfg.leader)
+    d = project_for_leader_type(translations[live], cfg.leader)
     moved_rects = rects.copy()
     moved_rects[live] += d[:, [0, 1, 0, 1]]
     moved_conns = conns.copy()
     moved_conns[live] = connection_points(
         moved_rects[live], loop.arrays.anchors[live], cfg.leader, conns[live] + d
     )
-    pairs = conflict_pairs(labels, features, cfg.d_min, moved_rects, loop.arrays)
+    if moves:
+        pairs = conflict_pairs(labels, features, cfg.d_min, moved_rects, loop.arrays)
     stats = StepStats(
         step=step_no,
         max_force=max_force,
@@ -232,7 +241,7 @@ def _advance(
         feature_conflicts=len(pairs.features),
         graph_edges=len(graph.edges),
         force_tags=assignment.sources,
-        capped=disp.capped,
+        capped=capped,
     )
     return moved_rects, moved_conns, pairs, stats
 

@@ -371,15 +371,68 @@ def reference_repair(
     return labels, moves, budget
 
 
+def reference_element_blocks(
+    x1: np.ndarray, y1: np.ndarray, x2: np.ndarray, y2: np.ndarray, params: BeamParams
+) -> np.ndarray:
+    """Reference for `beams._global_stiffness_batch`: each element's local
+    6x6 block and rotation written entry by entry into zeroed stacks, then
+    Tᵀ k T."""
+    from leaderlabels.beams import ZeroLengthEdgeError
+
+    dx = x2 - x1
+    dy = y2 - y1
+    length = np.hypot(dx, dy)
+    if np.any(length <= 0.0):
+        raise ZeroLengthEdgeError("beam element with zero length")
+    c = dx / length
+    s = dy / length
+    e = params.elastic_modulus
+    a = params.cross_section
+    i_m = params.moment_of_inertia
+    ax = e * a / length
+    b12 = 12.0 * e * i_m / length**3
+    b6 = 6.0 * e * i_m / length**2
+    b4 = 4.0 * e * i_m / length
+    b2 = 2.0 * e * i_m / length
+    m = length.shape[0]
+    k = np.zeros((m, 6, 6))
+    k[:, 0, 0] = ax
+    k[:, 0, 3] = -ax
+    k[:, 3, 0] = -ax
+    k[:, 3, 3] = ax
+    k[:, 1, 1] = b12
+    k[:, 1, 4] = -b12
+    k[:, 4, 1] = -b12
+    k[:, 4, 4] = b12
+    k[:, 1, 2] = b6
+    k[:, 2, 1] = b6
+    k[:, 1, 5] = b6
+    k[:, 5, 1] = b6
+    k[:, 2, 4] = -b6
+    k[:, 4, 2] = -b6
+    k[:, 4, 5] = -b6
+    k[:, 5, 4] = -b6
+    k[:, 2, 2] = b4
+    k[:, 5, 5] = b4
+    k[:, 2, 5] = b2
+    k[:, 5, 2] = b2
+    t = np.zeros((m, 6, 6))
+    for base in (0, 3):
+        t[:, base + 0, base + 0] = c
+        t[:, base + 0, base + 1] = s
+        t[:, base + 1, base + 0] = -s
+        t[:, base + 1, base + 1] = c
+        t[:, base + 2, base + 2] = 1.0
+    return np.transpose(t, (0, 2, 1)) @ k @ t
+
+
 def element_stiffness(p1: Vec2, p2: Vec2, params: BeamParams) -> np.ndarray:
     """Global-frame 6x6 stiffness of one beam element between two nodes.
 
     DOF order is (u1, v1, theta1, u2, v2, theta2). The block is symmetric and
     positive semidefinite; rigid-body modes are its null space.
     """
-    from leaderlabels.beams import _global_stiffness_batch
-
-    return _global_stiffness_batch(
+    return reference_element_blocks(
         np.array([p1.x]), np.array([p1.y]), np.array([p2.x]), np.array([p2.y]), params
     )[0]
 
@@ -393,8 +446,6 @@ def reference_solve(
     """The beam solve one Vec2 per node: K assembled with np.add.at onto
     the ground springs, each translation capped by `Vec2.norm`. Returns
     the capped translations."""
-    from leaderlabels.beams import _global_stiffness_batch
-
     n = len(positions)
     k_g = params.ground_stiffness
     ndof = 3 * n
@@ -407,7 +458,7 @@ def reference_solve(
         i_arr, j_arr = np.array(edges).T
         x = np.array([p.x for p in positions])
         y = np.array([p.y for p in positions])
-        blocks = _global_stiffness_batch(x[i_arr], y[i_arr], x[j_arr], y[j_arr], params)
+        blocks = reference_element_blocks(x[i_arr], y[i_arr], x[j_arr], y[j_arr], params)
         dofs = np.stack(
             [3 * i_arr, 3 * i_arr + 1, 3 * i_arr + 2, 3 * j_arr, 3 * j_arr + 1, 3 * j_arr + 2],
             axis=1,

@@ -3,15 +3,16 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from leaderlabels import beams
 from leaderlabels.beams import ZeroLengthEdgeError, solve_displacements
 from leaderlabels.geometry import Vec2, points_array
-from leaderlabels.proximity import ProximityGraph, delaunay_graph, prune_graph
-from leaderlabels.scene import BeamParams
+from leaderlabels.proximity import ProximityGraph, delaunay_graph, mst_graph, prune_graph
+from leaderlabels.scene import BeamParams, initial_layout
 
-from conftest import element_stiffness, random_labels, reference_solve
+from conftest import element_stiffness, random_labels, reference_element_blocks, reference_solve
+from test_golden import _duplicated_scene
 
 
 def params(**kw) -> BeamParams:
@@ -102,6 +103,8 @@ class TestElementStiffness:
     def test_zero_length_rejected(self):
         with pytest.raises(ZeroLengthEdgeError):
             element_stiffness(Vec2(1, 1), Vec2(1, 1), params())
+        with pytest.raises(ZeroLengthEdgeError):
+            beams._global_stiffness_batch(*np.ones((4, 1)), params())
 
 
 class TestSolve:
@@ -298,6 +301,27 @@ class TestArraySolve:
             assert field.translations.tobytes() == points_array(want).tobytes()
             assert field.capped == sum(v.norm() > cap for v in raw_translations(field))
 
+    @settings(max_examples=200, deadline=None)
+    @given(system=beam_systems(), cap=st.floats(1e-3, 10.0))
+    def test_zero_forces_give_positive_zero_translations(self, system, cap):
+        # The optimizer skips the solve on a force-free step on this fact.
+        positions, edges, _, p = system
+        n = len(positions)
+        q = dataclasses.replace(p, max_step=cap)
+        field = solve_displacements(graph_of(positions, edges), np.zeros((n, 2)), q)
+        assert field.translations.tobytes() == np.zeros((n, 2)).tobytes()
+        assert field.capped == 0
+
+    def test_coincident_beam_raises_singular_system_error(self, monkeypatch):
+        # Without the MIN_BEAM_LENGTH guard, the nanometre beams between
+        # twin labels swamp the ground springs and the factor fails.
+        features, cfg = _duplicated_scene()
+        graph = mst_graph(initial_layout(features, cfg), weight="center")
+        monkeypatch.setattr(beams, "MIN_BEAM_LENGTH", 0.0)
+        forces = np.ones((len(graph.positions), 2))
+        with pytest.raises(beams.SingularSystemError, match="leading minor"):
+            solve_displacements(graph, forces, cfg.resolved_beam())
+
 
 class TestStiffnessAssembly:
     @settings(max_examples=200, deadline=None)
@@ -306,4 +330,36 @@ class TestStiffnessAssembly:
         positions, edges, _, p = system
         graph = graph_of(positions, edges)
         k = beams._stiffness_matrix(graph, p)
+        assert k.flags.f_contiguous
         assert k.tobytes() == assemble_global(graph, p).tobytes()
+
+
+_length = (
+    st.floats(beams.MIN_BEAM_LENGTH, 2 * beams.MIN_BEAM_LENGTH)
+    | st.floats(1e-3, 1e3)
+    | st.floats(1e3, 1e7)
+)
+# The four axis directions exactly, then any angle.
+_direction = st.sampled_from([(1.0, 0.0), (0.0, 1.0), (-1.0, 0.0), (0.0, -1.0)]) | st.floats(
+    -math.pi, math.pi
+).map(lambda a: (math.cos(a), math.sin(a)))
+
+
+class TestElementBlocks:
+    @settings(max_examples=300, deadline=None)
+    @given(
+        elements=st.lists(
+            st.tuples(st.floats(-1e3, 1e3), st.floats(-1e3, 1e3), _length, _direction),
+            min_size=1,
+            max_size=8,
+        ),
+        p=st.builds(params, elastic_modulus=_stiffness, cross_section=_stiffness,
+                    moment_of_inertia=_stiffness),
+    )
+    def test_pattern_blocks_equal_the_reference(self, elements, p):
+        x1, y1, length, direction = (np.array(v) for v in zip(*elements))
+        x2 = x1 + length * direction[:, 0]
+        y2 = y1 + length * direction[:, 1]
+        assume(np.all(np.hypot(x2 - x1, y2 - y1) > 0.0))
+        got = beams._global_stiffness_batch(x1, y1, x2, y2, p)
+        assert got.tobytes() == reference_element_blocks(x1, y1, x2, y2, p).tobytes()

@@ -7,8 +7,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from leaderlabels import optimizer
+from leaderlabels.beams import solve_displacements
 from leaderlabels.forces import conflict_pairs
-from leaderlabels.geometry import Rect, Vec2
+from leaderlabels.geometry import Rect, Vec2, points_array
 from leaderlabels.metrics import count_conflicts
 from leaderlabels.optimizer import (
     OptimizerState,
@@ -25,6 +26,7 @@ from leaderlabels.scene import (
     LeaderType,
     PointFeature,
     initial_layout,
+    label_rects,
 )
 from leaderlabels.scenefile import synthetic_scene
 
@@ -205,6 +207,50 @@ class TestStep:
         state = OptimizerState(labels=list(labels))
         new = step(state, features, cfg)
         assert new.labels[0].rect == labels[0].rect
+
+
+class TestForceFreeStep:
+    """A step whose forces are all exactly zero moves nothing: it neither
+    solves nor rescans, and reports what a solved step would."""
+
+    # Scene 1 under the fully fixed leader ends on a force-free step that
+    # still has a conflicting pair: its push is across the leader axis.
+    @pytest.mark.parametrize(
+        "kind, seed", [(LeaderType.FIXED_DIR_FIXED_CONN, 1), (LeaderType.FREE_DIR_FREE_CONN, 0)]
+    )
+    def test_skips_the_solve_and_the_rescan(self, monkeypatch, kind, seed):
+        features, cfg = synthetic_scene(20, seed, screen=(160.0, 110.0))
+        cfg = dataclasses.replace(cfg, leader=dataclasses.replace(cfg.leader, kind=kind))
+        labels = initial_layout(features, cfg)
+        if kind is LeaderType.FIXED_DIR_FIXED_CONN:
+            labels = handle_offscreen_fixed(labels, cfg.screen, cfg.leader)
+        loop = optimizer._loop_of(labels, features, cfg, None)
+        rects, conns = label_rects(labels), points_array(l.conn for l in labels)
+        pairs = conflict_pairs(labels, features, cfg.d_min, rects)
+        for step_no in range(1, 100):
+            totals = optimizer.assemble_forces(labels, features, cfg, pairs, rects).totals
+            if not project_for_leader_type(totals, cfg.leader).any():
+                break
+            rects, conns, pairs, _ = optimizer._advance(loop, rects, conns, pairs, step_no)
+        assert pairs.labels or kind is not LeaderType.FIXED_DIR_FIXED_CONN
+        graph = optimizer.build_graph(labels, cfg, loop.t_d, rects)
+        want = optimizer.StepStats(
+            step=step_no,
+            max_force=0.0,
+            label_conflicts=len(pairs.labels),
+            feature_conflicts=len(pairs.features),
+            graph_edges=len(graph.edges),
+            force_tags=optimizer.assemble_forces(labels, features, cfg, pairs, rects).sources,
+            capped=solve_displacements(graph, np.zeros((len(labels), 2)), loop.beam).capped,
+        )
+        calls = []
+        for name in ("solve_displacements", "conflict_pairs"):
+            monkeypatch.setattr(optimizer, name, lambda *a, name=name: calls.append(name))
+        got = optimizer._advance(loop, rects, conns, pairs, step_no)
+        assert calls == []
+        assert np.array_equal(got[0], rects) and np.array_equal(got[1], conns)
+        assert got[2] is pairs
+        assert got[3] == want
 
 
 class TestRun:
