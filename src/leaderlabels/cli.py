@@ -15,16 +15,16 @@ import time
 import click
 
 from . import baselines, optimizer
-from .forces import LabelLargerThanScreenError, conflicting_feature_pairs, conflicting_label_pairs
+from .forces import LabelLargerThanScreenError, conflict_pairs, scene_arrays
 from .metrics import build_report
-from .scene import GraphKind, LayoutConfig, LeaderSpec, LeaderType, initial_layout
+from .scene import GraphKind, LayoutConfig, LeaderSpec, LeaderType, initial_layout, label_rects
 from .scenefile import (
     SceneValidationError,
     generate_synthetic,
     load_placement,
     load_scene,
-    labels_to_dict,
     parse_scene,
+    save_placement,
 )
 from .svgrender import write_svg
 
@@ -119,18 +119,17 @@ def place(
     report["metrics"] = metrics
 
     if out_json:
-        with open(out_json, "w", encoding="utf-8") as fh:
-            json.dump(labels_to_dict(labels, report), fh, ensure_ascii=False, indent=2, sort_keys=True)
-            fh.write("\n")
+        save_placement(labels, out_json, report)
     if out_svg:
+        pairs = conflict_pairs(label_rects(labels), scene_arrays(labels, features), cfg.d_min)
         write_svg(
             out_svg,
             labels,
             features,
             cfg.screen,
             graph=optimizer.reference_graph(labels, features, cfg) if svg_graph else None,
-            label_conflicts=conflicting_label_pairs(labels, cfg.d_min),
-            feature_conflicts=conflicting_feature_pairs(labels, features, cfg.d_min),
+            label_conflicts=pairs.labels,
+            feature_conflicts=pairs.features,
         )
     payload = report if show_metrics else {
         "method": method,

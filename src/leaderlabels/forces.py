@@ -306,18 +306,16 @@ def scene_arrays(labels: Sequence[Label], features: Sequence[PointFeature]) -> S
 
 
 def conflicting_label_pairs(
-    labels: Sequence[Label], d_min: float, rects: np.ndarray | None = None
+    rects: np.ndarray, live: np.ndarray, d_min: float
 ) -> list[tuple[int, int]]:
-    """All live label pairs overlapping or closer than d_min, sorted.
+    """All live label pairs of the (n, 4) rects overlapping or closer than
+    d_min, sorted.
 
     d_min must be positive, as `LayoutConfig.d_min` is: overlapping rects
     are at distance 0, so the one distance test also catches overlaps.
-    rects, when given, stands for the labels' rects. `rects_closer` tests
-    the live pairs in blocks of rows, so memory stays linear in n.
+    `rects_closer` tests the live pairs in blocks of rows, so memory stays
+    linear in n.
     """
-    live = live_slots(labels)
-    if rects is None:
-        rects = label_rects(labels)
     boxes = rects[live]
     pairs: list[tuple[int, int]] = []
     for rows in row_blocks(len(live), len(live)):
@@ -329,24 +327,15 @@ def conflicting_label_pairs(
 
 
 def conflicting_feature_pairs(
-    labels: Sequence[Label],
-    features: Sequence[PointFeature],
-    d_min: float,
-    rects: np.ndarray | None = None,
-    arrays: SceneArrays | None = None,
+    rects: np.ndarray, arrays: SceneArrays, d_min: float
 ) -> list[tuple[int, int]]:
     """(label index, feature index) conflicts against foreign feature symbols.
 
     A label never conflicts with its own feature, and symbols whose label was
     deleted are treated as removed from the map. `symbols_closer` tests the
-    live labels against the symbols in blocks of labels. Pairs come out
-    sorted. rects, when given, stands for the labels' rects, and arrays,
-    when given, must be `scene_arrays(labels, features)`.
+    live labels of the (n, 4) rects against the symbols of arrays in blocks
+    of labels. Pairs come out sorted.
     """
-    if arrays is None:
-        arrays = scene_arrays(labels, features)
-    if rects is None:
-        rects = label_rects(labels)
     live = arrays.live
     boxes = rects[live]
     pairs: list[tuple[int, int]] = []
@@ -365,30 +354,20 @@ class ConflictPairs(NamedTuple):
     features: list[tuple[int, int]]
 
 
-def conflict_pairs(
-    labels: Sequence[Label],
-    features: Sequence[PointFeature],
-    d_min: float,
-    rects: np.ndarray | None = None,
-    arrays: SceneArrays | None = None,
-) -> ConflictPairs:
-    """Both conflict scans of one layout. rects, when given, stands for the
-    labels' rects, and arrays, when given, must be `scene_arrays(labels, features)`."""
-    if rects is None:
-        rects = label_rects(labels)
+def conflict_pairs(rects: np.ndarray, arrays: SceneArrays, d_min: float) -> ConflictPairs:
+    """Both conflict scans of the layout at the (n, 4) rects."""
     return ConflictPairs(
-        conflicting_label_pairs(labels, d_min, rects),
-        conflicting_feature_pairs(labels, features, d_min, rects, arrays),
+        conflicting_label_pairs(rects, arrays.live, d_min),
+        conflicting_feature_pairs(rects, arrays, d_min),
     )
 
 
 def assemble_forces(
-    labels: Sequence[Label],
     features: Sequence[PointFeature],
     cfg: LayoutConfig,
-    pairs: ConflictPairs | None = None,
-    rects: np.ndarray | None = None,
-    arrays: SceneArrays | None = None,
+    pairs: ConflictPairs,
+    rects: np.ndarray,
+    arrays: SceneArrays,
 ) -> ForceAssignment:
     """Sum every constraint source into one force per label.
 
@@ -399,10 +378,10 @@ def assemble_forces(
     detach). Deleted labels receive no force. Each label's total is summed
     from 0.0 in one fixed order, so it is reproducible to the bit:
     attachment, then label pairs by rising partner index, then point, then
-    screen. `pairs`, when given, must be `conflict_pairs` of this very
-    layout; the optimizer passes the ones it counted when it made the layout.
-    rects, when given, stands for the labels' rects, and arrays, when
-    given, must be `scene_arrays(labels, features)`.
+    screen. The layout is the (n, 4) rects, one row per label slot; arrays
+    is `scene_arrays` of its labels and features, and pairs must be
+    `conflict_pairs` of this very layout: the optimizer passes the ones it
+    counted when it made the layout.
 
     The attachment and screen forces of all live labels are array
     operations. A label whose force is zero gets a zero row, and adding it
@@ -411,18 +390,11 @@ def assemble_forces(
     listed exactly when some label's force from it has `norm() > 0`. Only
     the labels in a conflicting pair get a scalar `Rect`.
     """
-    n = len(labels)
-    if rects is None:
-        rects = label_rects(labels)
     d_min = cfg.d_min
-    if arrays is None:
-        arrays = scene_arrays(labels, features)
     live = arrays.live
-    total = np.zeros((n, 2))
+    total = np.zeros((len(rects), 2))
     sources: set[str] = set()
     target = RESOLVE_TARGET_FACTOR * d_min
-    if pairs is None:
-        pairs = conflict_pairs(labels, features, d_min, rects, arrays)
 
     if cfg.leader.kind is LeaderType.FIXED_DIR_FREE_CONN:
         fa = attachment_forces(rects[live], arrays.anchors[live], cfg.leader)

@@ -153,10 +153,6 @@ class Rect:
     def translated(self, d: Vec2) -> "Rect":
         return Rect(self.x_min + d.x, self.y_min + d.y, self.x_max + d.x, self.y_max + d.y)
 
-    def contains(self, p: Vec2) -> bool:
-        """Closed containment test."""
-        return self.x_min <= p.x <= self.x_max and self.y_min <= p.y <= self.y_max
-
 
 def points_array(points: Iterable[Vec2]) -> np.ndarray:
     """(n, 2) array of the points' x, y."""

@@ -12,10 +12,10 @@ import math
 from dataclasses import dataclass
 from typing import Sequence
 
-from .forces import conflicting_feature_pairs, conflicting_label_pairs
+from .forces import conflicting_feature_pairs, conflicting_label_pairs, scene_arrays
 from .geometry import Vec2, normalize_orientation_deg
 from .proximity import ProximityGraph
-from .scene import Label, PointFeature
+from .scene import Label, PointFeature, label_rects
 
 
 @dataclass(frozen=True, slots=True)
@@ -45,8 +45,9 @@ def count_conflicts(
     A conflict is an overlap or a gap below d_min. Deleted labels and their
     feature symbols are excluded, as is each label's own feature.
     """
-    n_rr = len(conflicting_label_pairs(labels, d_min))
-    n_rp = len(conflicting_feature_pairs(labels, features, d_min))
+    rects, arrays = label_rects(labels), scene_arrays(labels, features)
+    n_rr = len(conflicting_label_pairs(rects, arrays.live, d_min))
+    n_rp = len(conflicting_feature_pairs(rects, arrays, d_min))
     return n_rr, n_rp
 
 
@@ -113,13 +114,11 @@ def build_report(
     elapsed_s: float = 0.0,
 ) -> MetricsReport:
     n_rr, n_rp = count_conflicts(final, features, d_min)
-    devs = edge_direction_deviations(initial, final, graph)
-    mean_dev = sum(d for _, _, d in devs) / len(devs) if devs else 0.0
     return MetricsReport(
         label_conflicts=n_rr,
         feature_conflicts=n_rp,
         total_displacement_cm=total_displacement_cm(initial, final),
-        mean_direction_deviation_deg=mean_dev,
+        mean_direction_deviation_deg=mean_direction_deviation(initial, final, graph),
         elapsed_s=elapsed_s,
-        edge_deviations=tuple(devs),
+        edge_deviations=tuple(edge_direction_deviations(initial, final, graph)),
     )

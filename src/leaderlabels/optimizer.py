@@ -9,24 +9,24 @@ into spatial subgroups that iterate independently.
 Work is done once at the level where its inputs change. The Delaunay pruning
 distance t_d depends only on the anchors, which never move, so it is computed
 once per loop (and for a loop over the whole scene, taken from the reference
-graph's). Graph, forces, solve and move are per step. Each step scans the
-layout it produced once for conflicting label-label and label-symbol pairs;
-those pairs give the step's conflict counts and are carried in the state to
-the next step's force assembly, which would otherwise scan the same layout
-again.
+graph's). Graph, forces, solve and move are per step. A loop scans its
+starting layout for conflicting label-label and label-symbol pairs, and each
+step scans the layout it produced once; those pairs give the step's conflict
+counts and feed the next step's force assembly.
 
-The steps of a loop hand each other arrays: the (n, 4) rects, the (n, 2)
-connection points, the (n, 2) forces and translations. The anchors, the
-live slots and the symbol arrays are built once per loop, and the labels
-once, when the loop ends. Scalar `Rect`s appear only for the labels in a
-conflicting pair.
+`run` takes the features and builds the labels; `_run_loop` reads a loop's
+labels once into arrays and builds labels again once, when the loop ends.
+In between, the steps hand each other arrays: the (n, 4) rects, the (n, 2)
+connection points, the (n, 2) forces and translations, and one
+`SceneArrays` per loop for the anchors, the live slots and the symbols.
+Scalar `Rect`s appear only for the labels in a conflicting pair.
 """
 
 from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from typing import Sequence
 
 import numpy as np
@@ -55,6 +55,7 @@ from .scene import (
     connection_points,
     initial_layout,
     label_rects,
+    live_slots,
     placed_labels,
 )
 
@@ -124,20 +125,6 @@ class StepStats:
     capped: int
 
 
-@dataclass(slots=True)
-class OptimizerState:
-    """Labels after `step_count` steps. `t_d` and `pairs` are filled in by
-    `step` when left unset: the loop's pruning distance and the conflict
-    pairs of `labels`."""
-
-    labels: list[Label]
-    step_count: int = 0
-    last_max_force: float = float("inf")
-    history: list[StepStats] = field(default_factory=list)
-    t_d: float | None = None
-    pairs: ConflictPairs | None = None
-
-
 def pruning_distance(features: Sequence[PointFeature], cfg: LayoutConfig) -> float:
     """t_d: Delaunay edges longer than this are pruned."""
     return cfg.t_d_factor * mean_nn_distance([f.anchor for f in features])
@@ -152,17 +139,18 @@ def reference_graph(
     """The pruned Delaunay graph that direction deviation is measured over."""
     if t_d is None:
         t_d = pruning_distance(features, cfg)
-    return prune_graph(delaunay_graph(labels), labels, t_d)
+    rects, live = label_rects(labels), live_slots(labels)
+    return prune_graph(delaunay_graph(rects, live), rects, live, t_d)
 
 
 def build_graph(
-    labels: Sequence[Label], cfg: LayoutConfig, t_d: float | None, rects: np.ndarray
+    rects: np.ndarray, live: np.ndarray, cfg: LayoutConfig, t_d: float | None
 ) -> ProximityGraph:
     """The per-iteration proximity graph, pruned Delaunay or MST, of the
-    labels at rects."""
+    live labels at the (n, 4) rects."""
     if cfg.graph_kind is GraphKind.MST:
-        return mst_graph(labels, "center", rects)
-    return prune_graph(delaunay_graph(labels, rects), labels, t_d, rects)
+        return mst_graph(rects, live, "center")
+    return prune_graph(delaunay_graph(rects, live), rects, live, t_d)
 
 
 def _max_norm(v: np.ndarray) -> float:
@@ -178,11 +166,8 @@ def _max_norm(v: np.ndarray) -> float:
 
 @dataclass(frozen=True, slots=True)
 class _Loop:
-    """What every step of one loop reads and none changes. The labels give
-    the slots, ids, font sizes and deleted flags; their rects and conns are
-    those the loop started from, so steps read geometry from arrays."""
+    """What every step of one loop reads and none changes."""
 
-    labels: Sequence[Label]
     features: Sequence[PointFeature]
     cfg: LayoutConfig
     t_d: float | None
@@ -196,23 +181,20 @@ def _loop_of(
     if t_d is None and cfg.graph_kind is GraphKind.DT:
         t_d = pruning_distance(features, cfg)
     arrays = scene_arrays(labels, features)
-    return _Loop(labels, features, cfg, t_d, arrays, cfg.resolved_beam())
+    return _Loop(features, cfg, t_d, arrays, cfg.resolved_beam())
 
 
 def _advance(
-    loop: _Loop, rects: np.ndarray, conns: np.ndarray, pairs: ConflictPairs | None, step_no: int
+    loop: _Loop, rects: np.ndarray, conns: np.ndarray, pairs: ConflictPairs, step_no: int
 ) -> tuple[np.ndarray, np.ndarray, ConflictPairs, StepStats]:
-    """One pass on the (n, 4) rects and (n, 2) conns: rebuild the graph,
-    assemble forces, solve, move. Returns the moved rects and conns, their
-    conflict pairs, and the step's stats. pairs, when given, must be those
-    of rects. A step whose forces are all exactly zero, whose solve gives
-    +0.0 translations, moves nothing: it skips the solve and the rescan."""
-    labels, features, cfg = loop.labels, loop.features, loop.cfg
-    live = loop.arrays.live
-    graph = build_graph(labels, cfg, loop.t_d, rects)
-    if pairs is None:
-        pairs = conflict_pairs(labels, features, cfg.d_min, rects, loop.arrays)
-    assignment = assemble_forces(labels, features, cfg, pairs, rects, loop.arrays)
+    """One pass on the (n, 4) rects and (n, 2) conns, whose conflict pairs
+    are pairs: rebuild the graph, assemble forces, solve, move. Returns the
+    moved rects and conns, their conflict pairs, and the step's stats. A
+    step whose forces are all exactly zero, whose solve gives +0.0
+    translations, moves nothing: it skips the solve and the rescan."""
+    cfg, live = loop.cfg, loop.arrays.live
+    graph = build_graph(rects, live, cfg, loop.t_d)
+    assignment = assemble_forces(loop.features, cfg, pairs, rects, loop.arrays)
     # Only the along-leader force component can produce motion under the
     # fully fixed leader, so the perpendicular remainder is dropped before
     # the solve as well as after it.
@@ -233,7 +215,7 @@ def _advance(
         moved_rects[live], loop.arrays.anchors[live], cfg.leader, conns[live] + d
     )
     if moves:
-        pairs = conflict_pairs(labels, features, cfg.d_min, moved_rects, loop.arrays)
+        pairs = conflict_pairs(moved_rects, loop.arrays, cfg.d_min)
     stats = StepStats(
         step=step_no,
         max_force=max_force,
@@ -244,28 +226,6 @@ def _advance(
         capped=capped,
     )
     return moved_rects, moved_conns, pairs, stats
-
-
-def step(state: OptimizerState, features: Sequence[PointFeature], cfg: LayoutConfig) -> OptimizerState:
-    """One pass: rebuild graph, assemble forces, solve, move labels.
-
-    The rects and conns are read once into arrays, which the graph, the
-    forces, the move and the conflict scan of the moved layout all use.
-    """
-    labels = state.labels
-    loop = _loop_of(labels, features, cfg, state.t_d)
-    conns = points_array(l.conn for l in labels)
-    rects, conns, pairs, stats = _advance(
-        loop, label_rects(labels), conns, state.pairs, state.step_count + 1
-    )
-    return OptimizerState(
-        labels=placed_labels(labels, loop.arrays.live, rects, conns),
-        step_count=stats.step,
-        last_max_force=stats.max_force,
-        history=state.history + [stats],
-        t_d=loop.t_d,
-        pairs=pairs,
-    )
 
 
 @dataclass(frozen=True, slots=True)
@@ -340,7 +300,7 @@ def _run_loop(
     loop = _loop_of(labels, features, cfg, t_d)
     rects = label_rects(labels)
     conns = points_array(l.conn for l in labels)
-    pairs = None
+    pairs = conflict_pairs(rects, loop.arrays, cfg.d_min)
     history: list[StepStats] = []
     while True:
         rects, conns, pairs, stats = _advance(loop, rects, conns, pairs, len(history) + 1)
@@ -389,7 +349,7 @@ def run(
         loops.append(stats)
         subgroup_sizes: tuple[int, ...] = ()
     else:
-        groups = partition_labels(labels, cfg.t_num)
+        groups = partition_labels(label_rects(labels), live_slots(labels), cfg.t_num)
         merged = list(labels)
         for group in groups:
             sub_labels = [labels[i] for i in group]

@@ -3,12 +3,11 @@
 The graph encodes which labels should be treated as structural neighbors by
 the beam solver. Its edges are an (m, 2) int array of slot pairs (i, j)
 with i < j, and every builder returns its rows sorted; lengths and
-orientations are taken from `positions` (or from label centers) by
-whoever needs them.
+orientations are taken from `positions` by whoever needs them.
 
-Every builder reads the label geometry from `rects` when it is given, and
-from the labels only their slots and deleted flags: the placement loop
-moves the rects and builds labels once, when it ends.
+Every builder takes the layout as arrays: `rects`, (n, 4) with one row per
+label slot as `scene.label_rects` gives them, and `live`, the rising slots
+of the labels not deleted, as `scene.live_slots` gives them.
 """
 
 from __future__ import annotations
@@ -29,7 +28,6 @@ from .geometry import (
     row_blocks,
     segments_cross_interiors,
 )
-from .scene import Label, label_rects, live_slots
 
 # Deterministic nudge applied to duplicate centers so triangulation stays
 # well defined; far below any geometric tolerance used elsewhere.
@@ -59,19 +57,18 @@ class ProximityGraph:
     edges: np.ndarray
 
 
-def _effective_xy(labels: Sequence[Label], rects: np.ndarray) -> np.ndarray:
+def _effective_xy(rects: np.ndarray, live: np.ndarray) -> np.ndarray:
     # Rect centers, (n, 2), with exact duplicates among live labels nudged
     # apart by an offset keyed to the slot index. When no two live centers
     # are equal (as complex numbers, so that -0.0 equals 0.0 as in the set)
     # nothing moves.
     xy = 0.5 * (rects[:, 0:2] + rects[:, 2:4])
-    live = live_slots(labels)
     if len(np.unique(xy[live].view(np.complex128))) == len(live):
         return xy
     seen: set[tuple[float, float]] = set()
-    for idx, (x, y) in enumerate(xy.tolist()):
-        if labels[idx].deleted:
-            continue
+    points = xy.tolist()
+    for idx in live.tolist():
+        x, y = points[idx]
         if (x, y) in seen:
             x += _DUPLICATE_JITTER * (idx + 1)
             y += _DUPLICATE_JITTER * (idx + 1)
@@ -87,17 +84,13 @@ def _collinear_chain(live: list[int], xy: np.ndarray) -> list[tuple[int, int]]:
     return sorted((min(a, b), max(a, b)) for a, b in zip(order, order[1:]))
 
 
-def delaunay_graph(labels: Sequence[Label], rects: np.ndarray | None = None) -> ProximityGraph:
+def delaunay_graph(rects: np.ndarray, live: np.ndarray) -> ProximityGraph:
     """Delaunay triangulation of the live label centers.
 
     One live label yields no edges, two yield a single edge, and collinear
-    sets degrade to a path graph instead of crashing. rects, when given,
-    stands for the labels' rects.
+    sets degrade to a path graph instead of crashing.
     """
-    if rects is None:
-        rects = label_rects(labels)
-    xy = _effective_xy(labels, rects)
-    live = live_slots(labels)
+    xy = _effective_xy(rects, live)
     edges = _NO_EDGES
     if len(live) == 2:
         edges = live.reshape(1, 2)
@@ -112,33 +105,29 @@ def delaunay_graph(labels: Sequence[Label], rects: np.ndarray | None = None) -> 
             s = live[tri.simplices]
             a = np.concatenate((s[:, 0], s[:, 0], s[:, 1]))
             b = np.concatenate((s[:, 1], s[:, 2], s[:, 2]))
-            n = len(labels)
+            n = len(rects)
             keys = np.unique(np.minimum(a, b) * n + np.maximum(a, b))
             edges = np.column_stack((keys // n, keys % n))
     return ProximityGraph(positions=xy, edges=edges)
 
 
 def prune_graph(
-    graph: ProximityGraph, labels: Sequence[Label], t_d: float, rects: np.ndarray | None = None
+    graph: ProximityGraph, rects: np.ndarray, live: np.ndarray, t_d: float
 ) -> ProximityGraph:
     """Drop edges longer than t_d and edges blocked by a third label.
 
     An edge is blocked when its center-to-center segment passes through the
     open interior of any label rect other than its two endpoints'. Output
-    edges are always a subset of the input edges. rects, when given, stands
-    for the labels' rects.
+    edges are always a subset of the input edges.
 
     The lengths, a closed bounding-box test of every edge against every
     live rect and the segment test of each box hit
     (`segments_cross_interiors`) run as array operations; `math.hypot`
     decides each length within HYPOT_RTOL of t_d.
     """
-    live = live_slots(labels)
     edges = graph.edges
     if not len(live) or not len(edges):
         return ProximityGraph(positions=graph.positions, edges=_NO_EDGES)
-    if rects is None:
-        rects = label_rects(labels)
     boxes = rects[live]
     xy = graph.positions
     p, q = xy[edges[:, 0]], xy[edges[:, 1]]
@@ -171,7 +160,7 @@ WeightKind = Literal["rect", "center"]
 
 
 def _mst_edge_list(
-    labels: Sequence[Label], xy: np.ndarray, rects: np.ndarray, weight: WeightKind
+    xy: np.ndarray, rects: np.ndarray, live: np.ndarray, weight: WeightKind
 ) -> list[tuple[float, int, int]]:
     """Kruskal MST over the complete graph of live labels.
 
@@ -180,7 +169,7 @@ def _mst_edge_list(
     graph-kind switch). Ties break on the (min index, max index) pair, so
     results are deterministic.
     """
-    live = live_slots(labels).tolist()
+    live = live.tolist()
     if len(live) < 2:
         return []
     if weight == "rect":
@@ -207,20 +196,15 @@ def _mst_edge_list(
     return chosen
 
 
-def mst_graph(
-    labels: Sequence[Label], weight: WeightKind = "rect", rects: np.ndarray | None = None
-) -> ProximityGraph:
-    """Minimum spanning tree over live labels as a proximity graph. rects,
-    when given, stands for the labels' rects."""
-    if rects is None:
-        rects = label_rects(labels)
-    xy = _effective_xy(labels, rects)
-    chosen = _mst_edge_list(labels, xy, rects, weight)
+def mst_graph(rects: np.ndarray, live: np.ndarray, weight: WeightKind = "rect") -> ProximityGraph:
+    """Minimum spanning tree over live labels as a proximity graph."""
+    xy = _effective_xy(rects, live)
+    chosen = _mst_edge_list(xy, rects, live, weight)
     edges = np.array(sorted((i, j) for _, i, j in chosen), dtype=np.int64).reshape(-1, 2)
     return ProximityGraph(positions=xy, edges=edges)
 
 
-def partition_labels(labels: Sequence[Label], t_num: int) -> list[list[int]]:
+def partition_labels(rects: np.ndarray, live: np.ndarray, t_num: int) -> list[list[int]]:
     """Split live labels into spatial subgroups of at most t_num members.
 
     Builds the rect-distance MST, then repeatedly deletes the longest edge
@@ -229,8 +213,8 @@ def partition_labels(labels: Sequence[Label], t_num: int) -> list[list[int]]:
     """
     if t_num < 1:
         raise ValueError("t_num must be at least 1")
-    live = live_slots(labels).tolist()
-    active = _mst_edge_list(labels, np.empty((0, 2)), label_rects(labels), "rect")
+    active = _mst_edge_list(np.empty((0, 2)), rects, live, "rect")
+    live = live.tolist()
 
     while True:
         parent = {i: i for i in live}

@@ -82,17 +82,10 @@ def admissible_directions(cfg: LayoutConfig) -> tuple[Vec2, ...]:
     return (Vec2(1.0, 0.0), Vec2(-1.0, 0.0), Vec2(0.0, 1.0), Vec2(0.0, -1.0))
 
 
-def conflict_degrees(
-    labels: Sequence[Label],
-    features: Sequence[PointFeature],
-    d_min: float,
-    rects: np.ndarray | None = None,
-    arrays: SceneArrays | None = None,
-) -> dict[int, int]:
-    """Conflicts per label slot. rects, when given, stands for the labels'
-    rects, and arrays, when given, must be `scene_arrays(labels, features)`."""
-    ends = [i for pair in conflicting_label_pairs(labels, d_min, rects) for i in pair]
-    ends += [i for i, _ in conflicting_feature_pairs(labels, features, d_min, rects, arrays)]
+def conflict_degrees(rects: np.ndarray, arrays: SceneArrays, d_min: float) -> dict[int, int]:
+    """Conflicts per label slot of the layout at the (n, 4) rects."""
+    ends = [i for pair in conflicting_label_pairs(rects, arrays.live, d_min) for i in pair]
+    ends += [i for i, _ in conflicting_feature_pairs(rects, arrays, d_min)]
     return Counter(ends)
 
 
@@ -137,7 +130,7 @@ def greedy_repair(
     stuck: dict[int, float] = {}
 
     while budget.left > 0:
-        degree = conflict_degrees(labels, features, d_min, rects, arrays)
+        degree = conflict_degrees(rects, arrays, d_min)
         if not degree:
             break
         candidates = [i for i in degree if i not in stuck]

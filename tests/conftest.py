@@ -10,8 +10,17 @@ import numpy as np
 import pytest
 import scipy.linalg
 
+from leaderlabels.forces import SceneArrays, scene_arrays
 from leaderlabels.geometry import Rect, Vec2
-from leaderlabels.scene import BeamParams, Label, LayoutConfig, LeaderType, PointFeature
+from leaderlabels.scene import (
+    BeamParams,
+    Label,
+    LayoutConfig,
+    LeaderType,
+    PointFeature,
+    label_rects,
+    live_slots,
+)
 
 
 def random_rect(rng: random.Random, span: float = 100.0, max_side: float = 20.0) -> Rect:
@@ -56,6 +65,19 @@ def labels_from_rects(rects: list[Rect]) -> list[Label]:
         )
         for i, r in enumerate(rects)
     ]
+
+
+def label_layout(labels: Sequence[Label]) -> tuple[np.ndarray, np.ndarray]:
+    """The labels as the array layers take them: (n, 4) rects and live slots."""
+    return label_rects(labels), live_slots(labels)
+
+
+def scene_layout(
+    labels: Sequence[Label], features: Sequence[PointFeature]
+) -> tuple[np.ndarray, SceneArrays]:
+    """The labels and features as the conflict scans take them: (n, 4)
+    rects and `scene_arrays`."""
+    return label_rects(labels), scene_arrays(labels, features)
 
 
 def random_labels(rng: random.Random, n: int, span: float = 100.0, max_side: float = 20.0) -> list[Label]:

@@ -49,6 +49,7 @@ from conftest import (
     brute_force_feature_conflicts,
     brute_force_label_conflicts,
     disjoint_rect_pair,
+    label_layout,
     overlapping_rect_pair,
     random_labels,
 )
@@ -109,7 +110,8 @@ class TestCriterion02DirectionPreservation:
             beams_vals.append(rep.mean_direction_deviation_deg)
             init = initial_layout(features, cfg)
             t_d = cfg.t_d_factor * mean_nn_distance([f.anchor for f in features])
-            ref = prune_graph(delaunay_graph(init), init, t_d)
+            rects, live = label_layout(init)
+            ref = prune_graph(delaunay_graph(rects, live), rects, live, t_d)
             final = baselines.localp(features, cfg)
             localp_vals.append(mean_direction_deviation(init, final, ref))
         mean_beams = statistics.mean(beams_vals)
@@ -250,7 +252,8 @@ class TestCriterion06BeamNumerics:
         for _ in range(100):
             n = rng.randint(4, 60)
             labels = random_labels(rng, n, span=200.0)
-            graph = prune_graph(delaunay_graph(labels), labels, t_d=70.0)
+            rects, live = label_layout(labels)
+            graph = prune_graph(delaunay_graph(rects, live), rects, live, t_d=70.0)
             forces = [Vec2(rng.uniform(-2, 2), rng.uniform(-2, 2)) for _ in range(n)]
             p = params(ground_stiffness=rng.uniform(0.2, 2.0))
             field = solve(graph, forces, p)
@@ -263,7 +266,8 @@ class TestCriterion06BeamNumerics:
         ok = worst_residual <= 1e-9
         # Linearity and superposition on a fixed system.
         labels = random_labels(rng, 20, span=150.0)
-        graph = prune_graph(delaunay_graph(labels), labels, t_d=60.0)
+        rects, live = label_layout(labels)
+        graph = prune_graph(delaunay_graph(rects, live), rects, live, t_d=60.0)
         f1 = [Vec2(rng.uniform(-2, 2), rng.uniform(-2, 2)) for _ in range(20)]
         f2 = [Vec2(rng.uniform(-2, 2), rng.uniform(-2, 2)) for _ in range(20)]
         p = params()
@@ -394,6 +398,38 @@ class TestCriterion09LeaderTypeVariants:
         ok = clean and "attachment" not in rep.force_tags
         report("9b leader-type-2", ok, f"force tags={list(rep.force_tags)}")
 
+    def test_type3_connection_is_the_clamped_anchor(self):
+        # The LEADER_DIGEST scenes, so the scenes are not picked for their
+        # outcome. Each live label's leader ends at the rect point nearest
+        # its anchor, min(max(anchor, low edge), high edge) on each axis.
+        off_bits = tagged = miscounted = conflicts = 0
+        for seed in (0, 1, 2):
+            features, cfg = synthetic_scene(40, seed)
+            leader = LeaderSpec(cfg.leader.length, 90.0, LeaderType.FREE_DIR_FREE_CONN)
+            labels, rep = run(features, dataclasses.replace(cfg, leader=leader))
+            anchors = {f.id: f.anchor for f in features}
+            for lbl in labels:
+                if lbl.deleted:
+                    continue
+                a, r = anchors[lbl.feature_id], lbl.rect
+                want = (min(max(a.x, r.x_min), r.x_max), min(max(a.y, r.y_min), r.y_max))
+                if [v.hex() for v in (lbl.conn.x, lbl.conn.y)] != [v.hex() for v in want]:
+                    off_bits += 1
+            tagged += "attachment" in rep.force_tags
+            recount = (
+                len(brute_force_label_conflicts(labels, cfg.d_min)),
+                len(brute_force_feature_conflicts(labels, features, cfg.d_min)),
+            )
+            miscounted += (rep.label_conflicts, rep.feature_conflicts) != recount
+            conflicts += sum(recount)
+        ok = off_bits == 0 and tagged == 0 and miscounted == 0
+        report(
+            "9c leader-type-3",
+            ok,
+            f"conns off the clamped anchor={off_bits}, runs tagged attachment={tagged}, "
+            f"miscounted runs={miscounted}, conflicts left={conflicts}",
+        )
+
 
 class TestCriterion10CjkSupport:
     def test_chinese_scene_resolves(self):
@@ -438,7 +474,7 @@ class TestCriterion11MetricsOracle:
             if n_rp != len(brute_force_feature_conflicts(labels, features, d_min)):
                 counts_ok = False
             # Displace and compare displacement plus deviation sums.
-            graph = delaunay_graph(labels)
+            graph = delaunay_graph(*label_layout(labels))
             final = []
             total = 0.0
             for lbl in labels:

@@ -4,6 +4,8 @@ from leaderlabels.metrics import count_conflicts
 from leaderlabels.scene import LayoutConfig, PointFeature, initial_layout
 from leaderlabels.scenefile import synthetic_scene
 
+from conftest import scene_layout
+
 
 def cfg_200() -> LayoutConfig:
     return LayoutConfig(screen=Rect(0, 0, 200, 150))
@@ -64,7 +66,7 @@ class TestLocalP:
         initial = initial_layout(features, cfg)
         from leaderlabels.repair import conflict_degrees
 
-        ever_conflicted = set(conflict_degrees(initial, features, cfg.d_min))
+        ever_conflicted = set(conflict_degrees(*scene_layout(initial, features), cfg.d_min))
         final = localp(features, cfg)
         for i, (a, b) in enumerate(zip(initial, final)):
             if a.rect != b.rect:

@@ -11,7 +11,13 @@ from leaderlabels.geometry import Vec2, points_array
 from leaderlabels.proximity import ProximityGraph, delaunay_graph, mst_graph, prune_graph
 from leaderlabels.scene import BeamParams, initial_layout
 
-from conftest import element_stiffness, random_labels, reference_element_blocks, reference_solve
+from conftest import (
+    element_stiffness,
+    label_layout,
+    random_labels,
+    reference_element_blocks,
+    reference_solve,
+)
 from test_golden import _duplicated_scene
 
 
@@ -138,14 +144,15 @@ class TestSolve:
 
     def test_zero_forces_zero_displacements(self, rng):
         labels = random_labels(rng, 10)
-        g = delaunay_graph(labels)
+        g = delaunay_graph(*label_layout(labels))
         field = solve(g, [Vec2(0.0, 0.0)] * 10, params())
         assert all(v == Vec2(0.0, 0.0) for v in raw_translations(field))
         assert all(r == 0.0 for r in field.solution[2::3])
 
     def _random_system(self, rng, n):
         labels = random_labels(rng, n, span=150.0)
-        g = prune_graph(delaunay_graph(labels), labels, t_d=60.0)
+        rects, live = label_layout(labels)
+        g = prune_graph(delaunay_graph(rects, live), rects, live, t_d=60.0)
         forces = [Vec2(rng.uniform(-2, 2), rng.uniform(-2, 2)) for _ in range(n)]
         return g, forces
 
@@ -316,7 +323,7 @@ class TestArraySolve:
         # Without the MIN_BEAM_LENGTH guard, the nanometre beams between
         # twin labels swamp the ground springs and the factor fails.
         features, cfg = _duplicated_scene()
-        graph = mst_graph(initial_layout(features, cfg), weight="center")
+        graph = mst_graph(*label_layout(initial_layout(features, cfg)), weight="center")
         monkeypatch.setattr(beams, "MIN_BEAM_LENGTH", 0.0)
         forces = np.ones((len(graph.positions), 2))
         with pytest.raises(beams.SingularSystemError, match="leading minor"):

@@ -42,11 +42,13 @@ from conftest import (
     brute_force_feature_conflicts,
     brute_force_label_conflicts,
     disjoint_rect_pair,
+    label_layout,
     labels_from_rects,
     overlapping_rect_pair,
     random_labels,
     reference_attachment_force,
     reference_screen_force,
+    scene_layout,
 )
 
 
@@ -276,7 +278,8 @@ class TestConflictScan:
         for _ in range(20):
             labels = random_labels(rng, 25, span=120.0)
             d_min = rng.uniform(0.1, 3.0)
-            assert conflicting_label_pairs(labels, d_min) == brute_force_label_conflicts(labels, d_min)
+            got = conflicting_label_pairs(*label_layout(labels), d_min)
+            assert got == brute_force_label_conflicts(labels, d_min)
 
     def test_feature_pairs_match_brute_force(self, rng):
         for _ in range(10):
@@ -290,7 +293,7 @@ class TestConflictScan:
                 )
                 for i in range(15)
             ]
-            got = conflicting_feature_pairs(labels, features, 0.5)
+            got = conflicting_feature_pairs(*scene_layout(labels, features), 0.5)
             assert sorted(got) == sorted(brute_force_feature_conflicts(labels, features, 0.5))
 
 
@@ -353,7 +356,7 @@ class TestFeatureScanProperty:
     @given(symbol_scenes())
     def test_equals_all_pairs_definition(self, scene):
         labels, features, d_min = scene
-        assert conflicting_feature_pairs(labels, features, d_min) == (
+        assert conflicting_feature_pairs(*scene_layout(labels, features), d_min) == (
             brute_force_feature_conflicts(labels, features, d_min)
         )
 
@@ -372,7 +375,7 @@ class TestFeatureScanProperty:
             ]
             clearance = point_rect_signed_clearance(features[1].anchor, labels[0].rect)
             assert clearance == math.hypot(gx, gy)
-            assert conflicting_feature_pairs(labels, features, d_min) == want
+            assert conflicting_feature_pairs(*scene_layout(labels, features), d_min) == want
 
     def test_boundary_cases_by_hand(self):
         # s0's clearance is exactly radius + d_min, so no conflict; s1's is
@@ -385,9 +388,10 @@ class TestFeatureScanProperty:
             PointFeature(id="f0", anchor=Vec2(5.0, 2.0), depth=100, text="T"),
             PointFeature(id="f1", anchor=Vec2(5.0, 3.0), depth=100, text="T"),
         ]
-        assert conflicting_feature_pairs(labels, features, 0.5) == [(0, 1), (0, 2), (0, 4)]
+        got = conflicting_feature_pairs(*scene_layout(labels, features), 0.5)
+        assert got == [(0, 1), (0, 2), (0, 4)]
         deleted = [labels[0], dataclasses.replace(labels[1], deleted=True)]
-        assert conflicting_feature_pairs(deleted, features, 0.5) == [(0, 1), (0, 2)]
+        assert conflicting_feature_pairs(*scene_layout(deleted, features), 0.5) == [(0, 1), (0, 2)]
 
 
 @st.composite
@@ -439,7 +443,8 @@ class TestLabelScanArray:
     @given(gap_layouts())
     def test_equals_all_pairs_definition(self, layout):
         labels, d_min = layout
-        assert conflicting_label_pairs(labels, d_min) == _all_label_pairs(labels, d_min)
+        got = conflicting_label_pairs(*label_layout(labels), d_min)
+        assert got == _all_label_pairs(labels, d_min)
 
     def test_hypot_last_bit_decides(self):
         # np.hypot and math.hypot differ in the last bit on these gaps: on
@@ -453,7 +458,7 @@ class TestLabelScanArray:
             labels = labels_from_rects([Rect(-1.0, -1.0, 0.0, 0.0), Rect(gx, gy, gx + 1, gy + 1)])
             assert math.hypot(gx, gy) != float(np.hypot(gx, gy))
             assert rect_distance(labels[0].rect, labels[1].rect) == math.hypot(gx, gy)
-            assert conflicting_label_pairs(labels, d_min) == want
+            assert conflicting_label_pairs(*label_layout(labels), d_min) == want
 
     @pytest.mark.parametrize("block", [1, 7, 64])
     def test_row_blocks_change_nothing(self, rng, block):
@@ -463,9 +468,9 @@ class TestLabelScanArray:
                          depth=100.0, text="T")
             for k in range(30)
         ]
-        want = conflict_pairs(labels, features, 0.8)
+        want = conflict_pairs(*scene_layout(labels, features), 0.8)
         with mock.patch.object(geometry, "BLOCK_ELEMENTS", block):
-            assert conflict_pairs(labels, features, 0.8) == want
+            assert conflict_pairs(*scene_layout(labels, features), 0.8) == want
         assert want.labels == _all_label_pairs(labels, 0.8)
 
 
@@ -539,6 +544,15 @@ def totals(fa) -> list[Vec2]:
     return [Vec2(x, y) for x, y in fa.totals.tolist()]
 
 
+def assemble(labels, features, cfg, pairs=None):
+    """`assemble_forces` of the labels, with their own conflict pairs
+    unless pairs is given."""
+    rects, arrays = scene_layout(labels, features)
+    if pairs is None:
+        pairs = conflict_pairs(rects, arrays, cfg.d_min)
+    return assemble_forces(features, cfg, pairs, rects, arrays)
+
+
 def same_assignment(a, b) -> bool:
     return np.array_equal(a.totals, b.totals) and a.sources == b.sources
 
@@ -550,7 +564,7 @@ class TestAssembleForces:
             PointFeature(id="f0", anchor=Vec2(15, 2), depth=100, text="A"),
             PointFeature(id="f1", anchor=Vec2(55, 40), depth=100, text="B"),
         ]
-        fa = assemble_forces(labels, features, scene_config())
+        fa = assemble(labels, features, scene_config())
         assert all(f == Vec2(0.0, 0.0) for f in totals(fa))
         assert max(f.norm() for f in totals(fa)) == 0.0
 
@@ -561,15 +575,15 @@ class TestAssembleForces:
             for i, lbl in enumerate(labels)
         ]
         cfg = scene_config()
-        pairs = conflict_pairs(labels, features, cfg.d_min)
+        pairs = conflict_pairs(*scene_layout(labels, features), cfg.d_min)
         assert pairs.labels and pairs.features
         assert same_assignment(
-            assemble_forces(labels, features, cfg, pairs), assemble_forces(labels, features, cfg)
+            assemble(labels, features, cfg, pairs), assemble(labels, features, cfg)
         )
         # The forces follow the pairs handed in, not a fresh scan.
         assert not same_assignment(
-            assemble_forces(labels, features, cfg, ConflictPairs([], [])),
-            assemble_forces(labels, features, cfg),
+            assemble(labels, features, cfg, ConflictPairs([], [])),
+            assemble(labels, features, cfg),
         )
 
     def test_single_overlap_equals_overlap_force(self):
@@ -580,7 +594,7 @@ class TestAssembleForces:
             PointFeature(id="f1", anchor=Vec2(64, 30), depth=100, text="B"),
         ]
         cfg = scene_config()
-        fa = assemble_forces(labels, features, cfg)
+        fa = assemble(labels, features, cfg)
         expected = overlap_force(r1, r2, RESOLVE_TARGET_FACTOR * cfg.d_min)
         assert totals(fa)[0] == expected[0]
         assert totals(fa)[1] == expected[1]
@@ -594,7 +608,7 @@ class TestAssembleForces:
             PointFeature(id="f0", anchor=Vec2(55, 30), depth=100, text="A"),
             PointFeature(id="f1", anchor=Vec2(64, 30), depth=100, text="B"),
         ]
-        fa = assemble_forces(labels, features, scene_config())
+        fa = assemble(labels, features, scene_config())
         assert totals(fa)[1] == Vec2(0.0, 0.0)
         assert totals(fa)[0] == Vec2(0.0, 0.0)  # partner deleted, no pair conflict
 
@@ -613,7 +627,7 @@ class TestAssembleForces:
                 )
                 for i in range(10)
             ]
-            fa = assemble_forces(labels, features, cfg)
+            fa = assemble(labels, features, cfg)
             for i, lbl in enumerate(labels):
                 expected = Vec2(0.0, 0.0)
                 for j, other in enumerate(labels):
@@ -660,10 +674,10 @@ class TestAssembleForces:
                 )
                 for i in range(12)
             ]
-            fa = assemble_forces(labels, features, cfg)
+            fa = assemble(labels, features, cfg)
             has_conflict = bool(
-                conflicting_label_pairs(labels, cfg.d_min)
-                or conflicting_feature_pairs(labels, features, cfg.d_min)
+                conflicting_label_pairs(*label_layout(labels), cfg.d_min)
+                or conflicting_feature_pairs(*scene_layout(labels, features), cfg.d_min)
             )
             has_screen_violation = any(
                 screen_force(l.rect, cfg.screen, cfg.d_min).norm() > 0 for l in labels
@@ -695,7 +709,7 @@ class TestAssembleForces:
         ]
         cfg = scene_config()
         target = RESOLVE_TARGET_FACTOR * cfg.d_min
-        fa = assemble_forces(labels, features, cfg)
+        fa = assemble(labels, features, cfg)
         assert fa.sources == {"attachment", "pair", "point", "screen"}
 
         r0, r1, r2 = rects

@@ -53,7 +53,14 @@ from leaderlabels.geometry import Vec2
 from leaderlabels.optimizer import reference_graph, run
 from leaderlabels.proximity import delaunay_graph, mst_graph
 from leaderlabels.repair import greedy_repair
-from leaderlabels.scene import GraphKind, LeaderSpec, LeaderType, initial_layout
+from leaderlabels.scene import (
+    GraphKind,
+    LeaderSpec,
+    LeaderType,
+    initial_layout,
+    label_rects,
+    live_slots,
+)
 from leaderlabels.scenefile import synthetic_scene
 
 GOLDEN_DIGEST = "24aec505fbb21a8ae66105da8d79f412137d70f92b544272820283e694bacd92"
@@ -189,12 +196,13 @@ def graph_digest() -> str:
     ]
     for f in (features, line):
         labels = initial_layout(f, cfg)
-        h.update(json.dumps(_hexed(delaunay_graph(labels).positions.tolist())).encode())
+        rects, live = label_rects(labels), live_slots(labels)
+        h.update(json.dumps(_hexed(delaunay_graph(rects, live).positions.tolist())).encode())
         for g in (
-            delaunay_graph(labels),
+            delaunay_graph(rects, live),
             reference_graph(labels, f, cfg),
-            mst_graph(labels, weight="center"),
-            mst_graph(labels, weight="rect"),
+            mst_graph(rects, live, weight="center"),
+            mst_graph(rects, live, weight="rect"),
         ):
             h.update(json.dumps([[int(i), int(j)] for i, j in g.edges]).encode())
     scenes = [(features, cfg)]

@@ -17,6 +17,7 @@ from leaderlabels.scene import Label, PointFeature
 from conftest import (
     brute_force_feature_conflicts,
     brute_force_label_conflicts,
+    label_layout,
     labels_from_rects,
     random_labels,
 )
@@ -105,12 +106,12 @@ def _move(labels, idx, d: Vec2):
 class TestMeanDirectionDeviation:
     def test_identity_layout_zero(self, rng):
         labels = random_labels(rng, 10)
-        g = delaunay_graph(labels)
+        g = delaunay_graph(*label_layout(labels))
         assert mean_direction_deviation(labels, labels, g) == 0.0
 
     def test_single_edge_rotation(self):
         labels = labels_from_rects([Rect(0, 0, 2, 2), Rect(10, 0, 12, 2)])
-        g = delaunay_graph(labels)
+        g = delaunay_graph(*label_layout(labels))
         assert len(g.edges) == 1
         # Rotate the edge by 10 degrees around the first center.
         length = 10.0
@@ -123,12 +124,12 @@ class TestMeanDirectionDeviation:
 
     def test_empty_graph_is_zero(self):
         labels = labels_from_rects([Rect(0, 0, 2, 2)])
-        g = delaunay_graph(labels)
+        g = delaunay_graph(*label_layout(labels))
         assert mean_direction_deviation(labels, labels, g) == 0.0
 
     def test_matches_per_edge_recomputation(self, rng):
         labels = random_labels(rng, 15)
-        g = delaunay_graph(labels)
+        g = delaunay_graph(*label_layout(labels))
         final = list(labels)
         for i in range(len(final)):
             final = _move(final, i, Vec2(rng.uniform(-4, 4), rng.uniform(-4, 4)))
@@ -190,7 +191,7 @@ class TestBuildReport:
             PointFeature(id=f"f{i}", anchor=Vec2(5 + 10 * i, -30), depth=100, text="T")
             for i in range(8)
         ]
-        g = delaunay_graph(labels)
+        g = delaunay_graph(*label_layout(labels))
         rep = build_report(labels, labels, features, 0.2, g, elapsed_s=1.5)
         assert rep.total_displacement_cm == 0.0
         assert rep.mean_direction_deviation_deg == 0.0

@@ -12,12 +12,10 @@ from leaderlabels.forces import conflict_pairs
 from leaderlabels.geometry import Rect, Vec2, points_array
 from leaderlabels.metrics import count_conflicts
 from leaderlabels.optimizer import (
-    OptimizerState,
     effective_max_iterations,
     handle_offscreen_fixed,
     project_for_leader_type,
     run,
-    step,
 )
 from leaderlabels.scene import (
     GraphKind,
@@ -27,10 +25,16 @@ from leaderlabels.scene import (
     PointFeature,
     initial_layout,
     label_rects,
+    placed_labels,
 )
 from leaderlabels.scenefile import synthetic_scene
 
-from conftest import brute_force_feature_conflicts, brute_force_label_conflicts, labels_from_rects
+from conftest import (
+    brute_force_feature_conflicts,
+    brute_force_label_conflicts,
+    labels_from_rects,
+    scene_layout,
+)
 
 
 class TestEffectiveMaxIterations:
@@ -105,6 +109,14 @@ def tiny_cfg(**kw) -> LayoutConfig:
     return LayoutConfig(**kw)
 
 
+def one_step(labels, features, cfg):
+    """The labels after the first step of a loop from labels, and that
+    step's stats."""
+    one = dataclasses.replace(cfg, t_s_override=1)
+    placed, loop = optimizer._run_loop(list(labels), features, one)
+    return placed, loop.history[0]
+
+
 class TestStep:
     def test_conflict_free_scene_is_fixed_point(self):
         features = [
@@ -113,11 +125,10 @@ class TestStep:
         ]
         cfg = tiny_cfg()
         labels = initial_layout(features, cfg)
-        state = OptimizerState(labels=list(labels))
-        new = step(state, features, cfg)
-        assert new.step_count == 1
-        assert new.last_max_force == 0.0
-        for before, after in zip(labels, new.labels):
+        placed, stats = one_step(labels, features, cfg)
+        assert stats.step == 1
+        assert stats.max_force == 0.0
+        for before, after in zip(labels, placed):
             assert before.rect == after.rect
             assert before.conn == after.conn
 
@@ -132,10 +143,9 @@ class TestStep:
         labels = initial_layout(features, cfg)
         rr0, _ = count_conflicts(labels, features, cfg.d_min)
         assert rr0 == 1
-        state = OptimizerState(labels=list(labels))
-        new = step(state, features, cfg)
-        d0 = new.labels[0].rect.center() - labels[0].rect.center()
-        d1 = new.labels[1].rect.center() - labels[1].rect.center()
+        placed, _ = one_step(labels, features, cfg)
+        d0 = placed[0].rect.center() - labels[0].rect.center()
+        d1 = placed[1].rect.center() - labels[1].rect.center()
         assert d0.norm() > 0
         assert d0.x == pytest.approx(-d1.x, abs=1e-9)
         assert d0.y == pytest.approx(-d1.y, abs=1e-9)
@@ -147,22 +157,25 @@ class TestStep:
             features, cfg = synthetic_scene(20, seed, screen=(160.0, 110.0))
             labels = initial_layout(features, cfg)
             before = sum(count_conflicts(labels, features, cfg.d_min))
-            state = OptimizerState(labels=list(labels))
-            new = step(state, features, cfg)
-            after = sum(count_conflicts(new.labels, features, cfg.d_min))
+            placed, _ = one_step(labels, features, cfg)
+            after = sum(count_conflicts(placed, features, cfg.d_min))
             if after <= before:
                 improved += 1
         assert improved >= 90
 
-    def test_state_carries_the_new_layouts_pairs(self):
+    def test_advance_returns_the_new_layouts_pairs(self):
         features, cfg = synthetic_scene(20, 1, screen=(160.0, 110.0))
-        state = OptimizerState(labels=initial_layout(features, cfg))
-        for _ in range(3):
-            state = step(state, features, cfg)
-            assert state.pairs == conflict_pairs(state.labels, features, cfg.d_min)
-            assert state.history[-1].label_conflicts == len(state.pairs.labels)
-            assert state.history[-1].feature_conflicts == len(state.pairs.features)
-        assert state.t_d == optimizer.pruning_distance(features, cfg)
+        labels = initial_layout(features, cfg)
+        loop = optimizer._loop_of(labels, features, cfg, None)
+        rects, conns = label_rects(labels), points_array(l.conn for l in labels)
+        pairs = conflict_pairs(rects, loop.arrays, cfg.d_min)
+        for step_no in range(1, 4):
+            rects, conns, pairs, stats = optimizer._advance(loop, rects, conns, pairs, step_no)
+            placed = placed_labels(labels, loop.arrays.live, rects, conns)
+            assert pairs == conflict_pairs(*scene_layout(placed, features), cfg.d_min)
+            assert stats.label_conflicts == len(pairs.labels)
+            assert stats.feature_conflicts == len(pairs.features)
+        assert loop.t_d == optimizer.pruning_distance(features, cfg)
 
     def test_capped_counts_labels_the_step_cap_shortened(self):
         # 4 mm apart, the two 10 mm labels overlap by about 6 mm: each gets
@@ -174,15 +187,15 @@ class TestStep:
         ]
         cfg = tiny_cfg()
         labels = initial_layout(features, cfg)
-        new = step(OptimizerState(labels=list(labels)), features, cfg)
+        placed, stats = one_step(labels, features, cfg)
         cap = cfg.resolved_beam().max_step
-        assert new.history[-1].capped == 2
-        for before, after in zip(labels[:2], new.labels[:2]):
+        assert stats.capped == 2
+        for before, after in zip(labels[:2], placed[:2]):
             moved = after.rect.center() - before.rect.center()
             assert moved.norm() == pytest.approx(cap, rel=1e-12)
         labels[1] = dataclasses.replace(labels[1], deleted=True)
-        new = step(OptimizerState(labels=labels), features, cfg)
-        assert new.history[-1].capped == 0
+        _, stats = one_step(labels, features, cfg)
+        assert stats.capped == 0
         _, report = run(features, cfg)
         assert report.loops[0].history[0].capped == 2
         assert "capped" not in report.as_dict()
@@ -204,9 +217,8 @@ class TestStep:
         cfg = tiny_cfg()
         labels = initial_layout(features, cfg)
         labels[0] = dataclasses.replace(labels[0], deleted=True)
-        state = OptimizerState(labels=list(labels))
-        new = step(state, features, cfg)
-        assert new.labels[0].rect == labels[0].rect
+        placed, _ = one_step(labels, features, cfg)
+        assert placed[0].rect == labels[0].rect
 
 
 class TestForceFreeStep:
@@ -226,21 +238,21 @@ class TestForceFreeStep:
             labels = handle_offscreen_fixed(labels, cfg.screen, cfg.leader)
         loop = optimizer._loop_of(labels, features, cfg, None)
         rects, conns = label_rects(labels), points_array(l.conn for l in labels)
-        pairs = conflict_pairs(labels, features, cfg.d_min, rects)
+        pairs = conflict_pairs(rects, loop.arrays, cfg.d_min)
         for step_no in range(1, 100):
-            totals = optimizer.assemble_forces(labels, features, cfg, pairs, rects).totals
+            totals = optimizer.assemble_forces(features, cfg, pairs, rects, loop.arrays).totals
             if not project_for_leader_type(totals, cfg.leader).any():
                 break
             rects, conns, pairs, _ = optimizer._advance(loop, rects, conns, pairs, step_no)
         assert pairs.labels or kind is not LeaderType.FIXED_DIR_FIXED_CONN
-        graph = optimizer.build_graph(labels, cfg, loop.t_d, rects)
+        graph = optimizer.build_graph(rects, loop.arrays.live, cfg, loop.t_d)
         want = optimizer.StepStats(
             step=step_no,
             max_force=0.0,
             label_conflicts=len(pairs.labels),
             feature_conflicts=len(pairs.features),
             graph_edges=len(graph.edges),
-            force_tags=optimizer.assemble_forces(labels, features, cfg, pairs, rects).sources,
+            force_tags=optimizer.assemble_forces(features, cfg, pairs, rects, loop.arrays).sources,
             capped=solve_displacements(graph, np.zeros((len(labels), 2)), loop.beam).capped,
         )
         calls = []
@@ -360,7 +372,7 @@ class TestRun:
         assert len(labels) == 1
         assert not report.infeasible
 
-    def test_type3_experimental_variant(self):
+    def test_type3_variant(self):
         features, cfg = synthetic_scene(25, 12)
         cfg = dataclasses.replace(
             cfg, leader=LeaderSpec(length=10.0, direction=90.0, kind=LeaderType.FREE_DIR_FREE_CONN)

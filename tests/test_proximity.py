@@ -20,7 +20,7 @@ from leaderlabels.proximity import (
 )
 from leaderlabels.scene import Label
 
-from conftest import labels_from_rects, random_labels, segment_crosses_interior
+from conftest import label_layout, labels_from_rects, random_labels, segment_crosses_interior
 
 
 class Edge(NamedTuple):
@@ -138,36 +138,36 @@ def brute_force_mst_weight(n: int, weight) -> float:
 
 class TestDelaunay:
     def test_triangle(self):
-        g = delaunay_graph(point_labels([(0, 0), (10, 0), (5, 8)]))
+        g = delaunay_graph(*label_layout(point_labels([(0, 0), (10, 0), (5, 8)])))
         assert set(edge_pairs(g)) == {(0, 1), (0, 2), (1, 2)}
 
     def test_interior_point_against_oracle(self):
         pts = [(0.0, 0.0), (10.0, 0.0), (5.0, 8.0), (5.0, 3.0)]
-        g = delaunay_graph(point_labels(pts))
+        g = delaunay_graph(*label_layout(point_labels(pts)))
         assert set(edge_pairs(g)) == brute_force_delaunay_edges(pts)
 
     def test_two_nodes(self):
-        g = delaunay_graph(point_labels([(0, 0), (3, 4)]))
+        g = delaunay_graph(*label_layout(point_labels([(0, 0), (3, 4)])))
         assert set(edge_pairs(g)) == {(0, 1)}
         assert edge_length(g, edge_pairs(g)[0]) == pytest.approx(5.0)
 
     def test_one_node(self):
-        g = delaunay_graph(point_labels([(1, 1)]))
+        g = delaunay_graph(*label_layout(point_labels([(1, 1)])))
         assert edge_pairs(g) == []
 
     def test_collinear_becomes_path(self):
         # Along-the-line order is 0, 2, 1, 3.
-        g = delaunay_graph(point_labels([(0, 0), (4, 0), (2, 0), (9, 0)]))
+        g = delaunay_graph(*label_layout(point_labels([(0, 0), (4, 0), (2, 0), (9, 0)])))
         assert set(edge_pairs(g)) == {(0, 2), (1, 2), (1, 3)}
 
     def test_duplicate_centers_do_not_crash(self):
-        g = delaunay_graph(point_labels([(1, 1), (1, 1), (4, 5), (7, 2)]))
+        g = delaunay_graph(*label_layout(point_labels([(1, 1), (1, 1), (4, 5), (7, 2)])))
         assert all(edge_length(g, e) > 0 for e in edge_pairs(g))
 
     def test_random_against_oracle(self, rng):
         for _ in range(8):
             pts = [(rng.uniform(0, 50), rng.uniform(0, 50)) for _ in range(12)]
-            g = delaunay_graph(point_labels(pts))
+            g = delaunay_graph(*label_layout(point_labels(pts)))
             assert set(edge_pairs(g)) == brute_force_delaunay_edges(pts)
 
     def test_deleted_labels_are_isolated(self):
@@ -179,7 +179,7 @@ class TestDelaunay:
             font_size=10.0,
             deleted=True,
         )
-        g = delaunay_graph(labels)
+        g = delaunay_graph(*label_layout(labels))
         assert set(edge_pairs(g)) == {(0, 2)}
 
 
@@ -198,38 +198,40 @@ class TestEdgeOrder:
 
     def test_general_delaunay(self, rng):
         for _ in range(5):
-            self.assert_sorted_unique(delaunay_graph(random_labels(rng, 25)))
+            self.assert_sorted_unique(delaunay_graph(*label_layout(random_labels(rng, 25))))
 
     def test_two_labels(self):
-        self.assert_sorted_unique(delaunay_graph(point_labels([(9, 9), (0, 0)])))
+        self.assert_sorted_unique(delaunay_graph(*label_layout(point_labels([(9, 9), (0, 0)]))))
 
     def test_collinear_fallback(self):
-        g = delaunay_graph(point_labels([(9, 0), (4, 0), (0, 0), (2, 0), (7, 0)]))
+        g = delaunay_graph(*label_layout(point_labels([(9, 0), (4, 0), (0, 0), (2, 0), (7, 0)])))
         assert len(g.edges) == 4
         self.assert_sorted_unique(g)
 
     def test_duplicate_centers(self):
-        g = delaunay_graph(point_labels([(4, 5), (1, 1), (1, 1), (7, 2), (1, 1)]))
+        g = delaunay_graph(*label_layout(point_labels([(4, 5), (1, 1), (1, 1), (7, 2), (1, 1)])))
         assert len(g.edges)
         self.assert_sorted_unique(g)
 
     def test_prune(self, rng):
         for _ in range(5):
             labels = random_labels(rng, 25)
-            self.assert_sorted_unique(prune_graph(delaunay_graph(labels), labels, t_d=35.0))
+            rects, live = label_layout(labels)
+            pruned = prune_graph(delaunay_graph(rects, live), rects, live, t_d=35.0)
+            self.assert_sorted_unique(pruned)
 
     @pytest.mark.parametrize("weight", ["rect", "center"])
     def test_mst(self, rng, weight):
         for _ in range(5):
-            g = mst_graph(random_labels(rng, 15), weight=weight)
+            g = mst_graph(*label_layout(random_labels(rng, 15)), weight=weight)
             assert len(g.edges) == 14
             self.assert_sorted_unique(g)
 
 
 class TestPrune:
     def test_long_edge_removed(self):
-        g = delaunay_graph(point_labels([(0, 0), (30, 0), (15, 1)]))
-        pruned = prune_graph(g, point_labels([(0, 0), (30, 0), (15, 1)]), t_d=25.0)
+        g = delaunay_graph(*label_layout(point_labels([(0, 0), (30, 0), (15, 1)])))
+        pruned = prune_graph(g, *label_layout(point_labels([(0, 0), (30, 0), (15, 1)])), t_d=25.0)
         assert (0, 1) not in set(edge_pairs(pruned))
 
     def test_blocking_label_removes_edge(self):
@@ -240,24 +242,24 @@ class TestPrune:
             Rect(20, 0, 22, 2),
         ]
         labels = labels_from_rects(rects)
-        g = delaunay_graph(labels)
-        pruned = prune_graph(g, labels, t_d=100.0)
+        g = delaunay_graph(*label_layout(labels))
+        pruned = prune_graph(g, *label_layout(labels), t_d=100.0)
         assert (0, 2) not in set(edge_pairs(pruned))
         assert (0, 1) in set(edge_pairs(pruned))
         assert (1, 2) in set(edge_pairs(pruned))
 
     def test_prune_is_subset(self, rng):
         labels = random_labels(rng, 20)
-        g = delaunay_graph(labels)
-        pruned = prune_graph(g, labels, t_d=40.0)
+        g = delaunay_graph(*label_layout(labels))
+        pruned = prune_graph(g, *label_layout(labels), t_d=40.0)
         assert set(edge_pairs(pruned)) <= set(edge_pairs(g))
 
     def test_matches_direct_refilter(self, rng):
         for _ in range(5):
             labels = random_labels(rng, 20)
-            g = delaunay_graph(labels)
+            g = delaunay_graph(*label_layout(labels))
             t_d = 35.0
-            pruned = prune_graph(g, labels, t_d)
+            pruned = prune_graph(g, *label_layout(labels), t_d)
             expected = set()
             for e in edge_pairs(g):
                 if edge_length(g, e) > t_d:
@@ -276,11 +278,11 @@ class TestMst:
     def test_three_labels_takes_two_short_gaps(self):
         # Pairwise rect gaps: (0,1)=1, (1,2)=2, (0,2)=7.
         rects = [Rect(0, 0, 2, 2), Rect(3, 0, 5, 2), Rect(7, 0, 9, 2)]
-        g = mst_graph(labels_from_rects(rects), weight="rect")
+        g = mst_graph(*label_layout(labels_from_rects(rects)), weight="rect")
         assert set(edge_pairs(g)) == {(0, 1), (1, 2)}
 
     def test_single_label(self):
-        g = mst_graph(labels_from_rects([Rect(0, 0, 1, 1)]))
+        g = mst_graph(*label_layout(labels_from_rects([Rect(0, 0, 1, 1)])))
         assert edge_pairs(g) == []
 
     def test_weight_minimal_against_enumeration(self, rng):
@@ -288,7 +290,7 @@ class TestMst:
             labels = random_labels(rng, 6)
             total = sum(
                 rect_distance(labels[e.i].rect, labels[e.j].rect)
-                for e in edge_pairs(mst_graph(labels, weight="rect"))
+                for e in edge_pairs(mst_graph(*label_layout(labels), weight="rect"))
             )
             oracle = brute_force_mst_weight(
                 6, lambda i, j: rect_distance(labels[i].rect, labels[j].rect)
@@ -300,13 +302,13 @@ class TestMst:
         # Delaunay triangulation over the same centers.
         for _ in range(10):
             labels = random_labels(rng, 15)
-            dt_edges = set(edge_pairs(delaunay_graph(labels)))
-            mst_edges = set(edge_pairs(mst_graph(labels, weight="center")))
+            dt_edges = set(edge_pairs(delaunay_graph(*label_layout(labels))))
+            mst_edges = set(edge_pairs(mst_graph(*label_layout(labels), weight="center")))
             assert mst_edges <= dt_edges
 
     def test_spanning(self, rng):
         labels = random_labels(rng, 12)
-        g = mst_graph(labels)
+        g = mst_graph(*label_layout(labels))
         assert len(g.edges) == 11
         root = list(range(12))
 
@@ -330,25 +332,25 @@ class TestPartition:
             Rect(40, 0, 41, 1),
             Rect(42, 0, 43, 1),
         ]
-        groups = partition_labels(labels_from_rects(rects), t_num=3)
+        groups = partition_labels(*label_layout(labels_from_rects(rects)), t_num=3)
         assert sorted(map(sorted, groups)) == [[0, 1, 2], [3, 4]]
 
     def test_t_num_at_least_n_keeps_one_group(self, rng):
         labels = random_labels(rng, 8)
-        groups = partition_labels(labels, t_num=8)
+        groups = partition_labels(*label_layout(labels), t_num=8)
         assert len(groups) == 1
         assert sorted(groups[0]) == list(range(8))
 
     def test_partition_properties(self, rng):
         labels = random_labels(rng, 40, span=300.0)
-        groups = partition_labels(labels, t_num=10)
+        groups = partition_labels(*label_layout(labels), t_num=10)
         flat = sorted(i for g in groups for i in g)
         assert flat == list(range(40))
         assert all(len(g) <= 10 for g in groups)
 
     def test_invalid_t_num(self):
         with pytest.raises(ValueError):
-            partition_labels(labels_from_rects([Rect(0, 0, 1, 1)]), t_num=0)
+            partition_labels(*label_layout(labels_from_rects([Rect(0, 0, 1, 1)])), t_num=0)
 
 
 class TestHelpers:
@@ -363,7 +365,7 @@ class TestHelpers:
 
     def test_effective_centers_jitter_duplicates(self):
         labels = point_labels([(5, 5), (5, 5), (5, 5)])
-        centers = [Vec2(x, y) for x, y in delaunay_graph(labels).positions.tolist()]
+        centers = [Vec2(x, y) for x, y in delaunay_graph(*label_layout(labels)).positions.tolist()]
         assert len({(c.x, c.y) for c in centers}) == 3
 
 
@@ -407,24 +409,26 @@ class TestPruneArray:
     @settings(max_examples=300, deadline=None)
     @given(labels=grid_labels(), data=st.data())
     def test_equals_per_edge_definition(self, labels, data):
-        graph = delaunay_graph(labels)
+        graph = delaunay_graph(*label_layout(labels))
         lengths = [edge_length(graph, e) for e in edge_pairs(graph)]
         # Often exactly one of the edge lengths, so that some edge is at t_d.
         t_d = data.draw(st.sampled_from(lengths) | st.floats(0.0, 15.0) if lengths
                         else st.floats(0.0, 15.0))
-        assert edge_pairs(prune_graph(graph, labels, t_d)) == scalar_prune(graph, labels, t_d)
+        pruned = prune_graph(graph, *label_layout(labels), t_d)
+        assert edge_pairs(pruned) == scalar_prune(graph, labels, t_d)
 
     def test_length_at_t_d_decided_by_norm(self):
         # np.hypot of this edge is one ulp below its `Vec2.norm`. At t_d
         # equal to the np.hypot value the edge is longer than t_d.
         x, y = 0.03546964032188504, 0.060851756668864554
         labels = labels_from_rects([Rect(0.0, 0.0, 0.0, 0.0), Rect(x, y, x, y)])
-        graph = delaunay_graph(labels)
+        graph = delaunay_graph(*label_layout(labels))
         short = float(np.hypot(x, y))
         (edge,) = edge_pairs(graph)
         assert short < edge_length(graph, edge)
-        assert edge_pairs(prune_graph(graph, labels, short)) == []
-        assert edge_pairs(prune_graph(graph, labels, edge_length(graph, edge))) == [edge]
+        assert edge_pairs(prune_graph(graph, *label_layout(labels), short)) == []
+        pruned = prune_graph(graph, *label_layout(labels), edge_length(graph, edge))
+        assert edge_pairs(pruned) == [edge]
 
     def test_grazing_and_along_edges_keep_the_edge(self):
         # (0,0)-(4,4) grazes the corner (2,2) of label 2 and (10,0)-(16,0)
@@ -436,20 +440,20 @@ class TestPruneArray:
             Rect(20, 0, 20, 0), Rect(22, -1, 24, 1), Rect(26, 0, 26, 0),
         ])
         graph = ProximityGraph(
-            positions=delaunay_graph(labels).positions,
+            positions=delaunay_graph(*label_layout(labels)).positions,
             edges=np.array([(0, 1), (3, 5), (6, 8)]),
         )
-        pruned = prune_graph(graph, labels, 100.0)
+        pruned = prune_graph(graph, *label_layout(labels), 100.0)
         assert edge_pairs(pruned) == [(0, 1), (3, 5)]
         assert edge_pairs(pruned) == scalar_prune(graph, labels, 100.0)
 
     @pytest.mark.parametrize("block", [1, 5, 64])
     def test_row_blocks_change_nothing(self, rng, block):
         labels = random_labels(rng, 40, span=90.0)
-        graph = delaunay_graph(labels)
-        want = edge_pairs(prune_graph(graph, labels, 30.0))
+        graph = delaunay_graph(*label_layout(labels))
+        want = edge_pairs(prune_graph(graph, *label_layout(labels), 30.0))
         with mock.patch.object(geometry, "BLOCK_ELEMENTS", block):
-            assert edge_pairs(prune_graph(graph, labels, 30.0)) == want
+            assert edge_pairs(prune_graph(graph, *label_layout(labels), 30.0)) == want
         assert want == scalar_prune(graph, labels, 30.0)
 
 

@@ -6,15 +6,17 @@ from leaderlabels.scene import initial_layout
 from leaderlabels.scenefile import synthetic_scene
 from leaderlabels.svgrender import render_svg, write_svg
 
+from conftest import label_layout, scene_layout
+
 SVG_NS = "{http://www.w3.org/2000/svg}"
 
 
 def render_scene(n=10, seed=3, with_graph=False, conflicts=True):
     features, cfg = synthetic_scene(n, seed, screen=(120.0, 90.0))
     labels = initial_layout(features, cfg)
-    lc = conflicting_label_pairs(labels, cfg.d_min) if conflicts else []
-    fc = conflicting_feature_pairs(labels, features, cfg.d_min) if conflicts else []
-    g = delaunay_graph(labels) if with_graph else None
+    lc = conflicting_label_pairs(*label_layout(labels), cfg.d_min) if conflicts else []
+    fc = conflicting_feature_pairs(*scene_layout(labels, features), cfg.d_min) if conflicts else []
+    g = delaunay_graph(*label_layout(labels)) if with_graph else None
     svg = render_svg(labels, features, cfg.screen, graph=g, label_conflicts=lc, feature_conflicts=fc)
     return svg, labels, features, lc, fc
 
