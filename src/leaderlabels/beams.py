@@ -66,6 +66,16 @@ _LOCAL_PATTERN = np.array([
 _ROTATION_PATTERN = np.kron(np.eye(2, dtype=int), [[2, 3, 0], [4, 2, 0], [0, 0, 1]]).ravel()
 
 
+def _table(columns: tuple) -> np.ndarray:
+    """The columns, arrays of one length or scalars, written into one
+    C-ordered (m, k) table: np.column_stack's layout at about half its cost
+    on small batches."""
+    table = np.empty((len(columns[-1]), len(columns)))
+    for k, column in enumerate(columns):
+        table[:, k] = column
+    return table
+
+
 def _local_stiffness_batch(length: np.ndarray, params: BeamParams) -> np.ndarray:
     """Local-frame 6x6 stiffness blocks for a batch of elements."""
     e = params.elastic_modulus
@@ -76,7 +86,7 @@ def _local_stiffness_batch(length: np.ndarray, params: BeamParams) -> np.ndarray
     b6 = 6.0 * e * i_m / length**2
     b4 = 4.0 * e * i_m / length
     b2 = 2.0 * e * i_m / length
-    table = np.column_stack((np.zeros_like(ax), ax, b12, b6, b4, b2, -ax, -b12, -b6))
+    table = _table((0.0, ax, b12, b6, b4, b2, -ax, -b12, -b6))
     return table[:, _LOCAL_PATTERN].reshape(-1, 6, 6)
 
 
@@ -91,7 +101,7 @@ def _global_stiffness_batch(
     c = dx / length
     s = dy / length
     k_local = _local_stiffness_batch(length, params)
-    table = np.column_stack((np.zeros_like(c), np.ones_like(c), c, s, -s))
+    table = _table((0.0, 1.0, c, s, -s))
     t = table[:, _ROTATION_PATTERN].reshape(-1, 6, 6)
     return np.transpose(t, (0, 2, 1)) @ k_local @ t
 

@@ -12,7 +12,11 @@ once per loop (and for a loop over the whole scene, taken from the reference
 graph's). Graph, forces, solve and move are per step. A loop scans its
 starting layout for conflicting label-label and label-symbol pairs, and each
 step scans the layout it produced once; those pairs give the step's conflict
-counts and feed the next step's force assembly.
+counts and feed the next step's force assembly. Under the Delaunay graph,
+each step also hands its triangles to the next step's `delaunay_graph`,
+which reuses them instead of running Qhull while a margin proves them still
+Delaunay (see `proximity`); a loop's first step, and any step whose check
+fails or cannot decide, runs Qhull.
 
 `run` takes the features and builds the labels; `_run_loop` reads a loop's
 labels once into arrays and builds labels again once, when the loop ends.
@@ -37,6 +41,7 @@ from .geometry import HYPOT_RTOL, Rect, Vec2, points_array
 from .metrics import count_conflicts, mean_direction_deviation, total_displacement_cm
 from .proximity import (
     ProximityGraph,
+    Triangulation,
     delaunay_graph,
     mean_nn_distance,
     mst_graph,
@@ -144,13 +149,18 @@ def reference_graph(
 
 
 def build_graph(
-    rects: np.ndarray, live: np.ndarray, cfg: LayoutConfig, t_d: float | None
+    rects: np.ndarray,
+    live: np.ndarray,
+    cfg: LayoutConfig,
+    t_d: float | None,
+    carried: Triangulation | None,
 ) -> ProximityGraph:
     """The per-iteration proximity graph, pruned Delaunay or MST, of the
-    live labels at the (n, 4) rects."""
+    live labels at the (n, 4) rects. carried is the previous step's
+    Delaunay triangles, or None."""
     if cfg.graph_kind is GraphKind.MST:
         return mst_graph(rects, live, "center")
-    return prune_graph(delaunay_graph(rects, live), rects, live, t_d)
+    return prune_graph(delaunay_graph(rects, live, carried), rects, live, t_d)
 
 
 def _max_norm(v: np.ndarray) -> float:
@@ -185,15 +195,21 @@ def _loop_of(
 
 
 def _advance(
-    loop: _Loop, rects: np.ndarray, conns: np.ndarray, pairs: ConflictPairs, step_no: int
-) -> tuple[np.ndarray, np.ndarray, ConflictPairs, StepStats]:
+    loop: _Loop,
+    rects: np.ndarray,
+    conns: np.ndarray,
+    pairs: ConflictPairs,
+    carried: Triangulation | None,
+    step_no: int,
+) -> tuple[np.ndarray, np.ndarray, ConflictPairs, Triangulation | None, StepStats]:
     """One pass on the (n, 4) rects and (n, 2) conns, whose conflict pairs
-    are pairs: rebuild the graph, assemble forces, solve, move. Returns the
-    moved rects and conns, their conflict pairs, and the step's stats. A
-    step whose forces are all exactly zero, whose solve gives +0.0
+    are pairs and whose previous step's Delaunay triangles are carried:
+    rebuild the graph, assemble forces, solve, move. Returns the moved rects
+    and conns, their conflict pairs, this step's triangles, and the step's
+    stats. A step whose forces are all exactly zero, whose solve gives +0.0
     translations, moves nothing: it skips the solve and the rescan."""
     cfg, live = loop.cfg, loop.arrays.live
-    graph = build_graph(rects, live, cfg, loop.t_d)
+    graph = build_graph(rects, live, cfg, loop.t_d, carried)
     assignment = assemble_forces(loop.features, cfg, pairs, rects, loop.arrays)
     # Only the along-leader force component can produce motion under the
     # fully fixed leader, so the perpendicular remainder is dropped before
@@ -225,7 +241,7 @@ def _advance(
         force_tags=assignment.sources,
         capped=capped,
     )
-    return moved_rects, moved_conns, pairs, stats
+    return moved_rects, moved_conns, pairs, graph.triangulation, stats
 
 
 @dataclass(frozen=True, slots=True)
@@ -301,9 +317,12 @@ def _run_loop(
     rects = label_rects(labels)
     conns = points_array(l.conn for l in labels)
     pairs = conflict_pairs(rects, loop.arrays, cfg.d_min)
+    triangles = None
     history: list[StepStats] = []
     while True:
-        rects, conns, pairs, stats = _advance(loop, rects, conns, pairs, len(history) + 1)
+        rects, conns, pairs, triangles, stats = _advance(
+            loop, rects, conns, pairs, triangles, len(history) + 1
+        )
         history.append(stats)
         if stats.step >= t_s or stats.max_force <= t_f:
             break

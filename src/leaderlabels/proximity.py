@@ -8,6 +8,17 @@ orientations are taken from `positions` by whoever needs them.
 Every builder takes the layout as arrays: `rects`, (n, 4) with one row per
 label slot as `scene.label_rects` gives them, and `live`, the rising slots
 of the labels not deleted, as `scene.live_slots` gives them.
+
+A Delaunay build also returns its triangles (`Triangulation`), and the
+placement loop hands them to the next step's build. A step moves each label
+by at most 2·d_min, far less than the labels' spacing, so the triangles
+mostly stay Delaunay. The build reuses them, and skips Qhull, when every
+orientation and in-circle test that proves this is decided by a margin; the
+Delaunay triangulation is then unique and Qhull would return the same
+edges. Qhull runs on a loop's first step, when a test fails or cannot be
+decided, and on every step while Qhull drops a point (nudged duplicate
+centres) or rejects the set (collinear centres). Two or fewer live labels
+carry nothing.
 """
 
 from __future__ import annotations
@@ -45,16 +56,43 @@ def _find(parent: list[int] | dict[int, int], a: int) -> int:
 
 
 @dataclass(frozen=True, slots=True, eq=False)
+class Triangulation:
+    """The triangles of one Delaunay build, over live slots, in the form the
+    next build's check reads them.
+
+    `edges` is the build's unpruned (m, 2) edge array. `triangles` is
+    (t, 3), each row counter-clockwise. `hull` is (h, 2), each hull edge
+    directed so that the triangles lie on its left. `interior` is (k, 6),
+    one row (d, a, b, c, a, b) per interior edge bc: abc is the
+    counter-clockwise triangle on one side, d the far vertex of its
+    neighbour on the other, and a, b repeat so that each rotation of abc is
+    a slice.
+    """
+
+    edges: np.ndarray
+    triangles: np.ndarray
+    hull: np.ndarray
+    interior: np.ndarray
+
+
+@dataclass(frozen=True, slots=True, eq=False)
 class ProximityGraph:
     """Node positions, an (n, 2) array of rect centers with one row per
     label slot, and the edges, an (m, 2) int array of slot pairs i < j.
 
     Deleted labels keep their slot so indices line up with force and
-    displacement arrays, but never carry edges.
+    displacement arrays, but never carry edges. A Delaunay build, and its
+    pruned graph, also hold the build's `triangulation` when Qhull kept
+    every live center as a vertex; other graphs hold None.
     """
 
     positions: np.ndarray
     edges: np.ndarray
+    triangulation: Triangulation | None = None
+
+
+def _centers(rects: np.ndarray) -> np.ndarray:
+    return 0.5 * (rects[:, 0:2] + rects[:, 2:4])
 
 
 def _effective_xy(rects: np.ndarray, live: np.ndarray) -> np.ndarray:
@@ -62,7 +100,7 @@ def _effective_xy(rects: np.ndarray, live: np.ndarray) -> np.ndarray:
     # apart by an offset keyed to the slot index. When no two live centers
     # are equal (as complex numbers, so that -0.0 equals 0.0 as in the set)
     # nothing moves.
-    xy = 0.5 * (rects[:, 0:2] + rects[:, 2:4])
+    xy = _centers(rects)
     if len(np.unique(xy[live].view(np.complex128))) == len(live):
         return xy
     seen: set[tuple[float, float]] = set()
@@ -84,14 +122,103 @@ def _collinear_chain(live: list[int], xy: np.ndarray) -> list[tuple[int, int]]:
     return sorted((min(a, b), max(a, b)) for a, b in zip(order, order[1:]))
 
 
-def delaunay_graph(rects: np.ndarray, live: np.ndarray) -> ProximityGraph:
+# The carried triangles are accepted only when every test clears M * S^2
+# (orientation, hull side) or M * S^4 (in-circle), with M = _CARRY_MARGIN
+# and S = 1 + the largest |coordinate| of a live center. Both bounds are
+# global because Qhull's precision is: it lifts every point onto one
+# paraboloid, scaled (option Qbb) to the largest coordinate, and the
+# roundoff within which it merges facets scales with that coordinate, some
+# ulps of S. The float error of the tests here is at most about 1e-14 S^2
+# for an orientation and 1e-12 S^4 for an in-circle (Shewchuk 1997, with
+# differences up to 2S), so each accepted sign is the exact one. An
+# in-circle value of 1e-9 S^4 puts the lifted fourth point at least about
+# 1e-10 S off the plane of the other three, thousands of times Qhull's
+# merge range: Qhull then returns the triangulation the tests prove unique.
+_CARRY_MARGIN = 1e-9
+
+
+def _still_delaunay(tri: Triangulation, xy: np.ndarray, live: np.ndarray) -> bool:
+    """True when the carried triangles are, by a margin, the Delaunay
+    triangulation of the live centers xy[live]: every triangle is still
+    counter-clockwise, every other live center lies strictly inside every
+    hull edge, and every interior edge's far vertex lies strictly outside
+    the circumcircle of the triangle across it.
+
+    The first two make the triangles a triangulation of the live centers:
+    they cover the convex hull once, so no two centers coincide. The third
+    makes it the Delaunay one (Delaunay's lemma), and, being strict, the
+    only one.
+    """
+    x, y = xy[:, 0], xy[:, 1]
+    pts = xy[live]
+    s2 = (1.0 + np.abs(pts).max()) ** 2
+    bound = _CARRY_MARGIN * s2
+    tx, ty = x[tri.triangles], y[tri.triangles]
+    area = (tx[:, 1] - tx[:, 0]) * (ty[:, 2] - ty[:, 0]) - (ty[:, 1] - ty[:, 0]) * (
+        tx[:, 2] - tx[:, 0]
+    )
+    if not (area > bound).all():
+        return False
+    # A hull edge's own two endpoints give exactly 0.0, so every other
+    # center is inside when all but those 2 per edge clear the bound.
+    (px, qx), (py, qy) = x[tri.hull.T], y[tri.hull.T]
+    side = (qx - px)[:, None] * (pts[:, 1] - py[:, None]) - (qy - py)[:, None] * (
+        pts[:, 0] - px[:, None]
+    )
+    if np.count_nonzero(side > bound) != side.size - 2 * len(px):
+        return False
+    # Shewchuk's incircle(a, b, c, d) over a, b, c relative to d, expanded
+    # along its lifted column: positive when d lies inside the circumcircle
+    # of abc.
+    rx, ry = x[tri.interior], y[tri.interior]
+    rx, ry = rx[:, 1:] - rx[:, :1], ry[:, 1:] - ry[:, :1]
+    lift = rx[:, :3] ** 2 + ry[:, :3] ** 2
+    cross = rx[:, 1:4] * ry[:, 2:] - ry[:, 1:4] * rx[:, 2:]
+    return bool((np.einsum("ij,ij->i", lift, cross) < -bound * s2).all())
+
+
+def _triangulation(live: np.ndarray, tri: Delaunay, n: int) -> Triangulation:
+    """The Qhull triangles as slot triples, with their hull edges, interior-
+    edge rows and edge array over n slots. SciPy returns 2-D simplices
+    counter-clockwise; one that is not fails the check's orientation test."""
+    s = live[tri.simplices]
+    # Side k of triangle t, flat at 3t + k, runs from its vertex k + 1 to
+    # vertex k + 2 (mod 3), with vertex k opposite and neighbour nb across.
+    nb = tri.neighbors.ravel()
+    a, b, c = s.ravel(), s[:, [1, 2, 0]].ravel(), s[:, [2, 0, 1]].ravel()
+    own = np.arange(len(nb)) // 3
+    hull = np.column_stack((b[nb < 0], c[nb < 0]))
+    inner = np.flatnonzero(nb > own)
+    ai, bi, ci = a[inner], b[inner], c[inner]
+    far = s.sum(axis=1)[nb[inner]] - bi - ci
+    # Each edge once: every hull side, and each interior side from the
+    # triangle with the higher index.
+    once = nb < own
+    keys = np.sort(np.minimum(b, c)[once] * n + np.maximum(b, c)[once])
+    edges = np.column_stack((keys // n, keys % n))
+    return Triangulation(edges, s, hull, np.column_stack((far, ai, bi, ci, ai, bi)))
+
+
+def delaunay_graph(
+    rects: np.ndarray, live: np.ndarray, carried: Triangulation | None = None
+) -> ProximityGraph:
     """Delaunay triangulation of the live label centers.
 
     One live label yields no edges, two yield a single edge, and collinear
-    sets degrade to a path graph instead of crashing.
+    sets degrade to a path graph instead of crashing. carried is the
+    triangulation of an earlier build over the same live slots: when it is
+    still, by a margin, the Delaunay triangulation of these centers, its
+    edges are returned and Qhull does not run.
     """
+    if carried is not None:
+        xy = _centers(rects)
+        # Accepted triangles keep every live center apart, so none needs
+        # the duplicate nudge.
+        if _still_delaunay(carried, xy, live):
+            return ProximityGraph(xy, carried.edges, carried)
     xy = _effective_xy(rects, live)
     edges = _NO_EDGES
+    triangulation = None
     if len(live) == 2:
         edges = live.reshape(1, 2)
     elif len(live) >= 3:
@@ -100,15 +227,13 @@ def delaunay_graph(rects: np.ndarray, live: np.ndarray) -> ProximityGraph:
         except QhullError:
             edges = np.array(_collinear_chain(live.tolist(), xy), dtype=np.int64)
         else:
-            # Each triangle's three sides as slot pairs; a side shared by two
-            # triangles is one edge. i * n + j orders them as sorted pairs.
-            s = live[tri.simplices]
-            a = np.concatenate((s[:, 0], s[:, 0], s[:, 1]))
-            b = np.concatenate((s[:, 1], s[:, 2], s[:, 2]))
-            n = len(rects)
-            keys = np.unique(np.minimum(a, b) * n + np.maximum(a, b))
-            edges = np.column_stack((keys // n, keys % n))
-    return ProximityGraph(positions=xy, edges=edges)
+            triangulation = _triangulation(live, tri, len(rects))
+            edges = triangulation.edges
+            # A point Qhull leaves out (a nudged duplicate center) is not a
+            # vertex, so these triangles cannot be checked against it.
+            if len(tri.coplanar):
+                triangulation = None
+    return ProximityGraph(xy, edges, triangulation)
 
 
 def prune_graph(
@@ -127,7 +252,7 @@ def prune_graph(
     """
     edges = graph.edges
     if not len(live) or not len(edges):
-        return ProximityGraph(positions=graph.positions, edges=_NO_EDGES)
+        return ProximityGraph(graph.positions, _NO_EDGES, graph.triangulation)
     boxes = rects[live]
     xy = graph.positions
     p, q = xy[edges[:, 0]], xy[edges[:, 1]]
@@ -153,7 +278,7 @@ def prune_graph(
         if len(r):
             k = ks[r]
             blocked[k[segments_cross_interiors(p[k], q[k], boxes[c])]] = True
-    return ProximityGraph(positions=xy, edges=edges[cand[~blocked[cand]]])
+    return ProximityGraph(xy, edges[cand[~blocked[cand]]], graph.triangulation)
 
 
 WeightKind = Literal["rect", "center"]
@@ -207,33 +332,33 @@ def mst_graph(rects: np.ndarray, live: np.ndarray, weight: WeightKind = "rect") 
 def partition_labels(rects: np.ndarray, live: np.ndarray, t_num: int) -> list[list[int]]:
     """Split live labels into spatial subgroups of at most t_num members.
 
-    Builds the rect-distance MST, then repeatedly deletes the longest edge
-    still inside an oversized component until every component fits. Returns
-    sorted index groups covering every live label exactly once.
+    Builds the rect-distance MST, then cuts it top-down: the longest edge
+    of every component larger than t_num goes, until every component fits.
+    Returns sorted index groups covering every live label exactly once.
+
+    One pass over the tree edges in rising (weight, i, j) order decides the
+    same cuts: an edge is cut exactly when its component among itself and
+    the edges before it has more than t_num members. The top-down cut
+    reaches it with all those edges still in place, and any longer edge
+    still joined to it was kept because its component already fitted.
     """
     if t_num < 1:
         raise ValueError("t_num must be at least 1")
-    active = _mst_edge_list(np.empty((0, 2)), rects, live, "rect")
+    tree = _mst_edge_list(np.empty((0, 2)), rects, live, "rect")
     live = live.tolist()
-
-    while True:
-        parent = {i: i for i in live}
-        for _, i, j in active:
-            ri, rj = _find(parent, i), _find(parent, j)
-            if ri != rj:
-                parent[rj] = ri
-        sizes: dict[int, int] = {}
-        for i in live:
-            r = _find(parent, i)
-            sizes[r] = sizes.get(r, 0) + 1
-        oversized = {r for r, s in sizes.items() if s > t_num}
-        if not oversized:
-            groups: dict[int, list[int]] = {}
-            for i in live:
-                groups.setdefault(_find(parent, i), []).append(i)
-            return [sorted(g) for g in sorted(groups.values(), key=lambda g: g[0])]
-        removable = [e for e in active if _find(parent, e[1]) in oversized]
-        active.remove(max(removable))
+    joined = {i: i for i in live}
+    size = dict.fromkeys(live, 1)
+    kept = {i: i for i in live}
+    for _, i, j in tree:
+        ri, rj = _find(joined, i), _find(joined, j)
+        joined[rj] = ri
+        size[ri] += size[rj]
+        if size[ri] <= t_num:
+            kept[_find(kept, j)] = _find(kept, i)
+    groups: dict[int, list[int]] = {}
+    for i in live:
+        groups.setdefault(_find(kept, i), []).append(i)
+    return [sorted(g) for g in sorted(groups.values(), key=lambda g: g[0])]
 
 
 def mean_nn_distance(points: Sequence[Vec2]) -> float:

@@ -448,6 +448,36 @@ def reference_element_blocks(
     return np.transpose(t, (0, 2, 1)) @ k @ t
 
 
+def column_stack_element_blocks(
+    x1: np.ndarray, y1: np.ndarray, x2: np.ndarray, y2: np.ndarray, params: BeamParams
+) -> np.ndarray:
+    """Reference for the coefficient-table layout of
+    `beams._global_stiffness_batch`: both tables built by np.column_stack,
+    then gathered through the module's patterns."""
+    from leaderlabels.beams import _LOCAL_PATTERN, _ROTATION_PATTERN, ZeroLengthEdgeError
+
+    dx = x2 - x1
+    dy = y2 - y1
+    length = np.hypot(dx, dy)
+    if np.any(length <= 0.0):
+        raise ZeroLengthEdgeError("beam element with zero length")
+    c = dx / length
+    s = dy / length
+    e = params.elastic_modulus
+    a = params.cross_section
+    i_m = params.moment_of_inertia
+    ax = e * a / length
+    b12 = 12.0 * e * i_m / length**3
+    b6 = 6.0 * e * i_m / length**2
+    b4 = 4.0 * e * i_m / length
+    b2 = 2.0 * e * i_m / length
+    table = np.column_stack((np.zeros_like(ax), ax, b12, b6, b4, b2, -ax, -b12, -b6))
+    k_local = table[:, _LOCAL_PATTERN].reshape(-1, 6, 6)
+    table = np.column_stack((np.zeros_like(c), np.ones_like(c), c, s, -s))
+    t = table[:, _ROTATION_PATTERN].reshape(-1, 6, 6)
+    return np.transpose(t, (0, 2, 1)) @ k_local @ t
+
+
 def element_stiffness(p1: Vec2, p2: Vec2, params: BeamParams) -> np.ndarray:
     """Global-frame 6x6 stiffness of one beam element between two nodes.
 
@@ -498,6 +528,37 @@ def reference_solve(
         norm = v.norm()
         capped.append(v if norm <= cap else v * (cap / norm))
     return tuple(capped)
+
+
+def reference_partition_labels(rects: np.ndarray, live: np.ndarray, t_num: int) -> list[list[int]]:
+    """Reference for `proximity.partition_labels`: the rect-distance MST,
+    with the longest edge inside an oversized component deleted one at a
+    time and the union-find rebuilt after each deletion."""
+    from leaderlabels.proximity import _find, _mst_edge_list
+
+    if t_num < 1:
+        raise ValueError("t_num must be at least 1")
+    active = _mst_edge_list(np.empty((0, 2)), rects, live, "rect")
+    live = live.tolist()
+
+    while True:
+        parent = {i: i for i in live}
+        for _, i, j in active:
+            ri, rj = _find(parent, i), _find(parent, j)
+            if ri != rj:
+                parent[rj] = ri
+        sizes: dict[int, int] = {}
+        for i in live:
+            r = _find(parent, i)
+            sizes[r] = sizes.get(r, 0) + 1
+        oversized = {r for r, s in sizes.items() if s > t_num}
+        if not oversized:
+            groups: dict[int, list[int]] = {}
+            for i in live:
+                groups.setdefault(_find(parent, i), []).append(i)
+            return [sorted(g) for g in sorted(groups.values(), key=lambda g: g[0])]
+        removable = [e for e in active if _find(parent, e[1]) in oversized]
+        active.remove(max(removable))
 
 
 @pytest.fixture

@@ -12,6 +12,7 @@ from leaderlabels.proximity import ProximityGraph, delaunay_graph, mst_graph, pr
 from leaderlabels.scene import BeamParams, initial_layout
 
 from conftest import (
+    column_stack_element_blocks,
     element_stiffness,
     label_layout,
     random_labels,
@@ -370,3 +371,26 @@ class TestElementBlocks:
         assume(np.all(np.hypot(x2 - x1, y2 - y1) > 0.0))
         got = beams._global_stiffness_batch(x1, y1, x2, y2, p)
         assert got.tobytes() == reference_element_blocks(x1, y1, x2, y2, p).tobytes()
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        elements=st.lists(
+            st.tuples(st.floats(-1e3, 1e3), st.floats(-1e3, 1e3), _length, _direction),
+            min_size=0,
+            max_size=40,
+        ),
+        p=st.builds(params, elastic_modulus=_stiffness, cross_section=_stiffness,
+                    moment_of_inertia=_stiffness),
+    )
+    @example(elements=[], p=params())
+    @example(elements=[(0.0, 0.0, 1.0, (1.0, 0.0))], p=params())
+    def test_tables_equal_the_column_stack_layout(self, elements, p):
+        x1, y1, length = (np.array([e[k] for e in elements], dtype=float) for k in range(3))
+        direction = np.array([e[3] for e in elements], dtype=float).reshape(-1, 2)
+        x2 = x1 + length * direction[:, 0]
+        y2 = y1 + length * direction[:, 1]
+        assume(np.all(np.hypot(x2 - x1, y2 - y1) > 0.0))
+        got = beams._global_stiffness_batch(x1, y1, x2, y2, p)
+        want = column_stack_element_blocks(x1, y1, x2, y2, p)
+        assert got.shape == want.shape == (len(elements), 6, 6)
+        assert got.tobytes() == want.tobytes()

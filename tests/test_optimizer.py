@@ -1,3 +1,4 @@
+import collections
 import dataclasses
 
 import math
@@ -6,7 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from leaderlabels import optimizer
+from leaderlabels import optimizer, proximity
 from leaderlabels.beams import solve_displacements
 from leaderlabels.forces import conflict_pairs
 from leaderlabels.geometry import Rect, Vec2, points_array
@@ -35,6 +36,7 @@ from conftest import (
     labels_from_rects,
     scene_layout,
 )
+from test_golden import _duplicated_scene
 
 
 class TestEffectiveMaxIterations:
@@ -168,9 +170,11 @@ class TestStep:
         labels = initial_layout(features, cfg)
         loop = optimizer._loop_of(labels, features, cfg, None)
         rects, conns = label_rects(labels), points_array(l.conn for l in labels)
-        pairs = conflict_pairs(rects, loop.arrays, cfg.d_min)
+        pairs, triangles = conflict_pairs(rects, loop.arrays, cfg.d_min), None
         for step_no in range(1, 4):
-            rects, conns, pairs, stats = optimizer._advance(loop, rects, conns, pairs, step_no)
+            rects, conns, pairs, triangles, stats = optimizer._advance(
+                loop, rects, conns, pairs, triangles, step_no
+            )
             placed = placed_labels(labels, loop.arrays.live, rects, conns)
             assert pairs == conflict_pairs(*scene_layout(placed, features), cfg.d_min)
             assert stats.label_conflicts == len(pairs.labels)
@@ -238,14 +242,16 @@ class TestForceFreeStep:
             labels = handle_offscreen_fixed(labels, cfg.screen, cfg.leader)
         loop = optimizer._loop_of(labels, features, cfg, None)
         rects, conns = label_rects(labels), points_array(l.conn for l in labels)
-        pairs = conflict_pairs(rects, loop.arrays, cfg.d_min)
+        pairs, triangles = conflict_pairs(rects, loop.arrays, cfg.d_min), None
         for step_no in range(1, 100):
             totals = optimizer.assemble_forces(features, cfg, pairs, rects, loop.arrays).totals
             if not project_for_leader_type(totals, cfg.leader).any():
                 break
-            rects, conns, pairs, _ = optimizer._advance(loop, rects, conns, pairs, step_no)
+            rects, conns, pairs, triangles, _ = optimizer._advance(
+                loop, rects, conns, pairs, triangles, step_no
+            )
         assert pairs.labels or kind is not LeaderType.FIXED_DIR_FIXED_CONN
-        graph = optimizer.build_graph(rects, loop.arrays.live, cfg, loop.t_d)
+        graph = optimizer.build_graph(rects, loop.arrays.live, cfg, loop.t_d, None)
         want = optimizer.StepStats(
             step=step_no,
             max_force=0.0,
@@ -258,11 +264,11 @@ class TestForceFreeStep:
         calls = []
         for name in ("solve_displacements", "conflict_pairs"):
             monkeypatch.setattr(optimizer, name, lambda *a, name=name: calls.append(name))
-        got = optimizer._advance(loop, rects, conns, pairs, step_no)
+        got = optimizer._advance(loop, rects, conns, pairs, triangles, step_no)
         assert calls == []
         assert np.array_equal(got[0], rects) and np.array_equal(got[1], conns)
         assert got[2] is pairs
-        assert got[3] == want
+        assert got[4] == want
 
 
 class TestRun:
@@ -462,3 +468,78 @@ class TestRunProperties:
             anchors = {f.id: f.anchor for f in features}
             for lbl in labels:
                 assert lbl.conn == Vec2(anchors[lbl.feature_id].x, lbl.rect.y_min)
+
+
+CARRY_SCENES = [f"synthetic-{n}-{seed}" for n in (47, 76) for seed in (0, 1, 2)] + [
+    "duplicated",
+    "grid",
+    "collinear",
+]
+
+
+def _carry_scene(name: str):
+    if name.startswith("synthetic"):
+        _, n, seed = name.split("-")
+        return synthetic_scene(int(n), int(seed))
+    features, cfg = _duplicated_scene()
+    if name == "grid":
+        # 20 equal labels on a 20 x 15 mm grid: the four centres of every
+        # grid cell are cocircular.
+        features = [
+            dataclasses.replace(
+                f, anchor=Vec2(30.0 + 20.0 * (k % 5), 30.0 + 15.0 * (k // 5)), depth=100.0,
+                text="ABCDEFG",
+            )
+            for k, f in enumerate(features[:20])
+        ]
+    elif name == "collinear":
+        # 8 equal overlapping labels in a row; Qhull rejects their centres.
+        features = [
+            dataclasses.replace(f, anchor=Vec2(10.0 + 7.0 * k, 50.0), depth=100.0, text="ABCD")
+            for k, f in enumerate(features[:8])
+        ]
+    return features, cfg
+
+
+class TestCarriedTriangulation:
+    """Every Delaunay step of a loop, carried or rebuilt, returns the graph
+    a fresh Qhull build of the same rects returns."""
+
+    @pytest.mark.parametrize("name", CARRY_SCENES)
+    def test_each_step_equals_a_fresh_qhull_build(self, monkeypatch, name):
+        build = proximity.delaunay_graph
+        seen = collections.Counter()
+
+        def checked(rects, live, carried=None):
+            got = build(rects, live, carried)
+            fresh = build(rects, live)
+            assert np.array_equal(got.edges, fresh.edges)
+            assert np.array_equal(got.positions, fresh.positions)
+            if carried is not None:
+                seen["carried" if got.triangulation is carried else "rebuilt"] += 1
+            seen["builds"] += 1
+            return got
+
+        monkeypatch.setattr(optimizer, "delaunay_graph", checked)
+        _, report = run(*_carry_scene(name))
+        # One build for the reference graph, one per step.
+        assert seen["builds"] == report.total_steps + 1
+        if name.startswith("synthetic") or name == "duplicated":
+            assert seen["carried"] > seen["rebuilt"] > 0
+        elif name == "grid":
+            assert seen["carried"] == 0 and seen["rebuilt"] > 0
+        else:
+            assert seen["carried"] == seen["rebuilt"] == 0
+
+    def test_mst_runs_build_no_delaunay_graph_per_step(self, monkeypatch):
+        features, cfg = synthetic_scene(20, 0)
+        build = proximity.delaunay_graph
+        calls = []
+
+        def recorded(rects, live, carried=None):
+            calls.append(carried)
+            return build(rects, live, carried)
+
+        monkeypatch.setattr(optimizer, "delaunay_graph", recorded)
+        run(features, dataclasses.replace(cfg, graph_kind=GraphKind.MST))
+        assert calls == [None]

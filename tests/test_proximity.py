@@ -6,9 +6,9 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
-from leaderlabels import geometry
+from leaderlabels import geometry, proximity
 from leaderlabels.geometry import Rect, Vec2, rect_distance
 from leaderlabels.proximity import (
     ProximityGraph,
@@ -20,7 +20,13 @@ from leaderlabels.proximity import (
 )
 from leaderlabels.scene import Label
 
-from conftest import label_layout, labels_from_rects, random_labels, segment_crosses_interior
+from conftest import (
+    label_layout,
+    labels_from_rects,
+    random_labels,
+    reference_partition_labels,
+    segment_crosses_interior,
+)
 
 
 class Edge(NamedTuple):
@@ -181,6 +187,157 @@ class TestDelaunay:
         )
         g = delaunay_graph(*label_layout(labels))
         assert set(edge_pairs(g)) == {(0, 2)}
+
+
+# --- carried triangulations -----------------------------------------------
+
+def point_rects(xy) -> tuple[np.ndarray, np.ndarray]:
+    """Zero-size rects centred exactly on the rows of xy, all of them live."""
+    xy = np.asarray(xy, dtype=float)
+    return np.column_stack((xy, xy)), np.arange(len(xy))
+
+
+def carried_build(xy0, xy1):
+    """The Delaunay build of the centres xy1 carrying the triangles of xy0,
+    with a fresh Qhull build of xy1 and whether the carry was accepted."""
+    tri = delaunay_graph(*point_rects(xy0)).triangulation
+    assert tri is not None
+    got = delaunay_graph(*point_rects(xy1), tri)
+    return got, delaunay_graph(*point_rects(xy1)), got.triangulation is tri
+
+
+@st.composite
+def moved_point_sets(draw):
+    """A random point set and a move of it that keeps, flips or breaks its
+    Delaunay triangulation: a jitter, a far vertex pulled onto or inside
+    the circumcircle across an interior edge, a point moved onto or across
+    a hull edge, a hull vertex pulled inwards, or two points made equal."""
+    n = draw(st.integers(3, 14))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    xy0 = rng.uniform(0.0, 100.0, (n, 2))
+    tri = delaunay_graph(*point_rects(xy0)).triangulation
+    assume(tri is not None)
+    xy1 = xy0.copy()
+    kind = draw(st.sampled_from(["jitter", "flip", "across hull", "into hull", "coincide"]))
+    if kind == "jitter":
+        scale = draw(st.sampled_from([0.0, 1e-12, 1e-6, 1e-2, 1.0, 10.0]))
+        xy1 += scale * rng.standard_normal((n, 2))
+    elif kind == "flip" and len(tri.interior):
+        d, a, b, c = tri.interior[draw(st.integers(0, len(tri.interior) - 1))][:4]
+        centre, radius = _circumcircle(xy0[a], xy0[b], xy0[c])
+        centre = np.array(centre)
+        # Below 1 puts d inside the circle through a, b and c, 1 on it.
+        f = draw(st.sampled_from([0.0, 0.5, 0.9, 1.0 - 1e-7, 1.0, 1.0 + 1e-7, 1.1]))
+        away = xy0[d] - centre
+        xy1[d] = centre + f * radius * away / np.hypot(*away)
+    elif kind == "across hull" and n > 3:
+        p, q = tri.hull[draw(st.integers(0, len(tri.hull) - 1))]
+        r = draw(st.sampled_from([k for k in range(n) if k not in (p, q)]))
+        # Signed distance beyond the edge, in edge lengths; 0 is on it.
+        f = draw(st.sampled_from([-0.1, -1e-9, 0.0, 1e-9, 0.1]))
+        pq = xy0[q] - xy0[p]
+        xy1[r] = 0.5 * (xy0[p] + xy0[q]) + f * np.array([pq[1], -pq[0]])
+    elif kind == "into hull":
+        k = draw(st.sampled_from(sorted(set(tri.hull[:, 0].tolist()))))
+        f = draw(st.sampled_from([1e-9, 0.01, 0.1, 0.5, 1.0]))
+        xy1[k] += f * (xy0.mean(axis=0) - xy0[k])
+    elif kind == "coincide":
+        i, j = draw(st.lists(st.integers(0, n - 1), min_size=2, max_size=2, unique=True))
+        xy1[j] = xy1[i]
+    return xy0, xy1
+
+
+class TestCarriedTriangulation:
+    def test_layout_of_the_stored_triangles(self, rng):
+        for n in (3, 4, 12, 47):
+            xy = np.array([(rng.uniform(0, 100), rng.uniform(0, 100)) for _ in range(n)])
+            g = delaunay_graph(*point_rects(xy))
+            tri = g.triangulation
+            assert tri.edges is g.edges
+            assert set(edge_pairs(g)) == brute_force_delaunay_edges(xy.tolist())
+            x, y = xy.T
+            for a, b, c in tri.triangles.tolist():
+                assert (x[b] - x[a]) * (y[c] - y[a]) - (y[b] - y[a]) * (x[c] - x[a]) > 0
+            for p, q in tri.hull.tolist():
+                others = [r for r in range(n) if r not in (p, q)]
+                assert all(
+                    (x[q] - x[p]) * (y[r] - y[p]) - (y[q] - y[p]) * (x[r] - x[p]) > 0
+                    for r in others
+                )
+            triangles = {frozenset(t) for t in tri.triangles.tolist()}
+            sides = set()
+            for d, a, b, c, a2, b2 in tri.interior.tolist():
+                assert (a2, b2) == (a, b)
+                assert frozenset((a, b, c)) in triangles
+                assert frozenset((d, b, c)) in triangles
+                sides.add((min(b, c), max(b, c)))
+            sides.update((min(p, q), max(p, q)) for p, q in tri.hull.tolist())
+            assert sides == set(edge_pairs(g))
+            assert len(tri.interior) + len(tri.hull) == len(g.edges)
+
+    def test_unmoved_and_slightly_moved_sets_are_carried(self, rng):
+        for n in (3, 4, 12, 47):
+            for _ in range(5):
+                xy = np.array([(rng.uniform(0, 100), rng.uniform(0, 100)) for _ in range(n)])
+                for moved in (xy, xy + 1e-9):
+                    got, fresh, carried = carried_build(xy, moved)
+                    assert carried
+                    assert np.array_equal(got.edges, fresh.edges)
+
+    def test_a_flipped_edge_is_refused(self):
+        # The diagonal (1, 3) of the quadrilateral is Delaunay until point 2
+        # moves inside the circle through 0, 1 and 3.
+        xy0 = [(0.0, 0.0), (10.0, -1.0), (14.0, 12.0), (-1.0, 10.0)]
+        xy1 = [(0.0, 0.0), (10.0, -1.0), (7.0, 7.0), (-1.0, 10.0)]
+        got, fresh, carried = carried_build(xy0, xy1)
+        assert not carried
+        assert set(edge_pairs(got)) == brute_force_delaunay_edges(xy1) != set(
+            edge_pairs(delaunay_graph(*point_rects(xy0)))
+        )
+
+    @pytest.mark.parametrize(
+        "moved",
+        [
+            [(0.0, 0.0), (10.0, 0.0), (10.0, 10.0), (0.0, 10.0)],  # cocircular square
+            [(0.0, 0.0), (10.0, -1.0), (4.5, 4.5), (-1.0, 10.0)],  # 2 onto the new hull edge 1-3
+            [(0.0, 0.0), (10.0, -1.0), (4.0, 4.0), (-1.0, 10.0)],  # 2 inside the new hull
+            [(0.0, 0.0), (10.0, -1.0), (0.0, 0.0), (-1.0, 10.0)],  # 2 on top of 0
+        ],
+    )
+    def test_undecided_or_broken_checks_are_refused(self, moved):
+        xy0 = [(0.0, 0.0), (10.0, -1.0), (14.0, 12.0), (-1.0, 10.0)]
+        got, fresh, carried = carried_build(xy0, moved)
+        assert not carried
+        assert np.array_equal(got.edges, fresh.edges)
+
+    def test_only_sets_qhull_triangulates_whole_are_carried(self):
+        assert delaunay_graph(*point_rects([(0, 0), (5, 0), (9, 0)])).triangulation is None
+        assert delaunay_graph(*point_rects([(0, 0), (5, 1)])).triangulation is None
+        # Qhull leaves out one of two centres 1e-12 apart.
+        near = [(0, 0), (100, 0), (50, 80), (50, 30), (50 + 1e-12, 30)]
+        g = delaunay_graph(*point_rects(near))
+        assert g.triangulation is None and len(g.edges) == 6
+        # Nudged apart, equal centres are both vertices; carried to the
+        # un-nudged centres, their triangles are refused.
+        rects, live = label_layout(point_labels([(1, 1), (1, 1), (4, 5), (7, 2)]))
+        g = delaunay_graph(rects, live)
+        assert g.triangulation is not None
+        assert not proximity._still_delaunay(g.triangulation, proximity._centers(rects), live)
+
+    def test_pruning_keeps_the_triangulation(self, rng):
+        rects, live = label_layout(random_labels(rng, 25))
+        g = delaunay_graph(rects, live)
+        assert prune_graph(g, rects, live, t_d=1e-3).triangulation is g.triangulation
+        assert prune_graph(g, rects, live, t_d=35.0).triangulation is g.triangulation
+
+    @settings(max_examples=400, deadline=None)
+    @given(case=moved_point_sets())
+    def test_carry_is_refused_or_equals_qhull(self, case):
+        # A refused carry returns Qhull's own build, so the edges can only
+        # differ when a wrong carry was accepted.
+        got, fresh, _ = carried_build(*case)
+        assert np.array_equal(got.edges, fresh.edges)
+        assert np.array_equal(got.positions, fresh.positions)
 
 
 class TestEdgeOrder:
@@ -351,6 +508,25 @@ class TestPartition:
     def test_invalid_t_num(self):
         with pytest.raises(ValueError):
             partition_labels(*label_layout(labels_from_rects([Rect(0, 0, 1, 1)])), t_num=0)
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        cells=st.lists(
+            st.tuples(st.integers(0, 6), st.integers(0, 6), st.integers(1, 3), st.booleans()),
+            min_size=1,
+            max_size=24,
+        ),
+        t_num=st.integers(1, 25),
+    )
+    def test_one_pass_equals_the_rebuilding_reference(self, cells, t_num):
+        # Unit-spaced cells and whole-number sides: most rect distances tie.
+        rects = [Rect(2 * x, 2 * y, 2 * x + w, 2 * y + 1) for x, y, w, _ in cells]
+        labels = labels_from_rects(rects)
+        labels = [dataclasses.replace(l, deleted=gone) for l, (*_, gone) in zip(labels, cells)]
+        rects, live = label_layout(labels)
+        assert partition_labels(rects, live, t_num) == reference_partition_labels(
+            rects, live, t_num
+        )
 
 
 class TestHelpers:
