@@ -292,6 +292,13 @@ class SceneArrays(NamedTuple):
     ids: np.ndarray
     symbols: np.ndarray
 
+    def group(self, slots: np.ndarray) -> SceneArrays:
+        """`scene_arrays` of the labels at the rising live slots and their
+        own, distinct features, each pair numbered by the label's row."""
+        rows = np.arange(len(slots))
+        symbols = self.symbols[np.searchsorted(self.index, self.own[slots])]
+        return SceneArrays(rows, self.anchors[slots], rows, rows, rows, symbols)
+
 
 def scene_arrays(labels: Sequence[Label], features: Sequence[PointFeature]) -> SceneArrays:
     number = {f.id: k for k, f in enumerate(features)}

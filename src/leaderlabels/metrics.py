@@ -90,7 +90,11 @@ def mean_direction_deviation(
     devs = edge_direction_deviations(initial, final, graph)
     if not devs:
         return 0.0
-    return sum(d for _, _, d in devs) / len(devs)
+    # Added left to right: from Python 3.12, sum() compensates float sums.
+    total = 0.0
+    for _, _, d in devs:
+        total += d
+    return total / len(devs)
 
 
 def total_displacement_cm(initial: Sequence[Label], final: Sequence[Label]) -> float:

@@ -9,21 +9,23 @@ into spatial subgroups that iterate independently.
 Work is done once at the level where its inputs change. The Delaunay pruning
 distance t_d depends only on the anchors, which never move, so it is computed
 once per loop (and for a loop over the whole scene, taken from the reference
-graph's). Graph, forces, solve and move are per step. A loop scans its
-starting layout for conflicting label-label and label-symbol pairs, and each
-step scans the layout it produced once; those pairs give the step's conflict
-counts and feed the next step's force assembly. Under the Delaunay graph,
-each step also hands its triangles to the next step's `delaunay_graph`,
-which reuses them instead of running Qhull while a margin proves them still
-Delaunay (see `proximity`); a loop's first step, and any step whose check
-fails or cannot decide, runs Qhull.
+graph's). Forces, graph, solve and move are per step; a step after a loop's
+first that moves nothing builds no graph. `run` scans the starting layout
+once for conflicting label-label and label-symbol pairs, and each step scans
+the layout it produced once; those pairs give the step's conflict counts and
+feed the next step's force assembly. Under the Delaunay graph, each step
+also hands its triangles to the next step's `delaunay_graph`, which reuses
+them instead of running Qhull while a margin proves them still Delaunay (see
+`proximity`); a loop's first step, and any step whose check fails or cannot
+decide, runs Qhull.
 
-`run` takes the features and builds the labels; `_run_loop` reads a loop's
-labels once into arrays and builds labels again once, when the loop ends.
-In between, the steps hand each other arrays: the (n, 4) rects, the (n, 2)
-connection points, the (n, 2) forces and translations, and one
-`SceneArrays` per loop for the anchors, the live slots and the symbols.
-Scalar `Rect`s appear only for the labels in a conflicting pair.
+`run` builds the labels and reads them once into arrays: the (n, 4) rects,
+the (n, 2) connection points and one `SceneArrays` for the anchors, the live
+slots and the symbols. Each subgroup loop works on its group's rows of them
+(`SceneArrays.group`) from the run's pairs within the group, and writes its
+rows back; labels are built again once, after the last loop. The steps hand
+each other arrays, the (n, 2) forces and translations too. Scalar `Rect`s
+appear only for the labels in a conflicting pair.
 """
 
 from __future__ import annotations
@@ -119,20 +121,22 @@ def handle_offscreen_fixed(
 @dataclass(frozen=True, slots=True)
 class StepStats:
     """One step's record. capped counts the live labels whose translation
-    the step cap (`BeamParams.max_step`) shortened."""
+    the step cap (`BeamParams.max_step`) shortened. graph_edges counts the
+    edges of the step's graph, or is None on a step after the loop's first
+    that moves nothing: such a step builds no graph, and is the loop's last."""
 
     step: int
     max_force: float
     label_conflicts: int
     feature_conflicts: int
-    graph_edges: int
+    graph_edges: int | None
     force_tags: frozenset[str]
     capped: int
 
 
 def pruning_distance(features: Sequence[PointFeature], cfg: LayoutConfig) -> float:
     """t_d: Delaunay edges longer than this are pruned."""
-    return cfg.t_d_factor * mean_nn_distance([f.anchor for f in features])
+    return cfg.t_d_factor * mean_nn_distance(points_array(f.anchor for f in features))
 
 
 def reference_graph(
@@ -186,11 +190,12 @@ class _Loop:
 
 
 def _loop_of(
-    labels: Sequence[Label], features: Sequence[PointFeature], cfg: LayoutConfig, t_d: float | None
+    features: Sequence[PointFeature], cfg: LayoutConfig, arrays: SceneArrays, t_d: float | None
 ) -> _Loop:
+    """The loop over arrays, the scene of features; a Delaunay loop without
+    t_d takes it from the features' anchors."""
     if t_d is None and cfg.graph_kind is GraphKind.DT:
         t_d = pruning_distance(features, cfg)
-    arrays = scene_arrays(labels, features)
     return _Loop(features, cfg, t_d, arrays, cfg.resolved_beam())
 
 
@@ -204,12 +209,12 @@ def _advance(
 ) -> tuple[np.ndarray, np.ndarray, ConflictPairs, Triangulation | None, StepStats]:
     """One pass on the (n, 4) rects and (n, 2) conns, whose conflict pairs
     are pairs and whose previous step's Delaunay triangles are carried:
-    rebuild the graph, assemble forces, solve, move. Returns the moved rects
+    assemble forces, rebuild the graph, solve, move. Returns the moved rects
     and conns, their conflict pairs, this step's triangles, and the step's
     stats. A step whose forces are all exactly zero, whose solve gives +0.0
-    translations, moves nothing: it skips the solve and the rescan."""
+    translations, moves nothing: it skips the solve and the rescan, and,
+    unless it is the loop's first step, the graph too."""
     cfg, live = loop.cfg, loop.arrays.live
-    graph = build_graph(rects, live, cfg, loop.t_d, carried)
     assignment = assemble_forces(loop.features, cfg, pairs, rects, loop.arrays)
     # Only the along-leader force component can produce motion under the
     # fully fixed leader, so the perpendicular remainder is dropped before
@@ -217,6 +222,10 @@ def _advance(
     totals = project_for_leader_type(assignment.totals, cfg.leader)
     max_force = _max_norm(totals[live])
     moves = totals.any()
+    edges, triangles = None, carried
+    if moves or step_no == 1:
+        graph = build_graph(rects, live, cfg, loop.t_d, carried)
+        edges, triangles = len(graph.edges), graph.triangulation
     if moves:
         disp = solve_displacements(graph, totals, loop.beam)
         translations, capped = disp.translations, disp.capped
@@ -237,11 +246,11 @@ def _advance(
         max_force=max_force,
         label_conflicts=len(pairs.labels),
         feature_conflicts=len(pairs.features),
-        graph_edges=len(graph.edges),
+        graph_edges=edges,
         force_tags=assignment.sources,
         capped=capped,
     )
-    return moved_rects, moved_conns, pairs, graph.triangulation, stats
+    return moved_rects, moved_conns, pairs, triangles, stats
 
 
 @dataclass(frozen=True, slots=True)
@@ -303,20 +312,16 @@ class RunReport:
 
 
 def _run_loop(
-    labels: list[Label],
-    features: Sequence[PointFeature],
-    cfg: LayoutConfig,
-    t_d: float | None = None,
-) -> tuple[list[Label], LoopStats]:
-    n_live = sum(1 for l in labels if not l.deleted)
+    loop: _Loop, rects: np.ndarray, conns: np.ndarray, pairs: ConflictPairs
+) -> tuple[np.ndarray, np.ndarray, LoopStats]:
+    """Step loop from the (n, 4) rects and (n, 2) conns, whose conflict pairs
+    are pairs, to its exit; return the final rects and conns and its record."""
+    n_live = len(loop.arrays.live)
     if n_live == 0:
-        return labels, LoopStats(0, 0, 0, 0.0, "force", ())
+        return rects, conns, LoopStats(0, 0, 0, 0.0, "force", ())
+    cfg = loop.cfg
     t_s = effective_max_iterations(n_live, cfg.t_s_override)
     t_f = cfg.force_threshold
-    loop = _loop_of(labels, features, cfg, t_d)
-    rects = label_rects(labels)
-    conns = points_array(l.conn for l in labels)
-    pairs = conflict_pairs(rects, loop.arrays, cfg.d_min)
     triangles = None
     history: list[StepStats] = []
     while True:
@@ -327,7 +332,7 @@ def _run_loop(
         if stats.step >= t_s or stats.max_force <= t_f:
             break
     reason = "force" if stats.max_force <= t_f else "max_iterations"
-    return placed_labels(labels, loop.arrays.live, rects, conns), LoopStats(
+    return rects, conns, LoopStats(
         size=n_live,
         steps=stats.step,
         max_iterations=t_s,
@@ -335,6 +340,15 @@ def _run_loop(
         exit_reason=reason,
         history=tuple(history),
     )
+
+
+def _group_pairs(found: list[np.ndarray], group: np.ndarray, n: int) -> ConflictPairs:
+    """The pairs of found, the run's label and feature pairs as (m, 2)
+    arrays, within group, numbered by row in group as `SceneArrays.group`."""
+    row = np.full(n, -1)
+    row[group] = np.arange(len(group))
+    within = [row[f] for f in found]
+    return ConflictPairs(*(list(map(tuple, w[(w >= 0).all(axis=1)].tolist())) for w in within))
 
 
 def run(
@@ -349,9 +363,14 @@ def run(
     constraints whose forces cancel, and the local search resolves those
     without disturbing the rest of the layout. A scene that still has
     conflicts after repair is flagged infeasible rather than raising.
+    Feature ids must be unique (ValueError): label slot k holds feature
+    k's label. Each loop works on, and writes back, its rows of the run's
+    arrays; labels are built again once, after the last loop.
     """
     t0 = time.perf_counter()
     features = list(features)
+    if len({f.id for f in features}) < len(features):
+        raise ValueError("feature ids must be unique")
     initial = initial_layout(features, cfg)
     labels = list(initial)
     if cfg.leader.kind is LeaderType.FIXED_DIR_FIXED_CONN:
@@ -361,24 +380,25 @@ def run(
     t_d = pruning_distance(features, cfg)
     ref_graph = reference_graph(reference, features, cfg, t_d)
 
-    feature_by_id = {f.id: f for f in features}
+    rects, conns = label_rects(labels), points_array(l.conn for l in labels)
+    arrays = scene_arrays(labels, features)
+    pairs = conflict_pairs(rects, arrays, cfg.d_min)
     loops: list[LoopStats] = []
     if cfg.t_num is None:
-        labels, stats = _run_loop(labels, features, cfg, t_d)
+        rects, conns, stats = _run_loop(_loop_of(features, cfg, arrays, t_d), rects, conns, pairs)
         loops.append(stats)
         subgroup_sizes: tuple[int, ...] = ()
     else:
-        groups = partition_labels(label_rects(labels), live_slots(labels), cfg.t_num)
-        merged = list(labels)
+        groups = partition_labels(rects, arrays.live, cfg.t_num)
+        found = [np.array(p, dtype=np.int64).reshape(-1, 2) for p in pairs]
         for group in groups:
-            sub_labels = [labels[i] for i in group]
-            sub_features = [feature_by_id[l.feature_id] for l in sub_labels]
-            solved, stats = _run_loop(sub_labels, sub_features, cfg)
+            g = np.array(group)
+            loop = _loop_of([features[i] for i in group], cfg, arrays.group(g), None)
+            start = _group_pairs(found, g, len(labels))
+            rects[g], conns[g], stats = _run_loop(loop, rects[g], conns[g], start)
             loops.append(stats)
-            for local, original in enumerate(group):
-                merged[original] = solved[local]
-        labels = merged
         subgroup_sizes = tuple(len(g) for g in groups)
+    labels = placed_labels(labels, arrays.live, rects, conns)
 
     repair_moves = 0
     n_rr, n_rp = count_conflicts(labels, features, cfg.d_min)

@@ -7,7 +7,8 @@ orientations are taken from `positions` by whoever needs them.
 
 Every builder takes the layout as arrays: `rects`, (n, 4) with one row per
 label slot as `scene.label_rects` gives them, and `live`, the rising slots
-of the labels not deleted, as `scene.live_slots` gives them.
+of the labels not deleted, as `scene.live_slots` gives them. A subgroup
+loop passes its rows of the run's arrays, and `partition_labels` the run's.
 
 A Delaunay build also returns its triangles (`Triangulation`), and the
 placement loop hands them to the next step's build. A step moves each label
@@ -25,20 +26,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Literal, Sequence
+from typing import Literal
 
 import numpy as np
-from scipy.spatial import Delaunay, QhullError, cKDTree
+from scipy.spatial import Delaunay, QhullError
 
-from .geometry import (
-    HYPOT_RTOL,
-    Rect,
-    Vec2,
-    points_array,
-    rect_distance,
-    row_blocks,
-    segments_cross_interiors,
-)
+from .geometry import HYPOT_RTOL, row_blocks, segments_cross_interiors
 
 # Deterministic nudge applied to duplicate centers so triangulation stays
 # well defined; far below any geometric tolerance used elsewhere.
@@ -287,35 +280,34 @@ WeightKind = Literal["rect", "center"]
 def _mst_edge_list(
     xy: np.ndarray, rects: np.ndarray, live: np.ndarray, weight: WeightKind
 ) -> list[tuple[float, int, int]]:
-    """Kruskal MST over the complete graph of live labels.
+    """Kruskal MST over the complete graph of live labels, as (weight, i, j)
+    in the order Kruskal takes them.
 
     weight "rect" uses minimum rectangle distance (the clustering semantics),
     "center" uses center-to-center distance between the rows of xy (the
     graph-kind switch). Ties break on the (min index, max index) pair, so
-    results are deterministic.
+    results are deterministic. `math.hypot` measures the axis gaps of every
+    pair, so a weight is the float `rect_distance` gives.
     """
-    live = live.tolist()
     if len(live) < 2:
         return []
+    a, b = np.triu_indices(len(live), 1)
+    i, j = live[a], live[b]
     if weight == "rect":
-        boxes = [Rect(*r) for r in rects.tolist()]
-
-        def dist(i: int, j: int) -> float:
-            return rect_distance(boxes[i], boxes[j])
+        p, q = rects[i], rects[j]
+        dx = np.maximum(np.maximum(p[:, 0] - q[:, 2], q[:, 0] - p[:, 2]), 0.0)
+        dy = np.maximum(np.maximum(p[:, 1] - q[:, 3], q[:, 1] - p[:, 3]), 0.0)
     else:
-        points = xy.tolist()
-
-        def dist(i: int, j: int) -> float:
-            return math.hypot(points[i][0] - points[j][0], points[i][1] - points[j][1])
-
-    cand = sorted((dist(i, j), i, j) for a, i in enumerate(live) for j in live[a + 1:])
-    parent = {i: i for i in live}
+        dx, dy = xy[i, 0] - xy[j, 0], xy[i, 1] - xy[j, 1]
+    w = np.array(list(map(math.hypot, dx.tolist(), dy.tolist())))
+    order = np.lexsort((j, i, w))
+    parent = list(range(len(rects)))
     chosen: list[tuple[float, int, int]] = []
-    for w, i, j in cand:
-        ri, rj = _find(parent, i), _find(parent, j)
+    for wk, ik, jk in zip(*(v[order].tolist() for v in (w, i, j))):
+        ri, rj = _find(parent, ik), _find(parent, jk)
         if ri != rj:
             parent[rj] = ri
-            chosen.append((w, i, j))
+            chosen.append((wk, ik, jk))
             if len(chosen) == len(live) - 1:
                 break
     return chosen
@@ -361,27 +353,27 @@ def partition_labels(rects: np.ndarray, live: np.ndarray, t_num: int) -> list[li
     return [sorted(g) for g in sorted(groups.values(), key=lambda g: g[0])]
 
 
-def mean_nn_distance(points: Sequence[Vec2]) -> float:
-    """Mean nearest-neighbor distance; 0 for fewer than two points.
+def mean_nn_distance(xy: np.ndarray) -> float:
+    """Mean nearest-neighbor distance of the (n, 2) points xy; 0 for fewer
+    than two points.
 
-    A k-d tree proposes each point's three nearest points (itself among
-    them, unless duplicates crowd it out); `Vec2.norm` measures the others
-    and the smallest is summed in point order, so the mean is the same float
-    as the all-pairs definition. When the third tree distance comes within
-    HYPOT_RTOL of that smallest one, a nearer point may have been cut off by
-    rounding, and the point is measured against all others instead.
+    Each point is measured against all others, in row blocks so memory
+    stays linear in n: np.hypot picks its nearest and those within
+    HYPOT_RTOL of it, and `math.hypot` measures only those. The smallest
+    distances are added one by one in point order, so the mean is the same
+    float as the all-pairs definition.
     """
-    n = len(points)
+    n = len(xy)
     if n < 2:
         return 0.0
-    k = min(3, n)
-    xy = points_array(points)
-    dist, near = cKDTree(xy).query(xy, k=k)
     total = 0.0
-    for i, (cands, last) in enumerate(zip(near.tolist(), dist[:, -1].tolist())):
-        p = points[i]
-        best = min((p - points[j]).norm() for j in cands if j != i)
-        if k < n and 0.0 < best and last <= best * (1.0 + HYPOT_RTOL):
-            best = min((p - points[j]).norm() for j in range(n) if j != i)
-        total += best
+    for rows in row_blocks(n, n):
+        d = xy - xy[rows, None]
+        h = np.hypot(d[..., 0], d[..., 1])
+        h[np.arange(len(h)), np.arange(rows.start, rows.stop)] = np.inf
+        r, c = np.nonzero(h <= h.min(axis=1, keepdims=True) * (1.0 + HYPOT_RTOL))
+        exact = np.full(h.shape, np.inf)
+        exact[r, c] = list(map(math.hypot, d[r, c, 0].tolist(), d[r, c, 1].tolist()))
+        for best in exact.min(axis=1).tolist():
+            total += best
     return total / n

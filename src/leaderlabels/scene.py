@@ -197,8 +197,11 @@ def measure_text(text: str, font_size_pt: float) -> tuple[float, float]:
     if not font_size_pt > 0:
         raise ValueError("font size must be positive")
     em = font_size_pt * PT_TO_MM
-    width = sum((DOUBLE_WIDTH_EM if is_double_width(ch) else SINGLE_WIDTH_EM) for ch in text) * em
-    return width, LINE_HEIGHT_EM * em
+    # Added left to right: from Python 3.12, sum() compensates float sums.
+    advance = 0.0
+    for ch in text:
+        advance += DOUBLE_WIDTH_EM if is_double_width(ch) else SINGLE_WIDTH_EM
+    return advance * em, LINE_HEIGHT_EM * em
 
 
 def font_size_for(feature: PointFeature, d_nearest: float, cfg: LayoutConfig) -> float:

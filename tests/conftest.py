@@ -530,15 +530,39 @@ def reference_solve(
     return tuple(capped)
 
 
+def reference_mst_edges(rects: np.ndarray, live: np.ndarray) -> list[tuple[float, int, int]]:
+    """Reference for the rect-distance MST of `proximity._mst_edge_list`:
+    every live pair measured with `rect_distance` on scalar `Rect`s, the
+    (weight, i, j) tuples sorted, Kruskal over them."""
+    from leaderlabels.geometry import rect_distance
+    from leaderlabels.proximity import _find
+
+    live = live.tolist()
+    boxes = [Rect(*r) for r in rects.tolist()]
+    cand = sorted(
+        (rect_distance(boxes[i], boxes[j]), i, j) for a, i in enumerate(live) for j in live[a + 1:]
+    )
+    parent = {i: i for i in live}
+    chosen: list[tuple[float, int, int]] = []
+    for w, i, j in cand:
+        ri, rj = _find(parent, i), _find(parent, j)
+        if ri != rj:
+            parent[rj] = ri
+            chosen.append((w, i, j))
+            if len(chosen) == len(live) - 1:
+                break
+    return chosen
+
+
 def reference_partition_labels(rects: np.ndarray, live: np.ndarray, t_num: int) -> list[list[int]]:
     """Reference for `proximity.partition_labels`: the rect-distance MST,
     with the longest edge inside an oversized component deleted one at a
     time and the union-find rebuilt after each deletion."""
-    from leaderlabels.proximity import _find, _mst_edge_list
+    from leaderlabels.proximity import _find
 
     if t_num < 1:
         raise ValueError("t_num must be at least 1")
-    active = _mst_edge_list(np.empty((0, 2)), rects, live, "rect")
+    active = reference_mst_edges(rects, live)
     live = live.tolist()
 
     while True:
@@ -559,6 +583,104 @@ def reference_partition_labels(rects: np.ndarray, live: np.ndarray, t_num: int) 
             return [sorted(g) for g in sorted(groups.values(), key=lambda g: g[0])]
         removable = [e for e in active if _find(parent, e[1]) in oversized]
         active.remove(max(removable))
+
+
+def reference_run_loop(labels: list[Label], features: Sequence[PointFeature], cfg: LayoutConfig, t_d=None):
+    """Reference for one loop of `optimizer.run` as each loop once ran: from
+    its own labels and features, with its own `scene_arrays` and starting
+    scan, and its labels built again at the end."""
+    from leaderlabels import optimizer as opt
+    from leaderlabels.forces import conflict_pairs
+    from leaderlabels.geometry import points_array
+    from leaderlabels.scene import placed_labels
+
+    n_live = sum(1 for l in labels if not l.deleted)
+    if n_live == 0:
+        return labels, opt.LoopStats(0, 0, 0, 0.0, "force", ())
+    t_s = opt.effective_max_iterations(n_live, cfg.t_s_override)
+    t_f = cfg.force_threshold
+    loop = opt._loop_of(features, cfg, scene_arrays(labels, features), t_d)
+    rects = label_rects(labels)
+    conns = points_array(l.conn for l in labels)
+    pairs = conflict_pairs(rects, loop.arrays, cfg.d_min)
+    triangles = None
+    history = []
+    while True:
+        rects, conns, pairs, triangles, stats = opt._advance(
+            loop, rects, conns, pairs, triangles, len(history) + 1
+        )
+        history.append(stats)
+        if stats.step >= t_s or stats.max_force <= t_f:
+            break
+    reason = "force" if stats.max_force <= t_f else "max_iterations"
+    return placed_labels(labels, loop.arrays.live, rects, conns), opt.LoopStats(
+        n_live, stats.step, t_s, stats.max_force, reason, tuple(history)
+    )
+
+
+def reference_run(features: Sequence[PointFeature], cfg: LayoutConfig):
+    """Reference for `optimizer.run` as it ran before its loops shared the
+    run's arrays: each subgroup loop runs on its own labels and features
+    (`reference_run_loop`) and its labels are merged back one by one."""
+    from leaderlabels import optimizer as opt
+
+    features = list(features)
+    labels = opt.initial_layout(features, cfg)
+    if cfg.leader.kind is LeaderType.FIXED_DIR_FIXED_CONN:
+        labels = opt.handle_offscreen_fixed(labels, cfg.screen, cfg.leader)
+    reference = list(labels)
+    t_d = opt.pruning_distance(features, cfg)
+    ref_graph = opt.reference_graph(reference, features, cfg, t_d)
+
+    feature_by_id = {f.id: f for f in features}
+    loops = []
+    if cfg.t_num is None:
+        labels, stats = reference_run_loop(labels, features, cfg, t_d)
+        loops.append(stats)
+        subgroup_sizes = ()
+    else:
+        groups = reference_partition_labels(label_rects(labels), live_slots(labels), cfg.t_num)
+        merged = list(labels)
+        for group in groups:
+            sub_labels = [labels[i] for i in group]
+            sub_features = [feature_by_id[l.feature_id] for l in sub_labels]
+            solved, stats = reference_run_loop(sub_labels, sub_features, cfg)
+            loops.append(stats)
+            for local, original in enumerate(group):
+                merged[original] = solved[local]
+        labels = merged
+        subgroup_sizes = tuple(len(g) for g in groups)
+
+    repair_moves = 0
+    n_rr, n_rp = opt.count_conflicts(labels, features, cfg.d_min)
+    if n_rr + n_rp > 0:
+        labels, repair_moves = opt.greedy_repair(
+            labels, features, cfg, diagonal=True, max_axis_retries=5
+        )
+        n_rr, n_rp = opt.count_conflicts(labels, features, cfg.d_min)
+    reasons = {loop.exit_reason for loop in loops}
+    report = opt.RunReport(
+        method="beams",
+        graph_kind=cfg.graph_kind.value,
+        leader_type=int(cfg.leader.kind),
+        iterations=max((loop.steps for loop in loops), default=0),
+        total_steps=sum(loop.steps for loop in loops),
+        elapsed_s=0.0,
+        exit_reason=reasons.pop() if len(reasons) == 1 else "mixed",
+        infeasible=(n_rr + n_rp) > 0,
+        label_conflicts=n_rr,
+        feature_conflicts=n_rp,
+        total_displacement_cm=opt.total_displacement_cm(reference, labels),
+        mean_direction_deviation_deg=opt.mean_direction_deviation(reference, labels, ref_graph),
+        initial_graph_edges=len(ref_graph.edges),
+        solver_graph_edges=sum(loop.history[0].graph_edges for loop in loops if loop.history),
+        force_tags=tuple(sorted({t for loop in loops for s in loop.history for t in s.force_tags})),
+        subgroup_sizes=subgroup_sizes,
+        loops=tuple(loops),
+        deleted_count=sum(1 for l in labels if l.deleted),
+        repair_moves=repair_moves,
+    )
+    return labels, report
 
 
 @pytest.fixture

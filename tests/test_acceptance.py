@@ -24,7 +24,7 @@ from leaderlabels.forces import (
     screen_force,
     separation_force,
 )
-from leaderlabels.geometry import Rect, Vec2, rect_distance
+from leaderlabels.geometry import Rect, Vec2, points_array, rect_distance
 from leaderlabels.metrics import (
     count_conflicts,
     direction_deviation,
@@ -109,7 +109,7 @@ class TestCriterion02DirectionPreservation:
             _, rep = run(features, cfg)
             beams_vals.append(rep.mean_direction_deviation_deg)
             init = initial_layout(features, cfg)
-            t_d = cfg.t_d_factor * mean_nn_distance([f.anchor for f in features])
+            t_d = cfg.t_d_factor * mean_nn_distance(points_array(f.anchor for f in features))
             rects, live = label_layout(init)
             ref = prune_graph(delaunay_graph(rects, live), rects, live, t_d)
             final = baselines.localp(features, cfg)

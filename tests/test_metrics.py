@@ -8,11 +8,14 @@ from leaderlabels.metrics import (
     build_report,
     count_conflicts,
     direction_deviation,
+    edge_direction_deviations,
     mean_direction_deviation,
     total_displacement_cm,
 )
+from leaderlabels.optimizer import reference_graph, run
 from leaderlabels.proximity import delaunay_graph
-from leaderlabels.scene import Label, PointFeature
+from leaderlabels.scene import Label, PointFeature, initial_layout
+from leaderlabels.scenefile import synthetic_scene
 
 from conftest import (
     brute_force_feature_conflicts,
@@ -205,3 +208,24 @@ class TestBuildReport:
             "mean_direction_deviation_deg",
             "elapsed_s",
         }
+
+
+class TestSequentialDeviationSum:
+    """The mean deviation adds its edges left to right, as sum() does up to
+    Python 3.11; from 3.12 sum() compensates. On some of these scenes the
+    two sums differ."""
+
+    def test_mean_is_the_sequential_sum(self):
+        compensated_differs = []
+        for seed in range(6):
+            features, cfg = synthetic_scene(47, seed)
+            initial = initial_layout(features, cfg)
+            final, _ = run(features, cfg)
+            graph = reference_graph(initial, features, cfg)
+            devs = [d for _, _, d in edge_direction_deviations(initial, final, graph)]
+            total = 0.0
+            for d in devs:
+                total += d
+            assert mean_direction_deviation(initial, final, graph) == total / len(devs)
+            compensated_differs.append(total != math.fsum(devs))
+        assert any(compensated_differs)

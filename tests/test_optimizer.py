@@ -9,7 +9,7 @@ from hypothesis import given, settings, strategies as st
 
 from leaderlabels import optimizer, proximity
 from leaderlabels.beams import solve_displacements
-from leaderlabels.forces import conflict_pairs
+from leaderlabels.forces import conflict_pairs, scene_arrays
 from leaderlabels.geometry import Rect, Vec2, points_array
 from leaderlabels.metrics import count_conflicts
 from leaderlabels.optimizer import (
@@ -34,6 +34,7 @@ from conftest import (
     brute_force_feature_conflicts,
     brute_force_label_conflicts,
     labels_from_rects,
+    reference_run,
     scene_layout,
 )
 from test_golden import _duplicated_scene
@@ -115,8 +116,15 @@ def one_step(labels, features, cfg):
     """The labels after the first step of a loop from labels, and that
     step's stats."""
     one = dataclasses.replace(cfg, t_s_override=1)
-    placed, loop = optimizer._run_loop(list(labels), features, one)
-    return placed, loop.history[0]
+    rects, arrays = scene_layout(labels, features)
+    conns = points_array(l.conn for l in labels)
+    rects, conns, loop = optimizer._run_loop(
+        optimizer._loop_of(features, one, arrays, None),
+        rects,
+        conns,
+        conflict_pairs(rects, arrays, one.d_min),
+    )
+    return placed_labels(labels, arrays.live, rects, conns), loop.history[0]
 
 
 class TestStep:
@@ -168,7 +176,7 @@ class TestStep:
     def test_advance_returns_the_new_layouts_pairs(self):
         features, cfg = synthetic_scene(20, 1, screen=(160.0, 110.0))
         labels = initial_layout(features, cfg)
-        loop = optimizer._loop_of(labels, features, cfg, None)
+        loop = optimizer._loop_of(features, cfg, scene_arrays(labels, features), None)
         rects, conns = label_rects(labels), points_array(l.conn for l in labels)
         pairs, triangles = conflict_pairs(rects, loop.arrays, cfg.d_min), None
         for step_no in range(1, 4):
@@ -240,7 +248,7 @@ class TestForceFreeStep:
         labels = initial_layout(features, cfg)
         if kind is LeaderType.FIXED_DIR_FIXED_CONN:
             labels = handle_offscreen_fixed(labels, cfg.screen, cfg.leader)
-        loop = optimizer._loop_of(labels, features, cfg, None)
+        loop = optimizer._loop_of(features, cfg, scene_arrays(labels, features), None)
         rects, conns = label_rects(labels), points_array(l.conn for l in labels)
         pairs, triangles = conflict_pairs(rects, loop.arrays, cfg.d_min), None
         for step_no in range(1, 100):
@@ -257,18 +265,62 @@ class TestForceFreeStep:
             max_force=0.0,
             label_conflicts=len(pairs.labels),
             feature_conflicts=len(pairs.features),
-            graph_edges=len(graph.edges),
+            # A later step that moves nothing builds no graph.
+            graph_edges=None,
             force_tags=optimizer.assemble_forces(features, cfg, pairs, rects, loop.arrays).sources,
             capped=solve_displacements(graph, np.zeros((len(labels), 2)), loop.beam).capped,
         )
+        assert step_no > 1
         calls = []
-        for name in ("solve_displacements", "conflict_pairs"):
+        for name in ("solve_displacements", "conflict_pairs", "build_graph"):
             monkeypatch.setattr(optimizer, name, lambda *a, name=name: calls.append(name))
         got = optimizer._advance(loop, rects, conns, pairs, triangles, step_no)
         assert calls == []
         assert np.array_equal(got[0], rects) and np.array_equal(got[1], conns)
         assert got[2] is pairs
         assert got[4] == want
+
+
+class TestGraphEdges:
+    """Every step builds its graph and counts its edges, except a step
+    after the loop's first that moves nothing: it builds none and reports
+    None. Such a step is the loop's last."""
+
+    @pytest.mark.parametrize("t_num", [None, 10])
+    def test_only_later_force_free_steps_skip_the_graph(self, monkeypatch, t_num):
+        build = optimizer.build_graph
+        built = []
+
+        def counted(*args):
+            graph = build(*args)
+            built.append(len(graph.edges))
+            return graph
+
+        monkeypatch.setattr(optimizer, "build_graph", counted)
+        skipped = 0
+        for seed in range(4):
+            features, cfg = synthetic_scene(40, seed)
+            _, report = run(features, dataclasses.replace(cfg, t_num=t_num))
+            steps = [s for loop in report.loops for s in loop.history]
+            assert built == [s.graph_edges for s in steps if s.graph_edges is not None]
+            built.clear()
+            for loop in report.loops:
+                assert loop.history[0].graph_edges is not None
+                for s in loop.history[1:]:
+                    if s.graph_edges is None:
+                        skipped += 1
+                        assert s.max_force == 0.0 and s is loop.history[-1]
+        assert skipped > 0
+
+    def test_a_force_free_first_step_builds_its_graph(self):
+        features = [
+            PointFeature(id="a", anchor=Vec2(40, 40), depth=100, text="AAA"),
+            PointFeature(id="b", anchor=Vec2(140, 40), depth=100, text="BBB"),
+        ]
+        _, report = run(features, tiny_cfg())
+        (step,) = report.loops[0].history
+        assert step.max_force == 0.0
+        assert step.graph_edges == report.solver_graph_edges == 1
 
 
 class TestRun:
@@ -391,6 +443,70 @@ class TestRun:
             a = anchors[lbl.feature_id]
             assert lbl.conn.x == pytest.approx(min(max(a.x, lbl.rect.x_min), lbl.rect.x_max))
             assert lbl.conn.y == pytest.approx(min(max(a.y, lbl.rect.y_min), lbl.rect.y_max))
+
+
+def _orchestration_scene(name: str):
+    if name == "duplicated":
+        return _duplicated_scene()
+    if name == "n200":
+        return synthetic_scene(200, 0)
+    if name == "type1-deletions":
+        # Three labels stick out across the vertical leader and are deleted.
+        features, cfg = synthetic_scene(40, 0, screen=(90.0, 60.0))
+        return features, dataclasses.replace(
+            cfg, leader=LeaderSpec(cfg.leader.length, 90.0, LeaderType.FIXED_DIR_FIXED_CONN)
+        )
+    kind, seed = name.split("-")[1:]
+    features, cfg = synthetic_scene(40, int(seed))
+    leader = LeaderSpec(cfg.leader.length, 60.0, LeaderType(int(kind)))
+    return features, dataclasses.replace(cfg, leader=leader)
+
+
+ORCHESTRATION_CASES = [
+    (f"type-{kind}-{kind}", graph, t_num)
+    for kind in (1, 2, 3, 4)
+    for graph, t_num in ((GraphKind.DT, None), (GraphKind.DT, 3), (GraphKind.MST, 10))
+] + [
+    ("type1-deletions", graph, t_num)
+    for graph in GraphKind
+    for t_num in (None, 3, 10)
+] + [
+    ("type-4-5", GraphKind.DT, t_num) for t_num in (1, 10, 20)
+] + [
+    ("duplicated", GraphKind.DT, None),
+    ("duplicated", GraphKind.DT, 10),
+    ("duplicated", GraphKind.MST, 3),
+    ("n200", GraphKind.DT, 20),
+]
+
+
+class TestRunEqualsTheOldOrchestration:
+    """`run` reads the scene into arrays once and hands each subgroup loop
+    its rows; the reference builds each loop's own labels, features and
+    scene arrays and merges its labels back (`conftest.reference_run`).
+    Both give the same labels, report and loops, to the bit."""
+
+    @pytest.mark.parametrize(
+        "name, graph, t_num", ORCHESTRATION_CASES, ids=lambda v: getattr(v, "value", str(v))
+    )
+    def test_equal_labels_report_and_loops(self, name, graph, t_num):
+        features, cfg = _orchestration_scene(name)
+        cfg = dataclasses.replace(cfg, graph_kind=graph, t_num=t_num)
+        labels, report = run(features, cfg)
+        want_labels, want = reference_run(features, cfg)
+        assert labels == want_labels
+        got_dict, want_dict = report.as_dict(), want.as_dict()
+        del got_dict["elapsed_s"], want_dict["elapsed_s"]
+        assert got_dict == want_dict
+        assert report.loops == want.loops
+        if name == "type1-deletions":
+            assert report.deleted_count == 3
+
+    def test_duplicate_feature_ids_are_rejected(self):
+        features, cfg = synthetic_scene(5, 0)
+        features[3] = dataclasses.replace(features[3], id=features[1].id)
+        with pytest.raises(ValueError, match="unique"):
+            run(features, cfg)
 
 
 class TestPruningDistanceOncePerLoop:
@@ -522,8 +638,9 @@ class TestCarriedTriangulation:
 
         monkeypatch.setattr(optimizer, "delaunay_graph", checked)
         _, report = run(*_carry_scene(name))
-        # One build for the reference graph, one per step.
-        assert seen["builds"] == report.total_steps + 1
+        # One build for the reference graph, one per step that builds one.
+        built = sum(s.graph_edges is not None for loop in report.loops for s in loop.history)
+        assert seen["builds"] == built + 1
         if name.startswith("synthetic") or name == "duplicated":
             assert seen["carried"] > seen["rebuilt"] > 0
         elif name == "grid":

@@ -1,6 +1,7 @@
 import dataclasses
 import itertools
 import math
+import random
 from typing import NamedTuple
 from unittest import mock
 
@@ -9,7 +10,7 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from leaderlabels import geometry, proximity
-from leaderlabels.geometry import Rect, Vec2, rect_distance
+from leaderlabels.geometry import Rect, Vec2, points_array, rect_distance
 from leaderlabels.proximity import (
     ProximityGraph,
     delaunay_graph,
@@ -528,16 +529,31 @@ class TestPartition:
             rects, live, t_num
         )
 
+    @settings(max_examples=15, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), n=st.integers(200, 240), t_num=st.integers(1, 25))
+    def test_large_scenes_equal_the_rebuilding_reference(self, seed, n, t_num):
+        # The same tied unit grid, 21 x 21 cells, at n >= 200.
+        rng = random.Random(seed)
+        labels = labels_from_rects([
+            Rect(2 * x, 2 * y, 2 * x + rng.randint(1, 3), 2 * y + 1)
+            for x, y in ((rng.randint(0, 20), rng.randint(0, 20)) for _ in range(n))
+        ])
+        labels = [dataclasses.replace(l, deleted=rng.random() < 0.1) for l in labels]
+        rects, live = label_layout(labels)
+        assert partition_labels(rects, live, t_num) == reference_partition_labels(
+            rects, live, t_num
+        )
+
 
 class TestHelpers:
     def test_mean_nn_distance(self):
-        pts = [Vec2(0, 0), Vec2(3, 0), Vec2(10, 0)]
+        pts = points_array([Vec2(0, 0), Vec2(3, 0), Vec2(10, 0)])
         # Nearest neighbors: 3, 3, 7.
         assert mean_nn_distance(pts) == pytest.approx((3 + 3 + 7) / 3)
 
     def test_mean_nn_degenerate(self):
-        assert mean_nn_distance([]) == 0.0
-        assert mean_nn_distance([Vec2(1, 1)]) == 0.0
+        assert mean_nn_distance(np.empty((0, 2))) == 0.0
+        assert mean_nn_distance(np.array([[1.0, 1.0]])) == 0.0
 
     def test_effective_centers_jitter_duplicates(self):
         labels = point_labels([(5, 5), (5, 5), (5, 5)])
@@ -664,4 +680,4 @@ class TestMeanNnDistance:
     ))
     def test_equals_all_pairs_definition(self, coords):
         points = [Vec2(x, y) for x, y in coords]
-        assert mean_nn_distance(points) == brute_force_mean_nn(points)
+        assert mean_nn_distance(points_array(points)) == brute_force_mean_nn(points)

@@ -14,6 +14,7 @@ from leaderlabels.scene import (
     connection_points,
     font_size_for,
     initial_layout,
+    is_double_width,
     measure_text,
 )
 
@@ -221,3 +222,21 @@ class TestConnectionPointsArray:
         for row, r, a, c in zip(got.tolist(), rects, anchors, conns):
             want = reference_connection_point(r, a, leader, c)
             assert [v.hex() for v in row] == [want.x.hex(), want.y.hex()]
+
+
+SEQUENTIAL_TEXTS = ["A" * k for k in range(1, 41)] + ["漢A" * 7, "ＡBC漢字" * 5]
+
+
+class TestSequentialWidthSum:
+    """A text's advances add left to right, as sum() does up to Python
+    3.11. From 3.12 sum() compensates, and gives another float for 0.6
+    added 6 times, 10 to 28 times or 31 to 40 times, so such labels would
+    change width."""
+
+    @pytest.mark.parametrize("text", SEQUENTIAL_TEXTS)
+    def test_width_is_the_sequential_sum(self, text):
+        advance = 0.0
+        for ch in text:
+            advance += 1.0 if is_double_width(ch) else 0.6
+        em = 9.0 * PT_TO_MM
+        assert measure_text(text, 9.0) == (advance * em, 1.2 * em)
