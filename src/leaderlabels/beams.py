@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import NamedTuple, Sequence
 
 import numpy as np
 from scipy.linalg import lapack
@@ -44,12 +45,12 @@ MIN_BEAM_LENGTH = 1e-3
 @dataclass(frozen=True, slots=True, eq=False)
 class DisplacementField:
     """The solve's result: the capped (n, 2) translations, the raw 3n
-    solution vector (u, v, theta per node, uncapped) and how many nodes the
-    cap shortened."""
+    solution vector (u, v, theta per node, uncapped) and the nodes the cap
+    shortened, rising."""
 
     translations: np.ndarray
     solution: np.ndarray
-    capped: int
+    capped_nodes: np.ndarray
 
 
 # Each 6x6 element block gathered through a constant pattern from a per-
@@ -106,36 +107,82 @@ def _global_stiffness_batch(
     return np.transpose(t, (0, 2, 1)) @ k_local @ t
 
 
-def _stiffness_matrix(graph: ProximityGraph, params: BeamParams) -> np.ndarray:
-    """The 3n x 3n stiffness matrix: ground springs k_g on every DOF plus
-    the element block of every edge of at least MIN_BEAM_LENGTH.
+# The DOFs u, v, theta of a node, and of the two nodes of an edge.
+_XYT = np.arange(3)
+_EDGE_DOFS = np.tile(_XYT, 2)
 
-    One bincount sums all entries, the ground-spring diagonal listed first
-    and then the element blocks edge by edge, so each entry is summed in the
-    same order as adding the blocks one by one onto the ground springs.
-    Entries are placed at their column-major index, and the result is the
-    F-contiguous array that LAPACK factors without a copy.
+
+class Frames(NamedTuple):
+    """Networks of one graph's nodes solved apart, laid out by `frames_of`.
+
+    Frame k holds the rising nodes rows[k] and has a K of sizes[k] square
+    (three DOFs per node), numbered by the nodes' places in the frame and
+    stored column-major in entries ends[k] - sizes[k]**2 to ends[k] of one
+    flat array. For DOFs a and b of one frame (DOF c of node v is 3v + c),
+    the entry of K in a's row and b's column lies at dof_col[b] +
+    dof_row[a] of the flat array; diagonal lists the flat entries of every
+    frame's diagonal.
     """
-    n = len(graph.positions)
-    ndof = 3 * n
-    diag = np.arange(ndof) * (ndof + 1)
-    weights = np.full(ndof, params.ground_stiffness)
-    x, y = graph.positions.T
-    i_arr, j_arr = graph.edges.T
-    edges = graph.edges[np.hypot(x[j_arr] - x[i_arr], y[j_arr] - y[i_arr]) >= MIN_BEAM_LENGTH]
+
+    rows: list[np.ndarray]
+    sizes: list[int]
+    ends: list[int]
+    dof_row: np.ndarray
+    dof_col: np.ndarray
+    diagonal: np.ndarray
+
+
+def frames_of(rows: Sequence[np.ndarray], n: int) -> Frames:
+    """The layout of frames of the rising, disjoint nodes rows[k] of a
+    graph of n nodes; nodes in no frame are not solved."""
+    rows = [r for r in rows if len(r)]
+    sizes = [3 * len(r) for r in rows]
+    ends = np.cumsum([size * size for size in sizes], dtype=np.int64).tolist()
+    # DOF c of a node at place p of frame k: row 3p + c and column
+    # (3p + c) * sizes[k] of the frame's stretch, which begins at origin.
+    origin, stride, place = (np.zeros(n, dtype=np.int64) for _ in range(3))
+    for r, size, end in zip(rows, sizes, ends):
+        origin[r], stride[r], place[r] = end - size * size, size, np.arange(0, size, 3)
+    stride = np.repeat(stride, 3)
+    dof_row = (place[:, None] + _XYT).ravel()
+    dof_col = np.repeat(origin, 3) + dof_row * stride
+    return Frames(rows, sizes, ends, dof_row, dof_col, (dof_col + dof_row)[stride > 0])
+
+
+def _stiffness_matrices(
+    frames: Frames, edges: np.ndarray, blocks: np.ndarray, params: BeamParams
+) -> list[np.ndarray]:
+    """The stiffness matrix of each of the frames: ground springs k_g on
+    every DOF plus blocks[e], the 6x6 element block of edges[e], for each
+    edge of the frame. Both nodes of every edge lie in one frame.
+
+    One bincount sums the entries of all frames, the ground-spring
+    diagonals listed first and then the element blocks edge by edge, so
+    each entry is summed in the same order as adding its frame's blocks one
+    by one onto the ground springs. Each frame's entries are placed at
+    their column-major index in its own stretch of the output, and each
+    matrix is an F-contiguous view that LAPACK factors in place.
+    """
+    index = frames.diagonal
+    weights = np.full(len(index), params.ground_stiffness)
     if len(edges):
-        i_arr, j_arr = edges.T
-        blocks = _global_stiffness_batch(x[i_arr], y[i_arr], x[j_arr], y[j_arr], params)
         # (u_i, v_i, theta_i, u_j, v_j, theta_j) of each edge.
-        dofs = 3 * np.repeat(edges, 3, axis=1) + [0, 1, 2, 0, 1, 2]
-        flat = dofs[:, None, :] * ndof + dofs[:, :, None]
-        diag = np.concatenate((diag, flat.ravel()))
+        dofs = 3 * np.repeat(edges, 3, axis=1) + _EDGE_DOFS
+        flat = frames.dof_col[dofs][:, None, :] + frames.dof_row[dofs][:, :, None]
+        index = np.concatenate((index, flat.ravel()))
         weights = np.concatenate((weights, blocks.ravel()))
-    return np.bincount(diag, weights, minlength=ndof * ndof).reshape(ndof, ndof).T
+    out = np.bincount(index, weights, minlength=frames.ends[-1] if frames.ends else 0)
+    return [
+        out[end - size * size:end].reshape(size, size).T
+        for end, size in zip(frames.ends, frames.sizes)
+    ]
 
 
 def solve_displacements(
-    graph: ProximityGraph, forces: np.ndarray, params: BeamParams
+    graph: ProximityGraph,
+    forces: np.ndarray,
+    params: BeamParams,
+    frames: Frames | None = None,
 ) -> DisplacementField:
     """Solve the loaded beam network for nodal displacements.
 
@@ -149,22 +196,37 @@ def solve_displacements(
     since label rects stay axis aligned. A translation is measured by
     `math.hypot` wherever np.hypot puts it within HYPOT_RTOL of the cap or
     above it, so the capped floats are those of the scalar rule.
+
+    frames (`frames_of`) splits the nodes into networks solved apart, and
+    every edge joins two nodes of one frame; None is one frame of every
+    node. The element blocks of all edges are computed at once, and each
+    frame gets its own K over its own nodes, numbered by their place in
+    the frame, and its own factor: the same floats as solving each frame's
+    graph alone. Nodes in no frame get zero displacement.
     """
     n = len(graph.positions)
     if len(forces) != n:
         raise ValueError(f"{len(forces)} forces for {n} graph nodes")
     if params.max_step is None:
         raise ValueError("BeamParams.max_step must be resolved before solving")
+    x, y = graph.positions.T
+    i_arr, j_arr = graph.edges.T
+    edges = graph.edges[np.hypot(x[j_arr] - x[i_arr], y[j_arr] - y[i_arr]) >= MIN_BEAM_LENGTH]
+    i_arr, j_arr = edges.T
+    blocks = _global_stiffness_batch(x[i_arr], y[i_arr], x[j_arr], y[j_arr], params)
+    if frames is None:
+        frames = frames_of([np.arange(n)], n)
     f = np.zeros((n, 3))
     f[:, 0:2] = forces
-    d = f.ravel()
-    if n:
-        c, info = lapack.dpotrf(_stiffness_matrix(graph, params), lower=1, clean=0, overwrite_a=1)
+    d = np.zeros(3 * n)
+    for rows, k_mat in zip(frames.rows, _stiffness_matrices(frames, edges, blocks, params)):
+        c, info = lapack.dpotrf(k_mat, lower=1, clean=0, overwrite_a=1)
         if info > 0:
             raise SingularSystemError(f"{info}-th leading minor of K is not positive definite")
         if info < 0:
             raise ValueError(f"illegal value in argument {-info} of dpotrf")
-        d, _ = lapack.dpotrs(c, d, lower=1)
+        solved, _ = lapack.dpotrs(c, f[rows].ravel(), lower=1)
+        d.reshape(n, 3)[rows] = solved.reshape(-1, 3)
 
     translations = d.reshape(n, 3)[:, 0:2].copy()
     cap = params.max_step
@@ -174,4 +236,4 @@ def solve_displacements(
     norms = np.array([math.hypot(x, y) for x, y in translations[near].tolist()])
     over = norms > cap
     translations[near[over]] *= (cap / norms[over])[:, None]
-    return DisplacementField(translations, d, int(np.count_nonzero(over)))
+    return DisplacementField(translations, d, near[over])

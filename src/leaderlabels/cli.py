@@ -72,7 +72,15 @@ _METRIC_KEYS = (
 @click.option("--method", type=click.Choice(["beams", "localp", "nop"]), default="beams")
 @click.option("--leader-type", type=click.IntRange(1, 4), default=None, help="Override the leader type.")
 @click.option("--graph", type=click.Choice(["dt", "mst"]), default=None, help="Proximity graph kind.")
-@click.option("--tnum", type=int, default=None, help="Max subgroup size; 0 disables clustering.")
+@click.option(
+    "--tnum",
+    type=int,
+    default=None,
+    help=(
+        "Max subgroup size; 0 disables clustering. The subgroups' loops step together,"
+        " each against only its own labels and symbols, and each stops on its own."
+    ),
+)
 @click.option(
     "--seed-iterations",
     type=click.IntRange(min=1),

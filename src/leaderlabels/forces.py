@@ -14,7 +14,6 @@ forces, the conflict scans and the repair search: `geometry.rects_closer`
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 from typing import NamedTuple, Sequence
@@ -31,8 +30,9 @@ from .geometry import (
     points_array,
     rect_distance,
     rect_nearest_points,
+    group_blocks,
     rects_closer,
-    row_blocks,
+    same_group,
     screen_margins,
     symbols_closer,
 )
@@ -71,25 +71,27 @@ class LabelLargerThanScreenError(ValueError):
     """No placement of this label can satisfy screen containment."""
 
 
+# The force sources, each one bit of a group's tag.
+_SOURCES = ("attachment", "pair", "point", "screen")
+_ATTACHMENT, _PAIR, _POINT, _SCREEN = (1 << k for k in range(len(_SOURCES)))
+
+# One shared set for each of the 16 combinations of the four sources, at
+# the tag that has their bits: every step's stats keep their set for the
+# rest of the run.
+_SOURCE_SETS = [
+    frozenset(name for k, name in enumerate(_SOURCES) if bits >> k & 1)
+    for bits in range(1 << len(_SOURCES))
+]
+
+
 @dataclass(frozen=True, slots=True, eq=False)
 class ForceAssignment:
-    """Total force per label slot, an (n, 2) array, and the sources that
-    contributed to any label: "attachment", "pair", "point", "screen"."""
+    """Total force per label slot, an (n, 2) array, and per group the
+    sources that contributed to any of its labels: "attachment", "pair",
+    "point", "screen". An assembly without groups has one."""
 
     totals: np.ndarray
-    sources: frozenset[str]
-
-
-# One shared set for each of the 16 combinations of the four sources:
-# every step's stats keep their set for the rest of the run.
-_SOURCE_SETS = {
-    s: s
-    for s in (
-        frozenset(c)
-        for r in range(5)
-        for c in itertools.combinations(("attachment", "pair", "point", "screen"), r)
-    )
-}
+    group_sources: tuple[frozenset[str], ...]
 
 
 def separation_force(a: Rect, b: Rect, d_min: float) -> tuple[Vec2, Vec2]:
@@ -258,14 +260,24 @@ def screen_forces(rects: np.ndarray, screen: Rect, d_min: float) -> np.ndarray:
     could keep inside.
     """
     fits, margins = screen_margins(rects, screen, d_min)
+    _raise_unless_fits(rects, fits, screen, d_min)
+    push = np.where(margins < d_min, d_min - margins, 0.0)
+    return np.column_stack((push[:, 0] - push[:, 2], push[:, 1] - push[:, 3]))
+
+
+def _raise_unless_fits(rects: np.ndarray, fits: np.ndarray, screen: Rect, d_min: float) -> None:
     if not fits.all():
         x0, y0, x1, y1 = rects[np.argmin(fits)].tolist()
         raise LabelLargerThanScreenError(
             f"label {x1 - x0:.3f}x{y1 - y0:.3f} mm cannot keep {d_min} mm "
             f"clearance inside a {screen.width:.3f}x{screen.height:.3f} mm screen"
         )
-    push = np.where(margins < d_min, d_min - margins, 0.0)
-    return np.column_stack((push[:, 0] - push[:, 2], push[:, 1] - push[:, 3]))
+
+
+def check_screen_fit(rects: np.ndarray, screen: Rect, d_min: float) -> None:
+    """Raise LabelLargerThanScreenError, as `screen_forces` does, for the
+    first of the (n, 4) rects that no position could keep inside."""
+    _raise_unless_fits(rects, screen_margins(rects, screen, d_min)[0], screen, d_min)
 
 
 def screen_force(rect: Rect, screen: Rect, d_min: float) -> Vec2:
@@ -292,13 +304,6 @@ class SceneArrays(NamedTuple):
     ids: np.ndarray
     symbols: np.ndarray
 
-    def group(self, slots: np.ndarray) -> SceneArrays:
-        """`scene_arrays` of the labels at the rising live slots and their
-        own, distinct features, each pair numbered by the label's row."""
-        rows = np.arange(len(slots))
-        symbols = self.symbols[np.searchsorted(self.index, self.own[slots])]
-        return SceneArrays(rows, self.anchors[slots], rows, rows, rows, symbols)
-
 
 def scene_arrays(labels: Sequence[Label], features: Sequence[PointFeature]) -> SceneArrays:
     number = {f.id: k for k, f in enumerate(features)}
@@ -313,44 +318,64 @@ def scene_arrays(labels: Sequence[Label], features: Sequence[PointFeature]) -> S
 
 
 def conflicting_label_pairs(
-    rects: np.ndarray, live: np.ndarray, d_min: float
+    rects: np.ndarray, live: np.ndarray, d_min: float, starts: np.ndarray | None = None
 ) -> list[tuple[int, int]]:
     """All live label pairs of the (n, 4) rects overlapping or closer than
-    d_min, sorted.
+    d_min, sorted. With starts, live lists the labels of several groups,
+    one group after another, group k's from starts[k] on and each group's
+    slots rising, and only the pairs within a group count; None is one
+    group.
 
     d_min must be positive, as `LayoutConfig.d_min` is: overlapping rects
     are at distance 0, so the one distance test also catches overlaps.
-    `rects_closer` tests the live pairs in blocks of rows, so memory stays
-    linear in n.
+    `rects_closer` tests the labels in the blocks of `group_blocks`, so
+    memory stays linear in n and the work grows with the groups' sizes.
     """
     boxes = rects[live]
     pairs: list[tuple[int, int]] = []
-    for rows in row_blocks(len(live), len(live)):
-        # Columns from the block's first row on; only j > i is kept.
-        i, j = rects_closer(boxes[rows], boxes[rows.start:], d_min)
-        upper = j > i
-        pairs.extend(zip(live[i[upper] + rows.start].tolist(), live[j[upper] + rows.start].tolist()))
+    for rows, cols, mixed in group_blocks(starts, len(live), starts, len(live)):
+        # Columns from the block's first row on; only later labels of the
+        # same group are kept.
+        i, j = rects_closer(boxes[rows], boxes[rows.start:cols.stop], d_min)
+        i, j = i + rows.start, j + rows.start
+        keep = j > i
+        if mixed:
+            keep &= same_group(starts, i, starts, j)
+        pairs.extend(zip(live[i[keep]].tolist(), live[j[keep]].tolist()))
+    pairs.sort()
     return pairs
 
 
 def conflicting_feature_pairs(
-    rects: np.ndarray, arrays: SceneArrays, d_min: float
+    rects: np.ndarray,
+    arrays: SceneArrays,
+    d_min: float,
+    starts: np.ndarray | None = None,
+    symbol_starts: np.ndarray | None = None,
 ) -> list[tuple[int, int]]:
     """(label index, feature index) conflicts against foreign feature symbols.
 
     A label never conflicts with its own feature, and symbols whose label was
     deleted are treated as removed from the map. `symbols_closer` tests the
-    live labels of the (n, 4) rects against the symbols of arrays in blocks
-    of labels. Pairs come out sorted.
+    live labels of the (n, 4) rects against the symbols of arrays in the
+    blocks of `group_blocks`. Pairs come out sorted. With starts and
+    symbol_starts, arrays.live and the symbols list the labels and symbols
+    of several groups, one group after another, group k's from starts[k]
+    and symbol_starts[k] on, and only the pairs of a label and a symbol of
+    one group count; None is one group.
     """
     live = arrays.live
     boxes = rects[live]
     pairs: list[tuple[int, int]] = []
-    for block in row_blocks(len(live), len(arrays.symbols)):
-        i, k = symbols_closer(boxes[block], arrays.symbols, d_min)
-        slots = live[i + block.start]
-        foreign = arrays.ids[k] != arrays.own[slots]
-        pairs.extend(zip(slots[foreign].tolist(), arrays.index[k[foreign]].tolist()))
+    for rows, cols, mixed in group_blocks(starts, len(live), symbol_starts, len(arrays.symbols)):
+        i, k = symbols_closer(boxes[rows], arrays.symbols[cols], d_min)
+        i, k = i + rows.start, k + cols.start
+        slots = live[i]
+        keep = arrays.ids[k] != arrays.own[slots]
+        if mixed:
+            keep &= same_group(starts, i, symbol_starts, k)
+        pairs.extend(zip(slots[keep].tolist(), arrays.index[k[keep]].tolist()))
+    pairs.sort()
     return pairs
 
 
@@ -361,11 +386,18 @@ class ConflictPairs(NamedTuple):
     features: list[tuple[int, int]]
 
 
-def conflict_pairs(rects: np.ndarray, arrays: SceneArrays, d_min: float) -> ConflictPairs:
-    """Both conflict scans of the layout at the (n, 4) rects."""
+def conflict_pairs(
+    rects: np.ndarray,
+    arrays: SceneArrays,
+    d_min: float,
+    starts: np.ndarray | None = None,
+    symbol_starts: np.ndarray | None = None,
+) -> ConflictPairs:
+    """Both conflict scans of the layout at the (n, 4) rects, within the
+    groups that starts and symbol_starts mark (one group when None)."""
     return ConflictPairs(
-        conflicting_label_pairs(rects, arrays.live, d_min),
-        conflicting_feature_pairs(rects, arrays, d_min),
+        conflicting_label_pairs(rects, arrays.live, d_min, starts),
+        conflicting_feature_pairs(rects, arrays, d_min, starts, symbol_starts),
     )
 
 
@@ -375,6 +407,8 @@ def assemble_forces(
     pairs: ConflictPairs,
     rects: np.ndarray,
     arrays: SceneArrays,
+    group: np.ndarray | None = None,
+    n_groups: int = 1,
 ) -> ForceAssignment:
     """Sum every constraint source into one force per label.
 
@@ -395,25 +429,32 @@ def assemble_forces(
     changes no total: a total never becomes -0.0, and x + 0.0 == x for any
     other x. A vector is zero exactly when its norm is, so a source is
     listed exactly when some label's force from it has `norm() > 0`. Only
-    the labels in a conflicting pair get a scalar `Rect`.
+    the labels in a conflicting pair get a scalar `Rect`. arrays.live may
+    leave out live labels: those get no force, and no pair may name them.
+    The sources are listed per group of group, each label slot's group id
+    below n_groups (one group when None), so one assembly over several
+    groups' labels gives each group what an assembly of its own labels
+    gives.
     """
     d_min = cfg.d_min
     live = arrays.live
     total = np.zeros((len(rects), 2))
-    sources: set[str] = set()
+    tags = [0] * n_groups
     target = RESOLVE_TARGET_FACTOR * d_min
+
+    group_of = [0] * len(rects) if group is None else group.tolist()
+
+    def mark(slots, bit: int) -> None:
+        # Lists the source with bit for the group of each of the slots.
+        for g in {group_of[i] for i in slots}:
+            tags[g] |= bit
 
     if cfg.leader.kind is LeaderType.FIXED_DIR_FREE_CONN:
         fa = attachment_forces(rects[live], arrays.anchors[live], cfg.leader)
         total[live] += fa
         if fa.any():
-            sources.add("attachment")
+            mark(live[fa.any(axis=1)].tolist(), _ATTACHMENT)
     tx, ty = total.T.tolist()
-
-    def add(i: int, f: Vec2, source: str) -> None:
-        tx[i] += f.x
-        ty[i] += f.y
-        sources.add(source)
 
     in_conflict = {i for pair in pairs.labels for i in pair} | {i for i, _ in pairs.features}
     boxes = {i: Rect(*rects[i].tolist()) for i in in_conflict}
@@ -426,13 +467,17 @@ def assemble_forces(
             fi, fj = overlap_force(ri, rj, target)
         else:
             fi, fj = separation_force(ri, rj, target)
-        add(i, fi, "pair")
-        add(j, fj, "pair")
+        tx[i] += fi.x
+        ty[i] += fi.y
+        tx[j] += fj.x
+        ty[j] += fj.y
+    mark((i for i, _ in pairs.labels), _PAIR)
 
     feature_conflicts: dict[int, list[tuple[float, int]]] = {}
     for i, k in pairs.features:
         gap = point_rect_signed_clearance(features[k].anchor, boxes[i]) - features[k].symbol_radius
         feature_conflicts.setdefault(i, []).append((gap, k))
+    pushed = []
     for i, hits in feature_conflicts.items():
         hits.sort()
         rect = boxes[i]
@@ -442,11 +487,14 @@ def assemble_forces(
         ]
         composed = compose_point_forces(cand_sets)
         if composed.norm() > 0.0:
-            add(i, composed, "point")
+            tx[i] += composed.x
+            ty[i] += composed.y
+            pushed.append(i)
+    mark(pushed, _POINT)
 
     total = np.column_stack((tx, ty))
     fs = screen_forces(rects[live], cfg.screen, d_min)
     total[live] += fs
     if fs.any():
-        sources.add("screen")
-    return ForceAssignment(totals=total, sources=_SOURCE_SETS[frozenset(sources)])
+        mark(live[fs.any(axis=1)].tolist(), _SCREEN)
+    return ForceAssignment(total, tuple(_SOURCE_SETS[t] for t in tags))

@@ -42,6 +42,54 @@ def row_blocks(n_rows: int, n_cols: int) -> Iterator[slice]:
         yield slice(start, min(start + step, n_rows))
 
 
+# Elements of a grouped scan's block: consecutive groups share one block,
+# and one pass of array operations, while it has at most this many.
+GROUP_BLOCK_ELEMENTS = 1 << 14
+
+
+def group_blocks(
+    row_starts: np.ndarray | None, n_rows: int, col_starts: np.ndarray | None, n_cols: int
+) -> Iterator[tuple[slice, slice, bool]]:
+    """Blocks (rows, cols, mixed) of a scan that pairs only a row and a
+    column of one group. Rows and columns each list one group after
+    another, group k's from row_starts[k] and col_starts[k] on; None is
+    one group. Every pair of one group lies in exactly one block.
+
+    Each block spans whole groups: consecutive groups share a block while
+    it has at most GROUP_BLOCK_ELEMENTS elements, so the work grows with
+    the groups' sizes, not with the rows times the columns. mixed says that
+    the block spans more than one group, so that the caller must drop its
+    pairs across groups (`same_group`); a block that is not mixed holds
+    one group. A block's rows are cut by `row_blocks`; one group gives
+    `row_blocks(n_rows, n_cols)` over all columns.
+    """
+    r_lo = [0] if row_starts is None else row_starts.tolist()
+    c_lo = [0] if col_starts is None else col_starts.tolist()
+    r_hi, c_hi = r_lo[1:] + [n_rows], c_lo[1:] + [n_cols]
+    k = 0
+    while k < len(r_lo):
+        end = k + 1
+        while (
+            end < len(r_lo)
+            and (r_hi[end] - r_lo[k]) * (c_hi[end] - c_lo[k]) <= GROUP_BLOCK_ELEMENTS
+        ):
+            end += 1
+        r0, r1, cols = r_lo[k], r_hi[end - 1], slice(c_lo[k], c_hi[end - 1])
+        if cols.stop > cols.start:
+            for rows in row_blocks(r1 - r0, cols.stop - cols.start):
+                yield slice(r0 + rows.start, r0 + rows.stop), cols, end - k > 1
+        k = end
+
+
+def same_group(
+    row_starts: np.ndarray, i: np.ndarray, col_starts: np.ndarray, j: np.ndarray
+) -> np.ndarray:
+    """Whether row i and column j, listed as for `group_blocks`, lie in
+    the same group: each lies in the last group that starts at or before
+    it."""
+    return np.searchsorted(row_starts, i, "right") == np.searchsorted(col_starts, j, "right")
+
+
 class OverlapError(ValueError):
     """Raised when an operation requires rectangle interiors to be disjoint."""
 

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from .forces import conflicting_feature_pairs, conflicting_label_pairs, scene_arrays
-from .geometry import Vec2, normalize_orientation_deg
+from .geometry import normalize_orientation_deg
 from .proximity import ProximityGraph
 from .scene import Label, PointFeature, label_rects
 
@@ -59,11 +59,20 @@ def direction_deviation(o1_deg: float, o2_deg: float) -> float:
     return d if d < 90.0 else 180.0 - d
 
 
-def _edge_orientation(p: Vec2, q: Vec2) -> float | None:
-    dx, dy = q.x - p.x, q.y - p.y
+def _edge_orientation(p: tuple[float, float], q: tuple[float, float]) -> float | None:
+    dx, dy = q[0] - p[0], q[1] - p[1]
     if dx == 0.0 and dy == 0.0:
         return None
     return normalize_orientation_deg(math.degrees(math.atan2(dy, dx)))
+
+
+def _centers(labels: Sequence[Label], slots: set[int]) -> dict[int, tuple[float, float]]:
+    """The rect centre of each label at slots, as `Rect.center` gives it."""
+    out = {}
+    for i in slots:
+        r = labels[i].rect
+        out[i] = (0.5 * (r.x_min + r.x_max), 0.5 * (r.y_min + r.y_max))
+    return out
 
 
 def edge_direction_deviations(
@@ -72,12 +81,15 @@ def edge_direction_deviations(
     """Per-edge orientation drift between the two layouts.
 
     Edges whose endpoints coincide in either layout have no orientation and
-    contribute zero drift.
+    contribute zero drift. Each label's centre is taken once per layout.
     """
+    edges = graph.edges.tolist()
+    slots = {i for edge in edges for i in edge}
+    before, after = _centers(initial, slots), _centers(final, slots)
     out = []
-    for i, j in graph.edges.tolist():
-        o1 = _edge_orientation(initial[i].rect.center(), initial[j].rect.center())
-        o2 = _edge_orientation(final[i].rect.center(), final[j].rect.center())
+    for i, j in edges:
+        o1 = _edge_orientation(before[i], before[j])
+        o2 = _edge_orientation(after[i], after[j])
         dev = 0.0 if o1 is None or o2 is None else direction_deviation(o1, o2)
         out.append((i, j, dev))
     return out

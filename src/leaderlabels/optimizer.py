@@ -14,31 +14,45 @@ first that moves nothing builds no graph. `run` scans the starting layout
 once for conflicting label-label and label-symbol pairs, and each step scans
 the layout it produced once; those pairs give the step's conflict counts and
 feed the next step's force assembly. Under the Delaunay graph, each step
-also hands its triangles to the next step's `delaunay_graph`, which reuses
-them instead of running Qhull while a margin proves them still Delaunay (see
-`proximity`); a loop's first step, and any step whose check fails or cannot
-decide, runs Qhull.
+hands its triangles to the next, which keeps them instead of running Qhull
+while a margin proves them still Delaunay (`proximity.still_delaunay`); a
+loop's first step, and any step whose check fails or cannot decide, runs
+Qhull. A loop over the whole scene takes the reference graph as its first
+step's graph: the same layout, live slots and t_d.
 
 `run` builds the labels and reads them once into arrays: the (n, 4) rects,
 the (n, 2) connection points and one `SceneArrays` for the anchors, the live
-slots and the symbols. Each subgroup loop works on its group's rows of them
-(`SceneArrays.group`) from the run's pairs within the group, and writes its
-rows back; labels are built again once, after the last loop. The steps hand
-each other arrays, the (n, 2) forces and translations too. Scalar `Rect`s
-appear only for the labels in a conflicting pair.
+slots and the symbols. Its loops, one per subgroup or one over the whole
+scene, step in lockstep on those arrays: each step advances every loop that
+has not exited, over the rows of all of their labels, listed one loop after
+another so that every pair test stays within a loop. The scans, the force
+assembly, the carried-triangle check, the prune, the element blocks, the
+move and the largest force run once per step for all of them; only Qhull
+and the factor of each loop's own K run per loop, so each loop takes the
+steps it would take alone, to the bit. A loop that exits drops out, and the
+others step on. Labels are built again once, after the last step. Scalar
+`Rect`s appear only for the labels in a conflicting pair.
 """
 
 from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
+from itertools import compress
 from typing import Sequence
 
 import numpy as np
 
-from .beams import solve_displacements
-from .forces import ConflictPairs, SceneArrays, assemble_forces, conflict_pairs, scene_arrays
+from .beams import frames_of, solve_displacements
+from .forces import (
+    ConflictPairs,
+    SceneArrays,
+    assemble_forces,
+    check_screen_fit,
+    conflict_pairs,
+    scene_arrays,
+)
 from .geometry import HYPOT_RTOL, Rect, Vec2, points_array
 from .metrics import count_conflicts, mean_direction_deviation, total_displacement_cm
 from .proximity import (
@@ -49,6 +63,8 @@ from .proximity import (
     mst_graph,
     partition_labels,
     prune_graph,
+    joined,
+    still_delaunay,
 )
 from .repair import greedy_repair
 from .scene import (
@@ -152,105 +168,18 @@ def reference_graph(
     return prune_graph(delaunay_graph(rects, live), rects, live, t_d)
 
 
-def build_graph(
-    rects: np.ndarray,
-    live: np.ndarray,
-    cfg: LayoutConfig,
-    t_d: float | None,
-    carried: Triangulation | None,
-) -> ProximityGraph:
-    """The per-iteration proximity graph, pruned Delaunay or MST, of the
-    live labels at the (n, 4) rects. carried is the previous step's
-    Delaunay triangles, or None."""
-    if cfg.graph_kind is GraphKind.MST:
-        return mst_graph(rects, live, "center")
-    return prune_graph(delaunay_graph(rects, live, carried), rects, live, t_d)
-
-
-def _max_norm(v: np.ndarray) -> float:
-    """The largest `math.hypot` of the rows of v, 0.0 for none. np.hypot
-    picks the rows within HYPOT_RTOL of its largest; math.hypot measures
-    only those."""
-    if not len(v):
-        return 0.0
+def _max_norms(v: np.ndarray, starts: np.ndarray, group: np.ndarray) -> list[float]:
+    """The largest `math.hypot` of the rows of each group of v, whose rows
+    hold one group after another, group k's from starts[k] on; group gives
+    each row's group. np.hypot picks the rows within HYPOT_RTOL of their
+    group's largest; math.hypot measures only those."""
     norms = np.hypot(v[:, 0], v[:, 1])
-    top = v[norms >= norms.max() * (1.0 - HYPOT_RTOL)]
-    return max(math.hypot(x, y) for x, y in top.tolist())
-
-
-@dataclass(frozen=True, slots=True)
-class _Loop:
-    """What every step of one loop reads and none changes."""
-
-    features: Sequence[PointFeature]
-    cfg: LayoutConfig
-    t_d: float | None
-    arrays: SceneArrays
-    beam: BeamParams
-
-
-def _loop_of(
-    features: Sequence[PointFeature], cfg: LayoutConfig, arrays: SceneArrays, t_d: float | None
-) -> _Loop:
-    """The loop over arrays, the scene of features; a Delaunay loop without
-    t_d takes it from the features' anchors."""
-    if t_d is None and cfg.graph_kind is GraphKind.DT:
-        t_d = pruning_distance(features, cfg)
-    return _Loop(features, cfg, t_d, arrays, cfg.resolved_beam())
-
-
-def _advance(
-    loop: _Loop,
-    rects: np.ndarray,
-    conns: np.ndarray,
-    pairs: ConflictPairs,
-    carried: Triangulation | None,
-    step_no: int,
-) -> tuple[np.ndarray, np.ndarray, ConflictPairs, Triangulation | None, StepStats]:
-    """One pass on the (n, 4) rects and (n, 2) conns, whose conflict pairs
-    are pairs and whose previous step's Delaunay triangles are carried:
-    assemble forces, rebuild the graph, solve, move. Returns the moved rects
-    and conns, their conflict pairs, this step's triangles, and the step's
-    stats. A step whose forces are all exactly zero, whose solve gives +0.0
-    translations, moves nothing: it skips the solve and the rescan, and,
-    unless it is the loop's first step, the graph too."""
-    cfg, live = loop.cfg, loop.arrays.live
-    assignment = assemble_forces(loop.features, cfg, pairs, rects, loop.arrays)
-    # Only the along-leader force component can produce motion under the
-    # fully fixed leader, so the perpendicular remainder is dropped before
-    # the solve as well as after it.
-    totals = project_for_leader_type(assignment.totals, cfg.leader)
-    max_force = _max_norm(totals[live])
-    moves = totals.any()
-    edges, triangles = None, carried
-    if moves or step_no == 1:
-        graph = build_graph(rects, live, cfg, loop.t_d, carried)
-        edges, triangles = len(graph.edges), graph.triangulation
-    if moves:
-        disp = solve_displacements(graph, totals, loop.beam)
-        translations, capped = disp.translations, disp.capped
-    else:
-        translations, capped = np.zeros_like(totals), 0
-
-    d = project_for_leader_type(translations[live], cfg.leader)
-    moved_rects = rects.copy()
-    moved_rects[live] += d[:, [0, 1, 0, 1]]
-    moved_conns = conns.copy()
-    moved_conns[live] = connection_points(
-        moved_rects[live], loop.arrays.anchors[live], cfg.leader, conns[live] + d
-    )
-    if moves:
-        pairs = conflict_pairs(moved_rects, loop.arrays, cfg.d_min)
-    stats = StepStats(
-        step=step_no,
-        max_force=max_force,
-        label_conflicts=len(pairs.labels),
-        feature_conflicts=len(pairs.features),
-        graph_edges=edges,
-        force_tags=assignment.sources,
-        capped=capped,
-    )
-    return moved_rects, moved_conns, pairs, triangles, stats
+    top = np.maximum.reduceat(norms, starts) * (1.0 - HYPOT_RTOL)
+    near = np.flatnonzero(norms >= top[group])
+    best = [0.0] * len(starts)
+    for k, (x, y) in zip(group[near].tolist(), v[near].tolist()):
+        best[k] = max(best[k], math.hypot(x, y))
+    return best
 
 
 @dataclass(frozen=True, slots=True)
@@ -311,44 +240,312 @@ class RunReport:
         }
 
 
-def _run_loop(
-    loop: _Loop, rects: np.ndarray, conns: np.ndarray, pairs: ConflictPairs
-) -> tuple[np.ndarray, np.ndarray, LoopStats]:
-    """Step loop from the (n, 4) rects and (n, 2) conns, whose conflict pairs
-    are pairs, to its exit; return the final rects and conns and its record."""
-    n_live = len(loop.arrays.live)
-    if n_live == 0:
-        return rects, conns, LoopStats(0, 0, 0, 0.0, "force", ())
-    cfg = loop.cfg
-    t_s = effective_max_iterations(n_live, cfg.t_s_override)
-    t_f = cfg.force_threshold
-    triangles = None
-    history: list[StepStats] = []
-    while True:
-        rects, conns, pairs, triangles, stats = _advance(
-            loop, rects, conns, pairs, triangles, len(history) + 1
+@dataclass(slots=True, eq=False)
+class _Group:
+    """One loop of a run: its labels, what its steps read and what they
+    carry. The loop numbers its graph nodes and its K by frame, the slots
+    in rows: every slot for a loop over the whole scene, its own labels'
+    for a subgroup. live indexes its labels in rows, and slots = rows[live]
+    are their slots in the run."""
+
+    index: int
+    rows: np.ndarray
+    live: np.ndarray
+    slots: np.ndarray
+    t_d: float | None
+    t_s: int
+    # The previous step's Delaunay triangles, in run slots, or None; and
+    # until the first step, the graph handed in for it, or None.
+    triangles: Triangulation | None = None
+    first_graph: ProximityGraph | None = None
+    history: list[StepStats] = field(default_factory=list)
+
+    def stats(self, t_f: float) -> LoopStats:
+        """The loop's record once it has exited, at force threshold t_f."""
+        if not self.history:
+            return LoopStats(0, 0, 0, 0.0, "force", ())
+        last = self.history[-1]
+        return LoopStats(
+            size=len(self.slots),
+            steps=last.step,
+            max_iterations=self.t_s,
+            final_max_force=last.max_force,
+            exit_reason="force" if last.max_force <= t_f else "max_iterations",
+            history=tuple(self.history),
         )
-        history.append(stats)
-        if stats.step >= t_s or stats.max_force <= t_f:
-            break
-    reason = "force" if stats.max_force <= t_f else "max_iterations"
-    return rects, conns, LoopStats(
-        size=n_live,
-        steps=stats.step,
-        max_iterations=t_s,
-        final_max_force=stats.max_force,
-        exit_reason=reason,
-        history=tuple(history),
+
+
+def _group(
+    index: int,
+    rows: np.ndarray,
+    live: np.ndarray,
+    features: Sequence[PointFeature],
+    cfg: LayoutConfig,
+    t_d: float | None,
+    first_graph: ProximityGraph | None = None,
+) -> _Group:
+    """The loop over the frame rows whose labels are rows[live], the scene
+    of features; a Delaunay loop without t_d takes it from the features'
+    anchors."""
+    if t_d is None and cfg.graph_kind is GraphKind.DT:
+        t_d = pruning_distance(features, cfg)
+    t_s = effective_max_iterations(len(live), cfg.t_s_override) if len(live) else 0
+    return _Group(index, rows, live, rows[live], t_d, t_s, first_graph=first_graph)
+
+
+@dataclass(frozen=True, slots=True)
+class _Scene:
+    """What every step of a run reads and none changes: the features, the
+    config and its beam parameters, the run's `SceneArrays`, and each
+    slot's group, by its index (-1 for a deleted label)."""
+
+    features: Sequence[PointFeature]
+    cfg: LayoutConfig
+    beam: BeamParams
+    arrays: SceneArrays
+    gid: np.ndarray
+    n_groups: int
+
+
+class _Batch:
+    """Groups that step together, and what their steps read of them.
+
+    order lists the groups' live slots one group after another, group k's
+    from starts[k] on, each group's rising, and group gives the group of
+    each; live is the same slots rising. arrays is the run's `SceneArrays`
+    over the slots in order and over their own features' symbols in the
+    same order (slot k holds feature k's label, so the symbols are the
+    live slots' features), so that the scans pair only the labels and
+    symbols of one group. frames lays out the groups' beam networks, one
+    per group over its frame rows, for the solve.
+    """
+
+    __slots__ = ("groups", "order", "starts", "group", "live", "arrays", "frames")
+
+    def __init__(self, scene: _Scene, groups: list[_Group]):
+        self.groups = groups
+        self.order = np.concatenate([g.slots for g in groups])
+        sizes = [len(g.slots) for g in groups]
+        self.starts = np.cumsum([0] + sizes[:-1])
+        self.group = np.repeat(np.arange(len(groups)), sizes)
+        self.live = np.sort(self.order)
+        arrays = scene.arrays
+        symbols = np.searchsorted(arrays.index, self.order)
+        self.arrays = arrays._replace(
+            live=self.order,
+            index=self.order,
+            ids=arrays.ids[symbols],
+            symbols=arrays.symbols[symbols],
+        )
+        self.frames = frames_of([g.rows for g in groups], len(scene.gid))
+
+    def conflict_pairs(self, rects: np.ndarray, d_min: float) -> ConflictPairs:
+        """Both conflict scans of the groups' labels, each group's alone."""
+        return conflict_pairs(rects, self.arrays, d_min, self.starts, self.starts)
+
+
+def _carried_still_delaunay(carried: list[_Group], xy: np.ndarray) -> np.ndarray:
+    """`still_delaunay` of the carried triangles of each group, in one
+    check."""
+    if len(carried) == 1:
+        # One group's triangles need no joining, and its check one bound.
+        return still_delaunay(carried[0].triangles, xy, carried[0].slots)
+    slots = np.concatenate([g.slots for g in carried])
+    starts = np.cumsum([0] + [len(g.slots) for g in carried[:-1]])
+    return still_delaunay(joined([g.triangles for g in carried]), xy, slots, starts)
+
+
+def _build_graphs(
+    groups: list[_Group], rects: np.ndarray, cfg: LayoutConfig
+) -> tuple[np.ndarray, np.ndarray]:
+    """The graphs of the groups at the (n, 4) rects, as one graph: the
+    positions of every slot, an (n, 2) array, and every group's edges in
+    run slots, an (m, 2) array holding each group's edges in its order.
+
+    Under the Delaunay graph a group keeps its carried triangles when
+    `still_delaunay` accepts them (one check for all groups) and runs
+    Qhull over its own frame otherwise; a graph handed in for a group's
+    first step is taken as it is. One `prune_graph` over the groups'
+    labels, each group's edges against its own labels and at its own t_d,
+    then prunes the other groups' edges. Under the MST each group builds its
+    tree over its frame.
+    """
+    xy = 0.5 * (rects[:, 0:2] + rects[:, 2:4])
+    if cfg.graph_kind is GraphKind.MST:
+        parts = []
+        for g in groups:
+            graph = mst_graph(rects[g.rows], g.live, "center")
+            xy[g.rows] = graph.positions
+            parts.append(g.rows[graph.edges])
+        return xy, np.concatenate(parts)
+    carried = [g for g in groups if g.triangles is not None]
+    if carried:
+        for g in compress(carried, ~_carried_still_delaunay(carried, xy)):
+            g.triangles = None
+    built, raw = [], []
+    for g in groups:
+        if g.triangles is not None:
+            raw.append((g, g.triangles.edges))
+            continue
+        if g.first_graph is not None:
+            graph, g.first_graph = g.first_graph, None
+            built.append(graph.edges)
+        else:
+            graph = delaunay_graph(rects[g.rows], g.live)
+            raw.append((g, g.rows[graph.edges]))
+        xy[g.rows] = graph.positions
+        tri = graph.triangulation
+        g.triangles = None if tri is None else tri.renumbered(g.rows)
+    if len(raw) == 1:
+        # One group's edges need no joining, and its prune one t_d.
+        (g, edges), = raw
+        built.append(prune_graph(ProximityGraph(xy, edges), rects, g.slots, g.t_d).edges)
+    elif raw:
+        sizes, counts = [len(g.slots) for g, _ in raw], [len(e) for _, e in raw]
+        graph = ProximityGraph(xy, np.concatenate([e for _, e in raw]))
+        t_d = np.repeat([g.t_d for g, _ in raw], counts)
+        live = np.concatenate([g.slots for g, _ in raw])
+        starts, edge_starts = np.cumsum([0] + sizes[:-1]), np.cumsum([0] + counts[:-1])
+        built.append(prune_graph(graph, rects, live, t_d, starts, edge_starts).edges)
+    return xy, built[0] if len(built) == 1 else np.concatenate(built)
+
+
+def _group_counts(slots: np.ndarray | list[int], scene: _Scene) -> list[int]:
+    """How many of the slots lie in each group."""
+    if scene.n_groups == 1:
+        return [len(slots)]
+    slots = np.asarray(slots, dtype=np.intp)
+    return np.bincount(scene.gid[slots], minlength=scene.n_groups).tolist()
+
+
+def _advance(
+    scene: _Scene,
+    batch: _Batch,
+    rects: np.ndarray,
+    conns: np.ndarray,
+    pairs: ConflictPairs,
+    step_no: int,
+) -> tuple[ConflictPairs, list[StepStats]]:
+    """One step of every group of the batch, on the run's (n, 4) rects and
+    (n, 2) conns, whose conflict pairs within the groups are pairs:
+    assemble forces, rebuild the graphs, solve, move. Moves the groups'
+    rows of rects and conns in place; returns the moved layout's pairs
+    within the groups that moved, and each group's stats.
+
+    The forces, the graph check and prune, the element blocks, the move
+    and the rescan each run once over all the groups' rows, with each pair
+    test kept within a group; Qhull and the factor of K run per group. So
+    each group takes the step it would take alone, to the bit. A group
+    whose forces are all exactly zero, whose solve gives +0.0
+    translations, moves nothing: it is not solved or rescanned, and,
+    unless on its first step, builds no graph. Its largest force is 0.0,
+    so its loop ends with this step.
+    """
+    cfg, groups, live = scene.cfg, batch.groups, batch.live
+    assignment = assemble_forces(
+        scene.features, cfg, pairs, rects, batch.arrays, scene.gid, scene.n_groups
     )
+    # Only the along-leader force component can produce motion under the
+    # fully fixed leader, so the perpendicular remainder is dropped before
+    # the solve as well as after it.
+    totals = project_for_leader_type(assignment.totals, cfg.leader)
+    max_forces = _max_norms(totals[batch.order], batch.starts, batch.group)
+    # A row is zero exactly when its norm is, so a group moves exactly when
+    # its largest force is not zero.
+    solved = [g for g, f in zip(groups, max_forces) if f > 0.0]
+    built = groups if step_no == 1 else solved
+
+    edge_counts, capped, translations = {}, [0] * scene.n_groups, None
+    if built:
+        xy, edges = _build_graphs(built, rects, cfg)
+        counts = _group_counts(edges[:, 0], scene)
+        edge_counts = {g.index: counts[g.index] for g in built}
+        if solved:
+            if len(solved) < len(built):
+                moving = np.zeros(scene.n_groups, dtype=bool)
+                moving[[g.index for g in solved]] = True
+                edges = edges[moving[scene.gid[edges[:, 0]]]]
+            graph = ProximityGraph(xy, edges)
+            frames = batch.frames
+            if len(solved) < len(groups):
+                frames = frames_of([g.rows for g in solved], len(totals))
+            disp = solve_displacements(graph, totals, scene.beam, frames)
+            translations = disp.translations
+            capped = _group_counts(disp.capped_nodes, scene)
+
+    if translations is None:
+        translations = np.zeros_like(totals)
+    d = project_for_leader_type(translations[live], cfg.leader)
+    rects[live] += d[:, [0, 1, 0, 1]]
+    anchors = batch.arrays.anchors[live]
+    conns[live] = connection_points(rects[live], anchors, cfg.leader, conns[live] + d)
+
+    if solved:
+        moved = batch if len(solved) == len(groups) else _Batch(scene, solved)
+        rescan = moved.conflict_pairs(rects, cfg.d_min)
+    else:
+        rescan = ConflictPairs([], [])
+    # Each group's conflict counts: after the step for a group that moved,
+    # as they were for one that did not.
+    after = before = [_group_counts([i for i, _ in p], scene) for p in rescan]
+    if len(solved) < len(groups):
+        before = [_group_counts([i for i, _ in p], scene) for p in pairs]
+    stats = []
+    for g, max_force in zip(groups, max_forces):
+        labels, feats = after if max_force > 0.0 else before
+        stats.append(
+            StepStats(
+                step=step_no,
+                max_force=max_force,
+                label_conflicts=labels[g.index],
+                feature_conflicts=feats[g.index],
+                graph_edges=edge_counts.get(g.index),
+                force_tags=assignment.group_sources[g.index],
+                capped=capped[g.index],
+            )
+        )
+    return rescan, stats
 
 
-def _group_pairs(found: list[np.ndarray], group: np.ndarray, n: int) -> ConflictPairs:
-    """The pairs of found, the run's label and feature pairs as (m, 2)
-    arrays, within group, numbered by row in group as `SceneArrays.group`."""
-    row = np.full(n, -1)
-    row[group] = np.arange(len(group))
-    within = [row[f] for f in found]
-    return ConflictPairs(*(list(map(tuple, w[(w >= 0).all(axis=1)].tolist())) for w in within))
+def _scene(
+    features: Sequence[PointFeature], cfg: LayoutConfig, arrays: SceneArrays, groups: list[_Group]
+) -> _Scene:
+    """What the steps of these groups' loops read, the scene of features
+    and its arrays."""
+    gid = np.full(len(arrays.own), -1)
+    for g in groups:
+        gid[g.slots] = g.index
+    return _Scene(features, cfg, cfg.resolved_beam(), arrays, gid, len(groups))
+
+
+def _run_loops(
+    scene: _Scene, groups: list[_Group], rects: np.ndarray, conns: np.ndarray
+) -> list[LoopStats]:
+    """Step every group's loop in lockstep, from the (n, 4) rects and
+    (n, 2) conns, until each has exited: at its iteration cap, or once its
+    largest force is at most the force threshold. A group that exits drops
+    out of the batch, and the rest step on. Moves rects and conns in place
+    and returns each group's record."""
+    t_f = scene.cfg.force_threshold
+    active = [g for g in groups if len(g.slots)]
+    step_no, pairs = 0, None
+    while active:
+        batch = _Batch(scene, active)
+        if pairs is None:
+            pairs = batch.conflict_pairs(rects, scene.cfg.d_min)
+        else:
+            going = np.zeros(scene.n_groups, dtype=bool)
+            going[[g.index for g in active]] = True
+            pairs = ConflictPairs(
+                *([p for p in found if going[scene.gid[p[0]]]] for found in pairs)
+            )
+        while len(active) == len(batch.groups):
+            step_no += 1
+            pairs, stats = _advance(scene, batch, rects, conns, pairs, step_no)
+            for g, st in zip(active, stats):
+                g.history.append(st)
+            active = [g for g, st in zip(active, stats) if st.step < g.t_s and st.max_force > t_f]
+    return [g.stats(t_f) for g in groups]
 
 
 def run(
@@ -377,27 +574,26 @@ def run(
         labels = handle_offscreen_fixed(labels, cfg.screen, cfg.leader)
     reference = list(labels)
 
+    rects, conns = label_rects(labels), points_array(l.conn for l in labels)
+    arrays = scene_arrays(labels, features)
+    check_screen_fit(rects[arrays.live], cfg.screen, cfg.d_min)
     t_d = pruning_distance(features, cfg)
     ref_graph = reference_graph(reference, features, cfg, t_d)
 
-    rects, conns = label_rects(labels), points_array(l.conn for l in labels)
-    arrays = scene_arrays(labels, features)
-    pairs = conflict_pairs(rects, arrays, cfg.d_min)
-    loops: list[LoopStats] = []
     if cfg.t_num is None:
-        rects, conns, stats = _run_loop(_loop_of(features, cfg, arrays, t_d), rects, conns, pairs)
-        loops.append(stats)
+        # The first step's Delaunay graph is the reference graph: the same
+        # layout, live slots and t_d.
+        first = ref_graph if cfg.graph_kind is GraphKind.DT else None
+        groups = [_group(0, np.arange(len(labels)), arrays.live, features, cfg, t_d, first)]
         subgroup_sizes: tuple[int, ...] = ()
     else:
-        groups = partition_labels(rects, arrays.live, cfg.t_num)
-        found = [np.array(p, dtype=np.int64).reshape(-1, 2) for p in pairs]
-        for group in groups:
-            g = np.array(group)
-            loop = _loop_of([features[i] for i in group], cfg, arrays.group(g), None)
-            start = _group_pairs(found, g, len(labels))
-            rects[g], conns[g], stats = _run_loop(loop, rects[g], conns[g], start)
-            loops.append(stats)
-        subgroup_sizes = tuple(len(g) for g in groups)
+        slots = [np.array(g) for g in partition_labels(rects, arrays.live, cfg.t_num)]
+        groups = [
+            _group(k, g, np.arange(len(g)), [features[i] for i in g], cfg, None)
+            for k, g in enumerate(slots)
+        ]
+        subgroup_sizes = tuple(len(g) for g in slots)
+    loops = _run_loops(_scene(features, cfg, arrays, groups), groups, rects, conns)
     labels = placed_labels(labels, arrays.live, rects, conns)
 
     repair_moves = 0

@@ -7,31 +7,38 @@ orientations are taken from `positions` by whoever needs them.
 
 Every builder takes the layout as arrays: `rects`, (n, 4) with one row per
 label slot as `scene.label_rects` gives them, and `live`, the rising slots
-of the labels not deleted, as `scene.live_slots` gives them. A subgroup
-loop passes its rows of the run's arrays, and `partition_labels` the run's.
+of the labels not deleted, as `scene.live_slots` gives them. A subgroup's
+Qhull build takes its rows of the run's arrays, and `partition_labels` the
+run's.
 
 A Delaunay build also returns its triangles (`Triangulation`), and the
-placement loop hands them to the next step's build. A step moves each label
-by at most 2·d_min, far less than the labels' spacing, so the triangles
-mostly stay Delaunay. The build reuses them, and skips Qhull, when every
-orientation and in-circle test that proves this is decided by a margin; the
-Delaunay triangulation is then unique and Qhull would return the same
-edges. Qhull runs on a loop's first step, when a test fails or cannot be
-decided, and on every step while Qhull drops a point (nudged duplicate
-centres) or rejects the set (collinear centres). Two or fewer live labels
-carry nothing.
+placement loop hands them to the next step. A step moves each label by at
+most 2·d_min, far less than the labels' spacing, so the triangles mostly
+stay Delaunay. The loop keeps them, and skips Qhull, when `still_delaunay`
+decides every orientation and in-circle test that proves this by a margin;
+the Delaunay triangulation is then unique and Qhull would return the same
+edges. One check covers the triangles of several groups at once. Qhull runs
+on a loop's first step, when a test fails or cannot be decided, and on
+every step while Qhull drops a point (nudged duplicate centres) or rejects
+the set (collinear centres). Two or fewer live labels carry nothing.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Literal
+from typing import Literal, Sequence
 
 import numpy as np
 from scipy.spatial import Delaunay, QhullError
 
-from .geometry import HYPOT_RTOL, row_blocks, segments_cross_interiors
+from .geometry import (
+    HYPOT_RTOL,
+    group_blocks,
+    row_blocks,
+    same_group,
+    segments_cross_interiors,
+)
 
 # Deterministic nudge applied to duplicate centers so triangulation stays
 # well defined; far below any geometric tolerance used elsewhere.
@@ -66,6 +73,12 @@ class Triangulation:
     triangles: np.ndarray
     hull: np.ndarray
     interior: np.ndarray
+
+    def renumbered(self, slots: np.ndarray) -> Triangulation:
+        """These triangles with each slot k renamed slots[k], for rising
+        slots: a group's build over its own rows, in the run's slots."""
+        parts = (self.edges, self.triangles, self.hull, self.interior)
+        return Triangulation(*(slots[a] for a in parts))
 
 
 @dataclass(frozen=True, slots=True, eq=False)
@@ -129,13 +142,25 @@ def _collinear_chain(live: list[int], xy: np.ndarray) -> list[tuple[int, int]]:
 # merge range: Qhull then returns the triangulation the tests prove unique.
 _CARRY_MARGIN = 1e-9
 
+# The starts of one group.
+_ONE_GROUP = np.zeros(1, dtype=np.intp)
 
-def _still_delaunay(tri: Triangulation, xy: np.ndarray, live: np.ndarray) -> bool:
-    """True when the carried triangles are, by a margin, the Delaunay
+
+def still_delaunay(
+    tri: Triangulation, xy: np.ndarray, live: np.ndarray, starts: np.ndarray | None = None
+) -> np.ndarray:
+    """Whether the carried triangles are, by a margin, the Delaunay
     triangulation of the live centers xy[live]: every triangle is still
     counter-clockwise, every other live center lies strictly inside every
     hull edge, and every interior edge's far vertex lies strictly outside
-    the circumcircle of the triangle across it.
+    the circumcircle of the triangle across it. Returns one bool per group.
+
+    With starts, live lists the live slots of several groups, one group
+    after another, group k's from starts[k] on, and tri is `joined` of
+    their triangulations in the same order: each group is tested only
+    against its own centers and its own S, and accepted or refused on its
+    own. None is one group. The tests of all groups run as one set of
+    array operations, the hull test in the blocks of `group_blocks`.
 
     The first two make the triangles a triangulation of the live centers:
     they cover the convex hull once, so no two centers coincide. The third
@@ -143,23 +168,59 @@ def _still_delaunay(tri: Triangulation, xy: np.ndarray, live: np.ndarray) -> boo
     only one.
     """
     x, y = xy[:, 0], xy[:, 1]
-    pts = xy[live]
-    s2 = (1.0 + np.abs(pts).max()) ** 2
-    bound = _CARRY_MARGIN * s2
+    size = np.abs(xy[live])
+    if starts is None:
+        # One group: each bound is one number, and no row needs its group.
+        group, starts, s = None, _ONE_GROUP, size.max()
+    else:
+        group = np.zeros(len(xy), dtype=np.intp)
+        group[live] = np.repeat(np.arange(len(starts)), np.append(starts[1:], len(live)) - starts)
+        # S of each group, from the x and y of its centers, two per center.
+        s = np.maximum.reduceat(size.ravel(), 2 * starts)
+    s2 = (1.0 + s) ** 2
+    margin = _CARRY_MARGIN * s2
+    ok = np.ones(len(starts), dtype=bool)
+
+    def at(values: np.ndarray, slots: np.ndarray) -> np.ndarray:
+        # The value of the group of each of the slots.
+        return values if group is None else values[group[slots]]
+
+    def refused(passed: np.ndarray, slots: np.ndarray) -> bool:
+        # Refuses the group of each of the slots whose test did not pass;
+        # True once no group is left.
+        if passed.all():
+            return False
+        ok[at(np.arange(len(ok)), slots[~passed])] = False
+        return not ok.any()
+
+    first = tri.triangles[:, 0]
     tx, ty = x[tri.triangles], y[tri.triangles]
     area = (tx[:, 1] - tx[:, 0]) * (ty[:, 2] - ty[:, 0]) - (ty[:, 1] - ty[:, 0]) * (
         tx[:, 2] - tx[:, 0]
     )
-    if not (area > bound).all():
-        return False
+    if refused(area > at(margin, first), first):
+        return ok
     # A hull edge's own two endpoints give exactly 0.0, so every other
-    # center is inside when all but those 2 per edge clear the bound.
-    (px, qx), (py, qy) = x[tri.hull.T], y[tri.hull.T]
-    side = (qx - px)[:, None] * (pts[:, 1] - py[:, None]) - (qy - py)[:, None] * (
-        pts[:, 0] - px[:, None]
-    )
-    if np.count_nonzero(side > bound) != side.size - 2 * len(px):
-        return False
+    # center of its group is inside when all but those 2 clear the bound;
+    # the centers of other groups count as clear.
+    hull = tri.hull
+    hull_starts = starts
+    if group is not None:
+        hull_starts = np.searchsorted(group[hull[:, 0]], np.arange(len(starts)))
+    (px, qx), (py, qy) = x[hull.T], y[hull.T]
+    pts = xy[live]
+    for rows, cols, mixed in group_blocks(hull_starts, len(hull), starts, len(live)):
+        side = (qx - px)[rows, None] * (pts[cols, 1] - py[rows, None]) - (qy - py)[
+            rows, None
+        ] * (pts[cols, 0] - px[rows, None])
+        ends = hull[rows, 0]
+        clear = side > at(margin, ends)[..., None]
+        if mixed:
+            clear |= group[live[cols]] != group[ends, None]
+        if np.count_nonzero(clear) != clear.size - 2 * len(clear):
+            refused(clear.sum(axis=1) == clear.shape[1] - 2, ends)
+    if not ok.any():
+        return ok
     # Shewchuk's incircle(a, b, c, d) over a, b, c relative to d, expanded
     # along its lifted column: positive when d lies inside the circumcircle
     # of abc.
@@ -167,7 +228,16 @@ def _still_delaunay(tri: Triangulation, xy: np.ndarray, live: np.ndarray) -> boo
     rx, ry = rx[:, 1:] - rx[:, :1], ry[:, 1:] - ry[:, :1]
     lift = rx[:, :3] ** 2 + ry[:, :3] ** 2
     cross = rx[:, 1:4] * ry[:, 2:] - ry[:, 1:4] * rx[:, 2:]
-    return bool((np.einsum("ij,ij->i", lift, cross) < -bound * s2).all())
+    far = tri.interior[:, 0]
+    refused(np.einsum("ij,ij->i", lift, cross) < at(-margin * s2, far), far)
+    return ok
+
+
+def joined(carried: Sequence[Triangulation]) -> Triangulation:
+    """The union of the triangulations of disjoint groups, for one
+    `still_delaunay` of them all."""
+    parts = zip(*((t.edges, t.triangles, t.hull, t.interior) for t in carried))
+    return Triangulation(*(np.concatenate(p) for p in parts))
 
 
 def _triangulation(live: np.ndarray, tri: Delaunay, n: int) -> Triangulation:
@@ -192,23 +262,12 @@ def _triangulation(live: np.ndarray, tri: Delaunay, n: int) -> Triangulation:
     return Triangulation(edges, s, hull, np.column_stack((far, ai, bi, ci, ai, bi)))
 
 
-def delaunay_graph(
-    rects: np.ndarray, live: np.ndarray, carried: Triangulation | None = None
-) -> ProximityGraph:
-    """Delaunay triangulation of the live label centers.
+def delaunay_graph(rects: np.ndarray, live: np.ndarray) -> ProximityGraph:
+    """Delaunay triangulation of the live label centers, by Qhull.
 
     One live label yields no edges, two yield a single edge, and collinear
-    sets degrade to a path graph instead of crashing. carried is the
-    triangulation of an earlier build over the same live slots: when it is
-    still, by a margin, the Delaunay triangulation of these centers, its
-    edges are returned and Qhull does not run.
+    sets degrade to a path graph instead of crashing.
     """
-    if carried is not None:
-        xy = _centers(rects)
-        # Accepted triangles keep every live center apart, so none needs
-        # the duplicate nudge.
-        if _still_delaunay(carried, xy, live):
-            return ProximityGraph(xy, carried.edges, carried)
     xy = _effective_xy(rects, live)
     edges = _NO_EDGES
     triangulation = None
@@ -230,18 +289,27 @@ def delaunay_graph(
 
 
 def prune_graph(
-    graph: ProximityGraph, rects: np.ndarray, live: np.ndarray, t_d: float
+    graph: ProximityGraph,
+    rects: np.ndarray,
+    live: np.ndarray,
+    t_d: float | np.ndarray,
+    starts: np.ndarray | None = None,
+    edge_starts: np.ndarray | None = None,
 ) -> ProximityGraph:
     """Drop edges longer than t_d and edges blocked by a third label.
 
     An edge is blocked when its center-to-center segment passes through the
     open interior of any label rect other than its two endpoints'. Output
-    edges are always a subset of the input edges.
+    edges are always a subset of the input edges, in their order. t_d is
+    one distance or one per edge. With starts and edge_starts, live and the
+    edges list the labels and edges of several groups, one group after
+    another, group k's from starts[k] and edge_starts[k] on, and only a
+    rect of an edge's own group can block it; None is one group.
 
     The lengths, a closed bounding-box test of every edge against every
-    live rect and the segment test of each box hit
-    (`segments_cross_interiors`) run as array operations; `math.hypot`
-    decides each length within HYPOT_RTOL of t_d.
+    live rect of its group, in the blocks of `group_blocks`, and the
+    segment test of each box hit (`segments_cross_interiors`) run as array
+    operations; `math.hypot` decides each length within HYPOT_RTOL of t_d.
     """
     edges = graph.edges
     if not len(live) or not len(edges):
@@ -253,25 +321,31 @@ def prune_graph(
     length = np.hypot(dx, dy)
     short = length <= t_d
     for k in np.flatnonzero(np.abs(length - t_d) <= HYPOT_RTOL * t_d).tolist():
-        short[k] = not math.hypot(dx[k], dy[k]) > t_d
+        short[k] = not math.hypot(dx[k], dy[k]) > (t_d[k] if np.ndim(t_d) else t_d)
     cand = np.flatnonzero(short)
+    cand_starts = None if edge_starts is None else np.searchsorted(cand, edge_starts)
     lo, hi = np.minimum(p, q), np.maximum(p, q)
     blocked = np.zeros(len(edges), dtype=bool)
-    for rows in row_blocks(len(cand), len(live)):
-        ks = cand[rows]
+    for rows, cols, mixed in group_blocks(cand_starts, len(cand), starts, len(live)):
+        ks, b, others = cand[rows], boxes[cols], live[cols]
         hit = (
-            (boxes[:, 0] <= hi[ks, 0:1])
-            & (boxes[:, 2] >= lo[ks, 0:1])
-            & (boxes[:, 1] <= hi[ks, 1:2])
-            & (boxes[:, 3] >= lo[ks, 1:2])
-            & (live != edges[ks, 0:1])
-            & (live != edges[ks, 1:2])
+            (b[:, 0] <= hi[ks, 0:1])
+            & (b[:, 2] >= lo[ks, 0:1])
+            & (b[:, 1] <= hi[ks, 1:2])
+            & (b[:, 3] >= lo[ks, 1:2])
+            & (others != edges[ks, 0:1])
+            & (others != edges[ks, 1:2])
         )
+        if mixed:
+            hit &= same_group(
+                cand_starts, np.arange(rows.start, rows.stop)[:, None],
+                starts, np.arange(cols.start, cols.stop),
+            )
         r, c = np.nonzero(hit)
         if len(r):
             k = ks[r]
-            blocked[k[segments_cross_interiors(p[k], q[k], boxes[c])]] = True
-    return ProximityGraph(xy, edges[cand[~blocked[cand]]], graph.triangulation)
+            blocked[k[segments_cross_interiors(p[k], q[k], b[c])]] = True
+    return ProximityGraph(xy, edges[short & ~blocked], graph.triangulation)
 
 
 WeightKind = Literal["rect", "center"]

@@ -393,6 +393,26 @@ def reference_repair(
     return labels, moves, budget
 
 
+def reference_edge_direction_deviations(initial, final, graph) -> list[tuple[int, int, float]]:
+    """Reference for `metrics.edge_direction_deviations`: four `Rect.center`
+    calls per edge, each edge's orientations from those `Vec2`s."""
+    from leaderlabels.geometry import normalize_orientation_deg
+    from leaderlabels.metrics import direction_deviation
+
+    def orientation(p: Vec2, q: Vec2) -> float | None:
+        dx, dy = q.x - p.x, q.y - p.y
+        if dx == 0.0 and dy == 0.0:
+            return None
+        return normalize_orientation_deg(math.degrees(math.atan2(dy, dx)))
+
+    out = []
+    for i, j in graph.edges.tolist():
+        o1 = orientation(initial[i].rect.center(), initial[j].rect.center())
+        o2 = orientation(final[i].rect.center(), final[j].rect.center())
+        out.append((i, j, 0.0 if o1 is None or o2 is None else direction_deviation(o1, o2)))
+    return out
+
+
 def reference_element_blocks(
     x1: np.ndarray, y1: np.ndarray, x2: np.ndarray, y2: np.ndarray, params: BeamParams
 ) -> np.ndarray:
@@ -585,43 +605,113 @@ def reference_partition_labels(rects: np.ndarray, live: np.ndarray, t_num: int) 
         active.remove(max(removable))
 
 
+def reference_advance(features, cfg, arrays, t_d, rects, conns, pairs, carried, step_no):
+    """Reference for one group's step of `optimizer._advance`, as each loop
+    once stepped alone on its own labels' arrays: assemble forces, build
+    the graph (the carried Delaunay triangles if `still_delaunay` accepts
+    them, else Qhull's, pruned; or the MST),
+    solve, move and rescan. A step whose forces are all zero builds no
+    graph after the loop's first, and neither solves nor rescans. Returns
+    the moved rects and conns, their pairs, the step's triangles and its
+    stats."""
+    from leaderlabels import optimizer as opt
+    from leaderlabels.beams import solve_displacements
+    from leaderlabels.forces import assemble_forces, conflict_pairs
+    from leaderlabels.proximity import (
+        ProximityGraph,
+        _centers,
+        delaunay_graph,
+        mst_graph,
+        prune_graph,
+        still_delaunay,
+    )
+    from leaderlabels.scene import GraphKind, connection_points
+
+    live = arrays.live
+    assignment = assemble_forces(features, cfg, pairs, rects, arrays)
+    totals = opt.project_for_leader_type(assignment.totals, cfg.leader)
+    norms = [math.hypot(x, y) for x, y in totals[live].tolist()]
+    max_force = max(norms, default=0.0)
+    moves = totals.any()
+    edges, triangles = None, carried
+    if moves or step_no == 1:
+        if cfg.graph_kind is GraphKind.MST:
+            graph = mst_graph(rects, live, "center")
+        else:
+            xy = _centers(rects)
+            if carried is not None and still_delaunay(carried, xy, live)[0]:
+                graph = ProximityGraph(xy, carried.edges, carried)
+            else:
+                graph = delaunay_graph(rects, live)
+            graph = prune_graph(graph, rects, live, t_d)
+        edges, triangles = len(graph.edges), graph.triangulation
+    if moves:
+        disp = solve_displacements(graph, totals, cfg.resolved_beam())
+        translations, capped = disp.translations, len(disp.capped_nodes)
+    else:
+        translations, capped = np.zeros_like(totals), 0
+    d = opt.project_for_leader_type(translations[live], cfg.leader)
+    moved_rects = rects.copy()
+    moved_rects[live] += d[:, [0, 1, 0, 1]]
+    moved_conns = conns.copy()
+    moved_conns[live] = connection_points(
+        moved_rects[live], arrays.anchors[live], cfg.leader, conns[live] + d
+    )
+    if moves:
+        pairs = conflict_pairs(moved_rects, arrays, cfg.d_min)
+    stats = opt.StepStats(
+        step=step_no,
+        max_force=max_force,
+        label_conflicts=len(pairs.labels),
+        feature_conflicts=len(pairs.features),
+        graph_edges=edges,
+        force_tags=assignment.group_sources[0],
+        capped=capped,
+    )
+    return moved_rects, moved_conns, pairs, triangles, stats
+
+
 def reference_run_loop(labels: list[Label], features: Sequence[PointFeature], cfg: LayoutConfig, t_d=None):
-    """Reference for one loop of `optimizer.run` as each loop once ran: from
-    its own labels and features, with its own `scene_arrays` and starting
-    scan, and its labels built again at the end."""
+    """Reference for one loop of `optimizer.run` as each loop once ran, one
+    group after another: from its own labels and features, with its own
+    `scene_arrays` and starting scan, stepped alone by
+    `reference_advance`, and its labels built again at the end."""
     from leaderlabels import optimizer as opt
     from leaderlabels.forces import conflict_pairs
     from leaderlabels.geometry import points_array
-    from leaderlabels.scene import placed_labels
+    from leaderlabels.scene import GraphKind, placed_labels
 
     n_live = sum(1 for l in labels if not l.deleted)
     if n_live == 0:
         return labels, opt.LoopStats(0, 0, 0, 0.0, "force", ())
     t_s = opt.effective_max_iterations(n_live, cfg.t_s_override)
     t_f = cfg.force_threshold
-    loop = opt._loop_of(features, cfg, scene_arrays(labels, features), t_d)
+    if t_d is None and cfg.graph_kind is GraphKind.DT:
+        t_d = opt.pruning_distance(features, cfg)
+    arrays = scene_arrays(labels, features)
     rects = label_rects(labels)
     conns = points_array(l.conn for l in labels)
-    pairs = conflict_pairs(rects, loop.arrays, cfg.d_min)
+    pairs = conflict_pairs(rects, arrays, cfg.d_min)
     triangles = None
     history = []
     while True:
-        rects, conns, pairs, triangles, stats = opt._advance(
-            loop, rects, conns, pairs, triangles, len(history) + 1
+        rects, conns, pairs, triangles, stats = reference_advance(
+            features, cfg, arrays, t_d, rects, conns, pairs, triangles, len(history) + 1
         )
         history.append(stats)
         if stats.step >= t_s or stats.max_force <= t_f:
             break
     reason = "force" if stats.max_force <= t_f else "max_iterations"
-    return placed_labels(labels, loop.arrays.live, rects, conns), opt.LoopStats(
+    return placed_labels(labels, arrays.live, rects, conns), opt.LoopStats(
         n_live, stats.step, t_s, stats.max_force, reason, tuple(history)
     )
 
 
 def reference_run(features: Sequence[PointFeature], cfg: LayoutConfig):
     """Reference for `optimizer.run` as it ran before its loops shared the
-    run's arrays: each subgroup loop runs on its own labels and features
-    (`reference_run_loop`) and its labels are merged back one by one."""
+    run's arrays and stepped in lockstep: each subgroup loop runs alone, one
+    after another, on its own labels and features (`reference_run_loop`),
+    and its labels are merged back one by one."""
     from leaderlabels import optimizer as opt
 
     features = list(features)

@@ -554,7 +554,7 @@ def assemble(labels, features, cfg, pairs=None):
 
 
 def same_assignment(a, b) -> bool:
-    return np.array_equal(a.totals, b.totals) and a.sources == b.sources
+    return np.array_equal(a.totals, b.totals) and a.group_sources == b.group_sources
 
 
 class TestAssembleForces:
@@ -710,7 +710,7 @@ class TestAssembleForces:
         cfg = scene_config()
         target = RESOLVE_TARGET_FACTOR * cfg.d_min
         fa = assemble(labels, features, cfg)
-        assert fa.sources == {"attachment", "pair", "point", "screen"}
+        assert fa.group_sources == ({"attachment", "pair", "point", "screen"},)
 
         r0, r1, r2 = rects
         parts = [
@@ -728,3 +728,77 @@ class TestAssembleForces:
             tx += p.x
             ty += p.y
         assert totals(fa)[1] == Vec2(tx, ty)
+
+
+@st.composite
+def grouped_scenes(draw):
+    """A synthetic scene's starting labels, a few deleted, with each live
+    slot given one of up to four groups; slot k holds feature k's label,
+    as in `optimizer.run`."""
+    from leaderlabels.scene import initial_layout
+    from leaderlabels.scenefile import synthetic_scene
+
+    n = draw(st.integers(2, 25))
+    features, cfg = synthetic_scene(n, draw(st.integers(0, 10_000)), screen=(120.0, 80.0))
+    kind = LeaderType(draw(st.integers(1, 4)))
+    cfg = dataclasses.replace(cfg, leader=dataclasses.replace(cfg.leader, kind=kind))
+    dead = draw(st.sets(st.integers(0, n - 1), max_size=n // 4))
+    labels = [
+        dataclasses.replace(l, deleted=True) if k in dead else l
+        for k, l in enumerate(initial_layout(features, cfg))
+    ]
+    group = np.array([-1 if k in dead else draw(st.integers(0, 3)) for k in range(n)])
+    return labels, features, cfg, group
+
+
+class TestGroupedScansAndAssembly:
+    """One scan or assembly over several groups' labels gives each group
+    what its own labels alone give."""
+
+    @staticmethod
+    def grouped(arrays, group):
+        """arrays with the live labels and their symbols listed group by
+        group (groups 0-3, some of them empty), and where each group
+        begins."""
+        order = arrays.live[np.argsort(group[arrays.live], kind="stable")]
+        starts = np.searchsorted(group[order], np.arange(4))
+        symbols = np.searchsorted(arrays.index, order)
+        grouped = arrays._replace(
+            live=order, index=order, ids=arrays.ids[symbols], symbols=arrays.symbols[symbols]
+        )
+        return grouped, starts
+
+    @settings(max_examples=150, deadline=None)
+    @given(grouped_scenes(), st.sampled_from([1, 64, 1 << 14]))
+    def test_scans_keep_each_pair_within_its_group(self, scene, block):
+        labels, features, cfg, group = scene
+        rects, arrays = scene_layout(labels, features)
+        every = conflict_pairs(rects, arrays, cfg.d_min)
+        grouped, starts = self.grouped(arrays, group)
+        with mock.patch.object(geometry, "GROUP_BLOCK_ELEMENTS", block):
+            got = conflict_pairs(rects, grouped, cfg.d_min, starts, starts)
+        assert got.labels == [(i, j) for i, j in every.labels if group[i] == group[j]]
+        assert got.features == [(i, k) for i, k in every.features if group[i] == group[k]]
+
+    @settings(max_examples=150, deadline=None)
+    @given(grouped_scenes())
+    def test_each_group_gets_its_own_forces_and_sources(self, scene):
+        labels, features, cfg, group = scene
+        rects, arrays = scene_layout(labels, features)
+        grouped, starts = self.grouped(arrays, group)
+        pairs = conflict_pairs(rects, grouped, cfg.d_min, starts, starts)
+        whole = assemble_forces(features, cfg, pairs, rects, grouped, group, 4)
+        (every,) = assemble_forces(features, cfg, pairs, rects, arrays).group_sources
+        assert frozenset().union(*whole.group_sources) == every
+        for g, got in enumerate(whole.group_sources):
+            mine = np.flatnonzero(group == g)
+            own = set(mine.tolist())
+            alone = assemble_forces(
+                features,
+                cfg,
+                ConflictPairs(*([p for p in found if p[0] in own] for found in pairs)),
+                rects,
+                arrays._replace(live=mine),
+            )
+            assert whole.totals[mine].tobytes() == alone.totals[mine].tobytes()
+            assert got is alone.group_sources[0]

@@ -1,20 +1,24 @@
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from leaderlabels import geometry
 from leaderlabels.geometry import (
     AxisGaps,
     OverlapError,
     Rect,
     Vec2,
+    group_blocks,
     interiors_overlap,
     point_axis_gaps,
     point_rect_distance,
     point_rect_signed_clearance,
     rect_distance,
     rect_nearest_points,
+    same_group,
     segments_cross_interiors,
     unit_from_degrees,
 )
@@ -202,3 +206,50 @@ class TestInteriorsOverlap:
     def test_overlap_implies_zero_distance(self, a, b):
         if interiors_overlap(a, b):
             assert rect_distance(a, b) == 0.0
+
+
+class TestGroupBlocks:
+    """`group_blocks` covers every row and column pair of one group once,
+    in blocks of whole groups no larger than its bounds allow, and
+    `same_group` tells a block's pairs of one group from the others."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        sizes=st.lists(st.tuples(st.integers(0, 12), st.integers(0, 12)), min_size=1, max_size=8),
+        group_elements=st.sampled_from([1, 20, 100, 1 << 14]),
+        block_elements=st.sampled_from([1, 7, 1 << 18]),
+    )
+    def test_each_pair_of_a_group_once(self, sizes, group_elements, block_elements):
+        row_sizes, col_sizes = zip(*sizes)
+        row_starts = np.cumsum((0,) + row_sizes[:-1])
+        col_starts = np.cumsum((0,) + col_sizes[:-1])
+        row_group = np.repeat(np.arange(len(sizes)), row_sizes)
+        col_group = np.repeat(np.arange(len(sizes)), col_sizes)
+        n_rows, n_cols = len(row_group), len(col_group)
+        with mock.patch.multiple(
+            geometry, GROUP_BLOCK_ELEMENTS=group_elements, BLOCK_ELEMENTS=block_elements
+        ):
+            blocks = list(group_blocks(row_starts, n_rows, col_starts, n_cols))
+        seen = np.zeros((n_rows, n_cols), dtype=int)
+        for rows, cols, mixed in blocks:
+            i, j = np.meshgrid(np.arange(rows.start, rows.stop), np.arange(cols.start, cols.stop))
+            same = row_group[i] == col_group[j]
+            assert np.array_equal(same_group(row_starts, i, col_starts, j), same)
+            # Unmixed blocks hold one group, whose pairs need no check.
+            assert mixed or same.all()
+            seen[i[same], j[same]] += 1
+            # A block spans whole groups, and more than one only while it
+            # stays within its bound.
+            groups = set(col_group[cols].tolist()) | set(row_group[rows].tolist())
+            first, last = min(groups), max(groups)
+            span = (row_starts[last] + row_sizes[last] - row_starts[first]) * (
+                col_starts[last] + col_sizes[last] - col_starts[first]
+            )
+            assert first == last or span <= group_elements
+        assert np.array_equal(seen, row_group[:, None] == col_group[None, :])
+
+    @pytest.mark.parametrize("n_rows, n_cols", [(0, 5), (5, 0), (7, 9), (600, 700)])
+    def test_one_group_is_row_blocks_over_all_columns(self, n_rows, n_cols):
+        want = [(rows, slice(0, n_cols), False) for rows in geometry.row_blocks(n_rows, n_cols)]
+        got = list(group_blocks(None, n_rows, None, n_cols))
+        assert got == (want if n_cols else [])

@@ -1,7 +1,9 @@
 import math
 
+import numpy as np
+
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from leaderlabels.geometry import Rect, Vec2
 from leaderlabels.metrics import (
@@ -13,7 +15,7 @@ from leaderlabels.metrics import (
     total_displacement_cm,
 )
 from leaderlabels.optimizer import reference_graph, run
-from leaderlabels.proximity import delaunay_graph
+from leaderlabels.proximity import ProximityGraph, delaunay_graph
 from leaderlabels.scene import Label, PointFeature, initial_layout
 from leaderlabels.scenefile import synthetic_scene
 
@@ -23,6 +25,7 @@ from conftest import (
     label_layout,
     labels_from_rects,
     random_labels,
+    reference_edge_direction_deviations,
 )
 
 angles = st.floats(min_value=-720.0, max_value=720.0, allow_nan=False)
@@ -147,6 +150,53 @@ class TestMeanDirectionDeviation:
             expected.append(direction_deviation(o0, o1))
         got = mean_direction_deviation(labels, final, g)
         assert got == pytest.approx(sum(expected) / len(expected), abs=1e-9)
+
+
+# Centres on a coarse grid, so that endpoints often coincide in one or both
+# layouts.
+_corner = st.integers(-4, 4).map(float)
+
+
+@st.composite
+def two_layouts(draw):
+    """Two layouts of the same labels, rects on a coarse grid, and a graph
+    of any pairs of them, self-loops included."""
+    n = draw(st.integers(1, 8))
+
+    def rects():
+        out = []
+        for _ in range(n):
+            x, y = draw(_corner), draw(_corner)
+            w = draw(st.sampled_from([0.0, 1.0, 2.0, 0.5]))
+            h = draw(st.sampled_from([0.0, 1.0, 3.0]))
+            out.append(Rect(x, y, x + w, y + h))
+        return out
+
+    edges = draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)), max_size=12))
+    graph = ProximityGraph(np.zeros((n, 2)), np.array(edges, dtype=np.int64).reshape(-1, 2))
+    return labels_from_rects(rects()), labels_from_rects(rects()), graph
+
+
+class TestEdgeDeviationsPerLabelCentres:
+    """Each label's centre is taken once per layout; the deviations equal
+    the old per-edge `Rect.center` form to the bit
+    (`conftest.reference_edge_direction_deviations`)."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(two_layouts())
+    def test_equals_the_per_edge_form(self, layouts):
+        initial, final, graph = layouts
+        got = edge_direction_deviations(initial, final, graph)
+        want = reference_edge_direction_deviations(initial, final, graph)
+        assert [(i, j, d.hex()) for i, j, d in got] == [(i, j, d.hex()) for i, j, d in want]
+
+    def test_coincident_endpoints_give_zero(self):
+        labels = labels_from_rects([Rect(0, 0, 2, 2), Rect(0, 0, 2, 2), Rect(5, 1, 7, 3)])
+        moved = labels_from_rects([Rect(0, 0, 2, 2), Rect(3, 3, 5, 5), Rect(0, 0, 2, 2)])
+        graph = ProximityGraph(np.zeros((3, 2)), np.array([[0, 1], [0, 2], [1, 2]]))
+        got = edge_direction_deviations(labels, moved, graph)
+        assert [d for _, _, d in got[:2]] == [0.0, 0.0]
+        assert got == reference_edge_direction_deviations(labels, moved, graph)
 
 
 class TestTotalDisplacement:

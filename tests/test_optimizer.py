@@ -9,9 +9,10 @@ from hypothesis import given, settings, strategies as st
 
 from leaderlabels import optimizer, proximity
 from leaderlabels.beams import solve_displacements
-from leaderlabels.forces import conflict_pairs, scene_arrays
+from leaderlabels.forces import LabelLargerThanScreenError, conflict_pairs, scene_arrays
 from leaderlabels.geometry import Rect, Vec2, points_array
 from leaderlabels.metrics import count_conflicts
+from leaderlabels.proximity import delaunay_graph, partition_labels, prune_graph
 from leaderlabels.optimizer import (
     effective_max_iterations,
     handle_offscreen_fixed,
@@ -26,6 +27,7 @@ from leaderlabels.scene import (
     PointFeature,
     initial_layout,
     label_rects,
+    live_slots,
     placed_labels,
 )
 from leaderlabels.scenefile import synthetic_scene
@@ -112,19 +114,23 @@ def tiny_cfg(**kw) -> LayoutConfig:
     return LayoutConfig(**kw)
 
 
+def whole_scene_loop(labels, features, cfg):
+    """The set-up of one loop over every slot of labels, as `run` makes it
+    without t_num: the scene its steps read, its group, and the rects and
+    conns it moves."""
+    rects, arrays = scene_layout(labels, features)
+    conns = points_array(l.conn for l in labels)
+    group = optimizer._group(0, np.arange(len(labels)), arrays.live, features, cfg, None)
+    return optimizer._scene(features, cfg, arrays, [group]), group, rects, conns
+
+
 def one_step(labels, features, cfg):
     """The labels after the first step of a loop from labels, and that
     step's stats."""
     one = dataclasses.replace(cfg, t_s_override=1)
-    rects, arrays = scene_layout(labels, features)
-    conns = points_array(l.conn for l in labels)
-    rects, conns, loop = optimizer._run_loop(
-        optimizer._loop_of(features, one, arrays, None),
-        rects,
-        conns,
-        conflict_pairs(rects, arrays, one.d_min),
-    )
-    return placed_labels(labels, arrays.live, rects, conns), loop.history[0]
+    scene, group, rects, conns = whole_scene_loop(labels, features, one)
+    (loop,) = optimizer._run_loops(scene, [group], rects, conns)
+    return placed_labels(labels, scene.arrays.live, rects, conns), loop.history[0]
 
 
 class TestStep:
@@ -176,18 +182,16 @@ class TestStep:
     def test_advance_returns_the_new_layouts_pairs(self):
         features, cfg = synthetic_scene(20, 1, screen=(160.0, 110.0))
         labels = initial_layout(features, cfg)
-        loop = optimizer._loop_of(features, cfg, scene_arrays(labels, features), None)
-        rects, conns = label_rects(labels), points_array(l.conn for l in labels)
-        pairs, triangles = conflict_pairs(rects, loop.arrays, cfg.d_min), None
+        scene, group, rects, conns = whole_scene_loop(labels, features, cfg)
+        batch = optimizer._Batch(scene, [group])
+        pairs = conflict_pairs(rects, scene.arrays, cfg.d_min)
         for step_no in range(1, 4):
-            rects, conns, pairs, triangles, stats = optimizer._advance(
-                loop, rects, conns, pairs, triangles, step_no
-            )
-            placed = placed_labels(labels, loop.arrays.live, rects, conns)
+            pairs, (stats,) = optimizer._advance(scene, batch, rects, conns, pairs, step_no)
+            placed = placed_labels(labels, scene.arrays.live, rects, conns)
             assert pairs == conflict_pairs(*scene_layout(placed, features), cfg.d_min)
             assert stats.label_conflicts == len(pairs.labels)
             assert stats.feature_conflicts == len(pairs.features)
-        assert loop.t_d == optimizer.pruning_distance(features, cfg)
+        assert group.t_d == optimizer.pruning_distance(features, cfg)
 
     def test_capped_counts_labels_the_step_cap_shortened(self):
         # 4 mm apart, the two 10 mm labels overlap by about 6 mm: each gets
@@ -217,9 +221,16 @@ class TestStep:
         # above on the second.
         rows = np.array([[0.03546964032188504, 0.060851756668864554],
                          [0.1151024984279273, 0.8850600703796611]])
+        def largest(v):
+            return max(math.hypot(x, y) for x, y in v.tolist())
+
         for v in (rows[:1], rows[1:], rows, rows * 1e-3):
-            assert optimizer._max_norm(v) == max(math.hypot(x, y) for x, y in v.tolist())
-        assert optimizer._max_norm(np.zeros((0, 2))) == 0.0
+            assert optimizer._max_norms(v, np.array([0]), np.zeros(len(v), int)) == [largest(v)]
+        # Each group of rows on its own, whatever the others hold.
+        stacked = np.vstack((rows, np.zeros((1, 2)), rows[::-1] * 1e-3, rows[1:]))
+        group = np.repeat(np.arange(4), [2, 1, 2, 1])
+        got = optimizer._max_norms(stacked, np.array([0, 2, 3, 5]), group)
+        assert got == [largest(rows), 0.0, largest(rows * 1e-3), largest(rows[1:])]
 
     def test_deleted_labels_do_not_move(self):
         features = [
@@ -248,18 +259,17 @@ class TestForceFreeStep:
         labels = initial_layout(features, cfg)
         if kind is LeaderType.FIXED_DIR_FIXED_CONN:
             labels = handle_offscreen_fixed(labels, cfg.screen, cfg.leader)
-        loop = optimizer._loop_of(features, cfg, scene_arrays(labels, features), None)
-        rects, conns = label_rects(labels), points_array(l.conn for l in labels)
-        pairs, triangles = conflict_pairs(rects, loop.arrays, cfg.d_min), None
+        scene, group, rects, conns = whole_scene_loop(labels, features, cfg)
+        batch = optimizer._Batch(scene, [group])
+        pairs = conflict_pairs(rects, scene.arrays, cfg.d_min)
         for step_no in range(1, 100):
-            totals = optimizer.assemble_forces(features, cfg, pairs, rects, loop.arrays).totals
+            totals = optimizer.assemble_forces(features, cfg, pairs, rects, scene.arrays).totals
             if not project_for_leader_type(totals, cfg.leader).any():
                 break
-            rects, conns, pairs, triangles, _ = optimizer._advance(
-                loop, rects, conns, pairs, triangles, step_no
-            )
+            pairs, _ = optimizer._advance(scene, batch, rects, conns, pairs, step_no)
         assert pairs.labels or kind is not LeaderType.FIXED_DIR_FIXED_CONN
-        graph = optimizer.build_graph(rects, loop.arrays.live, cfg, loop.t_d, None)
+        live = scene.arrays.live
+        graph = prune_graph(delaunay_graph(rects, live), rects, live, group.t_d)
         want = optimizer.StepStats(
             step=step_no,
             max_force=0.0,
@@ -267,18 +277,22 @@ class TestForceFreeStep:
             feature_conflicts=len(pairs.features),
             # A later step that moves nothing builds no graph.
             graph_edges=None,
-            force_tags=optimizer.assemble_forces(features, cfg, pairs, rects, loop.arrays).sources,
-            capped=solve_displacements(graph, np.zeros((len(labels), 2)), loop.beam).capped,
+            force_tags=optimizer.assemble_forces(
+                features, cfg, pairs, rects, scene.arrays
+            ).group_sources[0],
+            capped=len(
+                solve_displacements(graph, np.zeros((len(labels), 2)), scene.beam).capped_nodes
+            ),
         )
         assert step_no > 1
         calls = []
-        for name in ("solve_displacements", "conflict_pairs", "build_graph"):
+        for name in ("solve_displacements", "conflict_pairs", "_build_graphs"):
             monkeypatch.setattr(optimizer, name, lambda *a, name=name: calls.append(name))
-        got = optimizer._advance(loop, rects, conns, pairs, triangles, step_no)
+        before = rects.copy(), conns.copy()
+        _, (got,) = optimizer._advance(scene, batch, rects, conns, pairs, step_no)
         assert calls == []
-        assert np.array_equal(got[0], rects) and np.array_equal(got[1], conns)
-        assert got[2] is pairs
-        assert got[4] == want
+        assert np.array_equal(rects, before[0]) and np.array_equal(conns, before[1])
+        assert got == want
 
 
 class TestGraphEdges:
@@ -288,21 +302,23 @@ class TestGraphEdges:
 
     @pytest.mark.parametrize("t_num", [None, 10])
     def test_only_later_force_free_steps_skip_the_graph(self, monkeypatch, t_num):
-        build = optimizer.build_graph
-        built = []
+        build = optimizer._build_graphs
+        built = collections.defaultdict(list)
 
-        def counted(*args):
-            graph = build(*args)
-            built.append(len(graph.edges))
-            return graph
+        def counted(groups, *args):
+            xy, edges = build(groups, *args)
+            for g in groups:
+                built[g.index].append(int(np.isin(edges[:, 0], g.slots).sum()))
+            return xy, edges
 
-        monkeypatch.setattr(optimizer, "build_graph", counted)
+        monkeypatch.setattr(optimizer, "_build_graphs", counted)
         skipped = 0
         for seed in range(4):
             features, cfg = synthetic_scene(40, seed)
             _, report = run(features, dataclasses.replace(cfg, t_num=t_num))
-            steps = [s for loop in report.loops for s in loop.history]
-            assert built == [s.graph_edges for s in steps if s.graph_edges is not None]
+            for k, loop in enumerate(report.loops):
+                edges = [s.graph_edges for s in loop.history if s.graph_edges is not None]
+                assert built[k] == edges
             built.clear()
             for loop in report.loops:
                 assert loop.history[0].graph_edges is not None
@@ -509,6 +525,142 @@ class TestRunEqualsTheOldOrchestration:
             run(features, cfg)
 
 
+@st.composite
+def lockstep_runs(draw):
+    """Small scenes cut into subgroups of 2-5 labels, under every leader
+    type at two directions and both graph kinds."""
+    n = draw(st.integers(2, 30))
+    screen = (draw(st.floats(120.0, 250.0)), draw(st.floats(80.0, 160.0)))
+    features, cfg = synthetic_scene(n, draw(st.integers(0, 10_000)), screen=screen)
+    leader = LeaderSpec(
+        cfg.leader.length, draw(st.sampled_from([90.0, 60.0])), LeaderType(draw(st.integers(1, 4)))
+    )
+    return features, dataclasses.replace(
+        cfg,
+        leader=leader,
+        graph_kind=draw(st.sampled_from(list(GraphKind))),
+        t_num=draw(st.integers(2, 5)),
+    )
+
+
+class TestLockstepEqualsGroupByGroup:
+    """All of a run's loops step in lockstep. The oracle runs each group's
+    loop alone, one group after another (`conftest.reference_run`); both
+    give the same labels, report and every `LoopStats` with its history,
+    to the bit. `TestRunEqualsTheOldOrchestration` adds fixed cases,
+    among them `synthetic_scene(200, 0)` at `t_num` 20."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(lockstep_runs())
+    def test_equal_to_each_group_alone(self, scene):
+        features, cfg = scene
+        labels, report = run(features, cfg)
+        want_labels, want = reference_run(features, cfg)
+        assert labels == want_labels
+        assert report.loops == want.loops
+        got_dict, want_dict = report.as_dict(), want.as_dict()
+        del got_dict["elapsed_s"], want_dict["elapsed_s"]
+        assert got_dict == want_dict
+
+    def test_a_batch_pairs_only_its_groups_labels_and_symbols(self):
+        # Label slots of subgroup 8 overlap symbols of subgroup 5 here.
+        features, cfg = synthetic_scene(40, 0, screen=(120.0, 80.0))
+        labels = initial_layout(features, cfg)
+        rects, arrays = scene_layout(labels, features)
+        slots = [np.array(g) for g in partition_labels(rects, arrays.live, 5)]
+        groups = [
+            optimizer._group(k, g, np.arange(len(g)), [features[i] for i in g], cfg, None)
+            for k, g in enumerate(slots)
+        ]
+        scene = optimizer._scene(features, cfg, arrays, groups)
+        gid = scene.gid
+        every = conflict_pairs(rects, arrays, cfg.d_min)
+        assert any(i in slots[8] and k in slots[5] for i, k in every.features)
+        for picked in ([groups[8]], [groups[5], groups[8]], groups):
+            batch = optimizer._Batch(scene, picked)
+            mine = {i for g in picked for i in g.slots.tolist()}
+            assert sorted(batch.arrays.live.tolist()) == sorted(mine)
+            assert batch.arrays.index.tolist() == batch.arrays.live.tolist()
+            got = batch.conflict_pairs(rects, cfg.d_min)
+            assert got == tuple(
+                [p for p in found if p[0] in mine and gid[p[0]] == gid[p[1]]] for found in every
+            )
+
+    @pytest.mark.parametrize("n, t_num", [(60, 10), (40, 5), (200, 20), (47, None)])
+    def test_one_force_assembly_per_lockstep_step(self, monkeypatch, n, t_num):
+        calls = []
+        real = optimizer.assemble_forces
+
+        def counted(*args):
+            calls.append(len(args[4].live))
+            return real(*args)
+
+        monkeypatch.setattr(optimizer, "assemble_forces", counted)
+        features, cfg = synthetic_scene(n, 3)
+        _, report = run(features, dataclasses.replace(cfg, t_num=t_num))
+        assert len(report.loops) > 1 or t_num is None
+        assert len(calls) == report.iterations == max(loop.steps for loop in report.loops)
+        # Step k assembles the labels of every loop still stepping.
+        assert calls == [
+            sum(loop.size for loop in report.loops if loop.steps >= k)
+            for k in range(1, report.iterations + 1)
+        ]
+
+
+def _oversize_scene():
+    """30 labels in subgroups of at most 5, with two labels wider than the
+    screen: slot 1, in the second subgroup, and slot 8, in the first."""
+    features, cfg = synthetic_scene(30, 0, screen=(160.0, 110.0))
+    features[1] = dataclasses.replace(features[1], text="W" * 200)
+    features[8] = dataclasses.replace(features[8], text="M" * 230)
+    return features, dataclasses.replace(cfg, t_num=5)
+
+
+class TestScreenFitCheckedOnce:
+    """`run` checks every live label against the screen once, before any
+    loop, and names the lowest slot that cannot fit."""
+
+    @staticmethod
+    def width_message(labels, slot) -> str:
+        return f"label {labels[slot].rect.width:.3f}x"
+
+    def test_names_the_lowest_offending_slot(self, monkeypatch):
+        features, cfg = _oversize_scene()
+        labels = initial_layout(features, cfg)
+        groups = partition_labels(label_rects(labels), live_slots(labels), cfg.t_num)
+        group_of = {i: k for k, g in enumerate(groups) for i in g}
+        assert group_of[8] < group_of[1]
+        # Loop by loop, the first group's assembly meets slot 8 first.
+        with pytest.raises(LabelLargerThanScreenError, match=self.width_message(labels, 8)):
+            reference_run(features, cfg)
+        calls = []
+        monkeypatch.setattr(optimizer, "assemble_forces", lambda *a: calls.append(a))
+        with pytest.raises(LabelLargerThanScreenError, match=self.width_message(labels, 1)):
+            run(features, cfg)
+        assert calls == []
+
+    def test_whole_scene_message_is_unchanged(self):
+        features, cfg = _oversize_scene()
+        cfg = dataclasses.replace(cfg, t_num=None)
+        with pytest.raises(LabelLargerThanScreenError) as want:
+            reference_run(features, cfg)
+        with pytest.raises(LabelLargerThanScreenError) as got:
+            run(features, cfg)
+        assert str(got.value) == str(want.value)
+
+    def test_cli_exits_with_2(self, tmp_path, capsys):
+        from leaderlabels.cli import main
+        from leaderlabels.scenefile import save_scene
+
+        features, cfg = _oversize_scene()
+        path = tmp_path / "oversize.json"
+        save_scene(features, cfg, str(path))
+        labels = initial_layout(features, cfg)
+        assert main(["place", str(path), "--tnum", "5"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("validation error: " + self.width_message(labels, 1))
+
+
 class TestPruningDistanceOncePerLoop:
     """t_d depends on the anchors alone, so each loop computes it once."""
 
@@ -617,6 +769,41 @@ def _carry_scene(name: str):
     return features, cfg
 
 
+def _checked_carry(monkeypatch, seen):
+    """Wraps the optimizer's carried-triangle check and its graph builds.
+    Each group the check accepts must hold the edges a fresh Qhull build
+    of its centres gives; and every Delaunay graph a step builds, carried
+    or not, must give each group the positions and the pruned edges of a
+    fresh Qhull build of the group's own rects. Counts the groups the
+    check accepts and refuses in seen."""
+    check = proximity.still_delaunay
+
+    def checked(tri, xy, live, starts=None):
+        ok = check(tri, xy, live, starts)
+        points = np.column_stack((xy, xy))
+        for k, slots in enumerate([live] if starts is None else np.split(live, starts[1:])):
+            seen["carried" if ok[k] else "rebuilt"] += 1
+            if ok[k]:
+                mine = tri.edges[np.isin(tri.edges[:, 0], slots)]
+                assert np.array_equal(mine, delaunay_graph(points, np.sort(slots)).edges)
+        return ok
+
+    build = optimizer._build_graphs
+
+    def built(groups, rects, cfg):
+        xy, edges = build(groups, rects, cfg)
+        for g in groups:
+            fresh = delaunay_graph(rects[g.rows], g.live)
+            assert xy[g.slots].tobytes() == fresh.positions[g.live].tobytes()
+            pruned = prune_graph(fresh, rects[g.rows], g.live, g.t_d)
+            mine = edges[np.isin(edges[:, 0], g.slots)]
+            assert np.array_equal(mine, g.rows[pruned.edges])
+        return xy, edges
+
+    monkeypatch.setattr(optimizer, "still_delaunay", checked)
+    monkeypatch.setattr(optimizer, "_build_graphs", built)
+
+
 class TestCarriedTriangulation:
     """Every Delaunay step of a loop, carried or rebuilt, returns the graph
     a fresh Qhull build of the same rects returns."""
@@ -626,21 +813,19 @@ class TestCarriedTriangulation:
         build = proximity.delaunay_graph
         seen = collections.Counter()
 
-        def checked(rects, live, carried=None):
-            got = build(rects, live, carried)
-            fresh = build(rects, live)
-            assert np.array_equal(got.edges, fresh.edges)
-            assert np.array_equal(got.positions, fresh.positions)
-            if carried is not None:
-                seen["carried" if got.triangulation is carried else "rebuilt"] += 1
+        def counted(rects, live):
             seen["builds"] += 1
-            return got
+            return build(rects, live)
 
-        monkeypatch.setattr(optimizer, "delaunay_graph", checked)
+        monkeypatch.setattr(optimizer, "delaunay_graph", counted)
+        _checked_carry(monkeypatch, seen)
         _, report = run(*_carry_scene(name))
-        # One build for the reference graph, one per step that builds one.
+        # One Qhull build for the reference graph, which the first step
+        # takes as it is; each later step with a graph carries its
+        # triangles or builds them again.
         built = sum(s.graph_edges is not None for loop in report.loops for s in loop.history)
-        assert seen["builds"] == built + 1
+        assert seen["builds"] + seen["carried"] == built
+        assert seen["builds"] == 1 + seen["rebuilt"] + (name == "collinear") * (built - 1)
         if name.startswith("synthetic") or name == "duplicated":
             assert seen["carried"] > seen["rebuilt"] > 0
         elif name == "grid":
@@ -648,15 +833,46 @@ class TestCarriedTriangulation:
         else:
             assert seen["carried"] == seen["rebuilt"] == 0
 
+    @pytest.mark.parametrize("t_num", [5, 10, 20])
+    def test_subgroup_steps_equal_fresh_qhull_builds(self, monkeypatch, t_num):
+        seen = collections.Counter()
+        _checked_carry(monkeypatch, seen)
+        features, cfg = synthetic_scene(76, 0)
+        _, report = run(features, dataclasses.replace(cfg, t_num=t_num))
+        assert len(report.loops) > 1
+        assert seen["carried"] > 0 and seen["rebuilt"] > 0
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_the_first_step_takes_the_reference_graph(self, monkeypatch, seed):
+        # A whole-scene Delaunay run triangulates its starting layout once:
+        # Qhull builds the reference graph, and the first step takes it.
+        features, cfg = synthetic_scene(47, seed)
+        build = proximity.delaunay_graph
+        calls = []
+
+        def recorded(rects, live):
+            calls.append(rects.copy())
+            return build(rects, live)
+
+        monkeypatch.setattr(optimizer, "delaunay_graph", recorded)
+        seen = collections.Counter()
+        _checked_carry(monkeypatch, seen)
+        _, report = run(features, cfg)
+        (loop,) = report.loops
+        assert np.array_equal(calls[0], label_rects(initial_layout(features, cfg)))
+        assert not any(np.array_equal(calls[0], later) for later in calls[1:])
+        assert len(calls) == 1 + seen["rebuilt"]
+        assert loop.history[0].graph_edges == report.initial_graph_edges
+
     def test_mst_runs_build_no_delaunay_graph_per_step(self, monkeypatch):
         features, cfg = synthetic_scene(20, 0)
         build = proximity.delaunay_graph
         calls = []
 
-        def recorded(rects, live, carried=None):
-            calls.append(carried)
-            return build(rects, live, carried)
+        def recorded(rects, live):
+            calls.append(len(live))
+            return build(rects, live)
 
         monkeypatch.setattr(optimizer, "delaunay_graph", recorded)
         run(features, dataclasses.replace(cfg, graph_kind=GraphKind.MST))
-        assert calls == [None]
+        assert calls == [len(features)]

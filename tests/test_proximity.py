@@ -199,12 +199,18 @@ def point_rects(xy) -> tuple[np.ndarray, np.ndarray]:
 
 
 def carried_build(xy0, xy1):
-    """The Delaunay build of the centres xy1 carrying the triangles of xy0,
-    with a fresh Qhull build of xy1 and whether the carry was accepted."""
+    """The graph of the centres xy1 that a loop carrying the triangles of
+    xy0 keeps: their edges if `still_delaunay` accepts them, else a fresh
+    Qhull build; with that fresh build and whether the carry was
+    accepted."""
     tri = delaunay_graph(*point_rects(xy0)).triangulation
     assert tri is not None
-    got = delaunay_graph(*point_rects(xy1), tri)
-    return got, delaunay_graph(*point_rects(xy1)), got.triangulation is tri
+    rects, live = point_rects(xy1)
+    fresh = delaunay_graph(rects, live)
+    xy = proximity._centers(rects)
+    if proximity.still_delaunay(tri, xy, live)[0]:
+        return ProximityGraph(xy, tri.edges, tri), fresh, True
+    return fresh, fresh, False
 
 
 @st.composite
@@ -323,7 +329,7 @@ class TestCarriedTriangulation:
         rects, live = label_layout(point_labels([(1, 1), (1, 1), (4, 5), (7, 2)]))
         g = delaunay_graph(rects, live)
         assert g.triangulation is not None
-        assert not proximity._still_delaunay(g.triangulation, proximity._centers(rects), live)
+        assert not proximity.still_delaunay(g.triangulation, proximity._centers(rects), live)[0]
 
     def test_pruning_keeps_the_triangulation(self, rng):
         rects, live = label_layout(random_labels(rng, 25))
@@ -681,3 +687,80 @@ class TestMeanNnDistance:
     def test_equals_all_pairs_definition(self, coords):
         points = [Vec2(x, y) for x, y in coords]
         assert mean_nn_distance(points_array(points)) == brute_force_mean_nn(points)
+
+
+@st.composite
+def grouped_point_sets(draw):
+    """Two to four disjoint groups of random centres, their slots
+    interleaved in one array with some slots in no group, the centres
+    moved a little or much, and each centre given a rect around it."""
+    sizes = draw(st.lists(st.integers(3, 12), min_size=2, max_size=4))
+    n = sum(sizes) + draw(st.integers(0, 3))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    perm = rng.permutation(n)
+    groups = [np.sort(perm[a - s:a]) for a, s in zip(np.cumsum(sizes), sizes)]
+    xy0 = rng.uniform(0.0, 100.0, (n, 2))
+    xy1 = xy0 + draw(st.sampled_from([0.0, 1e-6, 0.5, 5.0])) * rng.standard_normal((n, 2))
+    half = rng.uniform(0.5, 8.0, (n, 2))
+    return groups, xy0, xy1, np.column_stack((xy0 - half, xy0 + half))
+
+
+def _starts(parts):
+    """Where each of the parts begins, listed one after another."""
+    return np.cumsum([0] + [len(p) for p in parts[:-1]])
+
+
+class TestGroupedBuilds:
+    """One carried-triangle check or one prune over several groups gives
+    each group what its own call gives."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(grouped_point_sets(), st.sampled_from([1, 64, 1 << 14]))
+    def test_one_check_equals_each_groups_own(self, case, block):
+        groups, xy0, xy1, _ = case
+        tris = [delaunay_graph(np.column_stack((xy0, xy0)), g).triangulation for g in groups]
+        assume(all(t is not None for t in tris))
+        want = [proximity.still_delaunay(t, xy1, g)[0] for t, g in zip(tris, groups)]
+        order = np.concatenate(groups)
+        with mock.patch.object(geometry, "GROUP_BLOCK_ELEMENTS", block):
+            got = proximity.still_delaunay(proximity.joined(tris), xy1, order, _starts(groups))
+        assert got.tolist() == want
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        grouped_point_sets(),
+        st.lists(st.floats(5.0, 60.0), min_size=4, max_size=4),
+        st.sampled_from([1, 64, 1 << 14]),
+    )
+    def test_one_prune_equals_each_groups_own(self, case, t_ds, block):
+        groups, _, _, rects = case
+        graphs = [delaunay_graph(rects, g) for g in groups]
+        want = np.concatenate(
+            [prune_graph(gr, rects, g, t).edges for gr, g, t in zip(graphs, groups, t_ds)]
+        )
+        edges = [gr.edges for gr in graphs]
+        t_d = np.repeat(t_ds[: len(groups)], [len(e) for e in edges])
+        graph = ProximityGraph(graphs[0].positions, np.concatenate(edges))
+        with mock.patch.object(geometry, "GROUP_BLOCK_ELEMENTS", block):
+            got = prune_graph(
+                graph, rects, np.concatenate(groups), t_d, _starts(groups), _starts(edges)
+            )
+        assert np.array_equal(got.edges, want)
+
+    def test_each_group_is_checked_against_its_own_scale(self):
+        # A square with one corner 1e-3 off its circle passes the in-circle
+        # margin at its own scale, S = 11, but not at the S of a group 1e5
+        # mm away: the joined check keeps the bound of each.
+        small = [(0.0, 0.0), (10.0, 0.0), (0.0, 10.0), (10.0, 10.001)]
+        large = [(1e5, 1e5), (1e5 + 40.0, 1e5), (1e5, 1e5 + 30.0)]
+        xy = np.array(small + large)
+        groups = [np.arange(4), np.arange(4, 7)]
+        tris = [delaunay_graph(np.column_stack((xy, xy)), g).triangulation for g in groups]
+        want = [proximity.still_delaunay(t, xy, g)[0] for t, g in zip(tris, groups)]
+        assert want == [True, True]
+        assert not proximity.still_delaunay(proximity.joined(tris), xy, np.arange(7))[0]
+        got = proximity.still_delaunay(
+            proximity.joined(tris), xy, np.concatenate(groups), _starts(groups)
+        )
+        assert got.tolist() == want
+
