@@ -26,6 +26,17 @@ are the loop's own rules: `screen_margins`, `attachment_edge`,
 `rects_closer` and `symbols_closer`. Like the loop, a pass carries (n, 4)
 rects, (n, 2) connection points and one `SceneArrays`, moves one row at a
 time, and builds the labels once, at its end.
+
+Ring candidates lie on the grid, and in a crowded scene nearly all of them
+are blocked. So a ring retry that the search's first block does not settle
+marks, in one bool mask over the retry's grid cells, the cells where a
+near rect, a near symbol or a screen edge blocks the moved label by a
+margin (`_blocked_cells`), and tests only the cells left. A marked
+candidate is still charged to the budget: it would fail the test, so the
+first candidate to pass, and the charge up to and including it, are those
+of testing every candidate, and the charge rule does not change. Unlike
+the blocks, the mask and the numbers of its unmarked cells grow with the
+retry's square of cells.
 """
 
 from __future__ import annotations
@@ -38,6 +49,7 @@ import numpy as np
 
 from .forces import SceneArrays, conflicting_feature_pairs, conflicting_label_pairs, scene_arrays
 from .geometry import (
+    _BROAD_PHASE_SLACK,
     HYPOT_RTOL,
     Vec2,
     hypot_below,
@@ -168,19 +180,23 @@ def greedy_repair(
 
 StepCount = Callable[[int], int]
 StepOffsets = Callable[[np.ndarray], np.ndarray]
+CellNumbers = Callable[[np.ndarray, np.ndarray], np.ndarray]
 
 
 def _searches(
     cfg: LayoutConfig, diagonal: bool, max_axis_retries: int
-) -> list[tuple[int, float, StepCount, StepOffsets]]:
+) -> list[tuple[int, float, StepCount, StepOffsets, CellNumbers | None]]:
     """The searches a conflicted label goes through, in order, as
-    (retries, reach_scale, step_count, step_offsets) for `_search`.
+    (retries, reach_scale, step_count, step_offsets, cell_numbers) for
+    `_search`.
 
     Axis steps come first: step k moves the label k grid cells along each
     admissible direction, k-major and direction-minor. Rings are searched
     only for a label whose every axis step is blocked: step k is the border
     of ring k as `_ring_border` lists it. Steps 1..k hold
-    len(directions) * k axis offsets and 4 k^2 ring cells.
+    len(directions) * k axis offsets and 4 k^2 ring cells. Every ring
+    offset is a grid cell, and cell_numbers numbers the cells; the axis
+    offsets of a leader at an angle are not, and the axis search has none.
     """
     directions = points_array(admissible_directions(cfg))
     nd = len(directions)
@@ -193,9 +209,11 @@ def _searches(
     def ring_offsets(t: np.ndarray) -> np.ndarray:
         return _ring_cells(t) * grid
 
-    searches = [(max_axis_retries, 1.0, lambda k: nd * k, axis_offsets)]
+    searches = [(max_axis_retries, 1.0, lambda k: nd * k, axis_offsets, None)]
     if diagonal and cfg.leader.kind is not LeaderType.FIXED_DIR_FIXED_CONN:
-        searches.append((MAX_RETRIES_DIAGONAL, math.sqrt(2.0), lambda k: 4 * k * k, ring_offsets))
+        searches.append(
+            (MAX_RETRIES_DIAGONAL, math.sqrt(2.0), lambda k: 4 * k * k, ring_offsets, _ring_numbers)
+        )
     return searches
 
 
@@ -210,6 +228,7 @@ def _search(
     reach_scale: float,
     step_count: StepCount,
     step_offsets: StepOffsets,
+    cell_numbers: CellNumbers | None,
 ) -> Vec2 | None:
     """Nearest clearing displacement for the label in slot idx of the
     (n, 4) rects, or None.
@@ -222,6 +241,14 @@ def _search(
     budget.left candidates, and the first that passes is taken; the budget
     is charged up to and including it, as if candidates were tested one by
     one.
+
+    With cell_numbers, which numbers the grid cells (ix, iy) of the
+    offsets (ix, iy) * grid, and gives -1 to a cell that is no candidate,
+    a retry that the search's first block does not settle marks the cells
+    `_blocked_cells` proves blocked, and tests only the others, in number
+    order. A marked candidate would fail the test, so it is charged as if
+    tested, and the choice and the charge stay those of testing every
+    candidate.
     """
     box = rects[idx]
     x0, y0, x1, y1 = box.tolist()
@@ -250,18 +277,76 @@ def _search(
         while t < t_end:
             if budget.left <= 0:
                 return None
-            offsets = step_offsets(np.arange(t, min(t_end, t + block, t + budget.left)))
-            passed = np.flatnonzero(
-                _candidates_ok(box + np.tile(offsets, 2), near_rects, near_symbols, cfg, anchor)
-            )
-            if len(passed):
-                first = int(passed[0])
-                budget.left -= first + 1
-                return Vec2(*offsets[first].tolist())
-            budget.left -= len(offsets)
-            t += len(offsets)
+            stop = min(t_end, t + budget.left)
+            if cell_numbers is None or t == 0:
+                stop = min(stop, t + block)
+                numbers = np.arange(t, stop)
+            else:
+                # The rest of the retry within the budget, marked cells left out.
+                blocked = _blocked_cells(box, end, grid, near_rects, near_symbols, cfg)
+                ix, iy = np.nonzero(~blocked)
+                numbers = cell_numbers(ix - end, iy - end)
+                numbers = np.sort(numbers[(t <= numbers) & (numbers < stop)])
+            for lo in range(0, len(numbers), block):
+                offsets = step_offsets(numbers[lo : lo + block])
+                passed = np.flatnonzero(
+                    _candidates_ok(box + np.tile(offsets, 2), near_rects, near_symbols, cfg, anchor)
+                )
+                if len(passed):
+                    first = int(passed[0])
+                    budget.left -= int(numbers[lo + first]) - t + 1
+                    return Vec2(*offsets[first].tolist())
+            budget.left -= stop - t
+            t = stop
         start = end + 1
     return None
+
+
+def _blocked_cells(
+    box: np.ndarray,
+    end: int,
+    grid: float,
+    near_rects: np.ndarray,
+    near_symbols: np.ndarray,
+    cfg: LayoutConfig,
+) -> np.ndarray:
+    """Grid cells where the box, moved by (ix, iy) * grid, fails
+    `_candidates_ok` by a margin: a (2 end + 1, 2 end + 1) bool array
+    holding cell (ix, iy) at [ix + end, iy + end].
+
+    The candidate is closer than d_min to a near rect when both its signed
+    axis gaps to the rect lie below d_min / sqrt(2), and to a near symbol
+    when both lie below (radius + d_min) / sqrt(2); a label that fits the
+    screen fails it when a margin lies below d_min, which is a gap below
+    d_min to the half-plane beyond that edge. Each threshold is lowered by
+    `_BROAD_PHASE_SLACK` and each range of cells shrunk by one cell, so a
+    marked cell fails the exact test by far more than float rounding: one
+    slice assignment marks each rect, symbol and screen edge.
+    """
+    d_min, s = cfg.d_min, cfg.screen
+    x0, y0, x1, y1 = box.tolist()
+    limit = np.concatenate((np.full(len(near_rects), d_min), near_symbols[:, 2] + d_min))
+    limit = limit / math.sqrt(2.0) - _BROAD_PHASE_SLACK
+    obstacles = np.concatenate((near_rects, near_symbols[:, [0, 1, 0, 1]]))
+    if x1 - x0 <= s.width - 2.0 * d_min - _BROAD_PHASE_SLACK and (
+        y1 - y0 <= s.height - 2.0 * d_min - _BROAD_PHASE_SLACK
+    ):
+        inf = math.inf
+        beyond = ((-inf, -inf, s.x_min, inf), (-inf, -inf, inf, s.y_min),
+                  (s.x_max, -inf, inf, inf), (-inf, s.y_max, inf, inf))
+        obstacles = np.concatenate((obstacles, beyond))
+        limit = np.append(limit, [d_min - _BROAD_PHASE_SLACK] * 4)
+    # Both gaps along x lie below the limit for the cells ix with
+    # x0 + ix * grid - q_x1 < limit and q_x0 - (x1 + ix * grid) < limit,
+    # an open range; likewise along y. The slices keep the cells one in
+    # from each end.
+    lo = np.floor((obstacles[:, 0:2] - box[2:4] - limit[:, None]) / grid) + 2
+    hi = np.ceil((obstacles[:, 2:4] - box[0:2] + limit[:, None]) / grid) - 1
+    lo, hi = (np.clip(v + end, 0, 2 * end + 1).astype(np.int64).tolist() for v in (lo, hi))
+    blocked = np.zeros((2 * end + 1, 2 * end + 1), dtype=bool)
+    for (ax, ay), (bx, by) in zip(lo, hi):
+        blocked[ax:bx, ay:by] = True
+    return blocked
 
 
 # The eight border cells of ring r at m < r steps off the axes, in
@@ -293,6 +378,18 @@ def _ring_cells(t: np.ndarray) -> np.ndarray:
         _CELL_SIGN_X[cell] * np.where(on_x, r, m),
         _CELL_SIGN_Y[cell] * np.where(on_x, m, r),
     ))
+
+
+def _ring_numbers(ix: np.ndarray, iy: np.ndarray) -> np.ndarray:
+    """The numbers t of the grid cells (ix, iy) in `_ring_cells`, whose
+    inverse this is; -1 for a cell on an axis, which no ring holds."""
+    ax, ay = np.abs(ix), np.abs(iy)
+    r, m = np.maximum(ax, ay), np.minimum(ax, ay)
+    right, up = ix > 0, iy > 0
+    # Cells sort by ix, then iy: (-r, -+m), (-m, -+r), (m, -+r), (r, -+m);
+    # the four corners, (-r, -+r), (r, -+r), come after the rest.
+    cell = np.where(m == r, 2 * right, 4 * right + 2 * ((ax == r) == right)) + up
+    return np.where(m > 0, 4 * (r - 1) ** 2 + 8 * (m - 1) + cell, -1)
 
 
 def _ring_border(r: int) -> np.ndarray:

@@ -393,6 +393,63 @@ def reference_repair(
     return labels, moves, budget
 
 
+def reference_block_search(
+    idx: int,
+    rects: np.ndarray,
+    cfg: LayoutConfig,
+    anchor: Vec2,
+    arrays: SceneArrays,
+    budget,
+    retries: int,
+    reach_scale: float,
+    step_count: Callable[[int], int],
+    step_offsets: Callable[[np.ndarray], np.ndarray],
+    cell_numbers: Callable[[np.ndarray, np.ndarray], np.ndarray] | None,
+) -> Vec2 | None:
+    """`repair._search` that tests every candidate, in blocks, with no
+    cells marked blocked beforehand; cell_numbers is not read. A drop-in
+    for `repair._search`: the same candidates in the same order, charged
+    as one by one."""
+    from leaderlabels import repair
+    from leaderlabels.geometry import HYPOT_RTOL
+
+    box = rects[idx]
+    x0, y0, x1, y1 = box.tolist()
+    cx, cy = 0.5 * (x0 + x1), 0.5 * (y0 + y1)
+    own_half_diag = 0.5 * math.hypot(x1 - x0, y1 - y0)
+    grid = cfg.d_min / 2.0
+    others = rects[arrays.live[arrays.live != idx]]
+    centers = 0.5 * (others[:, 0:2] + others[:, 2:4])
+    label_dist = np.hypot(centers[:, 0] - cx, centers[:, 1] - cy)
+    half_diag = 0.5 * np.hypot(others[:, 2] - others[:, 0], others[:, 3] - others[:, 1])
+    symbols = arrays.symbols[arrays.ids != arrays.own[idx]]
+    symbol_dist = np.hypot(symbols[:, 0] - cx, symbols[:, 1] - cy)
+    start = 1
+    for retry in range(retries + 1):
+        radius = repair.BASE_RADIUS_FACTOR * cfg.d_min * (2.0**retry)
+        reach = radius * reach_scale + own_half_diag + cfg.d_min
+        near_rects = others[label_dist <= (reach + half_diag) * (1.0 + HYPOT_RTOL)]
+        near_symbols = symbols[symbol_dist <= (reach + symbols[:, 2]) * (1.0 + HYPOT_RTOL)]
+        block = max(1, repair.BLOCK_ELEMENTS // max(1, len(near_rects) + len(near_symbols)))
+        end = int(radius / grid)
+        t, t_end = step_count(start - 1), step_count(end)
+        while t < t_end:
+            if budget.left <= 0:
+                return None
+            offsets = step_offsets(np.arange(t, min(t_end, t + block, t + budget.left)))
+            passed = np.flatnonzero(repair._candidates_ok(
+                box + np.tile(offsets, 2), near_rects, near_symbols, cfg, anchor
+            ))
+            if len(passed):
+                first = int(passed[0])
+                budget.left -= first + 1
+                return Vec2(*offsets[first].tolist())
+            budget.left -= len(offsets)
+            t += len(offsets)
+        start = end + 1
+    return None
+
+
 def reference_edge_direction_deviations(initial, final, graph) -> list[tuple[int, int, float]]:
     """Reference for `metrics.edge_direction_deviations`: four `Rect.center`
     calls per edge, each edge's orientations from those `Vec2`s."""

@@ -1,11 +1,12 @@
 import math
+from dataclasses import replace
 from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from leaderlabels import repair
+from leaderlabels import optimizer, repair
 from leaderlabels.forces import scene_arrays
 from leaderlabels.geometry import Rect, Vec2
 from leaderlabels.metrics import count_conflicts
@@ -21,7 +22,13 @@ from leaderlabels.scene import (
 )
 from leaderlabels.scenefile import synthetic_scene
 
-from conftest import candidate_ok, reference_repair, reference_search, ring_border_cells
+from conftest import (
+    candidate_ok,
+    reference_block_search,
+    reference_repair,
+    reference_search,
+    ring_border_cells,
+)
 
 
 def ring_border_reference(r: int) -> list[tuple[int, int]]:
@@ -226,8 +233,9 @@ class TestSearch:
         block=st.sampled_from([1, 3, 7, 64, repair.BLOCK_ELEMENTS]),
         budget=st.integers(1, 400),
         axis_retries=st.integers(0, 2),
+        ring_retries=st.integers(0, 1),
     )
-    def test_matches_scalar_reference(self, scene, block, budget, axis_retries):
+    def test_matches_scalar_reference(self, scene, block, budget, axis_retries, ring_retries):
         labels, features, cfg, idx = scene
         anchor = features[idx].anchor
         deleted_ids = {l.feature_id for l in labels if l.deleted}
@@ -238,9 +246,10 @@ class TestSearch:
             lambda k: [Vec2(ix * grid, iy * grid) for ix, iy in ring_border_cells(k)],
         )
         searches = repair._searches(cfg, True, axis_retries)
-        # Rings only out to their first retry: 1600 cells.
-        for (retries, reach_scale, step_count, step_offsets), scalar, retries in zip(
-            searches, scalar_steps, (axis_retries, 0)
+        # Rings out to their first retry (1600 cells) or their second (6400
+        # cells), whose blocks after the search's first skip marked cells.
+        for (retries, reach_scale, step_count, step_offsets, cell_numbers), scalar, retries in zip(
+            searches, scalar_steps, (axis_retries, ring_retries)
         ):
             def reference(amount):
                 return reference_search(
@@ -257,14 +266,14 @@ class TestSearch:
                 with mock.patch.object(repair, "BLOCK_ELEMENTS", block):
                     got = repair._search(
                         idx, label_rects(labels), cfg, anchor, arrays, b, retries,
-                        reach_scale, step_count, step_offsets,
+                        reach_scale, step_count, step_offsets, cell_numbers,
                     )
                 assert (got, b.left) == reference(amount)
 
     def test_budget_ends_on_the_passing_candidate(self):
         labels, features, cfg = wedged_scene()
         arrays = scene_arrays(labels, features)
-        _, (_, reach_scale, step_count, step_offsets) = repair._searches(cfg, True, 0)
+        _, (_, reach_scale, step_count, step_offsets, cell_numbers) = repair._searches(cfg, True, 0)
         # Ring cells are numbered from ring 1; (-27, -1) is the first cell
         # of ring 27, 4 * 26^2 + 1 candidates in, in the second retry.
         used = 4 * 26 * 26 + 1
@@ -274,9 +283,156 @@ class TestSearch:
                 with mock.patch.object(repair, "BLOCK_ELEMENTS", block):
                     got = repair._search(
                         0, label_rects(labels), cfg, features[0].anchor, arrays, b,
-                        1, reach_scale, step_count, step_offsets,
+                        1, reach_scale, step_count, step_offsets, cell_numbers,
                     )
                 assert (got, b.left) == (want, 0)
+
+
+def _nudged(v: float, ulps: int) -> float:
+    """v moved ulps floats up (or down, for ulps < 0)."""
+    for _ in range(abs(ulps)):
+        v = math.nextafter(v, math.copysign(math.inf, ulps))
+    return v
+
+
+@st.composite
+def mask_scenes(draw):
+    """A label box, the end of a retry's cells, near rects, near symbols and
+    a screen. Each is placed beside the box moved to a drawn cell, so that
+    there an axis gap or a screen margin lies within a few ulps of a
+    threshold: the exact test's (d_min, or d_min / sqrt(2) on the
+    diagonal), the mask's (lowered by the slack), or the mask's one cell
+    in; or the box overlaps it on that axis. The screen's room for the
+    label lies near the fit threshold, with or without the slack, or well
+    above it."""
+    d_min = draw(st.sampled_from([0.5, 1.0, 0.2]) | st.floats(0.05, 3.0))
+    grid, slack = d_min / 2.0, repair._BROAD_PHASE_SLACK
+    end = draw(st.integers(1, 6))
+    x0, y0, w, h = draw(_coord), draw(_coord), draw(_side), draw(_side)
+    box = np.array([x0, y0, x0 + w, y0 + h])
+    ulps = st.integers(-4, 4)
+
+    def moved() -> np.ndarray:
+        kx, ky = draw(st.integers(-end - 1, end + 1)), draw(st.integers(-end - 1, end + 1))
+        return box + np.array([kx, ky, kx, ky]) * grid
+
+    def gap(limits) -> float:
+        # Near a threshold of one of the limits, or an overlap.
+        limit = draw(st.sampled_from(limits))
+        near = draw(st.sampled_from([limit, limit - slack, limit - slack - grid, None]))
+        return -draw(_side) if near is None else _nudged(near, draw(ulps))
+
+    def beside(m: np.ndarray, limits, size: tuple[float, float]) -> list[float]:
+        # Low and high bound along x, then y, of a box at gap from m.
+        out = []
+        for axis in (0, 1):
+            g, extent = gap(limits), size[axis]
+            if draw(st.booleans()):
+                out.append((m[axis + 2] + g, m[axis + 2] + g + extent))
+            else:
+                out.append((m[axis] - g - extent, m[axis] - g))
+        (ax, bx), (ay, by) = out
+        return [ax, ay, bx, by]
+
+    diagonal = 1.0 / math.sqrt(2.0)
+    rects = [
+        beside(moved(), [d_min, d_min * diagonal], (draw(_side), draw(_side)))
+        for _ in range(draw(st.integers(0, 3)))
+    ]
+    symbols = []
+    for _ in range(draw(st.integers(0, 3))):
+        radius = draw(st.sampled_from([0.0, 0.5, 1.0]) | st.floats(0.0, 2.0))
+        reach = radius + d_min
+        px, py, _, _ = beside(moved(), [reach, reach * diagonal], (0.0, 0.0))
+        symbols.append((px, py, radius))
+    m, screen = moved(), []
+    for axis, size in ((0, w), (1, h)):
+        margin = _nudged(draw(st.sampled_from([d_min, d_min - slack, d_min - slack - grid])),
+                         draw(ulps))
+        room = size + 2.0 * d_min + draw(st.sampled_from([0.0, slack]) | st.floats(-1.0, 20.0))
+        room = _nudged(room, draw(ulps))
+        if draw(st.booleans()):
+            lo = m[axis] - margin
+            screen.append((lo, lo + room))
+        else:
+            hi = m[axis + 2] + margin
+            screen.append((hi - room, hi))
+    (sx0, sx1), (sy0, sy1) = screen
+    cfg = LayoutConfig(
+        screen=Rect(sx0, sy0, max(sx0, sx1), max(sy0, sy1)), d_min=d_min,
+        leader=LeaderSpec(kind=draw(st.sampled_from(list(LeaderType)))),
+    )
+    anchor = Vec2(draw(_coord), draw(_coord))
+    return box, end, np.array(rects).reshape(-1, 4), np.array(symbols).reshape(-1, 3), cfg, anchor
+
+
+class TestBlockedCells:
+    """`_blocked_cells` marks only cells whose candidates fail the test."""
+
+    @settings(max_examples=400, deadline=None)
+    @given(mask_scenes())
+    def test_no_marked_cell_passes(self, case):
+        box, end, rects, symbols, cfg, anchor = case
+        grid = cfg.d_min / 2.0
+        blocked = repair._blocked_cells(box, end, grid, rects, symbols, cfg)
+        assert blocked.shape == (2 * end + 1, 2 * end + 1)
+        cells = np.argwhere(blocked) - end
+        cands = box + np.tile(cells * grid, 2)
+        assert not _candidates_ok(cands, rects, symbols, cfg, anchor).any()
+        features = [
+            PointFeature(id=f"s{k}", anchor=Vec2(x, y), depth=100.0, text="S", symbol_radius=r)
+            for k, (x, y, r) in enumerate(symbols.tolist())
+        ]
+        near = [Rect(*r) for r in rects.tolist()]
+        for c in cands.tolist():
+            assert not candidate_ok(Rect(*c), near, features, cfg, anchor)
+
+    def test_marks_most_blocked_cells(self):
+        # The wedged label's first retry: all but a rim of one or two cells
+        # around each obstacle's blocked region is marked.
+        labels, features, cfg = wedged_scene()
+        rects = label_rects(labels)
+        symbols = np.array([(f.anchor.x, f.anchor.y, f.symbol_radius) for f in features[1:]])
+        grid, end = cfg.d_min / 2.0, 20
+        blocked = repair._blocked_cells(rects[0], end, grid, rects[1:], symbols, cfg)
+        cells = np.argwhere(np.ones_like(blocked)) - end
+        ok = _candidates_ok(
+            rects[0] + np.tile(cells * grid, 2), rects[1:], symbols, cfg, features[0].anchor
+        )
+        assert not (blocked.ravel() & ok).any()
+        assert blocked.sum() >= 0.9 * (~ok).sum()
+
+
+def test_ring_numbers_invert_ring_cells():
+    t = np.arange(4 * 60 * 60)
+    assert repair._ring_numbers(*repair._ring_cells(t).T).tolist() == t.tolist()
+    axis = np.arange(-5, 6)
+    assert repair._ring_numbers(axis, 0 * axis).tolist() == [-1] * len(axis)
+    assert repair._ring_numbers(0 * axis, axis).tolist() == [-1] * len(axis)
+
+
+def test_run_matches_the_block_search_oracle(monkeypatch):
+    # The scene whose repair spends the whole budget: the same labels to
+    # the bit, the same moves and the same budget left with the block
+    # search that tests every candidate.
+    features, cfg = synthetic_scene(200, 0)
+    cfg = replace(cfg, t_num=20)
+    budgets = []
+
+    class RecordedBudget(repair._Budget):
+        def __init__(self, amount: int) -> None:
+            super().__init__(amount)
+            budgets.append(self)
+
+    monkeypatch.setattr(repair, "_Budget", RecordedBudget)
+    runs = []
+    for search in (repair._search, reference_block_search):
+        budgets.clear()
+        monkeypatch.setattr(repair, "_search", search)
+        labels, report = optimizer.run(features, cfg)
+        runs.append((_bits(labels), report.repair_moves, [b.left for b in budgets]))
+    assert runs[0] == runs[1]
+    assert runs[0][1] > 0 and runs[0][2] == [0]
 
 
 def test_ring_cells_number_every_border_in_order():
