@@ -10,6 +10,15 @@ Each rule is written once, over (n, 4) rect arrays, and shared by the
 forces, the conflict scans and the repair search: `geometry.rects_closer`
 (label gap), `geometry.symbols_closer` (symbol clearance),
 `geometry.screen_margins` (screen fit) and `scene.attachment_edge`.
+
+`assemble_forces` splits its work by how many labels a source touches.
+The attachment and screen forces act on every live label: they are a few
+array operations on `rects[live]`. The pair and symbol forces act only on
+the labels in a conflicting pair, about 3 pairs and 1.5 symbol hits a step
+at the paper's sizes: they are functions of plain floats (`_pair_force`,
+`_symbol_gap`, `_escapes`, `_compose`), run on those labels alone, and the
+public `Rect`/`Vec2` rules wrap them. At those counts, pair forces over the
+(m, 2) pair array measured slower: 267 against 220 µs a call.
 """
 
 from __future__ import annotations
@@ -25,11 +34,8 @@ from .geometry import (
     Rect,
     Vec2,
     interiors_overlap,
-    point_axis_gaps,
-    point_rect_signed_clearance,
     points_array,
     rect_distance,
-    rect_nearest_points,
     group_blocks,
     rects_closer,
     same_group,
@@ -94,128 +100,129 @@ class ForceAssignment:
     group_sources: tuple[frozenset[str], ...]
 
 
-def separation_force(a: Rect, b: Rect, d_min: float) -> tuple[Vec2, Vec2]:
-    """Push two disjoint-but-too-close rectangles apart.
+def _separation(a, b, d_min: float) -> tuple[float, float]:
+    """The force on a of disjoint rects a and b closer than d_min (b gets
+    its negation): half the deficit along the nearest-point axis, per axis
+    a's nearest coordinate minus b's, 0 where the spans overlap. Touching
+    rects fall back to the center line, concentric ones to +x."""
+    ax0, ay0, ax1, ay1 = a
+    bx0, by0, bx1, by1 = b
+    ox = ax1 - bx0 if bx0 >= ax1 else ax0 - bx1 if ax0 >= bx1 else 0.0
+    oy = ay1 - by0 if by0 >= ay1 else ay0 - by1 if ay0 >= by1 else 0.0
+    gap = math.hypot(ox, oy)
+    if gap > 0.0:
+        dx, dy = ox * (1.0 / gap), oy * (1.0 / gap)
+    else:
+        cx = 0.5 * (ax0 + ax1) - 0.5 * (bx0 + bx1)
+        cy = 0.5 * (ay0 + ay1) - 0.5 * (by0 + by1)
+        norm = math.hypot(cx, cy)
+        dx, dy = (cx / norm, cy / norm) if norm > 0.0 else (1.0, 0.0)
+    m = 0.5 * (d_min - gap)
+    return dx * m, dy * m
 
-    Each side receives half the remaining deficit along the nearest-point
-    axis, in opposite directions. Raises NotInConflictError when the gap is
-    already at least d_min, OverlapError when interiors intersect (the
-    overlap force handles that case).
-    """
+
+def _overlap(a, b, d_min: float) -> tuple[float, float]:
+    """The force on a of rects a and b whose interiors intersect; b gets its
+    negation. Half the smallest of the moves of a along -x, +x, -y, +y that
+    leave an axis gap of d_min, the first of equal ones in that order."""
+    ax0, ay0, ax1, ay1 = a
+    bx0, by0, bx1, by1 = b
+    mags = [abs(ax1 - bx0 + d_min), abs(bx1 - ax0 + d_min)]
+    mags += [abs(ay1 - by0 + d_min), abs(by1 - ay0 + d_min)]
+    m = min(mags)
+    dx, dy = ((-1.0, 0.0), (1.0, 0.0), (0.0, -1.0), (0.0, 1.0))[mags.index(m)]
+    return dx * (0.5 * m), dy * (0.5 * m)
+
+
+def _pair_force(a, b, d_min: float) -> tuple[float, float]:
+    """`_overlap` when the interiors of a and b intersect, else `_separation`."""
+    if a[0] < b[2] and b[0] < a[2] and a[1] < b[3] and b[1] < a[3]:
+        return _overlap(a, b, d_min)
+    return _separation(a, b, d_min)
+
+
+def _symbol_gap(rect, x: float, y: float, radius: float) -> float:
+    """`point_rect_signed_clearance` of a symbol's center (x, y) from rect,
+    minus its radius."""
+    x0, y0, x1, y1 = rect
+    dx, dy = max(x0 - x, x - x1), max(y0 - y, y - y1)
+    if dx <= 0.0 and dy <= 0.0:
+        return max(dx, dy) - radius
+    return math.hypot(max(dx, 0.0), max(dy, 0.0)) - radius
+
+
+def _escapes(rect, x: float, y: float, radius: float, d_min: float) -> list[tuple[float, float]]:
+    """The moves of rect along -x, +x, -y, +y that give the symbol disk at
+    (x, y) an axis clearance of d_min."""
+    x0, y0, x1, y1 = rect
+    pad = radius + d_min
+    return [(-(x1 - x + pad), 0.0), (x - x0 + pad, 0.0), (0.0, -(y1 - y + pad)), (0.0, y - y0 + pad)]
+
+
+def _compose(sets) -> tuple[float, float]:
+    """One escape per conflicting symbol, from each of the candidate sets,
+    combined. A selection is admissible when every chosen pair spans at most
+    90 degrees; the first admissible selection, in lexicographic order,
+    with the smallest sum wins, or, when opposing symbols leave none, the
+    first with the smallest sum of all. Sums are added level by level."""
+    for admissible in (True, False):
+        level = [(0.0, 0.0, ())]
+        for cands in sets:
+            level = [
+                (sx + cx, sy + cy, chosen + ((cx, cy),))
+                for sx, sy, chosen in level
+                for cx, cy in cands
+                if not (admissible and chosen and any(px * cx + py * cy < 0.0 for px, py in chosen))
+            ]
+        if level:
+            _, fx, fy = min(((x * x + y * y, x, y) for x, y, _ in level), key=lambda s: s[0])
+            return fx, fy
+    raise ValueError("a candidate set is empty")
+
+
+def _row(r: Rect) -> tuple[float, float, float, float]:
+    return r.x_min, r.y_min, r.x_max, r.y_max
+
+
+def separation_force(a: Rect, b: Rect, d_min: float) -> tuple[Vec2, Vec2]:
+    """Push two disjoint-but-too-close rectangles apart (`_separation`).
+    Raises NotInConflictError when the gap is already at least d_min,
+    OverlapError when interiors intersect (overlap_force handles that)."""
     if interiors_overlap(a, b):
         raise OverlapError("rect interiors intersect; use overlap_force")
     gap = rect_distance(a, b)
     if gap >= d_min:
         raise NotInConflictError(f"gap {gap} is not below d_min {d_min}")
-    if gap > 0.0:
-        pa, qb = rect_nearest_points(a, b)
-        direction = (pa - qb) * (1.0 / gap)
-    else:
-        # Touching rects leave the nearest-point axis undefined; fall back to
-        # the center line, then to +x for concentric degenerates.
-        d = a.center() - b.center()
-        direction = d.normalized() if d.norm() > 0.0 else Vec2(1.0, 0.0)
-    fa = direction * (0.5 * (d_min - gap))
-    return fa, Vec2(-fa.x, -fa.y)
-
-
-_OVERLAP_DIRS = (Vec2(-1.0, 0.0), Vec2(1.0, 0.0), Vec2(0.0, -1.0), Vec2(0.0, 1.0))
+    fx, fy = _separation(_row(a), _row(b), d_min)
+    return Vec2(fx, fy), Vec2(-fx, -fy)
 
 
 def overlap_force(a: Rect, b: Rect, d_min: float) -> tuple[Vec2, Vec2]:
-    """Separate two overlapping rectangles along the cheapest axis direction.
-
-    Candidate magnitudes are the moves of `a` along -x, +x, -y, +y that leave
-    an axis gap of d_min; the smallest wins (ties in that order). Each rect
-    receives half of it, in opposite directions.
-    """
+    """Separate two overlapping rectangles along the cheapest axis
+    direction (`_overlap`). Raises NotOverlappingError for disjoint ones."""
     if not interiors_overlap(a, b):
         raise NotOverlappingError("rect interiors are disjoint")
-    mags = (
-        a.x_max - b.x_min + d_min,
-        b.x_max - a.x_min + d_min,
-        a.y_max - b.y_min + d_min,
-        b.y_max - a.y_min + d_min,
-    )
-    best = 0
-    for k in range(1, 4):
-        if abs(mags[k]) < abs(mags[best]):
-            best = k
-    fa = _OVERLAP_DIRS[best] * (0.5 * abs(mags[best]))
-    return fa, Vec2(-fa.x, -fa.y)
+    fx, fy = _overlap(_row(a), _row(b), d_min)
+    return Vec2(fx, fy), Vec2(-fx, -fy)
 
 
-def point_repulsion_candidates(
-    rect: Rect, center: Vec2, radius: float, d_min: float
-) -> list[Vec2]:
-    """Four axis-direction escapes from a conflicting feature symbol.
-
-    Each candidate is the smallest move of the rect along that axis direction
-    giving the symbol disk an axis clearance of d_min. All four are positive
-    whenever the gate (disk within d_min of the rect, or overlapping) holds.
-    """
-    clearance = point_rect_signed_clearance(center, rect) - radius
+def point_repulsion_candidates(rect: Rect, center: Vec2, radius: float, d_min: float) -> list[Vec2]:
+    """Four axis-direction escapes from a conflicting feature symbol
+    (`_escapes`), all positive whenever the gate (disk within d_min of the
+    rect, or overlapping) holds. Raises NotInConflictError when not."""
+    clearance = _symbol_gap(_row(rect), center.x, center.y, radius)
     if clearance >= d_min:
         raise NotInConflictError(f"symbol clearance {clearance} is not below d_min {d_min}")
-    gaps = point_axis_gaps(rect, center)
-    pad = radius + d_min
-    return [
-        Vec2(-(gaps.x_neg + pad), 0.0),
-        Vec2(gaps.x_pos + pad, 0.0),
-        Vec2(0.0, -(gaps.y_neg + pad)),
-        Vec2(0.0, gaps.y_pos + pad),
-    ]
+    return [Vec2(x, y) for x, y in _escapes(_row(rect), center.x, center.y, radius, d_min)]
 
 
 def compose_point_forces(candidates_per_feature: Sequence[Sequence[Vec2]]) -> Vec2:
-    """Combine one escape direction per conflicting feature into one force.
-
-    A selection is admissible when every chosen pair spans at most 90
-    degrees; among admissible selections the smallest vector sum wins. With a
-    single feature that reduces to its smallest candidate. When opposing
-    features leave no admissible selection, the smallest sum over all
-    selections is used instead.
-    """
+    """Combine one escape direction per conflicting feature into one force
+    (`_compose`); with a single feature, its smallest candidate. Raises
+    ValueError without a feature, or for a feature without a candidate."""
     if not candidates_per_feature:
         raise ValueError("at least one candidate set is required")
-
-    sets = [list(c) for c in candidates_per_feature]
-    best_adm: tuple[float, Vec2] | None = None
-    chosen: list[Vec2] = []
-
-    def visit(level: int, sx: float, sy: float) -> None:
-        nonlocal best_adm
-        if level == len(sets):
-            mag2 = sx * sx + sy * sy
-            if best_adm is None or mag2 < best_adm[0]:
-                best_adm = (mag2, Vec2(sx, sy))
-            return
-        for cand in sets[level]:
-            if any(prev.dot(cand) < 0.0 for prev in chosen):
-                continue
-            chosen.append(cand)
-            visit(level + 1, sx + cand.x, sy + cand.y)
-            chosen.pop()
-
-    visit(0, 0.0, 0.0)
-    if best_adm is not None:
-        return best_adm[1]
-
-    # No angle-admissible selection exists (opposing features): fall back to
-    # the smallest sum over the full selection product.
-    best_any: tuple[float, Vec2] | None = None
-    stack = [(0, 0.0, 0.0)]
-    while stack:
-        level, sx, sy = stack.pop()
-        if level == len(sets):
-            mag2 = sx * sx + sy * sy
-            if best_any is None or mag2 < best_any[0]:
-                best_any = (mag2, Vec2(sx, sy))
-            continue
-        for cand in reversed(sets[level]):
-            stack.append((level + 1, sx + cand.x, sy + cand.y))
-    assert best_any is not None
-    return best_any[1]
+    return Vec2(*_compose([[(c.x, c.y) for c in cands] for cands in candidates_per_feature]))
 
 
 def attachment_forces(rects: np.ndarray, anchors: np.ndarray, leader: LeaderSpec) -> np.ndarray:
@@ -234,16 +241,16 @@ def attachment_forces(rects: np.ndarray, anchors: np.ndarray, leader: LeaderSpec
     n = u.perp()
     along, level = attachment_edge(rects, u)
     across, nv = 1 - along, (n.x, n.y)
-    # n . (end - anchor) for the edge's two ends, (n, 2).
-    ends = rects[:, across::2] - anchors[:, across, None]
-    off = nv[along] * (level - anchors[:, along])[:, None] + nv[across] * ends
-    lo, hi = off.min(axis=1), off.max(axis=1)
-    pull = -np.where(lo > 0.0, lo, hi)
-    force = np.column_stack((n.x * pull, n.y * pull))
-    # The line crosses the edge. A label fully behind its anchor cannot be
-    # pulled back either; the screen and pair forces are left to move it.
-    force[(lo <= 0.0) & (hi >= 0.0)] = 0.0
-    return force
+    # n . (end - anchor) for the edge's two ends, one column each.
+    a_al, a_ac = anchors[:, along], anchors[:, across]
+    base = nv[along] * (level - a_al)
+    o0 = base + nv[across] * (rects[:, across] - a_ac)
+    o1 = base + nv[across] * (rects[:, across + 2] - a_ac)
+    lo, hi = np.minimum(o0, o1), np.maximum(o0, o1)
+    # The pull is -lo, or -hi, when both ends lie on one side of the line,
+    # and zero when the line crosses the edge, also for a label fully behind
+    # its anchor: the screen and pair forces are left to move that one.
+    return (np.maximum(lo, 0.0) + np.minimum(hi, 0.0))[:, None] * (-n.x, -n.y)
 
 
 def attachment_force(label: Label, feature: PointFeature, leader: LeaderSpec) -> Vec2:
@@ -261,8 +268,8 @@ def screen_forces(rects: np.ndarray, screen: Rect, d_min: float) -> np.ndarray:
     """
     fits, margins = screen_margins(rects, screen, d_min)
     _raise_unless_fits(rects, fits, screen, d_min)
-    push = np.where(margins < d_min, d_min - margins, 0.0)
-    return np.column_stack((push[:, 0] - push[:, 2], push[:, 1] - push[:, 3]))
+    push = np.maximum(d_min - margins, 0.0)
+    return push[:, 0:2] - push[:, 2:4]
 
 
 def _raise_unless_fits(rects: np.ndarray, fits: np.ndarray, screen: Rect, d_min: float) -> None:
@@ -282,8 +289,7 @@ def check_screen_fit(rects: np.ndarray, screen: Rect, d_min: float) -> None:
 
 def screen_force(rect: Rect, screen: Rect, d_min: float) -> Vec2:
     """`screen_forces` of one rect."""
-    row = np.array([[rect.x_min, rect.y_min, rect.x_max, rect.y_max]])
-    return Vec2(*screen_forces(row, screen, d_min)[0])
+    return Vec2(*screen_forces(np.array([_row(rect)]), screen, d_min)[0])
 
 
 class SceneArrays(NamedTuple):
@@ -424,77 +430,67 @@ def assemble_forces(
     `conflict_pairs` of this very layout: the optimizer passes the ones it
     counted when it made the layout.
 
-    The attachment and screen forces of all live labels are array
-    operations. A label whose force is zero gets a zero row, and adding it
-    changes no total: a total never becomes -0.0, and x + 0.0 == x for any
-    other x. A vector is zero exactly when its norm is, so a source is
-    listed exactly when some label's force from it has `norm() > 0`. Only
-    the labels in a conflicting pair get a scalar `Rect`. arrays.live may
-    leave out live labels: those get no force, and no pair may name them.
-    The sources are listed per group of group, each label slot's group id
-    below n_groups (one group when None), so one assembly over several
-    groups' labels gives each group what an assembly of its own labels
-    gives.
+    The attachment and screen rows that are not zero are added to zeros; a
+    zero row would change no total, since a sum is -0.0 only when both
+    terms are. Only the labels in a conflicting pair run the float rules. A
+    source is listed exactly when some label's force from it is not zero.
+    arrays.live may leave out live labels: those get no force, and no pair
+    may name them. The sources are listed per group of group, each label
+    slot's group id below n_groups (one group when None), so one assembly
+    over several groups' labels gives each group what an assembly of its
+    own labels gives.
     """
-    d_min = cfg.d_min
-    live = arrays.live
-    total = np.zeros((len(rects), 2))
-    tags = [0] * n_groups
+    d_min, live = cfg.d_min, arrays.live
     target = RESOLVE_TARGET_FACTOR * d_min
-
-    group_of = [0] * len(rects) if group is None else group.tolist()
+    total, tags = np.zeros((len(rects), 2)), [0] * n_groups
 
     def mark(slots, bit: int) -> None:
         # Lists the source with bit for the group of each of the slots.
-        for g in {group_of[i] for i in slots}:
-            tags[g] |= bit
+        if len(slots):
+            for g in set(group[slots].tolist()) if group is not None and n_groups > 1 else (0,):
+                tags[g] |= bit
 
+    def add(force: np.ndarray, bit: int) -> None:
+        # Adds the rows of force, one per live label, that are not zero.
+        pushed = force.any(axis=1)
+        slots = live[pushed]
+        if len(slots):
+            total[slots] += force[pushed]
+        mark(slots, bit)
+
+    boxes = rects[live]
+    screen = screen_forces(boxes, cfg.screen, d_min)
     if cfg.leader.kind is LeaderType.FIXED_DIR_FREE_CONN:
-        fa = attachment_forces(rects[live], arrays.anchors[live], cfg.leader)
-        total[live] += fa
-        if fa.any():
-            mark(live[fa.any(axis=1)].tolist(), _ATTACHMENT)
-    tx, ty = total.T.tolist()
+        add(attachment_forces(boxes, arrays.anchors[live], cfg.leader), _ATTACHMENT)
 
-    in_conflict = {i for pair in pairs.labels for i in pair} | {i for i, _ in pairs.features}
-    boxes = {i: Rect(*rects[i].tolist()) for i in in_conflict}
+    if pairs.labels or pairs.features:
+        slots = sorted({i for pair in pairs.labels for i in pair}.union(i for i, _ in pairs.features))
+        box = dict(zip(slots, rects[slots].tolist()))
+        acc = dict(zip(slots, total[slots].tolist()))
+        # The scan sorts the pairs, so each label meets its partners by
+        # rising index: first as the second slot of (j, i), then as the
+        # first of (i, j).
+        for i, j in pairs.labels:
+            fx, fy = _pair_force(box[i], box[j], target)
+            a, b = acc[i], acc[j]
+            a[0], a[1], b[0], b[1] = a[0] + fx, a[1] + fy, b[0] - fx, b[1] - fy
+        mark([i for i, _ in pairs.labels], _PAIR)
+        hits: dict[int, list] = {}
+        for i, k in pairs.features:
+            x, y, r = features[k].anchor.x, features[k].anchor.y, features[k].symbol_radius
+            hits.setdefault(i, []).append((_symbol_gap(box[i], x, y, r), k, x, y, r))
+        pushed = []
+        for i, near in hits.items():
+            near.sort()
+            near = near[:MAX_COMPOSED_FEATURES]
+            fx, fy = _compose([_escapes(box[i], x, y, r, target) for *_, x, y, r in near])
+            if fx != 0.0 or fy != 0.0:
+                a = acc[i]
+                a[0], a[1] = a[0] + fx, a[1] + fy
+                pushed.append(i)
+        mark(pushed, _POINT)
+        for i, xy in acc.items():
+            total[i] = xy
 
-    # The scan sorts the pairs, so each label meets its partners by rising
-    # index: first as the second slot of (j, i), then as the first of (i, j).
-    for i, j in pairs.labels:
-        ri, rj = boxes[i], boxes[j]
-        if interiors_overlap(ri, rj):
-            fi, fj = overlap_force(ri, rj, target)
-        else:
-            fi, fj = separation_force(ri, rj, target)
-        tx[i] += fi.x
-        ty[i] += fi.y
-        tx[j] += fj.x
-        ty[j] += fj.y
-    mark((i for i, _ in pairs.labels), _PAIR)
-
-    feature_conflicts: dict[int, list[tuple[float, int]]] = {}
-    for i, k in pairs.features:
-        gap = point_rect_signed_clearance(features[k].anchor, boxes[i]) - features[k].symbol_radius
-        feature_conflicts.setdefault(i, []).append((gap, k))
-    pushed = []
-    for i, hits in feature_conflicts.items():
-        hits.sort()
-        rect = boxes[i]
-        cand_sets = [
-            point_repulsion_candidates(rect, features[k].anchor, features[k].symbol_radius, target)
-            for _, k in hits[:MAX_COMPOSED_FEATURES]
-        ]
-        composed = compose_point_forces(cand_sets)
-        if composed.norm() > 0.0:
-            tx[i] += composed.x
-            ty[i] += composed.y
-            pushed.append(i)
-    mark(pushed, _POINT)
-
-    total = np.column_stack((tx, ty))
-    fs = screen_forces(rects[live], cfg.screen, d_min)
-    total[live] += fs
-    if fs.any():
-        mark(live[fs.any(axis=1)].tolist(), _SCREEN)
+    add(screen, _SCREEN)
     return ForceAssignment(total, tuple(_SOURCE_SETS[t] for t in tags))

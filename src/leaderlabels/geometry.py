@@ -369,11 +369,12 @@ def screen_margins(rects: np.ndarray, screen: Rect, d_min: float) -> tuple[np.nd
     """Whether each of the (n, 4) rects is small enough to keep d_min from
     every screen edge, and its (n, 4) clearances to the left, bottom, right
     and top edges, negative once it crosses the edge."""
-    fits = (rects[:, 2] - rects[:, 0] <= screen.width - 2.0 * d_min) & (
-        rects[:, 3] - rects[:, 1] <= screen.height - 2.0 * d_min
-    )
-    lo, hi = (screen.x_min, screen.y_min), (screen.x_max, screen.y_max)
-    return fits, np.column_stack((rects[:, 0:2] - lo, hi - rects[:, 2:4]))
+    room = (screen.width - 2.0 * d_min, screen.height - 2.0 * d_min)
+    fits = (rects[:, 2:4] - rects[:, 0:2] <= room).all(axis=1)
+    # x_min - left, y_min - bottom, right - x_max, top - y_max, each
+    # subtraction rounded as written.
+    margins = rects * (1.0, 1.0, -1.0, -1.0) + (-screen.x_min, -screen.y_min, screen.x_max, screen.y_max)
+    return fits, margins
 
 
 def segments_cross_interiors(p: np.ndarray, q: np.ndarray, boxes: np.ndarray) -> np.ndarray:

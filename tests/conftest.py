@@ -194,6 +194,208 @@ def reference_screen_force(rect: Rect, screen: Rect, d_min: float) -> Vec2:
     return Vec2(fx, fy)
 
 
+def reference_separation_force(a: Rect, b: Rect, d_min: float) -> tuple[Vec2, Vec2]:
+    """Reference for `forces.separation_force`, on `Rect`s and `Vec2`s: half
+    the remaining deficit along the nearest-point axis, the center line for
+    touching rects and +x for concentric ones."""
+    from leaderlabels.forces import NotInConflictError
+    from leaderlabels.geometry import OverlapError, interiors_overlap, rect_distance, rect_nearest_points
+
+    if interiors_overlap(a, b):
+        raise OverlapError("rect interiors intersect; use overlap_force")
+    gap = rect_distance(a, b)
+    if gap >= d_min:
+        raise NotInConflictError(f"gap {gap} is not below d_min {d_min}")
+    if gap > 0.0:
+        pa, qb = rect_nearest_points(a, b)
+        direction = (pa - qb) * (1.0 / gap)
+    else:
+        d = a.center() - b.center()
+        direction = d.normalized() if d.norm() > 0.0 else Vec2(1.0, 0.0)
+    fa = direction * (0.5 * (d_min - gap))
+    return fa, Vec2(-fa.x, -fa.y)
+
+
+def reference_overlap_force(a: Rect, b: Rect, d_min: float) -> tuple[Vec2, Vec2]:
+    """Reference for `forces.overlap_force`: the smallest of the four axis
+    moves, ties in the order -x, +x, -y, +y, half to each rect."""
+    from leaderlabels.forces import NotOverlappingError
+    from leaderlabels.geometry import interiors_overlap
+
+    if not interiors_overlap(a, b):
+        raise NotOverlappingError("rect interiors are disjoint")
+    mags = (
+        a.x_max - b.x_min + d_min,
+        b.x_max - a.x_min + d_min,
+        a.y_max - b.y_min + d_min,
+        b.y_max - a.y_min + d_min,
+    )
+    best = 0
+    for k in range(1, 4):
+        if abs(mags[k]) < abs(mags[best]):
+            best = k
+    dirs = (Vec2(-1.0, 0.0), Vec2(1.0, 0.0), Vec2(0.0, -1.0), Vec2(0.0, 1.0))
+    fa = dirs[best] * (0.5 * abs(mags[best]))
+    return fa, Vec2(-fa.x, -fa.y)
+
+
+def reference_point_repulsion_candidates(rect: Rect, center: Vec2, radius: float, d_min: float) -> list[Vec2]:
+    """Reference for `forces.point_repulsion_candidates`, from
+    `point_rect_signed_clearance` and `point_axis_gaps`."""
+    from leaderlabels.forces import NotInConflictError
+    from leaderlabels.geometry import point_axis_gaps, point_rect_signed_clearance
+
+    clearance = point_rect_signed_clearance(center, rect) - radius
+    if clearance >= d_min:
+        raise NotInConflictError(f"symbol clearance {clearance} is not below d_min {d_min}")
+    gaps = point_axis_gaps(rect, center)
+    pad = radius + d_min
+    return [
+        Vec2(-(gaps.x_neg + pad), 0.0),
+        Vec2(gaps.x_pos + pad, 0.0),
+        Vec2(0.0, -(gaps.y_neg + pad)),
+        Vec2(0.0, gaps.y_pos + pad),
+    ]
+
+
+def reference_compose_point_forces(candidates_per_feature) -> Vec2:
+    """Reference for `forces.compose_point_forces`: a recursive search over
+    the angle-admissible selections, then a stack-driven one over all of
+    them, each keeping the first smallest sum it visits."""
+    sets = [list(c) for c in candidates_per_feature]
+    best_adm = None
+    chosen: list[Vec2] = []
+
+    def visit(level: int, sx: float, sy: float) -> None:
+        nonlocal best_adm
+        if level == len(sets):
+            mag2 = sx * sx + sy * sy
+            if best_adm is None or mag2 < best_adm[0]:
+                best_adm = (mag2, Vec2(sx, sy))
+            return
+        for cand in sets[level]:
+            if any(prev.dot(cand) < 0.0 for prev in chosen):
+                continue
+            chosen.append(cand)
+            visit(level + 1, sx + cand.x, sy + cand.y)
+            chosen.pop()
+
+    visit(0, 0.0, 0.0)
+    if best_adm is not None:
+        return best_adm[1]
+    best_any = None
+    stack = [(0, 0.0, 0.0)]
+    while stack:
+        level, sx, sy = stack.pop()
+        if level == len(sets):
+            mag2 = sx * sx + sy * sy
+            if best_any is None or mag2 < best_any[0]:
+                best_any = (mag2, Vec2(sx, sy))
+            continue
+        for cand in reversed(sets[level]):
+            stack.append((level + 1, sx + cand.x, sy + cand.y))
+    return best_any[1]
+
+
+def reference_assemble_forces(features, cfg, pairs, rects, arrays, group=None, n_groups=1):
+    """Reference for `forces.assemble_forces`, as it summed the forces
+    before its lean kernel: the attachment and screen forces as (n, 2)
+    arrays, the totals as Python lists, and one `Rect` per label in a
+    conflicting pair for the reference pair and symbol rules above."""
+    from leaderlabels.forces import (
+        _SOURCE_SETS,
+        MAX_COMPOSED_FEATURES,
+        RESOLVE_TARGET_FACTOR,
+        ForceAssignment,
+        LabelLargerThanScreenError,
+    )
+    from leaderlabels.geometry import interiors_overlap, point_rect_signed_clearance
+    from leaderlabels.scene import attachment_edge
+
+    attachment_bit, pair_bit, point_bit, screen_bit = 1, 2, 4, 8
+    d_min = cfg.d_min
+    live = arrays.live
+    total = np.zeros((len(rects), 2))
+    tags = [0] * n_groups
+    target = RESOLVE_TARGET_FACTOR * d_min
+    group_of = [0] * len(rects) if group is None else group.tolist()
+
+    def mark(slots, bit: int) -> None:
+        for g in {group_of[i] for i in slots}:
+            tags[g] |= bit
+
+    if cfg.leader.kind is LeaderType.FIXED_DIR_FREE_CONN:
+        boxes, anchors = rects[live], arrays.anchors[live]
+        u = cfg.leader.unit()
+        n = u.perp()
+        along, level = attachment_edge(boxes, u)
+        across, nv = 1 - along, (n.x, n.y)
+        ends = boxes[:, across::2] - anchors[:, across, None]
+        off = nv[along] * (level - anchors[:, along])[:, None] + nv[across] * ends
+        lo, hi = off.min(axis=1), off.max(axis=1)
+        pull = -np.where(lo > 0.0, lo, hi)
+        fa = np.column_stack((n.x * pull, n.y * pull))
+        fa[(lo <= 0.0) & (hi >= 0.0)] = 0.0
+        total[live] += fa
+        if fa.any():
+            mark(live[fa.any(axis=1)].tolist(), attachment_bit)
+    tx, ty = total.T.tolist()
+
+    in_conflict = {i for pair in pairs.labels for i in pair} | {i for i, _ in pairs.features}
+    boxes = {i: Rect(*rects[i].tolist()) for i in in_conflict}
+    for i, j in pairs.labels:
+        ri, rj = boxes[i], boxes[j]
+        if interiors_overlap(ri, rj):
+            fi, fj = reference_overlap_force(ri, rj, target)
+        else:
+            fi, fj = reference_separation_force(ri, rj, target)
+        tx[i] += fi.x
+        ty[i] += fi.y
+        tx[j] += fj.x
+        ty[j] += fj.y
+    mark((i for i, _ in pairs.labels), pair_bit)
+
+    feature_conflicts: dict[int, list[tuple[float, int]]] = {}
+    for i, k in pairs.features:
+        gap = point_rect_signed_clearance(features[k].anchor, boxes[i]) - features[k].symbol_radius
+        feature_conflicts.setdefault(i, []).append((gap, k))
+    pushed = []
+    for i, hits in feature_conflicts.items():
+        hits.sort()
+        cand_sets = [
+            reference_point_repulsion_candidates(
+                boxes[i], features[k].anchor, features[k].symbol_radius, target
+            )
+            for _, k in hits[:MAX_COMPOSED_FEATURES]
+        ]
+        composed = reference_compose_point_forces(cand_sets)
+        if composed.norm() > 0.0:
+            tx[i] += composed.x
+            ty[i] += composed.y
+            pushed.append(i)
+    mark(pushed, point_bit)
+
+    total = np.column_stack((tx, ty))
+    boxes, screen = rects[live], cfg.screen
+    fits = (boxes[:, 2] - boxes[:, 0] <= screen.width - 2.0 * d_min) & (
+        boxes[:, 3] - boxes[:, 1] <= screen.height - 2.0 * d_min
+    )
+    if not fits.all():
+        x0, y0, x1, y1 = boxes[np.argmin(fits)].tolist()
+        raise LabelLargerThanScreenError(
+            f"label {x1 - x0:.3f}x{y1 - y0:.3f} mm cannot keep {d_min} mm "
+            f"clearance inside a {screen.width:.3f}x{screen.height:.3f} mm screen"
+        )
+    lo, hi = (screen.x_min, screen.y_min), (screen.x_max, screen.y_max)
+    margins = np.column_stack((boxes[:, 0:2] - lo, hi - boxes[:, 2:4]))
+    push = np.where(margins < d_min, d_min - margins, 0.0)
+    fs = np.column_stack((push[:, 0] - push[:, 2], push[:, 1] - push[:, 3]))
+    total[live] += fs
+    if fs.any():
+        mark(live[fs.any(axis=1)].tolist(), screen_bit)
+    return ForceAssignment(total, tuple(_SOURCE_SETS[t] for t in tags))
+
+
 def reference_connection_point(rect: Rect, anchor: Vec2, leader, translated_conn: Vec2) -> Vec2:
     """Scalar reference for `scene.connection_points`."""
     kind = leader.kind
@@ -673,7 +875,7 @@ def reference_advance(features, cfg, arrays, t_d, rects, conns, pairs, carried, 
     stats."""
     from leaderlabels import optimizer as opt
     from leaderlabels.beams import solve_displacements
-    from leaderlabels.forces import assemble_forces, conflict_pairs
+    from leaderlabels.forces import conflict_pairs
     from leaderlabels.proximity import (
         ProximityGraph,
         _centers,
@@ -685,7 +887,7 @@ def reference_advance(features, cfg, arrays, t_d, rects, conns, pairs, carried, 
     from leaderlabels.scene import GraphKind, connection_points
 
     live = arrays.live
-    assignment = assemble_forces(features, cfg, pairs, rects, arrays)
+    assignment = reference_assemble_forces(features, cfg, pairs, rects, arrays)
     totals = opt.project_for_leader_type(assignment.totals, cfg.leader)
     norms = [math.hypot(x, y) for x, y in totals[live].tolist()]
     max_force = max(norms, default=0.0)

@@ -1,7 +1,11 @@
 import dataclasses
 import itertools
 import math
+import os
 import re
+import subprocess
+import sys
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
@@ -11,6 +15,7 @@ from hypothesis import given, settings, strategies as st
 from leaderlabels import geometry
 from leaderlabels.forces import (
     ConflictPairs,
+    MAX_COMPOSED_FEATURES,
     LabelLargerThanScreenError,
     NotInConflictError,
     NotOverlappingError,
@@ -46,8 +51,13 @@ from conftest import (
     labels_from_rects,
     overlapping_rect_pair,
     random_labels,
+    reference_assemble_forces,
     reference_attachment_force,
+    reference_compose_point_forces,
+    reference_overlap_force,
+    reference_point_repulsion_candidates,
     reference_screen_force,
+    reference_separation_force,
     scene_layout,
 )
 
@@ -213,6 +223,148 @@ class TestComposePointForces:
         base = [Vec2(-8, 0), Vec2(2, 0), Vec2(0, -3), Vec2(0, 3)]
         scaled = [v * 7.5 for v in base]
         assert compose_point_forces([scaled]) == Vec2(15.0, 0.0)
+
+
+def _bits(result) -> bytes:
+    """The exact bits of a Vec2, a pair of them or a list of them."""
+    vecs = [result] if isinstance(result, Vec2) else result
+    return np.array([(v.x, v.y) for v in vecs]).tobytes()
+
+
+def _same_outcome(rule, oracle, *args) -> None:
+    """rule and oracle give the same floats to the bit, or raise the same
+    error with the same message."""
+    try:
+        want = oracle(*args)
+    except ValueError as exc:
+        with pytest.raises(type(exc), match=re.escape(str(exc))):
+            rule(*args)
+        return
+    assert _bits(rule(*args)) == _bits(want)
+
+
+# Coordinates on a small integer grid make equal magnitudes and touching
+# edges common; the floats in between cover the general case.
+grid = st.integers(0, 6).map(float) | st.floats(-8.0, 8.0, allow_subnormal=False)
+
+
+@st.composite
+def grid_rects(draw) -> Rect:
+    x0, y0 = draw(grid), draw(grid)
+    return Rect(x0, y0, x0 + abs(draw(grid)), y0 + abs(draw(grid)))
+
+
+def _ulps(x: float, k: int) -> float:
+    """x moved by k units in the last place."""
+    for _ in range(abs(k)):
+        x = math.nextafter(x, math.inf if k > 0 else -math.inf)
+    return x
+
+
+class TestFloatRulesMatchOracles:
+    """The float rules the assembly runs, through their public `Rect`/`Vec2`
+    wrappers, against the rules as they were written on `Rect`s and `Vec2`s
+    (`conftest.reference_*`): the same bits, or the same error."""
+
+    def test_overlap_every_tie_on_a_grid(self):
+        # Every pair of rects with corners on a 4 x 4 grid: each order of
+        # equal smallest magnitudes (-x, +x, -y, +y) occurs.
+        spans = [(lo, hi) for lo in range(4) for hi in range(lo, 4)]
+        rects = [Rect(x0, y0, x1, y1) for x0, x1 in spans for y0, y1 in spans]
+        ties = set()
+        for a, b in itertools.product(rects, repeat=2):
+            if not interiors_overlap(a, b):
+                continue
+            for d_min in (0.0, 0.5, 1.0):
+                _same_outcome(overlap_force, reference_overlap_force, a, b, d_min)
+                mags = [abs(m) for m in (a.x_max - b.x_min, b.x_max - a.x_min,
+                                         a.y_max - b.y_min, b.y_max - a.y_min)]
+                ties.add(tuple(k for k in range(4) if mags[k] == min(mags)))
+        assert {(0,), (1,), (2,), (3,), (0, 1), (2, 3), (0, 2), (1, 3), (0, 1, 2, 3)} <= ties
+
+    @settings(max_examples=400, deadline=None)
+    @given(grid_rects(), grid_rects(), st.sampled_from([0.0, 0.2, 1.0]) | st.floats(0.0, 4.0))
+    def test_pair_rules(self, a, b, d_min):
+        _same_outcome(overlap_force, reference_overlap_force, a, b, d_min)
+        _same_outcome(separation_force, reference_separation_force, a, b, d_min)
+
+    @settings(max_examples=300, deadline=None)
+    @given(grid_rects(), st.floats(0.0, 5.0), st.floats(-3.0, 3.0), st.booleans(), st.floats(0.01, 3.0))
+    def test_touching_rects_take_the_center_line(self, a, width, shift, vertical, d_min):
+        # b shares an edge of a (gap 0), or, when both are degenerate at one
+        # point, a's center (the +x fallback).
+        if vertical:
+            b = Rect(a.x_min + shift, a.y_max, a.x_min + shift + width, a.y_max + 1.0)
+        else:
+            b = Rect(a.x_max, a.y_min + shift, a.x_max + 1.0, a.y_min + shift + width)
+        for pair in ((a, b), (b, a), (Rect(a.x_min, a.y_min, a.x_min, a.y_min),) * 2):
+            _same_outcome(separation_force, reference_separation_force, *pair, d_min)
+        concentric = Rect(a.x_min, a.y_min, a.x_max, a.y_min), Rect(a.x_min, a.y_min, a.x_max, a.y_min)
+        assert reference_separation_force(*concentric, d_min)[0].y == 0.0
+        _same_outcome(separation_force, reference_separation_force, *concentric, d_min)
+
+    @settings(max_examples=400, deadline=None)
+    @given(
+        grid_rects(),
+        st.integers(-4, 4),
+        st.booleans(),
+        st.floats(0.0, 2.0),
+        st.sampled_from([0.2, 1.0, 0.1 * 3]),
+    )
+    def test_separation_gaps_near_zero_and_the_target(self, a, ulps, near_target, across, d_min):
+        # b lies right of a, across above its top edge, its gap a few ulps
+        # from 0 or from d_min.
+        edge = _ulps(a.x_max + (d_min if near_target else 0.0), ulps)
+        b = Rect(max(edge, a.x_max), a.y_max + across, max(edge, a.x_max) + 2.0, a.y_max + across + 1.0)
+        _same_outcome(separation_force, reference_separation_force, a, b, d_min)
+        _same_outcome(separation_force, reference_separation_force, b, a, d_min)
+
+    @settings(max_examples=400, deadline=None)
+    @given(grid_rects(), grid, grid, st.sampled_from([0.0, 0.45, 1.0]), st.sampled_from([0.2, 1.0]) | st.floats(0.0, 3.0))
+    def test_escapes(self, rect, x, y, radius, d_min):
+        _same_outcome(
+            point_repulsion_candidates, reference_point_repulsion_candidates, rect, Vec2(x, y), radius, d_min
+        )
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.tuples(*[st.sampled_from([1.0, 2.0, 0.5])] * 4), min_size=1, max_size=8))
+    def test_compose_equal_magnitudes(self, mags):
+        # Axis escapes as the symbols give them, their magnitudes often equal.
+        sets = [[Vec2(-a, 0.0), Vec2(b, 0.0), Vec2(0.0, -c), Vec2(0.0, d)] for a, b, c, d in mags]
+        _same_outcome(compose_point_forces, reference_compose_point_forces, sets)
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.lists(
+            st.lists(st.sampled_from([Vec2(1.0, 0.0), Vec2(-1.0, 0.0), Vec2(-2.0, 0.5), Vec2(0.5, -3.0)]),
+                     min_size=1, max_size=2),
+            min_size=1, max_size=8,
+        )
+    )
+    def test_compose_with_and_without_an_admissible_selection(self, sets):
+        _same_outcome(compose_point_forces, reference_compose_point_forces, sets)
+
+    def test_compose_falls_back_when_no_selection_is_admissible(self):
+        sets = [[Vec2(1.0, 0.0)], [Vec2(-3.0, 0.0)], [Vec2(-1.0, 0.0), Vec2(0.5, 0.0)]]
+        assert compose_point_forces(sets) == reference_compose_point_forces(sets) == Vec2(-1.5, 0.0)
+
+    @pytest.mark.parametrize("sets", [[[]], [[Vec2(1.0, 0.0)], []]], ids=["only", "second"])
+    def test_compose_rejects_an_empty_candidate_set(self, sets):
+        with pytest.raises(ValueError):
+            compose_point_forces(sets)
+
+    def test_compose_rejects_an_empty_candidate_set_under_optimize(self):
+        # The check does not rest on an assert, so `python -O` keeps it.
+        code = (
+            "from leaderlabels.forces import compose_point_forces as c\n"
+            "from leaderlabels.geometry import Vec2\n"
+            "for sets in ([[]], [[Vec2(1.0, 0.0)], []]):\n"
+            "    try:\n        c(sets)\n    except ValueError:\n        continue\n"
+            "    raise SystemExit('no ValueError')\n"
+        )
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        env = {**os.environ, "PYTHONPATH": src + os.pathsep + os.environ.get("PYTHONPATH", "")}
+        subprocess.run([sys.executable, "-O", "-c", code], check=True, env=env)
 
 
 def _label(rect: Rect, feature_id: str = "f0") -> Label:
@@ -802,3 +954,61 @@ class TestGroupedScansAndAssembly:
             )
             assert whole.totals[mine].tobytes() == alone.totals[mine].tobytes()
             assert got is alone.group_sources[0]
+
+
+class TestKernelMatchesReference:
+    """`assemble_forces` gives, on every step of a run, the totals and the
+    group sources of the assembly it replaced
+    (`conftest.reference_assemble_forces`), to the bit."""
+
+    @pytest.mark.parametrize("kind", list(LeaderType))
+    @pytest.mark.parametrize("direction", [90.0, 30.0])
+    @pytest.mark.parametrize("t_num", [None, 10])
+    @pytest.mark.parametrize("n, seed", [(47, 0), (76, 1), (120, 2)])
+    def test_every_step_of_a_run(self, monkeypatch, n, seed, t_num, direction, kind):
+        from leaderlabels import optimizer
+        from leaderlabels.scenefile import synthetic_scene
+
+        features, cfg = synthetic_scene(n, seed)
+        leader = dataclasses.replace(cfg.leader, kind=kind, direction=direction)
+        cfg = dataclasses.replace(cfg, t_num=t_num, leader=leader)
+        steps, sources = [], set()
+
+        def checked(*args):
+            got, want = assemble_forces(*args), reference_assemble_forces(*args)
+            assert np.array_equal(got.totals.view(np.int64), want.totals.view(np.int64))
+            assert got.group_sources == want.group_sources
+            steps.append(bool(args[2].labels or args[2].features))
+            sources.update(*got.group_sources)
+            return got
+
+        monkeypatch.setattr(optimizer, "assemble_forces", checked)
+        optimizer.run(features, cfg)
+        # Every run has steps with conflicting pairs; the drifting leaders
+        # at 30 degrees also pull labels back.
+        assert any(steps) and {"pair", "point"} <= sources
+        if kind is LeaderType.FIXED_DIR_FREE_CONN and direction == 30.0:
+            assert "attachment" in sources
+
+    def test_a_label_with_more_symbols_than_it_composes(self, rng):
+        # Label 0 covers up to 12 foreign symbols, more than
+        # MAX_COMPOSED_FEATURES; the others' labels sit apart in a row.
+        cfg = scene_config()
+        for _ in range(20):
+            k = rng.randint(9, 12)
+            rects = [Rect(40, 40, 60, 52)] + [Rect(5 + 14 * j, 120, 15 + 14 * j, 124) for j in range(k)]
+            anchors = [Vec2(50, 30)] + [
+                Vec2(rng.choice([40.0, 50.0, 60.0, rng.uniform(40, 60)]), rng.uniform(40, 52))
+                for _ in range(k)
+            ]
+            features = [
+                PointFeature(id=f"f{j}", anchor=a, depth=100, text="T", symbol_radius=rng.choice([0.0, 0.45]))
+                for j, a in enumerate(anchors)
+            ]
+            rects_array, arrays = scene_layout(labels_from_rects(rects), features)
+            pairs = conflict_pairs(rects_array, arrays, cfg.d_min)
+            assert len([p for p in pairs.features if p[0] == 0]) > MAX_COMPOSED_FEATURES
+            got = assemble_forces(features, cfg, pairs, rects_array, arrays)
+            want = reference_assemble_forces(features, cfg, pairs, rects_array, arrays)
+            assert got.totals.tobytes() == want.totals.tobytes()
+            assert got.group_sources == want.group_sources
