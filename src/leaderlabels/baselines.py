@@ -12,9 +12,11 @@ from __future__ import annotations
 
 from typing import Sequence
 
+from .forces import scene_arrays
+from .geometry import points_array
 from .optimizer import handle_offscreen_fixed
 from .repair import greedy_repair
-from .scene import Label, LayoutConfig, LeaderType, PointFeature, initial_layout
+from .scene import Label, LayoutConfig, LeaderType, PointFeature, initial_layout, label_rects, placed_labels
 
 
 def nop(features: Sequence[PointFeature], cfg: LayoutConfig) -> list[Label]:
@@ -35,5 +37,7 @@ def localp(features: Sequence[PointFeature], cfg: LayoutConfig) -> list[Label]:
     labels = initial_layout(features, cfg)
     if cfg.leader.kind is LeaderType.FIXED_DIR_FIXED_CONN:
         labels = handle_offscreen_fixed(labels, cfg.screen, cfg.leader)
-    repaired, _ = greedy_repair(labels, features, cfg)
-    return repaired
+    rects, conns = label_rects(labels), points_array(l.conn for l in labels)
+    arrays = scene_arrays(labels, features)
+    greedy_repair(rects, conns, arrays, cfg)
+    return placed_labels(labels, arrays.live, rects, conns)

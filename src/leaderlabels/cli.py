@@ -17,7 +17,7 @@ import click
 from . import baselines, optimizer
 from .forces import LabelLargerThanScreenError, conflict_pairs, scene_arrays
 from .metrics import build_report
-from .scene import GraphKind, LayoutConfig, LeaderSpec, LeaderType, initial_layout, label_rects
+from .scene import GraphKind, LayoutConfig, LeaderSpec, LeaderType, initial_layout, label_rects, live_slots
 from .scenefile import (
     SceneValidationError,
     generate_synthetic,
@@ -119,9 +119,9 @@ def place(
         labels = place_fn(features, cfg)
         report = {"method": method, "elapsed_s": time.perf_counter() - t0}
         initial = initial_layout(features, cfg)
+        graph = optimizer.reference_graph(label_rects(initial), live_slots(initial), features, cfg)
         metrics = build_report(
-            initial, labels, features, cfg.d_min, optimizer.reference_graph(initial, features, cfg),
-            elapsed_s=report["elapsed_s"],
+            initial, labels, features, cfg.d_min, graph, elapsed_s=report["elapsed_s"]
         ).as_dict()
         report["infeasible"] = (metrics["label_conflicts"] + metrics["feature_conflicts"]) > 0
     report["metrics"] = metrics
@@ -129,13 +129,14 @@ def place(
     if out_json:
         save_placement(labels, out_json, report)
     if out_svg:
-        pairs = conflict_pairs(label_rects(labels), scene_arrays(labels, features), cfg.d_min)
+        rects, arrays = label_rects(labels), scene_arrays(labels, features)
+        pairs = conflict_pairs(rects, arrays, cfg.d_min)
         write_svg(
             out_svg,
             labels,
             features,
             cfg.screen,
-            graph=optimizer.reference_graph(labels, features, cfg) if svg_graph else None,
+            graph=optimizer.reference_graph(rects, arrays.live, features, cfg) if svg_graph else None,
             label_conflicts=pairs.labels,
             feature_conflicts=pairs.features,
         )
@@ -178,9 +179,8 @@ def eval_cmd(scene: str, placement: str) -> None:
             f"{placement}: {len(labels)} labels for {len(features)} features"
         )
     initial = initial_layout(features, cfg)
-    metrics = build_report(
-        initial, labels, features, cfg.d_min, optimizer.reference_graph(initial, features, cfg)
-    )
+    graph = optimizer.reference_graph(label_rects(initial), live_slots(initial), features, cfg)
+    metrics = build_report(initial, labels, features, cfg.d_min, graph)
     payload = metrics.as_dict()
     payload["infeasible"] = (metrics.label_conflicts + metrics.feature_conflicts) > 0
     click.echo(json.dumps(payload, indent=2, sort_keys=True))

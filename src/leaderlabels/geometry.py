@@ -139,9 +139,6 @@ class Vec2:
         return Vec2(-self.y, self.x)
 
 
-ZERO = Vec2(0.0, 0.0)
-
-
 def unit_from_degrees(angle_deg: float) -> Vec2:
     """Unit vector for an angle measured counterclockwise from +x.
 
@@ -202,6 +199,11 @@ class Rect:
         return Rect(self.x_min + d.x, self.y_min + d.y, self.x_max + d.x, self.y_max + d.y)
 
 
+def rect_centers(rects: np.ndarray) -> np.ndarray:
+    """(n, 2) array of the (n, 4) rects' centres, as `Rect.center` gives them."""
+    return 0.5 * (rects[:, 0:2] + rects[:, 2:4])
+
+
 def points_array(points: Iterable[Vec2]) -> np.ndarray:
     """(n, 2) array of the points' x, y."""
     return np.array([(p.x, p.y) for p in points], dtype=float).reshape(-1, 2)
@@ -221,62 +223,6 @@ def rect_distance(a: Rect, b: Rect) -> float:
     """Minimum Euclidean distance between two rectangles, 0 when they meet."""
     dx = max(0.0, a.x_min - b.x_max, b.x_min - a.x_max)
     dy = max(0.0, a.y_min - b.y_max, b.y_min - a.y_max)
-    return math.hypot(dx, dy)
-
-
-def _nearest_coords(a_min: float, a_max: float, b_min: float, b_max: float) -> tuple[float, float]:
-    # Nearest coordinates of two intervals; midpoint of the shared span on overlap.
-    if b_min >= a_max:
-        return a_max, b_min
-    if a_min >= b_max:
-        return a_min, b_max
-    m = 0.5 * (max(a_min, b_min) + min(a_max, b_max))
-    return m, m
-
-
-def rect_nearest_points(a: Rect, b: Rect) -> tuple[Vec2, Vec2]:
-    """Closest point pair (p on a, q on b) between two disjoint rectangles.
-
-    When the rectangles only touch, p == q on the shared boundary. Raises
-    OverlapError when the interiors intersect, because no boundary pair is
-    meaningful then.
-    """
-    if interiors_overlap(a, b):
-        raise OverlapError("rectangle interiors intersect")
-    px, qx = _nearest_coords(a.x_min, a.x_max, b.x_min, b.x_max)
-    py, qy = _nearest_coords(a.y_min, a.y_max, b.y_min, b.y_max)
-    return Vec2(px, py), Vec2(qx, qy)
-
-
-@dataclass(frozen=True, slots=True)
-class AxisGaps:
-    """Signed displacement of a rect along each axis direction that brings a
-    point onto the corresponding face.
-
-    Moving the rect by x_neg in the -x direction puts the point on its x_max
-    face, and so on. A negative gap means the rect is already clear of the
-    point along that direction.
-    """
-
-    x_neg: float
-    x_pos: float
-    y_neg: float
-    y_pos: float
-
-
-def point_axis_gaps(r: Rect, p: Vec2) -> AxisGaps:
-    return AxisGaps(
-        x_neg=r.x_max - p.x,
-        x_pos=p.x - r.x_min,
-        y_neg=r.y_max - p.y,
-        y_pos=p.y - r.y_min,
-    )
-
-
-def point_rect_distance(p: Vec2, r: Rect) -> float:
-    """Distance from a point to a closed rectangle, 0 when inside."""
-    dx = max(0.0, r.x_min - p.x, p.x - r.x_max)
-    dy = max(0.0, r.y_min - p.y, p.y - r.y_max)
     return math.hypot(dx, dy)
 
 
@@ -337,14 +283,19 @@ def symbols_near(rects: np.ndarray, symbols: np.ndarray, limit: float) -> np.nda
     )
 
 
+def rect_gaps(p: np.ndarray, q: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The x and y gaps of the rows of the (k, 4) rects p and q, 0 on an
+    axis where they overlap: `rect_distance` is their `math.hypot`."""
+    gx = np.maximum(np.maximum(p[:, 0] - q[:, 2], q[:, 0] - p[:, 2]), 0.0)
+    gy = np.maximum(np.maximum(p[:, 1] - q[:, 3], q[:, 1] - p[:, 3]), 0.0)
+    return gx, gy
+
+
 def rects_closer(a: np.ndarray, b: np.ndarray, limit: float) -> tuple[np.ndarray, np.ndarray]:
     """Index arrays (i, j), row-major, of the pairs with
     `rect_distance`(a[i], b[j]) < limit > 0."""
     i, j = np.nonzero(rects_near(a, b, limit))
-    p, q = a[i], b[j]
-    gx = np.maximum(np.maximum(p[:, 0] - q[:, 2], q[:, 0] - p[:, 2]), 0.0)
-    gy = np.maximum(np.maximum(p[:, 1] - q[:, 3], q[:, 1] - p[:, 3]), 0.0)
-    close = hypot_below(gx, gy, limit)
+    close = hypot_below(*rect_gaps(a[i], b[j]), limit)
     return i[close], j[close]
 
 

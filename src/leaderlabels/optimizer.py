@@ -30,8 +30,9 @@ assembly, the carried-triangle check, the prune, the element blocks, the
 move and the largest force run once per step for all of them; only Qhull
 and the factor of each loop's own K run per loop, so each loop takes the
 steps it would take alone, to the bit. A loop that exits drops out, and the
-others step on. Labels are built again once, after the last step. Scalar
-`Rect`s appear only for the labels in a conflicting pair.
+others step on. The repair pass and the metrics take the same arrays, and
+`run` builds its labels once, at its return. Scalar `Rect`s appear only for
+the labels in a conflicting pair.
 """
 
 from __future__ import annotations
@@ -53,7 +54,7 @@ from .forces import (
     conflict_pairs,
     scene_arrays,
 )
-from .geometry import HYPOT_RTOL, Rect, Vec2, points_array
+from .geometry import HYPOT_RTOL, Rect, Vec2, points_array, rect_centers
 from .metrics import count_conflicts, mean_direction_deviation, total_displacement_cm
 from .proximity import (
     ProximityGraph,
@@ -78,7 +79,6 @@ from .scene import (
     connection_points,
     initial_layout,
     label_rects,
-    live_slots,
     placed_labels,
 )
 
@@ -156,15 +156,16 @@ def pruning_distance(features: Sequence[PointFeature], cfg: LayoutConfig) -> flo
 
 
 def reference_graph(
-    labels: Sequence[Label],
+    rects: np.ndarray,
+    live: np.ndarray,
     features: Sequence[PointFeature],
     cfg: LayoutConfig,
     t_d: float | None = None,
 ) -> ProximityGraph:
-    """The pruned Delaunay graph that direction deviation is measured over."""
+    """The pruned Delaunay graph of the layout at the (n, 4) rects and live
+    slots that direction deviation is measured over."""
     if t_d is None:
         t_d = pruning_distance(features, cfg)
-    rects, live = label_rects(labels), live_slots(labels)
     return prune_graph(delaunay_graph(rects, live), rects, live, t_d)
 
 
@@ -370,7 +371,7 @@ def _build_graphs(
     then prunes the other groups' edges. Under the MST each group builds its
     tree over its frame.
     """
-    xy = 0.5 * (rects[:, 0:2] + rects[:, 2:4])
+    xy = rect_centers(rects)
     if cfg.graph_kind is GraphKind.MST:
         parts = []
         for g in groups:
@@ -561,24 +562,23 @@ def run(
     without disturbing the rest of the layout. A scene that still has
     conflicts after repair is flagged infeasible rather than raising.
     Feature ids must be unique (ValueError): label slot k holds feature
-    k's label. Each loop works on, and writes back, its rows of the run's
-    arrays; labels are built again once, after the last loop.
+    k's label. Each loop, the repair pass and the metrics work on the
+    run's arrays; labels are built once, at the return.
     """
     t0 = time.perf_counter()
     features = list(features)
     if len({f.id for f in features}) < len(features):
         raise ValueError("feature ids must be unique")
-    initial = initial_layout(features, cfg)
-    labels = list(initial)
+    labels = initial_layout(features, cfg)
     if cfg.leader.kind is LeaderType.FIXED_DIR_FIXED_CONN:
         labels = handle_offscreen_fixed(labels, cfg.screen, cfg.leader)
-    reference = list(labels)
 
     rects, conns = label_rects(labels), points_array(l.conn for l in labels)
     arrays = scene_arrays(labels, features)
+    initial_rects = rects.copy()
     check_screen_fit(rects[arrays.live], cfg.screen, cfg.d_min)
     t_d = pruning_distance(features, cfg)
-    ref_graph = reference_graph(reference, features, cfg, t_d)
+    ref_graph = reference_graph(rects, arrays.live, features, cfg, t_d)
 
     if cfg.t_num is None:
         # The first step's Delaunay graph is the reference graph: the same
@@ -594,18 +594,17 @@ def run(
         ]
         subgroup_sizes = tuple(len(g) for g in slots)
     loops = _run_loops(_scene(features, cfg, arrays, groups), groups, rects, conns)
-    labels = placed_labels(labels, arrays.live, rects, conns)
 
     repair_moves = 0
-    n_rr, n_rp = count_conflicts(labels, features, cfg.d_min)
+    n_rr, n_rp = count_conflicts(rects, arrays, cfg.d_min)
     if n_rr + n_rp > 0:
         # Finishing pass for force-cancellation deadlocks. Kept deliberately
         # short-ranged (64 mm at the default d_min): nudging preserves the
         # relative arrangement the iteration produced, relocating does not.
-        labels, repair_moves = greedy_repair(
-            labels, features, cfg, diagonal=True, max_axis_retries=5
+        _, repair_moves = greedy_repair(
+            rects, conns, arrays, cfg, diagonal=True, max_axis_retries=5
         )
-        n_rr, n_rp = count_conflicts(labels, features, cfg.d_min)
+        n_rr, n_rp = count_conflicts(rects, arrays, cfg.d_min)
 
     elapsed = time.perf_counter() - t0
     tags: set[str] = set()
@@ -625,8 +624,8 @@ def run(
         infeasible=(n_rr + n_rp) > 0,
         label_conflicts=n_rr,
         feature_conflicts=n_rp,
-        total_displacement_cm=total_displacement_cm(reference, labels),
-        mean_direction_deviation_deg=mean_direction_deviation(reference, labels, ref_graph),
+        total_displacement_cm=total_displacement_cm(initial_rects, rects, arrays.live),
+        mean_direction_deviation_deg=mean_direction_deviation(initial_rects, rects, ref_graph),
         initial_graph_edges=len(ref_graph.edges),
         solver_graph_edges=sum(
             loop.history[0].graph_edges for loop in loops if loop.history
@@ -634,7 +633,7 @@ def run(
         force_tags=tuple(sorted(tags)),
         subgroup_sizes=subgroup_sizes,
         loops=tuple(loops),
-        deleted_count=sum(1 for l in labels if l.deleted),
+        deleted_count=len(labels) - len(arrays.live),
         repair_moves=repair_moves,
     )
-    return labels, report
+    return placed_labels(labels, arrays.live, rects, conns), report

@@ -35,6 +35,8 @@ from scipy.spatial import Delaunay, QhullError
 from .geometry import (
     HYPOT_RTOL,
     group_blocks,
+    rect_centers,
+    rect_gaps,
     row_blocks,
     same_group,
     segments_cross_interiors,
@@ -97,16 +99,12 @@ class ProximityGraph:
     triangulation: Triangulation | None = None
 
 
-def _centers(rects: np.ndarray) -> np.ndarray:
-    return 0.5 * (rects[:, 0:2] + rects[:, 2:4])
-
-
 def _effective_xy(rects: np.ndarray, live: np.ndarray) -> np.ndarray:
     # Rect centers, (n, 2), with exact duplicates among live labels nudged
     # apart by an offset keyed to the slot index. When no two live centers
     # are equal (as complex numbers, so that -0.0 equals 0.0 as in the set)
     # nothing moves.
-    xy = _centers(rects)
+    xy = rect_centers(rects)
     if len(np.unique(xy[live].view(np.complex128))) == len(live):
         return xy
     seen: set[tuple[float, float]] = set()
@@ -368,9 +366,7 @@ def _mst_edge_list(
     a, b = np.triu_indices(len(live), 1)
     i, j = live[a], live[b]
     if weight == "rect":
-        p, q = rects[i], rects[j]
-        dx = np.maximum(np.maximum(p[:, 0] - q[:, 2], q[:, 0] - p[:, 2]), 0.0)
-        dy = np.maximum(np.maximum(p[:, 1] - q[:, 3], q[:, 1] - p[:, 3]), 0.0)
+        dx, dy = rect_gaps(rects[i], rects[j])
     else:
         dx, dy = xy[i, 0] - xy[j, 0], xy[i, 1] - xy[j, 1]
     w = np.array(list(map(math.hypot, dx.tolist(), dy.tolist())))

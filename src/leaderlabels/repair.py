@@ -23,9 +23,10 @@ budget has left. The first candidate of a block that passes is taken, and
 the budget is charged up to and including it, so the choice and the
 budget left are those of testing the candidates one at a time. The tests
 are the loop's own rules: `screen_margins`, `attachment_edge`,
-`rects_closer` and `symbols_closer`. Like the loop, a pass carries (n, 4)
-rects, (n, 2) connection points and one `SceneArrays`, moves one row at a
-time, and builds the labels once, at its end.
+`rects_closer` and `symbols_closer`. A pass takes the layout as the loop
+leaves it, (n, 4) rects, (n, 2) connection points and one `SceneArrays`,
+and moves their rows in place, one at a time; its callers build the
+labels.
 
 Ring candidates lie on the grid, and in a crowded scene nearly all of them
 are blocked. So a ring retry that the search's first block does not settle
@@ -43,33 +44,25 @@ from __future__ import annotations
 
 import math
 from collections import Counter
-from typing import Callable, Sequence
+from typing import Callable
 
 import numpy as np
 
-from .forces import SceneArrays, conflicting_feature_pairs, conflicting_label_pairs, scene_arrays
+from .forces import SceneArrays, conflicting_feature_pairs, conflicting_label_pairs
 from .geometry import (
     _BROAD_PHASE_SLACK,
     HYPOT_RTOL,
     Vec2,
     hypot_below,
     points_array,
+    rect_centers,
     rects_closer,
     rects_near,
     screen_margins,
     symbols_closer,
     symbols_near,
 )
-from .scene import (
-    Label,
-    LayoutConfig,
-    LeaderType,
-    PointFeature,
-    attachment_edge,
-    connection_points,
-    label_rects,
-    placed_labels,
-)
+from .scene import LayoutConfig, LeaderType, attachment_edge, connection_points
 
 # Search retries double the radius each time: 10 * d_min * 2^retry. Eight
 # retries reach 512 mm at the default d_min, beyond any screen used here, so
@@ -111,13 +104,15 @@ class _Budget:
 
 
 def greedy_repair(
-    labels: Sequence[Label],
-    features: Sequence[PointFeature],
+    rects: np.ndarray,
+    conns: np.ndarray,
+    arrays: SceneArrays,
     cfg: LayoutConfig,
     diagonal: bool = False,
     max_axis_retries: int = MAX_RETRIES,
-) -> tuple[list[Label], int]:
-    """Resolve conflicts in place by nearest-first grid moves.
+) -> tuple[int, int]:
+    """Resolve conflicts by nearest-first grid moves of rows of the (n, 4)
+    rects and (n, 2) conns, in place.
 
     With diagonal=True a label whose axis-aligned escapes are all blocked is
     additionally searched over a 2D grid ring, which rescues labels wedged
@@ -125,15 +120,11 @@ def greedy_repair(
     other). max_axis_retries bounds how far the axis search escalates; a
     finishing pass after an iterative solve should keep it small so stuck
     labels get nudged, never relocated across the layout. Returns the
-    adjusted labels and how many moves were applied. Stops when
+    evaluation budget left and how many moves were applied. Stops when
     conflict-free, when no conflicted label has a clearing position within
-    the bounded search radius, or when the evaluation budget runs out.
+    the bounded search radius, or when the budget runs out.
     """
     d_min = cfg.d_min
-    # Moves change rects and conns only, never ids or deleted flags.
-    arrays = scene_arrays(labels, features)
-    rects = label_rects(labels)
-    conns = points_array(l.conn for l in labels)
     searches = _searches(cfg, diagonal, max_axis_retries)
     moves = 0
     budget = _Budget(CANDIDATE_BUDGET)
@@ -165,7 +156,7 @@ def greedy_repair(
                 # next float up) from the vacated or the occupied spot.
                 slots = np.array(list(stuck), dtype=np.int64)
                 reach = np.nextafter(np.array(list(stuck.values())), math.inf)
-                centers = 0.5 * (rects[slots, 0:2] + rects[slots, 2:4])
+                centers = rect_centers(rects[slots])
                 near = hypot_below(*(centers - vacated).T, reach)
                 near |= hypot_below(*(centers - 0.5 * (rects[idx, 0:2] + rects[idx, 2:4])).T, reach)
                 for s in slots[near].tolist():
@@ -175,7 +166,7 @@ def greedy_repair(
             stuck[idx] = BASE_RADIUS_FACTOR * d_min * 2.0**max_axis_retries + 4.0 * math.hypot(*size)
         else:
             break
-    return placed_labels(labels, arrays.live, rects, conns), moves
+    return budget.left, moves
 
 
 StepCount = Callable[[int], int]
@@ -192,8 +183,9 @@ def _searches(
 
     Axis steps come first: step k moves the label k grid cells along each
     admissible direction, k-major and direction-minor. Rings are searched
-    only for a label whose every axis step is blocked: step k is the border
-    of ring k as `_ring_border` lists it. Steps 1..k hold
+    only for a label whose every axis step is blocked: step k is the
+    border of square ring k, both cell coordinates non-zero, in
+    (ix^2 + iy^2, ix, iy) order. Steps 1..k hold
     len(directions) * k axis offsets and 4 k^2 ring cells. Every ring
     offset is a grid cell, and cell_numbers numbers the cells; the axis
     offsets of a leader at an angle are not, and the axis search has none.
@@ -256,7 +248,7 @@ def _search(
     own_half_diag = 0.5 * math.hypot(x1 - x0, y1 - y0)
     grid = cfg.d_min / 2.0
     others = rects[arrays.live[arrays.live != idx]]
-    centers = 0.5 * (others[:, 0:2] + others[:, 2:4])
+    centers = rect_centers(others)
     label_dist = np.hypot(centers[:, 0] - cx, centers[:, 1] - cy)
     half_diag = 0.5 * np.hypot(others[:, 2] - others[:, 0], others[:, 3] - others[:, 1])
     symbols = arrays.symbols[arrays.ids != arrays.own[idx]]
@@ -361,7 +353,8 @@ _CORNER_CELLS = np.array([0, 1, 6, 7])
 
 def _ring_cells(t: np.ndarray) -> np.ndarray:
     """Grid cells (ix, iy), an (len(t), 2) int array, numbered t over the
-    borders of rings 1, 2, ... as `_ring_border` lists them.
+    off-axis borders of rings 1, 2, ..., each in (ix^2 + iy^2, ix, iy)
+    order.
 
     Rings 1..r hold 4 r^2 cells, so cell t lies on ring isqrt(t // 4) + 1.
     """
@@ -390,16 +383,6 @@ def _ring_numbers(ix: np.ndarray, iy: np.ndarray) -> np.ndarray:
     # the four corners, (-r, -+r), (r, -+r), come after the rest.
     cell = np.where(m == r, 2 * right, 4 * right + 2 * ((ax == r) == right)) + up
     return np.where(m > 0, 4 * (r - 1) ** 2 + 8 * (m - 1) + cell, -1)
-
-
-def _ring_border(r: int) -> np.ndarray:
-    """Grid offsets (ix, iy) on the border of the square ring r, both non-zero.
-
-    An (8r - 4, 2) int array ordered by (ix^2 + iy^2, ix, iy): for each
-    m = 1..r the cells at squared distance r^2 + m^2, eight of them below
-    the corners and four at m = r.
-    """
-    return _ring_cells(np.arange(4 * (r - 1) * (r - 1), 4 * r * r))
 
 
 def _candidates_ok(

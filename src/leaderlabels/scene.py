@@ -151,7 +151,6 @@ class LayoutConfig:
     t_num: int | None = None
     graph_kind: GraphKind = GraphKind.DT
     padding: float = 0.0
-    conn_anchor: tuple[float, float] = (0.5, 0.0)
     beam: BeamParams = field(default_factory=BeamParams)
 
     def __post_init__(self) -> None:
@@ -277,14 +276,13 @@ def initial_layout(features: list[PointFeature], cfg: LayoutConfig) -> list[Labe
     """Place every label at its leader tip.
 
     The leader runs from the anchor along the configured direction for the
-    configured length; the label rectangle is positioned so that its initial
-    connection point (bottom-edge midpoint by default) sits on the tip.
+    configured length; the label rectangle is positioned so that its
+    bottom-edge midpoint, its initial connection point, sits on the tip.
     """
     if not features:
         raise ValueError("at least one feature is required")
     d_nearest = min(f.depth for f in features)
     u = cfg.leader.unit()
-    ax_frac, ay_frac = cfg.conn_anchor
     labels = []
     for f in features:
         size = font_size_for(f, d_nearest, cfg)
@@ -292,8 +290,7 @@ def initial_layout(features: list[PointFeature], cfg: LayoutConfig) -> list[Labe
         w += 2.0 * cfg.padding
         h += 2.0 * cfg.padding
         tip = f.anchor + u * cfg.leader.length
-        x_min = tip.x - ax_frac * w
-        y_min = tip.y - ay_frac * h
-        rect = Rect(x_min, y_min, x_min + w, y_min + h)
+        x_min = tip.x - 0.5 * w
+        rect = Rect(x_min, tip.y, x_min + w, tip.y + h)
         labels.append(Label(feature_id=f.id, rect=rect, conn=tip, font_size=size))
     return labels

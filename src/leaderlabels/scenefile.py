@@ -45,6 +45,13 @@ def _require(data: dict, key: str, kind, where: str):
     return value
 
 
+def _numbers(data: dict, key: str, count: int, where: str) -> list[float]:
+    values = _require(data, key, list, where)
+    if len(values) != count:
+        raise SceneValidationError(f"{where}.{key}: expected {count} numbers, got {len(values)}")
+    return [_number(v, f"{where}.{key}[{k}]") for k, v in enumerate(values)]
+
+
 def _optional_number(data: dict, key: str, default: float | None, where: str) -> float | None:
     if key not in data or data[key] is None:
         return default
@@ -333,16 +340,8 @@ def parse_placement(data: Any, source: str = "<placement>") -> list[Label]:
         if not isinstance(raw, dict):
             raise SceneValidationError(f"{where}: expected an object")
         fid = _require(raw, "feature_id", str, where)
-        rect_vals = _require(raw, "rect_mm", list, where)
-        if len(rect_vals) != 4 or not all(
-            isinstance(v, (int, float)) and not isinstance(v, bool) for v in rect_vals
-        ):
-            raise SceneValidationError(f"{where}.rect_mm: expected four numbers")
-        conn_vals = _require(raw, "conn_mm", list, where)
-        if len(conn_vals) != 2 or not all(
-            isinstance(v, (int, float)) and not isinstance(v, bool) for v in conn_vals
-        ):
-            raise SceneValidationError(f"{where}.conn_mm: expected two numbers")
+        rect_vals = _numbers(raw, "rect_mm", 4, where)
+        conn_vals = _numbers(raw, "conn_mm", 2, where)
         size = _require(raw, "font_size_pt", float, where)
         deleted = raw.get("deleted", False)
         if not isinstance(deleted, bool):
@@ -351,8 +350,8 @@ def parse_placement(data: Any, source: str = "<placement>") -> list[Label]:
             labels.append(
                 Label(
                     feature_id=fid,
-                    rect=Rect(*[float(v) for v in rect_vals]),
-                    conn=Vec2(float(conn_vals[0]), float(conn_vals[1])),
+                    rect=Rect(*rect_vals),
+                    conn=Vec2(*conn_vals),
                     font_size=size,
                     deleted=deleted,
                 )

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import math
 import random
+from dataclasses import dataclass
 from typing import Callable, Iterable, Sequence
 
 import numpy as np
@@ -11,7 +12,8 @@ import pytest
 import scipy.linalg
 
 from leaderlabels.forces import SceneArrays, scene_arrays
-from leaderlabels.geometry import Rect, Vec2
+from leaderlabels.geometry import OverlapError, Rect, Vec2, interiors_overlap, points_array
+from leaderlabels.repair import MAX_RETRIES, greedy_repair
 from leaderlabels.scene import (
     BeamParams,
     Label,
@@ -20,6 +22,7 @@ from leaderlabels.scene import (
     PointFeature,
     label_rects,
     live_slots,
+    placed_labels,
 )
 
 
@@ -55,6 +58,62 @@ def overlapping_rect_pair(rng: random.Random) -> tuple[Rect, Rect]:
             return a, b
 
 
+def _nearest_coords(a_min: float, a_max: float, b_min: float, b_max: float) -> tuple[float, float]:
+    # Nearest coordinates of two intervals; midpoint of the shared span on overlap.
+    if b_min >= a_max:
+        return a_max, b_min
+    if a_min >= b_max:
+        return a_min, b_max
+    m = 0.5 * (max(a_min, b_min) + min(a_max, b_max))
+    return m, m
+
+
+def rect_nearest_points(a: Rect, b: Rect) -> tuple[Vec2, Vec2]:
+    """Closest point pair (p on a, q on b) between two disjoint rectangles.
+
+    When the rectangles only touch, p == q on the shared boundary. Raises
+    OverlapError when the interiors intersect, because no boundary pair is
+    meaningful then.
+    """
+    if interiors_overlap(a, b):
+        raise OverlapError("rectangle interiors intersect")
+    px, qx = _nearest_coords(a.x_min, a.x_max, b.x_min, b.x_max)
+    py, qy = _nearest_coords(a.y_min, a.y_max, b.y_min, b.y_max)
+    return Vec2(px, py), Vec2(qx, qy)
+
+
+@dataclass(frozen=True, slots=True)
+class AxisGaps:
+    """Signed displacement of a rect along each axis direction that brings a
+    point onto the corresponding face.
+
+    Moving the rect by x_neg in the -x direction puts the point on its x_max
+    face, and so on. A negative gap means the rect is already clear of the
+    point along that direction.
+    """
+
+    x_neg: float
+    x_pos: float
+    y_neg: float
+    y_pos: float
+
+
+def point_axis_gaps(r: Rect, p: Vec2) -> AxisGaps:
+    return AxisGaps(
+        x_neg=r.x_max - p.x,
+        x_pos=p.x - r.x_min,
+        y_neg=r.y_max - p.y,
+        y_pos=p.y - r.y_min,
+    )
+
+
+def point_rect_distance(p: Vec2, r: Rect) -> float:
+    """Distance from a point to a closed rectangle, 0 when inside."""
+    dx = max(0.0, r.x_min - p.x, p.x - r.x_max)
+    dy = max(0.0, r.y_min - p.y, p.y - r.y_max)
+    return math.hypot(dx, dy)
+
+
 def labels_from_rects(rects: list[Rect]) -> list[Label]:
     return [
         Label(
@@ -78,6 +137,21 @@ def scene_layout(
     """The labels and features as the conflict scans take them: (n, 4)
     rects and `scene_arrays`."""
     return label_rects(labels), scene_arrays(labels, features)
+
+
+def repair_labels(
+    labels: Sequence[Label],
+    features: Sequence[PointFeature],
+    cfg: LayoutConfig,
+    diagonal: bool = False,
+    max_axis_retries: int = MAX_RETRIES,
+) -> tuple[list[Label], int]:
+    """`repair.greedy_repair` of the labels: the repaired labels and the
+    moves."""
+    rects, conns = label_rects(labels), points_array(l.conn for l in labels)
+    arrays = scene_arrays(labels, features)
+    _, moves = greedy_repair(rects, conns, arrays, cfg, diagonal, max_axis_retries)
+    return placed_labels(labels, arrays.live, rects, conns), moves
 
 
 def random_labels(rng: random.Random, n: int, span: float = 100.0, max_side: float = 20.0) -> list[Label]:
@@ -199,7 +273,7 @@ def reference_separation_force(a: Rect, b: Rect, d_min: float) -> tuple[Vec2, Ve
     the remaining deficit along the nearest-point axis, the center line for
     touching rects and +x for concentric ones."""
     from leaderlabels.forces import NotInConflictError
-    from leaderlabels.geometry import OverlapError, interiors_overlap, rect_distance, rect_nearest_points
+    from leaderlabels.geometry import rect_distance
 
     if interiors_overlap(a, b):
         raise OverlapError("rect interiors intersect; use overlap_force")
@@ -243,7 +317,7 @@ def reference_point_repulsion_candidates(rect: Rect, center: Vec2, radius: float
     """Reference for `forces.point_repulsion_candidates`, from
     `point_rect_signed_clearance` and `point_axis_gaps`."""
     from leaderlabels.forces import NotInConflictError
-    from leaderlabels.geometry import point_axis_gaps, point_rect_signed_clearance
+    from leaderlabels.geometry import point_rect_signed_clearance
 
     clearance = point_rect_signed_clearance(center, rect) - radius
     if clearance >= d_min:
@@ -876,9 +950,9 @@ def reference_advance(features, cfg, arrays, t_d, rects, conns, pairs, carried, 
     from leaderlabels import optimizer as opt
     from leaderlabels.beams import solve_displacements
     from leaderlabels.forces import conflict_pairs
+    from leaderlabels.geometry import rect_centers
     from leaderlabels.proximity import (
         ProximityGraph,
-        _centers,
         delaunay_graph,
         mst_graph,
         prune_graph,
@@ -897,7 +971,7 @@ def reference_advance(features, cfg, arrays, t_d, rects, conns, pairs, carried, 
         if cfg.graph_kind is GraphKind.MST:
             graph = mst_graph(rects, live, "center")
         else:
-            xy = _centers(rects)
+            xy = rect_centers(rects)
             if carried is not None and still_delaunay(carried, xy, live)[0]:
                 graph = ProximityGraph(xy, carried.edges, carried)
             else:
@@ -937,8 +1011,7 @@ def reference_run_loop(labels: list[Label], features: Sequence[PointFeature], cf
     `reference_advance`, and its labels built again at the end."""
     from leaderlabels import optimizer as opt
     from leaderlabels.forces import conflict_pairs
-    from leaderlabels.geometry import points_array
-    from leaderlabels.scene import GraphKind, placed_labels
+    from leaderlabels.scene import GraphKind
 
     n_live = sum(1 for l in labels if not l.deleted)
     if n_live == 0:
@@ -977,9 +1050,9 @@ def reference_run(features: Sequence[PointFeature], cfg: LayoutConfig):
     labels = opt.initial_layout(features, cfg)
     if cfg.leader.kind is LeaderType.FIXED_DIR_FIXED_CONN:
         labels = opt.handle_offscreen_fixed(labels, cfg.screen, cfg.leader)
-    reference = list(labels)
+    initial_rects, live = label_rects(labels), live_slots(labels)
     t_d = opt.pruning_distance(features, cfg)
-    ref_graph = opt.reference_graph(reference, features, cfg, t_d)
+    ref_graph = opt.reference_graph(initial_rects, live, features, cfg, t_d)
 
     feature_by_id = {f.id: f for f in features}
     loops = []
@@ -1001,12 +1074,15 @@ def reference_run(features: Sequence[PointFeature], cfg: LayoutConfig):
         subgroup_sizes = tuple(len(g) for g in groups)
 
     repair_moves = 0
-    n_rr, n_rp = opt.count_conflicts(labels, features, cfg.d_min)
+    rects, conns = label_rects(labels), points_array(l.conn for l in labels)
+    arrays = scene_arrays(labels, features)
+    n_rr, n_rp = opt.count_conflicts(rects, arrays, cfg.d_min)
     if n_rr + n_rp > 0:
-        labels, repair_moves = opt.greedy_repair(
-            labels, features, cfg, diagonal=True, max_axis_retries=5
+        _, repair_moves = opt.greedy_repair(
+            rects, conns, arrays, cfg, diagonal=True, max_axis_retries=5
         )
-        n_rr, n_rp = opt.count_conflicts(labels, features, cfg.d_min)
+        n_rr, n_rp = opt.count_conflicts(rects, arrays, cfg.d_min)
+    labels = placed_labels(labels, live, rects, conns)
     reasons = {loop.exit_reason for loop in loops}
     report = opt.RunReport(
         method="beams",
@@ -1019,8 +1095,8 @@ def reference_run(features: Sequence[PointFeature], cfg: LayoutConfig):
         infeasible=(n_rr + n_rp) > 0,
         label_conflicts=n_rr,
         feature_conflicts=n_rp,
-        total_displacement_cm=opt.total_displacement_cm(reference, labels),
-        mean_direction_deviation_deg=opt.mean_direction_deviation(reference, labels, ref_graph),
+        total_displacement_cm=opt.total_displacement_cm(initial_rects, rects, live),
+        mean_direction_deviation_deg=opt.mean_direction_deviation(initial_rects, rects, ref_graph),
         initial_graph_edges=len(ref_graph.edges),
         solver_graph_edges=sum(loop.history[0].graph_edges for loop in loops if loop.history),
         force_tags=tuple(sorted({t for loop in loops for s in loop.history for t in s.force_tags})),

@@ -41,6 +41,7 @@ from leaderlabels.scene import (
     PointFeature,
     font_size_for,
     initial_layout,
+    label_rects,
     measure_text,
 )
 from leaderlabels.scenefile import synthetic_scene
@@ -52,6 +53,7 @@ from conftest import (
     label_layout,
     overlapping_rect_pair,
     random_labels,
+    scene_layout,
 )
 from test_beams import assemble_global, graph_of, load_vector, params, raw_translations, solve
 
@@ -112,8 +114,8 @@ class TestCriterion02DirectionPreservation:
             t_d = cfg.t_d_factor * mean_nn_distance(points_array(f.anchor for f in features))
             rects, live = label_layout(init)
             ref = prune_graph(delaunay_graph(rects, live), rects, live, t_d)
-            final = baselines.localp(features, cfg)
-            localp_vals.append(mean_direction_deviation(init, final, ref))
+            final = label_rects(baselines.localp(features, cfg))
+            localp_vals.append(mean_direction_deviation(rects, final, ref))
         mean_beams = statistics.mean(beams_vals)
         mean_localp = statistics.mean(localp_vals)
         report(
@@ -468,13 +470,14 @@ class TestCriterion11MetricsOracle:
                 for i in range(n)
             ]
             d_min = rng.uniform(0.1, 2.5)
-            n_rr, n_rp = count_conflicts(labels, features, d_min)
+            n_rr, n_rp = count_conflicts(*scene_layout(labels, features), d_min)
             if n_rr != len(brute_force_label_conflicts(labels, d_min)):
                 counts_ok = False
             if n_rp != len(brute_force_feature_conflicts(labels, features, d_min)):
                 counts_ok = False
             # Displace and compare displacement plus deviation sums.
-            graph = delaunay_graph(*label_layout(labels))
+            rects, live = label_layout(labels)
+            graph = delaunay_graph(rects, live)
             final = []
             total = 0.0
             for lbl in labels:
@@ -484,7 +487,8 @@ class TestCriterion11MetricsOracle:
                     dataclasses.replace(lbl, rect=lbl.rect.translated(d), conn=lbl.conn + d)
                 )
             worst_sum_err = max(
-                worst_sum_err, abs(total_displacement_cm(labels, final) - total / 10.0)
+                worst_sum_err,
+                abs(total_displacement_cm(rects, label_rects(final), live) - total / 10.0),
             )
             devs = []
             for i, j in graph.edges.tolist():
@@ -495,7 +499,8 @@ class TestCriterion11MetricsOracle:
                 devs.append(direction_deviation(o0, o1))
             expected = sum(devs) / len(devs) if devs else 0.0
             worst_sum_err = max(
-                worst_sum_err, abs(mean_direction_deviation(labels, final, graph) - expected)
+                worst_sum_err,
+                abs(mean_direction_deviation(rects, label_rects(final), graph) - expected),
             )
         ok = counts_ok and worst_sum_err <= 1e-9
         report("11 metrics-oracle", ok, f"worst sum err={worst_sum_err:.2e}")

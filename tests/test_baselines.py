@@ -29,8 +29,9 @@ class TestNop:
         features = features_overlapping_pair()
         cfg = cfg_200()
         labels = nop(features, cfg)
-        assert count_conflicts(labels, features, cfg.d_min) == count_conflicts(
-            initial_layout(features, cfg), features, cfg.d_min
+        initial = initial_layout(features, cfg)
+        assert count_conflicts(*scene_layout(labels, features), cfg.d_min) == count_conflicts(
+            *scene_layout(initial, features), cfg.d_min
         )
 
 
@@ -39,7 +40,7 @@ class TestLocalP:
         features = features_overlapping_pair()
         cfg = cfg_200()
         labels = localp(features, cfg)
-        assert count_conflicts(labels, features, cfg.d_min) == (0, 0)
+        assert count_conflicts(*scene_layout(labels, features), cfg.d_min) == (0, 0)
 
     def test_conflict_free_scene_untouched(self):
         features = [
@@ -59,7 +60,7 @@ class TestLocalP:
         ]
         cfg = cfg_200()
         labels = localp(features, cfg)
-        assert count_conflicts(labels, features, cfg.d_min) == (0, 0)
+        assert count_conflicts(*scene_layout(labels, features), cfg.d_min) == (0, 0)
 
     def test_only_conflicted_labels_move(self):
         features, cfg = synthetic_scene(30, 8)

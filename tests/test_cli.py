@@ -5,7 +5,7 @@ import pytest
 from leaderlabels.cli import main
 from leaderlabels.metrics import build_report
 from leaderlabels.optimizer import reference_graph
-from leaderlabels.scene import initial_layout
+from leaderlabels.scene import initial_layout, label_rects, live_slots
 from leaderlabels.scenefile import generate_synthetic, load_placement, load_scene, save_scene
 
 from test_golden import _duplicated_scene
@@ -189,7 +189,8 @@ class TestPlace:
         initial = initial_layout(features, cfg)
         expected = build_report(
             initial, load_placement(str(out_json)), features, cfg.d_min,
-            reference_graph(initial, features, cfg), elapsed_s=payload["elapsed_s"],
+            reference_graph(label_rects(initial), live_slots(initial), features, cfg),
+            elapsed_s=payload["elapsed_s"],
         )
         assert payload["metrics"] == expected.as_dict()
         assert payload["infeasible"] == (expected.label_conflicts + expected.feature_conflicts > 0)
@@ -305,6 +306,20 @@ class TestEval:
         payload = json.loads(out)
         assert payload["total_displacement_cm"] == 0.0
         assert payload["mean_direction_deviation_deg"] == 0.0
+
+    @pytest.mark.parametrize("field", ["rect_mm", "conn_mm"])
+    def test_integer_beyond_float_range_is_validation_error(self, capsys, scene_path, tmp_path, field):
+        placement = tmp_path / "placement.json"
+        run_cli(capsys, "place", scene_path, "--method", "nop", "--out-json", str(placement))
+        data = json.loads(placement.read_text())
+        data["labels"][0][field][1] = 10**400
+        placement.write_text(json.dumps(data))
+        code, out, err = run_cli(capsys, "eval", scene_path, str(placement))
+        assert code == 2
+        assert err.startswith("validation error:")
+        assert f"{field}[1]" in err and "finite" in err
+        assert "Traceback" not in err
+        assert out == ""
 
     def test_eval_count_mismatch_is_validation_error(self, capsys, scene_path, tmp_path):
         placement = tmp_path / "short.json"

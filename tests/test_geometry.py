@@ -7,23 +7,27 @@ from hypothesis import given, settings, strategies as st
 
 from leaderlabels import geometry
 from leaderlabels.geometry import (
-    AxisGaps,
     OverlapError,
     Rect,
     Vec2,
     group_blocks,
     interiors_overlap,
-    point_axis_gaps,
-    point_rect_distance,
     point_rect_signed_clearance,
     rect_distance,
-    rect_nearest_points,
     same_group,
     segments_cross_interiors,
     unit_from_degrees,
 )
 
-from conftest import disjoint_rect_pair, random_rect, segment_crosses_interior
+from conftest import (
+    AxisGaps,
+    disjoint_rect_pair,
+    point_axis_gaps,
+    point_rect_distance,
+    random_rect,
+    rect_nearest_points,
+    segment_crosses_interior,
+)
 
 
 coords = st.floats(min_value=-100.0, max_value=100.0, allow_nan=False, allow_infinity=False)

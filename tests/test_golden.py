@@ -52,7 +52,6 @@ from leaderlabels.baselines import localp
 from leaderlabels.geometry import Vec2
 from leaderlabels.optimizer import reference_graph, run
 from leaderlabels.proximity import delaunay_graph, mst_graph
-from leaderlabels.repair import greedy_repair
 from leaderlabels.scene import (
     GraphKind,
     LeaderSpec,
@@ -62,6 +61,8 @@ from leaderlabels.scene import (
     live_slots,
 )
 from leaderlabels.scenefile import synthetic_scene
+
+from conftest import repair_labels
 
 GOLDEN_DIGEST = "24aec505fbb21a8ae66105da8d79f412137d70f92b544272820283e694bacd92"
 REPAIR_DIGEST = "503b48a527886347de032ac5fd1f9f6c3276afd37198993dd9bea7b290245c28"
@@ -149,7 +150,7 @@ def repair_leader_digest() -> str:
 
     def hash_repair(features, cfg) -> None:
         _hash_labels(h, localp(features, cfg))
-        labels, moves = greedy_repair(
+        labels, moves = repair_labels(
             initial_layout(features, cfg), features, cfg, diagonal=True, max_axis_retries=5
         )
         _hash_labels(h, labels)
@@ -200,7 +201,7 @@ def graph_digest() -> str:
         h.update(json.dumps(_hexed(delaunay_graph(rects, live).positions.tolist())).encode())
         for g in (
             delaunay_graph(rects, live),
-            reference_graph(labels, f, cfg),
+            reference_graph(rects, live, f, cfg),
             mst_graph(rects, live, weight="center"),
             mst_graph(rects, live, weight="rect"),
         ):

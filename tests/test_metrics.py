@@ -16,7 +16,7 @@ from leaderlabels.metrics import (
 )
 from leaderlabels.optimizer import reference_graph, run
 from leaderlabels.proximity import ProximityGraph, delaunay_graph
-from leaderlabels.scene import Label, PointFeature, initial_layout
+from leaderlabels.scene import Label, PointFeature, initial_layout, label_rects, live_slots
 from leaderlabels.scenefile import synthetic_scene
 
 from conftest import (
@@ -26,6 +26,7 @@ from conftest import (
     labels_from_rects,
     random_labels,
     reference_edge_direction_deviations,
+    scene_layout,
 )
 
 angles = st.floats(min_value=-720.0, max_value=720.0, allow_nan=False)
@@ -62,8 +63,8 @@ class TestCountConflicts:
             PointFeature(id="f0", anchor=Vec2(2, -20), depth=100, text="A"),
             PointFeature(id="f1", anchor=Vec2(8, -20), depth=100, text="B"),
         ]
-        assert count_conflicts(labels, features, d_min=3.0) == (1, 0)
-        assert count_conflicts(labels, features, d_min=2.0) == (0, 0)
+        assert count_conflicts(*scene_layout(labels, features), d_min=3.0) == (1, 0)
+        assert count_conflicts(*scene_layout(labels, features), d_min=2.0) == (0, 0)
 
     def test_foreign_feature_overlap(self):
         labels = labels_from_rects([Rect(0, 0, 4, 2)])
@@ -71,12 +72,12 @@ class TestCountConflicts:
             PointFeature(id="f0", anchor=Vec2(2, -20), depth=100, text="A"),
             PointFeature(id="fX", anchor=Vec2(2, 1), depth=100, text="B"),
         ]
-        assert count_conflicts(labels, features, d_min=0.2) == (0, 1)
+        assert count_conflicts(*scene_layout(labels, features), d_min=0.2) == (0, 1)
 
     def test_own_feature_ignored(self):
         labels = labels_from_rects([Rect(0, 0, 4, 2)])
         features = [PointFeature(id="f0", anchor=Vec2(2, 1), depth=100, text="A")]
-        assert count_conflicts(labels, features, d_min=0.2) == (0, 0)
+        assert count_conflicts(*scene_layout(labels, features), d_min=0.2) == (0, 0)
 
     def test_matches_brute_force_on_random_scenes(self, rng):
         for _ in range(15):
@@ -91,7 +92,7 @@ class TestCountConflicts:
                 for i in range(20)
             ]
             d_min = rng.uniform(0.1, 2.0)
-            n_rr, n_rp = count_conflicts(labels, features, d_min)
+            n_rr, n_rp = count_conflicts(*scene_layout(labels, features), d_min)
             assert n_rr == len(brute_force_label_conflicts(labels, d_min))
             assert n_rp == len(brute_force_feature_conflicts(labels, features, d_min))
 
@@ -113,7 +114,7 @@ class TestMeanDirectionDeviation:
     def test_identity_layout_zero(self, rng):
         labels = random_labels(rng, 10)
         g = delaunay_graph(*label_layout(labels))
-        assert mean_direction_deviation(labels, labels, g) == 0.0
+        assert mean_direction_deviation(label_rects(labels), label_rects(labels), g) == 0.0
 
     def test_single_edge_rotation(self):
         labels = labels_from_rects([Rect(0, 0, 2, 2), Rect(10, 0, 12, 2)])
@@ -126,12 +127,13 @@ class TestMeanDirectionDeviation:
             1,
             Vec2(length * (math.cos(math.radians(10)) - 1.0), length * math.sin(math.radians(10))),
         )
-        assert mean_direction_deviation(labels, final, g) == pytest.approx(10.0, abs=1e-9)
+        got = mean_direction_deviation(label_rects(labels), label_rects(final), g)
+        assert got == pytest.approx(10.0, abs=1e-9)
 
     def test_empty_graph_is_zero(self):
         labels = labels_from_rects([Rect(0, 0, 2, 2)])
         g = delaunay_graph(*label_layout(labels))
-        assert mean_direction_deviation(labels, labels, g) == 0.0
+        assert mean_direction_deviation(label_rects(labels), label_rects(labels), g) == 0.0
 
     def test_matches_per_edge_recomputation(self, rng):
         labels = random_labels(rng, 15)
@@ -148,7 +150,7 @@ class TestMeanDirectionDeviation:
             o0 = math.degrees(math.atan2(q0.y - p0.y, q0.x - p0.x)) % 180.0
             o1 = math.degrees(math.atan2(q1.y - p1.y, q1.x - p1.x)) % 180.0
             expected.append(direction_deviation(o0, o1))
-        got = mean_direction_deviation(labels, final, g)
+        got = mean_direction_deviation(label_rects(labels), label_rects(final), g)
         assert got == pytest.approx(sum(expected) / len(expected), abs=1e-9)
 
 
@@ -186,7 +188,7 @@ class TestEdgeDeviationsPerLabelCentres:
     @given(two_layouts())
     def test_equals_the_per_edge_form(self, layouts):
         initial, final, graph = layouts
-        got = edge_direction_deviations(initial, final, graph)
+        got = edge_direction_deviations(label_rects(initial), label_rects(final), graph)
         want = reference_edge_direction_deviations(initial, final, graph)
         assert [(i, j, d.hex()) for i, j, d in got] == [(i, j, d.hex()) for i, j, d in want]
 
@@ -194,20 +196,24 @@ class TestEdgeDeviationsPerLabelCentres:
         labels = labels_from_rects([Rect(0, 0, 2, 2), Rect(0, 0, 2, 2), Rect(5, 1, 7, 3)])
         moved = labels_from_rects([Rect(0, 0, 2, 2), Rect(3, 3, 5, 5), Rect(0, 0, 2, 2)])
         graph = ProximityGraph(np.zeros((3, 2)), np.array([[0, 1], [0, 2], [1, 2]]))
-        got = edge_direction_deviations(labels, moved, graph)
+        got = edge_direction_deviations(label_rects(labels), label_rects(moved), graph)
         assert [d for _, _, d in got[:2]] == [0.0, 0.0]
         assert got == reference_edge_direction_deviations(labels, moved, graph)
+
+
+def _displacement(initial, final) -> float:
+    return total_displacement_cm(label_rects(initial), label_rects(final), live_slots(final))
 
 
 class TestTotalDisplacement:
     def test_identity_zero(self, rng):
         labels = random_labels(rng, 5)
-        assert total_displacement_cm(labels, labels) == 0.0
+        assert _displacement(labels, labels) == 0.0
 
     def test_unit_conversion(self):
         labels = labels_from_rects([Rect(0, 0, 2, 2)])
         final = _move(labels, 0, Vec2(13.12, 0.0))
-        assert total_displacement_cm(labels, final) == pytest.approx(1.312)
+        assert _displacement(labels, final) == pytest.approx(1.312)
 
     def test_deleted_contributes_zero(self):
         labels = labels_from_rects([Rect(0, 0, 2, 2)])
@@ -219,7 +225,7 @@ class TestTotalDisplacement:
             font_size=10.0,
             deleted=True,
         )
-        assert total_displacement_cm(labels, moved) == 0.0
+        assert _displacement(labels, moved) == 0.0
 
     def test_matches_brute_force_sum(self, rng):
         labels = random_labels(rng, 12)
@@ -229,12 +235,12 @@ class TestTotalDisplacement:
             d = Vec2(rng.uniform(-6, 6), rng.uniform(-6, 6))
             total += d.norm()
             final = _move(final, i, d)
-        assert total_displacement_cm(labels, final) == pytest.approx(total / 10.0, abs=1e-9)
+        assert _displacement(labels, final) == pytest.approx(total / 10.0, abs=1e-9)
 
     def test_length_mismatch_rejected(self, rng):
         labels = random_labels(rng, 3)
         with pytest.raises(ValueError):
-            total_displacement_cm(labels, labels[:2])
+            _displacement(labels, labels[:2])
 
 
 class TestBuildReport:
@@ -260,6 +266,21 @@ class TestBuildReport:
         }
 
 
+    def test_report_equals_the_metrics_it_gathers(self):
+        features, cfg = synthetic_scene(47, 3)
+        initial = initial_layout(features, cfg)
+        final, _ = run(features, cfg)
+        before, after = label_rects(initial), label_rects(final)
+        graph = reference_graph(before, live_slots(initial), features, cfg)
+        rep = build_report(initial, final, features, cfg.d_min, graph)
+        devs = edge_direction_deviations(before, after, graph)
+        assert list(rep.edge_deviations) == devs and len(devs) > 0
+        assert rep.mean_direction_deviation_deg == mean_direction_deviation(before, after, graph)
+        assert rep.total_displacement_cm == total_displacement_cm(before, after, live_slots(final))
+        counts = count_conflicts(*scene_layout(final, features), cfg.d_min)
+        assert (rep.label_conflicts, rep.feature_conflicts) == counts
+
+
 class TestSequentialDeviationSum:
     """The mean deviation adds its edges left to right, as sum() does up to
     Python 3.11; from 3.12 sum() compensates. On some of these scenes the
@@ -269,9 +290,9 @@ class TestSequentialDeviationSum:
         compensated_differs = []
         for seed in range(6):
             features, cfg = synthetic_scene(47, seed)
-            initial = initial_layout(features, cfg)
-            final, _ = run(features, cfg)
-            graph = reference_graph(initial, features, cfg)
+            initial = label_rects(initial_layout(features, cfg))
+            final = label_rects(run(features, cfg)[0])
+            graph = reference_graph(initial, np.arange(len(initial)), features, cfg)
             devs = [d for _, _, d in edge_direction_deviations(initial, final, graph)]
             total = 0.0
             for d in devs:

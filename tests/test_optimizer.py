@@ -157,7 +157,7 @@ class TestStep:
         ]
         cfg = tiny_cfg()
         labels = initial_layout(features, cfg)
-        rr0, _ = count_conflicts(labels, features, cfg.d_min)
+        rr0, _ = count_conflicts(*scene_layout(labels, features), cfg.d_min)
         assert rr0 == 1
         placed, _ = one_step(labels, features, cfg)
         d0 = placed[0].rect.center() - labels[0].rect.center()
@@ -172,9 +172,9 @@ class TestStep:
         for seed in range(100):
             features, cfg = synthetic_scene(20, seed, screen=(160.0, 110.0))
             labels = initial_layout(features, cfg)
-            before = sum(count_conflicts(labels, features, cfg.d_min))
+            before = sum(count_conflicts(*scene_layout(labels, features), cfg.d_min))
             placed, _ = one_step(labels, features, cfg)
-            after = sum(count_conflicts(placed, features, cfg.d_min))
+            after = sum(count_conflicts(*scene_layout(placed, features), cfg.d_min))
             if after <= before:
                 improved += 1
         assert improved >= 90
@@ -357,7 +357,7 @@ class TestRun:
         labels, report = run(features, cfg)
         assert report.label_conflicts == 0
         assert report.feature_conflicts == 0
-        rr, rp = count_conflicts(labels, features, cfg.d_min)
+        rr, rp = count_conflicts(*scene_layout(labels, features), cfg.d_min)
         assert (rr, rp) == (0, 0)
 
     def test_overdense_scene_flagged_not_crashed(self):

@@ -207,7 +207,7 @@ def carried_build(xy0, xy1):
     assert tri is not None
     rects, live = point_rects(xy1)
     fresh = delaunay_graph(rects, live)
-    xy = proximity._centers(rects)
+    xy = geometry.rect_centers(rects)
     if proximity.still_delaunay(tri, xy, live)[0]:
         return ProximityGraph(xy, tri.edges, tri), fresh, True
     return fresh, fresh, False
@@ -329,7 +329,7 @@ class TestCarriedTriangulation:
         rects, live = label_layout(point_labels([(1, 1), (1, 1), (4, 5), (7, 2)]))
         g = delaunay_graph(rects, live)
         assert g.triangulation is not None
-        assert not proximity.still_delaunay(g.triangulation, proximity._centers(rects), live)[0]
+        assert not proximity.still_delaunay(g.triangulation, geometry.rect_centers(rects), live)[0]
 
     def test_pruning_keeps_the_triangulation(self, rng):
         rects, live = label_layout(random_labels(rng, 25))

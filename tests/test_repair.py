@@ -10,7 +10,7 @@ from leaderlabels import optimizer, repair
 from leaderlabels.forces import scene_arrays
 from leaderlabels.geometry import Rect, Vec2
 from leaderlabels.metrics import count_conflicts
-from leaderlabels.repair import _candidates_ok, _ring_border, admissible_directions, greedy_repair
+from leaderlabels.repair import _candidates_ok, admissible_directions
 from leaderlabels.scene import (
     Label,
     LayoutConfig,
@@ -27,7 +27,9 @@ from conftest import (
     reference_block_search,
     reference_repair,
     reference_search,
+    repair_labels,
     ring_border_cells,
+    scene_layout,
 )
 
 
@@ -45,8 +47,10 @@ def ring_border_reference(r: int) -> list[tuple[int, int]]:
 
 
 def test_ring_border_matches_square_filter():
+    # The ring search numbers ring r's border cells 4 (r - 1)^2 .. 4 r^2 - 1.
     for r in range(1, 201):
-        assert [tuple(c) for c in _ring_border(r).tolist()] == ring_border_reference(r), r
+        border = repair._ring_cells(np.arange(4 * (r - 1) * (r - 1), 4 * r * r))
+        assert [tuple(c) for c in border.tolist()] == ring_border_reference(r), r
 
 
 def wedged_scene() -> tuple[list[Label], list[PointFeature], LayoutConfig]:
@@ -82,19 +86,19 @@ def wedged_scene() -> tuple[list[Label], list[PointFeature], LayoutConfig]:
 
 def test_wedged_label_takes_nearest_diagonal_offset():
     labels, features, cfg = wedged_scene()
-    assert count_conflicts(labels, features, cfg.d_min) == (0, 1)
+    assert count_conflicts(*scene_layout(labels, features), cfg.d_min) == (0, 1)
 
-    _, axis_moves = greedy_repair(labels, features, cfg, max_axis_retries=0)
+    _, axis_moves = repair_labels(labels, features, cfg, max_axis_retries=0)
     assert axis_moves == 0
 
-    repaired, moves = greedy_repair(labels, features, cfg, diagonal=True, max_axis_retries=0)
+    repaired, moves = repair_labels(labels, features, cfg, diagonal=True, max_axis_retries=0)
     grid = cfg.d_min / 2.0
     d = Vec2(-27 * grid, -1 * grid)
     assert moves == 1
     assert repaired[0].rect == labels[0].rect.translated(d)
     assert repaired[0].conn == labels[0].conn + d
     assert repaired[1:] == labels[1:]
-    assert count_conflicts(repaired, features, cfg.d_min) == (0, 0)
+    assert count_conflicts(*scene_layout(repaired, features), cfg.d_min) == (0, 0)
 
 
 def test_small_budget_leaves_conflicts_and_terminates(monkeypatch):
@@ -110,10 +114,10 @@ def test_small_budget_leaves_conflicts_and_terminates(monkeypatch):
     # 60 labels on a 60 x 40 mm screen: far more label area than room.
     features, cfg = synthetic_scene(60, 0, screen=(60.0, 40.0))
     labels = initial_layout(features, cfg)
-    before = count_conflicts(labels, features, cfg.d_min)
+    before = count_conflicts(*scene_layout(labels, features), cfg.d_min)
 
-    repaired, moves = greedy_repair(labels, features, cfg, diagonal=True)
-    after = count_conflicts(repaired, features, cfg.d_min)
+    repaired, moves = repair_labels(labels, features, cfg, diagonal=True)
+    after = count_conflicts(*scene_layout(repaired, features), cfg.d_min)
     assert [b.left for b in budgets] == [0]
     assert sum(after) > 0
     assert sum(after) <= sum(before) - moves
@@ -542,6 +546,6 @@ class TestGreedyRepair:
 
         with mock.patch.object(repair, "_Budget", RecordedBudget), \
                 mock.patch.object(repair, "CANDIDATE_BUDGET", amount):
-            got, moves = greedy_repair(labels, features, cfg, diagonal, retries)
+            got, moves = repair_labels(labels, features, cfg, diagonal, retries)
         want, want_moves, want_left = reference_repair(labels, features, cfg, amount, diagonal, retries)
         assert (_bits(got), moves, budgets[0].left) == (_bits(want), want_moves, want_left)
