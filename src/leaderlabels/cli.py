@@ -178,6 +178,15 @@ def eval_cmd(scene: str, placement: str) -> None:
         raise SceneValidationError(
             f"{placement}: {len(labels)} labels for {len(features)} features"
         )
+    # Label slot k holds feature k's label, as `place` writes them: the
+    # metrics measure by slot and leave out of a label's symbol conflicts
+    # the feature its id names.
+    for pos, (label, feature) in enumerate(zip(labels, features)):
+        if label.feature_id != feature.id:
+            raise SceneValidationError(
+                f"{placement}.labels[{pos}].feature_id: expected {feature.id!r}, "
+                f"got {label.feature_id!r}"
+            )
     initial = initial_layout(features, cfg)
     graph = optimizer.reference_graph(label_rects(initial), live_slots(initial), features, cfg)
     metrics = build_report(initial, labels, features, cfg.d_min, graph)

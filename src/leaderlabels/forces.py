@@ -7,8 +7,8 @@ are displacement-valued (mm): applying a force as a translation moves the
 label toward resolving the constraint that produced it.
 
 Each rule is written once, over (n, 4) rect arrays, and shared by the
-forces, the conflict scans and the repair search: `geometry.rects_closer`
-(label gap), `geometry.symbols_closer` (symbol clearance),
+forces, the conflict scans and the repair search: `geometry.rect_gaps`
+(label gap), `geometry.symbol_rows_closer` (symbol clearance),
 `geometry.screen_margins` (screen fit) and `scene.attachment_edge`.
 
 `assemble_forces` splits its work by how many labels a source touches.
@@ -30,17 +30,23 @@ from typing import NamedTuple, Sequence
 import numpy as np
 
 from .geometry import (
+    NearList,
     OverlapError,
     Rect,
     Vec2,
+    carried_candidates,
+    group_blocks,
+    hypot_below,
     interiors_overlap,
     points_array,
     rect_distance,
-    group_blocks,
-    rects_closer,
+    rect_gaps,
+    rects_near,
     same_group,
     screen_margins,
-    symbols_closer,
+    stacked_pairs,
+    symbol_rows_closer,
+    symbols_near,
 )
 from .scene import (
     Label,
@@ -323,8 +329,52 @@ def scene_arrays(labels: Sequence[Label], features: Sequence[PointFeature]) -> S
     return SceneArrays(live, xyr[own, 0:2], own, index, ids[index], xyr[index])
 
 
+def _label_candidates(
+    boxes: np.ndarray, limit: float, starts: np.ndarray | None
+) -> tuple[np.ndarray, np.ndarray]:
+    """Rows (i, j), i < j, of the boxes of one group that pass the box test
+    `rects_near` at limit, row-major in the blocks of `group_blocks`."""
+    found = []
+    for rows, cols, mixed in group_blocks(starts, len(boxes), starts, len(boxes)):
+        # Columns from the block's first row on; only later boxes of the
+        # same group are kept.
+        i, j = np.nonzero(rects_near(boxes[rows], boxes[rows.start:cols.stop], limit))
+        i, j = i + rows.start, j + rows.start
+        keep = j > i
+        if mixed:
+            keep &= same_group(starts, i, starts, j)
+        found.append((i[keep], j[keep]))
+    return stacked_pairs(found)
+
+
+def _symbol_candidates(
+    boxes: np.ndarray,
+    arrays: SceneArrays,
+    limit: float,
+    starts: np.ndarray | None,
+    symbol_starts: np.ndarray | None,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Rows (i, k) of the boxes, one per live label of arrays, and of its
+    symbols that pass the box test `symbols_near` at limit, within a group
+    and leaving out each label's own feature, row-major in the blocks of
+    `group_blocks`."""
+    found = []
+    for rows, cols, mixed in group_blocks(starts, len(boxes), symbol_starts, len(arrays.symbols)):
+        i, k = np.nonzero(symbols_near(boxes[rows], arrays.symbols[cols], limit))
+        i, k = i + rows.start, k + cols.start
+        keep = arrays.ids[k] != arrays.own[arrays.live[i]]
+        if mixed:
+            keep &= same_group(starts, i, symbol_starts, k)
+        found.append((i[keep], k[keep]))
+    return stacked_pairs(found)
+
+
 def conflicting_label_pairs(
-    rects: np.ndarray, live: np.ndarray, d_min: float, starts: np.ndarray | None = None
+    rects: np.ndarray,
+    live: np.ndarray,
+    d_min: float,
+    starts: np.ndarray | None = None,
+    near: NearList | None = None,
 ) -> list[tuple[int, int]]:
     """All live label pairs of the (n, 4) rects overlapping or closer than
     d_min, sorted. With starts, live lists the labels of several groups,
@@ -334,20 +384,19 @@ def conflicting_label_pairs(
 
     d_min must be positive, as `LayoutConfig.d_min` is: overlapping rects
     are at distance 0, so the one distance test also catches overlaps.
-    `rects_closer` tests the labels in the blocks of `group_blocks`, so
-    memory stays linear in n and the work grows with the groups' sizes.
+    The box test `rects_near` runs in the blocks of `group_blocks`, so
+    memory stays linear in n and the work grows with the groups' sizes;
+    `rect_distance`'s `hypot_below` then decides each pair it passed. With
+    near, the caller's `NearList` over rects[live], the box test runs at
+    d_min + 2·skin, and only when near no longer holds: each pair's axis
+    gaps shrink by at most twice the largest move.
     """
     boxes = rects[live]
-    pairs: list[tuple[int, int]] = []
-    for rows, cols, mixed in group_blocks(starts, len(live), starts, len(live)):
-        # Columns from the block's first row on; only later labels of the
-        # same group are kept.
-        i, j = rects_closer(boxes[rows], boxes[rows.start:cols.stop], d_min)
-        i, j = i + rows.start, j + rows.start
-        keep = j > i
-        if mixed:
-            keep &= same_group(starts, i, starts, j)
-        pairs.extend(zip(live[i[keep]].tolist(), live[j[keep]].tolist()))
+    i, j = carried_candidates(
+        near, boxes, lambda extra: _label_candidates(boxes, d_min + extra, starts), 2.0
+    )
+    close = hypot_below(*rect_gaps(boxes[i], boxes[j]), d_min)
+    pairs = list(zip(live[i[close]].tolist(), live[j[close]].tolist()))
     pairs.sort()
     return pairs
 
@@ -358,29 +407,32 @@ def conflicting_feature_pairs(
     d_min: float,
     starts: np.ndarray | None = None,
     symbol_starts: np.ndarray | None = None,
+    near: NearList | None = None,
 ) -> list[tuple[int, int]]:
     """(label index, feature index) conflicts against foreign feature symbols.
 
     A label never conflicts with its own feature, and symbols whose label was
-    deleted are treated as removed from the map. `symbols_closer` tests the
-    live labels of the (n, 4) rects against the symbols of arrays in the
-    blocks of `group_blocks`. Pairs come out sorted. With starts and
-    symbol_starts, arrays.live and the symbols list the labels and symbols
-    of several groups, one group after another, group k's from starts[k]
-    and symbol_starts[k] on, and only the pairs of a label and a symbol of
-    one group count; None is one group.
+    deleted are treated as removed from the map. The box test
+    `symbols_near` runs over the live labels of the (n, 4) rects and the
+    symbols of arrays in the blocks of `group_blocks`, and
+    `symbol_rows_closer` decides each pair it passed. Pairs come out
+    sorted. With starts and symbol_starts, arrays.live and the symbols list
+    the labels and symbols of several groups, one group after another,
+    group k's from starts[k] and symbol_starts[k] on, and only the pairs of
+    a label and a symbol of one group count; None is one group. With near,
+    the caller's `NearList` over rects[arrays.live], the box test runs at
+    d_min + skin, and only when near no longer holds: the symbols stay put.
     """
     live = arrays.live
     boxes = rects[live]
-    pairs: list[tuple[int, int]] = []
-    for rows, cols, mixed in group_blocks(starts, len(live), symbol_starts, len(arrays.symbols)):
-        i, k = symbols_closer(boxes[rows], arrays.symbols[cols], d_min)
-        i, k = i + rows.start, k + cols.start
-        slots = live[i]
-        keep = arrays.ids[k] != arrays.own[slots]
-        if mixed:
-            keep &= same_group(starts, i, symbol_starts, k)
-        pairs.extend(zip(slots[keep].tolist(), arrays.index[k[keep]].tolist()))
+    i, k = carried_candidates(
+        near,
+        boxes,
+        lambda extra: _symbol_candidates(boxes, arrays, d_min + extra, starts, symbol_starts),
+        1.0,
+    )
+    close = symbol_rows_closer(boxes[i], arrays.symbols[k], d_min)
+    pairs = list(zip(live[i[close]].tolist(), arrays.index[k[close]].tolist()))
     pairs.sort()
     return pairs
 
@@ -398,12 +450,16 @@ def conflict_pairs(
     d_min: float,
     starts: np.ndarray | None = None,
     symbol_starts: np.ndarray | None = None,
+    near: tuple[NearList, NearList] | None = None,
 ) -> ConflictPairs:
     """Both conflict scans of the layout at the (n, 4) rects, within the
-    groups that starts and symbol_starts mark (one group when None)."""
+    groups that starts and symbol_starts mark (one group when None), with
+    the `NearList`s near carries for the label and the symbol scan, if
+    any."""
+    label_list, symbol_list = near or (None, None)
     return ConflictPairs(
-        conflicting_label_pairs(rects, arrays.live, d_min, starts),
-        conflicting_feature_pairs(rects, arrays, d_min, starts, symbol_starts),
+        conflicting_label_pairs(rects, arrays.live, d_min, starts, label_list),
+        conflicting_feature_pairs(rects, arrays, d_min, starts, symbol_starts, symbol_list),
     )
 
 

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, Iterator
+from typing import Callable, Iterable, Iterator
 
 import numpy as np
 
@@ -26,7 +26,8 @@ HYPOT_RTOL = 1e-12
 
 # The symbol box test widens its threshold by this margin (mm), far above
 # float rounding at screen coordinates, so it never drops a pair the exact
-# clearance test would keep.
+# clearance test would keep; a carried candidate list (`NearList`) keeps
+# it from its skin for the same reason.
 _BROAD_PHASE_SLACK = 1e-6
 
 # Elements per temporary of a blockwise (rows x columns) array scan, so
@@ -299,21 +300,91 @@ def rects_closer(a: np.ndarray, b: np.ndarray, limit: float) -> tuple[np.ndarray
     return i[close], j[close]
 
 
-def symbols_closer(rects: np.ndarray, symbols: np.ndarray, limit: float) -> tuple[np.ndarray, ...]:
-    """Index arrays (i, k), row-major, of the pairs with
-    `point_rect_signed_clearance`(symbol k, rects[i]) - its radius < limit:
-    from the signed axis gaps dx and dy, max(dx, dy) for a center inside
-    the rect, else `hypot_below` of the gaps clipped at 0."""
-    i, k = np.nonzero(symbols_near(rects, symbols, limit))
-    if not len(i):
-        return i, k
-    r, (px, py, radius) = rects[i], symbols[k].T
-    dx = np.maximum(r[:, 0] - px, px - r[:, 2])
-    dy = np.maximum(r[:, 1] - py, py - r[:, 3])
+def symbol_rows_closer(rects: np.ndarray, symbols: np.ndarray, limit: float) -> np.ndarray:
+    """Whether `point_rect_signed_clearance`(symbols[k], rects[k]) minus
+    the radius is below limit, row by row: from the signed axis gaps dx and
+    dy, max(dx, dy) for a center inside the rect, else `hypot_below` of the
+    gaps clipped at 0."""
+    if not len(rects):
+        return np.zeros(0, dtype=bool)
+    px, py, radius = symbols.T
+    dx = np.maximum(rects[:, 0] - px, px - rects[:, 2])
+    dy = np.maximum(rects[:, 1] - py, py - rects[:, 3])
     inside = (dx <= 0.0) & (dy <= 0.0)
     outside = hypot_below(np.maximum(dx, 0.0), np.maximum(dy, 0.0), limit, radius)
-    close = np.where(inside, np.maximum(dx, dy) - radius < limit, outside)
+    return np.where(inside, np.maximum(dx, dy) - radius < limit, outside)
+
+
+def symbols_closer(rects: np.ndarray, symbols: np.ndarray, limit: float) -> tuple[np.ndarray, ...]:
+    """Index arrays (i, k), row-major, of the pairs of a rect i and a
+    symbol k that pass `symbol_rows_closer`."""
+    i, k = np.nonzero(symbols_near(rects, symbols, limit))
+    close = symbol_rows_closer(rects[i], symbols[k], limit)
     return i[close], k[close]
+
+
+@dataclass(slots=True, eq=False)
+class NearList:
+    """The candidates of a box test that a placement loop carries from step
+    to step (a Verlet list): index arrays (first, second) of the pairs the
+    test passed at its limit widened by the moves it allows, on the
+    coordinates base, an array of one row per moving object.
+
+    A test widened by w·skin, where each pair's coordinates come from w of
+    the objects (w = 2 for two moving rects, 1 for a rect and a fixed
+    symbol), passes every pair the unwidened test would pass while no
+    coordinate lies more than skin from base: a coordinate that moves by
+    at most m changes each signed gap by at most w·m. `holds` asks for a
+    largest move of skin - _BROAD_PHASE_SLACK at most, so the rounding of
+    the moves, of the gaps and of the widened limit cannot break that.
+    Until the first `build`, base is None and nothing holds.
+    """
+
+    skin: float
+    base: np.ndarray | None = None
+    first: np.ndarray | None = None
+    second: np.ndarray | None = None
+
+    def holds(self, coords: np.ndarray) -> bool:
+        """Whether the candidates still cover the pairs at coords, the rows
+        of base moved."""
+        if self.base is None:
+            return False
+        return float(np.abs(coords - self.base).max(initial=0.0)) + _BROAD_PHASE_SLACK <= self.skin
+
+    def build(self, coords: np.ndarray, first: np.ndarray, second: np.ndarray) -> None:
+        """Keep the candidates first, second found on coords."""
+        self.base, self.first, self.second = coords, first, second
+
+    def clear(self) -> None:
+        """Drop the candidates: they hold nowhere until the next build."""
+        self.base = None
+
+
+def stacked_pairs(found: list[tuple[np.ndarray, np.ndarray]]) -> tuple[np.ndarray, np.ndarray]:
+    """The index pairs of the parts found, one after another."""
+    if len(found) == 1:
+        return found[0]
+    empty = [np.zeros(0, dtype=np.intp)]
+    first = np.concatenate(empty + [i for i, _ in found])
+    return first, np.concatenate(empty + [j for _, j in found])
+
+
+def carried_candidates(
+    near: NearList | None,
+    coords: np.ndarray,
+    find: Callable[[float], tuple[np.ndarray, np.ndarray]],
+    widen: float,
+) -> tuple[np.ndarray, np.ndarray]:
+    """The candidate pairs of a box test: find(extra) runs the test with
+    its limit widened by extra. Without near, that is find(0.0). With near,
+    its candidates, built again by find(widen * skin) on coords when they
+    no longer hold there."""
+    if near is None:
+        return find(0.0)
+    if not near.holds(coords):
+        near.build(coords, *find(widen * near.skin))
+    return near.first, near.second
 
 
 def screen_margins(rects: np.ndarray, screen: Rect, d_min: float) -> tuple[np.ndarray, np.ndarray]:

@@ -20,6 +20,19 @@ loop's first step, and any step whose check fails or cannot decide, runs
 Qhull. A loop over the whole scene takes the reference graph as its first
 step's graph: the same layout, live slots and t_d.
 
+A step also carries the broad phase of its three box-tested queries (the
+label-pair scan, the label-symbol scan and the prune's edge-rect test):
+each keeps in a `NearList` the pairs its box test passed at a limit
+widened by twice the skin (once for the fixed symbols), and tests only
+those while no coordinate has moved more than the skin since; then the box
+test runs again. The skin is _SKIN_STEPS step caps. A Qhull build starts
+its loop's prune list again, and a loop without triangles, which Qhull
+builds on every step, carries none; a new batch, once a loop exits,
+starts its scan lists again, while each loop keeps its prune list. The
+exact tests, and the edge lengths against t_d, run on every step as
+before, and the candidates hold every pair they can pass, so every
+decision is the same.
+
 `run` builds the labels and reads them once into arrays: the (n, 4) rects,
 the (n, 2) connection points and one `SceneArrays` for the anchors, the live
 slots and the symbols. Its loops, one per subgroup or one over the whole
@@ -54,7 +67,7 @@ from .forces import (
     conflict_pairs,
     scene_arrays,
 )
-from .geometry import HYPOT_RTOL, Rect, Vec2, points_array, rect_centers
+from .geometry import HYPOT_RTOL, NearList, Rect, Vec2, points_array, rect_centers
 from .metrics import count_conflicts, mean_direction_deviation, total_displacement_cm
 from .proximity import (
     ProximityGraph,
@@ -84,6 +97,18 @@ from .scene import (
 
 MIN_ITERATION_CAP = 20
 MAX_ITERATION_CAP = 100
+
+# The skin of the candidate lists a loop carries from step to step
+# (`NearList`), in step caps (`BeamParams.max_step`): a list holds for at
+# least this many steps after its build. Of 2, 4 and 8, 2 ran both
+# workloads slowest, and 4 and 8 ran within noise of each other; 4 keeps
+# the lists half as long.
+_SKIN_STEPS = 4
+
+
+def _skin(cfg: LayoutConfig) -> float:
+    """The skin of a loop's candidate lists, in mm."""
+    return _SKIN_STEPS * cfg.resolved_beam().max_step
 
 
 def effective_max_iterations(n_labels: int, override: int | None = None) -> int:
@@ -255,6 +280,8 @@ class _Group:
     slots: np.ndarray
     t_d: float | None
     t_s: int
+    # The prune's candidates for the edges of triangles (`prune_graph`).
+    near: NearList
     # The previous step's Delaunay triangles, in run slots, or None; and
     # until the first step, the graph handed in for it, or None.
     triangles: Triangulation | None = None
@@ -291,7 +318,8 @@ def _group(
     if t_d is None and cfg.graph_kind is GraphKind.DT:
         t_d = pruning_distance(features, cfg)
     t_s = effective_max_iterations(len(live), cfg.t_s_override) if len(live) else 0
-    return _Group(index, rows, live, rows[live], t_d, t_s, first_graph=first_graph)
+    near = NearList(_skin(cfg))
+    return _Group(index, rows, live, rows[live], t_d, t_s, near, first_graph=first_graph)
 
 
 @dataclass(frozen=True, slots=True)
@@ -313,15 +341,19 @@ class _Batch:
 
     order lists the groups' live slots one group after another, group k's
     from starts[k] on, each group's rising, and group gives the group of
-    each; live is the same slots rising. arrays is the run's `SceneArrays`
-    over the slots in order and over their own features' symbols in the
-    same order (slot k holds feature k's label, so the symbols are the
-    live slots' features), so that the scans pair only the labels and
-    symbols of one group. frames lays out the groups' beam networks, one
-    per group over its frame rows, for the solve.
+    each; live is the same slots rising, and anchors their anchors. arrays
+    is the run's `SceneArrays` over the slots in order and over their own
+    features' symbols in the same order (slot k holds feature k's label,
+    so the symbols are the live slots' features), so that the scans pair
+    only the labels and symbols of one group. frames lays out the groups'
+    beam networks, one per group over its frame rows, for the solve. near
+    holds the label and the symbol scan's candidate lists, over the slots
+    in order, so a new batch starts them empty.
     """
 
-    __slots__ = ("groups", "order", "starts", "group", "live", "arrays", "frames")
+    __slots__ = (
+        "groups", "order", "starts", "group", "live", "anchors", "arrays", "frames", "near"
+    )
 
     def __init__(self, scene: _Scene, groups: list[_Group]):
         self.groups = groups
@@ -331,6 +363,7 @@ class _Batch:
         self.group = np.repeat(np.arange(len(groups)), sizes)
         self.live = np.sort(self.order)
         arrays = scene.arrays
+        self.anchors = arrays.anchors[self.live]
         symbols = np.searchsorted(arrays.index, self.order)
         self.arrays = arrays._replace(
             live=self.order,
@@ -339,10 +372,12 @@ class _Batch:
             symbols=arrays.symbols[symbols],
         )
         self.frames = frames_of([g.rows for g in groups], len(scene.gid))
+        skin = _skin(scene.cfg)
+        self.near = NearList(skin), NearList(skin)
 
     def conflict_pairs(self, rects: np.ndarray, d_min: float) -> ConflictPairs:
         """Both conflict scans of the groups' labels, each group's alone."""
-        return conflict_pairs(rects, self.arrays, d_min, self.starts, self.starts)
+        return conflict_pairs(rects, self.arrays, d_min, self.starts, self.starts, self.near)
 
 
 def _carried_still_delaunay(carried: list[_Group], xy: np.ndarray) -> np.ndarray:
@@ -397,17 +432,22 @@ def _build_graphs(
         xy[g.rows] = graph.positions
         tri = graph.triangulation
         g.triangles = None if tri is None else tri.renumbered(g.rows)
+        g.near.clear()
+    # A group without triangles builds its edges again on every step, so
+    # it carries no prune list.
+    near = [None if g.triangles is None else g.near for g, _ in raw]
     if len(raw) == 1:
         # One group's edges need no joining, and its prune one t_d.
         (g, edges), = raw
-        built.append(prune_graph(ProximityGraph(xy, edges), rects, g.slots, g.t_d).edges)
+        graph = ProximityGraph(xy, edges)
+        built.append(prune_graph(graph, rects, g.slots, g.t_d, near=near).edges)
     elif raw:
         sizes, counts = [len(g.slots) for g, _ in raw], [len(e) for _, e in raw]
         graph = ProximityGraph(xy, np.concatenate([e for _, e in raw]))
         t_d = np.repeat([g.t_d for g, _ in raw], counts)
         live = np.concatenate([g.slots for g, _ in raw])
         starts, edge_starts = np.cumsum([0] + sizes[:-1]), np.cumsum([0] + counts[:-1])
-        built.append(prune_graph(graph, rects, live, t_d, starts, edge_starts).edges)
+        built.append(prune_graph(graph, rects, live, t_d, starts, edge_starts, near).edges)
     return xy, built[0] if len(built) == 1 else np.concatenate(built)
 
 
@@ -431,16 +471,16 @@ def _advance(
     (n, 2) conns, whose conflict pairs within the groups are pairs:
     assemble forces, rebuild the graphs, solve, move. Moves the groups'
     rows of rects and conns in place; returns the moved layout's pairs
-    within the groups that moved, and each group's stats.
+    within the groups, and each group's stats.
 
     The forces, the graph check and prune, the element blocks, the move
     and the rescan each run once over all the groups' rows, with each pair
     test kept within a group; Qhull and the factor of K run per group. So
     each group takes the step it would take alone, to the bit. A group
     whose forces are all exactly zero, whose solve gives +0.0
-    translations, moves nothing: it is not solved or rescanned, and,
-    unless on its first step, builds no graph. Its largest force is 0.0,
-    so its loop ends with this step.
+    translations, moves nothing: it is not solved, and, unless on its
+    first step, builds no graph. Its largest force is 0.0, so its loop
+    ends with this step. A step in which no group moves rescans nothing.
     """
     cfg, groups, live = scene.cfg, batch.groups, batch.live
     assignment = assemble_forces(
@@ -477,23 +517,17 @@ def _advance(
     if translations is None:
         translations = np.zeros_like(totals)
     d = project_for_leader_type(translations[live], cfg.leader)
-    rects[live] += d[:, [0, 1, 0, 1]]
-    anchors = batch.arrays.anchors[live]
-    conns[live] = connection_points(rects[live], anchors, cfg.leader, conns[live] + d)
+    boxes = rects[live] + d[:, [0, 1, 0, 1]]
+    rects[live] = boxes
+    conns[live] = connection_points(boxes, batch.anchors, cfg.leader, conns[live] + d)
 
     if solved:
-        moved = batch if len(solved) == len(groups) else _Batch(scene, solved)
-        rescan = moved.conflict_pairs(rects, cfg.d_min)
-    else:
-        rescan = ConflictPairs([], [])
-    # Each group's conflict counts: after the step for a group that moved,
-    # as they were for one that did not.
-    after = before = [_group_counts([i for i, _ in p], scene) for p in rescan]
-    if len(solved) < len(groups):
-        before = [_group_counts([i for i, _ in p], scene) for p in pairs]
+        # A group that did not move keeps its pairs, which the rescan
+        # finds again.
+        pairs = batch.conflict_pairs(rects, cfg.d_min)
+    labels, feats = (_group_counts([i for i, _ in p], scene) for p in pairs)
     stats = []
     for g, max_force in zip(groups, max_forces):
-        labels, feats = after if max_force > 0.0 else before
         stats.append(
             StepStats(
                 step=step_no,
@@ -505,7 +539,7 @@ def _advance(
                 capped=capped[g.index],
             )
         )
-    return rescan, stats
+    return pairs, stats
 
 
 def _scene(

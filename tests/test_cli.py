@@ -321,6 +321,29 @@ class TestEval:
         assert "Traceback" not in err
         assert out == ""
 
+    @pytest.mark.parametrize("change", ["renamed", "duplicated"])
+    def test_feature_ids_must_match_the_scenes_slot_by_slot(
+        self, capsys, scene_path, tmp_path, change
+    ):
+        placement = tmp_path / "placement.json"
+        run_cli(capsys, "place", scene_path, "--out-json", str(placement))
+        data = json.loads(placement.read_text())
+        labels = data["labels"]
+        if change == "renamed":
+            for k, label in enumerate(labels):
+                label["feature_id"] = f"zz{k}"
+            slot, bad = 0, "zz0"
+        else:
+            slot, bad = 1, labels[0]["feature_id"]
+            labels[1]["feature_id"] = bad
+        placement.write_text(json.dumps(data))
+        code, out, err = run_cli(capsys, "eval", scene_path, str(placement))
+        assert code == 2
+        assert err.startswith("validation error:")
+        assert f"labels[{slot}].feature_id" in err and repr(bad) in err
+        assert "Traceback" not in err
+        assert out == ""
+
     def test_eval_count_mismatch_is_validation_error(self, capsys, scene_path, tmp_path):
         placement = tmp_path / "short.json"
         placement.write_text(json.dumps({"labels": []}))

@@ -3,21 +3,25 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from leaderlabels import geometry
+from leaderlabels.forces import SceneArrays, conflicting_feature_pairs, conflicting_label_pairs
 from leaderlabels.geometry import (
+    NearList,
     OverlapError,
     Rect,
     Vec2,
     group_blocks,
     interiors_overlap,
     point_rect_signed_clearance,
+    rect_centers,
     rect_distance,
     same_group,
     segments_cross_interiors,
     unit_from_degrees,
 )
+from leaderlabels.proximity import ProximityGraph, prune_graph
 
 from conftest import (
     AxisGaps,
@@ -257,3 +261,215 @@ class TestGroupBlocks:
         want = [(rows, slice(0, n_cols), False) for rows in geometry.row_blocks(n_rows, n_cols)]
         got = list(group_blocks(None, n_rows, None, n_cols))
         assert got == (want if n_cols else [])
+
+
+def _ulps(x: float, k: int) -> float:
+    """x moved by k floats, up for k > 0."""
+    for _ in range(abs(k)):
+        x = math.nextafter(x, math.copysign(math.inf, k))
+    return x
+
+
+@st.composite
+def carried_layouts(draw):
+    """d_min, a skin, t_d, (n, 4) rects, (m, 3) symbols and (e, 2) edges
+    between rect centres, and (n, 4) per-coordinate moves. Each rect after the
+    first, and each symbol, lies off a side of an earlier rect at a gap on
+    or a few floats off the exact limit d_min or one of its widened limits
+    (d_min plus one or two skins); each move is up to a skin, often on or a
+    few floats off skin - _BROAD_PHASE_SLACK or skin itself."""
+    d_min, skin = draw(st.floats(0.05, 2.0)), draw(st.floats(0.05, 3.0))
+    limits = [0.0, d_min, d_min + skin, d_min + 2.0 * skin]
+    gaps = st.sampled_from(limits) | st.floats(0.0, d_min + 3.0 * skin)
+
+    def off_side(r) -> tuple[int, int, float]:
+        # An axis, a side of rect r on it (1 past its high side, -1 before
+        # its low one) and a distance from that side.
+        axis, side = draw(st.integers(0, 1)), draw(st.sampled_from([1, -1]))
+        return axis, side, _ulps(draw(gaps), draw(st.integers(-4, 4)))
+
+    x, y = draw(st.floats(-200.0, 200.0)), draw(st.floats(-200.0, 200.0))
+    rects = [(x, y, x + draw(st.floats(0.5, 20.0)), y + draw(st.floats(0.5, 20.0)))]
+    for k in range(1, draw(st.integers(2, 7))):
+        r = rects[draw(st.integers(0, k - 1))]
+        size = (draw(st.floats(0.5, 20.0)), draw(st.floats(0.5, 20.0)))
+        axis, side, dist = off_side(r)
+        low = [0.0, 0.0]
+        low[axis] = r[axis + 2] + dist if side > 0 else r[axis] - dist - size[axis]
+        low[1 - axis] = r[1 - axis] + draw(st.floats(-20.0, 20.0))
+        rects.append((low[0], low[1], low[0] + size[0], low[1] + size[1]))
+    symbols = []
+    for _ in range(draw(st.integers(1, 4))):
+        r = rects[draw(st.integers(0, len(rects) - 1))]
+        radius = draw(st.floats(0.0, 3.0))
+        axis, side, dist = off_side(r)
+        centre = [0.0, 0.0]
+        centre[axis] = r[axis + 2] + dist + radius if side > 0 else r[axis] - dist - radius
+        centre[1 - axis] = draw(st.floats(r[1 - axis] - 5.0, r[3 - axis] + 5.0))
+        symbols.append((centre[0], centre[1], radius))
+    n = len(rects)
+    ends = st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)).filter(lambda e: e[0] != e[1])
+    edges = sorted({(min(e), max(e)) for e in draw(st.lists(ends, min_size=1, max_size=8))})
+    t_d = draw(st.sampled_from([1e6]) | st.floats(1.0, 40.0))
+    reach = draw(st.sampled_from([skin - geometry._BROAD_PHASE_SLACK, skin]))
+    edge_moves = st.sampled_from([reach, -reach]).flatmap(
+        lambda v: st.integers(-4, 4).map(lambda k: _ulps(v, k))
+    )
+    moves = [draw(edge_moves | st.floats(-reach, reach)) for _ in range(4 * n)]
+    return (
+        d_min,
+        skin,
+        t_d,
+        np.array(rects),
+        np.array(symbols).reshape(-1, 3),
+        np.array(edges, dtype=np.int64).reshape(-1, 2),
+        np.array(moves).reshape(n, 4),
+    )
+
+
+class TestNearList:
+    """Candidates a `NearList` keeps from a box test widened by the moves
+    it allows hold every pair the exact test passes after those moves: the
+    label pairs (widened by 2·skin), the symbol hits (skin) and the
+    blocking edge-rect hits of the prune (2·skin). So a scan or prune on
+    the carried candidates returns what a fresh one returns."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(carried_layouts())
+    def test_candidates_hold_every_pair_after_moves_within_the_skin(self, layout):
+        d_min, skin, t_d, rects, symbols, edges, moves = layout
+        n, m = len(rects), len(symbols)
+        live = np.arange(n)
+        arrays = SceneArrays(
+            live, np.full((n, 2), math.nan), np.full(n, -1), np.arange(m), np.arange(m), symbols
+        )
+        labels, hits, blocks = NearList(skin), NearList(skin), NearList(skin)
+        conflicting_label_pairs(rects, live, d_min, near=labels)
+        conflicting_feature_pairs(rects, arrays, d_min, near=hits)
+        prune_graph(ProximityGraph(rect_centers(rects), edges), rects, live, t_d, near=[blocks])
+        moved = rects + moves
+        xy = rect_centers(moved)
+
+        if labels.holds(moved):
+            want = conflicting_label_pairs(moved, live, d_min)
+            assert set(want) <= set(zip(labels.first.tolist(), labels.second.tolist()))
+            assert conflicting_label_pairs(moved, live, d_min, near=labels) == want
+        if hits.holds(moved):
+            want = conflicting_feature_pairs(moved, arrays, d_min)
+            assert set(want) <= set(zip(hits.first.tolist(), hits.second.tolist()))
+            assert conflicting_feature_pairs(moved, arrays, d_min, near=hits) == want
+        if blocks.holds(np.hstack((moved, xy))):
+            k, c = (a.ravel() for a in np.meshgrid(np.arange(len(edges)), live, indexing="ij"))
+            keep = (c != edges[k, 0]) & (c != edges[k, 1])
+            k, c = k[keep], c[keep]
+            p, q, b = xy[edges[k, 0]], xy[edges[k, 1]], moved[c]
+            lo, hi = np.minimum(p, q), np.maximum(p, q)
+            box = (b[:, 0:2] <= hi).all(axis=1) & (b[:, 2:4] >= lo).all(axis=1)
+            length = np.hypot(*(q - p).T)
+            crossing = box & (length <= t_d) & segments_cross_interiors(p, q, b)
+            want = set(zip(k[crossing].tolist(), c[crossing].tolist()))
+            assert want <= set(zip(blocks.first.tolist(), blocks.second.tolist()))
+            graph = ProximityGraph(xy, edges)
+            got = prune_graph(graph, moved, live, t_d, near=[blocks]).edges
+            assert np.array_equal(got, prune_graph(graph, moved, live, t_d).edges)
+
+    @settings(max_examples=400, deadline=None)
+    @given(
+        d_min=st.floats(0.05, 2.0),
+        skin=st.sampled_from([0.125, 0.25, 0.5, 1.0, 2.0]) | st.floats(0.05, 3.0),
+        low=st.floats(-2.0, 2.0),
+        off=st.integers(-2, 2),
+        pushes=st.tuples(st.integers(-2, 2), st.integers(-2, 2)),
+        full=st.booleans(),
+        share=st.sampled_from([1.0, 0.75]),
+    )
+    # The float sum 0.05 + 2.0 lies 1.8e-16 below the real one: a pair at
+    # that widened limit, moved towards each other by a whole skin each,
+    # ends 1.8e-16 inside d_min. Only the slack makes the list refuse
+    # those moves.
+    @example(d_min=0.05, skin=1.0, low=0.0, off=0, pushes=(0, 0), full=True, share=1.0)
+    def test_pairs_just_past_the_widened_limits_moved_by_the_skin(
+        self, d_min, skin, low, off, pushes, full, share
+    ):
+        # Near the origin, where the floats are finest: a label pair, a
+        # label and a symbol, and an edge and a blocker, each the fewest
+        # floats (off) past where its widened box test passes, or past
+        # where it would pass widened by a share of 0.75 as much; then
+        # moved towards each other by the skin, or by skin minus
+        # _BROAD_PHASE_SLACK, and a few floats (pushes).
+        slack = geometry._BROAD_PHASE_SLACK
+        reach = skin if full else skin - slack
+        toward, back = (_ulps(reach, k) for k in pushes)
+
+        def least_past(side: float, limit: float) -> float:
+            # The least float b with b - side >= limit, moved by off.
+            b = side + limit
+            while b - side < limit:
+                b = math.nextafter(b, math.inf)
+            while math.nextafter(b, -math.inf) - side >= limit:
+                b = math.nextafter(b, -math.inf)
+            return _ulps(b, off)
+
+        x = least_past(low + 1.0, d_min + 2.0 * skin * share)
+        rects = np.array([(low, 0.0, low + 1.0, 1.0), (x, 0.0, x + 1.0, 1.0)])
+        labels, live = NearList(skin), np.arange(2)
+        conflicting_label_pairs(rects, live, d_min, near=labels)
+        moved = rects + [(toward, 0.0, toward, 0.0), (-back, 0.0, -back, 0.0)]
+        if labels.holds(moved):
+            want = conflicting_label_pairs(moved, live, d_min)
+            assert set(want) <= set(zip(labels.first.tolist(), labels.second.tolist()))
+
+        radius = 0.5
+        px = least_past(low + 1.0, radius + ((d_min + skin * share) + slack))
+        arrays = SceneArrays(
+            live[:1], np.full((1, 2), math.nan), np.full(1, -1), np.arange(1), np.arange(1),
+            np.array([(px, 0.5, radius)]),
+        )
+        hits = NearList(skin)
+        conflicting_feature_pairs(rects[:1], arrays, d_min, near=hits)
+        moved = rects[:1] + (toward, 0.0, toward, 0.0)
+        if hits.holds(moved):
+            want = conflicting_feature_pairs(moved, arrays, d_min)
+            assert set(want) <= set(zip(hits.first.tolist(), hits.second.tolist()))
+
+        # An edge along y = ey from x = 0 to 10 over a blocker from x = 4
+        # to 6 whose top lies the fewest floats below the widened box.
+        ends = np.array([(-1.0, low - 1.0, 1.0, low + 1.0), (9.0, low - 1.0, 11.0, low + 1.0)])
+        ey = float(rect_centers(ends)[0, 1])
+        top = _ulps(math.nextafter(ey - 2.0 * skin * share, -math.inf), -off)
+        rects = np.vstack((ends, [(4.0, top - 1.0, 6.0, top)]))
+        edges, live = np.array([(0, 1)]), np.arange(3)
+        blocks = NearList(skin)
+        prune_graph(ProximityGraph(rect_centers(rects), edges), rects, live, 1e6, near=[blocks])
+        moved = rects + np.array([(0.0, -toward, 0.0, -toward)] * 2 + [(0.0, back, 0.0, back)])
+        xy = rect_centers(moved)
+        if blocks.holds(np.hstack((moved, xy))):
+            crosses = segments_cross_interiors(xy[:1], xy[1:2], moved[2:])[0]
+            assert not crosses or (0, 2) in set(zip(blocks.first.tolist(), blocks.second.tolist()))
+
+        # A diagonal edge 2.5·skin (share 1) longer than t_d, over a
+        # blocker at its middle, whose ends move towards each other on
+        # both axes: it shrinks by 2·sqrt(2) moves, turns short and is
+        # blocked.
+        s = 10.0 + 3.0 * skin
+        rects = np.array(
+            [(-0.5, -0.5, 0.5, 0.5), (s - 0.5, s - 0.5, s + 0.5, s + 0.5)]
+            + [(s / 2 - 0.5, s / 2 - 0.5, s / 2 + 0.5, s / 2 + 0.5)]
+        )
+        t_d = math.hypot(s, s) - 2.5 * skin * share
+        blocks = NearList(skin)
+        prune_graph(ProximityGraph(rect_centers(rects), edges), rects, live, t_d, near=[blocks])
+        moved = rects + np.array([(toward,) * 4, (-back,) * 4, (0.0,) * 4])
+        graph = ProximityGraph(rect_centers(moved), edges)
+        if blocks.holds(np.hstack((moved, graph.positions))):
+            got = prune_graph(graph, moved, live, t_d, near=[blocks]).edges
+            assert np.array_equal(got, prune_graph(graph, moved, live, t_d).edges)
+
+    def test_nothing_holds_before_the_first_build(self):
+        near = NearList(1.0)
+        assert not near.holds(np.zeros((2, 4)))
+        near.build(np.zeros((2, 4)), np.array([0]), np.array([1]))
+        slack = geometry._BROAD_PHASE_SLACK
+        assert near.holds(np.full((2, 4), 1.0 - slack))
+        assert not near.holds(np.full((2, 4), 1.0 - slack / 2))
+        assert not near.holds(np.full((2, 4), -1.0))

@@ -109,6 +109,18 @@ class TestOffscreenRule:
         assert not out[0].deleted
 
 
+CARRY_SCENES = [f"synthetic-{n}-{seed}" for n in (47, 76) for seed in (0, 1, 2)] + [
+    "duplicated",
+    "grid",
+    "collinear",
+]
+
+# The carried scenes, a lockstep run whose subgroups exit at steps 1, 6,
+# 15, 16, 17 and 20, and a scene under the free leader with labels deleted
+# by hand (`run` deletes labels only under the fully fixed leader).
+STEP_SCENES = CARRY_SCENES + ["lockstep", "type3-deletions"]
+
+
 def tiny_cfg(**kw) -> LayoutConfig:
     kw.setdefault("screen", Rect(0, 0, 200, 150))
     return LayoutConfig(**kw)
@@ -192,6 +204,24 @@ class TestStep:
             assert stats.label_conflicts == len(pairs.labels)
             assert stats.feature_conflicts == len(pairs.features)
         assert group.t_d == optimizer.pruning_distance(features, cfg)
+
+    @pytest.mark.parametrize("name", STEP_SCENES)
+    def test_advance_returns_the_new_layouts_pairs_on_every_step(self, monkeypatch, name):
+        # Each step's pairs come from the candidate lists the batch carries,
+        # and its graph from the prune lists each group carries; the oracles
+        # scan and prune every step afresh.
+        seen = collections.Counter()
+        _checked_steps(monkeypatch, seen)
+        _checked_carry(monkeypatch, seen)
+        _run_step_scene(name)
+        # The grid's loop takes 4 steps, fewer than the skin allows.
+        assert seen["scan carried"] > 0 and (seen["scan rebuilt"] > 0 or name == "grid")
+        if name in ("grid", "collinear"):
+            # Qhull builds every step's graph: the check refuses the grid's
+            # triangles, and the collinear centres have none.
+            assert seen["prune carried"] == 0
+        else:
+            assert seen["prune carried"] > 0 and seen["prune rebuilt"] > 0
 
     def test_capped_counts_labels_the_step_cap_shortened(self):
         # 4 mm apart, the two 10 mm labels overlap by about 6 mm: each gets
@@ -738,13 +768,6 @@ class TestRunProperties:
                 assert lbl.conn == Vec2(anchors[lbl.feature_id].x, lbl.rect.y_min)
 
 
-CARRY_SCENES = [f"synthetic-{n}-{seed}" for n in (47, 76) for seed in (0, 1, 2)] + [
-    "duplicated",
-    "grid",
-    "collinear",
-]
-
-
 def _carry_scene(name: str):
     if name.startswith("synthetic"):
         _, n, seed = name.split("-")
@@ -767,6 +790,54 @@ def _carry_scene(name: str):
             for k, f in enumerate(features[:8])
         ]
     return features, cfg
+
+
+def _run_step_scene(name: str) -> None:
+    """Steps the loops of a scene of STEP_SCENES to their exits."""
+    if name == "lockstep":
+        features, cfg = synthetic_scene(76, 0)
+        run(features, dataclasses.replace(cfg, t_num=20))
+    elif name == "type3-deletions":
+        features, cfg = synthetic_scene(76, 2)
+        cfg = dataclasses.replace(
+            cfg, leader=dataclasses.replace(cfg.leader, kind=LeaderType.FREE_DIR_FREE_CONN)
+        )
+        labels = initial_layout(features, cfg)
+        labels = [dataclasses.replace(l, deleted=k % 6 == 2) for k, l in enumerate(labels)]
+        scene, group, rects, conns = whole_scene_loop(labels, features, cfg)
+        (loop,) = optimizer._run_loops(scene, [group], rects, conns)
+        assert loop.steps > 1 and len(scene.arrays.live) < len(labels)
+    else:
+        run(*_carry_scene(name))
+
+
+def _checked_steps(monkeypatch, seen):
+    """Wraps the optimizer's step. The pairs each step returns must equal
+    both scans of the moved layout run afresh within the batch's groups,
+    and each group's conflict counts must be its share of them. Counts in
+    seen the rescans whose candidate lists held ("scan carried") and were
+    built again ("scan rebuilt"), and likewise the prunes of each group
+    ("prune carried", "prune rebuilt")."""
+    advance = optimizer._advance
+
+    def checked(scene, batch, rects, conns, pairs, step_no):
+        scan_base = batch.near[0].base
+        prune_bases = [g.near.base for g in batch.groups]
+        pairs, stats = advance(scene, batch, rects, conns, pairs, step_no)
+        fresh = conflict_pairs(rects, batch.arrays, scene.cfg.d_min, batch.starts, batch.starts)
+        assert pairs == fresh
+        for g, st in zip(batch.groups, stats):
+            mine = set(g.slots.tolist())
+            assert st.label_conflicts == sum(i in mine for i, _ in pairs.labels)
+            assert st.feature_conflicts == sum(i in mine for i, _ in pairs.features)
+        if any(st.max_force > 0.0 for st in stats):
+            seen["scan carried" if batch.near[0].base is scan_base else "scan rebuilt"] += 1
+        for g, base, st in zip(batch.groups, prune_bases, stats):
+            if st.graph_edges is not None and g.near.base is not None:
+                seen["prune carried" if g.near.base is base else "prune rebuilt"] += 1
+        return pairs, stats
+
+    monkeypatch.setattr(optimizer, "_advance", checked)
 
 
 def _checked_carry(monkeypatch, seen):
