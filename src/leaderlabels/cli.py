@@ -158,7 +158,10 @@ def place(
 @click.option("--out", type=click.Path(dir_okay=False), default=None, help="Write here instead of stdout.")
 def gen(n: int, seed: int, width_mm: float, height_mm: float, profile: str, charset: str, out: str | None) -> None:
     """Generate a deterministic synthetic scene."""
-    data = generate_synthetic(n, seed, (width_mm, height_mm), profile, charset)
+    try:
+        data = generate_synthetic(n, seed, (width_mm, height_mm), profile, charset)
+    except ValueError as exc:
+        raise click.UsageError(str(exc))
     text = json.dumps(data, ensure_ascii=False, indent=2, sort_keys=True) + "\n"
     if out:
         with open(out, "w", encoding="utf-8") as fh:
@@ -202,13 +205,15 @@ def eval_cmd(scene: str, placement: str) -> None:
 @click.option("--height-mm", type=float, default=150.0)
 def bench(sizes: str, seed: int, width_mm: float, height_mm: float) -> None:
     """Sweep scene sizes and report steps, time, and residual conflicts."""
+    # All scenes first: a bad size or screen fails before any row is printed.
     try:
         counts = [int(s) for s in sizes.split(",") if s.strip()]
+        scenes = [generate_synthetic(n, seed, (width_mm, height_mm)) for n in counts]
     except ValueError as exc:
-        raise click.UsageError(f"--sizes must be comma-separated integers: {exc}")
+        raise click.UsageError(f"no scenes for these --sizes and screen: {exc}")
     rows = []
-    for n in counts:
-        features, cfg = parse_scene(generate_synthetic(n, seed, (width_mm, height_mm)))
+    for n, data in zip(counts, scenes):
+        features, cfg = parse_scene(data)
         labels, report = optimizer.run(features, cfg)
         rows.append(
             {

@@ -356,10 +356,6 @@ class NearList:
         """Keep the candidates first, second found on coords."""
         self.base, self.first, self.second = coords, first, second
 
-    def clear(self) -> None:
-        """Drop the candidates: they hold nowhere until the next build."""
-        self.base = None
-
 
 def stacked_pairs(found: list[tuple[np.ndarray, np.ndarray]]) -> tuple[np.ndarray, np.ndarray]:
     """The index pairs of the parts found, one after another."""

@@ -20,18 +20,16 @@ loop's first step, and any step whose check fails or cannot decide, runs
 Qhull. A loop over the whole scene takes the reference graph as its first
 step's graph: the same layout, live slots and t_d.
 
-A step also carries the broad phase of its three box-tested queries (the
-label-pair scan, the label-symbol scan and the prune's edge-rect test):
-each keeps in a `NearList` the pairs its box test passed at a limit
-widened by twice the skin (once for the fixed symbols), and tests only
-those while no coordinate has moved more than the skin since; then the box
-test runs again. The skin is _SKIN_STEPS step caps. A Qhull build starts
-its loop's prune list again, and a loop without triangles, which Qhull
-builds on every step, carries none; a new batch, once a loop exits,
-starts its scan lists again, while each loop keeps its prune list. The
-exact tests, and the edge lengths against t_d, run on every step as
-before, and the candidates hold every pair they can pass, so every
-decision is the same.
+A step also carries the broad phase of its two conflict scans (the
+label-pair scan and the label-symbol scan): each keeps in a `NearList`
+the pairs its box test passed at a limit widened by twice the skin (once
+for the fixed symbols), and tests only those while no coordinate has
+moved more than the skin since; then the box test runs again. The skin is
+_SKIN_STEPS step caps. A new batch, once a loop exits, starts both lists
+again. The exact tests run on every step as before, and the candidates
+hold every pair they can pass, so every decision is the same. The prune
+carries nothing: one blocked pass of `prune_graph` box-tests every loop's
+short edges against the live rects of their loop on every step.
 
 `run` builds the labels and reads them once into arrays: the (n, 4) rects,
 the (n, 2) connection points and one `SceneArrays` for the anchors, the live
@@ -98,17 +96,12 @@ from .scene import (
 MIN_ITERATION_CAP = 20
 MAX_ITERATION_CAP = 100
 
-# The skin of the candidate lists a loop carries from step to step
+# The skin of the scan candidate lists a batch carries from step to step
 # (`NearList`), in step caps (`BeamParams.max_step`): a list holds for at
 # least this many steps after its build. Of 2, 4 and 8, 2 ran both
 # workloads slowest, and 4 and 8 ran within noise of each other; 4 keeps
 # the lists half as long.
 _SKIN_STEPS = 4
-
-
-def _skin(cfg: LayoutConfig) -> float:
-    """The skin of a loop's candidate lists, in mm."""
-    return _SKIN_STEPS * cfg.resolved_beam().max_step
 
 
 def effective_max_iterations(n_labels: int, override: int | None = None) -> int:
@@ -280,8 +273,6 @@ class _Group:
     slots: np.ndarray
     t_d: float | None
     t_s: int
-    # The prune's candidates for the edges of triangles (`prune_graph`).
-    near: NearList
     # The previous step's Delaunay triangles, in run slots, or None; and
     # until the first step, the graph handed in for it, or None.
     triangles: Triangulation | None = None
@@ -318,8 +309,7 @@ def _group(
     if t_d is None and cfg.graph_kind is GraphKind.DT:
         t_d = pruning_distance(features, cfg)
     t_s = effective_max_iterations(len(live), cfg.t_s_override) if len(live) else 0
-    near = NearList(_skin(cfg))
-    return _Group(index, rows, live, rows[live], t_d, t_s, near, first_graph=first_graph)
+    return _Group(index, rows, live, rows[live], t_d, t_s, first_graph=first_graph)
 
 
 @dataclass(frozen=True, slots=True)
@@ -372,7 +362,7 @@ class _Batch:
             symbols=arrays.symbols[symbols],
         )
         self.frames = frames_of([g.rows for g in groups], len(scene.gid))
-        skin = _skin(scene.cfg)
+        skin = _SKIN_STEPS * scene.cfg.resolved_beam().max_step
         self.near = NearList(skin), NearList(skin)
 
     def conflict_pairs(self, rects: np.ndarray, d_min: float) -> ConflictPairs:
@@ -432,22 +422,17 @@ def _build_graphs(
         xy[g.rows] = graph.positions
         tri = graph.triangulation
         g.triangles = None if tri is None else tri.renumbered(g.rows)
-        g.near.clear()
-    # A group without triangles builds its edges again on every step, so
-    # it carries no prune list.
-    near = [None if g.triangles is None else g.near for g, _ in raw]
     if len(raw) == 1:
         # One group's edges need no joining, and its prune one t_d.
         (g, edges), = raw
-        graph = ProximityGraph(xy, edges)
-        built.append(prune_graph(graph, rects, g.slots, g.t_d, near=near).edges)
+        built.append(prune_graph(ProximityGraph(xy, edges), rects, g.slots, g.t_d).edges)
     elif raw:
         sizes, counts = [len(g.slots) for g, _ in raw], [len(e) for _, e in raw]
         graph = ProximityGraph(xy, np.concatenate([e for _, e in raw]))
         t_d = np.repeat([g.t_d for g, _ in raw], counts)
         live = np.concatenate([g.slots for g, _ in raw])
         starts, edge_starts = np.cumsum([0] + sizes[:-1]), np.cumsum([0] + counts[:-1])
-        built.append(prune_graph(graph, rects, live, t_d, starts, edge_starts, near).edges)
+        built.append(prune_graph(graph, rects, live, t_d, starts, edge_starts).edges)
     return xy, built[0] if len(built) == 1 else np.concatenate(built)
 
 

@@ -34,14 +34,12 @@ from scipy.spatial import Delaunay, QhullError
 
 from .geometry import (
     HYPOT_RTOL,
-    NearList,
-    carried_candidates,
     group_blocks,
     rect_centers,
     rect_gaps,
     row_blocks,
+    same_group,
     segments_cross_interiors,
-    stacked_pairs,
 )
 
 # Deterministic nudge applied to duplicate centers so triangulation stays
@@ -288,33 +286,6 @@ def delaunay_graph(rects: np.ndarray, live: np.ndarray) -> ProximityGraph:
     return ProximityGraph(xy, edges, triangulation)
 
 
-def _blocking_candidates(
-    edges: np.ndarray,
-    lo: np.ndarray,
-    hi: np.ndarray,
-    boxes: np.ndarray,
-    others: np.ndarray,
-    widen: float,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Rows (k, c) of the edges of one group and of its boxes, at slots
-    others, whose closed boxes meet the edge's bounding box [lo, hi] grown
-    by widen on every side, leaving out the edge's own two ends; row-major,
-    in the row blocks of `row_blocks`."""
-    found = []
-    for rows in row_blocks(len(edges), len(boxes)):
-        hit = (
-            (boxes[:, 0] <= hi[rows, 0:1] + widen)
-            & (boxes[:, 2] >= lo[rows, 0:1] - widen)
-            & (boxes[:, 1] <= hi[rows, 1:2] + widen)
-            & (boxes[:, 3] >= lo[rows, 1:2] - widen)
-            & (others != edges[rows, 0:1])
-            & (others != edges[rows, 1:2])
-        )
-        k, c = np.nonzero(hit)
-        found.append((k + rows.start, c))
-    return stacked_pairs(found)
-
-
 def prune_graph(
     graph: ProximityGraph,
     rects: np.ndarray,
@@ -322,7 +293,6 @@ def prune_graph(
     t_d: float | np.ndarray,
     starts: np.ndarray | None = None,
     edge_starts: np.ndarray | None = None,
-    near: Sequence[NearList | None] | None = None,
 ) -> ProximityGraph:
     """Drop edges longer than t_d and edges blocked by a third label.
 
@@ -334,18 +304,12 @@ def prune_graph(
     another, group k's from starts[k] and edge_starts[k] on, and only a
     rect of an edge's own group can block it; None is one group.
 
-    The lengths, a closed bounding-box test of every edge against every
-    live rect of its group (`_blocking_candidates`), and the segment test
-    of each box hit of a short edge (`segments_cross_interiors`) run as
-    array operations; `math.hypot` decides each length within HYPOT_RTOL
-    of t_d. With near, one `NearList` (or None) per group that the caller
-    carries for the group's edges, over the group's rows of rects[live]
-    and of the positions of live, the box test runs with every side grown
-    by 2·skin, and only for a group whose list no longer holds: a rect and
-    an edge's box each move by at most the largest move. It then covers
-    only the edges within 3·skin of t_d, since an edge's length moves by
-    at most 2·sqrt(2) times the largest move. The closed box test runs
-    again, ungrown, on the candidates of the short edges.
+    The lengths, a closed bounding-box test of every short edge against
+    every live rect of its group, in one pass over the blocks of
+    `group_blocks` (`same_group` drops the hits across groups in a mixed
+    block), and the segment test of each box hit
+    (`segments_cross_interiors`) run as array operations; `math.hypot`
+    decides each length within HYPOT_RTOL of t_d.
     """
     edges = graph.edges
     if not len(live) or not len(edges):
@@ -358,44 +322,29 @@ def prune_graph(
     short = length <= t_d
     for k in np.flatnonzero(np.abs(length - t_d) <= HYPOT_RTOL * t_d).tolist():
         short[k] = not math.hypot(dx[k], dy[k]) > (t_d[k] if np.ndim(t_d) else t_d)
+    cand = np.flatnonzero(short)
+    cand_starts = None if edge_starts is None else np.searchsorted(cand, edge_starts)
     lo, hi = np.minimum(p, q), np.maximum(p, q)
-    limit = np.broadcast_to(t_d, length.shape)
-    if starts is None:
-        starts, edge_starts = _ONE_GROUP, _ONE_GROUP
-    coords = np.hstack((boxes, xy[live]))
-
-    def find(extra: float, e0: int, e1: int, r0: int, r1: int) -> tuple[np.ndarray, np.ndarray]:
-        # Group rows e0:e1 of the edges and r0:r1 of live. An edge's length
-        # moves by at most 2·sqrt(2) times the largest move, less than 1.5
-        # times extra (2·skin), so only an edge this close to t_d can turn
-        # short while the list holds.
-        sel = e0 + np.flatnonzero(short[e0:e1] | (length[e0:e1] <= limit[e0:e1] + 1.5 * extra))
-        k, c = _blocking_candidates(edges[sel], lo[sel], hi[sel], boxes[r0:r1], live[r0:r1], extra)
-        return sel[k] - e0, c
-
-    bounds = zip(
-        starts.tolist(), starts[1:].tolist() + [len(live)],
-        edge_starts.tolist(), edge_starts[1:].tolist() + [len(edges)],
-    )
-    found = []
-    for g, (r0, r1, e0, e1) in enumerate(bounds):
-        k, c = carried_candidates(
-            None if near is None else near[g],
-            coords[r0:r1],
-            lambda extra: find(extra, e0, e1, r0, r1),
-            2.0,
-        )
-        found.append((k + e0, c + r0))
-    k, c = stacked_pairs(found)
-    b, kh, kl = boxes[c], hi[k], lo[k]
-    hit = (
-        short[k]
-        & (b[:, 0] <= kh[:, 0]) & (b[:, 2] >= kl[:, 0])
-        & (b[:, 1] <= kh[:, 1]) & (b[:, 3] >= kl[:, 1])
-    )
-    k, b = k[hit], b[hit]
     blocked = np.zeros(len(edges), dtype=bool)
-    blocked[k[segments_cross_interiors(p[k], q[k], b)]] = True
+    for rows, cols, mixed in group_blocks(cand_starts, len(cand), starts, len(live)):
+        ks, b, others = cand[rows], boxes[cols], live[cols]
+        hit = (
+            (b[:, 0] <= hi[ks, 0:1])
+            & (b[:, 2] >= lo[ks, 0:1])
+            & (b[:, 1] <= hi[ks, 1:2])
+            & (b[:, 3] >= lo[ks, 1:2])
+            & (others != edges[ks, 0:1])
+            & (others != edges[ks, 1:2])
+        )
+        if mixed:
+            hit &= same_group(
+                cand_starts, np.arange(rows.start, rows.stop)[:, None],
+                starts, np.arange(cols.start, cols.stop),
+            )
+        r, c = np.nonzero(hit)
+        if len(r):
+            k = ks[r]
+            blocked[k[segments_cross_interiors(p[k], q[k], b[c])]] = True
     return ProximityGraph(xy, edges[short & ~blocked], graph.triangulation)
 
 

@@ -247,19 +247,23 @@ def generate_synthetic(
     Profiles: "uniform" scatters anchors evenly, "clustered" draws them
     around a handful of cluster centers. Depths are log-uniform in [50, 500]
     so font sizes span the configured range; texts are 4 to 14 characters
-    from the ASCII or CJK pool. Anchors keep a margin below the top edge so
-    upward leaders have headroom.
+    from the ASCII or CJK pool. Anchors keep 4 mm from the sides and bottom
+    and 22 mm from the top, for upward leaders; a screen that is not finite
+    or leaves them no room raises ValueError.
     """
+    width, height = screen
+    margin = 4.0
+    top_margin = 22.0
     if n < 1:
         raise ValueError("n must be at least 1")
     if profile not in ("uniform", "clustered"):
         raise ValueError(f"unknown profile {profile!r}")
     if charset not in ("ascii", "cjk"):
         raise ValueError(f"unknown charset {charset!r}")
+    # Written so that a NaN side fails too.
+    if not (2.0 * margin < width < math.inf and margin + top_margin < height < math.inf):
+        raise ValueError(f"screen {width} x {height} mm leaves no room inside the anchor margins")
     rng = random.Random(seed)
-    width, height = screen
-    margin = 4.0
-    top_margin = 22.0
     pool = _ASCII_POOL if charset == "ascii" else _CJK_POOL
 
     if profile == "clustered":

@@ -286,6 +286,19 @@ class TestGen:
         data = json.loads(out)
         assert any(ord(c) > 0x3000 for f in data["features"] for c in f["text"])
 
+    @pytest.mark.parametrize(
+        "side, value", [(s, v) for s in ("--width-mm", "--height-mm") for v in ("nan", "inf", "0", "-3")]
+        + [("--width-mm", "8"), ("--height-mm", "26")],
+    )
+    def test_gen_bad_screen_usage_error(self, capsys, tmp_path, side, value):
+        # A screen that is not finite, or leaves no room inside the
+        # generator's 4 mm side and 22 mm top margins, and no scene file.
+        out = tmp_path / "scene.json"
+        code, _, err = run_cli(capsys, "gen", "--n", "5", side, value, "--out", str(out))
+        assert code == 1
+        assert "screen" in err and "Traceback" not in err
+        assert not out.exists()
+
 
 class TestEval:
     def test_eval_placement(self, capsys, scene_path, tmp_path):
@@ -367,3 +380,13 @@ class TestBench:
     def test_bench_bad_sizes_usage_error(self, capsys):
         code, _, _ = run_cli(capsys, "bench", "--sizes", "10,abc")
         assert code == 1
+
+    @pytest.mark.parametrize(
+        "argv", [("--sizes", "0"), ("--sizes", "-2"), ("--sizes", "10,0"), ("--width-mm", "nan")]
+    )
+    def test_bench_size_below_one_or_bad_screen_usage_error(self, capsys, argv):
+        code, out, err = run_cli(capsys, "bench", *argv)
+        assert code == 1
+        assert "Traceback" not in err
+        # Checked before the first run: no row is printed.
+        assert out == ""

@@ -15,13 +15,11 @@ from leaderlabels.geometry import (
     group_blocks,
     interiors_overlap,
     point_rect_signed_clearance,
-    rect_centers,
     rect_distance,
     same_group,
     segments_cross_interiors,
     unit_from_degrees,
 )
-from leaderlabels.proximity import ProximityGraph, prune_graph
 
 from conftest import (
     AxisGaps,
@@ -272,9 +270,8 @@ def _ulps(x: float, k: int) -> float:
 
 @st.composite
 def carried_layouts(draw):
-    """d_min, a skin, t_d, (n, 4) rects, (m, 3) symbols and (e, 2) edges
-    between rect centres, and (n, 4) per-coordinate moves. Each rect after the
-    first, and each symbol, lies off a side of an earlier rect at a gap on
+    """d_min, a skin, (n, 4) rects, (m, 3) symbols and (n, 4) per-coordinate
+    moves. Each rect after the first, and each symbol, lies off a side of an earlier rect at a gap on
     or a few floats off the exact limit d_min or one of its widened limits
     (d_min plus one or two skins); each move is up to a skin, often on or a
     few floats off skin - _BROAD_PHASE_SLACK or skin itself."""
@@ -308,9 +305,6 @@ def carried_layouts(draw):
         centre[1 - axis] = draw(st.floats(r[1 - axis] - 5.0, r[3 - axis] + 5.0))
         symbols.append((centre[0], centre[1], radius))
     n = len(rects)
-    ends = st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)).filter(lambda e: e[0] != e[1])
-    edges = sorted({(min(e), max(e)) for e in draw(st.lists(ends, min_size=1, max_size=8))})
-    t_d = draw(st.sampled_from([1e6]) | st.floats(1.0, 40.0))
     reach = draw(st.sampled_from([skin - geometry._BROAD_PHASE_SLACK, skin]))
     edge_moves = st.sampled_from([reach, -reach]).flatmap(
         lambda v: st.integers(-4, 4).map(lambda k: _ulps(v, k))
@@ -319,10 +313,8 @@ def carried_layouts(draw):
     return (
         d_min,
         skin,
-        t_d,
         np.array(rects),
         np.array(symbols).reshape(-1, 3),
-        np.array(edges, dtype=np.int64).reshape(-1, 2),
         np.array(moves).reshape(n, 4),
     )
 
@@ -330,25 +322,22 @@ def carried_layouts(draw):
 class TestNearList:
     """Candidates a `NearList` keeps from a box test widened by the moves
     it allows hold every pair the exact test passes after those moves: the
-    label pairs (widened by 2·skin), the symbol hits (skin) and the
-    blocking edge-rect hits of the prune (2·skin). So a scan or prune on
-    the carried candidates returns what a fresh one returns."""
+    label pairs (widened by 2·skin) and the symbol hits (skin). So a scan
+    on the carried candidates returns what a fresh one returns."""
 
     @settings(max_examples=300, deadline=None)
     @given(carried_layouts())
     def test_candidates_hold_every_pair_after_moves_within_the_skin(self, layout):
-        d_min, skin, t_d, rects, symbols, edges, moves = layout
+        d_min, skin, rects, symbols, moves = layout
         n, m = len(rects), len(symbols)
         live = np.arange(n)
         arrays = SceneArrays(
             live, np.full((n, 2), math.nan), np.full(n, -1), np.arange(m), np.arange(m), symbols
         )
-        labels, hits, blocks = NearList(skin), NearList(skin), NearList(skin)
+        labels, hits = NearList(skin), NearList(skin)
         conflicting_label_pairs(rects, live, d_min, near=labels)
         conflicting_feature_pairs(rects, arrays, d_min, near=hits)
-        prune_graph(ProximityGraph(rect_centers(rects), edges), rects, live, t_d, near=[blocks])
         moved = rects + moves
-        xy = rect_centers(moved)
 
         if labels.holds(moved):
             want = conflicting_label_pairs(moved, live, d_min)
@@ -358,20 +347,6 @@ class TestNearList:
             want = conflicting_feature_pairs(moved, arrays, d_min)
             assert set(want) <= set(zip(hits.first.tolist(), hits.second.tolist()))
             assert conflicting_feature_pairs(moved, arrays, d_min, near=hits) == want
-        if blocks.holds(np.hstack((moved, xy))):
-            k, c = (a.ravel() for a in np.meshgrid(np.arange(len(edges)), live, indexing="ij"))
-            keep = (c != edges[k, 0]) & (c != edges[k, 1])
-            k, c = k[keep], c[keep]
-            p, q, b = xy[edges[k, 0]], xy[edges[k, 1]], moved[c]
-            lo, hi = np.minimum(p, q), np.maximum(p, q)
-            box = (b[:, 0:2] <= hi).all(axis=1) & (b[:, 2:4] >= lo).all(axis=1)
-            length = np.hypot(*(q - p).T)
-            crossing = box & (length <= t_d) & segments_cross_interiors(p, q, b)
-            want = set(zip(k[crossing].tolist(), c[crossing].tolist()))
-            assert want <= set(zip(blocks.first.tolist(), blocks.second.tolist()))
-            graph = ProximityGraph(xy, edges)
-            got = prune_graph(graph, moved, live, t_d, near=[blocks]).edges
-            assert np.array_equal(got, prune_graph(graph, moved, live, t_d).edges)
 
     @settings(max_examples=400, deadline=None)
     @given(
@@ -391,9 +366,8 @@ class TestNearList:
     def test_pairs_just_past_the_widened_limits_moved_by_the_skin(
         self, d_min, skin, low, off, pushes, full, share
     ):
-        # Near the origin, where the floats are finest: a label pair, a
-        # label and a symbol, and an edge and a blocker, each the fewest
-        # floats (off) past where its widened box test passes, or past
+        # Near the origin, where the floats are finest: a label pair and a
+        # label and a symbol, each the fewest floats (off) past where its widened box test passes, or past
         # where it would pass widened by a share of 0.75 as much; then
         # moved towards each other by the skin, or by skin minus
         # _BROAD_PHASE_SLACK, and a few floats (pushes).
@@ -431,39 +405,6 @@ class TestNearList:
         if hits.holds(moved):
             want = conflicting_feature_pairs(moved, arrays, d_min)
             assert set(want) <= set(zip(hits.first.tolist(), hits.second.tolist()))
-
-        # An edge along y = ey from x = 0 to 10 over a blocker from x = 4
-        # to 6 whose top lies the fewest floats below the widened box.
-        ends = np.array([(-1.0, low - 1.0, 1.0, low + 1.0), (9.0, low - 1.0, 11.0, low + 1.0)])
-        ey = float(rect_centers(ends)[0, 1])
-        top = _ulps(math.nextafter(ey - 2.0 * skin * share, -math.inf), -off)
-        rects = np.vstack((ends, [(4.0, top - 1.0, 6.0, top)]))
-        edges, live = np.array([(0, 1)]), np.arange(3)
-        blocks = NearList(skin)
-        prune_graph(ProximityGraph(rect_centers(rects), edges), rects, live, 1e6, near=[blocks])
-        moved = rects + np.array([(0.0, -toward, 0.0, -toward)] * 2 + [(0.0, back, 0.0, back)])
-        xy = rect_centers(moved)
-        if blocks.holds(np.hstack((moved, xy))):
-            crosses = segments_cross_interiors(xy[:1], xy[1:2], moved[2:])[0]
-            assert not crosses or (0, 2) in set(zip(blocks.first.tolist(), blocks.second.tolist()))
-
-        # A diagonal edge 2.5·skin (share 1) longer than t_d, over a
-        # blocker at its middle, whose ends move towards each other on
-        # both axes: it shrinks by 2·sqrt(2) moves, turns short and is
-        # blocked.
-        s = 10.0 + 3.0 * skin
-        rects = np.array(
-            [(-0.5, -0.5, 0.5, 0.5), (s - 0.5, s - 0.5, s + 0.5, s + 0.5)]
-            + [(s / 2 - 0.5, s / 2 - 0.5, s / 2 + 0.5, s / 2 + 0.5)]
-        )
-        t_d = math.hypot(s, s) - 2.5 * skin * share
-        blocks = NearList(skin)
-        prune_graph(ProximityGraph(rect_centers(rects), edges), rects, live, t_d, near=[blocks])
-        moved = rects + np.array([(toward,) * 4, (-back,) * 4, (0.0,) * 4])
-        graph = ProximityGraph(rect_centers(moved), edges)
-        if blocks.holds(np.hstack((moved, graph.positions))):
-            got = prune_graph(graph, moved, live, t_d, near=[blocks]).edges
-            assert np.array_equal(got, prune_graph(graph, moved, live, t_d).edges)
 
     def test_nothing_holds_before_the_first_build(self):
         near = NearList(1.0)

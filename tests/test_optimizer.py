@@ -207,21 +207,14 @@ class TestStep:
 
     @pytest.mark.parametrize("name", STEP_SCENES)
     def test_advance_returns_the_new_layouts_pairs_on_every_step(self, monkeypatch, name):
-        # Each step's pairs come from the candidate lists the batch carries,
-        # and its graph from the prune lists each group carries; the oracles
-        # scan and prune every step afresh.
+        # Each step's pairs come from the candidate lists the batch carries;
+        # the oracles scan and prune every step afresh.
         seen = collections.Counter()
         _checked_steps(monkeypatch, seen)
         _checked_carry(monkeypatch, seen)
         _run_step_scene(name)
         # The grid's loop takes 4 steps, fewer than the skin allows.
         assert seen["scan carried"] > 0 and (seen["scan rebuilt"] > 0 or name == "grid")
-        if name in ("grid", "collinear"):
-            # Qhull builds every step's graph: the check refuses the grid's
-            # triangles, and the collinear centres have none.
-            assert seen["prune carried"] == 0
-        else:
-            assert seen["prune carried"] > 0 and seen["prune rebuilt"] > 0
 
     def test_capped_counts_labels_the_step_cap_shortened(self):
         # 4 mm apart, the two 10 mm labels overlap by about 6 mm: each gets
@@ -816,13 +809,11 @@ def _checked_steps(monkeypatch, seen):
     both scans of the moved layout run afresh within the batch's groups,
     and each group's conflict counts must be its share of them. Counts in
     seen the rescans whose candidate lists held ("scan carried") and were
-    built again ("scan rebuilt"), and likewise the prunes of each group
-    ("prune carried", "prune rebuilt")."""
+    built again ("scan rebuilt")."""
     advance = optimizer._advance
 
     def checked(scene, batch, rects, conns, pairs, step_no):
         scan_base = batch.near[0].base
-        prune_bases = [g.near.base for g in batch.groups]
         pairs, stats = advance(scene, batch, rects, conns, pairs, step_no)
         fresh = conflict_pairs(rects, batch.arrays, scene.cfg.d_min, batch.starts, batch.starts)
         assert pairs == fresh
@@ -832,9 +823,6 @@ def _checked_steps(monkeypatch, seen):
             assert st.feature_conflicts == sum(i in mine for i, _ in pairs.features)
         if any(st.max_force > 0.0 for st in stats):
             seen["scan carried" if batch.near[0].base is scan_base else "scan rebuilt"] += 1
-        for g, base, st in zip(batch.groups, prune_bases, stats):
-            if st.graph_edges is not None and g.near.base is not None:
-                seen["prune carried" if g.near.base is base else "prune rebuilt"] += 1
         return pairs, stats
 
     monkeypatch.setattr(optimizer, "_advance", checked)

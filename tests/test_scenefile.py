@@ -1,4 +1,5 @@
 import json
+import math
 
 import pytest
 
@@ -165,6 +166,23 @@ class TestGenerator:
             generate_synthetic(5, 1, profile="weird")
         with pytest.raises(ValueError):
             generate_synthetic(5, 1, charset="latin9")
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, 0.0, -3.0])
+    def test_screen_not_finite_or_not_positive(self, bad):
+        with pytest.raises(ValueError, match="screen"):
+            generate_synthetic(5, 1, (bad, 150.0))
+        with pytest.raises(ValueError, match="screen"):
+            generate_synthetic(5, 1, (250.0, bad))
+
+    @pytest.mark.parametrize("profile", ["uniform", "clustered"])
+    def test_screen_within_the_margins(self, profile):
+        # 4 mm side margins and a 22 mm top margin leave no room at 8 x 26.
+        for screen in [(8.0, 150.0), (250.0, 26.0), (5.0, 20.0)]:
+            with pytest.raises(ValueError, match="screen"):
+                generate_synthetic(5, 1, screen, profile)
+        data = generate_synthetic(20, 1, (8.5, 26.5), profile)
+        features, cfg = parse_scene(data)
+        assert all(4.0 <= f.anchor.x <= 4.5 and 4.0 <= f.anchor.y <= 4.5 for f in features)
 
 
 class TestPlacement:
