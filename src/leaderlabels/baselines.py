@@ -14,9 +14,9 @@ from typing import Sequence
 
 from .forces import scene_arrays
 from .geometry import points_array
-from .optimizer import handle_offscreen_fixed
+from .optimizer import starting_layout
 from .repair import greedy_repair
-from .scene import Label, LayoutConfig, LeaderType, PointFeature, initial_layout, label_rects, placed_labels
+from .scene import Label, LayoutConfig, PointFeature, initial_layout, label_rects, placed_labels
 
 
 def nop(features: Sequence[PointFeature], cfg: LayoutConfig) -> list[Label]:
@@ -34,9 +34,7 @@ def localp(features: Sequence[PointFeature], cfg: LayoutConfig) -> list[Label]:
     metrics to report honestly.
     """
     features = list(features)
-    labels = initial_layout(features, cfg)
-    if cfg.leader.kind is LeaderType.FIXED_DIR_FIXED_CONN:
-        labels = handle_offscreen_fixed(labels, cfg.screen, cfg.leader)
+    labels = starting_layout(features, cfg)
     rects, conns = label_rects(labels), points_array(l.conn for l in labels)
     arrays = scene_arrays(labels, features)
     greedy_repair(rects, conns, arrays, cfg)

@@ -27,7 +27,8 @@ class ZeroLengthEdgeError(ValueError):
 
 
 class SingularSystemError(RuntimeError):
-    """The in-place LAPACK factor of the column-major stiffness matrix failed.
+    """The in-place LAPACK factor of the column-major stiffness matrix
+    failed, or its solution is not finite.
 
     K is positive definite whenever the ground stiffness is, but in floating
     point a beam far stiffer than the ground springs can swamp them. The
@@ -226,6 +227,8 @@ def solve_displacements(
         if info < 0:
             raise ValueError(f"illegal value in argument {-info} of dpotrf")
         solved, _ = lapack.dpotrs(c, f[rows].ravel(), lower=1)
+        if not np.isfinite(solved).all():
+            raise SingularSystemError("the solution of K d = f is not finite")
         d.reshape(n, 3)[rows] = solved.reshape(-1, 3)
 
     translations = d.reshape(n, 3)[:, 0:2].copy()

@@ -2,7 +2,8 @@
 
 Exit codes: 0 success (including infeasible scenes, which are reported in
 the output rather than failed), 1 usage error, 2 scene or placement
-validation error, 3 I/O error.
+validation error (beam parameters whose stiffness system cannot be solved
+among them), 3 I/O error.
 """
 
 from __future__ import annotations
@@ -15,9 +16,10 @@ import time
 import click
 
 from . import baselines, optimizer
+from .beams import SingularSystemError
 from .forces import LabelLargerThanScreenError, conflict_pairs, scene_arrays
 from .metrics import build_report
-from .scene import GraphKind, LayoutConfig, LeaderSpec, LeaderType, initial_layout, label_rects, live_slots
+from .scene import GraphKind, LayoutConfig, LeaderSpec, LeaderType, label_rects, live_slots
 from .scenefile import (
     SceneValidationError,
     generate_synthetic,
@@ -118,7 +120,7 @@ def place(
         place_fn = baselines.localp if method == "localp" else baselines.nop
         labels = place_fn(features, cfg)
         report = {"method": method, "elapsed_s": time.perf_counter() - t0}
-        initial = initial_layout(features, cfg)
+        initial = optimizer.starting_layout(features, cfg)
         graph = optimizer.reference_graph(label_rects(initial), live_slots(initial), features, cfg)
         metrics = build_report(
             initial, labels, features, cfg.d_min, graph, elapsed_s=report["elapsed_s"]
@@ -190,7 +192,7 @@ def eval_cmd(scene: str, placement: str) -> None:
                 f"{placement}.labels[{pos}].feature_id: expected {feature.id!r}, "
                 f"got {label.feature_id!r}"
             )
-    initial = initial_layout(features, cfg)
+    initial = optimizer.starting_layout(features, cfg)
     graph = optimizer.reference_graph(label_rects(initial), live_slots(initial), features, cfg)
     metrics = build_report(initial, labels, features, cfg.d_min, graph)
     payload = metrics.as_dict()
@@ -240,7 +242,7 @@ def main(argv: list[str] | None = None) -> int:
     except click.ClickException as exc:
         exc.show(file=sys.stderr)
         return 1
-    except (SceneValidationError, LabelLargerThanScreenError) as exc:
+    except (SceneValidationError, LabelLargerThanScreenError, SingularSystemError) as exc:
         click.echo(f"validation error: {exc}", err=True)
         return 2
     except OSError as exc:

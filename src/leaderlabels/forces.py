@@ -34,7 +34,6 @@ from .geometry import (
     OverlapError,
     Rect,
     Vec2,
-    carried_candidates,
     group_blocks,
     hypot_below,
     interiors_overlap,
@@ -348,23 +347,20 @@ def _label_candidates(
 
 
 def _symbol_candidates(
-    boxes: np.ndarray,
-    arrays: SceneArrays,
-    limit: float,
-    starts: np.ndarray | None,
-    symbol_starts: np.ndarray | None,
+    boxes: np.ndarray, arrays: SceneArrays, limit: float, starts: np.ndarray | None
 ) -> tuple[np.ndarray, np.ndarray]:
     """Rows (i, k) of the boxes, one per live label of arrays, and of its
     symbols that pass the box test `symbols_near` at limit, within a group
     and leaving out each label's own feature, row-major in the blocks of
-    `group_blocks`."""
+    `group_blocks`. The symbols list each group's from starts[k] on, as
+    the labels do."""
     found = []
-    for rows, cols, mixed in group_blocks(starts, len(boxes), symbol_starts, len(arrays.symbols)):
+    for rows, cols, mixed in group_blocks(starts, len(boxes), starts, len(arrays.symbols)):
         i, k = np.nonzero(symbols_near(boxes[rows], arrays.symbols[cols], limit))
         i, k = i + rows.start, k + cols.start
         keep = arrays.ids[k] != arrays.own[arrays.live[i]]
         if mixed:
-            keep &= same_group(starts, i, symbol_starts, k)
+            keep &= same_group(starts, i, starts, k)
         found.append((i[keep], k[keep]))
     return stacked_pairs(found)
 
@@ -387,14 +383,15 @@ def conflicting_label_pairs(
     The box test `rects_near` runs in the blocks of `group_blocks`, so
     memory stays linear in n and the work grows with the groups' sizes;
     `rect_distance`'s `hypot_below` then decides each pair it passed. With
-    near, the caller's `NearList` over rects[live], the box test runs at
-    d_min + 2·skin, and only when near no longer holds: each pair's axis
+    near, a `NearList` that holds at rects[live] (`conflict_pairs` checks
+    it), only its label candidates are tested; when it has none, the box
+    test finds them on its base at d_min + 2·skin, since each pair's axis
     gaps shrink by at most twice the largest move.
     """
     boxes = rects[live]
-    i, j = carried_candidates(
-        near, boxes, lambda extra: _label_candidates(boxes, d_min + extra, starts), 2.0
-    )
+    if near is not None and near.labels is None:
+        near.labels = _label_candidates(near.base, d_min + 2.0 * near.skin, starts)
+    i, j = _label_candidates(boxes, d_min, starts) if near is None else near.labels
     close = hypot_below(*rect_gaps(boxes[i], boxes[j]), d_min)
     pairs = list(zip(live[i[close]].tolist(), live[j[close]].tolist()))
     pairs.sort()
@@ -406,7 +403,6 @@ def conflicting_feature_pairs(
     arrays: SceneArrays,
     d_min: float,
     starts: np.ndarray | None = None,
-    symbol_starts: np.ndarray | None = None,
     near: NearList | None = None,
 ) -> list[tuple[int, int]]:
     """(label index, feature index) conflicts against foreign feature symbols.
@@ -416,21 +412,17 @@ def conflicting_feature_pairs(
     `symbols_near` runs over the live labels of the (n, 4) rects and the
     symbols of arrays in the blocks of `group_blocks`, and
     `symbol_rows_closer` decides each pair it passed. Pairs come out
-    sorted. With starts and symbol_starts, arrays.live and the symbols list
-    the labels and symbols of several groups, one group after another,
-    group k's from starts[k] and symbol_starts[k] on, and only the pairs of
-    a label and a symbol of one group count; None is one group. With near,
-    the caller's `NearList` over rects[arrays.live], the box test runs at
-    d_min + skin, and only when near no longer holds: the symbols stay put.
+    sorted. With starts, arrays.live and the symbols both list the labels
+    and symbols of several groups, one group after another, group k's from
+    starts[k] on, and only the pairs of a label and a symbol of one group
+    count; None is one group. With near, as for `conflicting_label_pairs`,
+    but its symbol candidates, found at d_min + skin: the symbols stay put.
     """
     live = arrays.live
     boxes = rects[live]
-    i, k = carried_candidates(
-        near,
-        boxes,
-        lambda extra: _symbol_candidates(boxes, arrays, d_min + extra, starts, symbol_starts),
-        1.0,
-    )
+    if near is not None and near.symbols is None:
+        near.symbols = _symbol_candidates(near.base, arrays, d_min + near.skin, starts)
+    i, k = _symbol_candidates(boxes, arrays, d_min, starts) if near is None else near.symbols
     close = symbol_rows_closer(boxes[i], arrays.symbols[k], d_min)
     pairs = list(zip(live[i[close]].tolist(), arrays.index[k[close]].tolist()))
     pairs.sort()
@@ -449,17 +441,19 @@ def conflict_pairs(
     arrays: SceneArrays,
     d_min: float,
     starts: np.ndarray | None = None,
-    symbol_starts: np.ndarray | None = None,
-    near: tuple[NearList, NearList] | None = None,
+    near: NearList | None = None,
 ) -> ConflictPairs:
     """Both conflict scans of the layout at the (n, 4) rects, within the
-    groups that starts and symbol_starts mark (one group when None), with
-    the `NearList`s near carries for the label and the symbol scan, if
-    any."""
-    label_list, symbol_list = near or (None, None)
+    groups that starts marks (one group when None), with the `NearList`
+    near carries over rects[arrays.live], if any: one `holds` decides for
+    both scans, and when it fails, near takes the rects as its new base."""
+    if near is not None:
+        boxes = rects[arrays.live]
+        if not near.holds(boxes):
+            near.rebase(boxes)
     return ConflictPairs(
-        conflicting_label_pairs(rects, arrays.live, d_min, starts, label_list),
-        conflicting_feature_pairs(rects, arrays, d_min, starts, symbol_starts, symbol_list),
+        conflicting_label_pairs(rects, arrays.live, d_min, starts, near),
+        conflicting_feature_pairs(rects, arrays, d_min, starts, near),
     )
 
 

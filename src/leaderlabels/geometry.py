@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Iterable, Iterator
+from typing import Iterable, Iterator
 
 import numpy as np
 
@@ -325,10 +325,11 @@ def symbols_closer(rects: np.ndarray, symbols: np.ndarray, limit: float) -> tupl
 
 @dataclass(slots=True, eq=False)
 class NearList:
-    """The candidates of a box test that a placement loop carries from step
-    to step (a Verlet list): index arrays (first, second) of the pairs the
-    test passed at its limit widened by the moves it allows, on the
-    coordinates base, an array of one row per moving object.
+    """The candidates of the two conflict scans' box tests that a placement
+    loop carries from step to step (a Verlet list), on the rects base, one
+    row per moving label: index arrays (i, j) of the label pairs the test
+    passed at its limit widened by 2·skin, and (i, k) of the label and
+    symbol hits at skin, each None until a scan builds it on base.
 
     A test widened by w·skin, where each pair's coordinates come from w of
     the objects (w = 2 for two moving rects, 1 for a rect and a fixed
@@ -337,13 +338,13 @@ class NearList:
     at most m changes each signed gap by at most w·m. `holds` asks for a
     largest move of skin - _BROAD_PHASE_SLACK at most, so the rounding of
     the moves, of the gaps and of the widened limit cannot break that.
-    Until the first `build`, base is None and nothing holds.
+    Until the first `rebase`, base is None and nothing holds.
     """
 
     skin: float
     base: np.ndarray | None = None
-    first: np.ndarray | None = None
-    second: np.ndarray | None = None
+    labels: tuple[np.ndarray, np.ndarray] | None = None
+    symbols: tuple[np.ndarray, np.ndarray] | None = None
 
     def holds(self, coords: np.ndarray) -> bool:
         """Whether the candidates still cover the pairs at coords, the rows
@@ -352,9 +353,9 @@ class NearList:
             return False
         return float(np.abs(coords - self.base).max(initial=0.0)) + _BROAD_PHASE_SLACK <= self.skin
 
-    def build(self, coords: np.ndarray, first: np.ndarray, second: np.ndarray) -> None:
-        """Keep the candidates first, second found on coords."""
-        self.base, self.first, self.second = coords, first, second
+    def rebase(self, coords: np.ndarray) -> None:
+        """Take coords as base, with no candidates built on it yet."""
+        self.base, self.labels, self.symbols = coords, None, None
 
 
 def stacked_pairs(found: list[tuple[np.ndarray, np.ndarray]]) -> tuple[np.ndarray, np.ndarray]:
@@ -364,23 +365,6 @@ def stacked_pairs(found: list[tuple[np.ndarray, np.ndarray]]) -> tuple[np.ndarra
     empty = [np.zeros(0, dtype=np.intp)]
     first = np.concatenate(empty + [i for i, _ in found])
     return first, np.concatenate(empty + [j for _, j in found])
-
-
-def carried_candidates(
-    near: NearList | None,
-    coords: np.ndarray,
-    find: Callable[[float], tuple[np.ndarray, np.ndarray]],
-    widen: float,
-) -> tuple[np.ndarray, np.ndarray]:
-    """The candidate pairs of a box test: find(extra) runs the test with
-    its limit widened by extra. Without near, that is find(0.0). With near,
-    its candidates, built again by find(widen * skin) on coords when they
-    no longer hold there."""
-    if near is None:
-        return find(0.0)
-    if not near.holds(coords):
-        near.build(coords, *find(widen * near.skin))
-    return near.first, near.second
 
 
 def screen_margins(rects: np.ndarray, screen: Rect, d_min: float) -> tuple[np.ndarray, np.ndarray]:

@@ -21,15 +21,16 @@ Qhull. A loop over the whole scene takes the reference graph as its first
 step's graph: the same layout, live slots and t_d.
 
 A step also carries the broad phase of its two conflict scans (the
-label-pair scan and the label-symbol scan): each keeps in a `NearList`
-the pairs its box test passed at a limit widened by twice the skin (once
-for the fixed symbols), and tests only those while no coordinate has
-moved more than the skin since; then the box test runs again. The skin is
-_SKIN_STEPS step caps. A new batch, once a loop exits, starts both lists
-again. The exact tests run on every step as before, and the candidates
-hold every pair they can pass, so every decision is the same. The prune
-carries nothing: one blocked pass of `prune_graph` box-tests every loop's
-short edges against the live rects of their loop on every step.
+label-pair scan and the label-symbol scan) in one `NearList` per batch:
+the pairs each box test passed at a limit widened by twice the skin (once
+for the fixed symbols), tested alone while no coordinate has moved more
+than the skin since; one check decides for both scans, and then both box
+tests run again. The skin is _SKIN_STEPS step caps. A new batch, once a
+loop exits, starts an empty list and scans its layout once. The exact
+tests run on every step as before, and the candidates hold every pair
+they can pass, so every decision is the same. The prune carries nothing:
+one blocked pass of `prune_graph` box-tests every loop's short edges
+against the live rects of their loop on every step.
 
 `run` builds the labels and reads them once into arrays: the (n, 4) rects,
 the (n, 2) connection points and one `SceneArrays` for the anchors, the live
@@ -96,8 +97,8 @@ from .scene import (
 MIN_ITERATION_CAP = 20
 MAX_ITERATION_CAP = 100
 
-# The skin of the scan candidate lists a batch carries from step to step
-# (`NearList`), in step caps (`BeamParams.max_step`): a list holds for at
+# The skin of the scan candidate list a batch carries from step to step
+# (`NearList`), in step caps (`BeamParams.max_step`): the list holds for at
 # least this many steps after its build. Of 2, 4 and 8, 2 ran both
 # workloads slowest, and 4 and 8 ran within noise of each other; 4 keeps
 # the lists half as long.
@@ -150,6 +151,16 @@ def handle_offscreen_fixed(
         overhang = not lbl.deleted and (min(s) < lo or max(s) > hi)
         out.append(replace(lbl, deleted=True) if overhang else lbl)
     return out
+
+
+def starting_layout(features: Sequence[PointFeature], cfg: LayoutConfig) -> list[Label]:
+    """The layout a placement starts from and its metrics measure against:
+    `initial_layout`, less the labels `handle_offscreen_fixed` deletes
+    under the fully fixed leader."""
+    labels = initial_layout(list(features), cfg)
+    if cfg.leader.kind is LeaderType.FIXED_DIR_FIXED_CONN:
+        labels = handle_offscreen_fixed(labels, cfg.screen, cfg.leader)
+    return labels
 
 
 @dataclass(frozen=True, slots=True)
@@ -331,19 +342,16 @@ class _Batch:
 
     order lists the groups' live slots one group after another, group k's
     from starts[k] on, each group's rising, and group gives the group of
-    each; live is the same slots rising, and anchors their anchors. arrays
-    is the run's `SceneArrays` over the slots in order and over their own
-    features' symbols in the same order (slot k holds feature k's label,
-    so the symbols are the live slots' features), so that the scans pair
-    only the labels and symbols of one group. frames lays out the groups'
-    beam networks, one per group over its frame rows, for the solve. near
-    holds the label and the symbol scan's candidate lists, over the slots
-    in order, so a new batch starts them empty.
+    each; anchors are their anchors. arrays is the run's `SceneArrays` over
+    the slots in order and over their own features' symbols in the same
+    order (slot k holds feature k's label, so the symbols are the live
+    slots' features), so that the scans pair only the labels and symbols
+    of one group. frames lays out the groups' beam networks, one per group
+    over its frame rows, for the solve. near holds both scans' candidates,
+    over the slots in order, so a new batch starts it empty.
     """
 
-    __slots__ = (
-        "groups", "order", "starts", "group", "live", "anchors", "arrays", "frames", "near"
-    )
+    __slots__ = ("groups", "order", "starts", "group", "anchors", "arrays", "frames", "near")
 
     def __init__(self, scene: _Scene, groups: list[_Group]):
         self.groups = groups
@@ -351,9 +359,8 @@ class _Batch:
         sizes = [len(g.slots) for g in groups]
         self.starts = np.cumsum([0] + sizes[:-1])
         self.group = np.repeat(np.arange(len(groups)), sizes)
-        self.live = np.sort(self.order)
         arrays = scene.arrays
-        self.anchors = arrays.anchors[self.live]
+        self.anchors = arrays.anchors[self.order]
         symbols = np.searchsorted(arrays.index, self.order)
         self.arrays = arrays._replace(
             live=self.order,
@@ -362,12 +369,11 @@ class _Batch:
             symbols=arrays.symbols[symbols],
         )
         self.frames = frames_of([g.rows for g in groups], len(scene.gid))
-        skin = _SKIN_STEPS * scene.cfg.resolved_beam().max_step
-        self.near = NearList(skin), NearList(skin)
+        self.near = NearList(_SKIN_STEPS * scene.beam.max_step)
 
     def conflict_pairs(self, rects: np.ndarray, d_min: float) -> ConflictPairs:
         """Both conflict scans of the groups' labels, each group's alone."""
-        return conflict_pairs(rects, self.arrays, d_min, self.starts, self.starts, self.near)
+        return conflict_pairs(rects, self.arrays, d_min, self.starts, self.near)
 
 
 def _carried_still_delaunay(carried: list[_Group], xy: np.ndarray) -> np.ndarray:
@@ -467,7 +473,7 @@ def _advance(
     first step, builds no graph. Its largest force is 0.0, so its loop
     ends with this step. A step in which no group moves rescans nothing.
     """
-    cfg, groups, live = scene.cfg, batch.groups, batch.live
+    cfg, groups, order = scene.cfg, batch.groups, batch.order
     assignment = assemble_forces(
         scene.features, cfg, pairs, rects, batch.arrays, scene.gid, scene.n_groups
     )
@@ -501,10 +507,10 @@ def _advance(
 
     if translations is None:
         translations = np.zeros_like(totals)
-    d = project_for_leader_type(translations[live], cfg.leader)
-    boxes = rects[live] + d[:, [0, 1, 0, 1]]
-    rects[live] = boxes
-    conns[live] = connection_points(boxes, batch.anchors, cfg.leader, conns[live] + d)
+    d = project_for_leader_type(translations[order], cfg.leader)
+    boxes = rects[order] + d[:, [0, 1, 0, 1]]
+    rects[order] = boxes
+    conns[order] = connection_points(boxes, batch.anchors, cfg.leader, conns[order] + d)
 
     if solved:
         # A group that did not move keeps its pairs, which the rescan
@@ -548,17 +554,10 @@ def _run_loops(
     and returns each group's record."""
     t_f = scene.cfg.force_threshold
     active = [g for g in groups if len(g.slots)]
-    step_no, pairs = 0, None
+    step_no = 0
     while active:
         batch = _Batch(scene, active)
-        if pairs is None:
-            pairs = batch.conflict_pairs(rects, scene.cfg.d_min)
-        else:
-            going = np.zeros(scene.n_groups, dtype=bool)
-            going[[g.index for g in active]] = True
-            pairs = ConflictPairs(
-                *([p for p in found if going[scene.gid[p[0]]]] for found in pairs)
-            )
+        pairs = batch.conflict_pairs(rects, scene.cfg.d_min)
         while len(active) == len(batch.groups):
             step_no += 1
             pairs, stats = _advance(scene, batch, rects, conns, pairs, step_no)
@@ -588,10 +587,7 @@ def run(
     features = list(features)
     if len({f.id for f in features}) < len(features):
         raise ValueError("feature ids must be unique")
-    labels = initial_layout(features, cfg)
-    if cfg.leader.kind is LeaderType.FIXED_DIR_FIXED_CONN:
-        labels = handle_offscreen_fixed(labels, cfg.screen, cfg.leader)
-
+    labels = starting_layout(features, cfg)
     rects, conns = label_rects(labels), points_array(l.conn for l in labels)
     arrays = scene_arrays(labels, features)
     initial_rects = rects.copy()

@@ -168,6 +168,11 @@ class LayoutConfig:
             raise ValueError("t_num must be at least 1")
         if self.padding < 0:
             raise ValueError("padding must be non-negative")
+        # With more padding than this no label fits inside the screen with
+        # d_min to spare, and a padding near the float range overflows.
+        room = min(self.screen.width, self.screen.height) - 2.0 * self.d_min
+        if self.padding > 0 and 2.0 * self.padding > room:
+            raise ValueError("padding leaves no room for a label inside the screen")
 
     @property
     def force_threshold(self) -> float:

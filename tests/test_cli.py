@@ -1,11 +1,12 @@
+import dataclasses
 import json
 
 import pytest
 
 from leaderlabels.cli import main
 from leaderlabels.metrics import build_report
-from leaderlabels.optimizer import reference_graph
-from leaderlabels.scene import initial_layout, label_rects, live_slots
+from leaderlabels.optimizer import reference_graph, starting_layout
+from leaderlabels.scene import LeaderType, label_rects, live_slots
 from leaderlabels.scenefile import generate_synthetic, load_placement, load_scene, save_scene
 
 from test_golden import _duplicated_scene
@@ -15,6 +16,19 @@ from test_golden import _duplicated_scene
 def scene_path(tmp_path):
     path = tmp_path / "scene.json"
     path.write_text(json.dumps(generate_synthetic(12, 3, (150.0, 100.0))), encoding="utf-8")
+    return str(path)
+
+
+@pytest.fixture
+def deleting_scene_path(tmp_path):
+    # Features 0 and 1 sit by the left and right screen edges with long
+    # texts, so under leader type 1 their labels overhang across the
+    # vertical leader and are deleted.
+    data = generate_synthetic(40, 1, (250.0, 150.0))
+    for feature, x in zip(data["features"], (4.0, 246.0)):
+        feature.update(x_mm=x, text="ABCDEFGHIJKLMN")
+    path = tmp_path / "deleting.json"
+    path.write_text(json.dumps(data), encoding="utf-8")
     return str(path)
 
 
@@ -77,6 +91,32 @@ class TestExitCodes:
         code, out, err = run_cli(capsys, "place", str(scene))
         assert code == 2
         assert err.startswith("validation error:")
+        assert out == ""
+
+    @pytest.mark.parametrize(
+        "section, key, value",
+        [
+            (None, "padding_mm", 1e308),
+            ("beam", "ground_stiffness", 1e-320),
+            ("beam", "elastic_modulus", 1e308),
+        ],
+    )
+    def test_unusable_config_is_validation_error(self, capsys, tmp_path, section, key, value):
+        # Each value is finite and in its own range, but with that padding
+        # no label fits inside the screen, or the stiffness system K d = f
+        # of the first step cannot be factored or has no finite solution
+        # (this scene's first step has forces, so it solves).
+        data = generate_synthetic(40, 1, (250.0, 150.0))
+        if section is None:
+            data["config"][key] = value
+        else:
+            data["config"][section] = {key: value}
+        scene = tmp_path / "unusable.json"
+        scene.write_text(json.dumps(data))
+        code, out, err = run_cli(capsys, "place", str(scene))
+        assert code == 2
+        assert err.startswith("validation error:")
+        assert "Traceback" not in err and "nan" not in err
         assert out == ""
 
     @pytest.mark.parametrize(
@@ -174,19 +214,27 @@ class TestPlace:
         assert len(data["labels"]) == 12
         assert out_svg.read_text().startswith("<?xml")
 
-    @pytest.mark.parametrize("leader_type", [2, 4])
-    def test_beams_metrics_match_recomputation(self, capsys, scene_path, tmp_path, leader_type):
+    @pytest.mark.parametrize("leader_type, scene", [(1, "deleting"), (2, "plain"), (4, "plain")])
+    def test_beams_metrics_match_recomputation(
+        self, capsys, scene_path, deleting_scene_path, tmp_path, leader_type, scene
+    ):
         # The metrics block comes from the run's own report; it must equal
-        # what measuring the written placement against the scene gives.
+        # what measuring the written placement against the scene gives,
+        # from the starting layout `run` makes, by hand and by `eval`.
+        path = deleting_scene_path if scene == "deleting" else scene_path
         out_json = tmp_path / "placement.json"
         code, out, _ = run_cli(
-            capsys, "place", scene_path, "--leader-type", str(leader_type),
+            capsys, "place", path, "--leader-type", str(leader_type),
             "--out-json", str(out_json), "--metrics",
         )
         assert code == 0
         payload = json.loads(out)
-        features, cfg = load_scene(scene_path)
-        initial = initial_layout(features, cfg)
+        assert (payload["deleted_count"] > 0) == (scene == "deleting")
+        features, cfg = load_scene(path)
+        cfg = dataclasses.replace(
+            cfg, leader=dataclasses.replace(cfg.leader, kind=LeaderType(leader_type))
+        )
+        initial = starting_layout(features, cfg)
         expected = build_report(
             initial, load_placement(str(out_json)), features, cfg.d_min,
             reference_graph(label_rects(initial), live_slots(initial), features, cfg),
@@ -194,6 +242,13 @@ class TestPlace:
         )
         assert payload["metrics"] == expected.as_dict()
         assert payload["infeasible"] == (expected.label_conflicts + expected.feature_conflicts > 0)
+        # eval reads the leader type from the scene file.
+        overridden = tmp_path / "overridden.json"
+        save_scene(features, cfg, str(overridden))
+        code, out, _ = run_cli(capsys, "eval", str(overridden), str(out_json))
+        assert code == 0
+        evaluated = json.loads(out)
+        assert evaluated == {**expected.as_dict(), "elapsed_s": 0.0, "infeasible": payload["infeasible"]}
 
     def test_beams_metrics_block_matches_report(self, capsys, scene_path):
         code, out, _ = run_cli(capsys, "place", scene_path, "--leader-type", "1", "--metrics")

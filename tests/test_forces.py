@@ -928,7 +928,7 @@ class TestGroupedScansAndAssembly:
         every = conflict_pairs(rects, arrays, cfg.d_min)
         grouped, starts = self.grouped(arrays, group)
         with mock.patch.object(geometry, "GROUP_BLOCK_ELEMENTS", block):
-            got = conflict_pairs(rects, grouped, cfg.d_min, starts, starts)
+            got = conflict_pairs(rects, grouped, cfg.d_min, starts)
         assert got.labels == [(i, j) for i, j in every.labels if group[i] == group[j]]
         assert got.features == [(i, k) for i, k in every.features if group[i] == group[k]]
 
@@ -938,7 +938,7 @@ class TestGroupedScansAndAssembly:
         labels, features, cfg, group = scene
         rects, arrays = scene_layout(labels, features)
         grouped, starts = self.grouped(arrays, group)
-        pairs = conflict_pairs(rects, grouped, cfg.d_min, starts, starts)
+        pairs = conflict_pairs(rects, grouped, cfg.d_min, starts)
         whole = assemble_forces(features, cfg, pairs, rects, grouped, group, 4)
         (every,) = assemble_forces(features, cfg, pairs, rects, arrays).group_sources
         assert frozenset().union(*whole.group_sources) == every

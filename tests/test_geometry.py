@@ -6,7 +6,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from leaderlabels import geometry
-from leaderlabels.forces import SceneArrays, conflicting_feature_pairs, conflicting_label_pairs
+from leaderlabels.forces import SceneArrays, conflict_pairs
 from leaderlabels.geometry import (
     NearList,
     OverlapError,
@@ -320,33 +320,36 @@ def carried_layouts(draw):
 
 
 class TestNearList:
-    """Candidates a `NearList` keeps from a box test widened by the moves
-    it allows hold every pair the exact test passes after those moves: the
-    label pairs (widened by 2·skin) and the symbol hits (skin). So a scan
-    on the carried candidates returns what a fresh one returns."""
+    """The candidates a `NearList` keeps from the two scans' box tests,
+    widened by the moves it allows, hold every pair the exact tests pass
+    after those moves: the label pairs (widened by 2·skin) and the symbol
+    hits (skin). One `holds` decides for both scans, so a rescan on the
+    carried candidates returns what a fresh one returns."""
+
+    @staticmethod
+    def candidates(found) -> set:
+        return set(zip(*(part.tolist() for part in found)))
 
     @settings(max_examples=300, deadline=None)
     @given(carried_layouts())
     def test_candidates_hold_every_pair_after_moves_within_the_skin(self, layout):
         d_min, skin, rects, symbols, moves = layout
         n, m = len(rects), len(symbols)
-        live = np.arange(n)
         arrays = SceneArrays(
-            live, np.full((n, 2), math.nan), np.full(n, -1), np.arange(m), np.arange(m), symbols
+            np.arange(n), np.full((n, 2), math.nan), np.full(n, -1), np.arange(m), np.arange(m),
+            symbols,
         )
-        labels, hits = NearList(skin), NearList(skin)
-        conflicting_label_pairs(rects, live, d_min, near=labels)
-        conflicting_feature_pairs(rects, arrays, d_min, near=hits)
+        near = NearList(skin)
+        conflict_pairs(rects, arrays, d_min, near=near)
+        base = near.base
         moved = rects + moves
 
-        if labels.holds(moved):
-            want = conflicting_label_pairs(moved, live, d_min)
-            assert set(want) <= set(zip(labels.first.tolist(), labels.second.tolist()))
-            assert conflicting_label_pairs(moved, live, d_min, near=labels) == want
-        if hits.holds(moved):
-            want = conflicting_feature_pairs(moved, arrays, d_min)
-            assert set(want) <= set(zip(hits.first.tolist(), hits.second.tolist()))
-            assert conflicting_feature_pairs(moved, arrays, d_min, near=hits) == want
+        if near.holds(moved):
+            want = conflict_pairs(moved, arrays, d_min)
+            assert set(want.labels) <= self.candidates(near.labels)
+            assert set(want.features) <= self.candidates(near.symbols)
+            assert conflict_pairs(moved, arrays, d_min, near=near) == want
+            assert near.base is base
 
     @settings(max_examples=400, deadline=None)
     @given(
@@ -367,10 +370,10 @@ class TestNearList:
         self, d_min, skin, low, off, pushes, full, share
     ):
         # Near the origin, where the floats are finest: a label pair and a
-        # label and a symbol, each the fewest floats (off) past where its widened box test passes, or past
-        # where it would pass widened by a share of 0.75 as much; then
-        # moved towards each other by the skin, or by skin minus
-        # _BROAD_PHASE_SLACK, and a few floats (pushes).
+        # label and a symbol, each the fewest floats (off) past where its
+        # widened box test passes, or past where it would pass widened by a
+        # share of 0.75 as much; then moved towards each other by the skin,
+        # or by skin minus _BROAD_PHASE_SLACK, and a few floats (pushes).
         slack = geometry._BROAD_PHASE_SLACK
         reach = skin if full else skin - slack
         toward, back = (_ulps(reach, k) for k in pushes)
@@ -386,30 +389,26 @@ class TestNearList:
 
         x = least_past(low + 1.0, d_min + 2.0 * skin * share)
         rects = np.array([(low, 0.0, low + 1.0, 1.0), (x, 0.0, x + 1.0, 1.0)])
-        labels, live = NearList(skin), np.arange(2)
-        conflicting_label_pairs(rects, live, d_min, near=labels)
-        moved = rects + [(toward, 0.0, toward, 0.0), (-back, 0.0, -back, 0.0)]
-        if labels.holds(moved):
-            want = conflicting_label_pairs(moved, live, d_min)
-            assert set(want) <= set(zip(labels.first.tolist(), labels.second.tolist()))
-
         radius = 0.5
         px = least_past(low + 1.0, radius + ((d_min + skin * share) + slack))
         arrays = SceneArrays(
-            live[:1], np.full((1, 2), math.nan), np.full(1, -1), np.arange(1), np.arange(1),
+            np.arange(2), np.full((2, 2), math.nan), np.full(2, -1), np.arange(1), np.arange(1),
             np.array([(px, 0.5, radius)]),
         )
-        hits = NearList(skin)
-        conflicting_feature_pairs(rects[:1], arrays, d_min, near=hits)
-        moved = rects[:1] + (toward, 0.0, toward, 0.0)
-        if hits.holds(moved):
-            want = conflicting_feature_pairs(moved, arrays, d_min)
-            assert set(want) <= set(zip(hits.first.tolist(), hits.second.tolist()))
+        near = NearList(skin)
+        conflict_pairs(rects, arrays, d_min, near=near)
+        moved = rects + [(toward, 0.0, toward, 0.0), (-back, 0.0, -back, 0.0)]
+        if near.holds(moved):
+            want = conflict_pairs(moved, arrays, d_min)
+            assert set(want.labels) <= self.candidates(near.labels)
+            assert set(want.features) <= self.candidates(near.symbols)
 
     def test_nothing_holds_before_the_first_build(self):
         near = NearList(1.0)
         assert not near.holds(np.zeros((2, 4)))
-        near.build(np.zeros((2, 4)), np.array([0]), np.array([1]))
+        near.labels = near.symbols = (np.array([0]), np.array([1]))
+        near.rebase(np.zeros((2, 4)))
+        assert near.labels is None and near.symbols is None
         slack = geometry._BROAD_PHASE_SLACK
         assert near.holds(np.full((2, 4), 1.0 - slack))
         assert not near.holds(np.full((2, 4), 1.0 - slack / 2))

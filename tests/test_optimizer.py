@@ -216,6 +216,42 @@ class TestStep:
         # The grid's loop takes 4 steps, fewer than the skin allows.
         assert seen["scan carried"] > 0 and (seen["scan rebuilt"] > 0 or name == "grid")
 
+    # The lockstep scene of STEP_SCENES, and one whose loops that cap at
+    # step 20 leave pairs while two others step on to 27 and 28.
+    @pytest.mark.parametrize("n, t_num", [(76, 20), (120, 30)])
+    def test_a_new_batch_starts_from_the_pairs_of_the_groups_still_stepping(
+        self, monkeypatch, n, t_num
+    ):
+        # A new batch scans its layout once: at every batch change, its
+        # first step's pairs are the previous step's pairs of the groups
+        # still stepping.
+        steps = []
+        advance = optimizer._advance
+
+        def recorded(scene, batch, rects, conns, pairs, step_no):
+            found, stats = advance(scene, batch, rects, conns, pairs, step_no)
+            steps.append((scene, batch, pairs, found))
+            return found, stats
+
+        monkeypatch.setattr(optimizer, "_advance", recorded)
+        features, cfg = synthetic_scene(n, 0)
+        run(features, dataclasses.replace(cfg, t_num=t_num))
+        changes, dropped = 0, 0
+        for (scene, before, _, found), (_, batch, pairs, _) in zip(steps, steps[1:]):
+            if batch is before:
+                continue
+            changes += 1
+            going = {g.index for g in batch.groups}
+            assert going < {g.index for g in before.groups}
+            assert pairs == tuple(
+                [p for p in part if scene.gid[p[0]] in going] for part in found
+            )
+            dropped += sum(map(len, found)) - sum(map(len, pairs))
+        # Five distinct exit steps before the last: at 1, 6, 15, 16 and 17
+        # (n = 76), and at 1, 3, 12, 20 and 27 (n = 120).
+        assert changes == 5
+        assert (dropped > 0) == (n == 120)
+
     def test_capped_counts_labels_the_step_cap_shortened(self):
         # 4 mm apart, the two 10 mm labels overlap by about 6 mm: each gets
         # a push far above the 0.4 mm cap. A third label far away is clear.
@@ -813,16 +849,16 @@ def _checked_steps(monkeypatch, seen):
     advance = optimizer._advance
 
     def checked(scene, batch, rects, conns, pairs, step_no):
-        scan_base = batch.near[0].base
+        scan_base = batch.near.base
         pairs, stats = advance(scene, batch, rects, conns, pairs, step_no)
-        fresh = conflict_pairs(rects, batch.arrays, scene.cfg.d_min, batch.starts, batch.starts)
+        fresh = conflict_pairs(rects, batch.arrays, scene.cfg.d_min, batch.starts)
         assert pairs == fresh
         for g, st in zip(batch.groups, stats):
             mine = set(g.slots.tolist())
             assert st.label_conflicts == sum(i in mine for i, _ in pairs.labels)
             assert st.feature_conflicts == sum(i in mine for i, _ in pairs.features)
         if any(st.max_force > 0.0 for st in stats):
-            seen["scan carried" if batch.near[0].base is scan_base else "scan rebuilt"] += 1
+            seen["scan carried" if batch.near.base is scan_base else "scan rebuilt"] += 1
         return pairs, stats
 
     monkeypatch.setattr(optimizer, "_advance", checked)

@@ -1,3 +1,4 @@
+import math
 import random
 
 import numpy as np
@@ -150,6 +151,17 @@ class TestInitialLayout:
     def test_empty_features_rejected(self):
         with pytest.raises(ValueError):
             initial_layout([], make_cfg())
+
+    def test_padding_that_leaves_no_room_rejected(self):
+        # On a 100 mm high screen at d_min 0.2 mm, 2 * padding may reach
+        # 99.6 mm; beyond it no label fits.
+        screen = Rect(0, 0, 200, 100)
+        make_cfg(screen=screen, padding=49.8)
+        for padding in (math.nextafter(49.8, math.inf), 1e308):
+            with pytest.raises(ValueError, match="padding leaves no room"):
+                make_cfg(screen=screen, padding=padding)
+        # No padding rejects nothing, however small the screen.
+        make_cfg(screen=Rect(0, 0, 0.3, 0.3), padding=0.0)
 
 
 class TestConnectionPoint:
