@@ -27,13 +27,20 @@ class ZeroLengthEdgeError(ValueError):
 
 
 class SingularSystemError(RuntimeError):
-    """The in-place LAPACK factor of the column-major stiffness matrix
-    failed, or its solution is not finite.
+    """A beam's stiffness coefficients are not finite, the in-place LAPACK
+    factor of the column-major stiffness matrix failed, or its solution is
+    not finite. The message names the beam parameters to change.
 
     K is positive definite whenever the ground stiffness is, but in floating
     point a beam far stiffer than the ground springs can swamp them. The
     solve leaves out beams shorter than MIN_BEAM_LENGTH, which would.
     """
+
+
+# The beam parameters every element coefficient grows with, as a scene
+# file's config names them, and what to change when K is singular.
+_STIFFNESS_FIELDS = "beam.elastic_modulus, beam.cross_section or beam.moment_of_inertia"
+_SINGULAR_REMEDY = f"raise beam.ground_stiffness, or lower {_STIFFNESS_FIELDS}"
 
 
 # Beams shorter than this (mm) join labels whose centers coincide, which
@@ -89,6 +96,9 @@ def _local_stiffness_batch(length: np.ndarray, params: BeamParams) -> np.ndarray
     b4 = 4.0 * e * i_m / length
     b2 = 2.0 * e * i_m / length
     table = _table((0.0, ax, b12, b6, b4, b2, -ax, -b12, -b6))
+    # An infinite coefficient would turn the rotation's zeros into NaN.
+    if not np.isfinite(table).all():
+        raise SingularSystemError(f"a beam's stiffness is not finite: lower {_STIFFNESS_FIELDS}")
     return table[:, _LOCAL_PATTERN].reshape(-1, 6, 6)
 
 
@@ -223,12 +233,14 @@ def solve_displacements(
     for rows, k_mat in zip(frames.rows, _stiffness_matrices(frames, edges, blocks, params)):
         c, info = lapack.dpotrf(k_mat, lower=1, clean=0, overwrite_a=1)
         if info > 0:
-            raise SingularSystemError(f"{info}-th leading minor of K is not positive definite")
+            raise SingularSystemError(
+                f"{info}-th leading minor of K is not positive definite: {_SINGULAR_REMEDY}"
+            )
         if info < 0:
             raise ValueError(f"illegal value in argument {-info} of dpotrf")
         solved, _ = lapack.dpotrs(c, f[rows].ravel(), lower=1)
         if not np.isfinite(solved).all():
-            raise SingularSystemError("the solution of K d = f is not finite")
+            raise SingularSystemError(f"the solution of K d = f is not finite: {_SINGULAR_REMEDY}")
         d.reshape(n, 3)[rows] = solved.reshape(-1, 3)
 
     translations = d.reshape(n, 3)[:, 0:2].copy()

@@ -9,16 +9,16 @@ label toward resolving the constraint that produced it.
 Each rule is written once, over (n, 4) rect arrays, and shared by the
 forces, the conflict scans and the repair search: `geometry.rect_gaps`
 (label gap), `geometry.symbol_rows_closer` (symbol clearance),
-`geometry.screen_margins` (screen fit) and `scene.attachment_edge`.
+`geometry.screen_margins` (screen clearance) and `scene.attachment_edge`.
 
 `assemble_forces` splits its work by how many labels a source touches.
 The attachment and screen forces act on every live label: they are a few
 array operations on `rects[live]`. The pair and symbol forces act only on
 the labels in a conflicting pair, about 3 pairs and 1.5 symbol hits a step
 at the paper's sizes: they are functions of plain floats (`_pair_force`,
-`_symbol_gap`, `_escapes`, `_compose`), run on those labels alone, and the
-public `Rect`/`Vec2` rules wrap them. At those counts, pair forces over the
-(m, 2) pair array measured slower: 267 against 220 µs a call.
+`_symbol_gap`, `_escapes`, `_compose`), run on those labels alone. At
+those counts, pair forces over the (m, 2) pair array measured slower: 267
+against 220 µs a call.
 """
 
 from __future__ import annotations
@@ -31,14 +31,9 @@ import numpy as np
 
 from .geometry import (
     NearList,
-    OverlapError,
     Rect,
-    Vec2,
     group_blocks,
     hypot_below,
-    interiors_overlap,
-    points_array,
-    rect_distance,
     rect_gaps,
     rects_near,
     same_group,
@@ -54,7 +49,6 @@ from .scene import (
     LeaderType,
     PointFeature,
     attachment_edge,
-    label_rects,
     live_slots,
 )
 
@@ -68,14 +62,6 @@ MAX_COMPOSED_FEATURES = 8
 # the gap a hair under d_min; with it they land strictly clear and the
 # force vanishes, giving the iteration a stable fixed point.
 RESOLVE_TARGET_FACTOR = 1.25
-
-
-class NotInConflictError(ValueError):
-    """The gate condition for this force does not hold."""
-
-
-class NotOverlappingError(ValueError):
-    """overlap_force requires intersecting interiors."""
 
 
 class LabelLargerThanScreenError(ValueError):
@@ -185,51 +171,6 @@ def _compose(sets) -> tuple[float, float]:
     raise ValueError("a candidate set is empty")
 
 
-def _row(r: Rect) -> tuple[float, float, float, float]:
-    return r.x_min, r.y_min, r.x_max, r.y_max
-
-
-def separation_force(a: Rect, b: Rect, d_min: float) -> tuple[Vec2, Vec2]:
-    """Push two disjoint-but-too-close rectangles apart (`_separation`).
-    Raises NotInConflictError when the gap is already at least d_min,
-    OverlapError when interiors intersect (overlap_force handles that)."""
-    if interiors_overlap(a, b):
-        raise OverlapError("rect interiors intersect; use overlap_force")
-    gap = rect_distance(a, b)
-    if gap >= d_min:
-        raise NotInConflictError(f"gap {gap} is not below d_min {d_min}")
-    fx, fy = _separation(_row(a), _row(b), d_min)
-    return Vec2(fx, fy), Vec2(-fx, -fy)
-
-
-def overlap_force(a: Rect, b: Rect, d_min: float) -> tuple[Vec2, Vec2]:
-    """Separate two overlapping rectangles along the cheapest axis
-    direction (`_overlap`). Raises NotOverlappingError for disjoint ones."""
-    if not interiors_overlap(a, b):
-        raise NotOverlappingError("rect interiors are disjoint")
-    fx, fy = _overlap(_row(a), _row(b), d_min)
-    return Vec2(fx, fy), Vec2(-fx, -fy)
-
-
-def point_repulsion_candidates(rect: Rect, center: Vec2, radius: float, d_min: float) -> list[Vec2]:
-    """Four axis-direction escapes from a conflicting feature symbol
-    (`_escapes`), all positive whenever the gate (disk within d_min of the
-    rect, or overlapping) holds. Raises NotInConflictError when not."""
-    clearance = _symbol_gap(_row(rect), center.x, center.y, radius)
-    if clearance >= d_min:
-        raise NotInConflictError(f"symbol clearance {clearance} is not below d_min {d_min}")
-    return [Vec2(x, y) for x, y in _escapes(_row(rect), center.x, center.y, radius, d_min)]
-
-
-def compose_point_forces(candidates_per_feature: Sequence[Sequence[Vec2]]) -> Vec2:
-    """Combine one escape direction per conflicting feature into one force
-    (`_compose`); with a single feature, its smallest candidate. Raises
-    ValueError without a feature, or for a feature without a candidate."""
-    if not candidates_per_feature:
-        raise ValueError("at least one candidate set is required")
-    return Vec2(*_compose([[(c.x, c.y) for c in cands] for cands in candidates_per_feature]))
-
-
 def attachment_forces(rects: np.ndarray, anchors: np.ndarray, leader: LeaderSpec) -> np.ndarray:
     """Pull drifted labels back over their fixed-direction leader rays.
 
@@ -258,43 +199,29 @@ def attachment_forces(rects: np.ndarray, anchors: np.ndarray, leader: LeaderSpec
     return (np.maximum(lo, 0.0) + np.minimum(hi, 0.0))[:, None] * (-n.x, -n.y)
 
 
-def attachment_force(label: Label, feature: PointFeature, leader: LeaderSpec) -> Vec2:
-    """`attachment_forces` of one label."""
-    return Vec2(*attachment_forces(label_rects([label]), points_array([feature.anchor]), leader)[0])
-
-
 def screen_forces(rects: np.ndarray, screen: Rect, d_min: float) -> np.ndarray:
     """Inward pressure on the labels within d_min of any screen edge.
 
     rects is (n, 4) as `label_rects` gives it; returns the (n, 2) forces.
     Violated edges contribute (d_min - clearance) each, pointing inward.
-    Raises LabelLargerThanScreenError for the first rect that no position
-    could keep inside.
+    The push does not depend on whether a rect fits the screen:
+    `check_screen_fit` is the one test of that.
     """
-    fits, margins = screen_margins(rects, screen, d_min)
-    _raise_unless_fits(rects, fits, screen, d_min)
-    push = np.maximum(d_min - margins, 0.0)
+    push = np.maximum(d_min - screen_margins(rects, screen), 0.0)
     return push[:, 0:2] - push[:, 2:4]
 
 
-def _raise_unless_fits(rects: np.ndarray, fits: np.ndarray, screen: Rect, d_min: float) -> None:
+def check_screen_fit(rects: np.ndarray, screen: Rect, d_min: float) -> None:
+    """Raise LabelLargerThanScreenError for the first of the (n, 4) rects
+    too large to keep d_min from every screen edge in any position."""
+    room = (screen.width - 2.0 * d_min, screen.height - 2.0 * d_min)
+    fits = (rects[:, 2:4] - rects[:, 0:2] <= room).all(axis=1)
     if not fits.all():
         x0, y0, x1, y1 = rects[np.argmin(fits)].tolist()
         raise LabelLargerThanScreenError(
             f"label {x1 - x0:.3f}x{y1 - y0:.3f} mm cannot keep {d_min} mm "
             f"clearance inside a {screen.width:.3f}x{screen.height:.3f} mm screen"
         )
-
-
-def check_screen_fit(rects: np.ndarray, screen: Rect, d_min: float) -> None:
-    """Raise LabelLargerThanScreenError, as `screen_forces` does, for the
-    first of the (n, 4) rects that no position could keep inside."""
-    _raise_unless_fits(rects, screen_margins(rects, screen, d_min)[0], screen, d_min)
-
-
-def screen_force(rect: Rect, screen: Rect, d_min: float) -> Vec2:
-    """`screen_forces` of one rect."""
-    return Vec2(*screen_forces(np.array([_row(rect)]), screen, d_min)[0])
 
 
 class SceneArrays(NamedTuple):
@@ -489,6 +416,11 @@ def assemble_forces(
     slot's group id below n_groups (one group when None), so one assembly
     over several groups' labels gives each group what an assembly of its
     own labels gives.
+
+    Every live label must fit the screen with d_min to spare, as
+    `check_screen_fit` tests: `optimizer.run` checks that once, before any
+    loop, and the steps only translate labels. The screen push does not
+    test it again, and reads the same whether a label fits or not.
     """
     d_min, live = cfg.d_min, arrays.live
     target = RESOLVE_TARGET_FACTOR * d_min
@@ -509,7 +441,6 @@ def assemble_forces(
         mark(slots, bit)
 
     boxes = rects[live]
-    screen = screen_forces(boxes, cfg.screen, d_min)
     if cfg.leader.kind is LeaderType.FIXED_DIR_FREE_CONN:
         add(attachment_forces(boxes, arrays.anchors[live], cfg.leader), _ATTACHMENT)
 
@@ -542,5 +473,5 @@ def assemble_forces(
         for i, xy in acc.items():
             total[i] = xy
 
-    add(screen, _SCREEN)
+    add(screen_forces(boxes, cfg.screen, d_min), _SCREEN)
     return ForceAssignment(total, tuple(_SOURCE_SETS[t] for t in tags))

@@ -91,10 +91,6 @@ def same_group(
     return np.searchsorted(row_starts, i, "right") == np.searchsorted(col_starts, j, "right")
 
 
-class OverlapError(ValueError):
-    """Raised when an operation requires rectangle interiors to be disjoint."""
-
-
 @dataclass(frozen=True, slots=True)
 class Vec2:
     """A point or displacement on the screen plane, in millimeters."""
@@ -208,16 +204,6 @@ def rect_centers(rects: np.ndarray) -> np.ndarray:
 def points_array(points: Iterable[Vec2]) -> np.ndarray:
     """(n, 2) array of the points' x, y."""
     return np.array([(p.x, p.y) for p in points], dtype=float).reshape(-1, 2)
-
-
-def interiors_overlap(a: Rect, b: Rect) -> bool:
-    """True when the open interiors intersect. Touching edges do not count."""
-    return (
-        a.x_min < b.x_max
-        and b.x_min < a.x_max
-        and a.y_min < b.y_max
-        and b.y_min < a.y_max
-    )
 
 
 def rect_distance(a: Rect, b: Rect) -> float:
@@ -367,16 +353,12 @@ def stacked_pairs(found: list[tuple[np.ndarray, np.ndarray]]) -> tuple[np.ndarra
     return first, np.concatenate(empty + [j for _, j in found])
 
 
-def screen_margins(rects: np.ndarray, screen: Rect, d_min: float) -> tuple[np.ndarray, np.ndarray]:
-    """Whether each of the (n, 4) rects is small enough to keep d_min from
-    every screen edge, and its (n, 4) clearances to the left, bottom, right
-    and top edges, negative once it crosses the edge."""
-    room = (screen.width - 2.0 * d_min, screen.height - 2.0 * d_min)
-    fits = (rects[:, 2:4] - rects[:, 0:2] <= room).all(axis=1)
+def screen_margins(rects: np.ndarray, screen: Rect) -> np.ndarray:
+    """The (n, 4) clearances of the (n, 4) rects to the left, bottom, right
+    and top screen edges, negative once a rect crosses the edge."""
     # x_min - left, y_min - bottom, right - x_max, top - y_max, each
     # subtraction rounded as written.
-    margins = rects * (1.0, 1.0, -1.0, -1.0) + (-screen.x_min, -screen.y_min, screen.x_max, screen.y_max)
-    return fits, margins
+    return rects * (1.0, 1.0, -1.0, -1.0) + (-screen.x_min, -screen.y_min, screen.x_max, screen.y_max)
 
 
 def segments_cross_interiors(p: np.ndarray, q: np.ndarray, boxes: np.ndarray) -> np.ndarray:

@@ -406,8 +406,10 @@ def _candidates_ok(
     those whose box test fails against the candidates' bounding box.
     """
     d_min = cfg.d_min
-    fits, margins = screen_margins(cands, cfg.screen, d_min)
-    ok = ~fits | (margins >= d_min).all(axis=1)
+    ok = (screen_margins(cands, cfg.screen) >= d_min).all(axis=1)
+    # A candidate that fails `check_screen_fit`'s size test is exempt.
+    room = (cfg.screen.width - 2.0 * d_min, cfg.screen.height - 2.0 * d_min)
+    ok |= (cands[:, 2:4] - cands[:, 0:2] > room).any(axis=1)
     if cfg.leader.kind is LeaderType.FIXED_DIR_FREE_CONN:
         # Keep the label attached: the leader ray must still meet the
         # attachment edge after the move.

@@ -52,10 +52,14 @@ def _numbers(data: dict, key: str, count: int, where: str) -> list[float]:
     return [_number(v, f"{where}.{key}[{k}]") for k, v in enumerate(values)]
 
 
-def _optional_number(data: dict, key: str, default: float | None, where: str) -> float | None:
-    if key not in data or data[key] is None:
-        return default
-    return _number(data[key], f"{where}.{key}")
+def _optional_numbers(data: dict, fields: dict[str, str], where: str) -> dict[str, float]:
+    """The numbers data gives (not None) among the keys of fields, under
+    the field names they map to, so a dataclass fills in the rest."""
+    return {
+        name: _number(data[key], f"{where}.{key}")
+        for key, name in fields.items()
+        if data.get(key) is not None
+    }
 
 
 def _number(value: Any, where: str) -> float:
@@ -106,11 +110,9 @@ def parse_scene(data: Any, source: str = "<scene>") -> tuple[list[PointFeature],
             )
         depth = _require(raw, "depth", float, where)
         text = _require(raw, "text", str, where)
-        radius = _optional_number(raw, "symbol_radius_mm", 0.5, where)
+        radius = _optional_numbers(raw, {"symbol_radius_mm": "symbol_radius"}, where)
         try:
-            features.append(
-                PointFeature(id=fid, anchor=Vec2(x, y), depth=depth, text=text, symbol_radius=radius)
-            )
+            features.append(PointFeature(id=fid, anchor=Vec2(x, y), depth=depth, text=text, **radius))
         except ValueError as exc:
             raise SceneValidationError(f"{where}: {exc}") from exc
 
@@ -127,53 +129,45 @@ def _parse_config(raw: dict, screen: Rect, where: str) -> LayoutConfig:
     leader_raw = raw.get("leader", {}) or {}
     if not isinstance(leader_raw, dict):
         raise SceneValidationError(f"{where}.leader: expected an object")
-    kind_code = leader_raw.get("type", int(LeaderType.FIXED_DIR_FREE_CONN))
-    try:
-        kind = LeaderType(int(kind_code))
-    except (ValueError, TypeError) as exc:
-        raise SceneValidationError(f"{where}.leader.type: must be 1, 2, 3, or 4") from exc
-    leader_length = _optional_number(leader_raw, "length_mm", 10.0, f"{where}.leader")
-    leader_direction = _optional_number(leader_raw, "direction_deg", 90.0, f"{where}.leader")
+    leader_args = _optional_numbers(
+        leader_raw, {"length_mm": "length", "direction_deg": "direction"}, f"{where}.leader"
+    )
+    if "type" in leader_raw:
+        try:
+            leader_args["kind"] = LeaderType(int(leader_raw["type"]))
+        except (ValueError, TypeError) as exc:
+            raise SceneValidationError(f"{where}.leader.type: must be 1, 2, 3, or 4") from exc
 
     beam_raw = raw.get("beam", {}) or {}
     if not isinstance(beam_raw, dict):
         raise SceneValidationError(f"{where}.beam: expected an object")
-    max_step = _optional_number(beam_raw, "max_step_mm", None, f"{where}.beam")
-    beam_defaults = BeamParams()
-    beam_args = {
-        name: _optional_number(beam_raw, name, getattr(beam_defaults, name), f"{where}.beam")
-        for name in ("elastic_modulus", "cross_section", "moment_of_inertia", "ground_stiffness")
-    }
+    beam_names = ("elastic_modulus", "cross_section", "moment_of_inertia", "ground_stiffness")
+    beam_args = _optional_numbers(
+        beam_raw, {"max_step_mm": "max_step", **dict(zip(beam_names, beam_names))}, f"{where}.beam"
+    )
 
-    graph_code = raw.get("graph", GraphKind.DT.value)
+    args = _optional_numbers(raw, {
+        "d_min_mm": "d_min",
+        "w_max_pt": "w_max_pt",
+        "w_min_pt": "w_min_pt",
+        "t_d_factor": "t_d_factor",
+        "t_f_factor": "t_f_factor",
+        "padding_mm": "padding",
+    }, where)
+    if "graph" in raw:
+        try:
+            args["graph_kind"] = GraphKind(raw["graph"])
+        except ValueError as exc:
+            raise SceneValidationError(f"{where}.graph: must be 'dt' or 'mst'") from exc
+    for key in ("t_s_override", "t_num"):
+        if raw.get(key) is not None:
+            if not isinstance(raw[key], int):
+                raise SceneValidationError(f"{where}.{key}: expected an integer")
+            args[key] = raw[key]
+
     try:
-        graph_kind = GraphKind(graph_code)
-    except ValueError as exc:
-        raise SceneValidationError(f"{where}.graph: must be 'dt' or 'mst'") from exc
-
-    t_s = raw.get("t_s_override")
-    if t_s is not None and not isinstance(t_s, int):
-        raise SceneValidationError(f"{where}.t_s_override: expected an integer")
-    t_num = raw.get("t_num")
-    if t_num is not None and not isinstance(t_num, int):
-        raise SceneValidationError(f"{where}.t_num: expected an integer")
-
-    try:
-        leader = LeaderSpec(length=leader_length, direction=leader_direction, kind=kind)
-        beam = BeamParams(**beam_args, max_step=max_step)
         return LayoutConfig(
-            screen=screen,
-            d_min=_optional_number(raw, "d_min_mm", 0.2, where),
-            w_max_pt=_optional_number(raw, "w_max_pt", 12.0, where),
-            w_min_pt=_optional_number(raw, "w_min_pt", 4.0, where),
-            leader=leader,
-            t_d_factor=_optional_number(raw, "t_d_factor", 3.0, where),
-            t_s_override=t_s,
-            t_f_factor=_optional_number(raw, "t_f_factor", 0.1, where),
-            t_num=t_num,
-            graph_kind=graph_kind,
-            padding=_optional_number(raw, "padding_mm", 0.0, where),
-            beam=beam,
+            screen=screen, leader=LeaderSpec(**leader_args), beam=BeamParams(**beam_args), **args
         )
     except ValueError as exc:
         raise SceneValidationError(f"{where}: {exc}") from exc

@@ -12,7 +12,7 @@ import pytest
 import scipy.linalg
 
 from leaderlabels.forces import SceneArrays, scene_arrays
-from leaderlabels.geometry import OverlapError, Rect, Vec2, interiors_overlap, points_array
+from leaderlabels.geometry import Rect, Vec2, points_array
 from leaderlabels.repair import MAX_RETRIES, greedy_repair
 from leaderlabels.scene import (
     BeamParams,
@@ -24,6 +24,15 @@ from leaderlabels.scene import (
     live_slots,
     placed_labels,
 )
+
+
+class OverlapError(ValueError):
+    """Raised when an operation requires rectangle interiors to be disjoint."""
+
+
+def interiors_overlap(a: Rect, b: Rect) -> bool:
+    """True when the open interiors intersect. Touching edges do not count."""
+    return a.x_min < b.x_max and b.x_min < a.x_max and a.y_min < b.y_max and b.y_min < a.y_max
 
 
 def random_rect(rng: random.Random, span: float = 100.0, max_side: float = 20.0) -> Rect:
@@ -154,13 +163,30 @@ def repair_labels(
     return placed_labels(labels, arrays.live, rects, conns), moves
 
 
+def pair_totals(a: Rect, b: Rect, d_min: float) -> tuple[Vec2, Vec2]:
+    """The totals `forces.assemble_forces` gives labels a and b, passed as
+    one conflicting pair, at d_min: on leader type 2, which has no
+    attachment pull, and on a screen far from both, so that the pair force
+    is all that acts."""
+    from leaderlabels.forces import ConflictPairs, assemble_forces
+    from leaderlabels.scene import LeaderSpec
+
+    labels = labels_from_rects([a, b])
+    features = [PointFeature(id=l.feature_id, anchor=l.conn, depth=100.0, text="T") for l in labels]
+    leader = LeaderSpec(kind=LeaderType.FIXED_DIR_FIXED_CONN)
+    cfg = LayoutConfig(screen=Rect(-1e4, -1e4, 1e4, 1e4), d_min=d_min, leader=leader)
+    pairs = ConflictPairs([(0, 1)], [])
+    fa, fb = assemble_forces(features, cfg, pairs, *scene_layout(labels, features)).totals.tolist()
+    return Vec2(*fa), Vec2(*fb)
+
+
 def random_labels(rng: random.Random, n: int, span: float = 100.0, max_side: float = 20.0) -> list[Label]:
     return labels_from_rects([random_rect(rng, span, max_side) for _ in range(n)])
 
 
 def brute_force_label_conflicts(labels, d_min: float) -> list[tuple[int, int]]:
     """O(n^2) reference for the label conflict scan."""
-    from leaderlabels.geometry import interiors_overlap, rect_distance
+    from leaderlabels.geometry import rect_distance
 
     out = []
     for i in range(len(labels)):
@@ -243,14 +269,8 @@ def reference_attachment_force(label: Label, feature: PointFeature, leader) -> V
 
 
 def reference_screen_force(rect: Rect, screen: Rect, d_min: float) -> Vec2:
-    """Scalar reference for `forces.screen_forces`."""
-    from leaderlabels.forces import LabelLargerThanScreenError
-
-    if rect.width > screen.width - 2.0 * d_min or rect.height > screen.height - 2.0 * d_min:
-        raise LabelLargerThanScreenError(
-            f"label {rect.width:.3f}x{rect.height:.3f} mm cannot keep {d_min} mm "
-            f"clearance inside a {screen.width:.3f}x{screen.height:.3f} mm screen"
-        )
+    """Scalar reference for `forces.screen_forces`, whether or not the rect
+    fits the screen."""
     fx = 0.0
     fy = 0.0
     left = rect.x_min - screen.x_min
@@ -269,17 +289,13 @@ def reference_screen_force(rect: Rect, screen: Rect, d_min: float) -> Vec2:
 
 
 def reference_separation_force(a: Rect, b: Rect, d_min: float) -> tuple[Vec2, Vec2]:
-    """Reference for `forces.separation_force`, on `Rect`s and `Vec2`s: half
-    the remaining deficit along the nearest-point axis, the center line for
-    touching rects and +x for concentric ones."""
-    from leaderlabels.forces import NotInConflictError
+    """Reference for `forces._separation`, on `Rect`s and `Vec2`s, of rects
+    whose interiors are disjoint: half the remaining deficit along the
+    nearest-point axis, the center line for touching rects and +x for
+    concentric ones."""
     from leaderlabels.geometry import rect_distance
 
-    if interiors_overlap(a, b):
-        raise OverlapError("rect interiors intersect; use overlap_force")
     gap = rect_distance(a, b)
-    if gap >= d_min:
-        raise NotInConflictError(f"gap {gap} is not below d_min {d_min}")
     if gap > 0.0:
         pa, qb = rect_nearest_points(a, b)
         direction = (pa - qb) * (1.0 / gap)
@@ -291,13 +307,9 @@ def reference_separation_force(a: Rect, b: Rect, d_min: float) -> tuple[Vec2, Ve
 
 
 def reference_overlap_force(a: Rect, b: Rect, d_min: float) -> tuple[Vec2, Vec2]:
-    """Reference for `forces.overlap_force`: the smallest of the four axis
-    moves, ties in the order -x, +x, -y, +y, half to each rect."""
-    from leaderlabels.forces import NotOverlappingError
-    from leaderlabels.geometry import interiors_overlap
-
-    if not interiors_overlap(a, b):
-        raise NotOverlappingError("rect interiors are disjoint")
+    """Reference for `forces._overlap`, of rects whose interiors intersect:
+    the smallest of the four axis moves, ties in the order -x, +x, -y, +y,
+    half to each rect."""
     mags = (
         a.x_max - b.x_min + d_min,
         b.x_max - a.x_min + d_min,
@@ -314,14 +326,9 @@ def reference_overlap_force(a: Rect, b: Rect, d_min: float) -> tuple[Vec2, Vec2]
 
 
 def reference_point_repulsion_candidates(rect: Rect, center: Vec2, radius: float, d_min: float) -> list[Vec2]:
-    """Reference for `forces.point_repulsion_candidates`, from
-    `point_rect_signed_clearance` and `point_axis_gaps`."""
-    from leaderlabels.forces import NotInConflictError
-    from leaderlabels.geometry import point_rect_signed_clearance
-
-    clearance = point_rect_signed_clearance(center, rect) - radius
-    if clearance >= d_min:
-        raise NotInConflictError(f"symbol clearance {clearance} is not below d_min {d_min}")
+    """Reference for `forces._escapes`, from `point_axis_gaps`: the four
+    axis moves of rect that give the symbol disk an axis clearance of
+    d_min."""
     gaps = point_axis_gaps(rect, center)
     pad = radius + d_min
     return [
@@ -333,7 +340,7 @@ def reference_point_repulsion_candidates(rect: Rect, center: Vec2, radius: float
 
 
 def reference_compose_point_forces(candidates_per_feature) -> Vec2:
-    """Reference for `forces.compose_point_forces`: a recursive search over
+    """Reference for `forces._compose`: a recursive search over
     the angle-admissible selections, then a stack-driven one over all of
     them, each keeping the first smallest sum it visits."""
     sets = [list(c) for c in candidates_per_feature]
@@ -383,7 +390,7 @@ def reference_assemble_forces(features, cfg, pairs, rects, arrays, group=None, n
         ForceAssignment,
         LabelLargerThanScreenError,
     )
-    from leaderlabels.geometry import interiors_overlap, point_rect_signed_clearance
+    from leaderlabels.geometry import point_rect_signed_clearance
     from leaderlabels.scene import attachment_edge
 
     attachment_bit, pair_bit, point_bit, screen_bit = 1, 2, 4, 8

@@ -17,12 +17,12 @@ import numpy as np
 
 from leaderlabels import baselines
 from leaderlabels.forces import (
-    attachment_force,
-    compose_point_forces,
-    overlap_force,
-    point_repulsion_candidates,
-    screen_force,
-    separation_force,
+    _compose,
+    _escapes,
+    _overlap,
+    _separation,
+    attachment_forces,
+    screen_forces,
 )
 from leaderlabels.geometry import Rect, Vec2, points_array, rect_distance
 from leaderlabels.metrics import (
@@ -52,6 +52,7 @@ from conftest import (
     disjoint_rect_pair,
     label_layout,
     overlapping_rect_pair,
+    pair_totals,
     random_labels,
     scene_layout,
 )
@@ -157,39 +158,36 @@ class TestCriterion04FontSizeExactness:
 
 class TestCriterion05ForceModelUnitSuite:
     def test_trivial_examples_and_symmetry(self):
+        # The float and array rules the force assembly runs, on rects as
+        # (x_min, y_min, x_max, y_max); each pair rule gives the force on
+        # the first rect.
         ok = True
         # Separation: facing edges and corner case.
-        fa, fb = separation_force(Rect(0, 0, 4, 2), Rect(6, 0, 10, 2), 3.0)
-        ok &= fa == Vec2(-0.5, 0.0) and fb == Vec2(0.5, 0.0)
-        fa, fb = separation_force(Rect(0, 0, 2, 2), Rect(3, 3, 5, 5), 2.0)
-        ok &= abs(fa.norm() - 0.5 * (2 - math.sqrt(2))) < 1e-12
+        ok &= _separation((0, 0, 4, 2), (6, 0, 10, 2), 3.0) == (-0.5, 0.0)
+        fx, fy = _separation((0, 0, 2, 2), (3, 3, 5, 5), 2.0)
+        ok &= abs(math.hypot(fx, fy) - 0.5 * (2 - math.sqrt(2))) < 1e-12
         # Overlap worked example and tie rule.
-        fa, fb = overlap_force(Rect(0, 0, 10, 4), Rect(8, 1, 20, 5), 1.0)
-        ok &= fa == Vec2(-1.5, 0.0) and fb == Vec2(1.5, 0.0)
-        fa, fb = overlap_force(Rect(0, 0, 2, 2), Rect(0, 0, 2, 2), 0.0)
-        ok &= fa == Vec2(-1.0, 0.0)
+        ok &= _overlap((0, 0, 10, 4), (8, 1, 20, 5), 1.0) == (-1.5, 0.0)
+        ok &= _overlap((0, 0, 2, 2), (0, 0, 2, 2), 0.0) == (-1.0, 0.0)
         # Point repulsion candidates for an interior point.
-        cands = point_repulsion_candidates(Rect(7, 2, 15, 6), Vec2(8, 4), 0.0, 1.0)
-        ok &= cands == [Vec2(-8, 0), Vec2(2, 0), Vec2(0, -3), Vec2(0, 3)]
+        cands = _escapes((7, 2, 15, 6), 8.0, 4.0, 0.0, 1.0)
+        ok &= cands == [(-8, 0), (2, 0), (0, -3), (0, 3)]
         # Composition single-feature minimum.
-        ok &= compose_point_forces([cands]) == Vec2(2.0, 0.0)
-        # Attachment examples.
+        ok &= _compose([cands]) == (2.0, 0.0)
+        # Attachment examples: labels right and left of the leader ray.
         leader = LeaderSpec(length=10.0, direction=90.0, kind=LeaderType.FIXED_DIR_FREE_CONN)
-        feat = PointFeature(id="f", anchor=Vec2(10, 0), depth=1.0, text="T")
-        from leaderlabels.scene import Label
-
-        lbl = Label(feature_id="f", rect=Rect(12, 20, 20, 24), conn=Vec2(0, 0), font_size=10.0)
-        ok &= attachment_force(lbl, feat, leader) == Vec2(-2.0, 0.0)
-        lbl2 = Label(feature_id="f", rect=Rect(2, 20, 8, 24), conn=Vec2(0, 0), font_size=10.0)
-        ok &= attachment_force(lbl2, feat, leader) == Vec2(2.0, 0.0)
+        rects = np.array([(12, 20, 20, 24), (2, 20, 8, 24)], dtype=float)
+        pulls = attachment_forces(rects, np.array([(10.0, 0.0)] * 2), leader)
+        ok &= pulls.tolist() == [[-2.0, 0.0], [2.0, 0.0]]
         # Screen force examples.
         screen = Rect(0, 0, 100, 100)
-        ok &= screen_force(Rect(1, 40, 5, 44), screen, 2.0) == Vec2(1.0, 0.0)
-        ok &= screen_force(Rect(40, 40, 60, 60), screen, 2.0) == Vec2(0.0, 0.0)
-        ok &= screen_force(Rect(-3, 40, 2, 44), screen, 2.0) == Vec2(5.0, 0.0)
+        rects = np.array([(1, 40, 5, 44), (40, 40, 60, 60), (-3, 40, 2, 44)], dtype=float)
+        ok &= screen_forces(rects, screen, 2.0).tolist() == [[1.0, 0.0], [0.0, 0.0], [5.0, 0.0]]
         report("5a force-trivial-examples", ok)
 
     def test_newton_pairs_bulk(self):
+        # The totals `assemble_forces` gives the two labels of one
+        # conflicting pair, with no other source acting (`pair_totals`).
         rng = random.Random(505)
         bad = 0
         produced = 0
@@ -198,14 +196,14 @@ class TestCriterion05ForceModelUnitSuite:
             gap = rect_distance(a, b)
             if gap >= 4.0:
                 continue
-            fa, fb = separation_force(a, b, 4.0)
-            if fa.x != -fb.x or fa.y != -fb.y:
+            fa, fb = pair_totals(a, b, 4.0)
+            if fa.x != -fb.x or fa.y != -fb.y or fa.norm() == 0.0:
                 bad += 1
             produced += 1
         while produced < 10000:
             a, b = overlapping_rect_pair(rng)
-            fa, fb = overlap_force(a, b, 0.5)
-            if fa.x != -fb.x or fa.y != -fb.y:
+            fa, fb = pair_totals(a, b, 0.5)
+            if fa.x != -fb.x or fa.y != -fb.y or fa.norm() == 0.0:
                 bad += 1
             produced += 1
         report("5b newton-pairs-10k", bad == 0, f"violations={bad}")
@@ -217,14 +215,14 @@ class TestCriterion05ForceModelUnitSuite:
             best_adm = None
             best_any = None
             for combo in itertools.product(*sets):
-                sx = sum(v.x for v in combo)
-                sy = sum(v.y for v in combo)
+                sx = sum(x for x, _ in combo)
+                sy = sum(y for _, y in combo)
                 mag2 = sx * sx + sy * sy
-                adm = all(p.dot(q) >= 0.0 for p, q in itertools.combinations(combo, 2))
+                adm = all(px * qx + py * qy >= 0.0 for (px, py), (qx, qy) in itertools.combinations(combo, 2))
                 if best_any is None or mag2 < best_any[0]:
-                    best_any = (mag2, Vec2(sx, sy))
+                    best_any = (mag2, (sx, sy))
                 if adm and (best_adm is None or mag2 < best_adm[0]):
-                    best_adm = (mag2, Vec2(sx, sy))
+                    best_adm = (mag2, (sx, sy))
             return (best_adm or best_any)[1]
 
         worst = 0.0
@@ -235,15 +233,15 @@ class TestCriterion05ForceModelUnitSuite:
                 mx, my = rng.uniform(0.3, 5.0), rng.uniform(0.3, 5.0)
                 sets.append(
                     [
-                        Vec2(-mx, 0.0),
-                        Vec2(rng.uniform(0.3, 5.0), 0.0),
-                        Vec2(0.0, -my),
-                        Vec2(0.0, rng.uniform(0.3, 5.0)),
+                        (-mx, 0.0),
+                        (rng.uniform(0.3, 5.0), 0.0),
+                        (0.0, -my),
+                        (0.0, rng.uniform(0.3, 5.0)),
                     ]
                 )
-            got = compose_point_forces(sets)
+            got = _compose(sets)
             want = oracle(sets)
-            worst = max(worst, abs(got.norm() - want.norm()))
+            worst = max(worst, abs(math.hypot(*got) - math.hypot(*want)))
         report("5c composition-enumeration", worst <= 1e-12, f"worst |err|={worst:.2e}")
 
 

@@ -93,19 +93,22 @@ class TestExitCodes:
         assert err.startswith("validation error:")
         assert out == ""
 
+    @pytest.mark.filterwarnings("error")
     @pytest.mark.parametrize(
         "section, key, value",
         [
             (None, "padding_mm", 1e308),
             ("beam", "ground_stiffness", 1e-320),
             ("beam", "elastic_modulus", 1e308),
+            ("beam", "moment_of_inertia", 1e308),
         ],
     )
     def test_unusable_config_is_validation_error(self, capsys, tmp_path, section, key, value):
         # Each value is finite and in its own range, but with that padding
         # no label fits inside the screen, or the stiffness system K d = f
-        # of the first step cannot be factored or has no finite solution
-        # (this scene's first step has forces, so it solves).
+        # of the first step cannot be factored or has no finite stiffness
+        # (this scene's first step has forces, so it solves). No numpy
+        # warning is printed, and a beam error names the beam fields.
         data = generate_synthetic(40, 1, (250.0, 150.0))
         if section is None:
             data["config"][key] = value
@@ -118,6 +121,8 @@ class TestExitCodes:
         assert err.startswith("validation error:")
         assert "Traceback" not in err and "nan" not in err
         assert out == ""
+        if section == "beam":
+            assert f"beam.{key}" in err
 
     @pytest.mark.parametrize(
         "section, key",

@@ -17,28 +17,25 @@ from leaderlabels.forces import (
     ConflictPairs,
     MAX_COMPOSED_FEATURES,
     LabelLargerThanScreenError,
-    NotInConflictError,
-    NotOverlappingError,
     RESOLVE_TARGET_FACTOR,
+    _compose,
+    _escapes,
+    _overlap,
+    _pair_force,
+    _separation,
     assemble_forces,
-    attachment_force,
     attachment_forces,
-    compose_point_forces,
+    check_screen_fit,
     conflict_pairs,
     conflicting_feature_pairs,
     conflicting_label_pairs,
-    overlap_force,
-    point_repulsion_candidates,
-    screen_force,
     screen_forces,
-    separation_force,
 )
 from leaderlabels.geometry import (
-    OverlapError,
     Rect,
     Vec2,
-    interiors_overlap,
     point_rect_signed_clearance,
+    points_array,
     rect_distance,
 )
 from leaderlabels.scene import Label, LayoutConfig, LeaderSpec, LeaderType, PointFeature
@@ -47,9 +44,11 @@ from conftest import (
     brute_force_feature_conflicts,
     brute_force_label_conflicts,
     disjoint_rect_pair,
+    interiors_overlap,
     label_layout,
     labels_from_rects,
     overlapping_rect_pair,
+    pair_totals,
     random_labels,
     reference_assemble_forces,
     reference_attachment_force,
@@ -62,91 +61,105 @@ from conftest import (
 )
 
 
+def _row(r: Rect) -> tuple[float, float, float, float]:
+    """A rect as the float rules take it."""
+    return r.x_min, r.y_min, r.x_max, r.y_max
+
+
+def _symbol_scene(rect: Rect, x: float, y: float) -> tuple[list[Label], list[PointFeature]]:
+    """One label at rect, its own feature below it, and a foreign symbol of
+    radius 0 at (x, y)."""
+    labels = labels_from_rects([rect])
+    features = [
+        PointFeature(id="f0", anchor=Vec2(rect.x_min, rect.y_min - 20.0), depth=100.0, text="T"),
+        PointFeature(id="s", anchor=Vec2(x, y), depth=100.0, text="T", symbol_radius=0.0),
+    ]
+    return labels, features
+
+
 class TestSeparationForce:
     def test_facing_edges(self):
-        fa, fb = separation_force(Rect(0, 0, 4, 2), Rect(6, 0, 10, 2), d_min=3.0)
-        assert fa == Vec2(-0.5, 0.0)
-        assert fb == Vec2(0.5, 0.0)
+        assert _separation((0, 0, 4, 2), (6, 0, 10, 2), 3.0) == (-0.5, 0.0)
 
     def test_gap_equal_d_min_not_in_conflict(self):
-        with pytest.raises(NotInConflictError):
-            separation_force(Rect(0, 0, 4, 2), Rect(6, 0, 10, 2), d_min=2.0)
+        # The scan gates the rule: a gap of exactly d_min is no conflict.
+        layout = label_layout(labels_from_rects([Rect(0, 0, 4, 2), Rect(6, 0, 10, 2)]))
+        assert conflicting_label_pairs(*layout, 2.0) == []
+        assert conflicting_label_pairs(*layout, 3.0) == [(0, 1)]
 
     def test_corner_case(self):
-        fa, fb = separation_force(Rect(0, 0, 2, 2), Rect(3, 3, 5, 5), d_min=2.0)
+        fx, fy = _separation((0, 0, 2, 2), (3, 3, 5, 5), 2.0)
         gap = math.sqrt(2.0)
         expected = 0.5 * (2.0 - gap)
-        assert fa.norm() == pytest.approx(expected)
-        assert fa.x == pytest.approx(-expected / math.sqrt(2))
-        assert fa.y == pytest.approx(-expected / math.sqrt(2))
-        assert fb.x == -fa.x and fb.y == -fa.y
+        assert math.hypot(fx, fy) == pytest.approx(expected)
+        assert fx == pytest.approx(-expected / math.sqrt(2))
+        assert fy == pytest.approx(-expected / math.sqrt(2))
 
-    def test_overlapping_rejected(self):
-        with pytest.raises(OverlapError):
-            separation_force(Rect(0, 0, 2, 2), Rect(1, 1, 3, 3), d_min=1.0)
+    def test_overlapping_take_the_overlap_rule(self):
+        # Overlapping rects are in conflict, and the pair force is the
+        # overlap rule's, not the separation rule's.
+        a, b = Rect(0, 0, 2, 2), Rect(1, 1, 3, 3)
+        assert conflicting_label_pairs(*label_layout(labels_from_rects([a, b])), 1.0) == [(0, 1)]
+        assert _pair_force(_row(a), _row(b), 1.0) == _overlap(_row(a), _row(b), 1.0)
 
     def test_newton_pair_on_random_conflicts(self, rng):
+        # The assembly gives the two labels of a pair opposite forces.
         count = 0
         while count < 2000:
             a, b = disjoint_rect_pair(rng)
             gap = rect_distance(a, b)
             if gap >= 5.0:
                 continue
-            fa, fb = separation_force(a, b, d_min=5.0)
+            fa, fb = pair_totals(a, b, 5.0)
             assert fa.x == -fb.x and fa.y == -fb.y
-            assert fa.norm() == pytest.approx(0.5 * (5.0 - gap), rel=1e-12)
+            assert fa.norm() == pytest.approx(0.5 * (RESOLVE_TARGET_FACTOR * 5.0 - gap), rel=1e-12)
             count += 1
 
 
 class TestOverlapForce:
     def test_worked_example(self):
-        fa, fb = overlap_force(Rect(0, 0, 10, 4), Rect(8, 1, 20, 5), d_min=1.0)
-        assert fa == Vec2(-1.5, 0.0)
-        assert fb == Vec2(1.5, 0.0)
+        assert _overlap((0, 0, 10, 4), (8, 1, 20, 5), 1.0) == (-1.5, 0.0)
 
     def test_identical_rects_tie_break(self):
-        fa, fb = overlap_force(Rect(0, 0, 2, 2), Rect(0, 0, 2, 2), d_min=0.0)
-        assert fa == Vec2(-1.0, 0.0)
-        assert fb == Vec2(1.0, 0.0)
+        assert _overlap((0, 0, 2, 2), (0, 0, 2, 2), 0.0) == (-1.0, 0.0)
 
-    def test_disjoint_rejected(self):
-        with pytest.raises(NotOverlappingError):
-            overlap_force(Rect(0, 0, 1, 1), Rect(5, 5, 6, 6), d_min=1.0)
+    def test_disjoint_not_in_conflict(self):
+        layout = label_layout(labels_from_rects([Rect(0, 0, 1, 1), Rect(5, 5, 6, 6)]))
+        assert conflicting_label_pairs(*layout, 1.0) == []
 
     def test_double_displacement_resolves(self, rng):
-        # Moving each rect by twice its force separates them to exactly
-        # d_min along the chosen axis.
+        # Moving each rect by twice its force (b's is the negation of a's)
+        # separates them to exactly d_min along the chosen axis.
         d_min = 0.7
         for _ in range(400):
             a, b = overlapping_rect_pair(rng)
-            fa, fb = overlap_force(a, b, d_min)
-            a2 = a.translated(fa * 2.0)
-            b2 = b.translated(fb * 2.0)
+            f = Vec2(*_overlap(_row(a), _row(b), d_min))
+            a2 = a.translated(f * 2.0)
+            b2 = b.translated(f * -2.0)
             assert not interiors_overlap(a2, b2)
             assert rect_distance(a2, b2) >= d_min - 1e-9
 
     def test_newton_pairs(self, rng):
         for _ in range(400):
             a, b = overlapping_rect_pair(rng)
-            fa, fb = overlap_force(a, b, 0.5)
+            fa, fb = pair_totals(a, b, 0.5)
             assert fa.x == -fb.x and fa.y == -fb.y
 
 
 class TestPointRepulsionCandidates:
     def test_not_in_conflict(self):
-        with pytest.raises(NotInConflictError):
-            point_repulsion_candidates(Rect(7, 2, 15, 6), Vec2(5, 5), radius=0.0, d_min=1.0)
+        # The scan gates the rule: the symbol lies 2 mm from the label.
+        labels, features = _symbol_scene(Rect(7, 2, 15, 6), 5.0, 5.0)
+        assert point_rect_signed_clearance(features[1].anchor, labels[0].rect) == 2.0
+        assert conflicting_feature_pairs(*scene_layout(labels, features), 1.0) == []
 
     def test_point_inside_rect(self):
-        cands = point_repulsion_candidates(Rect(7, 2, 15, 6), Vec2(8, 4), radius=0.0, d_min=1.0)
-        assert cands[0] == Vec2(-8.0, 0.0)
-        assert cands[1] == Vec2(2.0, 0.0)
-        assert cands[2] == Vec2(0.0, -3.0)
-        assert cands[3] == Vec2(0.0, 3.0)
+        cands = _escapes((7, 2, 15, 6), 8.0, 4.0, 0.0, 1.0)
+        assert cands == [(-8.0, 0.0), (2.0, 0.0), (0.0, -3.0), (0.0, 3.0)]
 
     def test_center_of_square_symmetric(self):
-        cands = point_repulsion_candidates(Rect(0, 0, 4, 4), Vec2(2, 2), radius=0.0, d_min=0.5)
-        mags = sorted(c.norm() for c in cands)
+        cands = _escapes((0, 0, 4, 4), 2.0, 2.0, 0.0, 0.5)
+        mags = sorted(math.hypot(x, y) for x, y in cands)
         assert mags[0] == pytest.approx(mags[-1])
 
     def test_applying_candidate_reaches_clearance(self, rng):
@@ -163,42 +176,47 @@ class TestPointRepulsionCandidates:
             if point_rect_signed_clearance(p, rect) - radius >= d_min:
                 continue
             tried += 1
-            for cand in point_repulsion_candidates(rect, p, radius, d_min):
-                moved = rect.translated(cand)
+            for cand in _escapes(_row(rect), p.x, p.y, radius, d_min):
+                moved = rect.translated(Vec2(*cand))
                 clearance = point_rect_signed_clearance(p, moved) - radius
                 assert clearance >= d_min - 1e-9
 
 
 class TestComposePointForces:
     def test_single_feature_min_candidate(self):
-        result = compose_point_forces([[Vec2(-8, 0), Vec2(2, 0), Vec2(0, -3), Vec2(0, 3)]])
-        assert result == Vec2(2.0, 0.0)
+        assert _compose([[(-8.0, 0.0), (2.0, 0.0), (0.0, -3.0), (0.0, 3.0)]]) == (2.0, 0.0)
 
-    def test_empty_rejected(self):
-        with pytest.raises(ValueError):
-            compose_point_forces([])
+    def test_no_conflicting_symbol_no_point_force(self):
+        # A label with no symbol in conflict composes nothing: the same
+        # label and symbol as above, 2 mm apart at d_min 1.
+        labels, features = _symbol_scene(Rect(7, 2, 15, 6), 5.0, 5.0)
+        leader = LeaderSpec(kind=LeaderType.FIXED_DIR_FIXED_CONN)
+        cfg = LayoutConfig(screen=Rect(-50, -50, 100, 100), d_min=1.0, leader=leader)
+        rects, arrays = scene_layout(labels, features)
+        fa = assemble_forces(features, cfg, conflict_pairs(rects, arrays, cfg.d_min), rects, arrays)
+        assert fa.totals.tolist() == [[0.0, 0.0]]
+        assert fa.group_sources == (frozenset(),)
 
     def _oracle(self, candidate_sets):
         best_adm = None
         best_any = None
         for combo in itertools.product(*candidate_sets):
-            sx = sum(v.x for v in combo)
-            sy = sum(v.y for v in combo)
+            sx = sum(x for x, _ in combo)
+            sy = sum(y for _, y in combo)
             mag2 = sx * sx + sy * sy
             admissible = all(
-                a.dot(b) >= 0.0 for a, b in itertools.combinations(combo, 2)
+                ax * bx + ay * by >= 0.0 for (ax, ay), (bx, by) in itertools.combinations(combo, 2)
             )
             if best_any is None or mag2 < best_any[0]:
-                best_any = (mag2, Vec2(sx, sy))
+                best_any = (mag2, (sx, sy))
             if admissible and (best_adm is None or mag2 < best_adm[0]):
-                best_adm = (mag2, Vec2(sx, sy))
+                best_adm = (mag2, (sx, sy))
         return best_adm[1] if best_adm is not None else best_any[1]
 
     def test_two_features_against_enumeration(self):
-        base = [Vec2(1, 0), Vec2(0, 1), Vec2(-1, 0), Vec2(0, -1)]
-        scaled = [v * 2.0 for v in base]
-        result = compose_point_forces([base, scaled])
-        assert result == self._oracle([base, scaled])
+        base = [(1.0, 0.0), (0.0, 1.0), (-1.0, 0.0), (0.0, -1.0)]
+        scaled = [(2.0 * x, 2.0 * y) for x, y in base]
+        assert _compose([base, scaled]) == self._oracle([base, scaled])
 
     def test_random_cases_against_enumeration(self, rng):
         for _ in range(500):
@@ -207,40 +225,40 @@ class TestComposePointForces:
             for _ in range(k):
                 mx = rng.uniform(0.5, 4.0)
                 my = rng.uniform(0.5, 4.0)
-                sets.append([Vec2(-mx, 0), Vec2(mx * rng.uniform(0.5, 1.5), 0),
-                             Vec2(0, -my), Vec2(0, my * rng.uniform(0.5, 1.5))])
-            result = compose_point_forces(sets)
+                sets.append([(-mx, 0.0), (mx * rng.uniform(0.5, 1.5), 0.0),
+                             (0.0, -my), (0.0, my * rng.uniform(0.5, 1.5))])
+            result = _compose(sets)
             expected = self._oracle(sets)
-            assert result.norm() == pytest.approx(expected.norm(), rel=1e-12)
+            assert math.hypot(*result) == pytest.approx(math.hypot(*expected), rel=1e-12)
 
     def test_identical_sets_bounded_by_sum_of_minima(self):
-        base = [Vec2(-3, 0), Vec2(1, 0), Vec2(0, -2), Vec2(0, 2)]
-        result = compose_point_forces([base, base])
-        min_mag = min(v.norm() for v in base)
-        assert result.norm() <= 2 * min_mag + 1e-12
+        base = [(-3.0, 0.0), (1.0, 0.0), (0.0, -2.0), (0.0, 2.0)]
+        result = _compose([base, base])
+        min_mag = min(math.hypot(x, y) for x, y in base)
+        assert math.hypot(*result) <= 2 * min_mag + 1e-12
 
     def test_scaling_invariance_of_argmin(self):
-        base = [Vec2(-8, 0), Vec2(2, 0), Vec2(0, -3), Vec2(0, 3)]
-        scaled = [v * 7.5 for v in base]
-        assert compose_point_forces([scaled]) == Vec2(15.0, 0.0)
+        base = [(-8.0, 0.0), (2.0, 0.0), (0.0, -3.0), (0.0, 3.0)]
+        scaled = [(7.5 * x, 7.5 * y) for x, y in base]
+        assert _compose([scaled]) == (15.0, 0.0)
 
 
-def _bits(result) -> bytes:
-    """The exact bits of a Vec2, a pair of them or a list of them."""
-    vecs = [result] if isinstance(result, Vec2) else result
-    return np.array([(v.x, v.y) for v in vecs]).tobytes()
+def _xy(vecs) -> list[tuple[float, float]]:
+    """Vec2 candidates as the float rules take and give them."""
+    return [(v.x, v.y) for v in vecs]
 
 
-def _same_outcome(rule, oracle, *args) -> None:
-    """rule and oracle give the same floats to the bit, or raise the same
-    error with the same message."""
+def _same_bits(got, oracle, *args) -> None:
+    """A float rule's (x, y) equals, to the bit, the Vec2 the oracle gives
+    for args (the first, for a pair); or, where the oracle's `Vec2` rejects
+    a component that is not finite, has those components."""
     try:
         want = oracle(*args)
     except ValueError as exc:
-        with pytest.raises(type(exc), match=re.escape(str(exc))):
-            rule(*args)
+        assert str(exc) == f"non-finite vector component ({got[0]!r}, {got[1]!r})"
         return
-    assert _bits(rule(*args)) == _bits(want)
+    want = want[0] if isinstance(want, tuple) else want
+    assert np.array(got).tobytes() == np.array([want.x, want.y]).tobytes()
 
 
 # Coordinates on a small integer grid make equal magnitudes and touching
@@ -262,9 +280,9 @@ def _ulps(x: float, k: int) -> float:
 
 
 class TestFloatRulesMatchOracles:
-    """The float rules the assembly runs, through their public `Rect`/`Vec2`
-    wrappers, against the rules as they were written on `Rect`s and `Vec2`s
-    (`conftest.reference_*`): the same bits, or the same error."""
+    """The float rules the assembly runs against the rules as they were
+    written on `Rect`s and `Vec2`s (`conftest.reference_*`): the same
+    bits. The scans decide which pairs the rules run on."""
 
     def test_overlap_every_tie_on_a_grid(self):
         # Every pair of rects with corners on a 4 x 4 grid: each order of
@@ -276,7 +294,7 @@ class TestFloatRulesMatchOracles:
             if not interiors_overlap(a, b):
                 continue
             for d_min in (0.0, 0.5, 1.0):
-                _same_outcome(overlap_force, reference_overlap_force, a, b, d_min)
+                _same_bits(_overlap(_row(a), _row(b), d_min), reference_overlap_force, a, b, d_min)
                 mags = [abs(m) for m in (a.x_max - b.x_min, b.x_max - a.x_min,
                                          a.y_max - b.y_min, b.y_max - a.y_min)]
                 ties.add(tuple(k for k in range(4) if mags[k] == min(mags)))
@@ -285,8 +303,8 @@ class TestFloatRulesMatchOracles:
     @settings(max_examples=400, deadline=None)
     @given(grid_rects(), grid_rects(), st.sampled_from([0.0, 0.2, 1.0]) | st.floats(0.0, 4.0))
     def test_pair_rules(self, a, b, d_min):
-        _same_outcome(overlap_force, reference_overlap_force, a, b, d_min)
-        _same_outcome(separation_force, reference_separation_force, a, b, d_min)
+        oracle = reference_overlap_force if interiors_overlap(a, b) else reference_separation_force
+        _same_bits(_pair_force(_row(a), _row(b), d_min), oracle, a, b, d_min)
 
     @settings(max_examples=300, deadline=None)
     @given(grid_rects(), st.floats(0.0, 5.0), st.floats(-3.0, 3.0), st.booleans(), st.floats(0.01, 3.0))
@@ -297,11 +315,12 @@ class TestFloatRulesMatchOracles:
             b = Rect(a.x_min + shift, a.y_max, a.x_min + shift + width, a.y_max + 1.0)
         else:
             b = Rect(a.x_max, a.y_min + shift, a.x_max + 1.0, a.y_min + shift + width)
-        for pair in ((a, b), (b, a), (Rect(a.x_min, a.y_min, a.x_min, a.y_min),) * 2):
-            _same_outcome(separation_force, reference_separation_force, *pair, d_min)
-        concentric = Rect(a.x_min, a.y_min, a.x_max, a.y_min), Rect(a.x_min, a.y_min, a.x_max, a.y_min)
-        assert reference_separation_force(*concentric, d_min)[0].y == 0.0
-        _same_outcome(separation_force, reference_separation_force, *concentric, d_min)
+        for p, q in ((a, b), (b, a), (Rect(a.x_min, a.y_min, a.x_min, a.y_min),) * 2):
+            _same_bits(_separation(_row(p), _row(q), d_min), reference_separation_force, p, q, d_min)
+        concentric = Rect(a.x_min, a.y_min, a.x_max, a.y_min)
+        assert reference_separation_force(concentric, concentric, d_min)[0].y == 0.0
+        got = _separation(_row(concentric), _row(concentric), d_min)
+        _same_bits(got, reference_separation_force, concentric, concentric, d_min)
 
     @settings(max_examples=400, deadline=None)
     @given(
@@ -316,22 +335,22 @@ class TestFloatRulesMatchOracles:
         # from 0 or from d_min.
         edge = _ulps(a.x_max + (d_min if near_target else 0.0), ulps)
         b = Rect(max(edge, a.x_max), a.y_max + across, max(edge, a.x_max) + 2.0, a.y_max + across + 1.0)
-        _same_outcome(separation_force, reference_separation_force, a, b, d_min)
-        _same_outcome(separation_force, reference_separation_force, b, a, d_min)
+        _same_bits(_separation(_row(a), _row(b), d_min), reference_separation_force, a, b, d_min)
+        _same_bits(_separation(_row(b), _row(a), d_min), reference_separation_force, b, a, d_min)
 
     @settings(max_examples=400, deadline=None)
     @given(grid_rects(), grid, grid, st.sampled_from([0.0, 0.45, 1.0]), st.sampled_from([0.2, 1.0]) | st.floats(0.0, 3.0))
     def test_escapes(self, rect, x, y, radius, d_min):
-        _same_outcome(
-            point_repulsion_candidates, reference_point_repulsion_candidates, rect, Vec2(x, y), radius, d_min
-        )
+        got = _escapes(_row(rect), x, y, radius, d_min)
+        want = reference_point_repulsion_candidates(rect, Vec2(x, y), radius, d_min)
+        assert np.array(got).tobytes() == np.array(_xy(want)).tobytes()
 
     @settings(max_examples=200, deadline=None)
     @given(st.lists(st.tuples(*[st.sampled_from([1.0, 2.0, 0.5])] * 4), min_size=1, max_size=8))
     def test_compose_equal_magnitudes(self, mags):
         # Axis escapes as the symbols give them, their magnitudes often equal.
         sets = [[Vec2(-a, 0.0), Vec2(b, 0.0), Vec2(0.0, -c), Vec2(0.0, d)] for a, b, c, d in mags]
-        _same_outcome(compose_point_forces, reference_compose_point_forces, sets)
+        _same_bits(_compose([_xy(c) for c in sets]), reference_compose_point_forces, sets)
 
     @settings(max_examples=200, deadline=None)
     @given(
@@ -342,23 +361,23 @@ class TestFloatRulesMatchOracles:
         )
     )
     def test_compose_with_and_without_an_admissible_selection(self, sets):
-        _same_outcome(compose_point_forces, reference_compose_point_forces, sets)
+        _same_bits(_compose([_xy(c) for c in sets]), reference_compose_point_forces, sets)
 
     def test_compose_falls_back_when_no_selection_is_admissible(self):
         sets = [[Vec2(1.0, 0.0)], [Vec2(-3.0, 0.0)], [Vec2(-1.0, 0.0), Vec2(0.5, 0.0)]]
-        assert compose_point_forces(sets) == reference_compose_point_forces(sets) == Vec2(-1.5, 0.0)
+        assert reference_compose_point_forces(sets) == Vec2(-1.5, 0.0)
+        assert _compose([_xy(c) for c in sets]) == (-1.5, 0.0)
 
-    @pytest.mark.parametrize("sets", [[[]], [[Vec2(1.0, 0.0)], []]], ids=["only", "second"])
+    @pytest.mark.parametrize("sets", [[[]], [[(1.0, 0.0)], []]], ids=["only", "second"])
     def test_compose_rejects_an_empty_candidate_set(self, sets):
         with pytest.raises(ValueError):
-            compose_point_forces(sets)
+            _compose(sets)
 
     def test_compose_rejects_an_empty_candidate_set_under_optimize(self):
         # The check does not rest on an assert, so `python -O` keeps it.
         code = (
-            "from leaderlabels.forces import compose_point_forces as c\n"
-            "from leaderlabels.geometry import Vec2\n"
-            "for sets in ([[]], [[Vec2(1.0, 0.0)], []]):\n"
+            "from leaderlabels.forces import _compose as c\n"
+            "for sets in ([[]], [[(1.0, 0.0)], []]):\n"
             "    try:\n        c(sets)\n    except ValueError:\n        continue\n"
             "    raise SystemExit('no ValueError')\n"
         )
@@ -374,55 +393,55 @@ def _label(rect: Rect, feature_id: str = "f0") -> Label:
 class TestAttachmentForce:
     leader = LeaderSpec(length=10.0, direction=90.0, kind=LeaderType.FIXED_DIR_FREE_CONN)
 
-    def _feature(self, x: float, y: float) -> PointFeature:
-        return PointFeature(id="f0", anchor=Vec2(x, y), depth=100.0, text="T")
+    def pull(self, rect: Rect, leader: LeaderSpec | None = None) -> list[float]:
+        """`attachment_forces` of one label at rect, its anchor at (10, 0)."""
+        rows = np.array([_row(rect)])
+        return attachment_forces(rows, np.array([[10.0, 0.0]]), leader or self.leader)[0].tolist()
 
     def test_missed_to_the_right(self):
-        label = _label(Rect(12, 20, 20, 24))
-        f = attachment_force(label, self._feature(10, 0), self.leader)
-        assert f == Vec2(-2.0, 0.0)
+        assert self.pull(Rect(12, 20, 20, 24)) == [-2.0, 0.0]
 
     def test_missed_to_the_left(self):
-        label = _label(Rect(2, 20, 8, 24))
-        f = attachment_force(label, self._feature(10, 0), self.leader)
-        assert f == Vec2(2.0, 0.0)
+        assert self.pull(Rect(2, 20, 8, 24)) == [2.0, 0.0]
 
     def test_ray_hits_edge_no_force(self):
-        label = _label(Rect(5, 20, 15, 24))
-        f = attachment_force(label, self._feature(10, 0), self.leader)
-        assert f == Vec2(0.0, 0.0)
+        assert self.pull(Rect(5, 20, 15, 24)) == [0.0, 0.0]
 
     def test_applying_force_reattaches(self):
-        label = _label(Rect(12, 20, 20, 24))
-        f = attachment_force(label, self._feature(10, 0), self.leader)
-        moved = _label(label.rect.translated(f))
-        assert moved.rect.x_min <= 10.0 <= moved.rect.x_max
+        rect = Rect(12, 20, 20, 24)
+        moved = rect.translated(Vec2(*self.pull(rect)))
+        assert moved.x_min <= 10.0 <= moved.x_max
 
     def test_free_direction_type_gets_no_force(self):
-        label = _label(Rect(12, 20, 20, 24))
         leader2 = LeaderSpec(kind=LeaderType.FREE_DIR_FIXED_CONN)
-        assert attachment_force(label, self._feature(10, 0), leader2) == Vec2(0.0, 0.0)
+        assert self.pull(Rect(12, 20, 20, 24), leader2) == [0.0, 0.0]
 
 
 class TestScreenForce:
     screen = Rect(0, 0, 100, 100)
 
+    def push(self, rect: Rect) -> list[float]:
+        """`screen_forces` of one label at rect, at d_min 2."""
+        return screen_forces(np.array([_row(rect)]), self.screen, 2.0)[0].tolist()
+
     def test_near_left_edge(self):
-        assert screen_force(Rect(1, 40, 5, 44), self.screen, d_min=2.0) == Vec2(1.0, 0.0)
+        assert self.push(Rect(1, 40, 5, 44)) == [1.0, 0.0]
 
     def test_fully_inside(self):
-        assert screen_force(Rect(40, 40, 60, 60), self.screen, d_min=2.0) == Vec2(0.0, 0.0)
+        assert self.push(Rect(40, 40, 60, 60)) == [0.0, 0.0]
 
     def test_crossing_edge(self):
-        assert screen_force(Rect(-3, 40, 2, 44), self.screen, d_min=2.0) == Vec2(5.0, 0.0)
+        assert self.push(Rect(-3, 40, 2, 44)) == [5.0, 0.0]
 
     def test_corner_sums_both_axes(self):
-        f = screen_force(Rect(1, 1, 5, 5), self.screen, d_min=2.0)
-        assert f == Vec2(1.0, 1.0)
+        assert self.push(Rect(1, 1, 5, 5)) == [1.0, 1.0]
 
     def test_oversized_label_rejected(self):
+        # The fit check rejects it; the push alone reads both edges.
+        rect = Rect(0, 40, 99, 44)
         with pytest.raises(LabelLargerThanScreenError):
-            screen_force(Rect(0, 40, 99, 44), self.screen, d_min=2.0)
+            check_screen_fit(np.array([_row(rect)]), self.screen, 2.0)
+        assert self.push(rect) == [1.0, 0.0]
 
 
 class TestConflictScan:
@@ -649,7 +668,8 @@ def _rect_rows(rects) -> np.ndarray:
 
 class TestForceArrays:
     """`attachment_forces` and `screen_forces` against the scalar reference
-    forces, label by label."""
+    forces, label by label, and `check_screen_fit` against the fit test
+    written on `Rect`s."""
 
     @pytest.mark.parametrize("kind", list(LeaderType))
     @pytest.mark.parametrize("direction", [0.0, 30.0, 90.0, 135.0, 270.0])
@@ -676,14 +696,23 @@ class TestForceArrays:
     def test_screen_matches_scalar(self, rows, d_min):
         screen = Rect(0.0, 0.0, 100.0, 60.0)
         rects = [Rect(x, y, x + w, y + h) for x, y, w, h in rows]
-        try:
-            want = [reference_screen_force(r, screen, d_min) for r in rects]
-        except LabelLargerThanScreenError as exc:
-            with pytest.raises(LabelLargerThanScreenError, match=re.escape(str(exc))):
-                screen_forces(_rect_rows(rects), screen, d_min)
-            return
         got = screen_forces(_rect_rows(rects), screen, d_min)
-        assert [Vec2(fx, fy) for fx, fy in got.tolist()] == want
+        assert [Vec2(fx, fy) for fx, fy in got.tolist()] == [
+            reference_screen_force(r, screen, d_min) for r in rects
+        ]
+        large = [
+            r for r in rects
+            if r.width > screen.width - 2.0 * d_min or r.height > screen.height - 2.0 * d_min
+        ]
+        if not large:
+            check_screen_fit(_rect_rows(rects), screen, d_min)
+            return
+        message = (
+            f"label {large[0].width:.3f}x{large[0].height:.3f} mm cannot keep {d_min} mm "
+            f"clearance inside a {screen.width:.3f}x{screen.height:.3f} mm screen"
+        )
+        with pytest.raises(LabelLargerThanScreenError, match=re.escape(message)):
+            check_screen_fit(_rect_rows(rects), screen, d_min)
 
 
 def scene_config(**kw) -> LayoutConfig:
@@ -738,7 +767,7 @@ class TestAssembleForces:
             assemble(labels, features, cfg),
         )
 
-    def test_single_overlap_equals_overlap_force(self):
+    def test_single_overlap_equals_the_overlap_rule(self):
         r1, r2 = Rect(50, 50, 60, 54), Rect(58, 51, 70, 55)
         labels = labels_from_rects([r1, r2])
         features = [
@@ -747,9 +776,9 @@ class TestAssembleForces:
         ]
         cfg = scene_config()
         fa = assemble(labels, features, cfg)
-        expected = overlap_force(r1, r2, RESOLVE_TARGET_FACTOR * cfg.d_min)
-        assert totals(fa)[0] == expected[0]
-        assert totals(fa)[1] == expected[1]
+        fx, fy = _overlap(_row(r1), _row(r2), RESOLVE_TARGET_FACTOR * cfg.d_min)
+        assert totals(fa)[0] == Vec2(fx, fy)
+        assert totals(fa)[1] == Vec2(-fx, -fy)
 
     def test_deleted_labels_get_zero(self):
         labels = labels_from_rects([Rect(50, 50, 60, 54), Rect(58, 51, 70, 55)])
@@ -787,9 +816,9 @@ class TestAssembleForces:
                         continue
                     ri, rj = lbl.rect, other.rect
                     if interiors_overlap(ri, rj):
-                        expected = expected + overlap_force(ri, rj, target)[0]
+                        expected = expected + reference_overlap_force(ri, rj, target)[0]
                     elif rect_distance(ri, rj) < cfg.d_min:
-                        expected = expected + separation_force(ri, rj, target)[0]
+                        expected = expected + reference_separation_force(ri, rj, target)[0]
                 cand_sets = []
                 hits = []
                 for f in features:
@@ -801,10 +830,10 @@ class TestAssembleForces:
                 hits.sort(key=lambda t: t[0])
                 for _, f in hits[:8]:
                     cand_sets.append(
-                        point_repulsion_candidates(lbl.rect, f.anchor, f.symbol_radius, target)
+                        reference_point_repulsion_candidates(lbl.rect, f.anchor, f.symbol_radius, target)
                     )
                 if cand_sets:
-                    expected = expected + compose_point_forces(cand_sets)
+                    expected = expected + reference_compose_point_forces(cand_sets)
                 feature = next(f for f in features if f.id == lbl.feature_id)
                 expected = expected + reference_attachment_force(lbl, feature, cfg.leader)
                 expected = expected + reference_screen_force(lbl.rect, cfg.screen, cfg.d_min)
@@ -831,14 +860,10 @@ class TestAssembleForces:
                 conflicting_label_pairs(*label_layout(labels), cfg.d_min)
                 or conflicting_feature_pairs(*scene_layout(labels, features), cfg.d_min)
             )
-            has_screen_violation = any(
-                screen_force(l.rect, cfg.screen, cfg.d_min).norm() > 0 for l in labels
-            )
-            anchors = {f.id: f for f in features}
-            has_attachment_miss = any(
-                attachment_force(l, anchors[l.feature_id], cfg.leader).norm() > 0
-                for l in labels
-            )
+            # Label k's feature is features[k].
+            rects, anchors = label_layout(labels)[0], points_array(f.anchor for f in features)
+            has_screen_violation = screen_forces(rects, cfg.screen, cfg.d_min).any()
+            has_attachment_miss = attachment_forces(rects, anchors, cfg.leader).any()
             expected_nonzero = has_conflict or has_screen_violation or has_attachment_miss
             assert (max(f.norm() for f in totals(fa)) > 0) == expected_nonzero
 
@@ -864,21 +889,21 @@ class TestAssembleForces:
         fa = assemble(labels, features, cfg)
         assert fa.group_sources == ({"attachment", "pair", "point", "screen"},)
 
-        r0, r1, r2 = rects
+        r0, r1, r2 = (_row(r) for r in rects)
+        anchor, symbol = features[1].anchor, features[2].anchor
+        sx, sy = _separation(r0, r1, target)
         parts = [
-            attachment_force(labels[1], features[1], cfg.leader),
-            separation_force(r0, r1, target)[1],
-            overlap_force(r1, r2, target)[0],
-            compose_point_forces(
-                [point_repulsion_candidates(r1, features[2].anchor, features[2].symbol_radius, target)]
-            ),
-            screen_force(r1, cfg.screen, cfg.d_min),
+            attachment_forces(np.array([r1]), np.array([[anchor.x, anchor.y]]), cfg.leader)[0].tolist(),
+            (-sx, -sy),
+            _overlap(r1, r2, target),
+            _compose([_escapes(r1, symbol.x, symbol.y, features[2].symbol_radius, target)]),
+            screen_forces(np.array([r1]), cfg.screen, cfg.d_min)[0].tolist(),
         ]
-        assert all(p.norm() > 0 for p in parts)
+        assert all(math.hypot(*p) > 0 for p in parts)
         tx = ty = 0.0
-        for p in parts:
-            tx += p.x
-            ty += p.y
+        for px, py in parts:
+            tx += px
+            ty += py
         assert totals(fa)[1] == Vec2(tx, ty)
 
 

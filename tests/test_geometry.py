@@ -9,11 +9,9 @@ from leaderlabels import geometry
 from leaderlabels.forces import SceneArrays, conflict_pairs
 from leaderlabels.geometry import (
     NearList,
-    OverlapError,
     Rect,
     Vec2,
     group_blocks,
-    interiors_overlap,
     point_rect_signed_clearance,
     rect_distance,
     same_group,
@@ -23,7 +21,9 @@ from leaderlabels.geometry import (
 
 from conftest import (
     AxisGaps,
+    OverlapError,
     disjoint_rect_pair,
+    interiors_overlap,
     point_axis_gaps,
     point_rect_distance,
     random_rect,

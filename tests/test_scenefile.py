@@ -3,7 +3,8 @@ import math
 
 import pytest
 
-from leaderlabels.scene import GraphKind, LeaderType
+from leaderlabels.geometry import Rect
+from leaderlabels.scene import GraphKind, LayoutConfig, LeaderType
 from leaderlabels.scenefile import (
     SceneValidationError,
     generate_synthetic,
@@ -39,6 +40,12 @@ class TestParseScene:
         assert cfg.leader.kind is LeaderType.FIXED_DIR_FREE_CONN
         assert cfg.graph_kind is GraphKind.DT
         assert cfg.screen.width == 100.0
+
+    def test_empty_config_takes_the_dataclass_defaults(self):
+        data = minimal_scene()
+        data["config"] = {}
+        _, cfg = parse_scene(data)
+        assert cfg == LayoutConfig(screen=Rect(0.0, 0.0, 100.0, 80.0))
 
     def test_duplicate_id_names_offender(self):
         data = minimal_scene()
