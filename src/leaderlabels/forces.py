@@ -38,12 +38,14 @@ from .geometry import (
     rects_near,
     same_group,
     screen_margins,
+    screen_room,
     stacked_pairs,
     symbol_rows_closer,
     symbols_near,
 )
 from .scene import (
     Label,
+    LabelLargerThanScreenError,
     LayoutConfig,
     LeaderSpec,
     LeaderType,
@@ -62,10 +64,6 @@ MAX_COMPOSED_FEATURES = 8
 # the gap a hair under d_min; with it they land strictly clear and the
 # force vanishes, giving the iteration a stable fixed point.
 RESOLVE_TARGET_FACTOR = 1.25
-
-
-class LabelLargerThanScreenError(ValueError):
-    """No placement of this label can satisfy screen containment."""
 
 
 # The force sources, each one bit of a group's tag.
@@ -102,7 +100,9 @@ def _separation(a, b, d_min: float) -> tuple[float, float]:
     oy = ay1 - by0 if by0 >= ay1 else ay0 - by1 if ay0 >= by1 else 0.0
     gap = math.hypot(ox, oy)
     if gap > 0.0:
-        dx, dy = ox * (1.0 / gap), oy * (1.0 / gap)
+        # Below about 5.6e-309, 1 / gap overflows; divide there instead.
+        inv = 1.0 / gap
+        dx, dy = (ox * inv, oy * inv) if inv < math.inf else (ox / gap, oy / gap)
     else:
         cx = 0.5 * (ax0 + ax1) - 0.5 * (bx0 + bx1)
         cy = 0.5 * (ay0 + ay1) - 0.5 * (by0 + by1)
@@ -133,8 +133,8 @@ def _pair_force(a, b, d_min: float) -> tuple[float, float]:
 
 
 def _symbol_gap(rect, x: float, y: float, radius: float) -> float:
-    """`point_rect_signed_clearance` of a symbol's center (x, y) from rect,
-    minus its radius."""
+    """The signed clearance of a symbol's center (x, y) from rect (negative
+    inside), minus its radius."""
     x0, y0, x1, y1 = rect
     dx, dy = max(x0 - x, x - x1), max(y0 - y, y - y1)
     if dx <= 0.0 and dy <= 0.0:
@@ -214,8 +214,7 @@ def screen_forces(rects: np.ndarray, screen: Rect, d_min: float) -> np.ndarray:
 def check_screen_fit(rects: np.ndarray, screen: Rect, d_min: float) -> None:
     """Raise LabelLargerThanScreenError for the first of the (n, 4) rects
     too large to keep d_min from every screen edge in any position."""
-    room = (screen.width - 2.0 * d_min, screen.height - 2.0 * d_min)
-    fits = (rects[:, 2:4] - rects[:, 0:2] <= room).all(axis=1)
+    fits = (rects[:, 2:4] - rects[:, 0:2] <= screen_room(screen, d_min)).all(axis=1)
     if not fits.all():
         x0, y0, x1, y1 = rects[np.argmin(fits)].tolist()
         raise LabelLargerThanScreenError(
@@ -309,7 +308,7 @@ def conflicting_label_pairs(
     are at distance 0, so the one distance test also catches overlaps.
     The box test `rects_near` runs in the blocks of `group_blocks`, so
     memory stays linear in n and the work grows with the groups' sizes;
-    `rect_distance`'s `hypot_below` then decides each pair it passed. With
+    `hypot_below` of their `rect_gaps` then decides each pair it passed. With
     near, a `NearList` that holds at rects[live] (`conflict_pairs` checks
     it), only its label candidates are tested; when it has none, the box
     test finds them on its base at d_min + 2·skin, since each pair's axis

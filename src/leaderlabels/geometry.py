@@ -206,26 +206,6 @@ def points_array(points: Iterable[Vec2]) -> np.ndarray:
     return np.array([(p.x, p.y) for p in points], dtype=float).reshape(-1, 2)
 
 
-def rect_distance(a: Rect, b: Rect) -> float:
-    """Minimum Euclidean distance between two rectangles, 0 when they meet."""
-    dx = max(0.0, a.x_min - b.x_max, b.x_min - a.x_max)
-    dy = max(0.0, a.y_min - b.y_max, b.y_min - a.y_max)
-    return math.hypot(dx, dy)
-
-
-def point_rect_signed_clearance(p: Vec2, r: Rect) -> float:
-    """Signed distance from a point to a rectangle boundary.
-
-    Positive outside, zero on the boundary, negative inside (minus the
-    penetration depth to the nearest face).
-    """
-    dx = max(r.x_min - p.x, p.x - r.x_max)
-    dy = max(r.y_min - p.y, p.y - r.y_max)
-    if dx <= 0.0 and dy <= 0.0:
-        return max(dx, dy)
-    return math.hypot(max(dx, 0.0), max(dy, 0.0))
-
-
 def hypot_below(
     x: np.ndarray, y: np.ndarray, limit: np.ndarray | float, minus: np.ndarray | float = 0.0
 ) -> np.ndarray:
@@ -233,8 +213,9 @@ def hypot_below(
 
     np.hypot decides each element, and math.hypot each one whose np.hypot
     lands within HYPOT_RTOL of the threshold, so every decision is the
-    scalar one. `rect_distance` and `point_rect_signed_clearance` end in
-    this math.hypot of the same axis gaps.
+    scalar one. The scalar rect distance and symbol clearance, which the
+    tests' `conftest.rect_distance` and `point_rect_signed_clearance`
+    define, end in this math.hypot of the same axis gaps.
     """
     gap = np.hypot(x, y) - minus
     below = gap < limit
@@ -259,9 +240,9 @@ def rects_near(a: np.ndarray, b: np.ndarray, limit: float) -> np.ndarray:
 
 def symbols_near(rects: np.ndarray, symbols: np.ndarray, limit: float) -> np.ndarray:
     """The box test, (len(rects), len(symbols)), that every rect and symbol
-    whose `point_rect_signed_clearance` minus the radius is below limit
-    pass: the clearance is at least the larger signed axis gap, so both
-    gaps lie below radius + limit. symbols is (m, 3): x, y, radius."""
+    whose signed clearance (`symbol_rows_closer`) minus the radius is below
+    limit pass: the clearance is at least the larger signed axis gap, so
+    both gaps lie below radius + limit. symbols is (m, 3): x, y, radius."""
     px, py, radius = symbols.T
     reach = radius + (limit + _BROAD_PHASE_SLACK)
     return (
@@ -272,25 +253,25 @@ def symbols_near(rects: np.ndarray, symbols: np.ndarray, limit: float) -> np.nda
 
 def rect_gaps(p: np.ndarray, q: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """The x and y gaps of the rows of the (k, 4) rects p and q, 0 on an
-    axis where they overlap: `rect_distance` is their `math.hypot`."""
+    axis where they overlap: the rects' distance is their `math.hypot`."""
     gx = np.maximum(np.maximum(p[:, 0] - q[:, 2], q[:, 0] - p[:, 2]), 0.0)
     gy = np.maximum(np.maximum(p[:, 1] - q[:, 3], q[:, 1] - p[:, 3]), 0.0)
     return gx, gy
 
 
 def rects_closer(a: np.ndarray, b: np.ndarray, limit: float) -> tuple[np.ndarray, np.ndarray]:
-    """Index arrays (i, j), row-major, of the pairs with
-    `rect_distance`(a[i], b[j]) < limit > 0."""
+    """Index arrays (i, j), row-major, of the pairs a[i], b[j] whose
+    distance, the `math.hypot` of their `rect_gaps`, is below limit > 0."""
     i, j = np.nonzero(rects_near(a, b, limit))
     close = hypot_below(*rect_gaps(a[i], b[j]), limit)
     return i[close], j[close]
 
 
 def symbol_rows_closer(rects: np.ndarray, symbols: np.ndarray, limit: float) -> np.ndarray:
-    """Whether `point_rect_signed_clearance`(symbols[k], rects[k]) minus
-    the radius is below limit, row by row: from the signed axis gaps dx and
-    dy, max(dx, dy) for a center inside the rect, else `hypot_below` of the
-    gaps clipped at 0."""
+    """Whether the signed clearance of symbols[k]'s center from rects[k]
+    (negative inside) minus the radius is below limit, row by row: from the
+    signed axis gaps dx and dy, max(dx, dy) for a center inside the rect,
+    else `hypot_below` of the gaps clipped at 0."""
     if not len(rects):
         return np.zeros(0, dtype=bool)
     px, py, radius = symbols.T
@@ -351,6 +332,12 @@ def stacked_pairs(found: list[tuple[np.ndarray, np.ndarray]]) -> tuple[np.ndarra
     empty = [np.zeros(0, dtype=np.intp)]
     first = np.concatenate(empty + [i for i, _ in found])
     return first, np.concatenate(empty + [j for _, j in found])
+
+
+def screen_room(screen: Rect, d_min: float) -> tuple[float, float]:
+    """The largest width and height a label may have and still keep d_min
+    from every screen edge."""
+    return screen.width - 2.0 * d_min, screen.height - 2.0 * d_min
 
 
 def screen_margins(rects: np.ndarray, screen: Rect) -> np.ndarray:

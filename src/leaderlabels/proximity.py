@@ -361,7 +361,7 @@ def _mst_edge_list(
     "center" uses center-to-center distance between the rows of xy (the
     graph-kind switch). Ties break on the (min index, max index) pair, so
     results are deterministic. `math.hypot` measures the axis gaps of every
-    pair, so a weight is the float `rect_distance` gives.
+    pair, so a weight is the float the scalar rect distance gives.
     """
     if len(live) < 2:
         return []

@@ -38,13 +38,18 @@ first candidate to pass, and the charge up to and including it, are those
 of testing every candidate, and the charge rule does not change. Unlike
 the blocks, the mask and the numbers of its unmarked cells grow with the
 retry's square of cells.
+
+Each search is one record of tables (`_Search`). The ring order is one
+sort of the grid cells (`_ring_lattice`), with its inverse
+(`_lattice_index`); both are built on first use, once per process.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from collections import Counter
-from typing import Callable
+from typing import NamedTuple
 
 import numpy as np
 
@@ -59,6 +64,7 @@ from .geometry import (
     rects_closer,
     rects_near,
     screen_margins,
+    screen_room,
     symbols_closer,
     symbols_near,
 )
@@ -125,7 +131,7 @@ def greedy_repair(
     the bounded search radius, or when the budget runs out.
     """
     d_min = cfg.d_min
-    searches = _searches(cfg, diagonal, max_axis_retries)
+    searches: list[_Search] = []
     moves = 0
     budget = _Budget(CANDIDATE_BUDGET)
     # A label whose search exhausted stays parked until some move lands near
@@ -136,11 +142,13 @@ def greedy_repair(
         degree = conflict_degrees(rects, arrays, d_min)
         if not degree:
             break
+        # Built once some label needs a search.
+        searches = searches or _searches(cfg, diagonal, max_axis_retries)
         candidates = [i for i in degree if i not in stuck]
         for idx in sorted(candidates, key=lambda i: (-degree[i], i)):
             anchor = Vec2(*arrays.anchors[idx])
             for search in searches:
-                d = _search(idx, rects, cfg, anchor, arrays, budget, *search)
+                d = _search(idx, rects, cfg, anchor, arrays, budget, search)
                 if d is not None:
                     break
             if d is not None:
@@ -169,44 +177,57 @@ def greedy_repair(
     return budget.left, moves
 
 
-StepCount = Callable[[int], int]
-StepOffsets = Callable[[np.ndarray], np.ndarray]
-CellNumbers = Callable[[np.ndarray, np.ndarray], np.ndarray]
+class _Search(NamedTuple):
+    """One search of `_search`: its offsets (rows of offsets times scale)
+    out to its last retry in test order, nearest first, and counts[k], the
+    number in steps 1..k. The ring search holds the shared int32 grid
+    cells, scaled by grid, and its index holds the number of cell (ix, iy)
+    at [ix + L, iy + L], -1 on the axes; the axis search has none."""
+
+    retries: int
+    reach_scale: float
+    offsets: np.ndarray
+    scale: float
+    counts: list[int]
+    index: np.ndarray | None
 
 
-def _searches(
-    cfg: LayoutConfig, diagonal: bool, max_axis_retries: int
-) -> list[tuple[int, float, StepCount, StepOffsets, CellNumbers | None]]:
-    """The searches a conflicted label goes through, in order, as
-    (retries, reach_scale, step_count, step_offsets, cell_numbers) for
-    `_search`.
+def _searches(cfg: LayoutConfig, diagonal: bool, max_axis_retries: int) -> list[_Search]:
+    """The searches a conflicted label goes through, in order.
 
     Axis steps come first: step k moves the label k grid cells along each
     admissible direction, k-major and direction-minor. Rings are searched
     only for a label whose every axis step is blocked: step k is the
     border of square ring k, both cell coordinates non-zero, in
-    (ix^2 + iy^2, ix, iy) order. Steps 1..k hold
+    (ix^2 + iy^2, ix, iy) order (`_ring_lattice`). Steps 1..k hold
     len(directions) * k axis offsets and 4 k^2 ring cells. Every ring
-    offset is a grid cell, and cell_numbers numbers the cells; the axis
-    offsets of a leader at an angle are not, and the axis search has none.
+    offset is a grid cell; the axis offsets of a leader at an angle are
+    not, and the axis search has no index.
     """
     directions = points_array(admissible_directions(cfg))
     nd = len(directions)
     grid = cfg.d_min / 2.0
-
-    def axis_offsets(t: np.ndarray) -> np.ndarray:
-        # The same floats as direction * (k * grid).
-        return directions[t % nd] * ((t // nd + 1) * grid)[:, None]
-
-    def ring_offsets(t: np.ndarray) -> np.ndarray:
-        return _ring_cells(t) * grid
-
-    searches = [(max_axis_retries, 1.0, lambda k: nd * k, axis_offsets, None)]
+    end = _last_step(cfg, max_axis_retries)
+    t = np.arange(nd * end)
+    # The same floats as direction * (k * grid).
+    axis = directions[t % nd] * ((t // nd + 1) * grid)[:, None]
+    searches = [_Search(max_axis_retries, 1.0, axis, 1.0, [nd * k for k in range(end + 1)], None)]
     if diagonal and cfg.leader.kind is not LeaderType.FIXED_DIR_FIXED_CONN:
-        searches.append(
-            (MAX_RETRIES_DIAGONAL, math.sqrt(2.0), lambda k: 4 * k * k, ring_offsets, _ring_numbers)
-        )
+        rings = _last_step(cfg, MAX_RETRIES_DIAGONAL)
+        searches.append(_Search(
+            MAX_RETRIES_DIAGONAL, math.sqrt(2.0), _ring_lattice(rings), grid,
+            [4 * k * k for k in range(rings + 1)], _lattice_index(rings),
+        ))
     return searches
+
+
+def _last_step(cfg: LayoutConfig, retries: int) -> int:
+    """The step that retries 0..retries reach, as `_search` computes each
+    retry's. A retry whose radius overflows sizes no table: `_search`
+    fails there, as it always has."""
+    grid = cfg.d_min / 2.0
+    radii = (BASE_RADIUS_FACTOR * cfg.d_min * (2.0**retry) for retry in range(retries + 1))
+    return max((int(radius / grid) for radius in radii if radius < math.inf), default=0)
 
 
 def _search(
@@ -216,31 +237,24 @@ def _search(
     anchor: Vec2,
     arrays: SceneArrays,
     budget: _Budget,
-    retries: int,
-    reach_scale: float,
-    step_count: StepCount,
-    step_offsets: StepOffsets,
-    cell_numbers: CellNumbers | None,
+    search: _Search,
 ) -> Vec2 | None:
     """Nearest clearing displacement for the label in slot idx of the
     (n, 4) rects, or None.
 
-    The candidate offsets are numbered nearest first: step_count(k) is the
-    number in steps 1..k, and step_offsets(t) gives the (len(t), 2) offsets
-    numbered t. Steps run outward in retries whose radius doubles each
-    time; an offset of step k lies at most k * grid * reach_scale from the
-    label's center. Each retry's offsets are tested in blocks of at most
-    budget.left candidates, and the first that passes is taken; the budget
-    is charged up to and including it, as if candidates were tested one by
-    one.
+    The search's offsets are read in their number order, nearest first,
+    and scaled.
+    Steps run outward in retries whose radius doubles each time; an offset
+    of step k lies at most k * grid * reach_scale from the label's center.
+    Each retry's offsets are tested in blocks of at most budget.left
+    candidates, and the first that passes is taken; the budget is charged
+    up to and including it, as if candidates were tested one by one.
 
-    With cell_numbers, which numbers the grid cells (ix, iy) of the
-    offsets (ix, iy) * grid, and gives -1 to a cell that is no candidate,
-    a retry that the search's first block does not settle marks the cells
-    `_blocked_cells` proves blocked, and tests only the others, in number
-    order. A marked candidate would fail the test, so it is charged as if
-    tested, and the choice and the charge stay those of testing every
-    candidate.
+    With an index, a retry that the search's first block does not settle
+    marks the cells `_blocked_cells` proves blocked, and tests only the
+    others, in number order. A marked candidate would fail the test, so it
+    is charged as if tested, and the choice and the charge stay those of
+    testing every candidate.
     """
     box = rects[idx]
     x0, y0, x1, y1 = box.tolist()
@@ -254,33 +268,33 @@ def _search(
     symbols = arrays.symbols[arrays.ids != arrays.own[idx]]
     symbol_dist = np.hypot(symbols[:, 0] - cx, symbols[:, 1] - cy)
     start = 1
-    for retry in range(retries + 1):
+    for retry in range(search.retries + 1):
         radius = BASE_RADIUS_FACTOR * cfg.d_min * (2.0**retry)
         # Anything beyond this retry's reach cannot touch a candidate;
         # prefilter once per retry. The bound is grown so that np.hypot's
         # last bit never drops what the scalar norm would keep; an extra
         # rect or symbol never changes a decision.
-        reach = radius * reach_scale + own_half_diag + cfg.d_min
+        reach = radius * search.reach_scale + own_half_diag + cfg.d_min
         near_rects = others[label_dist <= (reach + half_diag) * (1.0 + HYPOT_RTOL)]
         near_symbols = symbols[symbol_dist <= (reach + symbols[:, 2]) * (1.0 + HYPOT_RTOL)]
         block = max(1, BLOCK_ELEMENTS // max(1, len(near_rects) + len(near_symbols)))
         end = int(radius / grid)
-        t, t_end = step_count(start - 1), step_count(end)
+        t, t_end = search.counts[start - 1], search.counts[end]
         while t < t_end:
             if budget.left <= 0:
                 return None
             stop = min(t_end, t + budget.left)
-            if cell_numbers is None or t == 0:
+            if search.index is None or t == 0:
                 stop = min(stop, t + block)
                 numbers = np.arange(t, stop)
             else:
                 # The rest of the retry within the budget, marked cells left out.
                 blocked = _blocked_cells(box, end, grid, near_rects, near_symbols, cfg)
-                ix, iy = np.nonzero(~blocked)
-                numbers = cell_numbers(ix - end, iy - end)
+                c = len(search.index) // 2
+                numbers = search.index[c - end : c + end + 1, c - end : c + end + 1][~blocked]
                 numbers = np.sort(numbers[(t <= numbers) & (numbers < stop)])
             for lo in range(0, len(numbers), block):
-                offsets = step_offsets(numbers[lo : lo + block])
+                offsets = search.offsets[numbers[lo : lo + block]] * search.scale
                 passed = np.flatnonzero(
                     _candidates_ok(box + np.tile(offsets, 2), near_rects, near_symbols, cfg, anchor)
                 )
@@ -320,9 +334,8 @@ def _blocked_cells(
     limit = np.concatenate((np.full(len(near_rects), d_min), near_symbols[:, 2] + d_min))
     limit = limit / math.sqrt(2.0) - _BROAD_PHASE_SLACK
     obstacles = np.concatenate((near_rects, near_symbols[:, [0, 1, 0, 1]]))
-    if x1 - x0 <= s.width - 2.0 * d_min - _BROAD_PHASE_SLACK and (
-        y1 - y0 <= s.height - 2.0 * d_min - _BROAD_PHASE_SLACK
-    ):
+    room_x, room_y = screen_room(s, d_min)
+    if x1 - x0 <= room_x - _BROAD_PHASE_SLACK and y1 - y0 <= room_y - _BROAD_PHASE_SLACK:
         inf = math.inf
         beyond = ((-inf, -inf, s.x_min, inf), (-inf, -inf, inf, s.y_min),
                   (s.x_max, -inf, inf, inf), (-inf, s.y_max, inf, inf))
@@ -341,48 +354,31 @@ def _blocked_cells(
     return blocked
 
 
-# The eight border cells of ring r at m < r steps off the axes, in
-# (ix^2 + iy^2, ix, iy) order: (-r, -m), (-r, m), (-m, -r), (-m, r),
-# (m, -r), (m, r), (r, -m), (r, m). At m = r, cells 0, 1, 6 and 7 are the
-# four corners in that order.
-_CELL_SIGN_X = np.array([-1, -1, -1, -1, 1, 1, 1, 1])
-_CELL_SIGN_Y = np.array([-1, 1, -1, 1, -1, 1, -1, 1])
-_CELL_X_ON_RING = np.array([True, True, False, False, False, False, True, True])
-_CORNER_CELLS = np.array([0, 1, 6, 7])
+@functools.cache
+def _ring_lattice(rings: int) -> np.ndarray:
+    """The grid cells (ix, iy) off the axes out to square ring `rings`, an
+    (4 rings^2, 2) int32 array, ring by ring, each ring in
+    (ix^2 + iy^2, ix, iy) order. Rings 1..k are its first 4 k^2 rows.
+    Built once per ring count and read-only."""
+    v = np.arange(-rings, rings + 1, dtype=np.int32)
+    v = v[v != 0]
+    ix, iy = np.repeat(v, len(v)), np.tile(v, len(v))
+    order = np.lexsort((iy, ix, ix * ix + iy * iy, np.maximum(np.abs(ix), np.abs(iy))))
+    cells = np.column_stack((ix[order], iy[order]))
+    cells.flags.writeable = False
+    return cells
 
 
-def _ring_cells(t: np.ndarray) -> np.ndarray:
-    """Grid cells (ix, iy), an (len(t), 2) int array, numbered t over the
-    off-axis borders of rings 1, 2, ..., each in (ix^2 + iy^2, ix, iy)
-    order.
-
-    Rings 1..r hold 4 r^2 cells, so cell t lies on ring isqrt(t // 4) + 1.
-    """
-    q = t // 4
-    r = np.floor(np.sqrt(q)).astype(np.int64)
-    r += (r + 1) * (r + 1) <= q
-    r -= r * r > q
-    r += 1
-    p = t - 4 * (r - 1) * (r - 1)
-    m = p // 8 + 1
-    cell = np.where(m == r, _CORNER_CELLS[p % 4], p % 8)
-    on_x = _CELL_X_ON_RING[cell]
-    return np.column_stack((
-        _CELL_SIGN_X[cell] * np.where(on_x, r, m),
-        _CELL_SIGN_Y[cell] * np.where(on_x, m, r),
-    ))
-
-
-def _ring_numbers(ix: np.ndarray, iy: np.ndarray) -> np.ndarray:
-    """The numbers t of the grid cells (ix, iy) in `_ring_cells`, whose
-    inverse this is; -1 for a cell on an axis, which no ring holds."""
-    ax, ay = np.abs(ix), np.abs(iy)
-    r, m = np.maximum(ax, ay), np.minimum(ax, ay)
-    right, up = ix > 0, iy > 0
-    # Cells sort by ix, then iy: (-r, -+m), (-m, -+r), (m, -+r), (r, -+m);
-    # the four corners, (-r, -+r), (r, -+r), come after the rest.
-    cell = np.where(m == r, 2 * right, 4 * right + 2 * ((ax == r) == right)) + up
-    return np.where(m > 0, 4 * (r - 1) ** 2 + 8 * (m - 1) + cell, -1)
+@functools.cache
+def _lattice_index(rings: int) -> np.ndarray:
+    """The row numbers of `_ring_lattice(rings)`, inverted: a
+    (2 rings + 1, 2 rings + 1) int32 array holding the number of cell
+    (ix, iy) at [ix + rings, iy + rings], and -1 on the axes. Read-only."""
+    cells = _ring_lattice(rings)
+    index = np.full((2 * rings + 1, 2 * rings + 1), -1, dtype=np.int32)
+    index[cells[:, 0] + rings, cells[:, 1] + rings] = np.arange(len(cells), dtype=np.int32)
+    index.flags.writeable = False
+    return index
 
 
 def _candidates_ok(
@@ -408,8 +404,7 @@ def _candidates_ok(
     d_min = cfg.d_min
     ok = (screen_margins(cands, cfg.screen) >= d_min).all(axis=1)
     # A candidate that fails `check_screen_fit`'s size test is exempt.
-    room = (cfg.screen.width - 2.0 * d_min, cfg.screen.height - 2.0 * d_min)
-    ok |= (cands[:, 2:4] - cands[:, 0:2] > room).any(axis=1)
+    ok |= (cands[:, 2:4] - cands[:, 0:2] > screen_room(cfg.screen, d_min)).any(axis=1)
     if cfg.leader.kind is LeaderType.FIXED_DIR_FREE_CONN:
         # Keep the label attached: the leader ray must still meet the
         # attachment edge after the move.

@@ -14,7 +14,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .geometry import Rect, Vec2, unit_from_degrees
+from .geometry import Rect, Vec2, screen_room, unit_from_degrees
 
 PT_TO_MM = 0.3528
 
@@ -136,6 +136,10 @@ class BeamParams:
             raise ValueError("max_step must be strictly positive")
 
 
+class LabelLargerThanScreenError(ValueError):
+    """No placement of this label can satisfy screen containment."""
+
+
 @dataclass(frozen=True, slots=True)
 class LayoutConfig:
     """All tunables of the placement pipeline."""
@@ -170,7 +174,7 @@ class LayoutConfig:
             raise ValueError("padding must be non-negative")
         # With more padding than this no label fits inside the screen with
         # d_min to spare, and a padding near the float range overflows.
-        room = min(self.screen.width, self.screen.height) - 2.0 * self.d_min
+        room = min(screen_room(self.screen, self.d_min))
         if self.padding > 0 and 2.0 * self.padding > room:
             raise ValueError("padding leaves no room for a label inside the screen")
 
@@ -294,6 +298,11 @@ def initial_layout(features: list[PointFeature], cfg: LayoutConfig) -> list[Labe
         w, h = measure_text(f.text, size)
         w += 2.0 * cfg.padding
         h += 2.0 * cfg.padding
+        if not (math.isfinite(w) and math.isfinite(h)):
+            raise LabelLargerThanScreenError(
+                f"label of feature {f.id!r} measures {w!r}x{h!r} mm; lower "
+                "config.w_max_pt or config.padding_mm"
+            )
         tip = f.anchor + u * cfg.leader.length
         x_min = tip.x - 0.5 * w
         rect = Rect(x_min, tip.y, x_min + w, tip.y + h)

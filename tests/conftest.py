@@ -123,6 +123,26 @@ def point_rect_distance(p: Vec2, r: Rect) -> float:
     return math.hypot(dx, dy)
 
 
+def rect_distance(a: Rect, b: Rect) -> float:
+    """Minimum Euclidean distance between two rectangles, 0 when they meet."""
+    dx = max(0.0, a.x_min - b.x_max, b.x_min - a.x_max)
+    dy = max(0.0, a.y_min - b.y_max, b.y_min - a.y_max)
+    return math.hypot(dx, dy)
+
+
+def point_rect_signed_clearance(p: Vec2, r: Rect) -> float:
+    """Signed distance from a point to a rectangle boundary.
+
+    Positive outside, zero on the boundary, negative inside (minus the
+    penetration depth to the nearest face).
+    """
+    dx = max(r.x_min - p.x, p.x - r.x_max)
+    dy = max(r.y_min - p.y, p.y - r.y_max)
+    if dx <= 0.0 and dy <= 0.0:
+        return max(dx, dy)
+    return math.hypot(max(dx, 0.0), max(dy, 0.0))
+
+
 def labels_from_rects(rects: list[Rect]) -> list[Label]:
     return [
         Label(
@@ -186,8 +206,6 @@ def random_labels(rng: random.Random, n: int, span: float = 100.0, max_side: flo
 
 def brute_force_label_conflicts(labels, d_min: float) -> list[tuple[int, int]]:
     """O(n^2) reference for the label conflict scan."""
-    from leaderlabels.geometry import rect_distance
-
     out = []
     for i in range(len(labels)):
         if labels[i].deleted:
@@ -202,8 +220,6 @@ def brute_force_label_conflicts(labels, d_min: float) -> list[tuple[int, int]]:
 
 
 def brute_force_feature_conflicts(labels, features, d_min: float) -> list[tuple[int, int]]:
-    from leaderlabels.geometry import point_rect_signed_clearance
-
     deleted_ids = {l.feature_id for l in labels if l.deleted}
     out = []
     for i, lbl in enumerate(labels):
@@ -293,12 +309,11 @@ def reference_separation_force(a: Rect, b: Rect, d_min: float) -> tuple[Vec2, Ve
     whose interiors are disjoint: half the remaining deficit along the
     nearest-point axis, the center line for touching rects and +x for
     concentric ones."""
-    from leaderlabels.geometry import rect_distance
-
     gap = rect_distance(a, b)
     if gap > 0.0:
         pa, qb = rect_nearest_points(a, b)
-        direction = (pa - qb) * (1.0 / gap)
+        d, inv = pa - qb, 1.0 / gap
+        direction = d * inv if inv < math.inf else Vec2(d.x / gap, d.y / gap)
     else:
         d = a.center() - b.center()
         direction = d.normalized() if d.norm() > 0.0 else Vec2(1.0, 0.0)
@@ -390,7 +405,6 @@ def reference_assemble_forces(features, cfg, pairs, rects, arrays, group=None, n
         ForceAssignment,
         LabelLargerThanScreenError,
     )
-    from leaderlabels.geometry import point_rect_signed_clearance
     from leaderlabels.scene import attachment_edge
 
     attachment_bit, pair_bit, point_bit, screen_bit = 1, 2, 4, 8
@@ -504,8 +518,6 @@ def candidate_ok(
     anchor: Vec2,
 ) -> bool:
     """Scalar reference for the repair search's candidate test."""
-    from leaderlabels.geometry import point_rect_signed_clearance, rect_distance
-
     d_min = cfg.d_min
     for other in near_labels:
         if rect_distance(candidate, other) < d_min:
@@ -683,16 +695,12 @@ def reference_block_search(
     anchor: Vec2,
     arrays: SceneArrays,
     budget,
-    retries: int,
-    reach_scale: float,
-    step_count: Callable[[int], int],
-    step_offsets: Callable[[np.ndarray], np.ndarray],
-    cell_numbers: Callable[[np.ndarray, np.ndarray], np.ndarray] | None,
+    search,
 ) -> Vec2 | None:
     """`repair._search` that tests every candidate, in blocks, with no
-    cells marked blocked beforehand; cell_numbers is not read. A drop-in
-    for `repair._search`: the same candidates in the same order, charged
-    as one by one."""
+    cells marked blocked beforehand; the search's index is not read. A
+    drop-in for `repair._search`: the same candidates in the same order,
+    charged as one by one."""
     from leaderlabels import repair
     from leaderlabels.geometry import HYPOT_RTOL
 
@@ -708,18 +716,18 @@ def reference_block_search(
     symbols = arrays.symbols[arrays.ids != arrays.own[idx]]
     symbol_dist = np.hypot(symbols[:, 0] - cx, symbols[:, 1] - cy)
     start = 1
-    for retry in range(retries + 1):
+    for retry in range(search.retries + 1):
         radius = repair.BASE_RADIUS_FACTOR * cfg.d_min * (2.0**retry)
-        reach = radius * reach_scale + own_half_diag + cfg.d_min
+        reach = radius * search.reach_scale + own_half_diag + cfg.d_min
         near_rects = others[label_dist <= (reach + half_diag) * (1.0 + HYPOT_RTOL)]
         near_symbols = symbols[symbol_dist <= (reach + symbols[:, 2]) * (1.0 + HYPOT_RTOL)]
         block = max(1, repair.BLOCK_ELEMENTS // max(1, len(near_rects) + len(near_symbols)))
         end = int(radius / grid)
-        t, t_end = step_count(start - 1), step_count(end)
+        t, t_end = search.counts[start - 1], search.counts[end]
         while t < t_end:
             if budget.left <= 0:
                 return None
-            offsets = step_offsets(np.arange(t, min(t_end, t + block, t + budget.left)))
+            offsets = search.offsets[t : min(t_end, t + block, t + budget.left)] * search.scale
             passed = np.flatnonzero(repair._candidates_ok(
                 box + np.tile(offsets, 2), near_rects, near_symbols, cfg, anchor
             ))
@@ -894,7 +902,6 @@ def reference_mst_edges(rects: np.ndarray, live: np.ndarray) -> list[tuple[float
     """Reference for the rect-distance MST of `proximity._mst_edge_list`:
     every live pair measured with `rect_distance` on scalar `Rect`s, the
     (weight, i, j) tuples sorted, Kruskal over them."""
-    from leaderlabels.geometry import rect_distance
     from leaderlabels.proximity import _find
 
     live = live.tolist()

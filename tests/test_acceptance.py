@@ -24,7 +24,7 @@ from leaderlabels.forces import (
     attachment_forces,
     screen_forces,
 )
-from leaderlabels.geometry import Rect, Vec2, points_array, rect_distance
+from leaderlabels.geometry import Rect, Vec2, points_array
 from leaderlabels.metrics import (
     count_conflicts,
     direction_deviation,
@@ -54,6 +54,7 @@ from conftest import (
     overlapping_rect_pair,
     pair_totals,
     random_labels,
+    rect_distance,
     scene_layout,
 )
 from test_beams import assemble_global, graph_of, load_vector, params, raw_translations, solve

@@ -98,6 +98,7 @@ class TestExitCodes:
         "section, key, value",
         [
             (None, "padding_mm", 1e308),
+            (None, "w_max_pt", 1e308),
             ("beam", "ground_stiffness", 1e-320),
             ("beam", "elastic_modulus", 1e308),
             ("beam", "moment_of_inertia", 1e308),
@@ -105,7 +106,8 @@ class TestExitCodes:
     )
     def test_unusable_config_is_validation_error(self, capsys, tmp_path, section, key, value):
         # Each value is finite and in its own range, but with that padding
-        # no label fits inside the screen, or the stiffness system K d = f
+        # no label fits inside the screen, with that font bound a label's
+        # measured width overflows, or the stiffness system K d = f
         # of the first step cannot be factored or has no finite stiffness
         # (this scene's first step has forces, so it solves). No numpy
         # warning is printed, and a beam error names the beam fields.
@@ -123,6 +125,8 @@ class TestExitCodes:
         assert out == ""
         if section == "beam":
             assert f"beam.{key}" in err
+        if key == "w_max_pt":
+            assert "config.w_max_pt" in err and "config.padding_mm" in err
 
     @pytest.mark.parametrize(
         "section, key",

@@ -10,7 +10,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from leaderlabels import geometry
 from leaderlabels.forces import (
@@ -31,13 +31,7 @@ from leaderlabels.forces import (
     conflicting_label_pairs,
     screen_forces,
 )
-from leaderlabels.geometry import (
-    Rect,
-    Vec2,
-    point_rect_signed_clearance,
-    points_array,
-    rect_distance,
-)
+from leaderlabels.geometry import Rect, Vec2, points_array
 from leaderlabels.scene import Label, LayoutConfig, LeaderSpec, LeaderType, PointFeature
 
 from conftest import (
@@ -49,7 +43,9 @@ from conftest import (
     labels_from_rects,
     overlapping_rect_pair,
     pair_totals,
+    point_rect_signed_clearance,
     random_labels,
+    rect_distance,
     reference_assemble_forces,
     reference_attachment_force,
     reference_compose_point_forces,
@@ -330,13 +326,17 @@ class TestFloatRulesMatchOracles:
         st.floats(0.0, 2.0),
         st.sampled_from([0.2, 1.0, 0.1 * 3]),
     )
+    # A gap of one subnormal, whose reciprocal overflows.
+    @example(Rect(0.0, 0.0, 0.0, 0.0), 1, False, 0.0, 0.2)
     def test_separation_gaps_near_zero_and_the_target(self, a, ulps, near_target, across, d_min):
         # b lies right of a, across above its top edge, its gap a few ulps
         # from 0 or from d_min.
         edge = _ulps(a.x_max + (d_min if near_target else 0.0), ulps)
         b = Rect(max(edge, a.x_max), a.y_max + across, max(edge, a.x_max) + 2.0, a.y_max + across + 1.0)
-        _same_bits(_separation(_row(a), _row(b), d_min), reference_separation_force, a, b, d_min)
-        _same_bits(_separation(_row(b), _row(a), d_min), reference_separation_force, b, a, d_min)
+        for p, q in ((a, b), (b, a)):
+            got = _separation(_row(p), _row(q), d_min)
+            assert all(map(math.isfinite, got))
+            _same_bits(got, reference_separation_force, p, q, d_min)
 
     @settings(max_examples=400, deadline=None)
     @given(grid_rects(), grid, grid, st.sampled_from([0.0, 0.45, 1.0]), st.sampled_from([0.2, 1.0]) | st.floats(0.0, 3.0))

@@ -12,8 +12,6 @@ from leaderlabels.geometry import (
     Rect,
     Vec2,
     group_blocks,
-    point_rect_signed_clearance,
-    rect_distance,
     same_group,
     segments_cross_interiors,
     unit_from_degrees,
@@ -26,7 +24,9 @@ from conftest import (
     interiors_overlap,
     point_axis_gaps,
     point_rect_distance,
+    point_rect_signed_clearance,
     random_rect,
+    rect_distance,
     rect_nearest_points,
     segment_crosses_interior,
 )

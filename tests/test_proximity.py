@@ -10,7 +10,7 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from leaderlabels import geometry, proximity
-from leaderlabels.geometry import Rect, Vec2, points_array, rect_distance
+from leaderlabels.geometry import Rect, Vec2, points_array
 from leaderlabels.proximity import (
     ProximityGraph,
     delaunay_graph,
@@ -25,6 +25,7 @@ from conftest import (
     label_layout,
     labels_from_rects,
     random_labels,
+    rect_distance,
     reference_partition_labels,
     segment_crosses_interior,
 )

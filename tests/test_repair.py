@@ -49,7 +49,7 @@ def ring_border_reference(r: int) -> list[tuple[int, int]]:
 def test_ring_border_matches_square_filter():
     # The ring search numbers ring r's border cells 4 (r - 1)^2 .. 4 r^2 - 1.
     for r in range(1, 201):
-        border = repair._ring_cells(np.arange(4 * (r - 1) * (r - 1), 4 * r * r))
+        border = repair._ring_lattice(200)[4 * (r - 1) * (r - 1) : 4 * r * r]
         assert [tuple(c) for c in border.tolist()] == ring_border_reference(r), r
 
 
@@ -252,13 +252,11 @@ class TestSearch:
         searches = repair._searches(cfg, True, axis_retries)
         # Rings out to their first retry (1600 cells) or their second (6400
         # cells), whose blocks after the search's first skip marked cells.
-        for (retries, reach_scale, step_count, step_offsets, cell_numbers), scalar, retries in zip(
-            searches, scalar_steps, (axis_retries, ring_retries)
-        ):
+        for search, scalar, retries in zip(searches, scalar_steps, (axis_retries, ring_retries)):
             def reference(amount):
                 return reference_search(
                     idx, labels, features, cfg, anchor, deleted_ids, amount, retries,
-                    reach_scale, scalar,
+                    search.reach_scale, scalar,
                 )
 
             _, left = reference(10**6)
@@ -269,15 +267,15 @@ class TestSearch:
                 b = repair._Budget(amount)
                 with mock.patch.object(repair, "BLOCK_ELEMENTS", block):
                     got = repair._search(
-                        idx, label_rects(labels), cfg, anchor, arrays, b, retries,
-                        reach_scale, step_count, step_offsets, cell_numbers,
+                        idx, label_rects(labels), cfg, anchor, arrays, b,
+                        search._replace(retries=retries),
                     )
                 assert (got, b.left) == reference(amount)
 
     def test_budget_ends_on_the_passing_candidate(self):
         labels, features, cfg = wedged_scene()
         arrays = scene_arrays(labels, features)
-        _, (_, reach_scale, step_count, step_offsets, cell_numbers) = repair._searches(cfg, True, 0)
+        _, ring = repair._searches(cfg, True, 0)
         # Ring cells are numbered from ring 1; (-27, -1) is the first cell
         # of ring 27, 4 * 26^2 + 1 candidates in, in the second retry.
         used = 4 * 26 * 26 + 1
@@ -287,7 +285,7 @@ class TestSearch:
                 with mock.patch.object(repair, "BLOCK_ELEMENTS", block):
                     got = repair._search(
                         0, label_rects(labels), cfg, features[0].anchor, arrays, b,
-                        1, reach_scale, step_count, step_offsets, cell_numbers,
+                        ring._replace(retries=1),
                     )
                 assert (got, b.left) == (want, 0)
 
@@ -408,11 +406,14 @@ class TestBlockedCells:
 
 
 def test_ring_numbers_invert_ring_cells():
-    t = np.arange(4 * 60 * 60)
-    assert repair._ring_numbers(*repair._ring_cells(t).T).tolist() == t.tolist()
-    axis = np.arange(-5, 6)
-    assert repair._ring_numbers(axis, 0 * axis).tolist() == [-1] * len(axis)
-    assert repair._ring_numbers(0 * axis, axis).tolist() == [-1] * len(axis)
+    # The index numbers every lattice cell by its row, and gives -1 to the
+    # axes; both tables are int32, as the ring search holds them.
+    for rings in (60, 160):
+        cells, index = repair._ring_lattice(rings), repair._lattice_index(rings)
+        assert cells.dtype == index.dtype == np.int32
+        assert index.shape == (2 * rings + 1, 2 * rings + 1)
+        assert index[cells[:, 0] + rings, cells[:, 1] + rings].tolist() == list(range(len(cells)))
+        assert index[rings].tolist() == index[:, rings].tolist() == [-1] * (2 * rings + 1)
 
 
 def test_run_matches_the_block_search_oracle(monkeypatch):
@@ -440,7 +441,7 @@ def test_run_matches_the_block_search_oracle(monkeypatch):
 
 
 def test_ring_cells_number_every_border_in_order():
-    cells = repair._ring_cells(np.arange(4 * 60 * 60))
+    cells = repair._ring_lattice(60)
     want = [c for r in range(1, 61) for c in ring_border_cells(r)]
     assert [tuple(c) for c in cells.tolist()] == want
 
