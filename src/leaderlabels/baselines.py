@@ -1,6 +1,6 @@
 """Reference placement methods for comparison runs.
 
-`nop` leaves the initial layout untouched. `localp` is a purely greedy
+`nop` returns the starting layout untouched. `localp` is a purely greedy
 local repair: it repeatedly picks the most conflicted label and slides it to
 the nearest position that clears all of its conflicts. Only conflicted
 labels ever move, which resolves overlaps but tends to tear up relative
@@ -16,12 +16,12 @@ from .forces import scene_arrays
 from .geometry import points_array
 from .optimizer import starting_layout
 from .repair import greedy_repair
-from .scene import Label, LayoutConfig, PointFeature, initial_layout, label_rects, placed_labels
+from .scene import Label, LayoutConfig, PointFeature, label_rects, placed_labels
 
 
 def nop(features: Sequence[PointFeature], cfg: LayoutConfig) -> list[Label]:
-    """The unmodified initial layout."""
-    return initial_layout(list(features), cfg)
+    """The layout `run` and `localp` start from (`starting_layout`), unmodified."""
+    return starting_layout(features, cfg)
 
 
 def localp(features: Sequence[PointFeature], cfg: LayoutConfig) -> list[Label]:

@@ -19,14 +19,16 @@ from . import baselines, optimizer
 from .beams import SingularSystemError
 from .forces import LabelLargerThanScreenError, conflict_pairs, scene_arrays
 from .metrics import build_report
-from .scene import GraphKind, LayoutConfig, LeaderSpec, LeaderType, label_rects, live_slots
+from .scene import GraphKind, Label, LayoutConfig, LeaderType, PointFeature, label_rects, live_slots
 from .scenefile import (
     SceneValidationError,
     generate_synthetic,
+    json_text,
     load_placement,
     load_scene,
     parse_scene,
     save_placement,
+    write_json,
 )
 from .svgrender import write_svg
 
@@ -45,11 +47,7 @@ def _apply_overrides(
 ) -> LayoutConfig:
     changes: dict = {}
     if leader_type is not None:
-        changes["leader"] = LeaderSpec(
-            length=cfg.leader.length,
-            direction=cfg.leader.direction,
-            kind=LeaderType(leader_type),
-        )
+        changes["leader"] = dataclasses.replace(cfg.leader, kind=LeaderType(leader_type))
     if graph is not None:
         changes["graph_kind"] = GraphKind(graph)
     if tnum is not None:
@@ -67,6 +65,17 @@ _METRIC_KEYS = (
     "mean_direction_deviation_deg",
     "elapsed_s",
 )
+
+
+def _measure(
+    labels: list[Label], features: list[PointFeature], cfg: LayoutConfig, elapsed_s: float = 0.0
+) -> tuple[dict, bool]:
+    """The metrics of a placement the optimizer did not make, against the
+    starting layout and its reference graph, and whether conflicts are left."""
+    initial = optimizer.starting_layout(features, cfg)
+    graph = optimizer.reference_graph(label_rects(initial), live_slots(initial), features, cfg)
+    metrics = build_report(initial, labels, features, cfg.d_min, graph, elapsed_s=elapsed_s).as_dict()
+    return metrics, metrics["label_conflicts"] + metrics["feature_conflicts"] > 0
 
 
 @cli.command()
@@ -117,15 +126,10 @@ def place(
         report = run_report.as_dict()
         metrics = {key: report[key] for key in _METRIC_KEYS}
     else:
-        place_fn = baselines.localp if method == "localp" else baselines.nop
-        labels = place_fn(features, cfg)
-        report = {"method": method, "elapsed_s": time.perf_counter() - t0}
-        initial = optimizer.starting_layout(features, cfg)
-        graph = optimizer.reference_graph(label_rects(initial), live_slots(initial), features, cfg)
-        metrics = build_report(
-            initial, labels, features, cfg.d_min, graph, elapsed_s=report["elapsed_s"]
-        ).as_dict()
-        report["infeasible"] = (metrics["label_conflicts"] + metrics["feature_conflicts"]) > 0
+        labels = (baselines.localp if method == "localp" else baselines.nop)(features, cfg)
+        elapsed_s = time.perf_counter() - t0
+        metrics, infeasible = _measure(labels, features, cfg, elapsed_s)
+        report = {"method": method, "elapsed_s": elapsed_s, "infeasible": infeasible}
     report["metrics"] = metrics
 
     if out_json:
@@ -147,7 +151,7 @@ def place(
         "infeasible": report["infeasible"],
         **{key: metrics[key] for key in _METRIC_KEYS},
     }
-    click.echo(json.dumps(payload, indent=2, sort_keys=True))
+    click.echo(json_text(payload), nl=False)
 
 
 @cli.command()
@@ -164,12 +168,10 @@ def gen(n: int, seed: int, width_mm: float, height_mm: float, profile: str, char
         data = generate_synthetic(n, seed, (width_mm, height_mm), profile, charset)
     except ValueError as exc:
         raise click.UsageError(str(exc))
-    text = json.dumps(data, ensure_ascii=False, indent=2, sort_keys=True) + "\n"
     if out:
-        with open(out, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        write_json(data, out)
     else:
-        click.echo(text, nl=False)
+        click.echo(json_text(data), nl=False)
 
 
 @cli.command("eval")
@@ -192,12 +194,8 @@ def eval_cmd(scene: str, placement: str) -> None:
                 f"{placement}.labels[{pos}].feature_id: expected {feature.id!r}, "
                 f"got {label.feature_id!r}"
             )
-    initial = optimizer.starting_layout(features, cfg)
-    graph = optimizer.reference_graph(label_rects(initial), live_slots(initial), features, cfg)
-    metrics = build_report(initial, labels, features, cfg.d_min, graph)
-    payload = metrics.as_dict()
-    payload["infeasible"] = (metrics.label_conflicts + metrics.feature_conflicts) > 0
-    click.echo(json.dumps(payload, indent=2, sort_keys=True))
+    metrics, infeasible = _measure(labels, features, cfg)
+    click.echo(json_text({**metrics, "infeasible": infeasible}), nl=False)
 
 
 @cli.command()
@@ -213,21 +211,17 @@ def bench(sizes: str, seed: int, width_mm: float, height_mm: float) -> None:
         scenes = [generate_synthetic(n, seed, (width_mm, height_mm)) for n in counts]
     except ValueError as exc:
         raise click.UsageError(f"no scenes for these --sizes and screen: {exc}")
-    rows = []
     for n, data in zip(counts, scenes):
-        features, cfg = parse_scene(data)
-        labels, report = optimizer.run(features, cfg)
-        rows.append(
-            {
-                "n": n,
-                "steps": report.total_steps,
-                "elapsed_s": report.elapsed_s,
-                "label_conflicts": report.label_conflicts,
-                "feature_conflicts": report.feature_conflicts,
-                "infeasible": report.infeasible,
-            }
-        )
-        click.echo(json.dumps(rows[-1], sort_keys=True))
+        _, report = optimizer.run(*parse_scene(data))
+        row = {
+            "n": n,
+            "steps": report.total_steps,
+            "elapsed_s": report.elapsed_s,
+            "label_conflicts": report.label_conflicts,
+            "feature_conflicts": report.feature_conflicts,
+            "infeasible": report.infeasible,
+        }
+        click.echo(json.dumps(row, sort_keys=True, allow_nan=False))
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -236,9 +230,6 @@ def main(argv: list[str] | None = None) -> int:
         cli.main(args=argv, standalone_mode=False)
     except click.exceptions.Exit as exc:
         return int(exc.exit_code)
-    except click.UsageError as exc:
-        exc.show(file=sys.stderr)
-        return 1
     except click.ClickException as exc:
         exc.show(file=sys.stderr)
         return 1

@@ -22,7 +22,7 @@ most BLOCK_ELEMENTS candidate x neighbour elements and never more than the
 budget has left. The first candidate of a block that passes is taken, and
 the budget is charged up to and including it, so the choice and the
 budget left are those of testing the candidates one at a time. The tests
-are the loop's own rules: `screen_margins`, `attachment_edge`,
+are the loop's own rules: `screen_margins`, `attachment_forces`,
 `rects_closer` and `symbols_closer`. A pass takes the layout as the loop
 leaves it, (n, 4) rects, (n, 2) connection points and one `SceneArrays`,
 and moves their rows in place, one at a time; its callers build the
@@ -53,7 +53,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .forces import SceneArrays, conflicting_feature_pairs, conflicting_label_pairs
+from .forces import SceneArrays, attachment_forces, conflicting_feature_pairs, conflicting_label_pairs
 from .geometry import (
     _BROAD_PHASE_SLACK,
     HYPOT_RTOL,
@@ -395,7 +395,8 @@ def _candidates_ok(
     A candidate passes when every near rect lies at least d_min away, every
     near symbol's clearance minus its radius is at least d_min, it keeps
     d_min from the screen edges unless it cannot fit, and, for the sliding
-    fixed-direction leader, the leader ray still meets its attachment edge.
+    fixed-direction leader, `attachment_forces` gives it no pull and its
+    attachment edge lies ahead of the anchor.
 
     The screen and attachment tests are column operations. The rects, then
     the symbols, are tested against the candidates still in, leaving out
@@ -406,13 +407,12 @@ def _candidates_ok(
     # A candidate that fails `check_screen_fit`'s size test is exempt.
     ok |= (cands[:, 2:4] - cands[:, 0:2] > screen_room(cfg.screen, d_min)).any(axis=1)
     if cfg.leader.kind is LeaderType.FIXED_DIR_FREE_CONN:
-        # Keep the label attached: the leader ray must still meet the
-        # attachment edge after the move.
+        # Keep the label attached, by the loop's rule: the leader ray still
+        # meets the attachment edge, which lies ahead of the anchor along u.
         u = cfg.leader.unit()
         along, level = attachment_edge(cands, u)
-        a, across = (anchor.x, anchor.y), 1 - along
-        ok &= (cands[:, across] <= a[across]) & (a[across] <= cands[:, across + 2])
-        ok &= (level - a[along]) * (u.x, u.y)[along] >= 0
+        ok &= ~attachment_forces(cands, np.array([[anchor.x, anchor.y]]), cfg.leader).any(axis=1)
+        ok &= (level - (anchor.x, anchor.y)[along]) * (u.x, u.y)[along] >= 0
 
     for near, box_test, closer in (
         (near_rects, rects_near, rects_closer), (near_symbols, symbols_near, symbols_closer)

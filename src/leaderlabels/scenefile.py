@@ -13,7 +13,7 @@ import math
 import random
 from typing import Any, Sequence
 
-from .geometry import Rect, Vec2
+from .geometry import Rect, Vec2, screen_room
 from .scene import (
     BeamParams,
     GraphKind,
@@ -34,6 +34,28 @@ class SceneValidationError(ValueError):
     """A scene or placement file violated the schema."""
 
 
+# Each config record's fields, file key to dataclass field: `_parse_config`
+# reads through these tables and `scene_to_dict` writes through them. A
+# field a file leaves out or sets to null keeps its dataclass default.
+_CONFIG_NUMBERS = {
+    "d_min_mm": "d_min",
+    "w_max_pt": "w_max_pt",
+    "w_min_pt": "w_min_pt",
+    "t_d_factor": "t_d_factor",
+    "t_f_factor": "t_f_factor",
+    "padding_mm": "padding",
+}
+_CONFIG_INTEGERS = {"t_s_override": "t_s_override", "t_num": "t_num"}
+_LEADER_NUMBERS = {"length_mm": "length", "direction_deg": "direction"}
+_BEAM_NUMBERS = {
+    "elastic_modulus": "elastic_modulus",
+    "cross_section": "cross_section",
+    "moment_of_inertia": "moment_of_inertia",
+    "ground_stiffness": "ground_stiffness",
+    "max_step_mm": "max_step",
+}
+
+
 def _require(data: dict, key: str, kind, where: str):
     if key not in data:
         raise SceneValidationError(f"{where}: missing required field {key!r}")
@@ -52,6 +74,16 @@ def _numbers(data: dict, key: str, count: int, where: str) -> list[float]:
     return [_number(v, f"{where}.{key}[{k}]") for k, v in enumerate(values)]
 
 
+def _section(data: dict, key: str, where: str) -> dict:
+    """The object data holds at key; a missing or null one is empty."""
+    value = data.get(key)
+    if value is None:
+        return {}
+    if not isinstance(value, dict):
+        raise SceneValidationError(f"{where}.{key}: expected an object")
+    return value
+
+
 def _optional_numbers(data: dict, fields: dict[str, str], where: str) -> dict[str, float]:
     """The numbers data gives (not None) among the keys of fields, under
     the field names they map to, so a dataclass fills in the rest."""
@@ -60,6 +92,11 @@ def _optional_numbers(data: dict, fields: dict[str, str], where: str) -> dict[st
         for key, name in fields.items()
         if data.get(key) is not None
     }
+
+
+def _fields(record: Any, table: dict[str, str]) -> dict[str, Any]:
+    """The fields of a config record under their file keys."""
+    return {key: getattr(record, name) for key, name in table.items()}
 
 
 def _number(value: Any, where: str) -> float:
@@ -88,6 +125,9 @@ def parse_scene(data: Any, source: str = "<scene>") -> tuple[list[PointFeature],
     if not (width > 0 and height > 0):
         raise SceneValidationError(f"{source}.screen: dimensions must be positive")
     screen = Rect(0.0, 0.0, width, height)
+    # A symbol radius or leader length this long reaches past the screen
+    # from any anchor, and near the float range overflows the loop's sums.
+    diagonal = math.hypot(width, height)
 
     raw_features = _require(data, "features", list, source)
     if not raw_features:
@@ -111,59 +151,49 @@ def parse_scene(data: Any, source: str = "<scene>") -> tuple[list[PointFeature],
         depth = _require(raw, "depth", float, where)
         text = _require(raw, "text", str, where)
         radius = _optional_numbers(raw, {"symbol_radius_mm": "symbol_radius"}, where)
+        if radius.get("symbol_radius", 0.0) >= diagonal:
+            raise SceneValidationError(
+                f"{where}.symbol_radius_mm: must be below the screen's {diagonal} mm diagonal"
+            )
         try:
             features.append(PointFeature(id=fid, anchor=Vec2(x, y), depth=depth, text=text, **radius))
         except ValueError as exc:
             raise SceneValidationError(f"{where}: {exc}") from exc
 
-    cfg_raw = data.get("config", {})
-    if cfg_raw is None:
-        cfg_raw = {}
-    if not isinstance(cfg_raw, dict):
-        raise SceneValidationError(f"{source}.config: expected an object")
-    cfg = _parse_config(cfg_raw, screen, f"{source}.config")
+    cfg = _parse_config(_section(data, "config", source), screen, f"{source}.config")
+    # Checked here, not in the dataclasses: library callers build small
+    # screens on purpose.
+    if min(screen_room(screen, cfg.d_min)) <= 0:
+        raise SceneValidationError(f"{source}.config.d_min_mm: leaves no room inside the screen")
+    if cfg.leader.length >= diagonal:
+        raise SceneValidationError(
+            f"{source}.config.leader.length_mm: must be below the screen's {diagonal} mm diagonal"
+        )
     return features, cfg
 
 
 def _parse_config(raw: dict, screen: Rect, where: str) -> LayoutConfig:
-    leader_raw = raw.get("leader", {}) or {}
-    if not isinstance(leader_raw, dict):
-        raise SceneValidationError(f"{where}.leader: expected an object")
-    leader_args = _optional_numbers(
-        leader_raw, {"length_mm": "length", "direction_deg": "direction"}, f"{where}.leader"
-    )
+    leader_raw = _section(raw, "leader", where)
+    leader_args = _optional_numbers(leader_raw, _LEADER_NUMBERS, f"{where}.leader")
     if "type" in leader_raw:
         try:
             leader_args["kind"] = LeaderType(int(leader_raw["type"]))
         except (ValueError, TypeError) as exc:
             raise SceneValidationError(f"{where}.leader.type: must be 1, 2, 3, or 4") from exc
 
-    beam_raw = raw.get("beam", {}) or {}
-    if not isinstance(beam_raw, dict):
-        raise SceneValidationError(f"{where}.beam: expected an object")
-    beam_names = ("elastic_modulus", "cross_section", "moment_of_inertia", "ground_stiffness")
-    beam_args = _optional_numbers(
-        beam_raw, {"max_step_mm": "max_step", **dict(zip(beam_names, beam_names))}, f"{where}.beam"
-    )
+    beam_args = _optional_numbers(_section(raw, "beam", where), _BEAM_NUMBERS, f"{where}.beam")
 
-    args = _optional_numbers(raw, {
-        "d_min_mm": "d_min",
-        "w_max_pt": "w_max_pt",
-        "w_min_pt": "w_min_pt",
-        "t_d_factor": "t_d_factor",
-        "t_f_factor": "t_f_factor",
-        "padding_mm": "padding",
-    }, where)
+    args = _optional_numbers(raw, _CONFIG_NUMBERS, where)
     if "graph" in raw:
         try:
             args["graph_kind"] = GraphKind(raw["graph"])
         except ValueError as exc:
             raise SceneValidationError(f"{where}.graph: must be 'dt' or 'mst'") from exc
-    for key in ("t_s_override", "t_num"):
+    for key, name in _CONFIG_INTEGERS.items():
         if raw.get(key) is not None:
             if not isinstance(raw[key], int):
                 raise SceneValidationError(f"{where}.{key}: expected an integer")
-            args[key] = raw[key]
+            args[name] = raw[key]
 
     try:
         return LayoutConfig(
@@ -189,44 +219,45 @@ def scene_to_dict(features: Sequence[PointFeature], cfg: LayoutConfig) -> dict:
             for f in features
         ],
         "config": {
-            "d_min_mm": cfg.d_min,
-            "w_max_pt": cfg.w_max_pt,
-            "w_min_pt": cfg.w_min_pt,
-            "leader": {
-                "length_mm": cfg.leader.length,
-                "direction_deg": cfg.leader.direction,
-                "type": int(cfg.leader.kind),
-            },
-            "t_d_factor": cfg.t_d_factor,
-            "t_s_override": cfg.t_s_override,
-            "t_f_factor": cfg.t_f_factor,
-            "t_num": cfg.t_num,
+            **_fields(cfg, _CONFIG_NUMBERS),
+            **_fields(cfg, _CONFIG_INTEGERS),
             "graph": cfg.graph_kind.value,
-            "padding_mm": cfg.padding,
-            "beam": {
-                "elastic_modulus": cfg.beam.elastic_modulus,
-                "cross_section": cfg.beam.cross_section,
-                "moment_of_inertia": cfg.beam.moment_of_inertia,
-                "ground_stiffness": cfg.beam.ground_stiffness,
-                "max_step_mm": cfg.beam.max_step,
-            },
+            "leader": {**_fields(cfg.leader, _LEADER_NUMBERS), "type": int(cfg.leader.kind)},
+            "beam": _fields(cfg.beam, _BEAM_NUMBERS),
         },
     }
 
 
-def load_scene(path: str) -> tuple[list[PointFeature], LayoutConfig]:
+def _read_json(path: str) -> Any:
+    """The JSON document in the file at path. A file that does not decode
+    (bad JSON, bad UTF-8 or an over-long integer) is a validation error."""
     with open(path, "r", encoding="utf-8") as fh:
         try:
-            data = json.load(fh)
-        except ValueError as exc:  # bad JSON, bad UTF-8, or an over-long integer
+            return json.load(fh)
+        except ValueError as exc:
             raise SceneValidationError(f"{path}: not valid JSON ({exc})") from exc
-    return parse_scene(data, source=path)
+
+
+def json_text(data: Any) -> str:
+    """The text of every JSON document the package writes: strict JSON
+    (a NaN or infinite float raises ValueError), indented two spaces, keys
+    sorted, non-ASCII text kept, ending in a newline."""
+    return json.dumps(data, ensure_ascii=False, indent=2, sort_keys=True, allow_nan=False) + "\n"
+
+
+def write_json(data: Any, path: str) -> None:
+    """Write `json_text(data)` to path; a value it refuses leaves no file."""
+    text = json_text(data)
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(text)
+
+
+def load_scene(path: str) -> tuple[list[PointFeature], LayoutConfig]:
+    return parse_scene(_read_json(path), source=path)
 
 
 def save_scene(features: Sequence[PointFeature], cfg: LayoutConfig, path: str) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(scene_to_dict(features, cfg), fh, ensure_ascii=False, indent=2, sort_keys=True)
-        fh.write("\n")
+    write_json(scene_to_dict(features, cfg), path)
 
 
 def generate_synthetic(
@@ -360,15 +391,8 @@ def parse_placement(data: Any, source: str = "<placement>") -> list[Label]:
 
 
 def load_placement(path: str) -> list[Label]:
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
-            data = json.load(fh)
-        except ValueError as exc:  # bad JSON, bad UTF-8, or an over-long integer
-            raise SceneValidationError(f"{path}: not valid JSON ({exc})") from exc
-    return parse_placement(data, source=path)
+    return parse_placement(_read_json(path), source=path)
 
 
 def save_placement(labels: Sequence[Label], path: str, report: dict | None = None) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(labels_to_dict(labels, report), fh, ensure_ascii=False, indent=2, sort_keys=True)
-        fh.write("\n")
+    write_json(labels_to_dict(labels, report), path)

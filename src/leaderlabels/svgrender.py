@@ -35,6 +35,13 @@ def render_svg(
     def fy(y: float) -> float:
         return screen.y_min + screen.y_max - y
 
+    def segment(parent: ET.Element, x1: float, y1: float, x2: float, y2: float) -> None:
+        """Every line drawn, in screen coordinates: graph edges, leaders
+        and the two kinds of conflict."""
+        ET.SubElement(
+            parent, "line", {"x1": str(x1), "y1": str(fy(y1)), "x2": str(x2), "y2": str(fy(y2))}
+        )
+
     root = ET.Element(
         "svg",
         {
@@ -62,27 +69,12 @@ def render_svg(
         g_graph = ET.SubElement(root, "g", {"class": "graph", "stroke": "#9ecae1", "stroke-width": "0.15"})
         xy = graph.positions.tolist()
         for i, j in graph.edges.tolist():
-            (px, py), (qx, qy) = xy[i], xy[j]
-            ET.SubElement(
-                g_graph,
-                "line",
-                {"x1": str(px), "y1": str(fy(py)), "x2": str(qx), "y2": str(fy(qy))},
-            )
+            segment(g_graph, *xy[i], *xy[j])
 
     feature_by_id = {f.id: f for f in features}
     deleted_ids = {l.feature_id for l in labels if l.deleted}
 
     g_leaders = ET.SubElement(root, "g", {"class": "leaders", "stroke": "#555", "stroke-width": "0.2"})
-    for l in labels:
-        if l.deleted:
-            continue
-        anchor = feature_by_id[l.feature_id].anchor
-        ET.SubElement(
-            g_leaders,
-            "line",
-            {"x1": str(anchor.x), "y1": str(fy(anchor.y)), "x2": str(l.conn.x), "y2": str(fy(l.conn.y))},
-        )
-
     g_feat = ET.SubElement(root, "g", {"class": "features", "fill": "#d62728"})
     for f in features:
         if f.id in deleted_ids:
@@ -97,6 +89,8 @@ def render_svg(
     for l in labels:
         if l.deleted:
             continue
+        anchor = feature_by_id[l.feature_id].anchor
+        segment(g_leaders, anchor.x, anchor.y, l.conn.x, l.conn.y)
         r = l.rect
         ET.SubElement(
             g_labels,
@@ -125,22 +119,10 @@ def render_svg(
         text.text = feature_by_id[l.feature_id].text
 
     g_conf = ET.SubElement(root, "g", {"class": "conflicts", "stroke": "#ff7f0e", "stroke-width": "0.4"})
-    for i, j in label_conflicts or ():
-        pair = ET.SubElement(g_conf, "g", {"class": "conflict-pair"})
-        ci, cj = labels[i].rect.center(), labels[j].rect.center()
-        ET.SubElement(
-            pair,
-            "line",
-            {"x1": str(ci.x), "y1": str(fy(ci.y)), "x2": str(cj.x), "y2": str(fy(cj.y))},
-        )
-    for i, k in feature_conflicts or ():
-        pair = ET.SubElement(g_conf, "g", {"class": "conflict-pair"})
-        c, a = labels[i].rect.center(), features[k].anchor
-        ET.SubElement(
-            pair,
-            "line",
-            {"x1": str(c.x), "y1": str(fy(c.y)), "x2": str(a.x), "y2": str(fy(a.y))},
-        )
+    ends = [(labels[i].rect.center(), labels[j].rect.center()) for i, j in label_conflicts or ()]
+    ends += [(labels[i].rect.center(), features[k].anchor) for i, k in feature_conflicts or ()]
+    for p, q in ends:
+        segment(ET.SubElement(g_conf, "g", {"class": "conflict-pair"}), p.x, p.y, q.x, q.y)
 
     return '<?xml version="1.0" encoding="UTF-8"?>\n' + ET.tostring(root, encoding="unicode")
 

@@ -538,16 +538,18 @@ def candidate_ok(
     ):
         return False
     if cfg.leader.kind is LeaderType.FIXED_DIR_FREE_CONN:
+        # Attached by the loop's rule: no pull, and the attachment edge
+        # ahead of the anchor along u.
+        label = Label(feature_id="c", rect=candidate, conn=anchor, font_size=1.0)
+        feature = PointFeature(id="c", anchor=anchor, depth=1.0, text="c")
+        if reference_attachment_force(label, feature, cfg.leader) != Vec2(0.0, 0.0):
+            return False
         u = cfg.leader.unit()
         if abs(u.y) >= abs(u.x):
-            if not (candidate.x_min <= anchor.x <= candidate.x_max):
-                return False
             level = candidate.y_min if u.y > 0 else candidate.y_max
             if (level - anchor.y) * u.y < 0:
                 return False
         else:
-            if not (candidate.y_min <= anchor.y <= candidate.y_max):
-                return False
             level = candidate.x_min if u.x > 0 else candidate.x_max
             if (level - anchor.x) * u.x < 0:
                 return False

@@ -1,7 +1,12 @@
+import dataclasses
+
+import pytest
+
 from leaderlabels.baselines import localp, nop
 from leaderlabels.geometry import Rect, Vec2
 from leaderlabels.metrics import count_conflicts
-from leaderlabels.scene import LayoutConfig, PointFeature, initial_layout
+from leaderlabels.optimizer import starting_layout
+from leaderlabels.scene import LayoutConfig, LeaderType, PointFeature, initial_layout
 from leaderlabels.scenefile import synthetic_scene
 
 from conftest import scene_layout
@@ -24,6 +29,17 @@ class TestNop:
         expected = initial_layout(features, cfg)
         got = nop(features, cfg)
         assert got == expected
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_fully_fixed_leader_keeps_the_starting_deletions(self, seed):
+        # Under leader type 1 the starting layout deletes the labels that
+        # leave the screen; nop returns that layout, deletions included.
+        features, cfg = synthetic_scene(30, seed, screen=(60.0, 40.0))
+        leader = dataclasses.replace(cfg.leader, kind=LeaderType.FIXED_DIR_FIXED_CONN)
+        cfg = dataclasses.replace(cfg, leader=leader)
+        start = starting_layout(features, cfg)
+        assert any(l.deleted for l in start)
+        assert nop(features, cfg) == start
 
     def test_conflicts_match_initial(self):
         features = features_overlapping_pair()

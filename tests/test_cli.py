@@ -1,7 +1,9 @@
 import dataclasses
 import json
+import warnings
 
 import pytest
+from hypothesis import HealthCheck, example, given, settings, strategies as st
 
 from leaderlabels.cli import main
 from leaderlabels.metrics import build_report
@@ -95,30 +97,38 @@ class TestExitCodes:
 
     @pytest.mark.filterwarnings("error")
     @pytest.mark.parametrize(
-        "section, key, value",
+        "section, key, value, method",
         [
-            (None, "padding_mm", 1e308),
-            (None, "w_max_pt", 1e308),
-            ("beam", "ground_stiffness", 1e-320),
-            ("beam", "elastic_modulus", 1e308),
-            ("beam", "moment_of_inertia", 1e308),
+            (None, "padding_mm", 1e308, "beams"),
+            (None, "w_max_pt", 1e308, "beams"),
+            ("beam", "ground_stiffness", 1e-320, "beams"),
+            ("beam", "elastic_modulus", 1e308, "beams"),
+            ("beam", "moment_of_inertia", 1e308, "beams"),
+            (None, "d_min_mm", 1e308, "localp"),
+            ("leader", "length_mm", 1e308, "beams"),
+            ("feature", "symbol_radius_mm", 1e308, "beams"),
         ],
     )
-    def test_unusable_config_is_validation_error(self, capsys, tmp_path, section, key, value):
+    def test_unusable_config_is_validation_error(
+        self, capsys, tmp_path, section, key, value, method
+    ):
         # Each value is finite and in its own range, but with that padding
-        # no label fits inside the screen, with that font bound a label's
-        # measured width overflows, or the stiffness system K d = f
+        # or d_min no label fits inside the screen, with that font bound a
+        # label's measured width overflows, that leader or symbol reaches
+        # past the screen's diagonal, or the stiffness system K d = f
         # of the first step cannot be factored or has no finite stiffness
         # (this scene's first step has forces, so it solves). No numpy
-        # warning is printed, and a beam error names the beam fields.
+        # warning is printed, and the error names the fields to change.
         data = generate_synthetic(40, 1, (250.0, 150.0))
-        if section is None:
+        if section == "feature":
+            data["features"][0][key] = value
+        elif section is None:
             data["config"][key] = value
         else:
             data["config"][section] = {key: value}
         scene = tmp_path / "unusable.json"
         scene.write_text(json.dumps(data))
-        code, out, err = run_cli(capsys, "place", str(scene))
+        code, out, err = run_cli(capsys, "place", str(scene), "--method", method)
         assert code == 2
         assert err.startswith("validation error:")
         assert "Traceback" not in err and "nan" not in err
@@ -127,6 +137,8 @@ class TestExitCodes:
             assert f"beam.{key}" in err
         if key == "w_max_pt":
             assert "config.w_max_pt" in err and "config.padding_mm" in err
+        if key in ("d_min_mm", "length_mm", "symbol_radius_mm"):
+            assert f".{key}: " in err
 
     @pytest.mark.parametrize(
         "section, key",
@@ -189,6 +201,76 @@ class TestExitCodes:
         code, out, _ = run_cli(capsys, "--help")
         assert code == 0
         assert "place" in out
+
+
+# The scene's 19 numbers, as paths into a generated scene document, and
+# the values that probe their ranges.
+_NUMBER_FIELDS = (
+    *(("screen", key) for key in ("width_mm", "height_mm")),
+    *(("features", 0, key) for key in ("x_mm", "y_mm", "depth", "symbol_radius_mm")),
+    *(("config", key) for key in (
+        "d_min_mm", "w_max_pt", "w_min_pt", "t_d_factor", "t_f_factor", "padding_mm"
+    )),
+    *(("config", "leader", key) for key in ("length_mm", "direction_deg")),
+    *(("config", "beam", key) for key in (
+        "elastic_modulus", "cross_section", "moment_of_inertia", "ground_stiffness", "max_step_mm"
+    )),
+)
+_PROBE_VALUES = (0.0, -1.0, 5e-324, 1e-300, 1e-9, 1e9, 1e300, 1e308)
+
+
+def _strict_json(text: str):
+    def refuse(constant):
+        raise ValueError(f"not strict JSON: {constant}")
+
+    return json.loads(text, parse_constant=refuse)
+
+
+class TestContract:
+    @settings(
+        max_examples=40, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture]
+    )
+    @given(
+        edits=st.lists(
+            st.tuples(
+                st.sampled_from(_NUMBER_FIELDS),
+                st.sampled_from(_PROBE_VALUES) | st.floats(allow_nan=False, allow_infinity=False),
+            ),
+            min_size=1, max_size=2, unique_by=lambda edit: edit[0],
+        )
+    )
+    # The four contract breaks a probe of these fields found, the leader
+    # length under both methods: a traceback (d_min under localp), NaN
+    # written to the placement (the leader length) and numpy overflow
+    # warnings (the symbol radius).
+    @example(edits=[(("config", "d_min_mm"), 1e308)])
+    @example(edits=[(("config", "leader", "length_mm"), 1e308)])
+    @example(edits=[(("features", 0, "symbol_radius_mm"), 1e308)])
+    def test_any_finite_number_exits_0_or_2_with_strict_json(self, capsys, tmp_path, edits):
+        data = generate_synthetic(12, 3)
+        for path, value in edits:
+            record = data
+            for key in path[:-1]:
+                record = record[key] if isinstance(key, int) else record.setdefault(key, {})
+            record[path[-1]] = value
+        scene, placement = tmp_path / "scene.json", tmp_path / "placement.json"
+        scene.write_text(json.dumps(data))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for method in ("beams", "localp"):
+                code, out, _ = run_cli(
+                    capsys, "place", str(scene), "--method", method,
+                    "--out-json", str(placement), "--metrics",
+                )
+                assert code in (0, 2)
+                if code == 2:
+                    assert out == ""
+                    continue
+                _strict_json(out)
+                _strict_json(placement.read_text())
+                code, out, _ = run_cli(capsys, "eval", str(scene), str(placement))
+                assert code == 0
+                _strict_json(out)
 
 
 class TestPlace:

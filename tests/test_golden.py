@@ -11,8 +11,9 @@ REPAIR_LEADER_DIGEST covers the repair search under every leader type:
 `localp` and the finishing pass's `greedy_repair(..., diagonal=True,
 max_axis_retries=5)` on small overfull scenes under type 1 (axis steps
 along +-u only, no rings), types 2 and 3, and type 4 at 30 and 270 degrees
-(both branches of the attachment test), plus one scene that uses up a small
-candidate budget. It hashes the moves and every budget's `left` too.
+(the ray meets the label's left side off the axes, and its top edge
+straight down), plus one scene that uses up a small candidate budget.
+It hashes the moves and every budget's `left` too.
 GRAPH_DIGEST covers the graph paths the others skip: `GraphKind.MST` runs,
 a scene with label padding, and the graph builders (Delaunay, pruned
 Delaunay, both MST weights and the nudged centres) on two initial layouts:
@@ -67,7 +68,7 @@ from conftest import repair_labels
 GOLDEN_DIGEST = "24aec505fbb21a8ae66105da8d79f412137d70f92b544272820283e694bacd92"
 REPAIR_DIGEST = "503b48a527886347de032ac5fd1f9f6c3276afd37198993dd9bea7b290245c28"
 LEADER_DIGEST = "d0200d0829cbe2395b6bcb7153f18f685b5ffff0e187ef4b12d0edbcf5611e2c"
-REPAIR_LEADER_DIGEST = "43835bc19c01bc80414955ecc8acda6d4696e6f1173399cdcfe7add02f525d85"
+REPAIR_LEADER_DIGEST = "b3ce08b292db82a4c8e8a7da955f1a62d990519696600459162af8ed6bf28682"
 GRAPH_DIGEST = "db88cb12ce0e009c1589208a2fea7d4b4d30b93272a563bebbe0beec86256e83"
 
 THREAD_VARIABLES = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")

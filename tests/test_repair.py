@@ -183,6 +183,17 @@ class TestBlockTest:
         )
         assert got.tolist() == [candidate_ok(c, near, features, cfg, anchor) for c in cands]
 
+    def test_attachment_is_the_loops_rule_off_the_axes(self):
+        # At 60 degrees the ray from (0, 0) meets y = 8.66 at x = 5: the
+        # first rect's bottom edge spans it, with no pull, though the
+        # anchor's x lies outside the edge; the second's does not, and it
+        # is pulled by (2.25, -1.30), though the anchor's x lies inside.
+        cfg = LayoutConfig(screen=Rect(-50.0, -50.0, 50.0, 50.0), leader=LeaderSpec(direction=60.0))
+        cands = [Rect(3.0, 8.66, 9.0, 11.0), Rect(-2.0, 8.66, 2.0, 11.0)]
+        got = _candidates_ok(_rect_rows(cands), _rect_rows([]), np.zeros((0, 3)), cfg, Vec2(0.0, 0.0))
+        assert got.tolist() == [True, False]
+        assert [candidate_ok(c, [], [], cfg, Vec2(0.0, 0.0)) for c in cands] == [True, False]
+
     @pytest.mark.parametrize("symbol", [False, True])
     def test_hypot_last_bit_decides(self, symbol):
         # np.hypot and math.hypot differ in the last bit on these gaps: on

@@ -4,7 +4,7 @@ import math
 import pytest
 
 from leaderlabels.geometry import Rect
-from leaderlabels.scene import GraphKind, LayoutConfig, LeaderType
+from leaderlabels.scene import BeamParams, GraphKind, LayoutConfig, LeaderSpec, LeaderType
 from leaderlabels.scenefile import (
     SceneValidationError,
     generate_synthetic,
@@ -13,6 +13,7 @@ from leaderlabels.scenefile import (
     load_scene,
     parse_placement,
     parse_scene,
+    save_placement,
     save_scene,
     scene_to_dict,
     synthetic_scene,
@@ -84,6 +85,16 @@ class TestParseScene:
         with pytest.raises(SceneValidationError, match=r"config\.d_min_mm: expected a finite number"):
             parse_scene(json.loads(json.dumps(data)))
 
+    @pytest.mark.parametrize("section", ["config", "leader", "beam"])
+    @pytest.mark.parametrize("value", [[], 0, "dt"])
+    def test_section_not_an_object_rejected(self, section, value):
+        # A section may be missing or null; anything else but an object is
+        # an error, also when it is falsy.
+        data = minimal_scene()
+        data["config"] = value if section == "config" else {section: value}
+        with pytest.raises(SceneValidationError, match=f"{section}: expected an object"):
+            parse_scene(data)
+
     def test_empty_features_rejected(self):
         data = minimal_scene()
         data["features"] = []
@@ -123,6 +134,24 @@ class TestRoundTrip:
         features2, cfg2 = parse_scene(data)
         assert features2 == features
         assert cfg2 == cfg
+
+    def test_every_config_field_round_trips(self):
+        # Each field away from its default, so a key the writer and the
+        # reader spell differently would show.
+        features, cfg = synthetic_scene(8, 2)
+        cfg = LayoutConfig(
+            screen=cfg.screen, d_min=0.3, w_max_pt=11.0, w_min_pt=5.0,
+            leader=LeaderSpec(12.0, 45.0, LeaderType.FREE_DIR_FREE_CONN), t_d_factor=2.5,
+            t_s_override=40, t_f_factor=0.2, t_num=9, graph_kind=GraphKind.MST, padding=0.1,
+            beam=BeamParams(2.0, 4.0, 90.0, 0.8, 0.5),
+        )
+        assert parse_scene(scene_to_dict(features, cfg)) == (features, cfg)
+
+    def test_writer_refuses_nan_and_leaves_no_file(self, tmp_path):
+        path = tmp_path / "placement.json"
+        with pytest.raises(ValueError):
+            save_placement([], str(path), report={"total_displacement_cm": math.nan})
+        assert not path.exists()
 
     def test_invalid_json_reports_path(self, tmp_path):
         path = tmp_path / "broken.json"
