@@ -108,14 +108,14 @@ def _global_stiffness_batch(
     dx = x2 - x1
     dy = y2 - y1
     length = np.hypot(dx, dy)
-    if np.any(length <= 0.0):
+    if (length <= 0.0).any():
         raise ZeroLengthEdgeError("beam element with zero length")
     c = dx / length
     s = dy / length
     k_local = _local_stiffness_batch(length, params)
     table = _table((0.0, 1.0, c, s, -s))
     t = table[:, _ROTATION_PATTERN].reshape(-1, 6, 6)
-    return np.transpose(t, (0, 2, 1)) @ k_local @ t
+    return t.transpose(0, 2, 1) @ k_local @ t
 
 
 # The DOFs u, v, theta of a node, and of the two nodes of an edge.
@@ -160,8 +160,46 @@ def frames_of(rows: Sequence[np.ndarray], n: int) -> Frames:
     return Frames(rows, sizes, ends, dof_row, dof_col, (dof_col + dof_row)[stride > 0])
 
 
+_NO_EDGES = np.empty((0, 2), dtype=np.int64)
+
+
+class StiffnessPattern:
+    """Where `_stiffness_matrices` sums each entry: the bincount index of
+    the ground-spring diagonals and the element blocks of the last frames
+    and edges it assembled, kept for the next assembly while they stay the
+    same. A placement loop carries one from step to step, as long as its
+    frames do: its graph mostly keeps its edges from one step to the
+    next."""
+
+    __slots__ = ("frames", "edges", "index")
+
+    def __init__(self) -> None:
+        self.frames: Frames | None = None
+        self.edges = _NO_EDGES
+        self.index: np.ndarray | None = None
+
+    def index_of(self, frames: Frames, edges: np.ndarray) -> np.ndarray:
+        """The index for the frames and the (m, 2) edges, built only when
+        either differs from the last call's."""
+        if frames is not self.frames or not (
+            len(edges) == len(self.edges) and (edges == self.edges).all()
+        ):
+            index = frames.diagonal
+            if len(edges):
+                # (u_i, v_i, theta_i, u_j, v_j, theta_j) of each edge.
+                dofs = 3 * edges.repeat(3, axis=1) + _EDGE_DOFS
+                flat = frames.dof_col[dofs][:, None, :] + frames.dof_row[dofs][:, :, None]
+                index = np.concatenate((index, flat.ravel()))
+            self.frames, self.edges, self.index = frames, edges, index
+        return self.index
+
+
 def _stiffness_matrices(
-    frames: Frames, edges: np.ndarray, blocks: np.ndarray, params: BeamParams
+    frames: Frames,
+    edges: np.ndarray,
+    blocks: np.ndarray,
+    params: BeamParams,
+    pattern: StiffnessPattern | None = None,
 ) -> list[np.ndarray]:
     """The stiffness matrix of each of the frames: ground springs k_g on
     every DOF plus blocks[e], the 6x6 element block of edges[e], for each
@@ -170,19 +208,19 @@ def _stiffness_matrices(
     One bincount sums the entries of all frames, the ground-spring
     diagonals listed first and then the element blocks edge by edge, so
     each entry is summed in the same order as adding its frame's blocks one
-    by one onto the ground springs. Each frame's entries are placed at
-    their column-major index in its own stretch of the output, and each
-    matrix is an F-contiguous view that LAPACK factors in place.
+    by one onto the ground springs; pattern gives that index (None builds
+    it afresh). Each frame's entries are placed at their column-major index
+    in its own stretch of the output, and each matrix is an F-contiguous
+    view that LAPACK factors in place.
     """
-    index = frames.diagonal
-    weights = np.full(len(index), params.ground_stiffness)
+    if pattern is None:
+        pattern = StiffnessPattern()
+    weights = np.full(len(frames.diagonal), params.ground_stiffness)
     if len(edges):
-        # (u_i, v_i, theta_i, u_j, v_j, theta_j) of each edge.
-        dofs = 3 * np.repeat(edges, 3, axis=1) + _EDGE_DOFS
-        flat = frames.dof_col[dofs][:, None, :] + frames.dof_row[dofs][:, :, None]
-        index = np.concatenate((index, flat.ravel()))
         weights = np.concatenate((weights, blocks.ravel()))
-    out = np.bincount(index, weights, minlength=frames.ends[-1] if frames.ends else 0)
+    out = np.bincount(
+        pattern.index_of(frames, edges), weights, minlength=frames.ends[-1] if frames.ends else 0
+    )
     return [
         out[end - size * size:end].reshape(size, size).T
         for end, size in zip(frames.ends, frames.sizes)
@@ -194,6 +232,7 @@ def solve_displacements(
     forces: np.ndarray,
     params: BeamParams,
     frames: Frames | None = None,
+    pattern: StiffnessPattern | None = None,
 ) -> DisplacementField:
     """Solve the loaded beam network for nodal displacements.
 
@@ -213,7 +252,9 @@ def solve_displacements(
     node. The element blocks of all edges are computed at once, and each
     frame gets its own K over its own nodes, numbered by their place in
     the frame, and its own factor: the same floats as solving each frame's
-    graph alone. Nodes in no frame get zero displacement.
+    graph alone. Nodes in no frame get zero displacement. pattern carries
+    the assembly's index from an earlier solve (`StiffnessPattern`); None
+    builds it afresh.
     """
     n = len(graph.positions)
     if len(forces) != n:
@@ -230,7 +271,8 @@ def solve_displacements(
     f = np.zeros((n, 3))
     f[:, 0:2] = forces
     d = np.zeros(3 * n)
-    for rows, k_mat in zip(frames.rows, _stiffness_matrices(frames, edges, blocks, params)):
+    k_mats = _stiffness_matrices(frames, edges, blocks, params, pattern)
+    for rows, k_mat in zip(frames.rows, k_mats):
         c, info = lapack.dpotrf(k_mat, lower=1, clean=0, overwrite_a=1)
         if info > 0:
             raise SingularSystemError(
@@ -245,9 +287,9 @@ def solve_displacements(
 
     translations = d.reshape(n, 3)[:, 0:2].copy()
     cap = params.max_step
-    near = np.flatnonzero(
+    near = (
         np.hypot(translations[:, 0], translations[:, 1]) >= cap * (1.0 - HYPOT_RTOL)
-    )
+    ).nonzero()[0]
     norms = np.array([math.hypot(x, y) for x, y in translations[near].tolist()])
     over = norms > cap
     translations[near[over]] *= (cap / norms[over])[:, None]

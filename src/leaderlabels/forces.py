@@ -34,6 +34,7 @@ from .geometry import (
     Rect,
     group_blocks,
     hypot_below,
+    mask_pairs,
     rect_gaps,
     rects_near,
     same_group,
@@ -263,7 +264,7 @@ def _label_candidates(
     for rows, cols, mixed in group_blocks(starts, len(boxes), starts, len(boxes)):
         # Columns from the block's first row on; only later boxes of the
         # same group are kept.
-        i, j = np.nonzero(rects_near(boxes[rows], boxes[rows.start:cols.stop], limit))
+        i, j = mask_pairs(rects_near(boxes[rows], boxes[rows.start:cols.stop], limit))
         i, j = i + rows.start, j + rows.start
         keep = j > i
         if mixed:
@@ -282,7 +283,7 @@ def _symbol_candidates(
     the labels do."""
     found = []
     for rows, cols, mixed in group_blocks(starts, len(boxes), starts, len(arrays.symbols)):
-        i, k = np.nonzero(symbols_near(boxes[rows], arrays.symbols[cols], limit))
+        i, k = mask_pairs(symbols_near(boxes[rows], arrays.symbols[cols], limit))
         i, k = i + rows.start, k + cols.start
         keep = arrays.ids[k] != arrays.own[arrays.live[i]]
         if mixed:

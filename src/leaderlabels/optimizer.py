@@ -15,10 +15,12 @@ once for conflicting label-label and label-symbol pairs, and each step scans
 the layout it produced once; those pairs give the step's conflict counts and
 feed the next step's force assembly. Under the Delaunay graph, each step
 hands its triangles to the next, which keeps them instead of running Qhull
-while a margin proves them still Delaunay (`proximity.still_delaunay`); a
-loop's first step, and any step whose check fails or cannot decide, runs
-Qhull. A loop over the whole scene takes the reference graph as its first
-step's graph: the same layout, live slots and t_d.
+while a margin proves them still Delaunay, or flips the edges whose
+in-circle test fails until it does (`proximity.carried_delaunay`); a
+loop's first step, and any step whose check fails in another way, cannot
+decide, or still fails after the flips, runs Qhull. A loop over the whole
+scene takes the reference graph as its first step's graph: the same
+layout, live slots and t_d.
 
 A step also carries the broad phase of its two conflict scans (the
 label-pair scan and the label-symbol scan) in one `NearList` per batch:
@@ -28,9 +30,11 @@ than the skin since; one check decides for both scans, and then both box
 tests run again. The skin is _SKIN_STEPS step caps. A new batch, once a
 loop exits, starts an empty list and scans its layout once. The exact
 tests run on every step as before, and the candidates hold every pair
-they can pass, so every decision is the same. The prune carries nothing:
-one blocked pass of `prune_graph` box-tests every loop's short edges
-against the live rects of their loop on every step.
+they can pass, so every decision is the same. The batch also carries the
+stiffness assembly's index (`beams.StiffnessPattern`), built again only
+when the frames or the beam edges change. The prune carries nothing: one
+blocked pass of `prune_graph` box-tests every loop's short edges against
+the live rects of their loop on every step.
 
 `run` builds the labels and reads them once into arrays: the (n, 4) rects,
 the (n, 2) connection points and one `SceneArrays` for the anchors, the live
@@ -39,12 +43,12 @@ scene, step in lockstep on those arrays: each step advances every loop that
 has not exited, over the rows of all of their labels, listed one loop after
 another so that every pair test stays within a loop. The scans, the force
 assembly, the carried-triangle check, the prune, the element blocks, the
-move and the largest force run once per step for all of them; only Qhull
-and the factor of each loop's own K run per loop, so each loop takes the
-steps it would take alone, to the bit. A loop that exits drops out, and the
-others step on. The repair pass and the metrics take the same arrays, and
-`run` builds its labels once, at its return. Scalar `Rect`s appear only for
-the labels in a conflicting pair.
+move and the largest force run once per step for all of them; only the
+flips, Qhull and the factor of each loop's own K run per loop, so each
+loop takes the steps it would take alone, to the bit. A loop that exits
+drops out, and the others step on. The repair pass and the metrics take
+the same arrays, and `run` builds its labels once, at its return. Scalar
+`Rect`s appear only for the labels in a conflicting pair.
 """
 
 from __future__ import annotations
@@ -52,12 +56,11 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import dataclass, field, replace
-from itertools import compress
 from typing import Sequence
 
 import numpy as np
 
-from .beams import frames_of, solve_displacements
+from .beams import StiffnessPattern, frames_of, solve_displacements
 from .forces import (
     ConflictPairs,
     SceneArrays,
@@ -71,13 +74,12 @@ from .metrics import count_conflicts, mean_direction_deviation, total_displaceme
 from .proximity import (
     ProximityGraph,
     Triangulation,
+    carried_delaunay,
     delaunay_graph,
     mean_nn_distance,
     mst_graph,
     partition_labels,
     prune_graph,
-    joined,
-    still_delaunay,
 )
 from .repair import greedy_repair
 from .scene import (
@@ -205,7 +207,7 @@ def _max_norms(v: np.ndarray, starts: np.ndarray, group: np.ndarray) -> list[flo
     group's largest; math.hypot measures only those."""
     norms = np.hypot(v[:, 0], v[:, 1])
     top = np.maximum.reduceat(norms, starts) * (1.0 - HYPOT_RTOL)
-    near = np.flatnonzero(norms >= top[group])
+    near = (norms >= top[group]).nonzero()[0]
     best = [0.0] * len(starts)
     for k, (x, y) in zip(group[near].tolist(), v[near].tolist()):
         best[k] = max(best[k], math.hypot(x, y))
@@ -348,10 +350,14 @@ class _Batch:
     slots' features), so that the scans pair only the labels and symbols
     of one group. frames lays out the groups' beam networks, one per group
     over its frame rows, for the solve. near holds both scans' candidates,
-    over the slots in order, so a new batch starts it empty.
+    over the slots in order, so a new batch starts it empty. pattern holds
+    the stiffness assembly's index of the batch's last solve, kept while
+    the groups' frames and edges stay the same.
     """
 
-    __slots__ = ("groups", "order", "starts", "group", "anchors", "arrays", "frames", "near")
+    __slots__ = (
+        "groups", "order", "starts", "group", "anchors", "arrays", "frames", "near", "pattern"
+    )
 
     def __init__(self, scene: _Scene, groups: list[_Group]):
         self.groups = groups
@@ -370,21 +376,11 @@ class _Batch:
         )
         self.frames = frames_of([g.rows for g in groups], len(scene.gid))
         self.near = NearList(_SKIN_STEPS * scene.beam.max_step)
+        self.pattern = StiffnessPattern()
 
     def conflict_pairs(self, rects: np.ndarray, d_min: float) -> ConflictPairs:
         """Both conflict scans of the groups' labels, each group's alone."""
         return conflict_pairs(rects, self.arrays, d_min, self.starts, self.near)
-
-
-def _carried_still_delaunay(carried: list[_Group], xy: np.ndarray) -> np.ndarray:
-    """`still_delaunay` of the carried triangles of each group, in one
-    check."""
-    if len(carried) == 1:
-        # One group's triangles need no joining, and its check one bound.
-        return still_delaunay(carried[0].triangles, xy, carried[0].slots)
-    slots = np.concatenate([g.slots for g in carried])
-    starts = np.cumsum([0] + [len(g.slots) for g in carried[:-1]])
-    return still_delaunay(joined([g.triangles for g in carried]), xy, slots, starts)
 
 
 def _build_graphs(
@@ -394,10 +390,10 @@ def _build_graphs(
     positions of every slot, an (n, 2) array, and every group's edges in
     run slots, an (m, 2) array holding each group's edges in its order.
 
-    Under the Delaunay graph a group keeps its carried triangles when
-    `still_delaunay` accepts them (one check for all groups) and runs
-    Qhull over its own frame otherwise; a graph handed in for a group's
-    first step is taken as it is. One `prune_graph` over the groups'
+    Under the Delaunay graph a group keeps its carried triangles, or the
+    flips of them, when `carried_delaunay` proves them Delaunay (one check
+    for all groups), and runs Qhull over its own frame otherwise; a graph
+    handed in for a group's first step is taken as it is. One `prune_graph` over the groups'
     labels, each group's edges against its own labels and at its own t_d,
     then prunes the other groups' edges. Under the MST each group builds its
     tree over its frame.
@@ -412,8 +408,9 @@ def _build_graphs(
         return xy, np.concatenate(parts)
     carried = [g for g in groups if g.triangles is not None]
     if carried:
-        for g in compress(carried, ~_carried_still_delaunay(carried, xy)):
-            g.triangles = None
+        kept = carried_delaunay([g.triangles for g in carried], xy, [g.slots for g in carried])
+        for g, tri in zip(carried, kept):
+            g.triangles = tri
     built, raw = [], []
     for g in groups:
         if g.triangles is not None:
@@ -466,9 +463,9 @@ def _advance(
 
     The forces, the graph check and prune, the element blocks, the move
     and the rescan each run once over all the groups' rows, with each pair
-    test kept within a group; Qhull and the factor of K run per group. So
-    each group takes the step it would take alone, to the bit. A group
-    whose forces are all exactly zero, whose solve gives +0.0
+    test kept within a group; the flips, Qhull and the factor of K run per
+    group. So each group takes the step it would take alone, to the bit. A
+    group whose forces are all exactly zero, whose solve gives +0.0
     translations, moves nothing: it is not solved, and, unless on its
     first step, builds no graph. Its largest force is 0.0, so its loop
     ends with this step. A step in which no group moves rescans nothing.
@@ -501,7 +498,7 @@ def _advance(
             frames = batch.frames
             if len(solved) < len(groups):
                 frames = frames_of([g.rows for g in solved], len(totals))
-            disp = solve_displacements(graph, totals, scene.beam, frames)
+            disp = solve_displacements(graph, totals, scene.beam, frames, batch.pattern)
             translations = disp.translations
             capped = _group_counts(disp.capped_nodes, scene)
 

@@ -17,10 +17,14 @@ most 2·d_min, far less than the labels' spacing, so the triangles mostly
 stay Delaunay. The loop keeps them, and skips Qhull, when `still_delaunay`
 decides every orientation and in-circle test that proves this by a margin;
 the Delaunay triangulation is then unique and Qhull would return the same
-edges. One check covers the triangles of several groups at once. Qhull runs
-on a loop's first step, when a test fails or cannot be decided, and on
-every step while Qhull drops a point (nudged duplicate centres) or rejects
-the set (collinear centres). Two or fewer live labels carry nothing.
+edges. When only in-circle tests fail, each by more than the margin,
+`carried_delaunay` flips those edges (Lawson 1977) and checks the result
+again by the same margins. One check covers the triangles of several
+groups at once. Qhull runs on a loop's first step; when an orientation or
+hull test fails, an in-circle test cannot be decided, or the flipped
+triangles still fail after _FLIP_ROUNDS rounds; and on every step while
+Qhull drops a point (nudged duplicate centres) or rejects the set
+(collinear centres). Two or fewer live labels carry nothing.
 """
 
 from __future__ import annotations
@@ -35,6 +39,7 @@ from scipy.spatial import Delaunay, QhullError
 from .geometry import (
     HYPOT_RTOL,
     group_blocks,
+    mask_pairs,
     rect_centers,
     rect_gaps,
     row_blocks,
@@ -165,6 +170,18 @@ def still_delaunay(
     makes it the Delaunay one (Delaunay's lemma), and, being strict, the
     only one.
     """
+    return _delaunay_tests(tri, xy, live, starts)[0]
+
+
+def _delaunay_tests(
+    tri: Triangulation, xy: np.ndarray, live: np.ndarray, starts: np.ndarray | None
+) -> tuple[np.ndarray, np.ndarray, np.ndarray | None]:
+    """The tests of `still_delaunay`, with what a flip needs of them:
+    whether each group passed every test; whether it passed the
+    orientation and hull tests and failed no in-circle test by less than
+    the margin; and which rows of tri.interior have their far vertex inside
+    the circumcircle by more than the margin, or None when no in-circle
+    test failed."""
     x, y = xy[:, 0], xy[:, 1]
     size = np.abs(xy[live])
     if starts is None:
@@ -172,7 +189,7 @@ def still_delaunay(
         group, starts, s = None, _ONE_GROUP, size.max()
     else:
         group = np.zeros(len(xy), dtype=np.intp)
-        group[live] = np.repeat(np.arange(len(starts)), np.append(starts[1:], len(live)) - starts)
+        group[live] = np.arange(len(starts)).repeat(np.append(starts[1:], len(live)) - starts)
         # S of each group, from the x and y of its centers, two per center.
         s = np.maximum.reduceat(size.ravel(), 2 * starts)
     s2 = (1.0 + s) ** 2
@@ -197,14 +214,14 @@ def still_delaunay(
         tx[:, 2] - tx[:, 0]
     )
     if refused(area > at(margin, first), first):
-        return ok
+        return ok, ok, None
     # A hull edge's own two endpoints give exactly 0.0, so every other
     # center of its group is inside when all but those 2 clear the bound;
     # the centers of other groups count as clear.
     hull = tri.hull
     hull_starts = starts
     if group is not None:
-        hull_starts = np.searchsorted(group[hull[:, 0]], np.arange(len(starts)))
+        hull_starts = group[hull[:, 0]].searchsorted(np.arange(len(starts)))
     (px, qx), (py, qy) = x[hull.T], y[hull.T]
     pts = xy[live]
     for rows, cols, mixed in group_blocks(hull_starts, len(hull), starts, len(live)):
@@ -218,7 +235,7 @@ def still_delaunay(
         if np.count_nonzero(clear) != clear.size - 2 * len(clear):
             refused(clear.sum(axis=1) == clear.shape[1] - 2, ends)
     if not ok.any():
-        return ok
+        return ok, ok, None
     # Shewchuk's incircle(a, b, c, d) over a, b, c relative to d, expanded
     # along its lifted column: positive when d lies inside the circumcircle
     # of abc.
@@ -227,8 +244,18 @@ def still_delaunay(
     lift = rx[:, :3] ** 2 + ry[:, :3] ** 2
     cross = rx[:, 1:4] * ry[:, 2:] - ry[:, 1:4] * rx[:, 2:]
     far = tri.interior[:, 0]
-    refused(np.einsum("ij,ij->i", lift, cross) < at(-margin * s2, far), far)
-    return ok
+    value, bound = np.einsum("ij,ij->i", lift, cross), at(margin * s2, far)
+    passed = value < -bound
+    if passed.all():
+        return ok, ok, None
+    sound = ok.copy()
+    refused(passed, far)
+    # A flip turns an undecided in-circle test into another undecided one.
+    inside = value > bound
+    undecided = ~(passed | inside)
+    if undecided.any():
+        sound[at(np.arange(len(ok)), far[undecided])] = False
+    return ok, sound, inside
 
 
 def joined(carried: Sequence[Triangulation]) -> Triangulation:
@@ -258,6 +285,123 @@ def _triangulation(live: np.ndarray, tri: Delaunay, n: int) -> Triangulation:
     keys = np.sort(np.minimum(b, c)[once] * n + np.maximum(b, c)[once])
     edges = np.column_stack((keys // n, keys % n))
     return Triangulation(edges, s, hull, np.column_stack((far, ai, bi, ci, ai, bi)))
+
+
+# Rounds of flips a carried triangulation may take before Qhull builds it
+# afresh. A step moves a label so little that one round settles almost
+# every refusal; a set that needs more than two is rebuilt.
+_FLIP_ROUNDS = 2
+
+
+def _flipped(
+    tri: Triangulation, rows: np.ndarray, n: int
+) -> tuple[Triangulation, Triangulation, np.ndarray]:
+    """tri, over n slots, with the interior edges of the rows of
+    tri.interior flipped (Lawson 1977): the edge bc of a row (d, a, b, c,
+    a, b) and its triangles abc and dcb become the edge ad and the
+    triangles abd and adc. A row whose triangles an earlier row's flip
+    took waits for the next round. Also returns what the flips touched, as
+    a Triangulation of the new triangles, no hull and the interior rows of
+    the new edges and of the four edges around each, and the numbers of
+    those rows in the flipped tri.interior.
+
+    Every other row and triangle, and the hull, stay as they were, so the
+    touched part passes `still_delaunay` exactly when the whole does, given
+    that the rest passed before."""
+    triangles, interior = tri.triangles.copy(), tri.interior.copy()
+    # The triangle of each directed side, and the row of each interior
+    # edge, by key.
+    side = (triangles[:, [1, 2, 0]] * n + triangles[:, [2, 0, 1]]).ravel()
+    side_order = side.argsort()
+    p, q = interior[:, 2], interior[:, 3]
+    edge = np.minimum(p, q) * n + np.maximum(p, q)
+    edge_order = edge.argsort()
+    d, a, b, c = interior[rows, :4].T
+    near = side_order[side[side_order].searchsorted(b * n + c)] // 3
+    across = side_order[side[side_order].searchsorted(c * n + b)] // 3
+    # Each flip's four outer edges, (p, q, apex before, apex after): ab, bd,
+    # dc and ca, each keeping its side of the quadrilateral abdc.
+    outer = np.array(((a, b, c, d), (b, d, c, a), (d, c, b, a), (c, a, b, d))).transpose(2, 0, 1)
+    keys = np.minimum(outer[..., 0], outer[..., 1]) * n + np.maximum(outer[..., 0], outer[..., 1])
+    at = edge[edge_order].searchsorted(keys).clip(max=len(edge) - 1)
+    outer_rows = np.where(edge[edge_order[at]] == keys, edge_order[at], -1)
+    taken: set[int] = set()
+    touched_t, touched_r, old_keys, new_keys = [], [], [], []
+    picks = zip(rows.tolist(), interior[rows, :4].tolist(), near.tolist(), across.tolist())
+    for k, (r, (dk, ak, bk, ck), t, u) in enumerate(picks):
+        if t in taken or u in taken:
+            continue
+        taken.update((t, u))
+        triangles[t], triangles[u] = (ak, bk, dk), (ak, dk, ck)
+        interior[r] = (bk, ck, ak, dk, ck, ak)
+        touched_t += (t, u)
+        touched_r.append(r)
+        old_keys.append(min(bk, ck) * n + max(bk, ck))
+        new_keys.append(min(ak, dk) * n + max(ak, dk))
+        for (_, _, before, after), e in zip(outer[k].tolist(), outer_rows[k].tolist()):
+            if e < 0:
+                continue  # a hull edge
+            touched_r.append(e)
+            if interior[e, 1] == before:
+                interior[e, 1] = interior[e, 4] = after
+            else:
+                interior[e, 0] = after
+    keys = tri.edges[:, 0] * n + tri.edges[:, 1]
+    keys[keys.searchsorted(old_keys)] = new_keys
+    keys.sort()
+    edges = np.column_stack((keys // n, keys % n))
+    touched_r = np.unique(touched_r)
+    touched = Triangulation(edges, triangles[touched_t], tri.hull[:0], interior[touched_r])
+    return Triangulation(edges, triangles, tri.hull, interior), touched, touched_r
+
+
+def carried_delaunay(
+    carried: Sequence[Triangulation], xy: np.ndarray, lives: Sequence[np.ndarray]
+) -> list[Triangulation | None]:
+    """For each group, the Delaunay triangulation of its live centers
+    xy[live] that its carried triangles prove or flip to; None where Qhull
+    must build it.
+
+    One `still_delaunay` checks every group's triangles. A group that
+    passes keeps them. A group that passes the orientation and hull tests,
+    and fails each in-circle test it fails by more than the margin, has
+    those interior edges flipped: each such edge's two triangles form a
+    convex quadrilateral, whose other diagonal the flip takes. What the
+    flips touched is then checked again, with the other groups flipped in
+    the same round, for up to _FLIP_ROUNDS rounds. Flips leave the hull
+    and the vertices as they are, so the flipped triangles pass by the same
+    margins only when they are the unique Delaunay triangulation, whose
+    edges Qhull would return. Any other group is refused.
+    """
+    out: list[Triangulation | None] = [None] * len(carried)
+    # What each group's next check tests: all its triangles, then what its
+    # last flips touched, whose interior rows are rows[k] of its triangles'.
+    tris, tests = list(carried), list(carried)
+    rows: list[np.ndarray | None] = [None] * len(carried)
+    todo = list(range(len(carried)))
+    for round_no in range(_FLIP_ROUNDS + 1):
+        if len(todo) == 1:
+            (k,) = todo
+            ok, sound, inside = _delaunay_tests(tests[k], xy, lives[k], None)
+        else:
+            live = np.concatenate([lives[k] for k in todo])
+            starts = np.cumsum([0] + [len(lives[k]) for k in todo[:-1]])
+            ok, sound, inside = _delaunay_tests(joined([tests[k] for k in todo]), xy, live, starts)
+        flipping, end = [], 0
+        for k, passed, flippable in zip(todo, ok.tolist(), sound.tolist()):
+            begin, end = end, end + len(tests[k].interior)
+            if passed:
+                out[k] = tris[k]
+            elif flippable and round_no < _FLIP_ROUNDS:
+                wrong = inside[begin:end].nonzero()[0]
+                if rows[k] is not None:
+                    wrong = rows[k][wrong]
+                tris[k], tests[k], rows[k] = _flipped(tris[k], wrong, len(xy))
+                flipping.append(k)
+        if not flipping:
+            break
+        todo = flipping
+    return out
 
 
 def delaunay_graph(rects: np.ndarray, live: np.ndarray) -> ProximityGraph:
@@ -305,10 +449,10 @@ def prune_graph(
     rect of an edge's own group can block it; None is one group.
 
     The lengths, a closed bounding-box test of every short edge against
-    every live rect of its group, in one pass over the blocks of
-    `group_blocks` (`same_group` drops the hits across groups in a mixed
-    block), and the segment test of each box hit
-    (`segments_cross_interiors`) run as array operations; `math.hypot`
+    every live rect in its block of `group_blocks`, in one pass over the
+    blocks, and the segment test of each box hit with a rect other than
+    its endpoints' and of its own group (`same_group`, in a mixed block)
+    by `segments_cross_interiors`, run as array operations; `math.hypot`
     decides each length within HYPOT_RTOL of t_d.
     """
     edges = graph.edges
@@ -317,33 +461,33 @@ def prune_graph(
     boxes = rects[live]
     xy = graph.positions
     p, q = xy[edges[:, 0]], xy[edges[:, 1]]
-    dx, dy = q[:, 0] - p[:, 0], q[:, 1] - p[:, 1]
+    d = q - p
+    dx, dy = d[:, 0], d[:, 1]
     length = np.hypot(dx, dy)
     short = length <= t_d
-    for k in np.flatnonzero(np.abs(length - t_d) <= HYPOT_RTOL * t_d).tolist():
+    for k in (abs(length - t_d) <= HYPOT_RTOL * t_d).nonzero()[0].tolist():
         short[k] = not math.hypot(dx[k], dy[k]) > (t_d[k] if np.ndim(t_d) else t_d)
-    cand = np.flatnonzero(short)
-    cand_starts = None if edge_starts is None else np.searchsorted(cand, edge_starts)
+    cand = short.nonzero()[0]
+    cand_starts = None if edge_starts is None else cand.searchsorted(edge_starts)
     lo, hi = np.minimum(p, q), np.maximum(p, q)
     blocked = np.zeros(len(edges), dtype=bool)
     for rows, cols, mixed in group_blocks(cand_starts, len(cand), starts, len(live)):
-        ks, b, others = cand[rows], boxes[cols], live[cols]
-        hit = (
-            (b[:, 0] <= hi[ks, 0:1])
-            & (b[:, 2] >= lo[ks, 0:1])
-            & (b[:, 1] <= hi[ks, 1:2])
-            & (b[:, 3] >= lo[ks, 1:2])
-            & (others != edges[ks, 0:1])
-            & (others != edges[ks, 1:2])
+        ks, b = cand[rows], boxes[cols]
+        lo_k, hi_k = lo[ks], hi[ks]
+        r, c = mask_pairs(
+            (b[:, 0] <= hi_k[:, 0:1])
+            & (b[:, 2] >= lo_k[:, 0:1])
+            & (b[:, 1] <= hi_k[:, 1:2])
+            & (b[:, 3] >= lo_k[:, 1:2])
         )
+        # Each edge's box holds its own two endpoints' centers, so it hits
+        # their rects; those, and the hits across groups, drop out here.
+        k, others = ks[r], live[cols][c]
+        hit = (others != edges[k, 0]) & (others != edges[k, 1])
         if mixed:
-            hit &= same_group(
-                cand_starts, np.arange(rows.start, rows.stop)[:, None],
-                starts, np.arange(cols.start, cols.stop),
-            )
-        r, c = np.nonzero(hit)
-        if len(r):
-            k = ks[r]
+            hit &= same_group(cand_starts, r + rows.start, starts, c + cols.start)
+        k, c = k[hit], c[hit]
+        if len(k):
             blocked[k[segments_cross_interiors(p[k], q[k], b[c])]] = True
     return ProximityGraph(xy, edges[short & ~blocked], graph.triangulation)
 
@@ -443,7 +587,7 @@ def mean_nn_distance(xy: np.ndarray) -> float:
         d = xy - xy[rows, None]
         h = np.hypot(d[..., 0], d[..., 1])
         h[np.arange(len(h)), np.arange(rows.start, rows.stop)] = np.inf
-        r, c = np.nonzero(h <= h.min(axis=1, keepdims=True) * (1.0 + HYPOT_RTOL))
+        r, c = mask_pairs(h <= h.min(axis=1, keepdims=True) * (1.0 + HYPOT_RTOL))
         exact = np.full(h.shape, np.inf)
         exact[r, c] = list(map(math.hypot, d[r, c, 0].tolist(), d[r, c, 1].tolist()))
         for best in exact.min(axis=1).tolist():

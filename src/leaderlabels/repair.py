@@ -344,9 +344,11 @@ def _blocked_cells(
     # Both gaps along x lie below the limit for the cells ix with
     # x0 + ix * grid - q_x1 < limit and q_x0 - (x1 + ix * grid) < limit,
     # an open range; likewise along y. The slices keep the cells one in
-    # from each end.
-    lo = np.floor((obstacles[:, 0:2] - box[2:4] - limit[:, None]) / grid) + 2
-    hi = np.ceil((obstacles[:, 2:4] - box[0:2] + limit[:, None]) / grid) - 1
+    # from each end. A range past the float range (a screen edge 1e308 mm
+    # off) overflows to an infinity, which the clip takes to the grid's end.
+    with np.errstate(over="ignore"):
+        lo = np.floor((obstacles[:, 0:2] - box[2:4] - limit[:, None]) / grid) + 2
+        hi = np.ceil((obstacles[:, 2:4] - box[0:2] + limit[:, None]) / grid) - 1
     lo, hi = (np.clip(v + end, 0, 2 * end + 1).astype(np.int64).tolist() for v in (lo, hi))
     blocked = np.zeros((2 * end + 1, 2 * end + 1), dtype=bool)
     for (ax, ay), (bx, by) in zip(lo, hi):
@@ -360,11 +362,28 @@ def _ring_lattice(rings: int) -> np.ndarray:
     (4 rings^2, 2) int32 array, ring by ring, each ring in
     (ix^2 + iy^2, ix, iy) order. Rings 1..k are its first 4 k^2 rows.
     Built once per ring count and read-only."""
-    v = np.arange(-rings, rings + 1, dtype=np.int32)
+    v = np.arange(-rings, rings + 1)
     v = v[v != 0]
-    ix, iy = np.repeat(v, len(v)), np.tile(v, len(v))
-    order = np.lexsort((iy, ix, ix * ix + iy * iy, np.maximum(np.abs(ix), np.abs(iy))))
-    cells = np.column_stack((ix[order], iy[order]))
+    # One int64 key per cell, (ring, ix^2 + iy^2, ix + rings, iy + rings)
+    # in mixed radix, built and sorted in place; the cells are read back out
+    # of the sorted keys, so no order array and no key temporaries are
+    # alive beside them. The keys are unique, so their order is the
+    # lexicographic one.
+    side, lift = 2 * rings + 1, 2 * rings * rings + 1
+    key = np.maximum.outer(np.abs(v), np.abs(v))
+    key *= lift
+    key += np.add.outer(v * v, v * v)
+    key *= side
+    key += (v + rings)[:, None]
+    key *= side
+    key += v + rings
+    key = key.ravel()
+    key.sort()
+    cells = np.empty((len(key), 2), dtype=np.int32)
+    np.remainder(key, side, out=cells[:, 1], casting="unsafe")
+    key //= side
+    np.remainder(key, side, out=cells[:, 0], casting="unsafe")
+    cells -= rings
     cells.flags.writeable = False
     return cells
 
@@ -375,8 +394,11 @@ def _lattice_index(rings: int) -> np.ndarray:
     (2 rings + 1, 2 rings + 1) int32 array holding the number of cell
     (ix, iy) at [ix + rings, iy + rings], and -1 on the axes. Read-only."""
     cells = _ring_lattice(rings)
-    index = np.full((2 * rings + 1, 2 * rings + 1), -1, dtype=np.int32)
-    index[cells[:, 0] + rings, cells[:, 1] + rings] = np.arange(len(cells), dtype=np.int32)
+    side = 2 * rings + 1
+    index = np.full((side, side), -1, dtype=np.int32)
+    flat = cells[:, 0] * side
+    flat += cells[:, 1] + (rings * side + rings)
+    index.ravel()[flat] = np.arange(len(cells), dtype=np.int32)
     index.flags.writeable = False
     return index
 

@@ -191,6 +191,9 @@ class LayoutConfig:
 
 def is_double_width(ch: str) -> bool:
     cp = ord(ch)
+    # Most text lies below every range; the ranges rise.
+    if cp < _DOUBLE_WIDTH_RANGES[0][0]:
+        return False
     return any(lo <= cp <= hi for lo, hi in _DOUBLE_WIDTH_RANGES)
 
 

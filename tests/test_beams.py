@@ -312,6 +312,53 @@ class TestArraySolve:
             assert field.translations.tobytes() == points_array(want).tobytes()
             assert len(field.capped_nodes) == sum(v.norm() > cap for v in raw_translations(field))
 
+    @settings(max_examples=150, deadline=None)
+    @given(
+        system=beam_systems(),
+        steps=st.lists(
+            st.tuples(
+                st.sampled_from(["same", "move", "edges", "new frames", "split"]),
+                st.integers(0, 2**32 - 1),
+            ),
+            min_size=1,
+            max_size=6,
+        ),
+    )
+    def test_a_carried_pattern_solves_as_a_fresh_one(self, system, steps):
+        # Solves in sequence, as a loop makes them, with one
+        # StiffnessPattern carried through: each gives, to the bit, what an
+        # assembly built afresh gives, whether a step keeps the graph's
+        # edges and frames, moves its nodes, drops edges, lays out equal
+        # frames anew or splits the nodes into two frames.
+        positions, edges, forces, p = system
+        p = dataclasses.replace(p, max_step=1.0)
+        n = len(positions)
+        xy, f = points_array(positions), points_array(forces)
+        pairs = np.array(edges, dtype=np.int64).reshape(-1, 2)
+        frames = beams.frames_of([np.arange(n)], n)
+        pattern = beams.StiffnessPattern()
+        for kind, seed in steps:
+            rng = np.random.default_rng(seed)
+            before = pattern.index
+            if kind == "move":
+                xy = xy + rng.uniform(-0.1, 0.1, xy.shape)
+            elif kind == "edges":
+                pairs = pairs[rng.random(len(pairs)) < 0.7]
+            elif kind == "new frames":
+                frames = beams.frames_of(frames.rows, n)
+            elif kind == "split":
+                part = rng.random(n) < 0.5
+                frames = beams.frames_of([part.nonzero()[0], (~part).nonzero()[0]], n)
+                pairs = pairs[part[pairs[:, 0]] == part[pairs[:, 1]]]
+            graph = ProximityGraph(xy, pairs)
+            got = solve_displacements(graph, f, p, frames, pattern)
+            want = solve_displacements(graph, f, p, frames)
+            assert got.solution.tobytes() == want.solution.tobytes()
+            assert got.translations.tobytes() == want.translations.tobytes()
+            assert np.array_equal(got.capped_nodes, want.capped_nodes)
+            if kind == "same" and before is not None:
+                assert pattern.index is before
+
     @settings(max_examples=200, deadline=None)
     @given(system=beam_systems(), cap=st.floats(1e-3, 10.0))
     def test_zero_forces_give_positive_zero_translations(self, system, cap):

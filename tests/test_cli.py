@@ -246,6 +246,8 @@ class TestContract:
     @example(edits=[(("config", "d_min_mm"), 1e308)])
     @example(edits=[(("config", "leader", "length_mm"), 1e308)])
     @example(edits=[(("features", 0, "symbol_radius_mm"), 1e308)])
+    # An overflow in repair's grid ranges under a 1e308 mm screen.
+    @example(edits=[(("screen", "width_mm"), 1e308), (("features", 0, "symbol_radius_mm"), 1e9)])
     def test_any_finite_number_exits_0_or_2_with_strict_json(self, capsys, tmp_path, edits):
         data = generate_synthetic(12, 3)
         for path, value in edits:

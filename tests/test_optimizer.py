@@ -866,22 +866,23 @@ def _checked_steps(monkeypatch, seen):
 
 def _checked_carry(monkeypatch, seen):
     """Wraps the optimizer's carried-triangle check and its graph builds.
-    Each group the check accepts must hold the edges a fresh Qhull build
-    of its centres gives; and every Delaunay graph a step builds, carried
-    or not, must give each group the positions and the pruned edges of a
-    fresh Qhull build of the group's own rects. Counts the groups the
-    check accepts and refuses in seen."""
-    check = proximity.still_delaunay
+    Each group the check accepts, with its carried triangles or flipped
+    ones, must hold the edges a fresh Qhull build of its centres gives;
+    and every Delaunay graph a step builds, carried, flipped or not, must
+    give each group the positions and the pruned edges of a fresh Qhull
+    build of the group's own rects. Counts the groups the check keeps,
+    flips and refuses in seen."""
+    check = proximity.carried_delaunay
 
-    def checked(tri, xy, live, starts=None):
-        ok = check(tri, xy, live, starts)
+    def checked(carried, xy, lives):
+        out = check(carried, xy, lives)
         points = np.column_stack((xy, xy))
-        for k, slots in enumerate([live] if starts is None else np.split(live, starts[1:])):
-            seen["carried" if ok[k] else "rebuilt"] += 1
-            if ok[k]:
-                mine = tri.edges[np.isin(tri.edges[:, 0], slots)]
-                assert np.array_equal(mine, delaunay_graph(points, np.sort(slots)).edges)
-        return ok
+        for before, after, slots in zip(carried, out, lives):
+            seen["rebuilt" if after is None else "carried" if after is before else "flipped"] += 1
+            if after is not None:
+                fresh = delaunay_graph(points, np.sort(slots)).edges
+                assert np.array_equal(after.edges, fresh)
+        return out
 
     build = optimizer._build_graphs
 
@@ -895,13 +896,13 @@ def _checked_carry(monkeypatch, seen):
             assert np.array_equal(mine, g.rows[pruned.edges])
         return xy, edges
 
-    monkeypatch.setattr(optimizer, "still_delaunay", checked)
+    monkeypatch.setattr(optimizer, "carried_delaunay", checked)
     monkeypatch.setattr(optimizer, "_build_graphs", built)
 
 
 class TestCarriedTriangulation:
-    """Every Delaunay step of a loop, carried or rebuilt, returns the graph
-    a fresh Qhull build of the same rects returns."""
+    """Every Delaunay step of a loop, carried, flipped or rebuilt, returns
+    the graph a fresh Qhull build of the same rects returns."""
 
     @pytest.mark.parametrize("name", CARRY_SCENES)
     def test_each_step_equals_a_fresh_qhull_build(self, monkeypatch, name):
@@ -917,12 +918,13 @@ class TestCarriedTriangulation:
         _, report = run(*_carry_scene(name))
         # One Qhull build for the reference graph, which the first step
         # takes as it is; each later step with a graph carries its
-        # triangles or builds them again.
+        # triangles, flips them or builds them again.
         built = sum(s.graph_edges is not None for loop in report.loops for s in loop.history)
-        assert seen["builds"] + seen["carried"] == built
+        assert seen["builds"] + seen["carried"] + seen["flipped"] == built
         assert seen["builds"] == 1 + seen["rebuilt"] + (name == "collinear") * (built - 1)
         if name.startswith("synthetic") or name == "duplicated":
-            assert seen["carried"] > seen["rebuilt"] > 0
+            assert seen["carried"] > seen["flipped"] + seen["rebuilt"]
+            assert seen["flipped"] > 0
         elif name == "grid":
             assert seen["carried"] == 0 and seen["rebuilt"] > 0
         else:
@@ -935,7 +937,7 @@ class TestCarriedTriangulation:
         features, cfg = synthetic_scene(76, 0)
         _, report = run(features, dataclasses.replace(cfg, t_num=t_num))
         assert len(report.loops) > 1
-        assert seen["carried"] > 0 and seen["rebuilt"] > 0
+        assert seen["carried"] > 0 and seen["flipped"] > 0
 
     @pytest.mark.parametrize("seed", [0, 1, 2])
     def test_the_first_step_takes_the_reference_graph(self, monkeypatch, seed):

@@ -1,3 +1,4 @@
+import collections
 import dataclasses
 import itertools
 import math
@@ -255,6 +256,56 @@ def moved_point_sets(draw):
     return xy0, xy1
 
 
+def assert_triangulation_layout(tri, xy, live):
+    """tri is a triangulation of the centres xy[live] laid out as
+    `proximity.Triangulation` says: counter-clockwise triangles, hull
+    edges with every other centre on their left, one interior row per
+    interior edge naming its two triangles, each counter-clockwise as the
+    row lists it, and the sorted edge array of the hull and interior
+    edges."""
+    x, y = np.asarray(xy, dtype=float).T
+    live = np.asarray(live).tolist()
+
+    def ccw(a, b, c):
+        return (x[b] - x[a]) * (y[c] - y[a]) - (y[b] - y[a]) * (x[c] - x[a]) > 0
+
+    for a, b, c in tri.triangles.tolist():
+        assert ccw(a, b, c)
+    for p, q in tri.hull.tolist():
+        others = [r for r in live if r not in (p, q)]
+        assert all(
+            (x[q] - x[p]) * (y[r] - y[p]) - (y[q] - y[p]) * (x[r] - x[p]) > 0 for r in others
+        )
+    triangles = {frozenset(t) for t in tri.triangles.tolist()}
+    assert len(triangles) == len(tri.triangles)
+    sides = set()
+    for d, a, b, c, a2, b2 in tri.interior.tolist():
+        assert (a2, b2) == (a, b)
+        assert frozenset((a, b, c)) in triangles and ccw(a, b, c)
+        assert frozenset((d, b, c)) in triangles and ccw(d, c, b)
+        sides.add((min(b, c), max(b, c)))
+    sides.update((min(p, q), max(p, q)) for p, q in tri.hull.tolist())
+    assert sorted(sides) == [tuple(e) for e in tri.edges.tolist()]
+    assert len(tri.interior) + len(tri.hull) == len(tri.edges)
+
+
+def carried_step(tri, rects, live, t_d):
+    """The pruned graph that a loop carrying the triangles tri builds at
+    rects: of the triangles `carried_delaunay` keeps or flips to, else of
+    a fresh Qhull build; with the fresh Qhull build pruned, and what
+    became of the carry ("carried", "flipped" or "refused") and of tri."""
+    xy = geometry.rect_centers(rects)
+    (kept,) = proximity.carried_delaunay([tri], xy, [live])
+    fresh = delaunay_graph(rects, live)
+    if kept is None:
+        graph, outcome = fresh, "refused"
+    else:
+        graph = ProximityGraph(xy, kept.edges, kept)
+        outcome = "carried" if kept is tri else "flipped"
+    got = prune_graph(graph, rects, live, t_d)
+    return got, prune_graph(fresh, rects, live, t_d), outcome, graph.triangulation
+
+
 class TestCarriedTriangulation:
     def test_layout_of_the_stored_triangles(self, rng):
         for n in (3, 4, 12, 47):
@@ -263,25 +314,7 @@ class TestCarriedTriangulation:
             tri = g.triangulation
             assert tri.edges is g.edges
             assert set(edge_pairs(g)) == brute_force_delaunay_edges(xy.tolist())
-            x, y = xy.T
-            for a, b, c in tri.triangles.tolist():
-                assert (x[b] - x[a]) * (y[c] - y[a]) - (y[b] - y[a]) * (x[c] - x[a]) > 0
-            for p, q in tri.hull.tolist():
-                others = [r for r in range(n) if r not in (p, q)]
-                assert all(
-                    (x[q] - x[p]) * (y[r] - y[p]) - (y[q] - y[p]) * (x[r] - x[p]) > 0
-                    for r in others
-                )
-            triangles = {frozenset(t) for t in tri.triangles.tolist()}
-            sides = set()
-            for d, a, b, c, a2, b2 in tri.interior.tolist():
-                assert (a2, b2) == (a, b)
-                assert frozenset((a, b, c)) in triangles
-                assert frozenset((d, b, c)) in triangles
-                sides.add((min(b, c), max(b, c)))
-            sides.update((min(p, q), max(p, q)) for p, q in tri.hull.tolist())
-            assert sides == set(edge_pairs(g))
-            assert len(tri.interior) + len(tri.hull) == len(g.edges)
+            assert_triangulation_layout(tri, xy, range(n))
 
     def test_unmoved_and_slightly_moved_sets_are_carried(self, rng):
         for n in (3, 4, 12, 47):
@@ -317,6 +350,21 @@ class TestCarriedTriangulation:
         got, fresh, carried = carried_build(xy0, moved)
         assert not carried
         assert np.array_equal(got.edges, fresh.edges)
+        # Flips neither decide a cocircular test nor mend a broken
+        # triangle or hull.
+        tri = delaunay_graph(*point_rects(xy0)).triangulation
+        assert carried_step(tri, *point_rects(moved), 100.0)[2] == "refused"
+
+    def test_a_refused_in_circle_test_is_flipped_to_qhulls_edges(self):
+        # The move of test_a_flipped_edge_is_refused: one flip of the
+        # diagonal (1, 3) to (0, 2) gives the Delaunay triangles.
+        xy0 = [(0.0, 0.0), (10.0, -1.0), (14.0, 12.0), (-1.0, 10.0)]
+        xy1 = [(0.0, 0.0), (10.0, -1.0), (7.0, 7.0), (-1.0, 10.0)]
+        tri = delaunay_graph(*point_rects(xy0)).triangulation
+        got, want, outcome, flipped = carried_step(tri, *point_rects(xy1), 100.0)
+        assert outcome == "flipped"
+        assert edge_pairs(got) == edge_pairs(want) == [(0, 1), (0, 2), (0, 3), (1, 2), (2, 3)]
+        assert_triangulation_layout(flipped, xy1, range(4))
 
     def test_only_sets_qhull_triangulates_whole_are_carried(self):
         assert delaunay_graph(*point_rects([(0, 0), (5, 0), (9, 0)])).triangulation is None
@@ -346,6 +394,91 @@ class TestCarriedTriangulation:
         got, fresh, _ = carried_build(*case)
         assert np.array_equal(got.edges, fresh.edges)
         assert np.array_equal(got.positions, fresh.positions)
+
+    @settings(max_examples=400, deadline=None)
+    @given(case=moved_point_sets(), t_d=st.sampled_from([5.0, 40.0, 1e3]))
+    def test_flipped_carry_is_refused_or_equals_qhull(self, case, t_d):
+        xy0, xy1 = case
+        tri = delaunay_graph(*point_rects(xy0)).triangulation
+        got, want, outcome, kept = carried_step(tri, *point_rects(xy1), t_d)
+        assert np.array_equal(got.edges, want.edges)
+        assert got.positions.tobytes() == want.positions.tobytes()
+        if outcome == "flipped":
+            assert_triangulation_layout(kept, xy1, range(len(xy1)))
+
+    @staticmethod
+    def walk(xy, steps, step, seed, t_d=15.0, half=(2.0, 1.0)):
+        """Carries the triangles of the centres xy through a random walk of
+        the given steps, each centre moving up to step on each axis, as a
+        loop carries them; every step's pruned graph must equal a fresh
+        Qhull build's. Returns how many steps were carried, flipped and
+        refused."""
+        rng = np.random.default_rng(seed)
+        xy = np.array(xy, dtype=float)
+        half = np.array(half)
+        live = np.arange(len(xy))
+        tri = delaunay_graph(np.column_stack((xy - half, xy + half)), live).triangulation
+        seen = collections.Counter()
+        for _ in range(steps):
+            xy = xy + rng.uniform(-step, step, xy.shape)
+            rects = np.column_stack((xy - half, xy + half))
+            got, want, outcome, tri = carried_step(tri, rects, live, t_d)
+            seen[outcome] += 1
+            assert np.array_equal(got.edges, want.edges)
+            assert got.positions.tobytes() == want.positions.tobytes()
+            if outcome == "flipped":
+                assert_triangulation_layout(tri, geometry.rect_centers(rects), live)
+            if tri is None:
+                break
+        return seen
+
+    def test_random_walk_at_200_flips_and_refuses(self):
+        # 200 uniform centres on a 250 x 150 mm screen, each moving up to
+        # 0.03 mm per axis per step. Uniform centres form thin triangles,
+        # which independent moves of a step cap (0.4 mm) invert on most
+        # steps; at 0.03 mm steps are carried, flipped and refused.
+        rng = np.random.default_rng(7)
+        xy = np.column_stack((rng.uniform(4, 246, 200), rng.uniform(4, 128, 200)))
+        seen = collections.Counter()
+        for seed in range(4):
+            seen += self.walk(xy, 30, 0.03, seed)
+        assert seen["carried"] > 0 and seen["flipped"] > 0 and seen["refused"] > 0
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_cocircular_grid_walk(self, seed):
+        # A 6 x 5 grid: the four corners of every cell are cocircular, so
+        # each cell's diagonal is undecided until the walk breaks the tie.
+        xy = [(10.0 * i, 8.0 * j) for i in range(6) for j in range(5)]
+        seen = self.walk(xy, 12, 0.05, seed)
+        assert seen["refused"] > 0
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_duplicate_centres_walk(self, seed):
+        # Pairs of centres that the walk makes, or keeps, equal: a carry
+        # across them must be refused, and Qhull's nudged build taken.
+        base = [(0, 0), (30, 2), (14, 25), (40, 30), (5, 40), (28, 14)]
+        xy = np.array(base + base[:3], dtype=float)
+        xy[6:] += 1e-3
+        rng = np.random.default_rng(seed)
+        half = np.array((1.0, 1.0))
+        live = np.arange(len(xy))
+        tri = delaunay_graph(np.column_stack((xy - half, xy + half)), live).triangulation
+        moved = xy.copy()
+        moved[6:] = moved[:3]
+        moved += rng.uniform(-1e-6, 1e-6, moved.shape) * (np.arange(len(xy)) < 6)[:, None]
+        moved[6:] = moved[:3]
+        rects = np.column_stack((moved - half, moved + half))
+        got, want, outcome, _ = carried_step(tri, rects, live, 50.0)
+        assert outcome == "refused"
+        assert np.array_equal(got.edges, want.edges)
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_collinear_rows_walk(self, seed):
+        # Three rows of centres: collinear along each row until the walk
+        # moves them off it, with hull edges through collinear centres.
+        xy = [(12.0 * i, 9.0 * j) for j in range(3) for i in range(7)]
+        seen = self.walk(xy, 12, 0.05, seed)
+        assert sum(seen.values()) > 0
 
 
 class TestEdgeOrder:
@@ -747,6 +880,48 @@ class TestGroupedBuilds:
                 graph, rects, np.concatenate(groups), t_d, _starts(groups), _starts(edges)
             )
         assert np.array_equal(got.edges, want)
+
+    @settings(max_examples=200, deadline=None)
+    @given(grouped_point_sets(), st.sampled_from([1, 64, 1 << 14]))
+    def test_one_carry_equals_each_groups_own(self, case, block):
+        # Flips included: each group is kept, flipped or refused as alone.
+        groups, xy0, xy1, _ = case
+        tris = [delaunay_graph(np.column_stack((xy0, xy0)), g).triangulation for g in groups]
+        assume(all(t is not None for t in tris))
+        want = [proximity.carried_delaunay([t], xy1, [g])[0] for t, g in zip(tris, groups)]
+        with mock.patch.object(geometry, "GROUP_BLOCK_ELEMENTS", block):
+            got = proximity.carried_delaunay(tris, xy1, groups)
+        for g, w, t in zip(got, want, tris):
+            assert (g is None) == (w is None)
+            assert (g is t) == (w is t)
+            if g is not None:
+                assert np.array_equal(g.edges, w.edges)
+
+    @pytest.mark.parametrize("block", [1, 64, 1 << 14])
+    def test_rects_of_other_groups_do_not_block(self, block):
+        # Two groups over the same ground: a row of three labels each,
+        # the other group's middle label lying across each group's edges.
+        # Only a group's own rects prune its edges.
+        rects = np.array([
+            (0, 0, 2, 2), (20, 0, 22, 2), (40, 0, 42, 2),
+            (0, 10, 2, 12), (20, 10, 22, 12), (40, 10, 42, 12),
+            (9, -1, 11, 11), (29, -1, 31, 11), (8, 20, 12, 22),
+        ], dtype=float)
+        groups = [np.array([0, 1, 2, 6]), np.array([3, 4, 5, 7, 8])]
+        graphs = [delaunay_graph(rects, g) for g in groups]
+        want = np.concatenate(
+            [prune_graph(gr, rects, g, 100.0).edges for gr, g in zip(graphs, groups)]
+        )
+        edges = [gr.edges for gr in graphs]
+        graph = ProximityGraph(graphs[0].positions, np.concatenate(edges))
+        with mock.patch.object(geometry, "GROUP_BLOCK_ELEMENTS", block):
+            got = prune_graph(
+                graph, rects, np.concatenate(groups), 100.0, _starts(groups), _starts(edges)
+            )
+        assert np.array_equal(got.edges, want)
+        # One group over every label would lose edges to the other's rects.
+        alone = prune_graph(graph, rects, np.arange(len(rects)), 100.0)
+        assert len(alone.edges) < len(want)
 
     def test_each_group_is_checked_against_its_own_scale(self):
         # A square with one corner 1e-3 off its circle passes the in-circle
