@@ -11,6 +11,10 @@ forces, the conflict scans and the repair search: `geometry.rect_gaps`
 (label gap), `geometry.symbol_rows_closer` (symbol clearance),
 `geometry.screen_margins` (screen clearance) and `scene.attachment_edge`.
 
+Every per-scene array is indexed by label slot, and slot k holds feature
+k's label: one `SceneArrays` holds the live slots and each slot's anchor
+and symbol radius, and a symbol pair is (label slot, symbol slot).
+
 `assemble_forces` splits its work by how many labels a source touches.
 The attachment and screen forces act on every live label: they are a few
 array operations on `rects[live]`. The pair and symbol forces act only on
@@ -226,33 +230,31 @@ def check_screen_fit(rects: np.ndarray, screen: Rect, d_min: float) -> None:
 
 class SceneArrays(NamedTuple):
     """What the scans and the assembly read of a scene that stays put while
-    its labels move. Built by `scene_arrays`.
+    its labels move, by label slot: slot k holds feature k's label. Built
+    by `scene_arrays`.
 
-    Features are numbered by the last index that carries their id. `own`
-    gives each label slot its feature's number (-1 for none) and `anchors`
-    its feature's anchor (NaN for none). The symbols that count are the
-    features `index` whose label is not deleted, with numbers `ids`, and
-    `symbols`, an (m, 3) array of anchor x, y and radius.
+    live lists the slots whose label is not deleted, and symbols holds each
+    slot's feature as an (n, 3) array of anchor x, y and symbol radius. The
+    symbols that count are the live slots': a deleted label's symbol is
+    removed from the map, and a label never meets its own.
     """
 
     live: np.ndarray
-    anchors: np.ndarray
-    own: np.ndarray
-    index: np.ndarray
-    ids: np.ndarray
     symbols: np.ndarray
+
+    @property
+    def anchors(self) -> np.ndarray:
+        """The (n, 2) anchors of the slots."""
+        return self.symbols[:, 0:2]
 
 
 def scene_arrays(labels: Sequence[Label], features: Sequence[PointFeature]) -> SceneArrays:
-    number = {f.id: k for k, f in enumerate(features)}
-    ids = np.array([number[f.id] for f in features], dtype=np.int64)
-    own = np.array([number.get(l.feature_id, -1) for l in labels], dtype=np.int64)
-    live = live_slots(labels)
-    index = np.flatnonzero(~np.isin(ids, np.delete(own, live)))
-    # One NaN row last, where own == -1 points.
-    xyr = [v for f in features for v in (f.anchor.x, f.anchor.y, f.symbol_radius)]
-    xyr = np.array(xyr + [math.nan] * 3).reshape(-1, 3)
-    return SceneArrays(live, xyr[own, 0:2], own, index, ids[index], xyr[index])
+    """The `SceneArrays` of labels that are slot for slot the features:
+    ValueError unless label k names feature k, for every k."""
+    if len(labels) != len(features) or any(l.feature_id != f.id for l, f in zip(labels, features)):
+        raise ValueError("label slot k must hold the label of feature k")
+    xyr = [(f.anchor.x, f.anchor.y, f.symbol_radius) for f in features]
+    return SceneArrays(live_slots(labels), np.array(xyr, dtype=float).reshape(-1, 3))
 
 
 def _label_candidates(
@@ -274,18 +276,17 @@ def _label_candidates(
 
 
 def _symbol_candidates(
-    boxes: np.ndarray, arrays: SceneArrays, limit: float, starts: np.ndarray | None
+    boxes: np.ndarray, symbols: np.ndarray, limit: float, starts: np.ndarray | None
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Rows (i, k) of the boxes, one per live label of arrays, and of its
-    symbols that pass the box test `symbols_near` at limit, within a group
-    and leaving out each label's own feature, row-major in the blocks of
-    `group_blocks`. The symbols list each group's from starts[k] on, as
-    the labels do."""
+    """Rows (i, k) of the boxes and of the symbols, one each per live
+    label, that pass the box test `symbols_near` at limit, within a group
+    and leaving out each label's own symbol (k == i), row-major in the
+    blocks of `group_blocks`."""
     found = []
-    for rows, cols, mixed in group_blocks(starts, len(boxes), starts, len(arrays.symbols)):
-        i, k = mask_pairs(symbols_near(boxes[rows], arrays.symbols[cols], limit))
+    for rows, cols, mixed in group_blocks(starts, len(boxes), starts, len(symbols)):
+        i, k = mask_pairs(symbols_near(boxes[rows], symbols[cols], limit))
         i, k = i + rows.start, k + cols.start
-        keep = arrays.ids[k] != arrays.own[arrays.live[i]]
+        keep = k != i
         if mixed:
             keep &= same_group(starts, i, starts, k)
         found.append((i[keep], k[keep]))
@@ -332,26 +333,26 @@ def conflicting_feature_pairs(
     starts: np.ndarray | None = None,
     near: NearList | None = None,
 ) -> list[tuple[int, int]]:
-    """(label index, feature index) conflicts against foreign feature symbols.
+    """(label slot, symbol slot) conflicts against foreign feature symbols.
 
     A label never conflicts with its own feature, and symbols whose label was
     deleted are treated as removed from the map. The box test
-    `symbols_near` runs over the live labels of the (n, 4) rects and the
-    symbols of arrays in the blocks of `group_blocks`, and
-    `symbol_rows_closer` decides each pair it passed. Pairs come out
-    sorted. With starts, arrays.live and the symbols both list the labels
-    and symbols of several groups, one group after another, group k's from
-    starts[k] on, and only the pairs of a label and a symbol of one group
-    count; None is one group. With near, as for `conflicting_label_pairs`,
-    but its symbol candidates, found at d_min + skin: the symbols stay put.
+    `symbols_near` runs over the live labels of the (n, 4) rects and their
+    symbols in the blocks of `group_blocks`, and `symbol_rows_closer`
+    decides each pair it passed. Pairs come out sorted. With starts,
+    arrays.live lists the labels of several groups, one group after
+    another, group k's from starts[k] on, and only the pairs of a label and
+    a symbol of one group count; None is one group. With near, as for
+    `conflicting_label_pairs`, but its symbol candidates, found at
+    d_min + skin: the symbols stay put.
     """
     live = arrays.live
-    boxes = rects[live]
+    boxes, symbols = rects[live], arrays.symbols[live]
     if near is not None and near.symbols is None:
-        near.symbols = _symbol_candidates(near.base, arrays, d_min + near.skin, starts)
-    i, k = _symbol_candidates(boxes, arrays, d_min, starts) if near is None else near.symbols
-    close = symbol_rows_closer(boxes[i], arrays.symbols[k], d_min)
-    pairs = list(zip(live[i[close]].tolist(), arrays.index[k[close]].tolist()))
+        near.symbols = _symbol_candidates(near.base, symbols, d_min + near.skin, starts)
+    i, k = _symbol_candidates(boxes, symbols, d_min, starts) if near is None else near.symbols
+    close = symbol_rows_closer(boxes[i], symbols[k], d_min)
+    pairs = list(zip(live[i[close]].tolist(), live[k[close]].tolist()))
     pairs.sort()
     return pairs
 
@@ -385,7 +386,6 @@ def conflict_pairs(
 
 
 def assemble_forces(
-    features: Sequence[PointFeature],
     cfg: LayoutConfig,
     pairs: ConflictPairs,
     rects: np.ndarray,
@@ -418,9 +418,10 @@ def assemble_forces(
     own labels gives.
 
     Every live label must fit the screen with d_min to spare, as
-    `check_screen_fit` tests: `optimizer.run` checks that once, before any
-    loop, and the steps only translate labels. The screen push does not
-    test it again, and reads the same whether a label fits or not.
+    `check_screen_fit` tests: `optimizer.starting_layout` checks that
+    once, before any loop, and the steps only translate labels. The screen
+    push does not test it again, and reads the same whether a label fits
+    or not.
     """
     d_min, live = cfg.d_min, arrays.live
     target = RESOLVE_TARGET_FACTOR * d_min
@@ -457,8 +458,8 @@ def assemble_forces(
             a[0], a[1], b[0], b[1] = a[0] + fx, a[1] + fy, b[0] - fx, b[1] - fy
         mark([i for i, _ in pairs.labels], _PAIR)
         hits: dict[int, list] = {}
-        for i, k in pairs.features:
-            x, y, r = features[k].anchor.x, features[k].anchor.y, features[k].symbol_radius
+        symbols = arrays.symbols[[k for _, k in pairs.features]].tolist()
+        for (i, k), (x, y, r) in zip(pairs.features, symbols):
             hits.setdefault(i, []).append((_symbol_gap(box[i], x, y, r), k, x, y, r))
         pushed = []
         for i, near in hits.items():

@@ -12,7 +12,7 @@ Every metric takes the layout as (n, 4) rects with the live slots or one
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Sequence
 
 import numpy as np
@@ -33,13 +33,8 @@ class MetricsReport:
     edge_deviations: tuple[tuple[int, int, float], ...]
 
     def as_dict(self) -> dict:
-        return {
-            "label_conflicts": self.label_conflicts,
-            "feature_conflicts": self.feature_conflicts,
-            "total_displacement_cm": self.total_displacement_cm,
-            "mean_direction_deviation_deg": self.mean_direction_deviation_deg,
-            "elapsed_s": self.elapsed_s,
-        }
+        """Every field but the per-edge deviations, in order."""
+        return {f.name: getattr(self, f.name) for f in fields(self) if f.name != "edge_deviations"}
 
 
 def count_conflicts(rects: np.ndarray, arrays: SceneArrays, d_min: float) -> tuple[int, int]:

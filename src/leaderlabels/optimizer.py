@@ -36,9 +36,10 @@ when the frames or the beam edges change. The prune carries nothing: one
 blocked pass of `prune_graph` box-tests every loop's short edges against
 the live rects of their loop on every step.
 
-`run` builds the labels and reads them once into arrays: the (n, 4) rects,
-the (n, 2) connection points and one `SceneArrays` for the anchors, the live
-slots and the symbols. Its loops, one per subgroup or one over the whole
+`run` builds the labels and reads them once into arrays, each indexed by
+label slot (slot k holds feature k's label): the (n, 4) rects, the (n, 2)
+connection points and one `SceneArrays` for the live slots and each slot's
+anchor and symbol. Its loops, one per subgroup or one over the whole
 scene, step in lockstep on those arrays: each step advances every loop that
 has not exited, over the rows of all of their labels, listed one loop after
 another so that every pair test stays within a loop. The scans, the force
@@ -55,7 +56,7 @@ from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 from typing import Sequence
 
 import numpy as np
@@ -158,10 +159,13 @@ def handle_offscreen_fixed(
 def starting_layout(features: Sequence[PointFeature], cfg: LayoutConfig) -> list[Label]:
     """The layout a placement starts from and its metrics measure against:
     `initial_layout`, less the labels `handle_offscreen_fixed` deletes
-    under the fully fixed leader."""
+    under the fully fixed leader. Every live label must fit the screen
+    with d_min to spare: `check_screen_fit` raises
+    LabelLargerThanScreenError for the first that cannot."""
     labels = initial_layout(list(features), cfg)
     if cfg.leader.kind is LeaderType.FIXED_DIR_FIXED_CONN:
         labels = handle_offscreen_fixed(labels, cfg.screen, cfg.leader)
+    check_screen_fit(label_rects([l for l in labels if not l.deleted]), cfg.screen, cfg.d_min)
     return labels
 
 
@@ -181,9 +185,9 @@ class StepStats:
     capped: int
 
 
-def pruning_distance(features: Sequence[PointFeature], cfg: LayoutConfig) -> float:
-    """t_d: Delaunay edges longer than this are pruned."""
-    return cfg.t_d_factor * mean_nn_distance(points_array(f.anchor for f in features))
+def pruning_distance(anchors: np.ndarray, cfg: LayoutConfig) -> float:
+    """t_d of the (n, 2) anchors: Delaunay edges longer than this are pruned."""
+    return cfg.t_d_factor * mean_nn_distance(anchors)
 
 
 def reference_graph(
@@ -196,7 +200,7 @@ def reference_graph(
     """The pruned Delaunay graph of the layout at the (n, 4) rects and live
     slots that direction deviation is measured over."""
     if t_d is None:
-        t_d = pruning_distance(features, cfg)
+        t_d = pruning_distance(points_array(f.anchor for f in features), cfg)
     return prune_graph(delaunay_graph(rects, live), rects, live, t_d)
 
 
@@ -250,26 +254,10 @@ class RunReport:
     repair_moves: int
 
     def as_dict(self) -> dict:
-        return {
-            "method": self.method,
-            "graph_kind": self.graph_kind,
-            "leader_type": self.leader_type,
-            "iterations": self.iterations,
-            "total_steps": self.total_steps,
-            "elapsed_s": self.elapsed_s,
-            "exit_reason": self.exit_reason,
-            "infeasible": self.infeasible,
-            "label_conflicts": self.label_conflicts,
-            "feature_conflicts": self.feature_conflicts,
-            "total_displacement_cm": self.total_displacement_cm,
-            "mean_direction_deviation_deg": self.mean_direction_deviation_deg,
-            "initial_graph_edges": self.initial_graph_edges,
-            "solver_graph_edges": self.solver_graph_edges,
-            "force_tags": list(self.force_tags),
-            "subgroup_sizes": list(self.subgroup_sizes),
-            "deleted_count": self.deleted_count,
-            "repair_moves": self.repair_moves,
-        }
+        """Every field but the loop records, in order, tuples as lists."""
+        out = {f.name: getattr(self, f.name) for f in fields(self) if f.name != "loops"}
+        out.update(force_tags=list(self.force_tags), subgroup_sizes=list(self.subgroup_sizes))
+        return out
 
 
 @dataclass(slots=True, eq=False)
@@ -311,27 +299,26 @@ def _group(
     index: int,
     rows: np.ndarray,
     live: np.ndarray,
-    features: Sequence[PointFeature],
+    anchors: np.ndarray,
     cfg: LayoutConfig,
     t_d: float | None,
     first_graph: ProximityGraph | None = None,
 ) -> _Group:
-    """The loop over the frame rows whose labels are rows[live], the scene
-    of features; a Delaunay loop without t_d takes it from the features'
-    anchors."""
+    """The loop over the frame rows whose labels are rows[live], in a run
+    whose slots have the (n, 2) anchors; a Delaunay loop without t_d takes
+    it from its rows' anchors."""
     if t_d is None and cfg.graph_kind is GraphKind.DT:
-        t_d = pruning_distance(features, cfg)
+        t_d = pruning_distance(anchors[rows], cfg)
     t_s = effective_max_iterations(len(live), cfg.t_s_override) if len(live) else 0
     return _Group(index, rows, live, rows[live], t_d, t_s, first_graph=first_graph)
 
 
 @dataclass(frozen=True, slots=True)
 class _Scene:
-    """What every step of a run reads and none changes: the features, the
-    config and its beam parameters, the run's `SceneArrays`, and each
-    slot's group, by its index (-1 for a deleted label)."""
+    """What every step of a run reads and none changes: the config and its
+    beam parameters, the run's `SceneArrays`, and each slot's group, by its
+    index (-1 for a deleted label)."""
 
-    features: Sequence[PointFeature]
     cfg: LayoutConfig
     beam: BeamParams
     arrays: SceneArrays
@@ -344,15 +331,13 @@ class _Batch:
 
     order lists the groups' live slots one group after another, group k's
     from starts[k] on, each group's rising, and group gives the group of
-    each; anchors are their anchors. arrays is the run's `SceneArrays` over
-    the slots in order and over their own features' symbols in the same
-    order (slot k holds feature k's label, so the symbols are the live
-    slots' features), so that the scans pair only the labels and symbols
-    of one group. frames lays out the groups' beam networks, one per group
-    over its frame rows, for the solve. near holds both scans' candidates,
-    over the slots in order, so a new batch starts it empty. pattern holds
-    the stiffness assembly's index of the batch's last solve, kept while
-    the groups' frames and edges stay the same.
+    each; anchors are their anchors. arrays is the run's `SceneArrays` with
+    order for its live slots, so that the scans pair only the labels and
+    symbols of one group. frames lays out the groups' beam networks, one
+    per group over its frame rows, for the solve. near holds both scans'
+    candidates, over the slots in order, so a new batch starts it empty.
+    pattern holds the stiffness assembly's index of the batch's last
+    solve, kept while the groups' frames and edges stay the same.
     """
 
     __slots__ = (
@@ -365,15 +350,8 @@ class _Batch:
         sizes = [len(g.slots) for g in groups]
         self.starts = np.cumsum([0] + sizes[:-1])
         self.group = np.repeat(np.arange(len(groups)), sizes)
-        arrays = scene.arrays
-        self.anchors = arrays.anchors[self.order]
-        symbols = np.searchsorted(arrays.index, self.order)
-        self.arrays = arrays._replace(
-            live=self.order,
-            index=self.order,
-            ids=arrays.ids[symbols],
-            symbols=arrays.symbols[symbols],
-        )
+        self.anchors = scene.arrays.anchors[self.order]
+        self.arrays = scene.arrays._replace(live=self.order)
         self.frames = frames_of([g.rows for g in groups], len(scene.gid))
         self.near = NearList(_SKIN_STEPS * scene.beam.max_step)
         self.pattern = StiffnessPattern()
@@ -471,9 +449,7 @@ def _advance(
     ends with this step. A step in which no group moves rescans nothing.
     """
     cfg, groups, order = scene.cfg, batch.groups, batch.order
-    assignment = assemble_forces(
-        scene.features, cfg, pairs, rects, batch.arrays, scene.gid, scene.n_groups
-    )
+    assignment = assemble_forces(cfg, pairs, rects, batch.arrays, scene.gid, scene.n_groups)
     # Only the along-leader force component can produce motion under the
     # fully fixed leader, so the perpendicular remainder is dropped before
     # the solve as well as after it.
@@ -530,15 +506,12 @@ def _advance(
     return pairs, stats
 
 
-def _scene(
-    features: Sequence[PointFeature], cfg: LayoutConfig, arrays: SceneArrays, groups: list[_Group]
-) -> _Scene:
-    """What the steps of these groups' loops read, the scene of features
-    and its arrays."""
-    gid = np.full(len(arrays.own), -1)
+def _scene(cfg: LayoutConfig, arrays: SceneArrays, groups: list[_Group]) -> _Scene:
+    """What the steps of these groups' loops read, in the scene of arrays."""
+    gid = np.full(len(arrays.symbols), -1)
     for g in groups:
         gid[g.slots] = g.index
-    return _Scene(features, cfg, cfg.resolved_beam(), arrays, gid, len(groups))
+    return _Scene(cfg, cfg.resolved_beam(), arrays, gid, len(groups))
 
 
 def _run_loops(
@@ -588,24 +561,22 @@ def run(
     rects, conns = label_rects(labels), points_array(l.conn for l in labels)
     arrays = scene_arrays(labels, features)
     initial_rects = rects.copy()
-    check_screen_fit(rects[arrays.live], cfg.screen, cfg.d_min)
-    t_d = pruning_distance(features, cfg)
+    t_d = pruning_distance(arrays.anchors, cfg)
     ref_graph = reference_graph(rects, arrays.live, features, cfg, t_d)
 
     if cfg.t_num is None:
         # The first step's Delaunay graph is the reference graph: the same
         # layout, live slots and t_d.
         first = ref_graph if cfg.graph_kind is GraphKind.DT else None
-        groups = [_group(0, np.arange(len(labels)), arrays.live, features, cfg, t_d, first)]
+        groups = [_group(0, np.arange(len(labels)), arrays.live, arrays.anchors, cfg, t_d, first)]
         subgroup_sizes: tuple[int, ...] = ()
     else:
         slots = [np.array(g) for g in partition_labels(rects, arrays.live, cfg.t_num)]
         groups = [
-            _group(k, g, np.arange(len(g)), [features[i] for i in g], cfg, None)
-            for k, g in enumerate(slots)
+            _group(k, g, np.arange(len(g)), arrays.anchors, cfg, None) for k, g in enumerate(slots)
         ]
         subgroup_sizes = tuple(len(g) for g in slots)
-    loops = _run_loops(_scene(features, cfg, arrays, groups), groups, rects, conns)
+    loops = _run_loops(_scene(cfg, arrays, groups), groups, rects, conns)
 
     repair_moves = 0
     n_rr, n_rp = count_conflicts(rects, arrays, cfg.d_min)

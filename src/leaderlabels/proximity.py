@@ -14,7 +14,7 @@ run's.
 A Delaunay build also returns its triangles (`Triangulation`), and the
 placement loop hands them to the next step. A step moves each label by at
 most 2·d_min, far less than the labels' spacing, so the triangles mostly
-stay Delaunay. The loop keeps them, and skips Qhull, when `still_delaunay`
+stay Delaunay. The loop keeps them, and skips Qhull, when `_delaunay_tests`
 decides every orientation and in-circle test that proves this by a margin;
 the Delaunay triangulation is then unique and Qhull would return the same
 edges. When only in-circle tests fail, each by more than the margin,
@@ -149,39 +149,28 @@ _CARRY_MARGIN = 1e-9
 _ONE_GROUP = np.zeros(1, dtype=np.intp)
 
 
-def still_delaunay(
-    tri: Triangulation, xy: np.ndarray, live: np.ndarray, starts: np.ndarray | None = None
-) -> np.ndarray:
-    """Whether the carried triangles are, by a margin, the Delaunay
-    triangulation of the live centers xy[live]: every triangle is still
-    counter-clockwise, every other live center lies strictly inside every
-    hull edge, and every interior edge's far vertex lies strictly outside
-    the circumcircle of the triangle across it. Returns one bool per group.
-
-    With starts, live lists the live slots of several groups, one group
-    after another, group k's from starts[k] on, and tri is `joined` of
-    their triangulations in the same order: each group is tested only
-    against its own centers and its own S, and accepted or refused on its
-    own. None is one group. The tests of all groups run as one set of
-    array operations, the hull test in the blocks of `group_blocks`.
-
-    The first two make the triangles a triangulation of the live centers:
-    they cover the convex hull once, so no two centers coincide. The third
-    makes it the Delaunay one (Delaunay's lemma), and, being strict, the
-    only one.
-    """
-    return _delaunay_tests(tri, xy, live, starts)[0]
-
-
 def _delaunay_tests(
     tri: Triangulation, xy: np.ndarray, live: np.ndarray, starts: np.ndarray | None
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray | None]:
-    """The tests of `still_delaunay`, with what a flip needs of them:
-    whether each group passed every test; whether it passed the
-    orientation and hull tests and failed no in-circle test by less than
-    the margin; and which rows of tri.interior have their far vertex inside
-    the circumcircle by more than the margin, or None when no in-circle
-    test failed."""
+    """Whether the carried triangles are, by a margin, the Delaunay
+    triangulation of the live centers xy[live]. Every triangle is still
+    counter-clockwise and every other live center lies strictly inside
+    every hull edge, so they cover the convex hull once; every interior
+    edge's far vertex lies strictly outside the circumcircle of the
+    triangle across it, so they are Delaunay (Delaunay's lemma) and, being
+    strict, the only such triangulation.
+
+    With starts, live lists the live slots of several groups, group k's
+    from starts[k] on, and tri is `joined` of theirs in the same order:
+    each group is tested against its own centers and its own S alone, in
+    one set of array operations (the hull test in the blocks of
+    `group_blocks`). None is one group.
+
+    Returns, one bool per group, whether it passed every test, and whether
+    it passed the orientation and hull tests and failed no in-circle test
+    by less than the margin; and the rows of tri.interior whose far vertex
+    lies inside the circumcircle by more than the margin, or None when no
+    in-circle test failed."""
     x, y = xy[:, 0], xy[:, 1]
     size = np.abs(xy[live])
     if starts is None:
@@ -260,7 +249,7 @@ def _delaunay_tests(
 
 def joined(carried: Sequence[Triangulation]) -> Triangulation:
     """The union of the triangulations of disjoint groups, for one
-    `still_delaunay` of them all."""
+    `_delaunay_tests` of them all."""
     parts = zip(*((t.edges, t.triangles, t.hull, t.interior) for t in carried))
     return Triangulation(*(np.concatenate(p) for p in parts))
 
@@ -306,7 +295,7 @@ def _flipped(
     those rows in the flipped tri.interior.
 
     Every other row and triangle, and the hull, stay as they were, so the
-    touched part passes `still_delaunay` exactly when the whole does, given
+    touched part passes `_delaunay_tests` exactly when the whole does, given
     that the rest passed before."""
     triangles, interior = tri.triangles.copy(), tri.interior.copy()
     # The triangle of each directed side, and the row of each interior
@@ -362,7 +351,7 @@ def carried_delaunay(
     xy[live] that its carried triangles prove or flip to; None where Qhull
     must build it.
 
-    One `still_delaunay` checks every group's triangles. A group that
+    One `_delaunay_tests` checks every group's triangles. A group that
     passes keeps them. A group that passes the orientation and hull tests,
     and fails each in-circle test it fails by more than the margin, has
     those interior edges flipped: each such edge's two triangles form a

@@ -64,7 +64,6 @@ from .geometry import (
     rects_closer,
     rects_near,
     screen_margins,
-    screen_room,
     symbols_closer,
     symbols_near,
 )
@@ -261,11 +260,11 @@ def _search(
     cx, cy = 0.5 * (x0 + x1), 0.5 * (y0 + y1)
     own_half_diag = 0.5 * math.hypot(x1 - x0, y1 - y0)
     grid = cfg.d_min / 2.0
-    others = rects[arrays.live[arrays.live != idx]]
+    slots = arrays.live[arrays.live != idx]
+    others, symbols = rects[slots], arrays.symbols[slots]
     centers = rect_centers(others)
     label_dist = np.hypot(centers[:, 0] - cx, centers[:, 1] - cy)
     half_diag = 0.5 * np.hypot(others[:, 2] - others[:, 0], others[:, 3] - others[:, 1])
-    symbols = arrays.symbols[arrays.ids != arrays.own[idx]]
     symbol_dist = np.hypot(symbols[:, 0] - cx, symbols[:, 1] - cy)
     start = 1
     for retry in range(search.retries + 1):
@@ -322,25 +321,19 @@ def _blocked_cells(
 
     The candidate is closer than d_min to a near rect when both its signed
     axis gaps to the rect lie below d_min / sqrt(2), and to a near symbol
-    when both lie below (radius + d_min) / sqrt(2); a label that fits the
-    screen fails it when a margin lies below d_min, which is a gap below
-    d_min to the half-plane beyond that edge. Each threshold is lowered by
+    when both lie below (radius + d_min) / sqrt(2); it fails the screen
+    test when a margin lies below d_min, which is a gap below d_min to the
+    half-plane beyond that edge. Each threshold is lowered by
     `_BROAD_PHASE_SLACK` and each range of cells shrunk by one cell, so a
     marked cell fails the exact test by far more than float rounding: one
     slice assignment marks each rect, symbol and screen edge.
     """
-    d_min, s = cfg.d_min, cfg.screen
-    x0, y0, x1, y1 = box.tolist()
+    d_min, s, inf = cfg.d_min, cfg.screen, math.inf
+    beyond = ((-inf, -inf, s.x_min, inf), (-inf, -inf, inf, s.y_min),
+              (s.x_max, -inf, inf, inf), (-inf, s.y_max, inf, inf))
+    obstacles = np.concatenate((near_rects, near_symbols[:, [0, 1, 0, 1]], beyond))
     limit = np.concatenate((np.full(len(near_rects), d_min), near_symbols[:, 2] + d_min))
-    limit = limit / math.sqrt(2.0) - _BROAD_PHASE_SLACK
-    obstacles = np.concatenate((near_rects, near_symbols[:, [0, 1, 0, 1]]))
-    room_x, room_y = screen_room(s, d_min)
-    if x1 - x0 <= room_x - _BROAD_PHASE_SLACK and y1 - y0 <= room_y - _BROAD_PHASE_SLACK:
-        inf = math.inf
-        beyond = ((-inf, -inf, s.x_min, inf), (-inf, -inf, inf, s.y_min),
-                  (s.x_max, -inf, inf, inf), (-inf, s.y_max, inf, inf))
-        obstacles = np.concatenate((obstacles, beyond))
-        limit = np.append(limit, [d_min - _BROAD_PHASE_SLACK] * 4)
+    limit = np.append(limit / math.sqrt(2.0), [d_min] * 4) - _BROAD_PHASE_SLACK
     # Both gaps along x lie below the limit for the cells ix with
     # x0 + ix * grid - q_x1 < limit and q_x0 - (x1 + ix * grid) < limit,
     # an open range; likewise along y. The slices keep the cells one in
@@ -416,9 +409,10 @@ def _candidates_ok(
     x_max, y_max; near_symbols is (s, 3): anchor x, y and symbol radius.
     A candidate passes when every near rect lies at least d_min away, every
     near symbol's clearance minus its radius is at least d_min, it keeps
-    d_min from the screen edges unless it cannot fit, and, for the sliding
-    fixed-direction leader, `attachment_forces` gives it no pull and its
-    attachment edge lies ahead of the anchor.
+    d_min from every screen edge (`optimizer.starting_layout` has checked
+    that each label fits), and, for the sliding fixed-direction leader,
+    `attachment_forces` gives it no pull and its attachment edge lies
+    ahead of the anchor.
 
     The screen and attachment tests are column operations. The rects, then
     the symbols, are tested against the candidates still in, leaving out
@@ -426,8 +420,6 @@ def _candidates_ok(
     """
     d_min = cfg.d_min
     ok = (screen_margins(cands, cfg.screen) >= d_min).all(axis=1)
-    # A candidate that fails `check_screen_fit`'s size test is exempt.
-    ok |= (cands[:, 2:4] - cands[:, 0:2] > screen_room(cfg.screen, d_min)).any(axis=1)
     if cfg.leader.kind is LeaderType.FIXED_DIR_FREE_CONN:
         # Keep the label attached, by the loop's rule: the leader ray still
         # meets the attachment edge, which lies ahead of the anchor along u.

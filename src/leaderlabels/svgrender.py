@@ -27,9 +27,10 @@ def render_svg(
 ) -> str:
     """Produce the SVG document as a string.
 
-    label_conflicts holds label index pairs, feature_conflicts holds
-    (label index, feature index) pairs; each becomes one highlight group.
-    Deleted labels and their leaders are not drawn.
+    Label slot k holds feature k's label. label_conflicts holds label
+    slot pairs, feature_conflicts (label slot, symbol slot) pairs; each
+    becomes one highlight group. Deleted labels, their leaders and their
+    symbols are not drawn.
     """
 
     def fy(y: float) -> float:
@@ -71,26 +72,18 @@ def render_svg(
         for i, j in graph.edges.tolist():
             segment(g_graph, *xy[i], *xy[j])
 
-    feature_by_id = {f.id: f for f in features}
-    deleted_ids = {l.feature_id for l in labels if l.deleted}
-
     g_leaders = ET.SubElement(root, "g", {"class": "leaders", "stroke": "#555", "stroke-width": "0.2"})
     g_feat = ET.SubElement(root, "g", {"class": "features", "fill": "#d62728"})
-    for f in features:
-        if f.id in deleted_ids:
+    g_labels = ET.SubElement(root, "g", {"class": "labels"})
+    for l, f in zip(labels, features):
+        if l.deleted:
             continue
         ET.SubElement(
             g_feat,
             "circle",
             {"cx": str(f.anchor.x), "cy": str(fy(f.anchor.y)), "r": str(max(f.symbol_radius, 0.4))},
         )
-
-    g_labels = ET.SubElement(root, "g", {"class": "labels"})
-    for l in labels:
-        if l.deleted:
-            continue
-        anchor = feature_by_id[l.feature_id].anchor
-        segment(g_leaders, anchor.x, anchor.y, l.conn.x, l.conn.y)
+        segment(g_leaders, f.anchor.x, f.anchor.y, l.conn.x, l.conn.y)
         r = l.rect
         ET.SubElement(
             g_labels,
@@ -116,7 +109,7 @@ def render_svg(
                 "font-family": "sans-serif",
             },
         )
-        text.text = feature_by_id[l.feature_id].text
+        text.text = f.text
 
     g_conf = ET.SubElement(root, "g", {"class": "conflicts", "stroke": "#ff7f0e", "stroke-width": "0.4"})
     ends = [(labels[i].rect.center(), labels[j].rect.center()) for i, j in label_conflicts or ()]

@@ -196,7 +196,7 @@ def pair_totals(a: Rect, b: Rect, d_min: float) -> tuple[Vec2, Vec2]:
     leader = LeaderSpec(kind=LeaderType.FIXED_DIR_FIXED_CONN)
     cfg = LayoutConfig(screen=Rect(-1e4, -1e4, 1e4, 1e4), d_min=d_min, leader=leader)
     pairs = ConflictPairs([(0, 1)], [])
-    fa, fb = assemble_forces(features, cfg, pairs, *scene_layout(labels, features)).totals.tolist()
+    fa, fb = assemble_forces(cfg, pairs, *scene_layout(labels, features)).totals.tolist()
     return Vec2(*fa), Vec2(*fb)
 
 
@@ -526,11 +526,7 @@ def candidate_ok(
         if point_rect_signed_clearance(feat.anchor, candidate) - feat.symbol_radius < d_min:
             return False
     screen = cfg.screen
-    fits = (
-        candidate.width <= screen.width - 2 * d_min
-        and candidate.height <= screen.height - 2 * d_min
-    )
-    if fits and not (
+    if not (
         candidate.x_min - screen.x_min >= d_min
         and screen.x_max - candidate.x_max >= d_min
         and candidate.y_min - screen.y_min >= d_min
@@ -711,11 +707,11 @@ def reference_block_search(
     cx, cy = 0.5 * (x0 + x1), 0.5 * (y0 + y1)
     own_half_diag = 0.5 * math.hypot(x1 - x0, y1 - y0)
     grid = cfg.d_min / 2.0
-    others = rects[arrays.live[arrays.live != idx]]
+    slots = arrays.live[arrays.live != idx]
+    others, symbols = rects[slots], arrays.symbols[slots]
     centers = 0.5 * (others[:, 0:2] + others[:, 2:4])
     label_dist = np.hypot(centers[:, 0] - cx, centers[:, 1] - cy)
     half_diag = 0.5 * np.hypot(others[:, 2] - others[:, 0], others[:, 3] - others[:, 1])
-    symbols = arrays.symbols[arrays.ids != arrays.own[idx]]
     symbol_dist = np.hypot(symbols[:, 0] - cx, symbols[:, 1] - cy)
     start = 1
     for retry in range(search.retries + 1):
@@ -957,7 +953,7 @@ def reference_partition_labels(rects: np.ndarray, live: np.ndarray, t_num: int) 
 def reference_advance(features, cfg, arrays, t_d, rects, conns, pairs, carried, step_no):
     """Reference for one group's step of `optimizer._advance`, as each loop
     once stepped alone on its own labels' arrays: assemble forces, build
-    the graph (the carried Delaunay triangles if `still_delaunay` accepts
+    the graph (the carried Delaunay triangles if `_delaunay_tests` accepts
     them, else Qhull's, pruned; or the MST),
     solve, move and rescan. A step whose forces are all zero builds no
     graph after the loop's first, and neither solves nor rescans. Returns
@@ -972,7 +968,7 @@ def reference_advance(features, cfg, arrays, t_d, rects, conns, pairs, carried, 
         delaunay_graph,
         mst_graph,
         prune_graph,
-        still_delaunay,
+        _delaunay_tests,
     )
     from leaderlabels.scene import GraphKind, connection_points
 
@@ -988,7 +984,7 @@ def reference_advance(features, cfg, arrays, t_d, rects, conns, pairs, carried, 
             graph = mst_graph(rects, live, "center")
         else:
             xy = rect_centers(rects)
-            if carried is not None and still_delaunay(carried, xy, live)[0]:
+            if carried is not None and _delaunay_tests(carried, xy, live, None)[0][0]:
                 graph = ProximityGraph(xy, carried.edges, carried)
             else:
                 graph = delaunay_graph(rects, live)
@@ -1035,7 +1031,7 @@ def reference_run_loop(labels: list[Label], features: Sequence[PointFeature], cf
     t_s = opt.effective_max_iterations(n_live, cfg.t_s_override)
     t_f = cfg.force_threshold
     if t_d is None and cfg.graph_kind is GraphKind.DT:
-        t_d = opt.pruning_distance(features, cfg)
+        t_d = opt.pruning_distance(points_array(f.anchor for f in features), cfg)
     arrays = scene_arrays(labels, features)
     rects = label_rects(labels)
     conns = points_array(l.conn for l in labels)
@@ -1067,7 +1063,7 @@ def reference_run(features: Sequence[PointFeature], cfg: LayoutConfig):
     if cfg.leader.kind is LeaderType.FIXED_DIR_FIXED_CONN:
         labels = opt.handle_offscreen_fixed(labels, cfg.screen, cfg.leader)
     initial_rects, live = label_rects(labels), live_slots(labels)
-    t_d = opt.pruning_distance(features, cfg)
+    t_d = opt.pruning_distance(points_array(f.anchor for f in features), cfg)
     ref_graph = opt.reference_graph(initial_rects, live, features, cfg, t_d)
 
     feature_by_id = {f.id: f for f in features}

@@ -69,6 +69,28 @@ class TestExitCodes:
         assert "Traceback" not in err
         assert out == ""
 
+    @pytest.mark.parametrize("method", ["beams", "localp", "nop", "eval"])
+    def test_label_wider_than_screen_is_validation_error_for_every_method(
+        self, capsys, tmp_path, method
+    ):
+        # `starting_layout`, which every method and `eval` start from,
+        # checks the fit; the placement for `eval` is of the same ids.
+        data = generate_synthetic(10, 0)
+        fit, wide, placement = (tmp_path / name for name in ("fit.json", "wide.json", "p.json"))
+        fit.write_text(json.dumps(data))
+        assert main(["place", str(fit), "--method", "nop", "--out-json", str(placement)]) == 0
+        capsys.readouterr()
+        data["features"][0]["text"] = "W" * 400
+        wide.write_text(json.dumps(data))
+        if method == "eval":
+            code, out, err = run_cli(capsys, "eval", str(wide), str(placement))
+        else:
+            code, out, err = run_cli(capsys, "place", str(wide), "--method", method)
+        assert code == 2
+        assert err.startswith("validation error: label ")
+        assert "Traceback" not in err
+        assert out == ""
+
     @pytest.mark.parametrize(
         "section, key, value",
         [

@@ -29,6 +29,7 @@ from leaderlabels.forces import (
     conflict_pairs,
     conflicting_feature_pairs,
     conflicting_label_pairs,
+    scene_arrays,
     screen_forces,
 )
 from leaderlabels.geometry import Rect, Vec2, points_array
@@ -64,11 +65,11 @@ def _row(r: Rect) -> tuple[float, float, float, float]:
 
 def _symbol_scene(rect: Rect, x: float, y: float) -> tuple[list[Label], list[PointFeature]]:
     """One label at rect, its own feature below it, and a foreign symbol of
-    radius 0 at (x, y)."""
-    labels = labels_from_rects([rect])
+    radius 0 at (x, y), whose label sits apart at (60, 60)."""
+    labels = labels_from_rects([rect, Rect(60, 60, 70, 64)])
     features = [
         PointFeature(id="f0", anchor=Vec2(rect.x_min, rect.y_min - 20.0), depth=100.0, text="T"),
-        PointFeature(id="s", anchor=Vec2(x, y), depth=100.0, text="T", symbol_radius=0.0),
+        PointFeature(id="f1", anchor=Vec2(x, y), depth=100.0, text="T", symbol_radius=0.0),
     ]
     return labels, features
 
@@ -189,8 +190,8 @@ class TestComposePointForces:
         leader = LeaderSpec(kind=LeaderType.FIXED_DIR_FIXED_CONN)
         cfg = LayoutConfig(screen=Rect(-50, -50, 100, 100), d_min=1.0, leader=leader)
         rects, arrays = scene_layout(labels, features)
-        fa = assemble_forces(features, cfg, conflict_pairs(rects, arrays, cfg.d_min), rects, arrays)
-        assert fa.totals.tolist() == [[0.0, 0.0]]
+        fa = assemble_forces(cfg, conflict_pairs(rects, arrays, cfg.d_min), rects, arrays)
+        assert fa.totals.tolist() == [[0.0, 0.0]] * 2
         assert fa.group_sources == (frozenset(),)
 
     def _oracle(self, candidate_sets):
@@ -444,6 +445,30 @@ class TestScreenForce:
         assert self.push(rect) == [1.0, 0.0]
 
 
+class TestSceneArrays:
+    def test_slot_k_holds_feature_ks_symbol(self):
+        labels = labels_from_rects([Rect(0, 0, 4, 2), Rect(10, 0, 14, 2)])
+        labels[1] = dataclasses.replace(labels[1], deleted=True)
+        features = [
+            PointFeature(id="f0", anchor=Vec2(2, -5), depth=100, text="T"),
+            PointFeature(id="f1", anchor=Vec2(12, -5), depth=100, text="T", symbol_radius=1.5),
+        ]
+        arrays = scene_arrays(labels, features)
+        assert arrays.live.tolist() == [0]
+        assert arrays.symbols.tolist() == [[2.0, -5.0, 0.5], [12.0, -5.0, 1.5]]
+        assert arrays.anchors.tolist() == [[2.0, -5.0], [12.0, -5.0]]
+
+    def test_labels_not_slot_for_slot_the_features_raise(self):
+        labels = labels_from_rects([Rect(0, 0, 4, 2), Rect(10, 0, 14, 2)])
+        features = [
+            PointFeature(id=l.feature_id, anchor=Vec2(0, -5), depth=100, text="T") for l in labels
+        ]
+        extra = PointFeature(id="s", anchor=Vec2(0, 9), depth=100, text="T")
+        for bad in (features[:1], features[::-1], features + [extra]):
+            with pytest.raises(ValueError, match="slot"):
+                scene_arrays(labels, bad)
+
+
 class TestConflictScan:
     def test_matches_brute_force(self, rng):
         for _ in range(20):
@@ -473,14 +498,15 @@ _unit = st.floats(0.0, 1.0)
 
 @st.composite
 def symbol_scenes(draw):
-    """Labels and symbols with anchors on the scan's boundary cases.
+    """Labels and their symbols, label slot k holding feature k's label,
+    with anchors on the scan's boundary cases.
 
-    Each symbol sits near one label's rect: anywhere, inside it, exactly
-    radius + d_min out from an edge, or that far out from a corner. Its id
-    is a label's (so some symbols are a label's own) or one no label has.
-    Some labels are deleted, which removes their symbols.
+    Each symbol sits near one label's rect, which may be its own label's:
+    anywhere, inside it, exactly radius + d_min out from an edge, or that
+    far out from a corner. Some labels are deleted, which removes their
+    symbols.
     """
-    n = draw(st.integers(1, 6))
+    n = draw(st.integers(1, 12))
     labels = labels_from_rects([
         Rect(x, y, x + w, y + h)
         for x, y, w, h in draw(st.lists(
@@ -492,7 +518,7 @@ def symbol_scenes(draw):
     labels = [dataclasses.replace(l, deleted=draw(st.booleans())) for l in labels]
     d_min = draw(st.sampled_from([0.0, 0.2, 0.5]) | st.floats(0.0, 5.0))
     features = []
-    for k in range(draw(st.integers(0, 12))):
+    for label in labels:
         r = labels[draw(st.integers(0, n - 1))].rect
         radius = draw(st.sampled_from([0.0, 0.5]) | st.floats(0.0, 3.0))
         reach = radius + d_min
@@ -515,10 +541,9 @@ def symbol_scenes(draw):
             cx = r.x_max if sx > 0 else r.x_min
             cy = r.y_max if sy > 0 else r.y_min
             x, y = cx + sx * reach * math.cos(a), cy + sy * reach * math.sin(a)
-        fid = draw(st.sampled_from([f"f{i}" for i in range(n)] + [f"s{k}"]))
-        features.append(
-            PointFeature(id=fid, anchor=Vec2(x, y), depth=100.0, text="T", symbol_radius=radius)
-        )
+        features.append(PointFeature(
+            id=label.feature_id, anchor=Vec2(x, y), depth=100.0, text="T", symbol_radius=radius
+        ))
     return labels, features, d_min
 
 
@@ -539,30 +564,35 @@ class TestFeatureScanProperty:
             (0.03546964032188504, 0.060851756668864554, 0.07043459146080565, []),
             (0.1151024984279273, 0.8850600703796611, 0.8925132566661415, [(0, 1)]),
         ):
-            labels = labels_from_rects([Rect(-1.0, -1.0, 0.0, 0.0)])
+            labels = labels_from_rects([Rect(-1.0, -1.0, 0.0, 0.0), Rect(10.0, 10.0, 11.0, 11.0)])
             features = [
                 PointFeature(id="f0", anchor=Vec2(-0.5, -2.0), depth=100, text="T"),
-                PointFeature(id="s", anchor=Vec2(gx, gy), depth=100, text="T", symbol_radius=0.0),
+                PointFeature(id="f1", anchor=Vec2(gx, gy), depth=100, text="T", symbol_radius=0.0),
             ]
             clearance = point_rect_signed_clearance(features[1].anchor, labels[0].rect)
             assert clearance == math.hypot(gx, gy)
             assert conflicting_feature_pairs(*scene_layout(labels, features), d_min) == want
 
     def test_boundary_cases_by_hand(self):
-        # s0's clearance is exactly radius + d_min, so no conflict; s1's is
-        # 0.1 mm less. s2 lies inside label 0, f1 is label 1's symbol.
-        labels = labels_from_rects([Rect(0, 0, 10, 4), Rect(40, 0, 50, 4)])
+        # Against label 0: its own symbol f0 lies inside it, and label 1's
+        # symbol f1 too. f2's clearance is exactly radius + d_min, so no
+        # conflict; f3's is 0.1 mm less. f4 lies inside label 0. Labels 2-4
+        # sit apart, above every symbol.
+        labels = labels_from_rects([
+            Rect(0, 0, 10, 4), Rect(40, 0, 50, 4),
+            Rect(0, 40, 4, 42), Rect(10, 40, 14, 42), Rect(20, 40, 24, 42),
+        ])
         features = [
-            PointFeature(id="s0", anchor=Vec2(11.0, 2.0), depth=100, text="T", symbol_radius=0.5),
-            PointFeature(id="s1", anchor=Vec2(2.0, 4.9), depth=100, text="T", symbol_radius=0.5),
-            PointFeature(id="s2", anchor=Vec2(5.0, 2.0), depth=100, text="T", symbol_radius=0.5),
             PointFeature(id="f0", anchor=Vec2(5.0, 2.0), depth=100, text="T"),
             PointFeature(id="f1", anchor=Vec2(5.0, 3.0), depth=100, text="T"),
+            PointFeature(id="f2", anchor=Vec2(11.0, 2.0), depth=100, text="T", symbol_radius=0.5),
+            PointFeature(id="f3", anchor=Vec2(2.0, 4.9), depth=100, text="T", symbol_radius=0.5),
+            PointFeature(id="f4", anchor=Vec2(5.0, 2.0), depth=100, text="T", symbol_radius=0.5),
         ]
         got = conflicting_feature_pairs(*scene_layout(labels, features), 0.5)
-        assert got == [(0, 1), (0, 2), (0, 4)]
-        deleted = [labels[0], dataclasses.replace(labels[1], deleted=True)]
-        assert conflicting_feature_pairs(*scene_layout(deleted, features), 0.5) == [(0, 1), (0, 2)]
+        assert got == [(0, 1), (0, 3), (0, 4)]
+        deleted = [labels[0], dataclasses.replace(labels[1], deleted=True), *labels[2:]]
+        assert conflicting_feature_pairs(*scene_layout(deleted, features), 0.5) == [(0, 3), (0, 4)]
 
 
 @st.composite
@@ -635,9 +665,9 @@ class TestLabelScanArray:
     def test_row_blocks_change_nothing(self, rng, block):
         labels = random_labels(rng, 40, span=90.0)
         features = [
-            PointFeature(id=f"s{k}", anchor=Vec2(rng.uniform(0, 100), rng.uniform(0, 100)),
+            PointFeature(id=l.feature_id, anchor=Vec2(rng.uniform(0, 100), rng.uniform(0, 100)),
                          depth=100.0, text="T")
-            for k in range(30)
+            for l in labels
         ]
         want = conflict_pairs(*scene_layout(labels, features), 0.8)
         with mock.patch.object(geometry, "BLOCK_ELEMENTS", block):
@@ -731,7 +761,7 @@ def assemble(labels, features, cfg, pairs=None):
     rects, arrays = scene_layout(labels, features)
     if pairs is None:
         pairs = conflict_pairs(rects, arrays, cfg.d_min)
-    return assemble_forces(features, cfg, pairs, rects, arrays)
+    return assemble_forces(cfg, pairs, rects, arrays)
 
 
 def same_assignment(a, b) -> bool:
@@ -934,16 +964,11 @@ class TestGroupedScansAndAssembly:
 
     @staticmethod
     def grouped(arrays, group):
-        """arrays with the live labels and their symbols listed group by
-        group (groups 0-3, some of them empty), and where each group
-        begins."""
+        """arrays with the live labels listed group by group (groups 0-3,
+        some of them empty), and where each group begins."""
         order = arrays.live[np.argsort(group[arrays.live], kind="stable")]
         starts = np.searchsorted(group[order], np.arange(4))
-        symbols = np.searchsorted(arrays.index, order)
-        grouped = arrays._replace(
-            live=order, index=order, ids=arrays.ids[symbols], symbols=arrays.symbols[symbols]
-        )
-        return grouped, starts
+        return arrays._replace(live=order), starts
 
     @settings(max_examples=150, deadline=None)
     @given(grouped_scenes(), st.sampled_from([1, 64, 1 << 14]))
@@ -964,14 +989,13 @@ class TestGroupedScansAndAssembly:
         rects, arrays = scene_layout(labels, features)
         grouped, starts = self.grouped(arrays, group)
         pairs = conflict_pairs(rects, grouped, cfg.d_min, starts)
-        whole = assemble_forces(features, cfg, pairs, rects, grouped, group, 4)
-        (every,) = assemble_forces(features, cfg, pairs, rects, arrays).group_sources
+        whole = assemble_forces(cfg, pairs, rects, grouped, group, 4)
+        (every,) = assemble_forces(cfg, pairs, rects, arrays).group_sources
         assert frozenset().union(*whole.group_sources) == every
         for g, got in enumerate(whole.group_sources):
             mine = np.flatnonzero(group == g)
             own = set(mine.tolist())
             alone = assemble_forces(
-                features,
                 cfg,
                 ConflictPairs(*([p for p in found if p[0] in own] for found in pairs)),
                 rects,
@@ -1000,10 +1024,10 @@ class TestKernelMatchesReference:
         steps, sources = [], set()
 
         def checked(*args):
-            got, want = assemble_forces(*args), reference_assemble_forces(*args)
+            got, want = assemble_forces(*args), reference_assemble_forces(features, *args)
             assert np.array_equal(got.totals.view(np.int64), want.totals.view(np.int64))
             assert got.group_sources == want.group_sources
-            steps.append(bool(args[2].labels or args[2].features))
+            steps.append(bool(args[1].labels or args[1].features))
             sources.update(*got.group_sources)
             return got
 
@@ -1033,7 +1057,7 @@ class TestKernelMatchesReference:
             rects_array, arrays = scene_layout(labels_from_rects(rects), features)
             pairs = conflict_pairs(rects_array, arrays, cfg.d_min)
             assert len([p for p in pairs.features if p[0] == 0]) > MAX_COMPOSED_FEATURES
-            got = assemble_forces(features, cfg, pairs, rects_array, arrays)
+            got = assemble_forces(cfg, pairs, rects_array, arrays)
             want = reference_assemble_forces(features, cfg, pairs, rects_array, arrays)
             assert got.totals.tobytes() == want.totals.tobytes()
             assert got.group_sources == want.group_sources

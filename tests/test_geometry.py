@@ -319,6 +319,18 @@ def carried_layouts(draw):
     )
 
 
+def _slotted(rects: np.ndarray, symbols: np.ndarray) -> tuple[np.ndarray, SceneArrays]:
+    """The (n, 4) rects and (m, 3) symbols as one scene of n + m label
+    slots: the rects' own symbols, and the symbols' own labels, lie far off
+    in slots of their own, 10 mm apart, where they meet nothing."""
+    n, m = len(rects), len(symbols)
+    x = 1e4 + 10.0 * np.arange(m)
+    far_rects = np.column_stack((x, np.full(m, 1e4), x + 1.0, np.full(m, 1e4 + 1.0)))
+    far_symbols = np.column_stack((-1e4 - 10.0 * np.arange(n), np.full(n, -1e4), np.zeros(n)))
+    arrays = SceneArrays(np.arange(n + m), np.concatenate((far_symbols, symbols)))
+    return np.concatenate((rects, far_rects)), arrays
+
+
 class TestNearList:
     """The candidates a `NearList` keeps from the two scans' box tests,
     widened by the moves it allows, hold every pair the exact tests pass
@@ -334,15 +346,12 @@ class TestNearList:
     @given(carried_layouts())
     def test_candidates_hold_every_pair_after_moves_within_the_skin(self, layout):
         d_min, skin, rects, symbols, moves = layout
-        n, m = len(rects), len(symbols)
-        arrays = SceneArrays(
-            np.arange(n), np.full((n, 2), math.nan), np.full(n, -1), np.arange(m), np.arange(m),
-            symbols,
-        )
+        rects, arrays = _slotted(rects, symbols)
         near = NearList(skin)
         conflict_pairs(rects, arrays, d_min, near=near)
         base = near.base
-        moved = rects + moves
+        moved = rects.copy()
+        moved[: len(moves)] += moves
 
         if near.holds(moved):
             want = conflict_pairs(moved, arrays, d_min)
@@ -391,13 +400,10 @@ class TestNearList:
         rects = np.array([(low, 0.0, low + 1.0, 1.0), (x, 0.0, x + 1.0, 1.0)])
         radius = 0.5
         px = least_past(low + 1.0, radius + ((d_min + skin * share) + slack))
-        arrays = SceneArrays(
-            np.arange(2), np.full((2, 2), math.nan), np.full(2, -1), np.arange(1), np.arange(1),
-            np.array([(px, 0.5, radius)]),
-        )
+        rects, arrays = _slotted(rects, np.array([(px, 0.5, radius)]))
         near = NearList(skin)
         conflict_pairs(rects, arrays, d_min, near=near)
-        moved = rects + [(toward, 0.0, toward, 0.0), (-back, 0.0, -back, 0.0)]
+        moved = rects + [(toward, 0.0, toward, 0.0), (-back, 0.0, -back, 0.0), (0.0,) * 4]
         if near.holds(moved):
             want = conflict_pairs(moved, arrays, d_min)
             assert set(want.labels) <= self.candidates(near.labels)

@@ -67,10 +67,11 @@ class TestCountConflicts:
         assert count_conflicts(*scene_layout(labels, features), d_min=2.0) == (0, 0)
 
     def test_foreign_feature_overlap(self):
-        labels = labels_from_rects([Rect(0, 0, 4, 2)])
+        # Label 1 sits apart; its symbol lies inside label 0.
+        labels = labels_from_rects([Rect(0, 0, 4, 2), Rect(10, 10, 14, 12)])
         features = [
             PointFeature(id="f0", anchor=Vec2(2, -20), depth=100, text="A"),
-            PointFeature(id="fX", anchor=Vec2(2, 1), depth=100, text="B"),
+            PointFeature(id="f1", anchor=Vec2(2, 1), depth=100, text="B"),
         ]
         assert count_conflicts(*scene_layout(labels, features), d_min=0.2) == (0, 1)
 

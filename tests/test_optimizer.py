@@ -132,8 +132,8 @@ def whole_scene_loop(labels, features, cfg):
     conns it moves."""
     rects, arrays = scene_layout(labels, features)
     conns = points_array(l.conn for l in labels)
-    group = optimizer._group(0, np.arange(len(labels)), arrays.live, features, cfg, None)
-    return optimizer._scene(features, cfg, arrays, [group]), group, rects, conns
+    group = optimizer._group(0, np.arange(len(labels)), arrays.live, arrays.anchors, cfg, None)
+    return optimizer._scene(cfg, arrays, [group]), group, rects, conns
 
 
 def one_step(labels, features, cfg):
@@ -203,7 +203,7 @@ class TestStep:
             assert pairs == conflict_pairs(*scene_layout(placed, features), cfg.d_min)
             assert stats.label_conflicts == len(pairs.labels)
             assert stats.feature_conflicts == len(pairs.features)
-        assert group.t_d == optimizer.pruning_distance(features, cfg)
+        assert group.t_d == optimizer.pruning_distance(points_array(f.anchor for f in features), cfg)
 
     @pytest.mark.parametrize("name", STEP_SCENES)
     def test_advance_returns_the_new_layouts_pairs_on_every_step(self, monkeypatch, name):
@@ -322,7 +322,7 @@ class TestForceFreeStep:
         batch = optimizer._Batch(scene, [group])
         pairs = conflict_pairs(rects, scene.arrays, cfg.d_min)
         for step_no in range(1, 100):
-            totals = optimizer.assemble_forces(features, cfg, pairs, rects, scene.arrays).totals
+            totals = optimizer.assemble_forces(cfg, pairs, rects, scene.arrays).totals
             if not project_for_leader_type(totals, cfg.leader).any():
                 break
             pairs, _ = optimizer._advance(scene, batch, rects, conns, pairs, step_no)
@@ -336,9 +336,7 @@ class TestForceFreeStep:
             feature_conflicts=len(pairs.features),
             # A later step that moves nothing builds no graph.
             graph_edges=None,
-            force_tags=optimizer.assemble_forces(
-                features, cfg, pairs, rects, scene.arrays
-            ).group_sources[0],
+            force_tags=optimizer.assemble_forces(cfg, pairs, rects, scene.arrays).group_sources[0],
             capped=len(
                 solve_displacements(graph, np.zeros((len(labels), 2)), scene.beam).capped_nodes
             ),
@@ -628,10 +626,10 @@ class TestLockstepEqualsGroupByGroup:
         rects, arrays = scene_layout(labels, features)
         slots = [np.array(g) for g in partition_labels(rects, arrays.live, 5)]
         groups = [
-            optimizer._group(k, g, np.arange(len(g)), [features[i] for i in g], cfg, None)
+            optimizer._group(k, g, np.arange(len(g)), arrays.anchors, cfg, None)
             for k, g in enumerate(slots)
         ]
-        scene = optimizer._scene(features, cfg, arrays, groups)
+        scene = optimizer._scene(cfg, arrays, groups)
         gid = scene.gid
         every = conflict_pairs(rects, arrays, cfg.d_min)
         assert any(i in slots[8] and k in slots[5] for i, k in every.features)
@@ -639,7 +637,6 @@ class TestLockstepEqualsGroupByGroup:
             batch = optimizer._Batch(scene, picked)
             mine = {i for g in picked for i in g.slots.tolist()}
             assert sorted(batch.arrays.live.tolist()) == sorted(mine)
-            assert batch.arrays.index.tolist() == batch.arrays.live.tolist()
             got = batch.conflict_pairs(rects, cfg.d_min)
             assert got == tuple(
                 [p for p in found if p[0] in mine and gid[p[0]] == gid[p[1]]] for found in every
@@ -651,7 +648,7 @@ class TestLockstepEqualsGroupByGroup:
         real = optimizer.assemble_forces
 
         def counted(*args):
-            calls.append(len(args[4].live))
+            calls.append(len(args[3].live))
             return real(*args)
 
         monkeypatch.setattr(optimizer, "assemble_forces", counted)
@@ -676,8 +673,9 @@ def _oversize_scene():
 
 
 class TestScreenFitCheckedOnce:
-    """`run` checks every live label against the screen once, before any
-    loop, and names the lowest slot that cannot fit."""
+    """`run` checks every live label against the screen once, in
+    `starting_layout` before any loop, and names the lowest slot that
+    cannot fit."""
 
     @staticmethod
     def width_message(labels, slot) -> str:

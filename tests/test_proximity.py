@@ -202,7 +202,7 @@ def point_rects(xy) -> tuple[np.ndarray, np.ndarray]:
 
 def carried_build(xy0, xy1):
     """The graph of the centres xy1 that a loop carrying the triangles of
-    xy0 keeps: their edges if `still_delaunay` accepts them, else a fresh
+    xy0 keeps: their edges if `_delaunay_tests` accepts them, else a fresh
     Qhull build; with that fresh build and whether the carry was
     accepted."""
     tri = delaunay_graph(*point_rects(xy0)).triangulation
@@ -210,7 +210,7 @@ def carried_build(xy0, xy1):
     rects, live = point_rects(xy1)
     fresh = delaunay_graph(rects, live)
     xy = geometry.rect_centers(rects)
-    if proximity.still_delaunay(tri, xy, live)[0]:
+    if proximity._delaunay_tests(tri, xy, live, None)[0][0]:
         return ProximityGraph(xy, tri.edges, tri), fresh, True
     return fresh, fresh, False
 
@@ -378,7 +378,8 @@ class TestCarriedTriangulation:
         rects, live = label_layout(point_labels([(1, 1), (1, 1), (4, 5), (7, 2)]))
         g = delaunay_graph(rects, live)
         assert g.triangulation is not None
-        assert not proximity.still_delaunay(g.triangulation, geometry.rect_centers(rects), live)[0]
+        xy = geometry.rect_centers(rects)
+        assert not proximity._delaunay_tests(g.triangulation, xy, live, None)[0][0]
 
     def test_pruning_keeps_the_triangulation(self, rng):
         rects, live = label_layout(random_labels(rng, 25))
@@ -854,10 +855,10 @@ class TestGroupedBuilds:
         groups, xy0, xy1, _ = case
         tris = [delaunay_graph(np.column_stack((xy0, xy0)), g).triangulation for g in groups]
         assume(all(t is not None for t in tris))
-        want = [proximity.still_delaunay(t, xy1, g)[0] for t, g in zip(tris, groups)]
+        want = [proximity._delaunay_tests(t, xy1, g, None)[0][0] for t, g in zip(tris, groups)]
         order = np.concatenate(groups)
         with mock.patch.object(geometry, "GROUP_BLOCK_ELEMENTS", block):
-            got = proximity.still_delaunay(proximity.joined(tris), xy1, order, _starts(groups))
+            got = proximity._delaunay_tests(proximity.joined(tris), xy1, order, _starts(groups))[0]
         assert got.tolist() == want
 
     @settings(max_examples=200, deadline=None)
@@ -932,11 +933,11 @@ class TestGroupedBuilds:
         xy = np.array(small + large)
         groups = [np.arange(4), np.arange(4, 7)]
         tris = [delaunay_graph(np.column_stack((xy, xy)), g).triangulation for g in groups]
-        want = [proximity.still_delaunay(t, xy, g)[0] for t, g in zip(tris, groups)]
+        want = [proximity._delaunay_tests(t, xy, g, None)[0][0] for t, g in zip(tris, groups)]
         assert want == [True, True]
-        assert not proximity.still_delaunay(proximity.joined(tris), xy, np.arange(7))[0]
-        got = proximity.still_delaunay(
+        assert not proximity._delaunay_tests(proximity.joined(tris), xy, np.arange(7), None)[0][0]
+        got = proximity._delaunay_tests(
             proximity.joined(tris), xy, np.concatenate(groups), _starts(groups)
-        )
+        )[0]
         assert got.tolist() == want
 

@@ -54,8 +54,8 @@ def test_ring_border_matches_square_filter():
 
 
 def wedged_scene() -> tuple[list[Label], list[PointFeature], LayoutConfig]:
-    """A 4 x 2 mm label sitting on a foreign symbol, boxed in from above and
-    below by two wide labels 0.5 mm away.
+    """A 4 x 2 mm label sitting on a foreign symbol, whose own label sits
+    apart, boxed in from above and below by two wide labels 0.5 mm away.
 
     Clearing the symbol takes 2.65 mm to the left or 2.75 mm to the right,
     beyond a 2 mm axis search, and any vertical step over 0.3 mm runs into a
@@ -76,6 +76,7 @@ def wedged_scene() -> tuple[list[Label], list[PointFeature], LayoutConfig]:
         Rect(50.0, 50.0, 54.0, 52.0),
         Rect(48.0, 52.5, 56.0, 70.0),
         Rect(48.0, 30.0, 56.0, 49.5),
+        Rect(80.0, 80.0, 84.0, 82.0),
     ]
     labels = [
         Label(feature_id=f.id, rect=r, conn=Vec2(r.center().x, r.y_min), font_size=10.0)
@@ -493,15 +494,17 @@ def crowded_scenes(draw):
 def unpark_scene(x0: float, y0: float):
     """A label stuck inside a 1279 mm symbol, and a 2 x 1 mm label at
     (x0, y0) that clears a symbol on its left edge by stepping 0.75 mm
-    right. Under the axis search to 8 retries at d_min 0.5 the stuck
-    label's reach is 1280 + 4 * math.hypot(40, 2) mm; the coordinates
-    below put the moving label's old center where math.hypot and np.hypot
-    of the distance fall on either side of that reach."""
+    right. The two symbols' own labels sit far off, beyond the large one.
+    Under the axis search to 8 retries at d_min 0.5 the stuck label's
+    reach is 1280 + 4 * math.hypot(40, 2) mm; the coordinates below put
+    the moving label's old center where math.hypot and np.hypot of the
+    distance fall on either side of that reach."""
     cfg = LayoutConfig(
         screen=Rect(0.0, 0.0, 3000.0, 3000.0), d_min=0.5,
         leader=LeaderSpec(kind=LeaderType.FREE_DIR_FIXED_CONN),
     )
     stuck, mover = Rect(100.5, 100.0, 140.5, 102.0), Rect(x0, y0, x0 + 2.0, y0 + 1.0)
+    far = Rect(2800.0, 2800.0, 2802.0, 2801.0)
     features = [
         PointFeature(id="s", anchor=stuck.center(), depth=100.0, text="S"),
         PointFeature(id="m", anchor=mover.center(), depth=100.0, text="M"),
@@ -511,7 +514,7 @@ def unpark_scene(x0: float, y0: float):
     ]
     labels = [
         Label(feature_id=f.id, rect=r, conn=Vec2(r.center().x, r.y_min), font_size=10.0)
-        for f, r in zip(features, (stuck, mover))
+        for f, r in zip(features, (stuck, mover, far, far.translated(Vec2(10.0, 0.0))))
     ]
     return labels, features, cfg, 0
 
